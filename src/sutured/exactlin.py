@@ -3,15 +3,17 @@
 Everything at desk scale: the diagrams this package works with produce
 systems with a few hundred rows at most, so plain Gaussian elimination
 (bitmask rows over F2, ``Fraction`` rows over Q) and a textbook Smith
-normal form are enough.  No floating point is used anywhere; rational
-feasibility is decided by an exact-fraction phase-I simplex.
+normal form are enough.  No floating point is used anywhere.  Rational
+feasibility of a nonnegative kernel vector is settled mod 2 when the
+matrix has full column rank over F2 (then its kernel over Q is zero),
+and otherwise by an exact-fraction phase-I simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 
@@ -315,7 +317,7 @@ def cokernel_residue(m: IntegerMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Q: dense elimination helpers for the disk-census and admissibility
+# Q: dense elimination helpers (no library caller; exercised by the tests)
 
 
 def q_solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
@@ -397,13 +399,20 @@ def q_kernel_basis(rows: Sequence[Sequence]) -> list:
 def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
     """A nonzero nonnegative integer vector in ker(m), or None.
 
-    Decides feasibility of {v >= 0, m v = 0, sum(v) = 1} by an exact
+    First ``m`` is reduced mod 2: full column rank over F2 forces full
+    column rank over Q (a nonzero maximal minor mod 2 is nonzero over
+    Z), so the kernel is zero and there is no witness.  Otherwise
+    decides feasibility of {v >= 0, m v = 0, sum(v) = 1} by an exact
     phase-I simplex with Bland's rule, then clears denominators.  The
     normalisation makes "nonzero" a linear condition, and any rational
     solution scales to an integer one.
     """
     n = m.cols
-    if n == 0:
+    bits = [0] * m.rows
+    for ((r, c), v) in m.entries:
+        if v % 2:
+            bits[r] |= 1 << c
+    if f2_rank(bits) == n:
         return None
     dense = m.dense()
     rows = [[Fraction(v) for v in row] for row in dense]
@@ -433,21 +442,16 @@ def _phase1_simplex(a_rows: list, b: list) -> Optional[list]:
         T.append(row)
     basis = [nc + i for i in range(nr)]
     total = nc + nr
-
-    def reduced_costs():
-        # cost: minimise the sum of artificial variables
-        costs = [Fraction(0)] * total
-        for j in range(nc, total):
-            costs[j] = Fraction(1)
-        for i, bi in enumerate(basis):
-            if costs[bi] != 0:
-                f = costs[bi]
-                for j in range(total):
-                    costs[j] -= f * T[i][j]
-        return costs
+    # Reduced costs of "minimise the sum of artificials", kept as one more
+    # tableau row and pivoted with the others.  With every artificial
+    # basic they are minus the column sums on the original variables and
+    # zero on the artificials.
+    costs = [-sum(col) for col in zip(*T)]
+    for j in range(nc, total):
+        costs[j] = Fraction(0)
+    T.append(costs)
 
     while True:
-        costs = reduced_costs()
         enter = next((j for j in range(total) if costs[j] < 0), None)
         if enter is None:
             break
@@ -466,11 +470,14 @@ def _phase1_simplex(a_rows: list, b: list) -> Optional[list]:
             # unbounded phase-I objective cannot happen; treat as infeasible
             return None
         pv = T[leave][enter]
-        T[leave] = [v / pv for v in T[leave]]
-        for i in range(nr):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        prow = T[leave] = [v / pv for v in T[leave]]
+        # only the pivot row's nonzero columns change in the other rows
+        support = [j for j, v in enumerate(prow) if v]
+        for row in T:
+            f = row[enter]
+            if f and row is not prow:
+                for j in support:
+                    row[j] -= f * prow[j]
         basis[leave] = enter
     # objective value = sum of basic artificial values
     obj = sum(T[i][-1] for i in range(nr) if basis[i] >= nc)
@@ -481,18 +488,3 @@ def _phase1_simplex(a_rows: list, b: list) -> Optional[list]:
         if bi < nc:
             sol[bi] = T[i][-1]
     return sol
-
-
-def scale_to_integers(vec: Sequence[Fraction]) -> tuple:
-    """Scale a rational vector by the lcm of denominators, divide by gcd."""
-    fracs = [Fraction(v) for v in vec]
-    if not fracs:
-        return ()
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)

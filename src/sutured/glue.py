@@ -701,6 +701,11 @@ def eh_generator(d, applied) -> frozenset:
     diagram.  An empty ``d.eh`` means the base is untagged; it is refused
     before any complex is built.
     """
+    return _transport_eh(d, applied)[0]
+
+
+def _transport_eh(d, applied):
+    """``eh_generator`` together with the final diagram's complex."""
     if not d.eh:
         raise ValueError("base has no tagged generator")
     tag = set(d.eh)
@@ -715,16 +720,15 @@ def eh_generator(d, applied) -> frozenset:
         raise ValueError(f"transported tag {_fmt(g)} is not a generator")
     if cx.boundary_of(g):
         raise ValueError(f"transported tag {_fmt(g)} is not a cycle")
-    return g
+    return g, cx
 
 
 def _eh_block(d, applied):
     """Report block for the transported contact class; errors are flagged."""
     try:
-        g = eh_generator(d, applied)
+        g, final = _transport_eh(d, applied)
     except ValueError as err:
         return {"ok": False, "error": str(err)}
-    final = sfc.differential(applied[-1][0]) if applied else sfc.differential(d)
     return {
         "ok": True,
         "generator": sorted(g),

@@ -58,33 +58,37 @@ def generators(d: Diagram) -> list:
 
     found = []
     used = {cid: 0 for cid in remaining}
-
-    def rec(i, chosen):
-        if i == len(order):
-            if all(used.get(cid, 0) == 1 for cid in closed):
-                found.append(frozenset(chosen))
-            return
-        v = order[i]
-        cids = list(crossings[v].values())
-        for cid in cids:
-            remaining[cid] -= 1
-        if all(
-            used[cid] + remaining[cid] >= 1 for cid in cids if cid in closed
-        ):
-            rec(i + 1, chosen)
-        if all(used[cid] == 0 for cid in cids):
-            for cid in cids:
-                used[cid] += 1
-            chosen.append(v)
-            rec(i + 1, chosen)
-            chosen.pop()
-            for cid in cids:
-                used[cid] -= 1
-        for cid in cids:
-            remaining[cid] += 1
-
-    rec(0, [])
+    _extend_matchings(0, [], order, crossings, closed, used, remaining, found)
     return sorted(found, key=lambda x: tuple(sorted(x)))
+
+
+def _extend_matchings(i, chosen, order, crossings, closed, used, remaining, found):
+    """Depth-first step of ``generators``: decide crossing ``order[i]``.
+
+    A module-level function rather than a closure, so the recursion
+    holds no reference cycle that would keep ``found`` alive until the
+    cyclic garbage collector runs.
+    """
+    if i == len(order):
+        if all(used.get(cid, 0) == 1 for cid in closed):
+            found.append(frozenset(chosen))
+        return
+    v = order[i]
+    cids = list(crossings[v].values())
+    for cid in cids:
+        remaining[cid] -= 1
+    if all(used[cid] + remaining[cid] >= 1 for cid in cids if cid in closed):
+        _extend_matchings(i + 1, chosen, order, crossings, closed, used, remaining, found)
+    if all(used[cid] == 0 for cid in cids):
+        for cid in cids:
+            used[cid] += 1
+        chosen.append(v)
+        _extend_matchings(i + 1, chosen, order, crossings, closed, used, remaining, found)
+        chosen.pop()
+        for cid in cids:
+            used[cid] -= 1
+    for cid in cids:
+        remaining[cid] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +283,13 @@ def is_nice(d: Diagram):
     Every non-suture region must be a bigon, a rectangle, or a
     quadrilateral with exactly one side on an interface.
     """
-    offenders = []
-    for rec in region_census(d):
-        if rec.shape == "other":
-            offenders.extend(rec.faces)
-    return (not offenders, sorted(offenders))
+    offenders = _not_nice_faces(region_census(d))
+    return (not offenders, offenders)
+
+
+def _not_nice_faces(census) -> list:
+    """Sorted faces of the census regions that fail the niceness test."""
+    return sorted(f for rec in census if rec.shape == "other" for f in rec.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +345,17 @@ def is_admissible(d: Diagram):
 # Spin^c partition
 
 
-def spinc_partition(d: Diagram) -> dict:
+def spinc_partition(d: Diagram, gens: Optional[list] = None) -> dict:
     """Generator -> class index.
 
     Two generators share a class exactly when the difference of their
     occupancy vectors, spread along the alpha family, is a boundary of
     non-suture regions; classes are numbered by first appearance in
-    canonical generator order.
+    canonical generator order.  ``gens`` is ``generators(d)``, passed by
+    callers that already hold it.
     """
-    gens = generators(d)
+    if gens is None:
+        gens = generators(d)
     verts = sorted(
         {
             v
@@ -408,8 +416,9 @@ def differential(d: Diagram) -> ChainComplexF2:
 
     Requires a nice, admissible diagram and rejects anything else.
     """
-    nice, offenders = is_nice(d)
-    if not nice:
+    census = region_census(d)
+    offenders = _not_nice_faces(census)
+    if offenders:
         raise ValueError(f"diagram is not nice; offending faces: {offenders}")
     ok, witness = is_admissible(d)
     if not ok:
@@ -418,7 +427,7 @@ def differential(d: Diagram) -> ChainComplexF2:
     idx = {x: i for i, x in enumerate(basis)}
     moves = [
         (rec.moves_from, rec.moves_to, rec.interior)
-        for rec in region_census(d)
+        for rec in census
         if rec.shape in ("bigon", "rect")
     ]
     entries = set()
@@ -433,7 +442,7 @@ def differential(d: Diagram) -> ChainComplexF2:
             if c % 2:
                 entries.add((idx[y], j))
     diff = BinaryMatrix(len(basis), len(basis), frozenset(entries))
-    return ChainComplexF2(basis, diff, spinc_partition(d))
+    return ChainComplexF2(basis, diff, spinc_partition(d, basis))
 
 
 @dataclass

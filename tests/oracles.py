@@ -3,10 +3,15 @@
 Everything here is written from the definitions with no shared code
 paths: generators by filtering the full power set, the boundary map by
 reading face words directly (only meaningful when no region spans a
-seam), and F2 rank by list-of-sets elimination.
+seam), and F2 rank by list-of-sets elimination.  The positive-kernel
+simplex is kept here in its plain form, which rebuilds the reduced
+costs from the whole tableau on every pivot, as the reference the
+library's simplex must match answer for answer.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from sutured import surface
 
@@ -160,3 +165,79 @@ def naive_f2_rank(rows):
             basis.append(cur)
             basis.sort(key=max, reverse=True)
     return len(basis)
+
+
+def reference_positive_kernel_witness(rows):
+    """A nonzero nonnegative integer kernel vector of ``rows``, or None.
+
+    Phase I on {v >= 0, A v = 0, sum(v) = 1} with no F2 shortcut, so
+    every system reaches the simplex.
+    """
+    n = len(rows[0]) if rows else 0
+    if n == 0:
+        return None
+    a_rows = [[Fraction(v) for v in row] for row in rows]
+    a_rows.append([Fraction(1)] * n)
+    sol = reference_phase1_simplex(a_rows, [Fraction(0)] * len(rows) + [Fraction(1)])
+    if sol is None:
+        return None
+    denom = lcm(*(f.denominator for f in sol))
+    return tuple(int(f * denom) for f in sol)
+
+
+def reference_phase1_simplex(a_rows, b):
+    """Feasibility of {x >= 0, A x = b} with b >= 0, Bland's rule, with
+    the reduced costs rebuilt from the tableau before every pivot."""
+    nr = len(a_rows)
+    nc = len(a_rows[0])
+    T = []
+    for i in range(nr):
+        row = list(a_rows[i])
+        row += [Fraction(int(i == j)) for j in range(nr)]
+        row.append(b[i])
+        T.append(row)
+    basis = [nc + i for i in range(nr)]
+    total = nc + nr
+
+    def reduced_costs():
+        costs = [Fraction(0)] * total
+        for j in range(nc, total):
+            costs[j] = Fraction(1)
+        for i, bi in enumerate(basis):
+            if costs[bi] != 0:
+                f = costs[bi]
+                for j in range(total):
+                    costs[j] -= f * T[i][j]
+        return costs
+
+    while True:
+        costs = reduced_costs()
+        enter = next((j for j in range(total) if costs[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(nr):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return None
+        pv = T[leave][enter]
+        T[leave] = [v / pv for v in T[leave]]
+        for i in range(nr):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        basis[leave] = enter
+    if sum(T[i][-1] for i in range(nr) if basis[i] >= nc) != 0:
+        return None
+    sol = [Fraction(0)] * nc
+    for i, bi in enumerate(basis):
+        if bi < nc:
+            sol[bi] = T[i][-1]
+    return sol

@@ -3,6 +3,8 @@
 The expected values here were fixed by small independent oracles
 (exhaustive vector enumeration over F2, exhaustive box search for
 nonnegative kernel vectors) before the implementations were written.
+The positive-kernel simplex is also compared, answer for answer, with
+the plain reference simplex in ``oracles``.
 """
 
 import itertools
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from sutured import exactlin
 from sutured.exactlin import (
     BinaryMatrix,
     IntegerMatrix,
@@ -269,3 +273,57 @@ def test_witness_sound(rows):
     if got is not None:
         assert all(v >= 0 for v in got) and any(got)
         assert all(sum(r * v for r, v in zip(row, got)) == 0 for row in rows)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_witness_and_simplex_match_the_reference(rows):
+    n = len(rows[0])
+    a_rows = [[Fraction(v) for v in row] for row in rows] + [[Fraction(1)] * n]
+    b = [Fraction(0)] * len(rows) + [Fraction(1)]
+    assert exactlin._phase1_simplex(a_rows, b) == oracles.reference_phase1_simplex(a_rows, b)
+    assert positive_kernel_witness(
+        IntegerMatrix.from_rows(rows)
+    ) == oracles.reference_positive_kernel_witness(rows)
+
+
+def test_full_f2_rank_settles_without_the_simplex(monkeypatch):
+    def unreachable(*_args):
+        raise AssertionError("simplex reached")
+
+    monkeypatch.setattr(exactlin, "_phase1_simplex", unreachable)
+    assert positive_kernel_witness(IntegerMatrix.from_rows([[1, 0], [0, 1]])) is None
+    assert positive_kernel_witness(IntegerMatrix(2, 0, ())) is None
+
+
+@pytest.mark.parametrize(
+    "rows, expect_witness",
+    [
+        ([[2, 0], [0, 1]], False),  # singular mod 2, full rank over Q
+        ([[1, 1], [1, -1]], False),  # likewise
+        ([[2, -2]], True),
+    ],
+)
+def test_rank_deficient_mod_2_reaches_the_simplex(rows, expect_witness, monkeypatch):
+    reached = []
+    real = exactlin._phase1_simplex
+
+    def recording(*args):
+        reached.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(exactlin, "_phase1_simplex", recording)
+    got = positive_kernel_witness(IntegerMatrix.from_rows(rows))
+    assert reached
+    if expect_witness:
+        assert got is not None and got[0] == got[1] > 0
+    else:
+        assert got is None

@@ -301,6 +301,25 @@ def test_contact_tag_errors_are_flagged_not_raised():
     assert not block["ok"] and "no tagged generator" in block["error"]
 
 
+def test_eh_block_builds_the_final_complex_once(monkeypatch):
+    d = build("fix-stab")
+    results = sequences.replay("fix-stab", glue.two_handle_sequence(d))
+    final = results[-1][0]
+    seen = []
+    real = sfc.differential
+
+    def counting(diagram):
+        seen.append(diagram)
+        return real(diagram)
+
+    monkeypatch.setattr(sfc, "differential", counting)
+    assert glue._eh_block(d, results)["ok"]
+    assert sum(x is final for x in seen) == 1
+    seen.clear()
+    assert not glue._eh_block(build("fix-disk"), results)["ok"]
+    assert seen == []
+
+
 # ---------------------------------------------------------------------------
 # route comparison
 

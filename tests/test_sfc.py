@@ -1,6 +1,7 @@
 """Tests for generators, the shape census, admissibility, Spin^c
 classes, the differential, homology, and interface actions."""
 
+import gc
 from collections import Counter
 
 import pytest
@@ -88,6 +89,18 @@ def test_generators_match_powerset_oracle(name):
 def test_generators_match_powerset_oracle_on_adversaries(trap, hexagram, grid):
     for d in (trap, hexagram, grid):
         assert sfc.generators(d) == oracles.powerset_generators(d)
+
+
+def test_generators_leave_no_reference_cycles(az2, hexagram, grid):
+    """The enumeration frees its work lists by reference counting alone."""
+    for d in (az2, hexagram, grid):
+        gc.collect()
+        gc.disable()
+        try:
+            assert sfc.generators(d)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,6 +323,22 @@ def test_differential_rejects_non_nice(trap, hexagram):
 def test_differential_rejects_inadmissible(grid):
     with pytest.raises(ValueError, match="not admissible.*Q1"):
         sfc.differential(grid)
+
+
+@pytest.mark.parametrize("name", ["az2", "rt2", "bigonpair"])
+def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch):
+    d = pieces.build(name)
+    calls = Counter()
+    for attr in ("generators", "region_census"):
+        real = getattr(sfc, attr)
+
+        def counting(*args, _real=real, _attr=attr):
+            calls[_attr] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sfc, attr, counting)
+    sfc.differential(d)
+    assert calls == {"generators": 1, "region_census": 1}
 
 
 @pytest.mark.parametrize("name", NICE_PIECES)
