@@ -40,9 +40,18 @@ def _emit(payload, fmt, text_lines):
             print(line)
 
 
-def _read_diagram(path):
+def _parse_diagram(path):
     with open(path, encoding="utf-8") as fh:
         return surface.parse(fh.read())
+
+
+def _read_diagram(path):
+    """Parse a diagram document and refuse it unless it validates."""
+    d = _parse_diagram(path)
+    problems = surface.validate(d)
+    if problems:
+        raise ValueError("invalid diagram document: " + "; ".join(problems))
+    return d
 
 
 def _read_json(path):
@@ -59,7 +68,7 @@ def _plural(n, noun):
 
 
 def _cmd_validate(args):
-    d = _read_diagram(args.diagram)
+    d = _parse_diagram(args.diagram)
     problems = surface.validate(d)
     if problems:
         _emit({"problems": problems}, args.format, problems)
@@ -99,12 +108,12 @@ def _cmd_glue(args):
     d = _read_diagram(args.diagram)
     spec = glue.spec_from_json(_read_json(args.spec))
     if spec.kind == "1":
-        d1, table = glue.glue_one_handle(d, spec.p, spec.q)
+        _d1, table = glue.glue_one_handle(d, spec.p, spec.q)
         payload = {
             "kind": "1",
             "table": table.render(),
             "generators": len(table.target.basis),
-            "rank": sfc.homology(d1).total,
+            "rank": sfc.homology(table.target).total,
         }
         lines = payload["table"] + [f"rank {payload['rank']}"]
     elif spec.kind == "2":

@@ -10,6 +10,11 @@ builtin blocks, and maps through the pairing piece (``elementary_join``).
 The package's comparison artifacts -- chain-map tables, stage ranks, the
 boundary identity on the twist stage -- are produced by ``glue_one_handle``,
 ``glue_two_handle`` and ``equivalence_report``.
+
+The route functions take a diagram or its complex (built once, by
+``sfc.differential``); ``equivalence_report`` passes each stage's target
+complex on as the next stage's source, compares the two routes, and
+reports a disagreement as a counterexample.
 """
 
 from __future__ import annotations
@@ -67,13 +72,12 @@ class ChainMapTable:
     def check(self) -> list:
         """Chain-map law violations: boundary-then-map vs map-then-boundary."""
         problems = []
-        tgt_set = set(self.target.basis)
         for g in self.source.basis:
             img = self.entries.get(g)
             if img is None:
                 problems.append(f"no entry for {_fmt(g)}")
                 continue
-            stray = [t for t in img if t not in tgt_set]
+            stray = [t for t in img if t not in self.target.position]
             if stray:
                 problems.append(
                     f"image of {_fmt(g)} leaves the target complex: "
@@ -130,19 +134,11 @@ def _boundary_set(cx: sfc.ChainComplexF2, gens) -> frozenset:
 
 def _is_boundary(cx: sfc.ChainComplexF2, cycle) -> bool:
     """Does the given generator set lie in the image of the differential?"""
-    idx = {g: i for i, g in enumerate(cx.basis)}
     vec = 0
     for g in cycle:
-        vec ^= 1 << idx[g]
-    cols = {}
-    for (r, c) in cx.differential.entries:
-        cols[c] = cols.get(c, 0) | 1 << r
-    col_list = [m for m in cols.values() if m]
-    return f2_rank(col_list + [vec]) == f2_rank(col_list)
-
-
-def _differential_map(cx: sfc.ChainComplexF2) -> dict:
-    return {g: cx.boundary_of(g) for g in cx.basis}
+        vec ^= 1 << cx.index(g)
+    cols = [m for m in cx.columns if m]
+    return f2_rank(cols + [vec]) == f2_rank(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +167,14 @@ class HandleSpec:
 def sigma_map(d, spec: HandleSpec):
     """Attach per ``spec`` and transport generators diagrammatically.
 
-    Returns ``(d2, table, x0)`` where ``x0`` is the forced intersection
-    point for 2-handles and bypasses (``None`` for 1-handles).  The
-    transport must be a chain map; a violation raises, since it signals a
-    convention bug rather than bad input.
+    ``d`` is the base diagram or its complex, which becomes the table's
+    source.  Returns ``(d2, table, x0)`` where ``x0`` is the forced
+    intersection point for 2-handles and bypasses (``None`` for
+    1-handles).  The transport must be a chain map; a violation raises,
+    since it signals a convention bug rather than bad input.
     """
+    source = sfc.as_complex(d)
+    d = source.diagram
     if spec.kind == "1":
         d2 = attach_one_handle(d, spec.p, spec.q)
         x0 = None
@@ -193,7 +192,6 @@ def sigma_map(d, spec: HandleSpec):
         d2, x0 = attach_trivial_bypass(d, spec.site, spec.kind[-1])
     else:
         raise ValueError(f"unknown handle kind {spec.kind!r}")
-    source = sfc.differential(d)
     target = sfc.differential(d2)
     if x0 is None:
         entries = {g: frozenset([g]) for g in source.basis}
@@ -454,13 +452,12 @@ def _elementary_join_full(u, w, v):
     wgen = {f"L:{x}" for x in w.generators[0]}
     ugen = frozenset(f"L:L:{x}" for x in u.generators[0])
     tagv = frozenset(f"L:R:{t}" for t in tags)
-    tgt_set = set(target.basis)
     entries = {}
     for g in source.basis:
         if not wgen <= g:
             raise AssertionError(f"source generator {_fmt(g)} misses the pairing piece")
         image = frozenset((set(g) - wgen) | ugen | tagv)
-        if image not in tgt_set:
+        if image not in target.position:
             raise AssertionError(f"join image {_fmt(image)} is not a generator")
         entries[g] = frozenset([image])
     table = ChainMapTable(source, target, entries)
@@ -544,13 +541,15 @@ def _strip_prefix(d, tag: str):
 def glue_one_handle(d, p: str, q: str):
     """1-handle attachment through the glued pipeline.
 
-    Concatenates the stabilizing block and the pairing square onto the
-    cut-open base, joins, and removes the stabilizing pair.  The result
-    must agree with the diagrammatic transport generator for generator;
-    disagreement raises.
+    ``d`` is the base diagram or its complex.  Concatenates the
+    stabilizing block and the pairing square onto the cut-open base,
+    joins, and removes the stabilizing pair.  Returns ``(d1, table)``:
+    the destabilized diagram and the chain-map table from the base
+    complex into its complex.  ``equivalence_report`` compares the table
+    and its target with the diagrammatic transport.
     """
-    base = sfc.differential(d)
-    cut = prepare_one_handle(d, p, q)
+    base = sfc.as_complex(d)
+    cut = prepare_one_handle(base.diagram, p, q)
     u = modules.bordered_invariant(pieces.u1(), "D")
     w = modules.bordered_invariant(pieces.cap1(), "A")
     v = modules.bordered_invariant(cut, "D")
@@ -563,7 +562,7 @@ def glue_one_handle(d, p: str, q: str):
     lifted = compose(join, pre)
 
     stripped = _strip_prefix(tgt_d, "R:")
-    d1, forced = trivial_destabilize_pair(stripped)
+    d1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be")
     cx1 = sfc.differential(d1)
     entries = {}
     for g in base.basis:
@@ -574,35 +573,24 @@ def glue_one_handle(d, p: str, q: str):
     problems = table.check()
     if problems:
         raise AssertionError("pipeline table is not a chain map: " + problems[0])
-
-    _d2, sigma, _x0 = sigma_map(d, HandleSpec("1", p=p, q=q))
-    if table.entries != sigma.entries:
-        raise AssertionError("pipeline table disagrees with the 1-handle transport")
-    if set(cx1.basis) != set(sigma.target.basis) or _differential_map(cx1) != (
-        _differential_map(sigma.target)
-    ):
-        raise AssertionError("pipeline target complex disagrees with the attachment")
     return d1, table
-
-
-def trivial_destabilize_pair(joined):
-    """Remove the stabilizing block's curve pair after a 1-handle join."""
-    return trivial_destabilize(joined, "L:L:Ae", "L:L:Be")
 
 
 def glue_two_handle(d, spec: HandleSpec) -> dict:
     """2-handle attachment through the staged pipeline.
 
-    Returns the stage record: the cut-open base ``H3``, the block
-    concatenation ``H4``, the twist-block stage ``H5``, the direct
-    attachment ``H6``, the composed ``joinTable`` into ``H4``, and the
-    ``identityReport`` checking the twist-stage boundary identity and the
-    stage homology ranks.  Any stage failing the complex gates raises
-    with the stage named.
+    ``d`` is the base diagram or its complex.  Returns the stage record:
+    the cut-open base ``H3``, the block concatenation ``H4``, the
+    twist-block stage ``H5``, the direct attachment ``H6``, the composed
+    ``joinTable`` into ``H4``, and the ``identityReport`` checking the
+    twist-stage boundary identity and the stage homology ranks, read from
+    the complexes built for the stages.  Any stage failing the complex
+    gates raises with the stage named.
     """
     if spec.kind != "2":
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
-    base = sfc.differential(d)
+    base = sfc.as_complex(d)
+    d = base.diagram
     hv = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
     marks = _new_marks(d, hv)
     x0v, y0v = f"R:{marks['x0']}", f"R:{marks['y0']}"
@@ -627,7 +615,7 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
             d, spec.p, spec.q, spec.a_path, spec.b_path,
             port_order_p=spec.port_order_p, port_order_q=spec.port_order_q,
         )
-        sfc.differential(h6)  # niceness/admissibility gate only
+        cx6 = sfc.differential(h6)
     except ValueError as err:
         raise ValueError(f"stage H6: {err}") from err
 
@@ -643,12 +631,11 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
     join_table = compose(join, pre)
 
     # twist-stage boundary identity over the cycle basis of the base
-    basis5 = set(cx5.basis)
     failures = []
 
     def h5_gen(z, c, g):
         out = frozenset({f"L:{z}", c} | {f"R:{x}" for x in g})
-        if out not in basis5:
+        if out not in cx5.position:
             raise AssertionError(f"expected twist-stage generator {_fmt(out)} missing")
         return out
 
@@ -665,9 +652,9 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
                 + " + ".join(_fmt(g) for g in cycle)
             )
     ranks = {
-        "H4": sfc.homology(h4).total,
-        "H5": sfc.homology(h5).total,
-        "H6": sfc.homology(h6).total,
+        "H4": sfc.homology(join.target).total,
+        "H5": sfc.homology(cx5).total,
+        "H6": sfc.homology(cx6).total,
     }
     ranks_agree = len(set(ranks.values())) == 1
     report = {
@@ -705,18 +692,17 @@ def eh_generator(d, applied) -> frozenset:
 
 
 def _transport_eh(d, applied):
-    """``eh_generator`` together with the final diagram's complex."""
+    """``eh_generator`` together with the final diagram's complex: the
+    last table's target, or the base's complex when nothing was applied."""
     if not d.eh:
         raise ValueError("base has no tagged generator")
     tag = set(d.eh)
-    cur = d
-    for (d2, _table, x0) in applied:
+    for (_d2, _table, x0) in applied:
         if x0 is not None:
             tag.add(x0)
-        cur = d2
-    cx = sfc.differential(cur)
+    cx = applied[-1][1].target if applied else sfc.differential(d)
     g = frozenset(tag)
-    if g not in set(cx.basis):
+    if g not in cx.position:
         raise ValueError(f"transported tag {_fmt(g)} is not a generator")
     if cx.boundary_of(g):
         raise ValueError(f"transported tag {_fmt(g)} is not a cycle")
@@ -744,10 +730,12 @@ def equivalence_report(d, handles) -> dict:
     """Compare the diagrammatic route against the glued pipelines.
 
     Every handle in ``handles`` is applied by ``sigma_map`` to advance
-    the running diagram; alongside, the matching pipeline runs on the
-    same stage input and its tables and stage ranks are compared.  The
-    report carries one deterministic block per stage plus the contact
-    class summary; the first disagreement is dumped as a counterexample.
+    the running complex; its target is the next stage's source.
+    Alongside, the matching pipeline runs on the same source complex,
+    and its table, target complex and stage ranks are compared with the
+    direct route's.  The report carries one deterministic block per stage
+    plus the contact class summary; the first disagreement is dumped as a
+    counterexample.
     """
     blocks = []
     stage_checks = []
@@ -756,26 +744,30 @@ def equivalence_report(d, handles) -> dict:
     cur = d
     for i, spec in enumerate(handles):
         d2, table, x0 = sigma_map(cur, spec)
-        hom = sfc.homology(d2)
+        source, target = table.source, table.target
+        hom = sfc.homology(target)
         blocks.append(
             {
                 "stage": i,
                 "kind": spec.kind,
-                "generators": len(table.target.basis),
+                "generators": len(target.basis),
                 "rank": hom.total,
                 "ranks_by_class": sorted(hom.by_class.values()),
                 "digest": table.digest(),
             }
         )
         check = {"stage": i, "kind": spec.kind}
-        detail = None
         if spec.kind == "1":
-            d1, ptable = glue_one_handle(cur, spec.p, spec.q)
-            check["tables_equal"] = ptable.entries == table.entries
-            check["ranks_match"] = sfc.homology(d1).total == hom.total
+            _d1, ptable = glue_one_handle(source, spec.p, spec.q)
+            check["tables_equal"] = (
+                ptable.entries == table.entries
+                and ptable.target.basis == target.basis
+                and ptable.target.differential == target.differential
+            )
+            check["ranks_match"] = sfc.homology(ptable.target).total == hom.total
             detail = ptable
         elif spec.kind == "2":
-            rec = glue_two_handle(cur, spec)
+            rec = glue_two_handle(source, spec)
             rep = rec["identityReport"]
             check["identity"] = rep["ok"]
             check["stage_ranks"] = rep["ranks"]
@@ -784,7 +776,7 @@ def equivalence_report(d, handles) -> dict:
         else:
             check["iso"] = table.is_bijection()
             check["ranks_match"] = check["iso"] and (
-                sfc.homology(cur).total == hom.total
+                sfc.homology(source).total == hom.total
             )
             detail = table
         ok = check["ranks_match"] and check.get("tables_equal", True) and check.get(
@@ -799,11 +791,14 @@ def equivalence_report(d, handles) -> dict:
             }
         stage_checks.append(check)
         applied.append((d2, table, x0))
-        cur = d2
+        cur = target
     eh = _eh_block(d, applied) if d.eh else None
     ok = counterexample is None and (eh is None or eh["ok"])
+    base_generators = (
+        len(applied[0][1].source.basis) if applied else len(sfc.generators(d))
+    )
     return {
-        "base_generators": len(sfc.generators(d)),
+        "base_generators": base_generators,
         "stages": blocks,
         "checks": stage_checks,
         "eh": eh,

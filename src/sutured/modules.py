@@ -512,6 +512,7 @@ def box_tensor(a: BorderedStructure, d: BorderedStructure) -> sfc.ChainComplexF2
         basis,
         BinaryMatrix(n, n, frozenset(entries)),
         {b: 0 for b in basis},
+        None,
     )
 
 

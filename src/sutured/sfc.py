@@ -397,18 +397,45 @@ def spinc_partition(d: Diagram, gens: Optional[list] = None) -> dict:
 
 @dataclass
 class ChainComplexF2:
+    """A sutured chain complex over F2.
+
+    ``differential`` builds it once per diagram, and homology, the handle
+    maps and the glue routes take it instead of rebuilding it.
+    ``diagram`` is the diagram it came from (``None`` for a box tensor
+    product); ``position`` and ``columns`` are derived at construction.
+    """
+
     basis: list  # canonically ordered generators
     differential: BinaryMatrix  # entry (i, j): basis[i] appears in d(basis[j])
     spinc_class: dict  # generator -> class index
+    diagram: Optional[Diagram]
+    position: dict = field(init=False, repr=False)  # generator -> basis index
+    columns: list = field(init=False, repr=False)  # column j as a bitmask of rows
+
+    def __post_init__(self):
+        self.position = {x: i for i, x in enumerate(self.basis)}
+        self.columns = [0] * len(self.basis)
+        for (r, c) in self.differential.entries:
+            self.columns[c] |= 1 << r
 
     def index(self, x) -> int:
-        return self.basis.index(x)
+        return self.position[x]
 
     def boundary_of(self, x) -> frozenset:
-        j = self.index(x)
-        return frozenset(
-            self.basis[r] for (r, c) in self.differential.entries if c == j
-        )
+        return frozenset(self.basis[r] for r in _set_bits(self.columns[self.index(x)]))
+
+
+def _set_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def as_complex(d) -> ChainComplexF2:
+    """``d`` itself when it is a complex, else ``differential(d)``."""
+    return d if isinstance(d, ChainComplexF2) else differential(d)
 
 
 def differential(d: Diagram) -> ChainComplexF2:
@@ -442,7 +469,7 @@ def differential(d: Diagram) -> ChainComplexF2:
             if c % 2:
                 entries.add((idx[y], j))
     diff = BinaryMatrix(len(basis), len(basis), frozenset(entries))
-    return ChainComplexF2(basis, diff, spinc_partition(d, basis))
+    return ChainComplexF2(basis, diff, spinc_partition(d, basis), d)
 
 
 @dataclass
@@ -467,52 +494,44 @@ def _insert_pivot(pivots: dict, vec: int) -> int:
     return 0
 
 
-def homology(d: Diagram) -> Homology:
-    """Per-class mod-2 homology ranks with representative cycles."""
-    cx = differential(d)
-    n = len(cx.basis)
-    colmask = [0] * n
-    for (r, c) in cx.differential.entries:
-        colmask[c] |= 1 << r
+def homology(d) -> Homology:
+    """Per-class mod-2 homology ranks with representative cycles of a
+    diagram or its complex."""
+    cx = as_complex(d)
+    blocks = {}
+    for j, x in enumerate(cx.basis):
+        blocks.setdefault(cx.spinc_class[x], []).append(j)
     by_class = {}
     reps = []
-    for label in sorted(set(cx.spinc_class.values())):
-        block = [j for j in range(n) if cx.spinc_class[cx.basis[j]] == label]
+    for label in sorted(blocks):
+        block = blocks[label]
         pos = {j: t for t, j in enumerate(block)}
+        entries = set()
         bcols = []
-        for j in block:
+        for s, j in enumerate(block):
             mask = 0
-            for r in range(n):
-                if colmask[j] >> r & 1:
-                    if r not in pos:
-                        raise AssertionError(
-                            "differential does not respect the class partition"
-                        )
-                    mask |= 1 << pos[r]
+            for r in _set_bits(cx.columns[j]):
+                if r not in pos:
+                    raise AssertionError(
+                        "differential does not respect the class partition"
+                    )
+                mask |= 1 << pos[r]
+                entries.add((pos[r], s))
             bcols.append(mask)
-        rows = [
-            [bcols[s] >> t & 1 for s in range(len(block))]
-            for t in range(len(block))
-        ]
-        _rank, kernel = f2_rank_kernel(BinaryMatrix.from_rows(rows))
+        m = len(block)
+        _rank, kernel = f2_rank_kernel(BinaryMatrix(m, m, frozenset(entries)))
         pivots = {}
         for vec in bcols:
             _insert_pivot(pivots, vec)
         rank_d = len(pivots)
         count = 0
         for kv in kernel:
-            mask = 0
-            for t, bit in enumerate(kv):
-                if bit:
-                    mask |= 1 << t
-            if _insert_pivot(pivots, mask):
+            support = [t for t, bit in enumerate(kv) if bit]
+            if _insert_pivot(pivots, sum(1 << t for t in support)):
                 count += 1
-                cycle = tuple(
-                    cx.basis[block[t]] for t, bit in enumerate(kv) if bit
-                )
-                reps.append((label, cycle))
+                reps.append((label, tuple(cx.basis[block[t]] for t in support)))
         by_class[label] = count
-        assert count == len(block) - 2 * rank_d
+        assert count == m - 2 * rank_d
     return Homology(sum(by_class.values()), by_class, reps)
 
 

@@ -65,9 +65,6 @@ class ArcDiagram:
     matching: dict  # point id -> arc index (int)
     kind: str  # which curve family carries the arcs in a diagram
 
-    def arc_indices(self):
-        return sorted(set(self.matching.values()))
-
     def points(self):
         return [p for iv in self.intervals for p in iv]
 
@@ -343,6 +340,12 @@ def vertex_links(d: Diagram):
 
 def regions(d: Diagram) -> list:
     """Faces merged across seam edges; returns lists of face ids."""
+    return _face_components(d, {e for e, ed in d.edges.items() if ed.kind == "seam"})
+
+
+def _face_components(d: Diagram, glued) -> list:
+    """Faces merged across the edges in ``glued``, as sorted lists of face
+    ids in sorted order."""
     parent = {f: f for f in d.faces}
 
     def find(x):
@@ -351,18 +354,16 @@ def regions(d: Diagram) -> list:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    occ = side_occurrences(d)
-    for e, ed in d.edges.items():
-        if ed.kind != "seam":
-            continue
-        touching = [f for (ee, s), fs in occ.items() if ee == e for f, _ in fs]
-        for a, b in zip(touching, touching[1:]):
-            union(a, b)
+    faces_on = {}
+    for f in d.faces.values():
+        for (e, _s) in f.word:
+            if e in glued:
+                faces_on.setdefault(e, []).append(f.id)
+    for fs in faces_on.values():
+        for a, b in zip(fs, fs[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
     groups = {}
     for f in d.faces:
         groups.setdefault(find(f), []).append(f)
@@ -377,15 +378,6 @@ def region_of(d: Diagram):
         for f in group:
             out[f] = fs
     return out
-
-
-def region_boundary_chain(d: Diagram, group) -> dict:
-    """Signed edge chain of a region's boundary; seams cancel."""
-    chain = {}
-    for f in group:
-        for (e, s) in d.faces[f].word:
-            chain[e] = chain.get(e, 0) + s
-    return {e: c for e, c in chain.items() if c != 0 or d.edges[e].kind != "seam"}
 
 
 def recompute_suture_flags(d: Diagram) -> Diagram:
@@ -453,6 +445,24 @@ def validate(d: Diagram) -> list:
             if d.edges[e1].end(s1) != d.edges[e2].start(s2):
                 problems.append(f"face {f.id} word breaks at position {i}")
 
+    # every curve segment and interface edge resolves
+    for c in d.curves().values():
+        if not c.segments:
+            problems.append(f"curve {c.id} has no segments")
+        for e in c.segments:
+            if e not in d.edges:
+                problems.append(f"curve {c.id} references missing edge {e}")
+    for k, itf in enumerate(d.interfaces):
+        problems += [f"interface {k}: {p}" for p in itf.arc_diagram.validate()]
+        if len(itf.intervals) != len(itf.arc_diagram.intervals):
+            problems.append(f"interface {k}: interval count mismatch")
+        for pts, edges in zip(itf.arc_diagram.intervals, itf.intervals):
+            if len(edges) != len(pts) + 1:
+                problems.append(f"interface {k}: interval needs {len(pts)+1} edges")
+            for e in edges:
+                if e not in d.edges or d.edges[e].kind != "boundary":
+                    problems.append(f"interface {k}: {e} is not a boundary edge")
+
     if problems:
         return problems  # the link walk needs a coherent complex
 
@@ -499,13 +509,7 @@ def validate(d: Diagram) -> list:
     seg_owner = {}
     for family in CURVE_KINDS:
         for c in d.curves(family).values():
-            if not c.segments:
-                problems.append(f"curve {c.id} has no segments")
-                continue
             for e in c.segments:
-                if e not in d.edges:
-                    problems.append(f"curve {c.id} references missing edge {e}")
-                    continue
                 if d.edges[e].kind != family or d.edges[e].curve != c.id:
                     problems.append(f"edge {e} mislabeled for curve {c.id}")
                 if e in seg_owner:
@@ -563,18 +567,8 @@ def validate(d: Diagram) -> list:
     marked = d.marked_vertices()
     all_interval_edges = []
     for k, itf in enumerate(d.interfaces):
-        problems += [f"interface {k}: {p}" for p in itf.arc_diagram.validate()]
-        if len(itf.intervals) != len(itf.arc_diagram.intervals):
-            problems.append(f"interface {k}: interval count mismatch")
-            continue
-        for pts, edges in zip(itf.arc_diagram.intervals, itf.intervals):
-            if len(edges) != len(pts) + 1:
-                problems.append(f"interface {k}: interval needs {len(pts)+1} edges")
-                continue
+        for edges in itf.intervals:
             all_interval_edges += edges
-            for e in edges:
-                if e not in d.edges or d.edges[e].kind != "boundary":
-                    problems.append(f"interface {k}: {e} is not a boundary edge")
             for e1, e2 in zip(edges, edges[1:]):
                 if d.edges[e1].to != d.edges[e2].frm:
                     problems.append(f"interface {k}: interval breaks at {e2}")
@@ -617,27 +611,8 @@ def validate(d: Diagram) -> list:
             for e in iv
         }
         allowed = d.boundary_edge_ids() - fam_interface_edges
-        parent = {f: f for f in d.faces}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        occ = side_occurrences(d)
-        for e, ed in d.edges.items():
-            if ed.kind == family or ed.kind == "boundary":
-                continue
-            touching = [f for (ee, _s), fs in occ.items() if ee == e for f, _ in fs]
-            for a, b in zip(touching, touching[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        comps = {}
-        for f in d.faces:
-            comps.setdefault(find(f), set()).add(f)
-        for comp in comps.values():
+        cut = {e for e, ed in d.edges.items() if ed.kind not in (family, "boundary")}
+        for comp in _face_components(d, cut):
             edges_here = {e for f in comp for (e, _s) in d.faces[f].word}
             if not edges_here & allowed:
                 problems.append(
@@ -729,7 +704,7 @@ def from_json_dict(data: dict) -> Diagram:
         for i in data.get("arc_interfaces", [])
     ]
     tags = data.get("tags", {})
-    return Diagram(
+    d = Diagram(
         set(data["vertices"]),
         edges,
         faces,
@@ -739,6 +714,16 @@ def from_json_dict(data: dict) -> Diagram:
         list(tags.get("eh", [])),
         dict(tags.get("marks", {})),
     )
+    names = [*d.vertices, *d.faces, *d.curves(), *d.eh, *d.marks.values()]
+    names += [x for ed in d.edges.values() for x in (ed.id, ed.kind, ed.frm, ed.to)]
+    names += [e for f in d.faces.values() for (e, _s) in f.word]
+    names += [e for c in d.curves().values() for e in c.segments]
+    for i in d.interfaces:
+        names += [x for iv in i.intervals + i.arc_diagram.intervals for x in iv]
+        names += [i.arc_diagram.kind, *i.arcs.values()]
+    if not all(isinstance(x, str) for x in names):
+        raise TypeError("ids and references must be strings")
+    return d
 
 
 def serialize(d: Diagram) -> str:
@@ -1879,21 +1864,3 @@ def split_bordered(d: Diagram, record):
     left = take("L:", record["interface_left"])
     right = take("R:", record["interface_right"])
     return _check(left), _check(right)
-
-
-# ---------------------------------------------------------------------------
-# builtin pieces and 2-handle preparation (blueprints live in pieces.py)
-
-
-def builtin_piece(kind: str) -> Diagram:
-    """A named building-block diagram; see pieces.catalog() for the list."""
-    from . import pieces
-
-    return pieces.build(kind)
-
-
-def prepare_two_handle(d: Diagram, p, q, a_path, b_path):
-    """Stage a 2-handle attachment for the bordered gluing pipeline."""
-    from . import glue
-
-    return glue.prepare_two_handle(d, p, q, a_path, b_path)

@@ -1,8 +1,13 @@
 """Batch interface: deterministic output, exit codes, round-trips."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sutured import cli, glue, pieces, sfc, surface
 
@@ -108,6 +113,67 @@ def test_validate_accepts_and_rejects(capsys, tmp_path, disk_file):
     trunc.write_text("{\"vertices\": [")
     code, _, err = run(capsys, "validate", str(trunc))
     assert code == 1 and "error" in json.loads(err)
+
+
+def test_invalid_documents_are_refused_on_read(capsys, tmp_path):
+    doc = json.loads(surface.serialize(pieces.build("fix-stab")))
+    doc["alpha_curves"][0]["segments"].append("ghost")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for verb in ("generators", "homology"):
+        code, out, err = run(capsys, verb, str(bad))
+        assert code == 1 and out == ""
+        reason = json.loads(err)["error"]
+        assert "invalid diagram document" in reason and "ghost" in reason
+    code, out, _ = run(capsys, "validate", str(bad), "--format", "json")
+    assert code == 1 and json.loads(out)["problems"]
+
+
+def _nodes(doc, path=()):
+    """(path, value) for every value below the document root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        yield path + (k,), v
+        if isinstance(v, (dict, list)):
+            yield from _nodes(v, path + (k,))
+
+
+CATALOG = sorted(pieces.catalog()) + ["fix-bigonpair", "fix-disk", "fix-stab"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path, data):
+    name = data.draw(st.sampled_from(CATALOG))
+    doc = json.loads(surface.serialize(pieces.build(name)))
+    nodes = list(_nodes(doc))
+    path, value = data.draw(st.sampled_from(nodes))
+    holder = doc
+    for k in path[:-1]:
+        holder = holder[k]
+    key = path[-1]
+    op = data.draw(st.sampled_from(["delete", "swap", "retype", "duplicate"]))
+    if op == "delete":
+        del holder[key]
+    elif op == "swap":
+        ids = sorted({v for _p, v in nodes if isinstance(v, str)})
+        holder[key] = data.draw(st.sampled_from(ids))
+    elif op == "retype":
+        holder[key] = data.draw(st.sampled_from([None, 0, 7, True, "", [], {}]))
+    elif isinstance(holder, list):
+        holder.insert(key, copy.deepcopy(value))
+    else:
+        holder[key] = [value, value] if isinstance(value, list) else [value]
+    diagram = tmp_path / "mutated.json"
+    diagram.write_text(json.dumps(doc))
+    plan = tmp_path / "plan.json"
+    plan.write_text("[]")
+    for verb, *opts in (["validate"], ["generators"], ["homology"],
+                        ["bordered", "--kind", "D"], ["bordered", "--kind", "A"],
+                        ["verify-equivalence", "--handles", str(plan)]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([verb, str(diagram), *opts]) in (0, 1, 2)
 
 
 def test_missing_file_is_a_domain_rejection(capsys):

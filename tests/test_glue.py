@@ -1,10 +1,12 @@
 """Handle attachment maps: diagrammatic transports, the staged pipelines
 through the builtin blocks, and the route-comparison harness."""
 
+import json
+
 import pytest
 
 import sequences
-from sutured import glue, modules, pieces, sfc, surface
+from sutured import cli, glue, modules, pieces, sfc, surface
 from sutured.glue import ChainMapTable, HandleSpec, compose
 
 FIXTURES = sequences.FIXTURES
@@ -314,7 +316,8 @@ def test_eh_block_builds_the_final_complex_once(monkeypatch):
 
     monkeypatch.setattr(sfc, "differential", counting)
     assert glue._eh_block(d, results)["ok"]
-    assert sum(x is final for x in seen) == 1
+    # the replay built it; the block reads the last table's target
+    assert sum(x is final for x in seen) == 0
     seen.clear()
     assert not glue._eh_block(build("fix-disk"), results)["ok"]
     assert seen == []
@@ -339,6 +342,53 @@ def test_equivalence_report_bypass_stage_checks_isomorphism():
     assert rep["ok"]
     assert rep["checks"][0]["iso"]
     assert rep["eh"] is None
+
+
+def test_equivalence_report_builds_each_complex_once(monkeypatch):
+    d = build("fix-stab")
+    specs = glue.two_handle_sequence(d)
+    final = surface.serialize(sequences.replay("fix-stab", specs)[-1][0])
+    calls = []
+    real = sfc.differential
+
+    def counting(diagram):
+        calls.append(surface.serialize(diagram))
+        return real(diagram)
+
+    monkeypatch.setattr(sfc, "differential", counting)
+    assert glue.equivalence_report(d, specs)["ok"]
+    # the one repeat: the 2-handle pipeline rebuilds the direct
+    # attachment as its stage H6
+    assert len(calls) == 16 and len(set(calls)) == 15
+    assert [k for k in set(calls) if calls.count(k) > 1] == [final]
+
+
+def test_route_disagreement_is_reported_not_raised(monkeypatch, capsys, tmp_path):
+    real = glue.sigma_map
+
+    def skewed(d, spec):
+        d2, table, x0 = real(d, spec)
+        if spec.kind == "1":
+            entries = dict(table.entries)
+            entries[table.source.basis[0]] = frozenset()
+            table = ChainMapTable(table.source, table.target, entries)
+        return d2, table, x0
+
+    monkeypatch.setattr(glue, "sigma_map", skewed)
+    d = build("fix-stab")
+    specs = glue.two_handle_sequence(d)
+    rep = glue.equivalence_report(d, specs)
+    assert not rep["ok"] and not rep["checks"][0]["tables_equal"]
+    assert rep["counterexample"]["stage"] == 0
+    diagram = tmp_path / "stab.json"
+    diagram.write_text(surface.serialize(d))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([glue.spec_to_json(s) for s in specs]))
+    code = cli.main(["verify-equivalence", str(diagram), "--handles", str(plan)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines()[-1] == "NOT EQUIVALENT"
+    assert json.loads(captured.err)["repro"]["stage"] == 0
 
 
 @pytest.mark.parametrize("seed", range(12))

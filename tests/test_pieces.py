@@ -40,10 +40,6 @@ def test_build_accepts_aliases():
         pieces.build("nope")
 
 
-def test_builtin_piece_delegates():
-    assert sf.equivalent(sf.builtin_piece("AZ2"), pieces.az2())
-
-
 def test_interface_shapes():
     az2 = pieces.az2()
     assert [i.arc_diagram.kind for i in az2.interfaces] == ["beta", "alpha"]
