@@ -102,8 +102,9 @@ class IntegerMatrix:
 def f2_rank_kernel(m: BinaryMatrix) -> tuple:
     """Rank and a kernel basis of ``m`` over F2.
 
-    Returns ``(rank, basis)`` where each basis vector is a 0/1 tuple of
-    length ``m.cols``; rank + len(basis) == m.cols.
+    Returns ``(rank, basis)`` where each basis vector is an int bitmask,
+    bit j standing for column j, one per non-pivot column in increasing
+    order; rank + len(basis) == m.cols.
     """
     rows = [r for r in m.bitrows() if r]
     pivots = {}  # col -> reduced row
@@ -118,19 +119,20 @@ def f2_rank_kernel(m: BinaryMatrix) -> tuple:
                 if (pivots[c2] >> col) & 1:
                     pivots[c2] ^= row
             pivots[col] = row
-    rank = len(pivots)
-    basis = []
-    pivot_cols = set(pivots)
-    for j in range(m.cols):
-        if j in pivot_cols:
-            continue
-        vec = [0] * m.cols
-        vec[j] = 1
-        for col, prow in pivots.items():
-            if (prow >> j) & 1:
-                vec[col] = 1
-        basis.append(tuple(vec))
-    return rank, basis
+    free = ((1 << m.cols) - 1) & ~sum(1 << col for col in pivots)
+    basis = {j: 1 << j for j in set_bits(free)}
+    for col, prow in pivots.items():
+        for j in set_bits(prow & free):
+            basis[j] |= 1 << col
+    return len(pivots), list(basis.values())
+
+
+def set_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def f2_rank(rows: Sequence[int]) -> int:
@@ -296,7 +298,11 @@ def cokernel_residue(m: IntegerMatrix):
 
     Two vectors b, b' get equal keys iff b - b' lies in the integer image
     of ``m``.  Used to split generators into boundary-equivalence classes
-    with a single Smith reduction.
+    with a single Smith reduction S = U m V: b lies in the image iff each
+    entry of U b is divisible by its invariant factor (zero where the
+    factor is zero).  A row whose factor is 1 never tells cosets apart,
+    so the key reads only the other rows, and sums the columns of U
+    restricted to them over the nonzero entries of b.
     """
     if m.rows == 0:
         return lambda b: ()
@@ -304,14 +310,18 @@ def cokernel_residue(m: IntegerMatrix):
         return lambda b: tuple(b)
     S, U, _V = smith_normal_form(m.dense())
     diag = [S[i][i] if i < min(m.rows, m.cols) else 0 for i in range(m.rows)]
+    kept = [i for i in range(m.rows) if diag[i] != 1]
+    moduli = [diag[i] for i in kept]
+    columns = [tuple(U[i][k] for i in kept) for k in range(m.rows)]
 
     def key(b):
         if len(b) != m.rows:
             raise ValueError("vector length mismatch")
-        ub = [sum(U[i][k] * b[k] for k in range(m.rows)) for i in range(m.rows)]
-        return tuple(
-            ub[i] % diag[i] if diag[i] != 0 else ub[i] for i in range(m.rows)
-        )
+        ub = [0] * len(kept)
+        for k, v in enumerate(b):
+            if v:
+                ub = [a + v * u for a, u in zip(ub, columns[k])]
+        return tuple(x % q if q else x for x, q in zip(ub, moduli))
 
     return key
 

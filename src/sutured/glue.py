@@ -23,7 +23,7 @@ import hashlib
 from dataclasses import dataclass
 
 from . import modules, pieces, sfc
-from .exactlin import f2_rank, f2_rank_kernel
+from .exactlin import f2_rank, f2_rank_kernel, set_bits
 from .surface import (
     ArcDiagram,
     Curve,
@@ -641,7 +641,7 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
 
     _rank, kernel = f2_rank_kernel(base.differential)
     for vec in kernel:
-        cycle = [base.basis[j] for j, bit in enumerate(vec) if bit]
+        cycle = [base.basis[j] for j in set_bits(vec)]
         lhs = _boundary_set(cx5, [h5_gen("z1", y0v, g) for g in cycle])
         rhs = set()
         for g in cycle:

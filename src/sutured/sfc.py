@@ -16,6 +16,7 @@ from .exactlin import (
     cokernel_residue,
     f2_rank_kernel,
     positive_kernel_witness,
+    set_bits,
 )
 from . import surface
 from .surface import CURVE_KINDS, Diagram
@@ -41,54 +42,56 @@ def generators(d: Diagram) -> list:
     """All occupancy sets, canonically ordered.
 
     A generator uses each closed curve exactly once and each arc at most
-    once.  Diagrams admitting no such matching yield an empty list.
+    once.  The enumeration goes curve by curve along the alpha family,
+    each alpha curve's crossings in sorted vertex order: a closed alpha
+    curve takes exactly one crossing whose beta curve is still unused,
+    an alpha arc takes one such crossing or none, and a choice is kept
+    when it uses every closed beta curve.  Diagrams admitting no such
+    matching, among them any with a closed curve that meets no crossing,
+    yield an empty list.
     """
     crossings = _crossing_curves(d)
-    order = sorted(crossings)
-    closed = {
-        c.id
-        for family in CURVE_KINDS
-        for c in d.curves(family).values()
-        if c.closed
-    }
-    remaining = {}  # curve -> undecided crossings, for pruning
-    for v in order:
-        for cid in crossings[v].values():
-            remaining[cid] = remaining.get(cid, 0) + 1
-
+    on_alpha = {}  # alpha curve -> [(crossing, beta curve)], by vertex
+    for v in sorted(crossings):
+        on_alpha.setdefault(crossings[v]["alpha"], []).append(
+            (v, crossings[v]["beta"])
+        )
+    slots = []
+    for c in d.curves("alpha").values():
+        options = on_alpha.get(c.id, [])
+        if c.closed and not options:
+            return []
+        if options:
+            slots.append((c.closed, options))
+    closed_beta = {c.id for c in d.curves("beta").values() if c.closed}
     found = []
-    used = {cid: 0 for cid in remaining}
-    _extend_matchings(0, [], order, crossings, closed, used, remaining, found)
+    _extend_by_curve(0, [], slots, closed_beta, set(), found)
     return sorted(found, key=lambda x: tuple(sorted(x)))
 
 
-def _extend_matchings(i, chosen, order, crossings, closed, used, remaining, found):
-    """Depth-first step of ``generators``: decide crossing ``order[i]``.
+def _extend_by_curve(i, chosen, slots, closed_beta, used, found):
+    """Depth-first step of ``generators``: choose on alpha curve ``i``.
 
-    A module-level function rather than a closure, so the recursion
-    holds no reference cycle that would keep ``found`` alive until the
-    cyclic garbage collector runs.
+    ``used`` holds the beta curves already taken.  A module-level
+    function rather than a closure, so the recursion holds no reference
+    cycle that would keep ``found`` alive until the cyclic garbage
+    collector runs.
     """
-    if i == len(order):
-        if all(used.get(cid, 0) == 1 for cid in closed):
+    if i == len(slots):
+        if closed_beta <= used:
             found.append(frozenset(chosen))
         return
-    v = order[i]
-    cids = list(crossings[v].values())
-    for cid in cids:
-        remaining[cid] -= 1
-    if all(used[cid] + remaining[cid] >= 1 for cid in cids if cid in closed):
-        _extend_matchings(i + 1, chosen, order, crossings, closed, used, remaining, found)
-    if all(used[cid] == 0 for cid in cids):
-        for cid in cids:
-            used[cid] += 1
+    closed, options = slots[i]
+    if not closed:
+        _extend_by_curve(i + 1, chosen, slots, closed_beta, used, found)
+    for v, b in options:
+        if b in used:
+            continue
+        used.add(b)
         chosen.append(v)
-        _extend_matchings(i + 1, chosen, order, crossings, closed, used, remaining, found)
+        _extend_by_curve(i + 1, chosen, slots, closed_beta, used, found)
         chosen.pop()
-        for cid in cids:
-            used[cid] -= 1
-    for cid in cids:
-        remaining[cid] += 1
+        used.discard(b)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,23 @@ def _corner_points(d, runs):
     return frozenset(xs), frozenset(ys)
 
 
-def _interior_crossings(d, faces, cycles) -> frozenset:
+def _vertex_faces(d: Diagram) -> dict:
+    """vertex -> set of faces whose word touches it."""
+    incident = {}
+    for f, face in d.faces.items():
+        for (e, _s) in face.word:
+            ed = d.edges[e]
+            incident.setdefault(ed.frm, set()).add(f)
+            incident.setdefault(ed.to, set()).add(f)
+    return incident
+
+
+def _interior_crossings(d, faces, cycles, crossings, incident) -> frozenset:
+    """Crossings off the boundary cycles whose faces all lie in ``faces``.
+
+    ``crossings`` is ``_crossing_curves(d)`` and ``incident`` is
+    ``_vertex_faces(d)``, built once by the census that asks.
+    """
     on_cycle = set()
     for cyc in cycles:
         for occ in cyc:
@@ -215,15 +234,9 @@ def _interior_crossings(d, faces, cycles) -> frozenset:
             on_cycle.add(d.edges[e].frm)
             on_cycle.add(d.edges[e].to)
     face_set = set(faces)
-    incident = {}
-    for f, face in d.faces.items():
-        for (e, _s) in face.word:
-            ed = d.edges[e]
-            incident.setdefault(ed.frm, set()).add(f)
-            incident.setdefault(ed.to, set()).add(f)
     return frozenset(
         v
-        for v in _crossing_curves(d)
+        for v in crossings
         if v not in on_cycle and incident.get(v, set()) <= face_set
     )
 
@@ -246,6 +259,7 @@ def region_census(d: Diagram) -> list:
     out = []
     seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
     interface = d.interface_edge_ids()
+    crossings, incident = _crossing_curves(d), _vertex_faces(d)
     for group in surface.regions(d):
         if d.faces[group[0]].suture:
             continue
@@ -259,7 +273,7 @@ def region_census(d: Diagram) -> list:
             rec.runs = runs
             pattern = [c for c, _ in runs]
             rec.moves_from, rec.moves_to = _corner_points(d, runs)
-            rec.interior = _interior_crossings(d, group, cycles)
+            rec.interior = _interior_crossings(d, group, cycles, crossings, incident)
             if sorted(pattern) == ["alpha", "beta"]:
                 rec.shape = "bigon"
             elif len(runs) == 4 and pattern.count("bd") == 0:
@@ -422,15 +436,7 @@ class ChainComplexF2:
         return self.position[x]
 
     def boundary_of(self, x) -> frozenset:
-        return frozenset(self.basis[r] for r in _set_bits(self.columns[self.index(x)]))
-
-
-def _set_bits(mask: int):
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return frozenset(self.basis[r] for r in set_bits(self.columns[self.index(x)]))
 
 
 def as_complex(d) -> ChainComplexF2:
@@ -510,7 +516,7 @@ def homology(d) -> Homology:
         bcols = []
         for s, j in enumerate(block):
             mask = 0
-            for r in _set_bits(cx.columns[j]):
+            for r in set_bits(cx.columns[j]):
                 if r not in pos:
                     raise AssertionError(
                         "differential does not respect the class partition"
@@ -526,10 +532,9 @@ def homology(d) -> Homology:
         rank_d = len(pivots)
         count = 0
         for kv in kernel:
-            support = [t for t, bit in enumerate(kv) if bit]
-            if _insert_pivot(pivots, sum(1 << t for t in support)):
+            if _insert_pivot(pivots, kv):
                 count += 1
-                reps.append((label, tuple(cx.basis[block[t]] for t in support)))
+                reps.append((label, tuple(cx.basis[block[t]] for t in set_bits(kv))))
         by_class[label] = count
         assert count == m - 2 * rank_d
     return Homology(sum(by_class.values()), by_class, reps)
@@ -558,7 +563,7 @@ class ActionRecord:
     interior: frozenset
 
 
-def _try_quad(d, faces, bd, k, t, i, j):
+def _try_quad(d, faces, bd, k, t, i, j, crossings, incident):
     occ = {}
     for f in faces:
         for (e, _s) in d.faces[f].word:
@@ -589,7 +594,7 @@ def _try_quad(d, faces, bd, k, t, i, j):
         x_pt=next(iter(xs)),
         y_pt=next(iter(ys)),
         faces=tuple(faces),
-        interior=_interior_crossings(d, faces, cycles),
+        interior=_interior_crossings(d, faces, cycles, crossings, incident),
     )
 
 
@@ -611,6 +616,7 @@ def action_census(d: Diagram) -> list:
     for f, face in d.faces.items():
         for (e, _s) in face.word:
             face_of_edge.setdefault(e, []).append(f)
+    crossings, incident = _crossing_curves(d), _vertex_faces(d)
     out = []
     for k, iface in enumerate(d.interfaces):
         for t, interval in enumerate(iface.intervals):
@@ -630,7 +636,9 @@ def action_census(d: Diagram) -> list:
                                 if bits >> b & 1
                             )
                         )
-                        rec = _try_quad(d, chosen, bd, k, t, i, j)
+                        rec = _try_quad(
+                            d, chosen, bd, k, t, i, j, crossings, incident
+                        )
                         if rec is not None:
                             out.append(rec)
     return sorted(

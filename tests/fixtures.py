@@ -5,8 +5,10 @@ complexes but fail niceness or admissibility in a controlled way, plus
 a disjoint-union helper for product-structure checks.
 """
 
-from sutured import surface
-from sutured.surface import Curve, Diagram, Edge, Face
+from functools import reduce
+
+from sutured import pieces, surface
+from sutured.surface import Curve, Diagram, Edge, Face, Interface
 
 
 def annular_trap() -> Diagram:
@@ -173,3 +175,72 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     out.eh = left.eh + right.eh
     out.marks = {**left.marks, **right.marks}
     return out
+
+
+def bigonpair_power(k: int) -> Diagram:
+    """``k`` disjoint copies of the bigon pair: 2^k generators, one class."""
+    return reduce(disjoint_union, [pieces.bigonpair() for _ in range(k)])
+
+
+def punctured_grid(n: int, k: int) -> Diagram:
+    """Toroidal n x n grid with the squares (i, i) and (i, i + k) punctured.
+
+    Alpha circle ``A{i}`` runs along row i and beta circle ``B{j}`` along
+    column j, meeting once at ``g{i}_{j}``, so there are n! generators.
+    Each punctured square carries the suture through a seam from its
+    first corner to a boundary loop, as in ``grid_torus``.
+    """
+    g = lambda i, j: f"g{i % n}_{j % n}"  # noqa: E731
+    a = lambda i, j: f"a{i % n}_{j % n}"  # noqa: E731  g(i,j) -> g(i,j+1)
+    b = lambda i, j: f"b{i % n}_{j % n}"  # noqa: E731  g(i,j) -> g(i+1,j)
+    vertices = {g(i, j) for i in range(n) for j in range(n)}
+    edges = {}
+    for i in range(n):
+        for j in range(n):
+            edges[a(i, j)] = Edge(a(i, j), "alpha", f"A{i}", g(i, j), g(i, j + 1))
+            edges[b(i, j)] = Edge(b(i, j), "beta", f"B{j}", g(i, j), g(i + 1, j))
+    punctured = {(i, i) for i in range(n)} | {(i, (i + k) % n) for i in range(n)}
+    faces = {}
+    for i in range(n):
+        for j in range(n):
+            word = [(b(i, j), 1), (a(i + 1, j), 1), (b(i, j + 1), -1), (a(i, j), -1)]
+            if (i, j) in punctured:
+                seam, loop, v = f"s{i}_{j}", f"h{i}_{j}", f"p{i}_{j}"
+                vertices.add(v)
+                edges[seam] = Edge(seam, "seam", None, g(i, j), v)
+                edges[loop] = Edge(loop, "boundary", None, v, v)
+                word = [(seam, 1), (loop, 1), (seam, -1)] + word
+            faces[f"Q{i}_{j}"] = Face(f"Q{i}_{j}", word, (i, j) in punctured)
+    alpha = {f"A{i}": Curve(f"A{i}", True, [a(i, j) for j in range(n)]) for i in range(n)}
+    beta = {f"B{j}": Curve(f"B{j}", True, [b(i, j) for i in range(n)]) for j in range(n)}
+    return Diagram(vertices, edges, faces, alpha, beta, [])
+
+
+def relabel(d: Diagram, rng) -> Diagram:
+    """Every id renamed by a seeded bijection onto ``n0 .. n<k-1>``, so
+    every id-sorted order inside the library changes."""
+    ids = sorted(
+        d.vertices | set(d.edges) | set(d.faces)
+        | set(d.alpha_curves) | set(d.beta_curves)
+    )
+    slots = list(range(len(ids)))
+    rng.shuffle(slots)
+    new = {x: f"n{t}" for x, t in zip(ids, slots)}
+    curves = lambda cs: {  # noqa: E731
+        new[c]: Curve(new[c], cv.closed, [new[e] for e in cv.segments])
+        for c, cv in cs.items()
+    }
+    return Diagram(
+        {new[v] for v in d.vertices},
+        {new[e]: Edge(new[e], ed.kind, ed.curve and new[ed.curve], new[ed.frm], new[ed.to])
+         for e, ed in d.edges.items()},
+        {new[f]: Face(new[f], [(new[e], s) for (e, s) in fc.word], fc.suture)
+         for f, fc in d.faces.items()},
+        curves(d.alpha_curves),
+        curves(d.beta_curves),
+        [Interface(i.arc_diagram, [[new[e] for e in iv] for iv in i.intervals],
+                   {a: new[c] for a, c in i.arcs.items()})
+         for i in d.interfaces],
+        [new[v] for v in d.eh],
+        {k: new[v] for k, v in d.marks.items()},
+    )

@@ -6,7 +6,11 @@ reading face words directly (only meaningful when no region spans a
 seam), and F2 rank by list-of-sets elimination.  The positive-kernel
 simplex is kept here in its plain form, which rebuilds the reduced
 costs from the whole tableau on every pivot, as the reference the
-library's simplex must match answer for answer.
+library's simplex must match answer for answer.  In the same way the
+generator enumeration is kept in its include/exclude form, one choice
+per crossing, and the Spin^c key in its full form, the whole product
+U b reduced row by row; the library must match both exactly, list
+order and class numbers included.
 """
 
 from fractions import Fraction
@@ -14,6 +18,7 @@ from itertools import combinations
 from math import lcm
 
 from sutured import surface
+from sutured.exactlin import smith_normal_form
 
 
 def crossing_vertices(d):
@@ -241,3 +246,95 @@ def reference_phase1_simplex(a_rows, b):
         if bi < nc:
             sol[bi] = T[i][-1]
     return sol
+
+
+def reference_generators(d):
+    """Occupancy sets by deciding every crossing in sorted order, include
+    or exclude, pruned on closed curves that can no longer be used."""
+    crossings = {}
+    for family in ("alpha", "beta"):
+        for c in d.curves(family).values():
+            for e in c.segments:
+                for v in (d.edges[e].frm, d.edges[e].to):
+                    crossings.setdefault(v, {})[family] = c.id
+    crossings = {v: f for v, f in crossings.items() if len(f) == 2}
+    order = sorted(crossings)
+    closed = {
+        c.id for family in ("alpha", "beta") for c in d.curves(family).values() if c.closed
+    }
+    remaining = {}  # curve -> undecided crossings
+    for v in order:
+        for cid in crossings[v].values():
+            remaining[cid] = remaining.get(cid, 0) + 1
+    used = {cid: 0 for cid in remaining}
+    found = []
+    _reference_extend(0, [], order, crossings, closed, used, remaining, found)
+    return sorted(found, key=lambda x: tuple(sorted(x)))
+
+
+def _reference_extend(i, chosen, order, crossings, closed, used, remaining, found):
+    if i == len(order):
+        if all(used.get(cid, 0) == 1 for cid in closed):
+            found.append(frozenset(chosen))
+        return
+    v = order[i]
+    cids = list(crossings[v].values())
+    for cid in cids:
+        remaining[cid] -= 1
+    if all(used[cid] + remaining[cid] >= 1 for cid in cids if cid in closed):
+        _reference_extend(i + 1, chosen, order, crossings, closed, used, remaining, found)
+    if all(used[cid] == 0 for cid in cids):
+        for cid in cids:
+            used[cid] += 1
+        chosen.append(v)
+        _reference_extend(i + 1, chosen, order, crossings, closed, used, remaining, found)
+        chosen.pop()
+        for cid in cids:
+            used[cid] -= 1
+    for cid in cids:
+        remaining[cid] += 1
+
+
+def reference_spinc_partition(d, gens):
+    """Generator -> class index, keyed by the full product U b.
+
+    The same boundary matrix as the library's (alpha vertices by
+    non-suture regions), Smith-reduced to S = U A V; the key of a
+    generator's occupancy vector b is every entry of U b, reduced mod
+    its invariant factor where that factor is nonzero.  Classes are
+    numbered by first appearance in the order of ``gens``.
+    """
+    verts = sorted(
+        {
+            v
+            for c in d.curves("alpha").values()
+            for e in c.segments
+            for v in (d.edges[e].frm, d.edges[e].to)
+        }
+    )
+    if not verts:
+        return {x: 0 for x in gens}
+    vrow = {v: i for i, v in enumerate(verts)}
+    alpha_edges = {e for c in d.curves("alpha").values() for e in c.segments}
+    groups = [g for g in surface.regions(d) if not d.faces[g[0]].suture]
+    dense = [[0] * len(groups) for _ in verts]
+    for j, group in enumerate(groups):
+        for f in group:
+            for (e, s) in d.faces[f].word:
+                if e in alpha_edges:
+                    dense[vrow[d.edges[e].to]][j] += s
+                    dense[vrow[d.edges[e].frm]][j] -= s
+    n = len(verts)
+    if groups:
+        S, U, _V = smith_normal_form(dense)
+        diag = [S[i][i] if i < min(n, len(groups)) else 0 for i in range(n)]
+    else:
+        U, diag = [[int(i == k) for k in range(n)] for i in range(n)], [0] * n
+    labels = {}
+    classes = {}
+    for x in gens:
+        b = [1 if v in x else 0 for v in verts]
+        ub = [sum(U[i][k] * b[k] for k in range(n)) for i in range(n)]
+        key = tuple(ub[i] % diag[i] if diag[i] else ub[i] for i in range(n))
+        classes[x] = labels.setdefault(key, len(labels))
+    return classes

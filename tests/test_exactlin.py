@@ -78,7 +78,7 @@ def test_f2_repeated_row():
     m = BinaryMatrix.from_rows([[1, 1], [1, 1]])
     rank, basis = f2_rank_kernel(m)
     assert rank == 1
-    assert basis == [(1, 1)]
+    assert basis == [0b11]
 
 
 def test_f2_matches_brute_force():
@@ -91,7 +91,8 @@ def test_f2_matches_brute_force():
         brank, bkernel = brute_f2_rank_kernel(rows, nc)
         assert rank == brank
         assert rank + len(basis) == nc
-        for vec in basis:
+        for mask in basis:
+            vec = [mask >> j & 1 for j in range(nc)]
             assert all(sum(r * v for r, v in zip(row, vec)) % 2 == 0 for row in rows)
         # basis spans the full kernel: sizes match
         assert 2 ** len(basis) == len(bkernel)

@@ -2,6 +2,7 @@
 classes, the differential, homology, and interface actions."""
 
 import gc
+import random
 from collections import Counter
 
 import pytest
@@ -118,6 +119,76 @@ def test_generators_unchanged_by_curve_subdivision(data):
     assert sfc.generators(d) == sfc.generators(pieces.build(name))
 
 
+def test_arcs_may_go_unused(az2):
+    """Every curve of az2 with crossings is an arc, so no crossing at all
+    is a generator."""
+    assert not any(c.closed for c in az2.curves().values())
+    assert frozenset() in sfc.generators(az2)
+
+
+def test_closed_curve_without_crossing_blocks_every_generator(az2, trap):
+    """az2 has nine generators, but beside trap's circles, which meet no
+    crossing, nothing survives."""
+    assert sfc.generators(fixtures.disjoint_union(az2, trap)) == []
+
+
+# ---------------------------------------------------------------------------
+# generators and Spin^c classes against the reference enumeration and key
+
+
+def _assert_matches_references(d):
+    """Generators and classes equal the references, order included."""
+    gens = sfc.generators(d)
+    assert gens == oracles.reference_generators(d)
+    part = sfc.spinc_partition(d, gens)
+    assert list(part.items()) == list(oracles.reference_spinc_partition(d, gens).items())
+
+
+@pytest.mark.parametrize("name", NICE_PIECES)
+def test_pieces_and_mirrors_match_references(name):
+    _assert_matches_references(pieces.build(name))
+    _assert_matches_references(pieces.mirror(pieces.build(name)))
+
+
+def test_adversaries_match_references(trap, hexagram, grid):
+    for d in (trap, hexagram, grid):
+        _assert_matches_references(d)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2])
+def test_relabeled_grids_match_references(n, k):
+    d = fixtures.relabel(fixtures.punctured_grid(n, k), random.Random(10 * n + k))
+    _assert_matches_references(d)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_bigonpair_powers_match_references(k):
+    _assert_matches_references(fixtures.bigonpair_power(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_subdivided_curves_match_references(data):
+    """Plain vertices added on curves of a piece, its mirror or a small
+    grid leave both outputs equal to the references."""
+    name = data.draw(st.sampled_from(NICE_PIECES + ["grid3"]))
+    d = fixtures.punctured_grid(3, 1) if name == "grid3" else pieces.build(name)
+    if data.draw(st.booleans()):
+        d = pieces.mirror(d)
+    for _ in range(data.draw(st.integers(1, 3))):
+        interface = d.interface_edge_ids()
+        curve_edges = sorted(
+            e for e, ed in d.edges.items()
+            if ed.kind in ("alpha", "beta") and e not in interface
+        )
+        if not curve_edges:
+            break
+        sf.subdivide_edge(d, data.draw(st.sampled_from(curve_edges)))
+    assert sf.validate(d) == []
+    _assert_matches_references(d)
+
+
 # ---------------------------------------------------------------------------
 # the shape census and niceness
 
@@ -183,6 +254,24 @@ def test_census_walks_across_seams():
     assert sfc.is_nice(d) == (True, [])
     h = sfc.homology(d)
     assert h.total == 2
+
+
+@pytest.mark.parametrize("census", ["region_census", "action_census"])
+@pytest.mark.parametrize("name", ["az2", "rt2", "u2", "bigonpair"])
+def test_census_reads_crossings_once(census, name, monkeypatch):
+    """Each census builds the crossing table once, however many regions
+    or candidate domains it classifies (none for u2, five for az2)."""
+    d = pieces.build(name)
+    calls = []
+    real = sfc._crossing_curves
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sfc, "_crossing_curves", counting)
+    getattr(sfc, census)(d)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
