@@ -3,10 +3,15 @@
 Everything at desk scale: the diagrams this package works with produce
 systems with a few hundred rows at most, so plain Gaussian elimination
 (bitmask rows over F2, ``Fraction`` rows over Q) and a textbook Smith
-normal form are enough.  No floating point is used anywhere.  Rational
-feasibility of a nonnegative kernel vector is settled mod 2 when the
-matrix has full column rank over F2 (then its kernel over Q is zero),
-and otherwise by an exact-fraction phase-I simplex.
+normal form are enough.  No floating point is used anywhere.
+
+Rational feasibility of a nonnegative kernel vector is settled mod 2
+when the matrix has full column rank over F2 (then its kernel over Q is
+zero), and otherwise by a phase-I simplex on an integer tableau: every
+entry is an int over one common denominator, the last pivot, and each
+pivot divides exactly by the previous one (Edmonds' integer-preserving
+pivoting, as in Bareiss elimination).  Only the final solution is turned
+into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -296,18 +301,16 @@ def z_image_contains(m: IntegerMatrix, target: Sequence[int]) -> Optional[tuple]
 def cokernel_residue(m: IntegerMatrix):
     """Return a function classifying vectors modulo the column span of ``m``.
 
-    Two vectors b, b' get equal keys iff b - b' lies in the integer image
-    of ``m``.  Used to split generators into boundary-equivalence classes
-    with a single Smith reduction S = U m V: b lies in the image iff each
-    entry of U b is divisible by its invariant factor (zero where the
-    factor is zero).  A row whose factor is 1 never tells cosets apart,
-    so the key reads only the other rows, and sums the columns of U
-    restricted to them over the nonzero entries of b.
+    The returned ``key`` takes a vector as a mapping from row index to
+    value, so a caller passes only its nonzero rows.  Two vectors b, b'
+    get equal keys iff b - b' lies in the integer image of ``m``.  Used
+    to split generators into boundary-equivalence classes with a single
+    Smith reduction S = U m V: b lies in the image iff each entry of U b
+    is divisible by its invariant factor (zero where the factor is
+    zero).  A row whose factor is 1 never tells cosets apart, so the key
+    reads only the other rows, and sums the columns of U restricted to
+    them over the given entries of b.
     """
-    if m.rows == 0:
-        return lambda b: ()
-    if m.cols == 0:
-        return lambda b: tuple(b)
     S, U, _V = smith_normal_form(m.dense())
     diag = [S[i][i] if i < min(m.rows, m.cols) else 0 for i in range(m.rows)]
     kept = [i for i in range(m.rows) if diag[i] != 1]
@@ -315,10 +318,10 @@ def cokernel_residue(m: IntegerMatrix):
     columns = [tuple(U[i][k] for i in kept) for k in range(m.rows)]
 
     def key(b):
-        if len(b) != m.rows:
-            raise ValueError("vector length mismatch")
         ub = [0] * len(kept)
-        for k, v in enumerate(b):
+        for k, v in b.items():
+            if not 0 <= k < m.rows:
+                raise ValueError(f"row index {k} out of range")
             if v:
                 ub = [a + v * u for a, u in zip(ub, columns[k])]
         return tuple(x % q if q else x for x, q in zip(ub, moduli))
@@ -403,7 +406,7 @@ def q_kernel_basis(rows: Sequence[Sequence]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# positive kernel witnesses (rational feasibility, exact simplex)
+# positive kernel witnesses (rational feasibility, fraction-free simplex)
 
 
 def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
@@ -412,10 +415,11 @@ def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
     First ``m`` is reduced mod 2: full column rank over F2 forces full
     column rank over Q (a nonzero maximal minor mod 2 is nonzero over
     Z), so the kernel is zero and there is no witness.  Otherwise
-    decides feasibility of {v >= 0, m v = 0, sum(v) = 1} by an exact
-    phase-I simplex with Bland's rule, then clears denominators.  The
-    normalisation makes "nonzero" a linear condition, and any rational
-    solution scales to an integer one.
+    decides feasibility of {v >= 0, m v = 0, sum(v) = 1} by the
+    fraction-free phase-I simplex, fed the integer rows of ``m`` as they
+    are, then clears denominators.  The normalisation makes "nonzero" a
+    linear condition, and any rational solution scales to an integer
+    one.
     """
     n = m.cols
     bits = [0] * m.rows
@@ -424,12 +428,9 @@ def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
             bits[r] |= 1 << c
     if f2_rank(bits) == n:
         return None
-    dense = m.dense()
-    rows = [[Fraction(v) for v in row] for row in dense]
-    rows.append([Fraction(1)] * n)
-    rhs = [Fraction(0)] * m.rows + [Fraction(1)]
-    # make all right-hand sides nonnegative (they already are) and run phase I
-    sol = _phase1_simplex(rows, rhs)
+    rows = m.dense()
+    rows.append([1] * n)
+    sol = _phase1_simplex(rows, [0] * m.rows + [1])
     if sol is None:
         return None
     denom = lcm(*(f.denominator for f in sol)) if sol else 1
@@ -440,61 +441,76 @@ def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
 
 
 def _phase1_simplex(a_rows: list, b: list) -> Optional[list]:
-    """Feasibility of {x >= 0, A x = b} with b >= 0; returns x or None."""
+    """Feasibility of {x >= 0, A x = b} with b >= 0; returns x or None.
+
+    ``a_rows`` and ``b`` hold integers.  The answer is a list of
+    ``Fraction``s, one per column of A, or None when the system is
+    infeasible.
+
+    The tableau [A | I | b], with the phase-I reduced costs as one more
+    row, is kept fraction-free (Edmonds' integer-preserving pivoting,
+    the simplex form of Bareiss elimination).  Every entry is an int
+    standing for itself over one common denominator D, the last pivot,
+    which starts at 1.  A pivot on (r, c) with p = T[r][c] > 0 keeps
+    row r as it is and replaces every other entry by
+    (p * T[i][j] - T[i][c] * T[r][j]) // D, then sets D = p.  That
+    division is exact: each entry is, up to sign, a minor of the
+    starting tableau.  As D > 0, every sign test reads the integer
+    itself, and the ratio test compares T[i][-1] / T[i][c] by
+    cross-multiplying, so Bland's rule picks the same entering and
+    leaving variables as it would on the rational tableau.  Fractions
+    are made only for the answer.
+    """
     nr = len(a_rows)
     nc = len(a_rows[0])
     # tableau columns: original variables, artificials, rhs
-    T = []
-    for i in range(nr):
-        row = list(a_rows[i])
-        row += [Fraction(int(i == j)) for j in range(nr)]
-        row.append(b[i])
-        T.append(row)
+    T = [list(a_rows[i]) + [int(i == j) for j in range(nr)] + [b[i]] for i in range(nr)]
     basis = [nc + i for i in range(nr)]
     total = nc + nr
-    # Reduced costs of "minimise the sum of artificials", kept as one more
+    # Reduced costs of "minimise the sum of artificials", kept as the last
     # tableau row and pivoted with the others.  With every artificial
     # basic they are minus the column sums on the original variables and
     # zero on the artificials.
     costs = [-sum(col) for col in zip(*T)]
     for j in range(nc, total):
-        costs[j] = Fraction(0)
+        costs[j] = 0
     T.append(costs)
+    D = 1
 
     while True:
+        costs = T[-1]
         enter = next((j for j in range(total) if costs[j] < 0), None)
         if enter is None:
             break
-        # ratio test, Bland tie-break on basis index
+        # ratio test by cross-multiplying, Bland tie-break on basis index
         leave = None
-        best = None
         for i in range(nr):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = T[i][-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # unbounded phase-I objective cannot happen; treat as infeasible
             return None
-        pv = T[leave][enter]
-        prow = T[leave] = [v / pv for v in T[leave]]
-        # only the pivot row's nonzero columns change in the other rows
-        support = [j for j, v in enumerate(prow) if v]
-        for row in T:
+        prow = T[leave]
+        p = prow[enter]
+        for i, row in enumerate(T):
+            if row is prow:
+                continue
             f = row[enter]
-            if f and row is not prow:
-                for j in support:
-                    row[j] -= f * prow[j]
+            if f:
+                T[i] = [(p * x - f * y) // D for x, y in zip(row, prow)]
+            elif p != D:
+                T[i] = [p * x // D for x in row]
+        D = p
         basis[leave] = enter
-    # objective value = sum of basic artificial values
-    obj = sum(T[i][-1] for i in range(nr) if basis[i] >= nc)
-    if obj != 0:
+    # objective value = sum of basic artificial values (all nonnegative)
+    if any(T[i][-1] for i in range(nr) if basis[i] >= nc):
         return None
-    sol = [Fraction(0)] * nc
-    for i, bi in enumerate(basis):
-        if bi < nc:
-            sol[bi] = T[i][-1]
-    return sol
+    value = {bi: T[i][-1] for i, bi in enumerate(basis) if bi < nc}
+    return [Fraction(value.get(j, 0), D) for j in range(nc)]

@@ -398,7 +398,7 @@ def spinc_partition(d: Diagram, gens: Optional[list] = None) -> dict:
     labels = {}
     classes = {}
     for x in gens:
-        k = key([1 if v in x else 0 for v in verts])
+        k = key({vrow[v]: 1 for v in x})
         if k not in labels:
             labels[k] = len(labels)
         classes[x] = labels[k]

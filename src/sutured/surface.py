@@ -328,8 +328,6 @@ def vertex_links(d: Diagram):
             if nxt is None:
                 raise ValueError(f"broken link at vertex {v}")
             if nxt in visited:
-                if kind == "cycle" and nxt == cur or nxt == (start or min(cs)):
-                    pass
                 break
             cur = nxt
         if len(visited) != len(cs):
@@ -553,7 +551,6 @@ def validate(d: Diagram) -> list:
             problems.append(f"unbalanced diagram: {na} closed alpha vs {nb} closed beta")
 
     # suture flags match region contact with free boundary
-    reg = region_of(d)
     for group in regions(d):
         touches = any(e in free for f in group for (e, _s) in d.faces[f].word)
         for f in group:

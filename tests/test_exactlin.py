@@ -12,11 +12,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fixtures
 import oracles
-from sutured import exactlin
+from sutured import exactlin, glue, pieces, sfc
 from sutured.exactlin import (
     BinaryMatrix,
     IntegerMatrix,
@@ -201,7 +202,7 @@ def test_cokernel_residue_classifies():
             b2 = tuple(rng.randint(-4, 4) for _ in range(nr))
             diff = tuple(a - b for a, b in zip(b1, b2))
             same = z_image_contains(m, diff) is not None
-            assert (key(b1) == key(b2)) == same
+            assert (key(dict(enumerate(b1))) == key(dict(enumerate(b2)))) == same
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +277,89 @@ def test_witness_sound(rows):
         assert all(sum(r * v for r, v in zip(row, got)) == 0 for row in rows)
 
 
-@given(
-    st.integers(1, 4).flatmap(
-        lambda nc: st.lists(
-            st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
-            min_size=1,
-            max_size=4,
-        )
-    )
-)
-@settings(max_examples=150, deadline=None)
+@st.composite
+def kernel_systems(draw):
+    """Integer systems up to 7 x 8, some with repeated or zero rows, so
+    that the ratio test meets ties and Bland's tie-break decides them."""
+    nc = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-3, 3), min_size=nc, max_size=nc)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    extra = draw(st.lists(st.integers(0, len(rows)), max_size=7 - len(rows)))
+    for k in extra:  # k < len(rows) repeats row k, k == len(rows) adds a zero row
+        rows.append(list(rows[k]) if k < len(rows) else [0] * nc)
+    return draw(st.permutations(rows))
+
+
+@given(kernel_systems())
+@example([[1, -1, 0], [1, -1, 0], [0, 0, 0], [0, 1, -1]])  # the first pivot ties rows 0 and 1
+@settings(max_examples=300, deadline=None)
 def test_witness_and_simplex_match_the_reference(rows):
     n = len(rows[0])
-    a_rows = [[Fraction(v) for v in row] for row in rows] + [[Fraction(1)] * n]
-    b = [Fraction(0)] * len(rows) + [Fraction(1)]
-    assert exactlin._phase1_simplex(a_rows, b) == oracles.reference_phase1_simplex(a_rows, b)
+    a_rows = [list(row) for row in rows] + [[1] * n]
+    b = [0] * len(rows) + [1]
+    got = exactlin._phase1_simplex(a_rows, b)
+    fractions = [[Fraction(v) for v in row] for row in a_rows]
+    assert got == oracles.reference_phase1_simplex(fractions, [Fraction(v) for v in b])
+    assert got is None or all(type(v) is Fraction for v in got)
     assert positive_kernel_witness(
         IntegerMatrix.from_rows(rows)
     ) == oracles.reference_positive_kernel_witness(rows)
+
+
+def test_simplex_makes_fractions_only_for_the_answer(monkeypatch):
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(exactlin, "Fraction", counting)
+    rows = [[1, -1, 0], [0, 2, -1], [1, 1, 1]]
+    got = exactlin._phase1_simplex(rows, [0, 0, 1])
+    assert got == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+    assert len(made) <= 3
+
+
+def _admissibility_diagrams():
+    for name in pieces.catalog():
+        yield name, pieces.build(name)
+    for name in ("annular_trap", "hexagram", "grid_torus"):  # not admissible
+        yield name, getattr(fixtures, name)()
+    staged = (("fix-stab", pieces.build("fix-stab")), ("bigonpair^3", fixtures.bigonpair_power(3)))
+    for name, d in staged:
+        yield name, d
+        for k, spec in enumerate(glue.two_handle_sequence(d)):
+            d = glue.sigma_map(d, spec)[0]
+            yield f"{name} stage {k + 1}", d
+
+
+def test_admissibility_witness_matches_the_reference(monkeypatch):
+    calls = []
+    real = sfc.positive_kernel_witness
+
+    def recording(m):
+        got = real(m)
+        calls.append((m, got))
+        return got
+
+    monkeypatch.setattr(sfc, "positive_kernel_witness", recording)
+    checked = refused = 0
+    for where, d in _admissibility_diagrams():
+        calls.clear()
+        ok, witness = sfc.is_admissible(d)
+        if not calls:
+            assert (ok, witness) == (True, None), where
+            continue
+        ((m, got),) = calls
+        expect = oracles.reference_positive_kernel_witness(m.dense())
+        assert got == expect, where
+        cols = sorted(f for f, face in d.faces.items() if not face.suture)
+        assert ok == (expect is None), where
+        if expect is not None:
+            assert witness == {cols[j]: w for j, w in enumerate(expect) if w}, where
+            refused += 1
+        checked += 1
+    assert checked > refused == 3
 
 
 def test_full_f2_rank_settles_without_the_simplex(monkeypatch):
