@@ -118,12 +118,11 @@ def _cmd_glue(args):
         lines = payload["table"] + [f"rank {payload['rank']}"]
     elif spec.kind == "2":
         rec = glue.glue_two_handle(d, spec)
+        complexes = {"H3": sfc.differential(rec["H3"]), "H4": rec["H4"],
+                     "H5": rec["H5"], "H6": rec["H6"]}
         stages = {
-            stage: {
-                "generators": len(sfc.generators(rec[stage])),
-                "rank": sfc.homology(rec[stage]).total,
-            }
-            for stage in ("H3", "H4", "H5", "H6")
+            stage: {"generators": len(cx.basis), "rank": sfc.homology(cx).total}
+            for stage, cx in complexes.items()
         }
         payload = {
             "kind": "2",
@@ -232,10 +231,12 @@ def _build_example(name):
         if name == "disk-h2":
             return base
         rec = glue.glue_two_handle(base, glue.two_handle_spec(base, handle))
-        try:
-            return rec[name[5:].upper()]
-        except KeyError:
-            raise ValueError(f"unknown example {name!r}") from None
+        stage = name[5:].upper()
+        if stage == "H3":
+            return rec["H3"]
+        if stage in ("H4", "H5", "H6"):
+            return rec[stage].diagram
+        raise ValueError(f"unknown example {name!r}")
     try:
         return pieces.build(name)
     except KeyError:

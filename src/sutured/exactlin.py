@@ -1,11 +1,11 @@
-"""Exact linear algebra over F2, the integers, and the rationals.
+"""Exact linear algebra over F2 and the integers.
 
 Everything at desk scale: the diagrams this package works with produce
 systems with a few hundred rows at most, so plain Gaussian elimination
-(bitmask rows over F2, ``Fraction`` rows over Q) and a textbook Smith
-normal form are enough.  No floating point is used anywhere.
+on bitmask rows over F2 and a textbook Smith normal form are enough.
+No floating point is used anywhere.
 
-Rational feasibility of a nonnegative kernel vector is settled mod 2
+Whether a nonzero nonnegative kernel vector exists is settled mod 2
 when the matrix has full column rank over F2 (then its kernel over Q is
 zero), and otherwise by a phase-I simplex on an integer tableau: every
 entry is an int over one common denominator, the last pivot, and each
@@ -54,13 +54,6 @@ class BinaryMatrix:
         for (r, c) in self.entries:
             out[r] |= 1 << c
         return out
-
-    def mul_vec(self, vec: Sequence[int]) -> tuple:
-        bits = 0
-        for j, v in enumerate(vec):
-            if v % 2:
-                bits |= 1 << j
-        return tuple((bin(row & bits).count("1")) % 2 for row in self.bitrows())
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,7 @@ def f2_rank(rows: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Z: Smith normal form and integer kernels
+# Z: Smith normal form and cokernel classes
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
@@ -254,50 +247,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
     return S, U, V
 
 
-def z_kernel_basis(m: IntegerMatrix) -> list:
-    """A Z-basis of the integer kernel of ``m`` via Smith normal form.
-
-    The basis is saturated: it spans ker(m) itself, not a finite-index
-    sublattice.
-    """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(int(i == j) for i in range(m.cols)) for j in range(m.cols)]
-    S, _U, V = smith_normal_form(m.dense())
-    rank = 0
-    for i in range(min(m.rows, m.cols)):
-        if S[i][i] != 0:
-            rank += 1
-    basis = []
-    for j in range(rank, m.cols):
-        basis.append(tuple(V[i][j] for i in range(m.cols)))
-    return basis
-
-
-def z_image_contains(m: IntegerMatrix, target: Sequence[int]) -> Optional[tuple]:
-    """Solve m * x = target over Z; returns one solution or None."""
-    if len(target) != m.rows:
-        raise ValueError("target length mismatch")
-    if m.cols == 0:
-        return () if all(t == 0 for t in target) else None
-    if m.rows == 0:
-        return tuple(0 for _ in range(m.cols))
-    S, U, V = smith_normal_form(m.dense())
-    ub = [sum(U[i][k] * target[k] for k in range(m.rows)) for i in range(m.rows)]
-    y = [0] * m.cols
-    for i in range(m.rows):
-        d = S[i][i] if i < min(m.rows, m.cols) else 0
-        if d != 0:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i] != 0:
-            return None
-    x = tuple(sum(V[i][k] * y[k] for k in range(m.cols)) for i in range(m.cols))
-    return x
-
-
 def cokernel_residue(m: IntegerMatrix):
     """Return a function classifying vectors modulo the column span of ``m``.
 
@@ -330,83 +279,7 @@ def cokernel_residue(m: IntegerMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Q: dense elimination helpers (no library caller; exercised by the tests)
-
-
-def q_solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
-    """Solve A x = rhs over Q where A has full column rank.
-
-    Returns the unique solution as Fractions, or None if the system is
-    inconsistent.  Raises if the solution is not unique, which signals a
-    caller bug (all callers pass injective systems).
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc] != 0:
-            return None
-    if len(pivots) < nc:
-        raise ValueError("underdetermined system passed to q_solve_unique")
-    sol = [Fraction(0)] * nc
-    for (pr, pc) in pivots:
-        sol[pc] = aug[pr][nc]
-    return sol
-
-
-def q_kernel_basis(rows: Sequence[Sequence]) -> list:
-    """A basis of the rational kernel of the given dense matrix."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(nr):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
-        if r == nr:
-            break
-    basis = []
-    for j in range(nc):
-        if j in pivots:
-            continue
-        vec = [Fraction(0)] * nc
-        vec[j] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -mat[pr][j]
-        basis.append(vec)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# positive kernel witnesses (rational feasibility, fraction-free simplex)
+# positive kernel witnesses (fraction-free simplex)
 
 
 def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:

@@ -32,6 +32,7 @@ from .surface import (
     TransversePath,
     _attach_one_handle,
     _check,
+    _check_two_handle_paths,
     _require_free_suture_edge,
     _route_and_insert_chord,
     _subdivide_ports,
@@ -248,27 +249,8 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
+    _check_two_handle_paths(d, p, q, a_path, b_path)
     out = d.copy()
-    for path in (a_path, b_path):
-        for e in path.crossed():
-            ed = out.edges.get(e)
-            if ed is None or ed.kind == "boundary":
-                raise ValueError(f"path cannot cross {e}")
-        for f in path.faces():
-            if f not in out.faces:
-                raise ValueError(f"path names missing face {f}")
-    if set(a_path.crossed()) & set(b_path.crossed()):
-        raise ValueError("the two paths must cross distinct edges")
-    face_p = next(
-        f for f, face in d.faces.items() if any(e == p for (e, _s) in face.word)
-    )
-    face_q = next(
-        f for f, face in d.faces.items() if any(e == q for (e, _s) in face.word)
-    )
-    for path in (a_path, b_path):
-        if path.faces()[0] != face_p or path.faces()[-1] != face_q:
-            raise ValueError("paths must run from the face at p to the face at q")
-
     handle = _attach_one_handle(out, p, q)
     ports_p = _subdivide_ports(out, handle["p"]["seam"], ("b", "a"))
     ports_q = _subdivide_ports(out, handle["q"]["seam"], ("b", "a"))
@@ -472,24 +454,6 @@ def elementary_join(u, w, v) -> ChainMapTable:
     return _elementary_join_full(u, w, v)[2]
 
 
-def type_d_gluing_map(w, v) -> dict:
-    """The join data at the type-D level.
-
-    Every generator of ``v`` maps to itself decorated with the pairing
-    tags of ``w``; boxing against a one-generator type-A piece reproduces
-    the elementary join evaluation.
-    """
-    if w.kind != "A":
-        raise ValueError("the pairing piece must be a type-A structure")
-    if not modules.is_elementary(w):
-        raise ValueError("pairing piece is not elementary")
-    if v.kind != "D":
-        raise ValueError("the base must be a type-D structure")
-    _az, tags = _pairing_tags(w)
-    tag = tuple(tags)
-    return {"tag": tag, "entries": {y: (tag, y) for y in v.generators}}
-
-
 # ---------------------------------------------------------------------------
 # glued pipelines
 
@@ -580,12 +544,13 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
     """2-handle attachment through the staged pipeline.
 
     ``d`` is the base diagram or its complex.  Returns the stage record:
-    the cut-open base ``H3``, the block concatenation ``H4``, the
-    twist-block stage ``H5``, the direct attachment ``H6``, the composed
-    ``joinTable`` into ``H4``, and the ``identityReport`` checking the
-    twist-stage boundary identity and the stage homology ranks, read from
-    the complexes built for the stages.  Any stage failing the complex
-    gates raises with the stage named.
+    the cut-open base diagram ``H3``; the complexes built for the block
+    concatenation ``H4``, the twist-block stage ``H5`` and the direct
+    attachment ``H6``, each carrying its diagram; the composed
+    ``joinTable`` into ``H4``; and the ``identityReport`` checking the
+    twist-stage boundary identity and the stage homology ranks, read
+    from those complexes.  Any stage failing the complex gates raises
+    with the stage named.
     """
     if spec.kind != "2":
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
@@ -602,7 +567,7 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
     except ValueError as err:
         raise ValueError(f"stage H3: {err}") from err
     try:
-        _src_d, h4, join = _elementary_join_full(u, w, v)
+        join = elementary_join(u, w, v)
     except ValueError as err:
         raise ValueError(f"stage H4: {err}") from err
     try:
@@ -666,9 +631,9 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
     }
     return {
         "H3": hv,
-        "H4": h4,
-        "H5": h5,
-        "H6": h6,
+        "H4": join.target,
+        "H5": cx5,
+        "H6": cx6,
         "joinTable": join_table,
         "identityReport": report,
         "x0": x0_direct,
@@ -679,21 +644,17 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
 # the contact class
 
 
-def eh_generator(d, applied) -> frozenset:
+def eh_generator(d, applied):
     """Transport the tagged contact generator through applied handle maps.
 
     ``applied`` is the list of ``sigma_map`` results; 1-handles leave the
     tag alone, 2-handles and bypasses add their forced intersection
     point.  The transported tag must be a cycle generator of the final
-    diagram.  An empty ``d.eh`` means the base is untagged; it is refused
-    before any complex is built.
+    diagram.  Returns ``(generator, complex)``, the complex being the
+    last table's target, or the base's complex when nothing was applied.
+    An empty ``d.eh`` means the base is untagged; it is refused before
+    any complex is built.
     """
-    return _transport_eh(d, applied)[0]
-
-
-def _transport_eh(d, applied):
-    """``eh_generator`` together with the final diagram's complex: the
-    last table's target, or the base's complex when nothing was applied."""
     if not d.eh:
         raise ValueError("base has no tagged generator")
     tag = set(d.eh)
@@ -712,7 +673,7 @@ def _transport_eh(d, applied):
 def _eh_block(d, applied):
     """Report block for the transported contact class; errors are flagged."""
     try:
-        g, final = _transport_eh(d, applied)
+        g, final = eh_generator(d, applied)
     except ValueError as err:
         return {"ok": False, "error": str(err)}
     return {
@@ -830,25 +791,56 @@ def spec_to_json(spec: HandleSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> HandleSpec:
+    """Read a handle spec document.
+
+    Every id (``p``, ``q``, ``site`` and each path item) must be a
+    string, each path must alternate faces and edges from a face to a
+    face, and each port order must be a permutation of ``("a", "b")``;
+    anything else raises ``ValueError``.
+    """
     try:
         kind = obj["kind"]
         if kind == "1":
-            return HandleSpec("1", p=obj["p"], q=obj["q"])
+            p, q = _ids([obj["p"], obj["q"]], "p and q")
+            return HandleSpec("1", p=p, q=q)
         if kind == "2":
+            p, q = _ids([obj["p"], obj["q"]], "p and q")
             return HandleSpec(
                 "2",
-                p=obj["p"],
-                q=obj["q"],
-                a_path=TransversePath(list(obj["a_path"])),
-                b_path=TransversePath(list(obj["b_path"])),
-                port_order_p=tuple(obj.get("port_order_p", ("b", "a"))),
-                port_order_q=tuple(obj.get("port_order_q", ("b", "a"))),
+                p=p,
+                q=q,
+                a_path=_path(obj, "a_path"),
+                b_path=_path(obj, "b_path"),
+                port_order_p=_port_order(obj, "port_order_p"),
+                port_order_q=_port_order(obj, "port_order_q"),
             )
         if kind in ("bypass+", "bypass-"):
-            return HandleSpec(kind, site=obj["site"])
+            (site,) = _ids([obj["site"]], "site")
+            return HandleSpec(kind, site=site)
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed handle spec: {err!r}") from err
     raise ValueError(f"unknown handle kind {obj.get('kind')!r}")
+
+
+def _ids(value, field: str) -> list:
+    """``value`` itself when it is a list of id strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"malformed handle spec: {field} must be id strings, got {value!r}")
+    return value
+
+
+def _path(obj: dict, field: str) -> TransversePath:
+    items = _ids(obj[field], field)
+    if len(items) % 2 == 0:
+        raise ValueError(f"malformed handle spec: {field} must run face, edge, ..., face")
+    return TransversePath(items)
+
+
+def _port_order(obj: dict, field: str) -> tuple:
+    order = tuple(_ids(obj.get(field, ["b", "a"]), field))
+    if sorted(order) != ["a", "b"]:
+        raise ValueError(f"malformed handle spec: {field} must order 'a' and 'b', got {order!r}")
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .exactlin import (
     BinaryMatrix,
     IntegerMatrix,
     cokernel_residue,
-    f2_rank_kernel,
+    f2_rank,
     positive_kernel_witness,
     set_bits,
 )
@@ -359,17 +359,16 @@ def is_admissible(d: Diagram):
 # Spin^c partition
 
 
-def spinc_partition(d: Diagram, gens: Optional[list] = None) -> dict:
+def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
     """Generator -> class index.
 
     Two generators share a class exactly when the difference of their
     occupancy vectors, spread along the alpha family, is a boundary of
     non-suture regions; classes are numbered by first appearance in
-    canonical generator order.  ``gens`` is ``generators(d)``, passed by
-    callers that already hold it.
+    canonical generator order.  ``gens`` is ``generators(d)`` and
+    ``groups`` the face tuples of the non-suture regions, in the order
+    of ``region_census(d)``.
     """
-    if gens is None:
-        gens = generators(d)
     verts = sorted(
         {
             v
@@ -382,7 +381,6 @@ def spinc_partition(d: Diagram, gens: Optional[list] = None) -> dict:
         return {x: 0 for x in gens}
     vrow = {v: i for i, v in enumerate(verts)}
     alpha_edges = {e for c in d.curves("alpha").values() for e in c.segments}
-    groups = [g for g in surface.regions(d) if not d.faces[g[0]].suture]
     dense = [[0] * len(groups) for _ in verts]
     for j, group in enumerate(groups):
         coeff = {}
@@ -475,46 +473,33 @@ def differential(d: Diagram) -> ChainComplexF2:
             if c % 2:
                 entries.add((idx[y], j))
     diff = BinaryMatrix(len(basis), len(basis), frozenset(entries))
-    return ChainComplexF2(basis, diff, spinc_partition(d, basis), d)
+    groups = [rec.faces for rec in census]
+    return ChainComplexF2(basis, diff, spinc_partition(d, basis, groups), d)
 
 
 @dataclass
 class Homology:
     total: int
     by_class: dict  # class index -> rank
-    representatives: list  # (class index, cycle as generator tuple), one per unit
-
-    def rank(self) -> int:
-        return self.total
-
-
-def _insert_pivot(pivots: dict, vec: int) -> int:
-    """Reduce vec against an echelon set keyed by leading bit; install
-    the residue if nonzero.  Returns the residue."""
-    while vec:
-        lead = vec.bit_length() - 1
-        if lead not in pivots:
-            pivots[lead] = vec
-            return vec
-        vec ^= pivots[lead]
-    return 0
 
 
 def homology(d) -> Homology:
-    """Per-class mod-2 homology ranks with representative cycles of a
-    diagram or its complex."""
+    """Per-class mod-2 homology ranks of a diagram or its complex.
+
+    The differential preserves the Spin^c classes, so each class block
+    of ``m`` generators is a complex on its own, of rank ``m - 2 r``
+    where ``r`` is the rank of its differential.
+    """
     cx = as_complex(d)
     blocks = {}
     for j, x in enumerate(cx.basis):
         blocks.setdefault(cx.spinc_class[x], []).append(j)
     by_class = {}
-    reps = []
     for label in sorted(blocks):
         block = blocks[label]
         pos = {j: t for t, j in enumerate(block)}
-        entries = set()
         bcols = []
-        for s, j in enumerate(block):
+        for j in block:
             mask = 0
             for r in set_bits(cx.columns[j]):
                 if r not in pos:
@@ -522,22 +507,9 @@ def homology(d) -> Homology:
                         "differential does not respect the class partition"
                     )
                 mask |= 1 << pos[r]
-                entries.add((pos[r], s))
             bcols.append(mask)
-        m = len(block)
-        _rank, kernel = f2_rank_kernel(BinaryMatrix(m, m, frozenset(entries)))
-        pivots = {}
-        for vec in bcols:
-            _insert_pivot(pivots, vec)
-        rank_d = len(pivots)
-        count = 0
-        for kv in kernel:
-            if _insert_pivot(pivots, kv):
-                count += 1
-                reps.append((label, tuple(cx.basis[block[t]] for t in set_bits(kv))))
-        by_class[label] = count
-        assert count == m - 2 * rank_d
-    return Homology(sum(by_class.values()), by_class, reps)
+        by_class[label] = len(block) - 2 * f2_rank(bcols)
+    return Homology(sum(by_class.values()), by_class)
 
 
 # ---------------------------------------------------------------------------

@@ -368,16 +368,6 @@ def _face_components(d: Diagram, glued) -> list:
     return [sorted(g) for g in sorted(groups.values())]
 
 
-def region_of(d: Diagram):
-    """face id -> frozenset of face ids of its region."""
-    out = {}
-    for group in regions(d):
-        fs = frozenset(group)
-        for f in group:
-            out[f] = fs
-    return out
-
-
 def recompute_suture_flags(d: Diagram) -> Diagram:
     """Suture status: the region touches a free (non-interface) piece of
     the surface boundary."""
@@ -1255,6 +1245,33 @@ def _subdivide_ports(d: Diagram, seam: str, order) -> dict:
     return {order[0]: u1, order[1]: u2}
 
 
+def _check_two_handle_paths(d: Diagram, p: str, q: str, a_path, b_path) -> None:
+    """Both paths cross distinct non-boundary edges of ``d`` and run from
+    the face at the foot ``p`` to the face at the foot ``q``."""
+    for path in (a_path, b_path):
+        for e in path.crossed():
+            ed = d.edges.get(e)
+            if ed is None or ed.kind == "boundary":
+                raise ValueError(f"path cannot cross {e}")
+        for f in path.faces():
+            if f not in d.faces:
+                raise ValueError(f"path names missing face {f}")
+    if set(a_path.crossed()) & set(b_path.crossed()):
+        raise ValueError("the two paths must cross distinct edges")
+    ends = []
+    for foot in (p, q):
+        face = next(
+            (f for f, fc in d.faces.items() if any(e == foot for (e, _s) in fc.word)),
+            None,
+        )
+        if face is None:
+            raise ValueError(f"no face carries the foot {foot}")
+        ends.append(face)
+    for path in (a_path, b_path):
+        if [path.faces()[0], path.faces()[-1]] != ends:
+            raise ValueError("paths must run from the face at p to the face at q")
+
+
 def attach_two_handle(
     d: Diagram,
     p: str,
@@ -1272,27 +1289,8 @@ def attach_two_handle(
     b_path, alpha along a_path).  The two new curves intersect exactly
     once; that point is returned alongside the diagram.
     """
+    _check_two_handle_paths(d, p, q, a_path, b_path)
     out = d.copy()
-    for path in (a_path, b_path):
-        for e in path.crossed():
-            ed = out.edges.get(e)
-            if ed is None or ed.kind == "boundary":
-                raise ValueError(f"path cannot cross {e}")
-        for f in path.faces():
-            if f not in out.faces:
-                raise ValueError(f"path names missing face {f}")
-    if set(a_path.crossed()) & set(b_path.crossed()):
-        raise ValueError("the two paths must cross distinct edges")
-    face_p = next(
-        f for f, face in d.faces.items() if any(e == p for (e, _s) in face.word)
-    )
-    face_q = next(
-        f for f, face in d.faces.items() if any(e == q for (e, _s) in face.word)
-    )
-    for path in (a_path, b_path):
-        if path.faces()[0] != face_p or path.faces()[-1] != face_q:
-            raise ValueError("paths must run from the face at p to the face at q")
-
     handle = _attach_one_handle(out, p, q)
     ports_p = _subdivide_ports(out, handle["p"]["seam"], port_order_p)
     ports_q = _subdivide_ports(out, handle["q"]["seam"], port_order_q)
@@ -1664,12 +1662,11 @@ def _reverse_edge(d: Diagram, eid: str) -> None:
         f.word = [(e, -s if e == eid else s) for (e, s) in f.word]
 
 
-def concatenate_bordered_record(b1: Diagram, b2: Diagram, pair=(0, 0)):
+def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
     """Glue interface pair[0] of b1 to interface pair[1] of b2.
 
     The interval edges identify in reversed order and become seams, the
     marked points merge, and matched arcs fuse into closed curves.
-    Returns the glued diagram and a record sufficient to split it again.
     """
     i1 = b1.interfaces[pair[0]]
     i2 = b2.interfaces[pair[1]]
@@ -1678,14 +1675,6 @@ def concatenate_bordered_record(b1: Diagram, b2: Diagram, pair=(0, 0)):
     right = _prefix_diagram(b2, "R:")
     il = left.interfaces.pop(pair[0])
     ir = right.interfaces.pop(pair[1])
-
-    record = {
-        "pair": pair,
-        "intervals": [],
-        "fused": [],
-        "interface_left": il,
-        "interface_right": ir,
-    }
 
     out = Diagram(
         left.vertices | right.vertices,
@@ -1721,22 +1710,14 @@ def concatenate_bordered_record(b1: Diagram, b2: Diagram, pair=(0, 0)):
         # vertices along each side, tail to head
         vl = [out.edges[edges_l[0]].frm] + [out.edges[e].to for e in edges_l]
         vr = [out.edges[edges_r[0]].frm] + [out.edges[e].to for e in edges_r]
-        merged = []
         for j, v in enumerate(vr):
-            keep = vl[m - j]
-            merged.append((keep, v))
-            merge_vertex(keep, v)
-        interval_rec = {"seams": [], "right_edges": [], "merged": merged}
+            merge_vertex(vl[m - j], v)
         for idx, e in enumerate(edges_l):
             f = edges_r[m - 1 - idx]
-            fr = out.edges.pop(f)
+            del out.edges[f]
             for face in out.faces.values():
                 face.word = [(e if ee == f else ee, -s if ee == f else s) for (ee, s) in face.word]
             out.edges[e].kind = "seam"
-            interval_rec["seams"].append(e)
-            interval_rec["right_edges"].append(f)
-            del fr
-        record["intervals"].append(interval_rec)
 
     for a1, c1 in sorted(il.arcs.items()):
         c2 = ir.arcs[arc_map[a1]]
@@ -1749,115 +1730,15 @@ def concatenate_bordered_record(b1: Diagram, b2: Diagram, pair=(0, 0)):
         r_end = out.edges[right_curve.segments[-1]].to
         if r_start == e_end:
             appended = list(right_curve.segments)
-            reversed_flag = False
         elif r_end == e_end:
             appended = list(reversed(right_curve.segments))
             for e in appended:
                 _reverse_edge(out, e)
-            reversed_flag = True
         else:
             raise ValueError(f"arcs {c1} and {c2} do not meet")
         for e in appended:
             out.edges[e].curve = c1
         left_curve.segments = left_curve.segments + appended
         left_curve.closed = True
-        record["fused"].append(
-            (c1, c2, fam, len(left_curve.segments) - len(appended), reversed_flag)
-        )
     recompute_suture_flags(out)
-    return _check(out), record
-
-
-def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
-    out, _record = concatenate_bordered_record(b1, b2, pair)
-    return out
-
-
-def split_bordered(d: Diagram, record):
-    """Undo a recorded concatenation; returns the two bordered pieces."""
-    work = d.copy()
-    # restore fused curves
-    for c1, c2, fam, n_left, reversed_flag in record["fused"]:
-        store = work.curves(fam)
-        c = store[c1]
-        appended = c.segments[n_left:]
-        c.segments = c.segments[:n_left]
-        c.closed = False
-        if reversed_flag:
-            appended = list(reversed(appended))
-            for e in appended:
-                _reverse_edge(work, e)
-        store[c2] = Curve(c2, False, appended)
-        for e in appended:
-            work.edges[e].curve = c2
-    # restore interval edges and vertices
-    for rec in record["intervals"]:
-        m = len(rec["seams"])
-        for idx in range(m):
-            e = rec["seams"][idx]
-            f = rec["right_edges"][idx]
-            # R-side currently uses (e, -1); give it back its own edge
-            for face in work.faces.values():
-                if face.id.startswith("R:"):
-                    face.word = [
-                        (f, 1) if (ee == e and s < 0) else (ee, s) for (ee, s) in face.word
-                    ]
-            le = work.edges[e]
-            le.kind = "boundary"
-            work.edges[f] = Edge(f, "boundary", None, le.to, le.frm)
-        for keep, lose in rec["merged"]:
-            work.vertices.add(lose)
-            for eid, ed in work.edges.items():
-                r_side = eid.startswith("R:")
-                if not r_side:
-                    continue
-                if ed.frm == keep:
-                    ed.frm = lose
-                if ed.to == keep:
-                    ed.to = lose
-    # fix endpoints of the restored boundary edges themselves
-    for rec in record["intervals"]:
-        m = len(rec["seams"])
-        vl = {}
-        for keep, lose in rec["merged"]:
-            vl[keep] = lose
-        for idx in range(m):
-            f = rec["right_edges"][idx]
-            ed = work.edges[f]
-            ed.frm = vl.get(ed.frm, ed.frm)
-            ed.to = vl.get(ed.to, ed.to)
-
-    def take(prefix, other_interface):
-        faces = {f: face for f, face in work.faces.items() if f.startswith(prefix)}
-        edge_ids = {e for face in faces.values() for (e, _s) in face.word}
-        edges = {e: work.edges[e] for e in edge_ids}
-        vertices = set()
-        for ed in edges.values():
-            vertices.add(ed.frm)
-            vertices.add(ed.to)
-        curves = {}
-        for fam in CURVE_KINDS:
-            curves[fam] = {
-                c: cv for c, cv in work.curves(fam).items() if set(cv.segments) <= edge_ids
-            }
-        interfaces = [
-            itf
-            for itf in work.interfaces
-            if all(e in edge_ids for iv in itf.intervals for e in iv)
-        ] + [other_interface]
-        piece = Diagram(
-            vertices,
-            edges,
-            faces,
-            curves["alpha"],
-            curves["beta"],
-            interfaces,
-            [v for v in work.eh if v in vertices],
-            {k: v for k, v in work.marks.items() if v in vertices},
-        )
-        recompute_suture_flags(piece)
-        return piece
-
-    left = take("L:", record["interface_left"])
-    right = take("R:", record["interface_right"])
-    return _check(left), _check(right)
+    return _check(out)

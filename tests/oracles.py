@@ -1,9 +1,12 @@
 """Slow, independent re-derivations used to cross-check the library.
 
-Everything here is written from the definitions with no shared code
-paths: generators by filtering the full power set, the boundary map by
-reading face words directly (only meaningful when no region spans a
-seam), and F2 rank by list-of-sets elimination.  The positive-kernel
+Everything here is written from the definitions: generators by
+filtering the full power set, the boundary map by reading face words
+directly (only meaningful when no region spans a seam), F2 rank by
+list-of-sets elimination, and membership in an integer image by solving
+through the Smith form.  The Smith form itself is the library's
+``smith_normal_form``, the one code path shared with it; its own
+properties are tested in ``test_exactlin``.  The positive-kernel
 simplex is kept here in its plain form, which rebuilds the reduced
 costs from the whole tableau on every pivot, as the reference the
 library's simplex must match answer for answer.  In the same way the
@@ -170,6 +173,35 @@ def naive_f2_rank(rows):
             basis.append(cur)
             basis.sort(key=max, reverse=True)
     return len(basis)
+
+
+def z_image_contains(m, target):
+    """Solve m * x = target over Z for an ``IntegerMatrix`` ``m``;
+    returns one solution or None.
+
+    Through the Smith form S = U m V: target lies in the image iff each
+    entry of U target is divisible by its invariant factor (zero where
+    the factor is zero).  The reference that ``cokernel_residue`` keys
+    are compared against.
+    """
+    if len(target) != m.rows:
+        raise ValueError("target length mismatch")
+    if m.cols == 0:
+        return () if all(t == 0 for t in target) else None
+    if m.rows == 0:
+        return tuple(0 for _ in range(m.cols))
+    S, U, V = smith_normal_form(m.dense())
+    ub = [sum(U[i][k] * target[k] for k in range(m.rows)) for i in range(m.rows)]
+    y = [0] * m.cols
+    for i in range(m.rows):
+        d = S[i][i] if i < min(m.rows, m.cols) else 0
+        if d != 0:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+        elif ub[i] != 0:
+            return None
+    return tuple(sum(V[i][k] * y[k] for k in range(m.cols)) for i in range(m.cols))
 
 
 def reference_positive_kernel_witness(rows):

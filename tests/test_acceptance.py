@@ -192,7 +192,7 @@ def test_criterion_5_two_handle_identity():
             failures.append(f"{label}: stage ranks {rep['ranks']}")
         # re-walk the identity over every cycle, not just a kernel basis
         cx = sfc.differential(base)
-        cx5 = sfc.differential(rec["H5"])
+        cx5 = rec["H5"]
         marks = {k.split("_")[0]: v for k, v in rec["H3"].marks.items()
                  if k.split("_")[0] in ("x0", "y0")}
         x0, y0 = f"R:{marks['x0']}", f"R:{marks['y0']}"
@@ -348,7 +348,7 @@ def test_criterion_8_equivalence_harness():
             elif spec.kind == "2":
                 rec = glue.glue_two_handle(cur, spec)
                 psi_van = glue._is_boundary(
-                    sfc.differential(rec["H4"]), rec["joinTable"].apply([tag])
+                    rec["H4"], rec["joinTable"].apply([tag])
                 )
             else:
                 psi_van = sigma_van  # the bypass map is its own staged route

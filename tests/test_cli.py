@@ -141,12 +141,35 @@ def _nodes(doc, path=()):
 CATALOG = sorted(pieces.catalog()) + ["fix-bigonpair", "fix-disk", "fix-stab"]
 
 
+def _handle_documents():
+    """Label -> (base diagram, plan); the plans use every handle kind."""
+    stab = pieces.build("fix-stab")
+    one, two = glue.two_handle_sequence(stab)
+    mid, _handle = glue.one_handled(stab)
+    return {
+        "1 then 2": (stab, [glue.spec_to_json(one), glue.spec_to_json(two)]),
+        "2": (mid, [glue.spec_to_json(two)]),
+        "bypass": (stab, [{"kind": "bypass+", "site": "bd"}]),
+    }
+
+
+HANDLE_DOCUMENTS = _handle_documents()
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_documents_keep_the_exit_code_contract(tmp_path, data):
-    name = data.draw(st.sampled_from(CATALOG))
-    doc = json.loads(surface.serialize(pieces.build(name)))
+    """A diagram, handle spec or handle plan document with one node
+    deleted, swapped for another id, retyped or duplicated."""
+    target = data.draw(st.sampled_from(["diagram", "spec", "plan"]))
+    if target == "diagram":
+        doc = json.loads(surface.serialize(pieces.build(data.draw(st.sampled_from(CATALOG)))))
+        plan_doc = []
+    else:
+        base, plan_doc = HANDLE_DOCUMENTS[data.draw(st.sampled_from(sorted(HANDLE_DOCUMENTS)))]
+        plan_doc = copy.deepcopy(plan_doc)
+        doc = plan_doc[0] if target == "spec" else plan_doc
     nodes = list(_nodes(doc))
     path, value = data.draw(st.sampled_from(nodes))
     holder = doc
@@ -166,12 +189,20 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, data):
     else:
         holder[key] = [value, value] if isinstance(value, list) else [value]
     diagram = tmp_path / "mutated.json"
-    diagram.write_text(json.dumps(doc))
     plan = tmp_path / "plan.json"
-    plan.write_text("[]")
-    for verb, *opts in (["validate"], ["generators"], ["homology"],
-                        ["bordered", "--kind", "D"], ["bordered", "--kind", "A"],
-                        ["verify-equivalence", "--handles", str(plan)]):
+    plan.write_text(json.dumps(plan_doc))
+    if target == "diagram":
+        diagram.write_text(json.dumps(doc))
+        runs = (["validate"], ["generators"], ["homology"],
+                ["bordered", "--kind", "D"], ["bordered", "--kind", "A"],
+                ["verify-equivalence", "--handles", str(plan)])
+    else:
+        diagram.write_text(surface.serialize(base))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(plan_doc[0] if plan_doc else []))
+        runs = (["attach", "--spec", str(spec)], ["glue", "--spec", str(spec)],
+                ["verify-equivalence", "--handles", str(plan)])
+    for verb, *opts in runs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main([verb, str(diagram), *opts]) in (0, 1, 2)
 
@@ -229,7 +260,7 @@ def test_bordered_dump(capsys, tmp_path):
 # attachment verbs
 
 
-def test_attach_then_glue(capsys, tmp_path, stab_file):
+def test_attach_then_glue(capsys, tmp_path, stab_file, monkeypatch):
     specs = glue.two_handle_sequence(pieces.build("fix-stab"))
     spec1 = tmp_path / "h1.json"
     spec1.write_text(json.dumps(glue.spec_to_json(specs[0])))
@@ -241,9 +272,15 @@ def test_attach_then_glue(capsys, tmp_path, stab_file):
 
     spec2 = tmp_path / "h2.json"
     spec2.write_text(json.dumps(glue.spec_to_json(specs[1])))
+    built = []
+    real = sfc.differential
+    monkeypatch.setattr(sfc, "differential", lambda d: built.append(d) or real(d))
     code, out, _ = run(capsys, "glue", str(mid), "--spec", str(spec2),
                        "--format", "json")
     assert code == 0
+    # one complex per diagram: the base, the three bordered invariants,
+    # the join's source and target (H4), H5, H6, and H3 once
+    assert len(built) == 9
     payload = json.loads(out)
     assert payload["identityReport"]["ok"]
     assert payload["stages"]["H5"]["rank"] == payload["stages"]["H6"]["rank"] == 1

@@ -195,33 +195,6 @@ def test_join_rejections():
         glue.elementary_join(u, u, v)
 
 
-def test_type_d_record_reproduces_the_join_tags():
-    cut = glue.prepare_one_handle(build("fix-bigonpair"), "ci", "co")
-    w = modules.bordered_invariant(pieces.cap1(), "A")
-    v = modules.bordered_invariant(cut, "D")
-    rec = glue.type_d_gluing_map(w, v)
-    assert rec["tag"] == ()
-    assert set(rec["entries"]) == set(v.generators)
-
-    d, handle = glue.one_handled(build("fix-disk"))
-    spec = glue.two_handle_spec(d, handle)
-    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
-    w2 = modules.bordered_invariant(pieces.cap2(), "A")
-    v2 = modules.bordered_invariant(hv, "D")
-    rec2 = glue.type_d_gluing_map(w2, v2)
-    assert rec2["tag"] == ("z3",)
-    u2 = modules.bordered_invariant(pieces.u2(), "D")
-    table = glue.elementary_join(u2, w2, v2)
-    for g, img in table.entries.items():
-        (target,) = img
-        tags = {x[4:] for x in target if x.startswith("L:R:")}
-        assert tuple(sorted(tags)) == rec2["tag"]
-    with pytest.raises(ValueError, match="not elementary"):
-        glue.type_d_gluing_map(
-            modules.bordered_invariant(pieces.mirror(pieces.rt2()), "A"), v
-        )
-
-
 # ---------------------------------------------------------------------------
 # the staged two-handle record
 
@@ -236,7 +209,7 @@ def test_staged_record_identity_and_stage_ranks(key):
     assert rep["ok"] and not rep["failures"]
     assert rep["ranks_agree"]
     assert rep["cycles"] == len(sfc.generators(d))  # all fixtures have zero maps
-    assert rec["x0"] in rec["H6"].vertices
+    assert rec["x0"] in rec["H6"].diagram.vertices
 
 
 def test_twist_stage_differential_realizes_the_identity():
@@ -245,7 +218,7 @@ def test_twist_stage_differential_realizes_the_identity():
     rec = glue.glue_two_handle(base, spec)
     marks = {k: v for k, v in rec["H3"].marks.items()}
     x0, y0 = f"R:{marks['x0']}", f"R:{marks['y0']}"
-    cx5 = sfc.differential(rec["H5"])
+    cx5 = rec["H5"]
     start = frozenset({"L:z1", y0})
     assert cx5.boundary_of(start) == {
         frozenset({"L:z3", y0}),
@@ -253,7 +226,7 @@ def test_twist_stage_differential_realizes_the_identity():
     }
     assert not cx5.boundary_of(frozenset({"L:z3", y0}))
     assert not cx5.boundary_of(frozenset({"L:z2", x0}))
-    cx4 = sfc.differential(rec["H4"])
+    cx4 = rec["H4"]
     assert cx4.boundary_of(frozenset({"L:L:c", "L:R:z1", y0})) == {
         frozenset({"L:L:c", "L:R:z2", x0})
     }
@@ -283,8 +256,9 @@ def test_staged_record_rejects_wrong_kind():
 def test_contact_tag_transports_and_survives():
     d = build("fix-stab")
     results = sequences.replay("fix-stab", glue.two_handle_sequence(d))
-    g = glue.eh_generator(d, results)
+    g, cx = glue.eh_generator(d, results)
     assert g == frozenset({"c", results[-1][2]})
+    assert cx is results[-1][1].target
     block = glue._eh_block(d, results)
     assert block["ok"] and block["nonvanishing"]
 

@@ -7,7 +7,7 @@ import copy
 import pytest
 
 from sutured import modules, pieces, sfc, strands
-from sutured.surface import concatenate_bordered_record
+from sutured.surface import concatenate_bordered
 
 
 def az2_sector():
@@ -301,9 +301,7 @@ def test_box_tensor_matches_a_gluing_with_a_differential():
         modules.bordered_invariant(pieces.u2(), "A"),
         modules.bordered_invariant(pieces.mirror(pieces.rt2()), "D"),
     )
-    glued, _record = concatenate_bordered_record(
-        pieces.u2(), pieces.mirror(pieces.rt2())
-    )
+    glued = concatenate_bordered(pieces.u2(), pieces.mirror(pieces.rt2()))
     cx = sfc.differential(glued)
     assert [sorted(b) for b in box.basis] == [
         ["L:c", "R:z1"], ["L:c", "R:z3"],

@@ -136,11 +136,17 @@ def test_closed_curve_without_crossing_blocks_every_generator(az2, trap):
 # generators and Spin^c classes against the reference enumeration and key
 
 
+def _partition(d, gens=None):
+    """``sfc.spinc_partition`` fed its inputs as ``differential`` does."""
+    groups = [rec.faces for rec in sfc.region_census(d)]
+    return sfc.spinc_partition(d, sfc.generators(d) if gens is None else gens, groups)
+
+
 def _assert_matches_references(d):
     """Generators and classes equal the references, order included."""
     gens = sfc.generators(d)
     assert gens == oracles.reference_generators(d)
-    part = sfc.spinc_partition(d, gens)
+    part = _partition(d, gens)
     assert list(part.items()) == list(oracles.reference_spinc_partition(d, gens).items())
 
 
@@ -317,16 +323,16 @@ def test_isotopic_circles_stay_admissible():
 
 
 def test_disk_single_class():
-    assert sfc.spinc_partition(pieces.build("disk")) == {frozenset(): 0}
+    assert _partition(pieces.build("disk")) == {frozenset(): 0}
 
 
 def test_bigonpair_single_class():
-    part = sfc.spinc_partition(pieces.build("bigonpair"))
+    part = _partition(pieces.build("bigonpair"))
     assert set(part.values()) == {0}
 
 
 def test_rt2_classes():
-    part = sfc.spinc_partition(pieces.build("rt2"))
+    part = _partition(pieces.build("rt2"))
     assert part == {
         frozenset({"z1"}): 0,
         frozenset({"z2"}): 1,
@@ -335,19 +341,19 @@ def test_rt2_classes():
 
 
 def test_az2_class_sizes(az2):
-    part = sfc.spinc_partition(az2)
+    part = _partition(az2)
     assert part[frozenset()] == 0
     assert Counter(part.values()) == Counter({0: 1, 1: 3, 2: 3, 3: 2})
     assert part[frozenset({"z2", "z4"})] == part[frozenset({"z1", "z5"})]
 
 
 def test_hexagram_single_class(hexagram):
-    assert set(sfc.spinc_partition(hexagram).values()) == {0}
+    assert set(_partition(hexagram).values()) == {0}
 
 
 def test_class_indices_canonical(az2):
     """Indices are contiguous and first-seen in generator order."""
-    part = sfc.spinc_partition(az2)
+    part = _partition(az2)
     seen = []
     for x in sfc.generators(az2):
         if part[x] not in seen:
@@ -359,9 +365,9 @@ def test_class_indices_canonical(az2):
 def test_disjoint_union_classes_are_products():
     """The class of a split generator is the pair of component classes."""
     one = pieces.build("rt2")
-    part_one = sfc.spinc_partition(one)
+    part_one = _partition(one)
     both = fixtures.disjoint_union(pieces.build("rt2"), pieces.build("rt2"))
-    part = sfc.spinc_partition(both)
+    part = _partition(both)
     pair_to_class = {}
     for x, cls in part.items():
         left = frozenset(v[2:] for v in x if v.startswith("L:"))
@@ -418,16 +424,16 @@ def test_differential_rejects_inadmissible(grid):
 def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch):
     d = pieces.build(name)
     calls = Counter()
-    for attr in ("generators", "region_census"):
-        real = getattr(sfc, attr)
+    for module, attr in ((sfc, "generators"), (sfc, "region_census"), (sf, "regions")):
+        real = getattr(module, attr)
 
         def counting(*args, _real=real, _attr=attr):
             calls[_attr] += 1
             return _real(*args)
 
-        monkeypatch.setattr(sfc, attr, counting)
+        monkeypatch.setattr(module, attr, counting)
     sfc.differential(d)
-    assert calls == {"generators": 1, "region_census": 1}
+    assert calls == {"generators": 1, "region_census": 1, "regions": 1}
 
 
 @pytest.mark.parametrize("name", NICE_PIECES)
@@ -464,8 +470,6 @@ def test_boundary_of_uses_column_indexing(az2):
 def test_disk_homology():
     h = sfc.homology(pieces.build("disk"))
     assert (h.total, h.by_class) == (1, {0: 1})
-    assert h.representatives == [(0, (frozenset(),))]
-    assert h.rank() == 1
 
 
 def test_stab_homology():
@@ -490,20 +494,27 @@ def test_az2_homology(az2):
     assert h.by_class == {0: 1, 1: 3, 2: 1, 3: 2}
 
 
-@pytest.mark.parametrize("name", NICE_PIECES)
-def test_representatives_are_cycles(name):
-    d = pieces.build(name)
+RANKED = {name: (lambda n=name: pieces.build(n)) for name in NICE_PIECES}
+RANKED.update({f"bigonpair^{k}": (lambda k=k: fixtures.bigonpair_power(k)) for k in range(1, 5)})
+RANKED.update({name: (lambda n=name: pieces.build(n))
+               for name in ("fix-bigonpair", "fix-disk", "fix-stab")})
+RANKED.update({f"grid{n}_{k}": (lambda n=n, k=k: fixtures.punctured_grid(n, k))
+               for n, k in ((3, 1), (4, 1), (4, 2))})
+
+
+@pytest.mark.parametrize("name", sorted(RANKED))
+def test_class_ranks_match_oracle(name):
+    """Each class's rank is its size less twice the rank of its columns,
+    taken from the differential and ranked by the list-of-sets oracle."""
+    d = RANKED[name]()
     cx = sfc.differential(d)
-    h = sfc.homology(d)
-    per_class = Counter()
-    for label, cycle in h.representatives:
-        per_class[label] += 1
-        boundary = Counter()
-        for x in cycle:
-            boundary.update(cx.boundary_of(x))
-        assert all(c % 2 == 0 for c in boundary.values())
-    for label, rank in h.by_class.items():
-        assert per_class[label] == rank
+    h = sfc.homology(cx)
+    assert set(h.by_class) == set(cx.spinc_class.values())
+    for c in h.by_class:
+        members = [x for x in cx.basis if cx.spinc_class[x] == c]
+        columns = [cx.boundary_of(x) for x in members]
+        assert h.by_class[c] == len(members) - 2 * oracles.naive_f2_rank(columns)
+    assert h.total == sum(h.by_class.values())
 
 
 def test_homology_invariant_under_bypass():

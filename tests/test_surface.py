@@ -292,20 +292,10 @@ def test_stacked_bypasses(disk):
 # bordered concatenation
 
 
-def test_concatenate_record_round_trip():
-    u2 = pieces.u2()
-    az2 = pieces.az2()
-    glued, record = sf.concatenate_bordered_record(u2, az2)
-    assert sf.validate(glued) == []
-    assert len(glued.interfaces) == 1  # the right side survives
-    left, right = sf.split_bordered(glued, record)
-    strip = lambda d: sf.serialize(sf.canonical_form(d))
-    assert sf.equivalent(left, u2)
-    assert sf.equivalent(right, az2)
-
-
 def test_concatenate_fuses_arcs():
     glued = sf.concatenate_bordered(pieces.u2(), pieces.az2())
+    assert sf.validate(glued) == []
+    assert len(glued.interfaces) == 1  # the right side survives
     closed_beta = [c for c in glued.beta_curves.values() if c.closed]
     assert len(closed_beta) == 2  # both arcs close up
 
@@ -359,11 +349,6 @@ def test_regions_merge_across_seams(stab):
     groups = sf.regions(h)
     # the strip face and the re-split suture face meet across the seams
     assert len(groups) == 1
-
-
-def test_region_of_maps_every_face():
-    d = pieces.az2()
-    reg = sf.region_of(d)
-    assert set(reg) == set(d.faces)
     # seamless diagram: every face is its own region
-    assert len(set(map(frozenset, sf.regions(d)))) == len(d.faces)
+    d = pieces.az2()
+    assert sf.regions(d) == [[f] for f in sorted(d.faces)]
