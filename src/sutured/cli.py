@@ -117,11 +117,13 @@ def _cmd_glue(args):
         }
         lines = payload["table"] + [f"rank {payload['rank']}"]
     elif spec.kind == "2":
-        rec = glue.glue_two_handle(d, spec)
-        complexes = {"H3": sfc.differential(rec["H3"]), "H4": rec["H4"],
-                     "H5": rec["H5"], "H6": rec["H6"]}
+        base = sfc.differential(d)
+        rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(d, spec))
+        h3 = sfc.differential(rec["H3"])
+        ranks = dict(rec["identityReport"]["ranks"], H3=sfc.homology(h3).total)
+        complexes = {"H3": h3, "H4": rec["H4"], "H5": rec["H5"], "H6": rec["H6"]}
         stages = {
-            stage: {"generators": len(cx.basis), "rank": sfc.homology(cx).total}
+            stage: {"generators": len(cx.basis), "rank": ranks[stage]}
             for stage, cx in complexes.items()
         }
         payload = {
@@ -230,7 +232,8 @@ def _build_example(name):
         base, handle = glue.one_handled(pieces.build("fix-disk"))
         if name == "disk-h2":
             return base
-        rec = glue.glue_two_handle(base, glue.two_handle_spec(base, handle))
+        spec = glue.two_handle_spec(base, handle)
+        rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
         stage = name[5:].upper()
         if stage == "H3":
             return rec["H3"]

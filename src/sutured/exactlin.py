@@ -248,32 +248,46 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
 
 
 def cokernel_residue(m: IntegerMatrix):
-    """Return a function classifying vectors modulo the column span of ``m``.
+    """Return a function classifying 0/1 vectors modulo the column span of ``m``.
 
-    The returned ``key`` takes a vector as a mapping from row index to
-    value, so a caller passes only its nonzero rows.  Two vectors b, b'
-    get equal keys iff b - b' lies in the integer image of ``m``.  Used
-    to split generators into boundary-equivalence classes with a single
-    Smith reduction S = U m V: b lies in the image iff each entry of U b
-    is divisible by its invariant factor (zero where the factor is
-    zero).  A row whose factor is 1 never tells cosets apart, so the key
-    reads only the other rows, and sums the columns of U restricted to
-    them over the given entries of b.
+    The returned ``key`` takes the rows where a 0/1 vector is 1, as an
+    iterable of distinct row indices.  Two vectors b, b' get equal keys
+    iff b - b' lies in the integer image of ``m``.  Used to split
+    generators into boundary-equivalence classes with a single Smith
+    reduction S = U m V: b lies in the image iff each entry of U b is
+    divisible by its invariant factor (zero where the factor is zero).
+    A row whose factor is 1 never tells cosets apart, so the key reads
+    only the other rows.
+
+    The free rows (factor 0) are packed side by side into one int per
+    column of U, row i of the column in a lane W bits wide at bit W * i
+    of the free rows' order, so the key's first part is a plain sum of
+    ints.  Lanes are signed: a negative entry borrows from the lanes
+    above it.  Two sums over sets of the same columns differ in a lane
+    by at most ``rows * max|U|``, and W = (rows * max|U|).bit_length()
+    puts that bound below 2^W, so equal sums have equal lanes: the
+    lowest lane that differed would have to differ by a multiple of
+    2^W.  The torsion rows (factor > 1) are reduced lane by lane, and
+    make up the key's second part.
     """
     S, U, _V = smith_normal_form(m.dense())
     diag = [S[i][i] if i < min(m.rows, m.cols) else 0 for i in range(m.rows)]
-    kept = [i for i in range(m.rows) if diag[i] != 1]
-    moduli = [diag[i] for i in kept]
-    columns = [tuple(U[i][k] for i in kept) for k in range(m.rows)]
+    free = [U[i] for i in range(m.rows) if diag[i] == 0]
+    torsion = [(U[i], diag[i]) for i in range(m.rows) if diag[i] > 1]
+    bound = max((abs(u) for row in free for u in row), default=0)
+    width = (m.rows * bound).bit_length()
+    packed = {
+        k: sum(row[k] << (width * lane) for lane, row in enumerate(free))
+        for k in range(m.rows)
+    }
 
-    def key(b):
-        ub = [0] * len(kept)
-        for k, v in b.items():
-            if not 0 <= k < m.rows:
-                raise ValueError(f"row index {k} out of range")
-            if v:
-                ub = [a + v * u for a, u in zip(ub, columns[k])]
-        return tuple(x % q if q else x for x, q in zip(ub, moduli))
+    def key(rows):
+        rows = list(rows)
+        try:
+            total = sum(map(packed.__getitem__, rows))
+        except KeyError as err:
+            raise ValueError(f"row index {err.args[0]} out of range") from None
+        return total, tuple(sum(row[k] for k in rows) % q for row, q in torsion)
 
     return key
 

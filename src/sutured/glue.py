@@ -13,20 +13,27 @@ boundary identity on the twist stage -- are produced by ``glue_one_handle``,
 
 The route functions take a diagram or its complex (built once, by
 ``sfc.differential``); ``equivalence_report`` passes each stage's target
-complex on as the next stage's source, compares the two routes, and
-reports a disagreement as a counterexample.
+complex on as the next stage's source, hands the direct 2-handle
+attachment to the staged pipeline as its stage H6, compares the two
+routes, and reports a disagreement as a counterexample.  The builtin
+blocks' bordered invariants, and each handle block's concatenation with
+its pairing piece, are built once per process (``_handle_blocks``) and
+shared by every pipeline run.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import modules, pieces, sfc
 from .exactlin import f2_rank, f2_rank_kernel, set_bits
 from .surface import (
     ArcDiagram,
     Curve,
+    Diagram,
     Edge,
     Interface,
     TransversePath,
@@ -175,24 +182,7 @@ def sigma_map(d, spec: HandleSpec):
     since it signals a convention bug rather than bad input.
     """
     source = sfc.as_complex(d)
-    d = source.diagram
-    if spec.kind == "1":
-        d2 = attach_one_handle(d, spec.p, spec.q)
-        x0 = None
-    elif spec.kind == "2":
-        d2, x0 = attach_two_handle(
-            d,
-            spec.p,
-            spec.q,
-            spec.a_path,
-            spec.b_path,
-            port_order_p=spec.port_order_p,
-            port_order_q=spec.port_order_q,
-        )
-    elif spec.kind in ("bypass+", "bypass-"):
-        d2, x0 = attach_trivial_bypass(d, spec.site, spec.kind[-1])
-    else:
-        raise ValueError(f"unknown handle kind {spec.kind!r}")
+    d2, x0 = _attach(source.diagram, spec)
     target = sfc.differential(d2)
     if x0 is None:
         entries = {g: frozenset([g]) for g in source.basis}
@@ -203,6 +193,26 @@ def sigma_map(d, spec: HandleSpec):
     if problems:
         raise AssertionError("handle transport is not a chain map: " + problems[0])
     return d2, table, x0
+
+
+def _attach(d, spec: HandleSpec) -> tuple:
+    """``(d2, x0)``: ``d`` with the handle attached, and the forced
+    intersection point (``None`` for 1-handles)."""
+    if spec.kind == "1":
+        return attach_one_handle(d, spec.p, spec.q), None
+    if spec.kind == "2":
+        return attach_two_handle(
+            d,
+            spec.p,
+            spec.q,
+            spec.a_path,
+            spec.b_path,
+            port_order_p=spec.port_order_p,
+            port_order_q=spec.port_order_q,
+        )
+    if spec.kind in ("bypass+", "bypass-"):
+        return attach_trivial_bypass(d, spec.site, spec.kind[-1])
+    raise ValueError(f"unknown handle kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +418,62 @@ def _pairing_tags(w: modules.BorderedStructure) -> tuple:
     return pieces.az2(), sorted(tag_of[a] for a in occ)
 
 
-def _elementary_join_full(u, w, v):
-    """Join ``u`` onto ``v`` through the elementary pairing piece ``w``.
+class PairingBlocks(NamedTuple):
+    """A handle block and its pairing piece, checked and concatenated.
+
+    ``u`` is the handle block's single-generator type-D invariant, ``w``
+    the elementary type-A pairing piece, ``block`` the handle block's
+    diagram concatenated with the pairing block that ``w`` selects, and
+    ``tags`` the tag vertices of that pairing block which the join's
+    images occupy.
+    """
+
+    u: modules.BorderedStructure
+    w: modules.BorderedStructure
+    block: Diagram
+    tags: list
+
+
+def pairing_blocks(u, w) -> PairingBlocks:
+    """Check that ``u`` joins through ``w`` and build the concatenation."""
+    if u.kind != "D":
+        raise ValueError("the handle block must be a type-D structure")
+    if w.kind != "A":
+        raise ValueError("the pairing piece must be a type-A structure")
+    if not modules.is_elementary(w):
+        raise ValueError("pairing piece is not elementary")
+    if len(u.generators) != 1:
+        raise ValueError("handle block must have a single generator")
+    az, tags = _pairing_tags(w)
+    return PairingBlocks(u, w, concatenate_bordered(u.diagram, az), tags)
+
+
+@functools.cache
+def _handle_blocks(kind: str) -> PairingBlocks:
+    """The pairing blocks of the "1"- or "2"-handle pipeline.
+
+    They depend on nothing but ``kind``, so they are built once per
+    process and shared by every pipeline run; no caller mutates them.
+    """
+    handle, cap = (pieces.u1(), pieces.cap1()) if kind == "1" else (pieces.u2(), pieces.cap2())
+    return pairing_blocks(
+        modules.bordered_invariant(handle, "D"), modules.bordered_invariant(cap, "A")
+    )
+
+
+def _elementary_join_full(blocks: PairingBlocks, v):
+    """Join the handle block onto ``v`` through the pairing piece.
 
     Returns ``(source diagram, target diagram, table)``: the source is
     the cap-closed preparation, the target the block-and-pairing
     concatenation, and the table sends each generator to its image under
     the join (handle-block generator, tag vertices, base part).
     """
-    if u.kind != "D":
-        raise ValueError("the handle block must be a type-D structure")
-    if w.kind != "A":
-        raise ValueError("the pairing piece must be a type-A structure")
     if v.kind != "D":
         raise ValueError("the base must be a type-D structure")
-    if not modules.is_elementary(w):
-        raise ValueError("pairing piece is not elementary")
-    if len(u.generators) != 1:
-        raise ValueError("handle block must have a single generator")
-    az, tags = _pairing_tags(w)
+    u, w, block, tags = blocks
     src_d = concatenate_bordered(w.diagram, v.diagram)
-    tgt_d = concatenate_bordered(concatenate_bordered(u.diagram, az), v.diagram)
+    tgt_d = concatenate_bordered(block, v.diagram)
     source = sfc.differential(src_d)
     target = sfc.differential(tgt_d)
     wgen = {f"L:{x}" for x in w.generators[0]}
@@ -449,9 +494,9 @@ def _elementary_join_full(u, w, v):
     return src_d, tgt_d, table
 
 
-def elementary_join(u, w, v) -> ChainMapTable:
+def elementary_join(blocks: PairingBlocks, v) -> ChainMapTable:
     """The join through an elementary pairing piece, as a chain-map table."""
-    return _elementary_join_full(u, w, v)[2]
+    return _elementary_join_full(blocks, v)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +559,8 @@ def glue_one_handle(d, p: str, q: str):
     """
     base = sfc.as_complex(d)
     cut = prepare_one_handle(base.diagram, p, q)
-    u = modules.bordered_invariant(pieces.u1(), "D")
-    w = modules.bordered_invariant(pieces.cap1(), "A")
     v = modules.bordered_invariant(cut, "D")
-    _src_d, tgt_d, join = _elementary_join_full(u, w, v)
+    _src_d, tgt_d, join = _elementary_join_full(_handle_blocks("1"), v)
     pre = ChainMapTable(
         base,
         join.source,
@@ -540,17 +583,34 @@ def glue_one_handle(d, p: str, q: str):
     return d1, table
 
 
-def glue_two_handle(d, spec: HandleSpec) -> dict:
+def direct_two_handle(d, spec: HandleSpec) -> tuple:
+    """The direct 2-handle attachment as the staged record's stage H6.
+
+    ``d`` is the base diagram.  Returns ``(complex, x0)``: the attached
+    diagram's complex and its forced intersection point, the last two
+    arguments of ``glue_two_handle``.  A failure is refused with the
+    stage named.
+    """
+    try:
+        h6, x0 = _attach(d, spec)
+        return sfc.differential(h6), x0
+    except ValueError as err:
+        raise ValueError(f"stage H6: {err}") from err
+
+
+def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     """2-handle attachment through the staged pipeline.
 
-    ``d`` is the base diagram or its complex.  Returns the stage record:
-    the cut-open base diagram ``H3``; the complexes built for the block
-    concatenation ``H4``, the twist-block stage ``H5`` and the direct
-    attachment ``H6``, each carrying its diagram; the composed
-    ``joinTable`` into ``H4``; and the ``identityReport`` checking the
-    twist-stage boundary identity and the stage homology ranks, read
-    from those complexes.  Any stage failing the complex gates raises
-    with the stage named.
+    ``d`` is the base diagram or its complex.  ``direct`` is the direct
+    attachment's complex and ``x0`` its forced point, as ``sigma_map``
+    or ``direct_two_handle`` built them: they are stage H6, taken from
+    the caller rather than attached again.  Returns the
+    stage record: the cut-open base diagram ``H3``; the complexes built
+    for the block concatenation ``H4``, the twist-block stage ``H5`` and
+    ``H6``, each carrying its diagram; the composed ``joinTable`` into
+    ``H4``; and the ``identityReport`` checking the twist-stage boundary
+    identity and the stage homology ranks, read from those complexes.
+    Any stage failing the complex gates raises with the stage named.
     """
     if spec.kind != "2":
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
@@ -560,14 +620,13 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
     marks = _new_marks(d, hv)
     x0v, y0v = f"R:{marks['x0']}", f"R:{marks['y0']}"
 
-    u = modules.bordered_invariant(pieces.u2(), "D")
-    w = modules.bordered_invariant(pieces.cap2(), "A")
+    blocks = _handle_blocks("2")
     try:
         v = modules.bordered_invariant(hv, "D")
     except ValueError as err:
         raise ValueError(f"stage H3: {err}") from err
     try:
-        join = elementary_join(u, w, v)
+        join = elementary_join(blocks, v)
     except ValueError as err:
         raise ValueError(f"stage H4: {err}") from err
     try:
@@ -575,16 +634,8 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
         cx5 = sfc.differential(h5)
     except ValueError as err:
         raise ValueError(f"stage H5: {err}") from err
-    try:
-        h6, x0_direct = attach_two_handle(
-            d, spec.p, spec.q, spec.a_path, spec.b_path,
-            port_order_p=spec.port_order_p, port_order_q=spec.port_order_q,
-        )
-        cx6 = sfc.differential(h6)
-    except ValueError as err:
-        raise ValueError(f"stage H6: {err}") from err
 
-    wv = next(iter(w.generators[0]))
+    wv = next(iter(blocks.w.generators[0]))
     pre = ChainMapTable(
         base,
         join.source,
@@ -619,7 +670,7 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
     ranks = {
         "H4": sfc.homology(join.target).total,
         "H5": sfc.homology(cx5).total,
-        "H6": sfc.homology(cx6).total,
+        "H6": sfc.homology(direct).total,
     }
     ranks_agree = len(set(ranks.values())) == 1
     report = {
@@ -633,10 +684,10 @@ def glue_two_handle(d, spec: HandleSpec) -> dict:
         "H3": hv,
         "H4": join.target,
         "H5": cx5,
-        "H6": cx6,
+        "H6": direct,
         "joinTable": join_table,
         "identityReport": report,
-        "x0": x0_direct,
+        "x0": x0,
     }
 
 
@@ -728,7 +779,7 @@ def equivalence_report(d, handles) -> dict:
             check["ranks_match"] = sfc.homology(ptable.target).total == hom.total
             detail = ptable
         elif spec.kind == "2":
-            rec = glue_two_handle(source, spec)
+            rec = glue_two_handle(source, spec, target, x0)
             rep = rec["identityReport"]
             check["identity"] = rep["ok"]
             check["stage_ranks"] = rep["ranks"]

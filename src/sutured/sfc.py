@@ -8,6 +8,7 @@ may well consist of two faces joined along a scar, and it still counts.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .exactlin import (
@@ -396,7 +397,7 @@ def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
     labels = {}
     classes = {}
     for x in gens:
-        k = key({vrow[v]: 1 for v in x})
+        k = key(map(vrow.__getitem__, x))
         if k not in labels:
             labels[k] = len(labels)
         classes[x] = labels[k]
@@ -445,7 +446,10 @@ def as_complex(d) -> ChainComplexF2:
 def differential(d: Diagram) -> ChainComplexF2:
     """The mod-2 boundary map counting bigon and rectangle regions.
 
-    Requires a nice, admissible diagram and rejects anything else.
+    Requires a nice, admissible diagram and rejects anything else.  The
+    entries come from ``_boundary_entries``: equal moves cancel in pairs
+    first, and each generator visits only the moves whose least x-corner
+    it occupies, so a generator costs about its own size in lookups.
     """
     census = region_census(d)
     offenders = _not_nice_faces(census)
@@ -455,26 +459,44 @@ def differential(d: Diagram) -> ChainComplexF2:
     if not ok:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
     basis = generators(d)
-    idx = {x: i for i, x in enumerate(basis)}
-    moves = [
-        (rec.moves_from, rec.moves_to, rec.interior)
-        for rec in census
-        if rec.shape in ("bigon", "rect")
-    ]
-    entries = set()
-    for j, x in enumerate(basis):
-        counts = {}
-        for X, Y, interior in moves:
-            if not (X <= x) or (Y & x) or (interior & x):
-                continue
-            y = frozenset((x - X) | Y)
-            counts[y] = counts.get(y, 0) + 1
-        for y, c in counts.items():
-            if c % 2:
-                entries.add((idx[y], j))
+    entries = _boundary_entries(basis, census)
     diff = BinaryMatrix(len(basis), len(basis), frozenset(entries))
     groups = [rec.faces for rec in census]
     return ChainComplexF2(basis, diff, spinc_partition(d, basis, groups), d)
+
+
+def _boundary_entries(basis: list, census: list) -> set:
+    """Positions (i, j) where ``basis[i]`` appears in d(``basis[j]``).
+
+    Each bigon and rectangle region of ``census`` is a move: it carries
+    a generator x holding its x-corners X, and missing its y-corners Y
+    and the crossings inside it, to (x - X) | Y.  Moves with the same
+    (X, Y, interior) act alike on every generator, so they cancel in
+    pairs mod 2 before any generator is visited.  The moves left are
+    indexed by their least x-corner, and each generator visits only the
+    moves anchored at its own points, plus any move without x-corners,
+    which every generator visits.
+    """
+    odd = set()
+    for rec in census:
+        if rec.shape in ("bigon", "rect"):
+            odd ^= {(rec.moves_from, rec.moves_to, rec.interior)}
+    anchored, unanchored = {}, []
+    for move in odd:
+        if move[0]:
+            anchored.setdefault(min(move[0]), []).append(move)
+        else:
+            unanchored.append(move)
+    idx = {x: i for i, x in enumerate(basis)}
+    entries = set()
+    for j, x in enumerate(basis):
+        hits = set()
+        visiting = chain(unanchored, *(anchored[v] for v in anchored.keys() & x))
+        for X, Y, interior in visiting:
+            if X <= x and not (Y & x) and not (interior & x):
+                hits ^= {(x - X) | Y}
+        entries.update((idx[y], j) for y in hits)
+    return entries
 
 
 @dataclass

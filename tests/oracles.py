@@ -13,7 +13,9 @@ library's simplex must match answer for answer.  In the same way the
 generator enumeration is kept in its include/exclude form, one choice
 per crossing, and the Spin^c key in its full form, the whole product
 U b reduced row by row; the library must match both exactly, list
-order and class numbers included.
+order and class numbers included.  The differential's loop is kept as
+it was before equal moves were cancelled and the moves indexed by
+corner: every move against every generator.
 """
 
 from fractions import Fraction
@@ -129,6 +131,32 @@ def naive_differential(d):
                 hits[y] = hits.get(y, 0) + 1
         out[x] = {y for y, c in hits.items() if c % 2}
     return out
+
+
+def reference_differential_entries(basis, census):
+    """Positions (i, j) where ``basis[i]`` appears in d(``basis[j]``).
+
+    The all-moves loop: every bigon and rectangle record of ``census``
+    (``sfc.region_census``) is tested against every generator, and the
+    images are counted mod 2 per generator, with no cancellation of
+    equal moves beforehand and no index.  The library's loop must give
+    exactly these entries.
+    """
+    idx = {x: i for i, x in enumerate(basis)}
+    moves = [
+        (rec.moves_from, rec.moves_to, rec.interior)
+        for rec in census
+        if rec.shape in ("bigon", "rect")
+    ]
+    entries = set()
+    for j, x in enumerate(basis):
+        counts = {}
+        for xs, ys, inside in moves:
+            if xs <= x and not (ys & x) and not (inside & x):
+                y = frozenset((x - xs) | ys)
+                counts[y] = counts.get(y, 0) + 1
+        entries.update((idx[y], j) for y, c in counts.items() if c % 2)
+    return entries
 
 
 def constant_multiplicity_violation(d, witness):

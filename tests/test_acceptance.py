@@ -181,7 +181,7 @@ def test_criterion_5_two_handle_identity():
     failures = []
     for label, base, spec in _two_handle_cases():
         try:
-            rec = glue.glue_two_handle(base, spec)
+            rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
         except (ValueError, AssertionError) as err:
             failures.append(f"{label}: {err}")
             continue
@@ -337,7 +337,7 @@ def test_criterion_8_equivalence_harness():
             continue
         cur, tag = d, frozenset(d.eh)
         for spec in specs:
-            d2, _t, x0 = glue.sigma_map(cur, spec)
+            d2, table, x0 = glue.sigma_map(cur, spec)
             tag2 = frozenset(tag | {x0}) if x0 is not None else tag
             sigma_van = glue._is_boundary(sfc.differential(d2), [tag2])
             if spec.kind == "1":
@@ -346,7 +346,7 @@ def test_criterion_8_equivalence_harness():
                     sfc.differential(d1), ptable.apply([tag])
                 )
             elif spec.kind == "2":
-                rec = glue.glue_two_handle(cur, spec)
+                rec = glue.glue_two_handle(cur, spec, table.target, x0)
                 psi_van = glue._is_boundary(
                     rec["H4"], rec["joinTable"].apply([tag])
                 )

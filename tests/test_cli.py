@@ -272,15 +272,20 @@ def test_attach_then_glue(capsys, tmp_path, stab_file, monkeypatch):
 
     spec2 = tmp_path / "h2.json"
     spec2.write_text(json.dumps(glue.spec_to_json(specs[1])))
-    built = []
-    real = sfc.differential
+    built, ranked = [], []
+    real, real_homology = sfc.differential, sfc.homology
     monkeypatch.setattr(sfc, "differential", lambda d: built.append(d) or real(d))
+    monkeypatch.setattr(sfc, "homology", lambda d: ranked.append(d) or real_homology(d))
+    glue._handle_blocks.cache_clear()
     code, out, _ = run(capsys, "glue", str(mid), "--spec", str(spec2),
                        "--format", "json")
     assert code == 0
-    # one complex per diagram: the base, the three bordered invariants,
-    # the join's source and target (H4), H5, H6, and H3 once
+    # the base, the three bordered invariants (two of them the builtin
+    # blocks, built once per process), the join's source and target
+    # (H4), H5, H6, and H3 again for its rank
     assert len(built) == 9
+    # H4, H5 and H6 are ranked once, by the pipeline; the verb ranks H3
+    assert len(ranked) == 4
     payload = json.loads(out)
     assert payload["identityReport"]["ok"]
     assert payload["stages"]["H5"]["rank"] == payload["stages"]["H6"]["rank"] == 1

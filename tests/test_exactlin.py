@@ -157,11 +157,74 @@ def test_cokernel_residue_classifies():
         m = IntegerMatrix.from_rows(A) if nc else IntegerMatrix(nr, 0, ())
         key = cokernel_residue(m)
         for _ in range(10):
-            b1 = tuple(rng.randint(-4, 4) for _ in range(nr))
-            b2 = tuple(rng.randint(-4, 4) for _ in range(nr))
+            b1 = tuple(rng.randint(0, 1) for _ in range(nr))
+            b2 = tuple(rng.randint(0, 1) for _ in range(nr))
             diff = tuple(a - b for a, b in zip(b1, b2))
             same = oracles.z_image_contains(m, diff) is not None
-            assert (key(dict(enumerate(b1))) == key(dict(enumerate(b2)))) == same
+            assert (key(_support(b1)) == key(_support(b2))) == same
+
+
+def _support(b):
+    """The rows where the 0/1 vector ``b`` is 1, the form ``key`` takes."""
+    return [i for i, v in enumerate(b) if v]
+
+
+def _assert_keys_separate_all_subsets(m):
+    """On a matrix with zero image, every 0/1 vector is its own class."""
+    key = cokernel_residue(m)
+    subsets = list(itertools.product((0, 1), repeat=m.rows))
+    keys = {key(_support(b)) for b in subsets}
+    assert len(keys) == len(subsets)
+
+
+def test_cokernel_residue_keys_large_unimodular_factors(monkeypatch):
+    """Free rows read through a U with entries near 2^40 stay apart.
+
+    Any unimodular U is a Smith form S = U A V of a zero matrix A.  With
+    D = 2^40, U = [[1, 1 - D], [0, 1]] has max|U| = D - 1, so the sums
+    of its columns over the 2 rows need lanes 41 bits wide; with lanes
+    40 bits wide the columns {0} and {1} would pack to the same int.
+    """
+    big = 1 << 40
+    m = IntegerMatrix(2, 1, ())
+    units = [[1, 1 - big], [0, 1]]
+    monkeypatch.setattr(
+        exactlin, "smith_normal_form", lambda dense: ([[0], [0]], units, [[1]])
+    )
+    key = cokernel_residue(m)
+    assert key([0]) != key([1])
+    _assert_keys_separate_all_subsets(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    steps=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-(1 << 30), 1 << 30)),
+        max_size=12,
+    ),
+)
+def test_cokernel_residue_keys_random_unimodular_factors(rows, steps):
+    """Row operations with large multipliers build a unimodular U; as the
+    Smith form of a zero matrix it must still separate every 0/1 vector."""
+    units = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    for dst, src, k in steps:
+        dst, src = dst % rows, src % rows
+        if dst != src:
+            units[dst] = [a + k * b for a, b in zip(units[dst], units[src])]
+    m = IntegerMatrix(rows, 1, ())
+    real = exactlin.smith_normal_form
+    exactlin.smith_normal_form = lambda dense: ([[0]] * rows, units, [[1]])
+    try:
+        _assert_keys_separate_all_subsets(m)
+    finally:
+        exactlin.smith_normal_form = real
+
+
+def test_cokernel_residue_rejects_rows_out_of_range():
+    key = cokernel_residue(IntegerMatrix.from_rows([[2], [0]]))
+    with pytest.raises(ValueError, match="row index 2"):
+        key([2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Handle attachment maps: diagrammatic transports, the staged pipelines
 through the builtin blocks, and the route-comparison harness."""
 
+import copy
 import json
 
 import pytest
@@ -156,10 +157,12 @@ def test_one_handle_pipeline_matches_transport(key):
 
 def test_square_pairing_join_leaves_base_generators_alone():
     cut = glue.prepare_one_handle(build("fix-bigonpair"), "ci", "co")
-    u = modules.bordered_invariant(pieces.u1(), "D")
-    w = modules.bordered_invariant(pieces.cap1(), "A")
+    blocks = glue.pairing_blocks(
+        modules.bordered_invariant(pieces.u1(), "D"),
+        modules.bordered_invariant(pieces.cap1(), "A"),
+    )
     v = modules.bordered_invariant(cut, "D")
-    table = glue.elementary_join(u, w, v)
+    table = glue.elementary_join(blocks, v)
     assert not table.check()
     for g, img in table.entries.items():
         assert img == frozenset([frozenset(set(g) | {"L:L:e"})])
@@ -169,10 +172,12 @@ def test_five_point_pairing_join_tags_the_outer_arc():
     d, handle = glue.one_handled(build("fix-stab"))
     spec = glue.two_handle_spec(d, handle)
     hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
-    u = modules.bordered_invariant(pieces.u2(), "D")
-    w = modules.bordered_invariant(pieces.cap2(), "A")
+    blocks = glue.pairing_blocks(
+        modules.bordered_invariant(pieces.u2(), "D"),
+        modules.bordered_invariant(pieces.cap2(), "A"),
+    )
     v = modules.bordered_invariant(hv, "D")
-    table = glue.elementary_join(u, w, v)
+    table = glue.elementary_join(blocks, v)
     for g, img in table.entries.items():
         (target,) = img
         assert {"L:L:c", "L:R:z3"} <= target
@@ -180,19 +185,19 @@ def test_five_point_pairing_join_tags_the_outer_arc():
 
 
 def test_join_rejections():
-    cut = glue.prepare_one_handle(build("fix-disk"), "s0", "s0")
     u = modules.bordered_invariant(pieces.u1(), "D")
     w = modules.bordered_invariant(pieces.cap1(), "A")
-    v = modules.bordered_invariant(cut, "D")
     busy = modules.bordered_invariant(pieces.mirror(pieces.rt2()), "A")
     with pytest.raises(ValueError, match="not elementary"):
-        glue.elementary_join(u, busy, v)
+        glue.pairing_blocks(u, busy)
     with pytest.raises(ValueError, match="single generator"):
-        glue.elementary_join(modules.bordered_invariant(pieces.rt2(), "D"), w, v)
-    with pytest.raises(ValueError, match="type-D structure"):
-        glue.elementary_join(w, w, v)
+        glue.pairing_blocks(modules.bordered_invariant(pieces.rt2(), "D"), w)
+    with pytest.raises(ValueError, match="handle block must be a type-D structure"):
+        glue.pairing_blocks(w, w)
     with pytest.raises(ValueError, match="type-A structure"):
-        glue.elementary_join(u, u, v)
+        glue.pairing_blocks(u, u)
+    with pytest.raises(ValueError, match="base must be a type-D structure"):
+        glue.elementary_join(glue.pairing_blocks(u, w), w)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +209,7 @@ def test_staged_record_identity_and_stage_ranks(key):
     d = build(key)
     spec = glue.two_handle_sequence(d)[1]
     base, _handle = glue.one_handled(d)
-    rec = glue.glue_two_handle(base, spec)
+    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
     rep = rec["identityReport"]
     assert rep["ok"] and not rep["failures"]
     assert rep["ranks_agree"]
@@ -215,7 +220,7 @@ def test_staged_record_identity_and_stage_ranks(key):
 def test_twist_stage_differential_realizes_the_identity():
     base, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(base, handle)
-    rec = glue.glue_two_handle(base, spec)
+    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
     marks = {k: v for k, v in rec["H3"].marks.items()}
     x0, y0 = f"R:{marks['x0']}", f"R:{marks['y0']}"
     cx5 = rec["H5"]
@@ -236,7 +241,7 @@ def test_join_table_lands_on_the_tagged_generator():
     d = build("fix-stab")
     base, handle = glue.one_handled(d)
     spec = glue.two_handle_spec(base, handle)
-    rec = glue.glue_two_handle(base, spec)
+    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
     y0 = f"R:{rec['H3'].marks['y0']}"
     assert rec["joinTable"].entries == {
         frozenset(["c"]): frozenset([frozenset({"L:L:c", "L:R:z3", "R:c", y0})])
@@ -246,7 +251,7 @@ def test_join_table_lands_on_the_tagged_generator():
 
 def test_staged_record_rejects_wrong_kind():
     with pytest.raises(ValueError, match="kind-2"):
-        glue.glue_two_handle(build("fix-disk"), HandleSpec("1", p="s0", q="s0"))
+        glue.glue_two_handle(build("fix-disk"), HandleSpec("1", p="s0", q="s0"), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +335,42 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
         return real(diagram)
 
     monkeypatch.setattr(sfc, "differential", counting)
+    glue._handle_blocks.cache_clear()
     assert glue.equivalence_report(d, specs)["ok"]
-    # the one repeat: the 2-handle pipeline rebuilds the direct
-    # attachment as its stage H6
-    assert len(calls) == 16 and len(set(calls)) == 15
-    assert [k for k in set(calls) if calls.count(k) > 1] == [final]
+    # no repeat: the 2-handle pipeline takes the direct attachment as
+    # its stage H6, and the four builtin blocks are built this once
+    assert len(calls) == len(set(calls)) == 15
+    assert final in calls
+    calls.clear()
+    assert glue.equivalence_report(d, specs)["ok"]
+    assert len(calls) == 11
+
+
+def test_cached_blocks_are_shared_and_never_mutated(capsys, tmp_path):
+    """Every pipeline, the route harness and the CLI glue verb leave the
+    process-wide handle blocks exactly as they were built."""
+    blocks = {kind: glue._handle_blocks(kind) for kind in ("1", "2")}
+    before = copy.deepcopy(blocks)
+    for key in FIXTURES:
+        d = build(key)
+        assert glue.equivalence_report(d, glue.two_handle_sequence(d))["ok"]
+    for seed in range(4):
+        key, specs = sequences.random_sequence(seed)
+        glue.equivalence_report(pieces.build(key), specs)
+    stab = build("fix-stab")
+    one, two = glue.two_handle_sequence(stab)
+    mid, _t, _x0 = glue.sigma_map(stab, one)
+    for base, spec in ((stab, one), (mid, two)):
+        (tmp_path / "d.json").write_text(surface.serialize(base))
+        (tmp_path / "s.json").write_text(json.dumps(glue.spec_to_json(spec)))
+        for fmt in ("text", "json"):
+            assert cli.main(["glue", str(tmp_path / "d.json"), "--spec",
+                             str(tmp_path / "s.json"), "--format", fmt]) == 0
+    capsys.readouterr()
+    for kind in ("1", "2"):
+        assert glue._handle_blocks(kind) is blocks[kind]
+        for now, then in zip(blocks[kind], before[kind]):
+            assert now == then
 
 
 def test_route_disagreement_is_reported_not_raised(monkeypatch, capsys, tmp_path):

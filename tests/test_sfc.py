@@ -2,6 +2,7 @@
 classes, the differential, homology, and interface actions."""
 
 import gc
+import itertools
 import random
 from collections import Counter
 
@@ -143,11 +144,18 @@ def _partition(d, gens=None):
 
 
 def _assert_matches_references(d):
-    """Generators and classes equal the references, order included."""
+    """Generators and classes equal the references, order included, and
+    the differential's entries equal the all-moves loop's, on the
+    complex itself when the diagram passes the gates."""
     gens = sfc.generators(d)
     assert gens == oracles.reference_generators(d)
     part = _partition(d, gens)
     assert list(part.items()) == list(oracles.reference_spinc_partition(d, gens).items())
+    census = sfc.region_census(d)
+    expected = oracles.reference_differential_entries(gens, census)
+    assert sfc._boundary_entries(gens, census) == expected
+    if sfc.is_nice(d)[0] and sfc.is_admissible(d)[0]:
+        assert sfc.differential(d).differential.entries == expected
 
 
 @pytest.mark.parametrize("name", NICE_PIECES)
@@ -193,6 +201,51 @@ def test_subdivided_curves_match_references(data):
         sf.subdivide_edge(d, data.draw(st.sampled_from(curve_edges)))
     assert sf.validate(d) == []
     _assert_matches_references(d)
+
+
+def _move(shape, xs, ys, inside=""):
+    """A census record standing for one move; points are letters."""
+    return sfc.RegionShape((), shape, frozenset(xs), frozenset(ys), frozenset(inside))
+
+
+def _all_subsets(points):
+    subsets = [frozenset(c) for r in range(len(points) + 1)
+               for c in itertools.combinations(points, r)]
+    return sorted(subsets, key=lambda x: tuple(sorted(x)))
+
+
+def test_equal_moves_cancel_only_with_equal_interiors():
+    """Two moves a -> b cancel on {a}, but only the one with nothing
+    inside acts on {a, c}; the move with no x-corner acts on every
+    generator missing d."""
+    basis = _all_subsets("abcd")
+    census = [_move("bigon", "a", "b"), _move("rect", "a", "b", "c"), _move("bigon", "", "d")]
+    entries = sfc._boundary_entries(basis, census)
+    assert entries == oracles.reference_differential_entries(basis, census)
+    pos = {x: i for i, x in enumerate(basis)}
+    ac, bc = frozenset("ac"), frozenset("bc")
+    assert (pos[bc], pos[ac]) in entries
+    assert not any(c == pos[frozenset("a")] and r == pos[frozenset("b")] for r, c in entries)
+    assert (pos[frozenset("d")], pos[frozenset()]) in entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_boundary_entries_match_all_moves_loop_on_random_moves(data):
+    """Moves drawn with repeats from a small pool, some with no
+    x-corner and some of shapes that never move, on every subset of
+    five points."""
+    points = "abcde"
+    subset = st.frozensets(st.sampled_from(points), max_size=3)
+    pool = data.draw(st.lists(
+        st.tuples(st.sampled_from(["bigon", "rect", "port", "other"]), subset, subset, subset),
+        min_size=1, max_size=6,
+    ))
+    census = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    census = [_move(*rec) for rec in census]
+    basis = _all_subsets(points)
+    expected = oracles.reference_differential_entries(basis, census)
+    assert sfc._boundary_entries(basis, census) == expected
 
 
 # ---------------------------------------------------------------------------
