@@ -119,12 +119,10 @@ def _cmd_glue(args):
     elif spec.kind == "2":
         base = sfc.differential(d)
         rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(d, spec))
-        h3 = sfc.differential(rec["H3"])
-        ranks = dict(rec["identityReport"]["ranks"], H3=sfc.homology(h3).total)
-        complexes = {"H3": h3, "H4": rec["H4"], "H5": rec["H5"], "H6": rec["H6"]}
+        ranks = dict(rec["identityReport"]["ranks"], H3=sfc.homology(rec["H3"]).total)
         stages = {
-            stage: {"generators": len(cx.basis), "rank": ranks[stage]}
-            for stage, cx in complexes.items()
+            stage: {"generators": len(rec[stage].basis), "rank": ranks[stage]}
+            for stage in ("H3", "H4", "H5", "H6")
         }
         payload = {
             "kind": "2",
@@ -235,9 +233,7 @@ def _build_example(name):
         spec = glue.two_handle_spec(base, handle)
         rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
         stage = name[5:].upper()
-        if stage == "H3":
-            return rec["H3"]
-        if stage in ("H4", "H5", "H6"):
+        if stage in ("H3", "H4", "H5", "H6"):
             return rec[stage].diagram
         raise ValueError(f"unknown example {name!r}")
     try:

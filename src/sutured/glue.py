@@ -605,9 +605,9 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     attachment's complex and ``x0`` its forced point, as ``sigma_map``
     or ``direct_two_handle`` built them: they are stage H6, taken from
     the caller rather than attached again.  Returns the
-    stage record: the cut-open base diagram ``H3``; the complexes built
-    for the block concatenation ``H4``, the twist-block stage ``H5`` and
-    ``H6``, each carrying its diagram; the composed ``joinTable`` into
+    stage record: the complexes of the cut-open base ``H3``, the block
+    concatenation ``H4``, the twist-block stage ``H5`` and ``H6``, each
+    carrying its diagram; the composed ``joinTable`` into
     ``H4``; and the ``identityReport`` checking the twist-stage boundary
     identity and the stage homology ranks, read from those complexes.
     Any stage failing the complex gates raises with the stage named.
@@ -622,7 +622,8 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
 
     blocks = _handle_blocks("2")
     try:
-        v = modules.bordered_invariant(hv, "D")
+        h3 = sfc.differential(hv)
+        v = modules.bordered_invariant(h3, "D")
     except ValueError as err:
         raise ValueError(f"stage H3: {err}") from err
     try:
@@ -681,7 +682,7 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
         "ranks_agree": ranks_agree,
     }
     return {
-        "H3": hv,
+        "H3": h3,
         "H4": join.target,
         "H5": cx5,
         "H6": direct,

@@ -179,21 +179,24 @@ def _delta_table(bs, records) -> dict:
     return delta
 
 
-def bordered_invariant(d: Diagram, kind: str, sector=None) -> BorderedStructure:
+def bordered_invariant(d, kind: str, sector=None) -> BorderedStructure:
     """Build the finite bordered structure of a nice bordered diagram.
 
-    ``sector`` optionally restricts the generators to a fixed tuple of
+    ``d`` is the diagram or its complex (``sfc.as_complex``).  ``sector``
+    optionally restricts the generators to a fixed tuple of
     per-interface occupancy counts (the differential and all actions
     preserve these counts, so the restriction is a direct summand).
     """
     if kind not in _IFACE_COUNT:
         raise ValueError(f"unknown structure kind {kind!r}")
-    if len(d.interfaces) != _IFACE_COUNT[kind]:
+    diagram = d.diagram if isinstance(d, sfc.ChainComplexF2) else d
+    if len(diagram.interfaces) != _IFACE_COUNT[kind]:
         raise ValueError(
             f"kind {kind} needs {_IFACE_COUNT[kind]} interface(s); "
-            f"diagram has {len(d.interfaces)}"
+            f"diagram has {len(diagram.interfaces)}"
         )
-    cx = sfc.differential(d)  # gates niceness and admissibility
+    cx = sfc.as_complex(d)  # gates niceness and admissibility
+    d = cx.diagram
     sides = [
         Side(
             i,

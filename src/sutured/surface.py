@@ -17,6 +17,7 @@ diagram arcs.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 
@@ -203,12 +204,15 @@ class Diagram:
         )
 
     def fresh_id(self, prefix: str) -> str:
-        used = self.vertices | set(self.edges) | set(self.faces)
-        used |= set(self.alpha_curves) | set(self.beta_curves)
         n = 0
-        while f"{prefix}{n}" in used:
+        name = f"{prefix}0"
+        while (
+            name in self.vertices or name in self.edges or name in self.faces
+            or name in self.alpha_curves or name in self.beta_curves
+        ):
             n += 1
-        return f"{prefix}{n}"
+            name = f"{prefix}{n}"
+        return name
 
     def interface_edge_ids(self) -> set:
         out = set()
@@ -258,29 +262,6 @@ def side_occurrences(d: Diagram) -> dict:
     return occ
 
 
-def corners_at(d: Diagram) -> dict:
-    """vertex -> list of corners (face id, position).
-
-    The corner (f, i) sits at the start vertex of side i of f, between
-    side i-1 (incoming) and side i (outgoing).
-    """
-    out = {}
-    for f in d.faces.values():
-        n = len(f.word)
-        for i in range(n):
-            e, s = f.word[i]
-            v = d.edges[e].start(s)
-            out.setdefault(v, []).append((f.id, i))
-    return out
-
-
-def corner_flanks(d: Diagram, corner):
-    """The (incoming side, outgoing side) of a corner."""
-    f, i = corner
-    word = d.faces[f].word
-    return word[i - 1], word[i]
-
-
 def vertex_links(d: Diagram):
     """Cyclic (or linear) link of every vertex, as alternating lists.
 
@@ -289,47 +270,54 @@ def vertex_links(d: Diagram):
     A path link starts and ends with boundary-edge incidences.  Raises
     ValueError on a non-manifold vertex (disconnected link).
     """
-    occ = side_occurrences(d)
-    corners = corners_at(d)
+    occ, at = {}, {}
+    for f in d.faces.values():
+        inc = f.word[-1] if f.word else None
+        for i, out in enumerate(f.word):
+            occ.setdefault(out, []).append((f.id, i))
+            at.setdefault(d.edges[out[0]].start(out[1]), []).append(((f.id, i), inc, out))
+            inc = out
+    return _links(d.vertices, at, occ)
+
+
+def _links(vertices, at, occ) -> dict:
+    """``vertex_links`` from one pass's index of the face words: ``at``
+    files every corner (f, i) under its vertex, the start of side i, with
+    its incoming side i-1 and its outgoing side i; ``occ`` holds the side
+    occurrences.  The walk crosses a corner's outgoing side (e, s) to the
+    corner at the same vertex whose incoming side is (e, -s); a side with
+    no opposite (a boundary edge) ends a path link.
+    """
     links = {}
-    for v in sorted(d.vertices):
-        cs = corners.get(v, [])
+    for v in sorted(vertices):
+        cs = at.get(v)
         if not cs:
             links[v] = ("cycle", [])
             continue
-        # a corner's outgoing side (e, s) is crossed to reach the corner
-        # following the opposite occurrence (e, -s); boundary edges stop.
-        by_in = {}
-        for c in cs:
-            inc, _out = corner_flanks(d, c)
-            by_in[inc] = c
-        # a corner whose incoming side has no opposite starts a path link
-        start = None
-        for c in cs:
-            inc, _out = corner_flanks(d, c)
-            e, s = inc
-            if (e, -s) not in occ:
-                start = c
+        by_in = {t[1]: t for t in cs}
+        kind = "cycle"
+        for t in cs:
+            if (t[1][0], -t[1][1]) not in occ:
+                kind = "path"
                 break
-        kind = "path" if start is not None else "cycle"
-        cur = start if start is not None else min(cs)
+        if kind == "cycle":
+            t = min(cs)
         items = []
         visited = set()
         while True:
-            inc, out = corner_flanks(d, cur)
+            c, inc, out = t
             items.append(("inc", inc))
-            items.append(("corner", cur))
-            visited.add(cur)
-            e, s = out
-            if (e, -s) not in occ:
+            items.append(("corner", c))
+            visited.add(c)
+            back = (out[0], -out[1])
+            if back not in occ:
                 items.append(("inc", out))
                 break
-            nxt = by_in.get((e, -s))
-            if nxt is None:
+            t = by_in.get(back)
+            if t is None:
                 raise ValueError(f"broken link at vertex {v}")
-            if nxt in visited:
+            if t[0] in visited:
                 break
-            cur = nxt
         if len(visited) != len(cs):
             raise ValueError(f"vertex {v} has a disconnected link")
         links[v] = (kind, items)
@@ -338,33 +326,41 @@ def vertex_links(d: Diagram):
 
 def regions(d: Diagram) -> list:
     """Faces merged across seam edges; returns lists of face ids."""
-    return _face_components(d, {e for e, ed in d.edges.items() if ed.kind == "seam"})
-
-
-def _face_components(d: Diagram, glued) -> list:
-    """Faces merged across the edges in ``glued``, as sorted lists of face
-    ids in sorted order."""
-    parent = {f: f for f in d.faces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
     faces_on = {}
     for f in d.faces.values():
         for (e, _s) in f.word:
-            if e in glued:
+            if e in seams:
                 faces_on.setdefault(e, []).append(f.id)
-    for fs in faces_on.values():
+    parent = {f: f for f in d.faces}
+    _merge(parent, faces_on, seams)
+    return _classes(parent)
+
+
+def _find(parent: dict, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _merge(parent: dict, faces_on: dict, glued) -> None:
+    """Join, in the union-find ``parent`` over face ids, the faces on
+    each edge of ``glued`` (``faces_on``: edge -> face ids)."""
+    for e in glued:
+        fs = faces_on.get(e, ())
         for a, b in zip(fs, fs[1:]):
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
+
+
+def _classes(parent: dict) -> list:
+    """The classes of ``parent`` as sorted lists of face ids, in sorted
+    order."""
     groups = {}
-    for f in d.faces:
-        groups.setdefault(find(f), []).append(f)
+    for f in parent:
+        groups.setdefault(_find(parent, f), []).append(f)
     return [sorted(g) for g in sorted(groups.values())]
 
 
@@ -386,13 +382,19 @@ def recompute_suture_flags(d: Diagram) -> Diagram:
 
 
 def validate(d: Diagram) -> list:
-    """All structural invariants; returns a list of problem strings."""
+    """All structural invariants; returns a list of problem strings.
+
+    One pass over the face words files the sides that the link walk,
+    the regions and the family cuts read.
+    """
     problems = []
     ids = list(d.edges) + list(d.faces) + list(d.alpha_curves) + list(d.beta_curves)
     if len(ids) != len(set(ids)):
         problems.append("duplicate ids across edges/faces/curves")
 
+    by_kind = {}  # edge kind -> sorted edge ids
     for e, ed in sorted(d.edges.items()):
+        by_kind.setdefault(ed.kind, []).append(e)
         if ed.kind not in EDGE_KINDS:
             problems.append(f"edge {e} has unknown kind {ed.kind!r}")
         if ed.frm not in d.vertices or ed.to not in d.vertices:
@@ -402,36 +404,50 @@ def validate(d: Diagram) -> list:
         if ed.kind not in CURVE_KINDS and ed.curve is not None:
             problems.append(f"non-curve edge {e} carries a curve id")
 
-    # usage counts and signs
-    usage = {}
+    # usage counts and signs (a word holds directions +1 and -1); face
+    # words connect head to tail, reported after the counts
+    occ = {}  # (edge, direction) -> [(face id, position)]
+    faces_on = {}  # edge -> face ids, one per side
+    at = {}  # vertex -> [(corner, incoming side, outgoing side)]
+    breaks = []
     for f in d.faces.values():
-        for (e, s) in f.word:
-            if e not in d.edges:
-                problems.append(f"face {f.id} references missing edge {e}")
+        word = f.word
+        if not word:
+            breaks.append(f"face {f.id} has an empty word")
+            continue
+        fid = f.id
+        inc = word[-1]
+        ed = d.edges.get(inc[0])
+        head = None if ed is None else ed.end(inc[1])
+        for i, out in enumerate(word):
+            e, s = out
+            ed = d.edges.get(e)
+            if ed is None:
+                problems.append(f"face {fid} references missing edge {e}")
+                head = None
+                inc = out
                 continue
-            usage.setdefault(e, []).append(s)
+            corner = (fid, i)
+            occ.setdefault(out, []).append(corner)
+            faces_on.setdefault(e, []).append(fid)
+            if s > 0:
+                tail, nxt = ed.frm, ed.to
+            else:
+                tail, nxt = ed.to, ed.frm
+            at.setdefault(tail, []).append((corner, inc, out))
+            if head is not None and head != tail:
+                breaks.append(f"face {fid} word breaks at position {i}")
+            head = nxt
+            inc = out
     for e, ed in sorted(d.edges.items()):
-        signs = sorted(usage.get(e, []))
+        signs = [-1] * len(occ.get((e, -1), ())) + [1] * len(occ.get((e, 1), ()))
         if ed.kind == "boundary":
             if signs != [1]:
                 problems.append(f"boundary edge {e} used {signs}, expected once +")
         else:
             if signs != [-1, 1]:
                 problems.append(f"interior edge {e} used {signs}, expected once each way")
-
-    # face words connect head to tail
-    for f in d.faces.values():
-        n = len(f.word)
-        if n == 0:
-            problems.append(f"face {f.id} has an empty word")
-            continue
-        for i in range(n):
-            e1, s1 = f.word[i - 1]
-            e2, s2 = f.word[i]
-            if e1 not in d.edges or e2 not in d.edges:
-                continue
-            if d.edges[e1].end(s1) != d.edges[e2].start(s2):
-                problems.append(f"face {f.id} word breaks at position {i}")
+    problems += breaks
 
     # every curve segment and interface edge resolves
     for c in d.curves().values():
@@ -456,7 +472,7 @@ def validate(d: Diagram) -> list:
 
     # vertex links are single fans (manifold condition)
     try:
-        links = vertex_links(d)
+        links = _links(d.vertices, at, occ)
     except ValueError as err:
         return problems + [str(err)]
 
@@ -474,7 +490,8 @@ def validate(d: Diagram) -> list:
         return problems
 
     # every boundary circle carries at least one suture side
-    free = d.free_boundary_edge_ids()
+    boundary = by_kind.get("boundary", [])
+    free = set(boundary) - d.interface_edge_ids()
     seen = set()
     suture_faces_edges = {
         e for f in d.faces.values() if f.suture for (e, _s) in f.word
@@ -494,6 +511,8 @@ def validate(d: Diagram) -> list:
             problems.append(f"boundary circle through {start} has no suture side")
 
     # curves
+    marked = d.marked_vertices()
+    marked_at = set(marked.values())
     seg_owner = {}
     for family in CURVE_KINDS:
         for c in d.curves(family).values():
@@ -511,9 +530,8 @@ def validate(d: Diagram) -> list:
                     problems.append(f"closed curve {c.id} does not close")
             else:
                 ends = (d.edges[c.segments[0]].frm, d.edges[c.segments[-1]].to)
-                marked = set(d.marked_vertices().values())
                 for v in ends:
-                    if v not in marked:
+                    if v not in marked_at:
                         problems.append(f"arc {c.id} ends at unmarked vertex {v}")
     for e, ed in d.edges.items():
         if ed.kind in CURVE_KINDS and e not in seg_owner:
@@ -541,8 +559,11 @@ def validate(d: Diagram) -> list:
             problems.append(f"unbalanced diagram: {na} closed alpha vs {nb} closed beta")
 
     # suture flags match region contact with free boundary
-    for group in regions(d):
-        touches = any(e in free for f in group for (e, _s) in d.faces[f].word)
+    regions_of = {f: f for f in d.faces}
+    _merge(regions_of, faces_on, by_kind.get("seam", ()))
+    near_free = {f for e in free for f in faces_on[e]}
+    for group in _classes(regions_of):
+        touches = any(f in near_free for f in group)
         for f in group:
             if d.faces[f].suture != touches:
                 problems.append(
@@ -551,7 +572,6 @@ def validate(d: Diagram) -> list:
                 )
 
     # interfaces
-    marked = d.marked_vertices()
     all_interval_edges = []
     for k, itf in enumerate(d.interfaces):
         for edges in itf.intervals:
@@ -597,14 +617,18 @@ def validate(d: Diagram) -> list:
             for iv in itf.intervals
             for e in iv
         }
-        allowed = d.boundary_edge_ids() - fam_interface_edges
-        cut = {e for e, ed in d.edges.items() if ed.kind not in (family, "boundary")}
-        for comp in _face_components(d, cut):
-            edges_here = {e for f in comp for (e, _s) in d.faces[f].word}
-            if not edges_here & allowed:
-                problems.append(
-                    f"a component cut along {family} avoids the free boundary"
-                )
+        # the cut glues across seams and the other family: the regions,
+        # merged further
+        cut = dict(regions_of)
+        _merge(cut, faces_on, by_kind.get("beta" if family == "alpha" else "alpha", ()))
+        reach = {
+            _find(cut, f)
+            for e in boundary
+            if e not in fam_interface_edges
+            for f in faces_on[e]
+        }
+        for _root in {_find(cut, f) for f in cut} - reach:
+            problems.append(f"a component cut along {family} avoids the free boundary")
 
     # tags
     for v in d.eh:
@@ -998,6 +1022,8 @@ def subdivide_edge(d: Diagram, eid: str):
     second = d.fresh_id(f"{eid}.")
     d.edges[second] = Edge(second, ed.kind, ed.curve, w, ed.to)
     for f in d.faces.values():
+        if (eid, 1) not in f.word and (eid, -1) not in f.word:
+            continue
         word = []
         for (e, s) in f.word:
             if e != eid:
@@ -1021,59 +1047,220 @@ def _prune_tags(d: Diagram) -> None:
     d.marks = {k: v for k, v in d.marks.items() if v in d.vertices}
 
 
-def _drop_orphan_vertices(d: Diagram, candidates) -> None:
-    used = set()
-    for ed in d.edges.values():
-        used.add(ed.frm)
-        used.add(ed.to)
-    for v in candidates:
-        if v in d.vertices and v not in used:
-            d.vertices.discard(v)
-
-
-def dissolve_edge(d: Diagram, eid: str) -> bool:
-    """Remove an interior edge, merging or trimming its faces.
-
-    Returns False (leaving the diagram untouched) when the edge has both
-    sides on one face non-adjacently; dissolving it would create a
-    non-disk face.  Curve edges must be released from their curve first.
+class _LocalEdits:
+    """Dissolves and fusions on ``d``, read from two indexes that each
+    edit keeps current on what it touched: edge -> the faces of its
+    sides (one entry per side, in face order), and vertex -> its edge
+    ends (edge id, "frm" or "to").  Rewritten faces collect in
+    ``dirty_faces`` and vertices whose edges changed in
+    ``dirty_vertices``, for a worklist to try its refused candidates
+    again.
     """
-    ed = d.edges[eid]
-    for family in CURVE_KINDS:
-        for c in d.curves(family).values():
-            if eid in c.segments:
-                raise ValueError(f"edge {eid} still belongs to curve {c.id}")
-    sides = []
-    for f in d.faces.values():
-        for i, (e, _s) in enumerate(f.word):
-            if e == eid:
-                sides.append((f.id, i))
-    if len(sides) != 2:
-        raise ValueError(f"edge {eid} is not interior")
-    (f1, i1), (f2, i2) = sides
-    if f1 != f2:
+
+    def __init__(self, d: Diagram):
+        self.d = d
+        self.rank = {f: k for k, f in enumerate(d.faces)}  # faces are never added
+        self.faces_on = {}
+        for f in d.faces.values():
+            for (e, _s) in f.word:
+                self.faces_on.setdefault(e, []).append(f.id)
+        self.ends = {}
+        for e, ed in d.edges.items():
+            self.ends.setdefault(ed.frm, set()).add((e, "frm"))
+            self.ends.setdefault(ed.to, set()).add((e, "to"))
+        self.owner = {}  # curve edge -> the first curve listing it
+        for family in CURVE_KINDS:
+            for c in d.curves(family).values():
+                for e in c.segments:
+                    self.owner.setdefault(e, c.id)
+        self.dirty_faces, self.dirty_vertices = set(), set()
+
+    def dissolve(self, eid: str) -> bool:
+        """Remove an interior edge, merging or trimming its faces.
+
+        Returns False (leaving the diagram untouched) when the edge has
+        both sides on one face non-adjacently; dissolving it would create
+        a non-disk face.  Curve edges must be released from their curve
+        first.
+        """
+        d = self.d
+        ed = d.edges[eid]
+        if eid in self.owner:
+            raise ValueError(f"edge {eid} still belongs to curve {self.owner[eid]}")
+        sides = []
+        for f in dict.fromkeys(self.faces_on.get(eid, ())):
+            sides += [(f, i) for i, (e, _s) in enumerate(d.faces[f].word) if e == eid]
+        if len(sides) != 2:
+            raise ValueError(f"edge {eid} is not interior")
+        (f1, i1), (f2, i2) = sides
         wa = d.faces[f1].word
-        wb = d.faces[f2].word
-        rotated = wb[i2 + 1 :] + wb[:i2]
-        d.faces[f1].word = wa[:i1] + rotated + wa[i1 + 1 :]
-        d.faces[f1].suture = d.faces[f1].suture or d.faces[f2].suture
-        del d.faces[f2]
-    else:
-        word = d.faces[f1].word
-        n = len(word)
-        lo, hi = sorted((i1, i2))
-        if hi - lo == 1:
-            new = word[:lo] + word[hi + 1 :]
-        elif lo == 0 and hi == n - 1:
-            new = word[1 : n - 1]
+        if f1 != f2:
+            wb = d.faces[f2].word
+            d.faces[f1].word = wa[:i1] + wb[i2 + 1 :] + wb[:i2] + wa[i1 + 1 :]
+            d.faces[f1].suture = d.faces[f1].suture or d.faces[f2].suture
+            del d.faces[f2]
+            for e in {e for (e, _s) in wb} - {eid}:
+                fs = [f1 if f == f2 else f for f in self.faces_on[e]]
+                fs.sort(key=self.rank.__getitem__)
+                self.faces_on[e] = fs
         else:
+            n = len(wa)
+            if i2 - i1 == 1:
+                new = wa[:i1] + wa[i2 + 1 :]
+            elif i1 == 0 and i2 == n - 1:
+                new = wa[1 : n - 1]
+            else:
+                return False
+            if not new:
+                raise ValueError(f"dissolving {eid} empties face {f1}")
+            d.faces[f1].word = new
+        del self.faces_on[eid]
+        self.dirty_faces.add(f1)
+        del d.edges[eid]
+        self.ends[ed.frm].discard((eid, "frm"))
+        self.ends[ed.to].discard((eid, "to"))
+        for v in (ed.frm, ed.to):
+            if not self.ends[v]:
+                d.vertices.discard(v)  # orphaned
+            self.dirty_vertices.add(v)
+        return True
+
+    def fuse(self, v: str, protected, iface) -> bool:
+        """Erase a two-valent vertex by fusing its two like edges, unless
+        the vertex is in ``protected`` or an edge in ``iface``."""
+        d = self.d
+        incident = self.ends.get(v, ())
+        if len(incident) != 2:
             return False
-        if not new:
-            raise ValueError(f"dissolving {eid} empties face {f1}")
-        d.faces[f1].word = new
-    del d.edges[eid]
-    _drop_orphan_vertices(d, [ed.frm, ed.to])
-    return True
+        (e1, _end1), (e2, _end2) = incident
+        if e1 == e2:
+            return False
+        a, b = d.edges[e1], d.edges[e2]
+        if a.kind != b.kind or a.curve != b.curve:
+            return False
+        if v in protected or e1 in iface or e2 in iface:
+            return False
+        # orient the fusion as first -> v -> second
+        if a.to == v and b.frm == v:
+            first, second = a, b
+        elif b.to == v and a.frm == v:
+            first, second = b, a
+        else:
+            return False  # both heads or both tails: not a through vertex
+        pair = (first.id, second.id)
+        faces = set(self.faces_on.get(first.id, ())) | set(self.faces_on.get(second.id, ()))
+        for fid in sorted(faces, key=self.rank.__getitem__):
+            f = d.faces[fid]
+            n = len(f.word)
+            if n >= 2 and f.word[0][0] in pair:
+                # rotate so a fused pair never wraps
+                for r in range(n):
+                    if f.word[r][0] not in pair:
+                        f.word = f.word[r:] + f.word[:r]
+                        break
+            word = []
+            i = 0
+            while i < len(f.word):
+                e, s = f.word[i]
+                if e == first.id and s > 0:
+                    assert f.word[i + 1] == (second.id, 1)
+                    word.append((first.id, 1))
+                    i += 2
+                elif e == second.id and s < 0:
+                    assert f.word[i + 1] == (first.id, -1)
+                    word.append((first.id, -1))
+                    i += 2
+                else:
+                    word.append((e, s))
+                    i += 1
+            f.word = word
+        # every face on a side of ``second`` also carries ``first``
+        self.faces_on.pop(second.id, None)
+        self.dirty_faces |= faces
+        if first.curve is not None:
+            c = d.curves(first.kind)[first.curve]
+            c.segments = [e for e in c.segments if e != second.id]
+        w = second.to
+        self.ends[w].discard((second.id, "to"))
+        self.ends[w].add((first.id, "to"))
+        del self.ends[v]
+        first.to = w
+        del d.edges[second.id]
+        d.vertices.discard(v)
+        self.dirty_vertices.update((first.frm, w))
+        return True
+
+    def _joined(self) -> set:
+        """Edges with two cyclically consecutive sides on a face rewritten
+        since the last call.  Faces only merge here, so a seam refused
+        for having both sides on one face apart dissolves once they
+        meet, and only then."""
+        out = set()
+        for fid in self.dirty_faces:
+            word = self.d.faces[fid].word
+            prev = word[-1][0] if word else None
+            for e, _s in word:
+                if e == prev:
+                    out.add(e)
+                prev = e
+        self.dirty_faces.clear()
+        return out
+
+    @staticmethod
+    def _first(todo, stuck, live, edit) -> bool:
+        """Take items from the sorted list ``todo``, smallest first, until
+        ``edit`` succeeds on one still in ``live``; refused items wait in
+        ``stuck``."""
+        while todo:
+            x = todo.pop(0)
+            if x in live:
+                if edit(x):
+                    return True
+                stuck.add(x)
+        return False
+
+    @staticmethod
+    def _requeue(todo, stuck, changed) -> None:
+        """Put the refused items in ``changed`` back in line."""
+        for x in stuck & changed:
+            stuck.discard(x)
+            bisect.insort(todo, x)
+
+    def dissolve_all(self, pending: set) -> None:
+        """Dissolve every edge of ``pending``, each time the smallest one
+        that dissolves."""
+        todo, stuck = sorted(pending), set()
+        while pending:
+            if not todo:
+                raise RuntimeError(f"destabilization stuck on {sorted(pending)}")
+            e = todo.pop(0)
+            if e in self.d.edges and not self.dissolve(e):
+                stuck.add(e)
+                continue
+            pending.discard(e)
+            self._requeue(todo, stuck, self._joined())
+
+    def simplify(self) -> None:
+        """Dissolve the smallest dissolvable seam (sorted, not on an
+        interface) while there is one, else fuse at the smallest fusable
+        vertex; stop when neither exists.  A refused seam is tried again
+        once its sides meet (``_joined``), a refused vertex once its
+        edges change, since whether it fuses depends on them alone."""
+        d = self.d
+        iface = d.interface_edge_ids()
+        protected = set(d.marks.values()) | set(d.eh) | set(d.marked_vertices().values())
+        seams = sorted(e for e, ed in d.edges.items() if ed.kind == "seam" and e not in iface)
+        verts = sorted(d.vertices)
+        stuck_seams, stuck_verts = set(), set()
+        self.dirty_faces.clear()
+        self.dirty_vertices.clear()
+        while self._first(seams, stuck_seams, d.edges, self.dissolve) or self._first(
+            verts, stuck_verts, d.vertices, lambda v: self.fuse(v, protected, iface)
+        ):
+            self._requeue(seams, stuck_seams, self._joined())
+            self._requeue(verts, stuck_verts, self.dirty_vertices)
+            self.dirty_vertices.clear()
+        _prune_tags(d)
 
 
 def _corner_positions(d: Diagram, face_id: str, v: str):
@@ -1389,91 +1576,13 @@ def _curve_vertices(d: Diagram, c: Curve) -> set:
     return out
 
 
-def fuse_edges_at(d: Diagram, v: str) -> bool:
-    """Erase a two-valent vertex by fusing its two like edges."""
-    incident = [
-        (e, end)
-        for e, ed in d.edges.items()
-        for end in (("to",) if ed.to == v else ()) + (("frm",) if ed.frm == v else ())
-    ]
-    if len(incident) != 2:
-        return False
-    (e1, end1), (e2, end2) = incident
-    if e1 == e2:
-        return False
-    a, b = d.edges[e1], d.edges[e2]
-    if a.kind != b.kind or a.curve != b.curve:
-        return False
-    protected = set(d.marks.values()) | set(d.eh) | set(d.marked_vertices().values())
-    iface = d.interface_edge_ids()
-    if v in protected or e1 in iface or e2 in iface:
-        return False
-    # orient the fusion as first -> v -> second
-    if a.to == v and b.frm == v:
-        first, second = a, b
-    elif b.to == v and a.frm == v:
-        first, second = b, a
-    else:
-        return False  # both heads or both tails: not a through vertex
-    for f in d.faces.values():
-        word = []
-        i = 0
-        n = len(f.word)
-        if n >= 2 and f.word[0][0] in (first.id, second.id):
-            # rotate so a fused pair never wraps
-            for r in range(n):
-                if f.word[r][0] not in (first.id, second.id):
-                    f.word = f.word[r:] + f.word[:r]
-                    break
-        while i < len(f.word):
-            e, s = f.word[i]
-            if e == first.id and s > 0:
-                assert f.word[i + 1] == (second.id, 1)
-                word.append((first.id, 1))
-                i += 2
-            elif e == second.id and s < 0:
-                assert f.word[i + 1] == (first.id, -1)
-                word.append((first.id, -1))
-                i += 2
-            else:
-                word.append((e, s))
-                i += 1
-        f.word = word
-    if first.curve is not None:
-        c = d.curves(first.kind)[first.curve]
-        segs = []
-        for e in c.segments:
-            if e == second.id:
-                continue
-            segs.append(e)
-        c.segments = segs
-    first.to = second.to
-    del d.edges[second.id]
-    d.vertices.discard(v)
-    return True
-
-
 def simplify(d: Diagram) -> Diagram:
     """Dissolve dissolvable seams and fuse two-valent vertices.
 
     Regions, curves and boundary structure are unchanged up to
     normalization; only redundant subdivision is removed.
     """
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(d.edges):
-            if d.edges[e].kind == "seam" and e not in d.interface_edge_ids():
-                if dissolve_edge(d, e):
-                    changed = True
-                    break
-        if changed:
-            continue
-        for v in sorted(d.vertices):
-            if fuse_edges_at(d, v):
-                changed = True
-                break
-    _prune_tags(d)
+    _LocalEdits(d).simplify()
     return d
 
 
@@ -1485,6 +1594,19 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     removed pair merge.  Returns the simplified diagram and the id the
     forced intersection point had.
     """
+    out, forced, pending = _surger_pair(d, alpha_id, beta_id)
+    edits = _LocalEdits(out)
+    edits.dissolve_all(pending)
+    edits.simplify()
+    recompute_suture_flags(out)
+    return _check(out), forced
+
+
+def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
+    """``trivial_destabilize`` up to its dissolves: a copy of ``d`` cut
+    along the alpha curve and capped, with the beta curve released.
+    Returns the copy, the forced point and the set of edges to dissolve
+    (the released beta edges and the seams left by the cut)."""
     out = d.copy()
     alpha = out.alpha_curves.pop(alpha_id)
     beta = out.beta_curves.pop(beta_id)
@@ -1577,24 +1699,7 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     for e in beta.segments:
         out.edges[e].kind = "seam"
         out.edges[e].curve = None
-    pending = set(beta.segments) | set(copy_edges)
-    while pending:
-        progressed = False
-        for e in sorted(pending):
-            if e in out.edges and dissolve_edge(out, e):
-                pending.discard(e)
-                progressed = True
-                break
-            if e not in out.edges:
-                pending.discard(e)
-                progressed = True
-                break
-        if not progressed:
-            raise RuntimeError(f"destabilization stuck on {sorted(pending)}")
-    simplify(out)
-    _prune_tags(out)
-    recompute_suture_flags(out)
-    return _check(out), forced
+    return out, forced, set(beta.segments) | set(copy_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1602,39 +1707,44 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
 
 
 def _prefix_diagram(d: Diagram, tag: str) -> Diagram:
-    out = d.copy()
-    pv = {v: f"{tag}{v}" for v in out.vertices}
-    pe = {e: f"{tag}{e}" for e in out.edges}
-    pf = {f: f"{tag}{f}" for f in out.faces}
-    pc = {c: f"{tag}{c}" for c in list(out.alpha_curves) + list(out.beta_curves)}
-    out.vertices = set(pv.values())
-    out.edges = {
-        pe[e]: Edge(pe[e], ed.kind, None if ed.curve is None else pc[ed.curve], pv[ed.frm], pv[ed.to])
-        for e, ed in out.edges.items()
-    }
-    out.faces = {
-        pf[f]: Face(pf[f], [(pe[e], s) for (e, s) in face.word], face.suture)
-        for f, face in out.faces.items()
-    }
-    out.alpha_curves = {
-        pc[c]: Curve(pc[c], cv.closed, [pe[e] for e in cv.segments])
-        for c, cv in out.alpha_curves.items()
-    }
-    out.beta_curves = {
-        pc[c]: Curve(pc[c], cv.closed, [pe[e] for e in cv.segments])
-        for c, cv in out.beta_curves.items()
-    }
-    out.interfaces = [
-        Interface(
-            i.arc_diagram,
-            [[pe[e] for e in iv] for iv in i.intervals],
-            {a: pc[c] for a, c in i.arcs.items()},
-        )
-        for i in out.interfaces
-    ]
-    out.eh = [pv[v] for v in out.eh]
-    out.marks = {k: pv[v] for k, v in out.marks.items()}
-    return out
+    """A copy of ``d`` with ``tag`` before every vertex, edge, face and
+    curve id."""
+    pv = {v: f"{tag}{v}" for v in d.vertices}
+    pe = {e: f"{tag}{e}" for e in d.edges}
+    pc = {c: f"{tag}{c}" for c in list(d.alpha_curves) + list(d.beta_curves)}
+    return Diagram(
+        set(pv.values()),
+        {
+            pe[e]: Edge(pe[e], ed.kind, None if ed.curve is None else pc[ed.curve], pv[ed.frm], pv[ed.to])
+            for e, ed in d.edges.items()
+        },
+        {
+            f"{tag}{f}": Face(f"{tag}{f}", [(pe[e], s) for (e, s) in face.word], face.suture)
+            for f, face in d.faces.items()
+        },
+        {
+            pc[c]: Curve(pc[c], cv.closed, [pe[e] for e in cv.segments])
+            for c, cv in d.alpha_curves.items()
+        },
+        {
+            pc[c]: Curve(pc[c], cv.closed, [pe[e] for e in cv.segments])
+            for c, cv in d.beta_curves.items()
+        },
+        [
+            Interface(
+                ArcDiagram(
+                    [list(iv) for iv in i.arc_diagram.intervals],
+                    dict(i.arc_diagram.matching),
+                    i.arc_diagram.kind,
+                ),
+                [[pe[e] for e in iv] for iv in i.intervals],
+                {a: pc[c] for a, c in i.arcs.items()},
+            )
+            for i in d.interfaces
+        ],
+        [pv[v] for v in d.eh],
+        {k: pv[v] for k, v in d.marks.items()},
+    )
 
 
 def _interface_arc_bijection(z1: ArcDiagram, z2: ArcDiagram) -> dict:
@@ -1653,13 +1763,6 @@ def _interface_arc_bijection(z1: ArcDiagram, z2: ArcDiagram) -> dict:
     if len(set(arc_map.values())) != len(arc_map):
         raise ValueError("matchings are incompatible")
     return arc_map
-
-
-def _reverse_edge(d: Diagram, eid: str) -> None:
-    ed = d.edges[eid]
-    ed.frm, ed.to = ed.to, ed.frm
-    for f in d.faces.values():
-        f.word = [(e, -s if e == eid else s) for (e, s) in f.word]
 
 
 def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
@@ -1691,34 +1794,46 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
             raise ValueError(f"mark {k} present on both sides")
         out.marks[k] = v
 
+    # Identified vertices and glued edges are recorded first and applied
+    # in one pass over the edges and one over the face words.  ``merged``
+    # maps a vertex id to the id its carriers hold now; a later merge
+    # moves whatever holds its ``lose`` id, as renaming in place would.
+    merged = {}
+
+    def now(v):
+        return merged.get(v, v)
+
     def merge_vertex(keep, lose):
         if keep == lose:
             return
-        for ed in out.edges.values():
-            if ed.frm == lose:
-                ed.frm = keep
-            if ed.to == lose:
-                ed.to = keep
-        out.eh = [keep if v == lose else v for v in out.eh]
-        out.marks = {k: (keep if v == lose else v) for k, v in out.marks.items()}
+        for v, held in merged.items():
+            if held == lose:
+                merged[v] = keep
+        if lose not in merged:
+            merged[lose] = keep
         out.vertices.discard(lose)
 
+    glued = {}  # right interval edge -> the left edge it becomes
     for edges_l, edges_r in zip(il.intervals, ir.intervals):
         if len(edges_l) != len(edges_r):
             raise ValueError("interval subdivision mismatch")
         m = len(edges_l)
         # vertices along each side, tail to head
-        vl = [out.edges[edges_l[0]].frm] + [out.edges[e].to for e in edges_l]
-        vr = [out.edges[edges_r[0]].frm] + [out.edges[e].to for e in edges_r]
+        vl = [now(out.edges[edges_l[0]].frm)] + [now(out.edges[e].to) for e in edges_l]
+        vr = [now(out.edges[edges_r[0]].frm)] + [now(out.edges[e].to) for e in edges_r]
         for j, v in enumerate(vr):
             merge_vertex(vl[m - j], v)
         for idx, e in enumerate(edges_l):
             f = edges_r[m - 1 - idx]
             del out.edges[f]
-            for face in out.faces.values():
-                face.word = [(e if ee == f else ee, -s if ee == f else s) for (ee, s) in face.word]
+            glued[f] = e
             out.edges[e].kind = "seam"
+    for ed in out.edges.values():
+        ed.frm, ed.to = now(ed.frm), now(ed.to)
+    out.eh = [now(v) for v in out.eh]
+    out.marks = {k: now(v) for k, v in out.marks.items()}
 
+    flipped = set()
     for a1, c1 in sorted(il.arcs.items()):
         c2 = ir.arcs[arc_map[a1]]
         fam = il.arc_diagram.kind
@@ -1733,12 +1848,19 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
         elif r_end == e_end:
             appended = list(reversed(right_curve.segments))
             for e in appended:
-                _reverse_edge(out, e)
+                ed = out.edges[e]
+                ed.frm, ed.to = ed.to, ed.frm
+                flipped ^= {e}  # a face word flips once per reversal
         else:
             raise ValueError(f"arcs {c1} and {c2} do not meet")
         for e in appended:
             out.edges[e].curve = c1
         left_curve.segments = left_curve.segments + appended
         left_curve.closed = True
+    for face in out.faces.values():
+        face.word = [
+            (glued[e], -s) if e in glued else (e, -s) if e in flipped else (e, s)
+            for (e, s) in face.word
+        ]
     recompute_suture_flags(out)
     return _check(out)

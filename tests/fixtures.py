@@ -2,9 +2,12 @@
 
 These are the counterexamples: diagrams that are valid as polygonal
 complexes but fail niceness or admissibility in a controlled way, plus
-a disjoint-union helper for product-structure checks.
+a disjoint-union helper for product-structure checks and ``mutate``,
+the one-node change to a JSON document that the CLI's exit-code test
+and the validator's reference test both draw from.
 """
 
+import copy
 from functools import reduce
 
 from sutured import pieces, surface
@@ -244,3 +247,37 @@ def relabel(d: Diagram, rng) -> Diagram:
         [new[v] for v in d.eh],
         {k: new[v] for k, v in d.marks.items()},
     )
+
+
+def _nodes(doc, path=()):
+    """(path, value) for every value below the document root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        yield path + (k,), v
+        if isinstance(v, (dict, list)):
+            yield from _nodes(v, path + (k,))
+
+
+def mutate(doc, choose) -> None:
+    """Change a JSON document in place at one node: delete it, swap it
+    for another string in the document, retype it or duplicate it.
+    ``choose`` picks one item of a list (a Hypothesis draw or a seeded
+    ``Random.choice``)."""
+    nodes = list(_nodes(doc))
+    path, value = choose(nodes)
+    holder = doc
+    for k in path[:-1]:
+        holder = holder[k]
+    key = path[-1]
+    op = choose(["delete", "swap", "retype", "duplicate"])
+    if op == "delete":
+        del holder[key]
+    elif op == "swap":
+        ids = sorted({v for _p, v in nodes if isinstance(v, str)})
+        holder[key] = choose(ids)
+    elif op == "retype":
+        holder[key] = choose([None, 0, 7, True, "", [], {}])
+    elif isinstance(holder, list):
+        holder.insert(key, copy.deepcopy(value))
+    else:
+        holder[key] = [value, value] if isinstance(value, list) else [value]

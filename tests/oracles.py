@@ -15,7 +15,19 @@ per crossing, and the Spin^c key in its full form, the whole product
 U b reduced row by row; the library must match both exactly, list
 order and class numbers included.  The differential's loop is kept as
 it was before equal moves were cancelled and the moves indexed by
-corner: every move against every generator.
+corner: every move against every generator.  The surface layer's edits
+and checks are kept as whole-diagram rescans: ``reference_simplify``
+restarts its sorted sweep over every seam, then every vertex, after
+each edit, and its dissolves and fusions find an edge's sides and a
+vertex's edges by scanning every face and every edge;
+``reference_trivial_destabilize`` dissolves the released edges by the
+same restart loop; ``reference_vertex_links`` walks each vertex from
+corners and flanking sides read off the face words one vertex at a
+time; ``reference_validate`` runs every structural check in the
+library's order, each recomputing what it reads, with faces grouped by
+a fresh search for every component.  The library's worklist edits and
+one-index validator must give the same diagrams, links and problem
+lists, failures included.
 """
 
 from fractions import Fraction
@@ -398,3 +410,523 @@ def reference_spinc_partition(d, gens):
         key = tuple(ub[i] % diag[i] if diag[i] else ub[i] for i in range(n))
         classes[x] = labels.setdefault(key, len(labels))
     return classes
+
+
+# ---------------------------------------------------------------------------
+# surface edits and validation, as whole-diagram rescans
+
+
+def reference_vertex_links(d):
+    """Vertex -> ("cycle" | "path", items), walked vertex by vertex.
+
+    Each vertex collects its corners by scanning every face word, reads
+    each corner's flanking sides from its face, and walks across the
+    opposite side occurrences; the library's one-pass walk must return
+    the same links and raise the same errors.
+    """
+    occ = surface.side_occurrences(d)
+    corners = {}
+    for f in d.faces.values():
+        for i, (e, s) in enumerate(f.word):
+            corners.setdefault(d.edges[e].start(s), []).append((f.id, i))
+
+    def flanks(corner):
+        word = d.faces[corner[0]].word
+        return word[corner[1] - 1], word[corner[1]]
+
+    links = {}
+    for v in sorted(d.vertices):
+        cs = corners.get(v, [])
+        if not cs:
+            links[v] = ("cycle", [])
+            continue
+        by_in = {}
+        for c in cs:
+            by_in[flanks(c)[0]] = c
+        start = None
+        for c in cs:
+            e, s = flanks(c)[0]
+            if (e, -s) not in occ:
+                start = c
+                break
+        kind = "path" if start is not None else "cycle"
+        cur = start if start is not None else min(cs)
+        items = []
+        visited = set()
+        while True:
+            inc, out = flanks(cur)
+            items.append(("inc", inc))
+            items.append(("corner", cur))
+            visited.add(cur)
+            e, s = out
+            if (e, -s) not in occ:
+                items.append(("inc", out))
+                break
+            nxt = by_in.get((e, -s))
+            if nxt is None:
+                raise ValueError(f"broken link at vertex {v}")
+            if nxt in visited:
+                break
+            cur = nxt
+        if len(visited) != len(cs):
+            raise ValueError(f"vertex {v} has a disconnected link")
+        links[v] = (kind, items)
+    return links
+
+
+def _reference_face_components(d, glued):
+    """Faces merged across the edges in ``glued``, found by a fresh scan
+    of every face word: lists in face order, sorted, then each sorted."""
+    comps = []
+    seen = set()
+    for f in sorted(d.faces):
+        if f in seen:
+            continue
+        comp = {f}
+        queue = [f]
+        while queue:
+            edges = {e for (e, _s) in d.faces[queue.pop()].word if e in glued}
+            for g, face in d.faces.items():
+                if g not in comp and any(e in edges for (e, _s) in face.word):
+                    comp.add(g)
+                    queue.append(g)
+        seen |= comp
+        comps.append([g for g in d.faces if g in comp])
+    return [sorted(c) for c in sorted(comps)]
+
+
+def reference_validate(d):
+    """Every structural check of ``surface.validate``, in the same order,
+    each recomputing what it reads from the whole diagram."""
+    problems = []
+    ids = list(d.edges) + list(d.faces) + list(d.alpha_curves) + list(d.beta_curves)
+    if len(ids) != len(set(ids)):
+        problems.append("duplicate ids across edges/faces/curves")
+
+    for e, ed in sorted(d.edges.items()):
+        if ed.kind not in surface.EDGE_KINDS:
+            problems.append(f"edge {e} has unknown kind {ed.kind!r}")
+        if ed.frm not in d.vertices or ed.to not in d.vertices:
+            problems.append(f"edge {e} references a missing vertex")
+        if ed.kind in surface.CURVE_KINDS and ed.curve is None:
+            problems.append(f"curve edge {e} lacks a curve id")
+        if ed.kind not in surface.CURVE_KINDS and ed.curve is not None:
+            problems.append(f"non-curve edge {e} carries a curve id")
+
+    usage = {}
+    for f in d.faces.values():
+        for (e, s) in f.word:
+            if e not in d.edges:
+                problems.append(f"face {f.id} references missing edge {e}")
+                continue
+            usage.setdefault(e, []).append(s)
+    for e, ed in sorted(d.edges.items()):
+        signs = sorted(usage.get(e, []))
+        if ed.kind == "boundary":
+            if signs != [1]:
+                problems.append(f"boundary edge {e} used {signs}, expected once +")
+        else:
+            if signs != [-1, 1]:
+                problems.append(f"interior edge {e} used {signs}, expected once each way")
+
+    for f in d.faces.values():
+        n = len(f.word)
+        if n == 0:
+            problems.append(f"face {f.id} has an empty word")
+            continue
+        for i in range(n):
+            e1, s1 = f.word[i - 1]
+            e2, s2 = f.word[i]
+            if e1 not in d.edges or e2 not in d.edges:
+                continue
+            if d.edges[e1].end(s1) != d.edges[e2].start(s2):
+                problems.append(f"face {f.id} word breaks at position {i}")
+
+    for c in d.curves().values():
+        if not c.segments:
+            problems.append(f"curve {c.id} has no segments")
+        for e in c.segments:
+            if e not in d.edges:
+                problems.append(f"curve {c.id} references missing edge {e}")
+    for k, itf in enumerate(d.interfaces):
+        problems += [f"interface {k}: {p}" for p in itf.arc_diagram.validate()]
+        if len(itf.intervals) != len(itf.arc_diagram.intervals):
+            problems.append(f"interface {k}: interval count mismatch")
+        for pts, edges in zip(itf.arc_diagram.intervals, itf.intervals):
+            if len(edges) != len(pts) + 1:
+                problems.append(f"interface {k}: interval needs {len(pts)+1} edges")
+            for e in edges:
+                if e not in d.edges or d.edges[e].kind != "boundary":
+                    problems.append(f"interface {k}: {e} is not a boundary edge")
+
+    if problems:
+        return problems
+
+    try:
+        links = reference_vertex_links(d)
+    except ValueError as err:
+        return problems + [str(err)]
+
+    bout, bin_ = {}, {}
+    for e, ed in d.edges.items():
+        if ed.kind != "boundary":
+            continue
+        if ed.frm in bout or ed.to in bin_:
+            problems.append(f"boundary branches at edge {e}")
+        bout[ed.frm] = e
+        bin_[ed.to] = e
+    if set(bout) != set(bin_):
+        problems.append("boundary chains do not close up")
+        return problems
+
+    free = d.free_boundary_edge_ids()
+    seen = set()
+    suture_faces_edges = {e for f in d.faces.values() if f.suture for (e, _s) in f.word}
+    for start in sorted(bout.values()):
+        if start in seen:
+            continue
+        circle = []
+        e = start
+        while True:
+            circle.append(e)
+            seen.add(e)
+            e = bout[d.edges[e].to]
+            if e == start:
+                break
+        if not any(e in suture_faces_edges for e in circle):
+            problems.append(f"boundary circle through {start} has no suture side")
+
+    seg_owner = {}
+    for family in surface.CURVE_KINDS:
+        for c in d.curves(family).values():
+            for e in c.segments:
+                if d.edges[e].kind != family or d.edges[e].curve != c.id:
+                    problems.append(f"edge {e} mislabeled for curve {c.id}")
+                if e in seg_owner:
+                    problems.append(f"edge {e} appears in two curves")
+                seg_owner[e] = c.id
+            for e1, e2 in zip(c.segments, c.segments[1:]):
+                if d.edges[e1].to != d.edges[e2].frm:
+                    problems.append(f"curve {c.id} breaks between {e1} and {e2}")
+            if c.closed:
+                if d.edges[c.segments[-1]].to != d.edges[c.segments[0]].frm:
+                    problems.append(f"closed curve {c.id} does not close")
+            else:
+                ends = (d.edges[c.segments[0]].frm, d.edges[c.segments[-1]].to)
+                marked = set(d.marked_vertices().values())
+                for v in ends:
+                    if v not in marked:
+                        problems.append(f"arc {c.id} ends at unmarked vertex {v}")
+    for e, ed in d.edges.items():
+        if ed.kind in surface.CURVE_KINDS and e not in seg_owner:
+            problems.append(f"curve edge {e} belongs to no curve")
+
+    for v in d.intersection_vertices():
+        kind, items = links[v]
+        incs = [it for it in items if it[0] == "inc"]
+        fams = [d.edges[e].kind for (_t, (e, _s)) in incs]
+        if not all(f in surface.CURVE_KINDS for f in fams):
+            continue
+        if kind == "cycle":
+            if len(incs) != 4:
+                problems.append(f"intersection vertex {v} has degree {len(incs)}")
+            elif fams[0] == fams[1]:
+                problems.append(f"intersection vertex {v} is not alternating")
+
+    if not d.interfaces:
+        na = sum(1 for c in d.alpha_curves.values() if c.closed)
+        nb = sum(1 for c in d.beta_curves.values() if c.closed)
+        if na != nb:
+            problems.append(f"unbalanced diagram: {na} closed alpha vs {nb} closed beta")
+
+    seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
+    for group in _reference_face_components(d, seams):
+        touches = any(e in free for f in group for (e, _s) in d.faces[f].word)
+        for f in group:
+            if d.faces[f].suture != touches:
+                problems.append(
+                    f"face {f} suture flag {d.faces[f].suture} but region "
+                    f"{'touches' if touches else 'avoids'} free boundary"
+                )
+
+    marked = d.marked_vertices()
+    all_interval_edges = []
+    for k, itf in enumerate(d.interfaces):
+        for edges in itf.intervals:
+            all_interval_edges += edges
+            for e1, e2 in zip(edges, edges[1:]):
+                if d.edges[e1].to != d.edges[e2].frm:
+                    problems.append(f"interface {k}: interval breaks at {e2}")
+        arcs_by_index = {}
+        for p, a in itf.arc_diagram.matching.items():
+            arcs_by_index.setdefault(a, []).append(p)
+        if set(itf.arcs) != set(arcs_by_index):
+            problems.append(f"interface {k}: arc assignment indices mismatch")
+            continue
+        for a, curve_id in sorted(itf.arcs.items()):
+            fam = itf.arc_diagram.kind
+            if curve_id not in d.curves(fam):
+                problems.append(f"interface {k}: arc {a} names missing {fam} {curve_id}")
+                continue
+            c = d.curves(fam)[curve_id]
+            if c.closed:
+                problems.append(f"interface {k}: arc {a} names closed curve {curve_id}")
+                continue
+            ends = {d.edges[c.segments[0]].frm, d.edges[c.segments[-1]].to}
+            want = {marked[p] for p in arcs_by_index[a]}
+            if ends != want:
+                problems.append(f"interface {k}: arc {a} endpoints mismatch")
+    if len(all_interval_edges) != len(set(all_interval_edges)):
+        problems.append("interface intervals overlap")
+
+    assigned = {cid for itf in d.interfaces for cid in itf.arcs.values()}
+    for family in surface.CURVE_KINDS:
+        for c in d.curves(family).values():
+            if not c.closed and c.id not in assigned:
+                problems.append(f"arc {c.id} not assigned to any interface")
+
+    for family in surface.CURVE_KINDS:
+        fam_interface_edges = {
+            e
+            for itf in d.interfaces
+            if itf.arc_diagram.kind == family
+            for iv in itf.intervals
+            for e in iv
+        }
+        allowed = d.boundary_edge_ids() - fam_interface_edges
+        cut = {e for e, ed in d.edges.items() if ed.kind not in (family, "boundary")}
+        for comp in _reference_face_components(d, cut):
+            edges_here = {e for f in comp for (e, _s) in d.faces[f].word}
+            if not edges_here & allowed:
+                problems.append(f"a component cut along {family} avoids the free boundary")
+
+    for v in d.eh:
+        if v not in d.vertices:
+            problems.append(f"eh tag names missing vertex {v}")
+    for name, v in sorted(d.marks.items()):
+        if v not in d.vertices:
+            problems.append(f"mark {name} names missing vertex {v}")
+
+    return problems
+
+
+def reference_dissolve_edge(d, eid):
+    """An edge's dissolve (``surface._LocalEdits.dissolve``) finding its
+    sides by scanning every face, and its orphaned ends by scanning every
+    edge."""
+    ed = d.edges[eid]
+    for family in surface.CURVE_KINDS:
+        for c in d.curves(family).values():
+            if eid in c.segments:
+                raise ValueError(f"edge {eid} still belongs to curve {c.id}")
+    sides = [(f.id, i) for f in d.faces.values() for i, (e, _s) in enumerate(f.word) if e == eid]
+    if len(sides) != 2:
+        raise ValueError(f"edge {eid} is not interior")
+    (f1, i1), (f2, i2) = sides
+    if f1 != f2:
+        wa = d.faces[f1].word
+        wb = d.faces[f2].word
+        d.faces[f1].word = wa[:i1] + wb[i2 + 1:] + wb[:i2] + wa[i1 + 1:]
+        d.faces[f1].suture = d.faces[f1].suture or d.faces[f2].suture
+        del d.faces[f2]
+    else:
+        word = d.faces[f1].word
+        n = len(word)
+        lo, hi = sorted((i1, i2))
+        if hi - lo == 1:
+            new = word[:lo] + word[hi + 1:]
+        elif lo == 0 and hi == n - 1:
+            new = word[1:n - 1]
+        else:
+            return False
+        if not new:
+            raise ValueError(f"dissolving {eid} empties face {f1}")
+        d.faces[f1].word = new
+    del d.edges[eid]
+    used = {v for e in d.edges.values() for v in (e.frm, e.to)}
+    for v in (ed.frm, ed.to):
+        if v in d.vertices and v not in used:
+            d.vertices.discard(v)
+    return True
+
+
+def reference_fuse_edges_at(d, v):
+    """A vertex's fusion (``surface._LocalEdits.fuse``) finding its edges
+    by scanning every edge and rewriting every face word."""
+    incident = [
+        (e, end)
+        for e, ed in d.edges.items()
+        for end in (("to",) if ed.to == v else ()) + (("frm",) if ed.frm == v else ())
+    ]
+    if len(incident) != 2:
+        return False
+    (e1, _end1), (e2, _end2) = incident
+    if e1 == e2:
+        return False
+    a, b = d.edges[e1], d.edges[e2]
+    if a.kind != b.kind or a.curve != b.curve:
+        return False
+    protected = set(d.marks.values()) | set(d.eh) | set(d.marked_vertices().values())
+    iface = d.interface_edge_ids()
+    if v in protected or e1 in iface or e2 in iface:
+        return False
+    if a.to == v and b.frm == v:
+        first, second = a, b
+    elif b.to == v and a.frm == v:
+        first, second = b, a
+    else:
+        return False
+    pair = (first.id, second.id)
+    for f in d.faces.values():
+        n = len(f.word)
+        if n >= 2 and f.word[0][0] in pair:
+            for r in range(n):
+                if f.word[r][0] not in pair:
+                    f.word = f.word[r:] + f.word[:r]
+                    break
+        word = []
+        i = 0
+        while i < len(f.word):
+            e, s = f.word[i]
+            if e == first.id and s > 0:
+                assert f.word[i + 1] == (second.id, 1)
+                word.append((first.id, 1))
+                i += 2
+            elif e == second.id and s < 0:
+                assert f.word[i + 1] == (first.id, -1)
+                word.append((first.id, -1))
+                i += 2
+            else:
+                word.append((e, s))
+                i += 1
+        f.word = word
+    if first.curve is not None:
+        c = d.curves(first.kind)[first.curve]
+        c.segments = [e for e in c.segments if e != second.id]
+    first.to = second.to
+    del d.edges[second.id]
+    d.vertices.discard(v)
+    return True
+
+
+def reference_simplify(d):
+    """``surface.simplify`` as a restart loop: after every edit the sweep
+    starts again over all sorted seams, then all sorted vertices."""
+    changed = True
+    while changed:
+        changed = False
+        for e in sorted(d.edges):
+            if d.edges[e].kind == "seam" and e not in d.interface_edge_ids():
+                if reference_dissolve_edge(d, e):
+                    changed = True
+                    break
+        if changed:
+            continue
+        for v in sorted(d.vertices):
+            if reference_fuse_edges_at(d, v):
+                changed = True
+                break
+    d.eh = [v for v in d.eh if v in d.vertices]
+    d.marks = {k: v for k, v in d.marks.items() if v in d.vertices}
+    return d
+
+
+def reference_trivial_destabilize(d, alpha_id, beta_id):
+    """``surface.trivial_destabilize`` with the released edges dissolved
+    by a restart loop over the sorted pending set, then
+    ``reference_simplify``; the surgery along alpha is the library's."""
+    out, forced, pending = surface._surger_pair(d, alpha_id, beta_id)
+    while pending:
+        for e in sorted(pending):
+            if e not in out.edges or reference_dissolve_edge(out, e):
+                pending.discard(e)
+                break
+        else:
+            raise RuntimeError(f"destabilization stuck on {sorted(pending)}")
+    reference_simplify(out)
+    surface.recompute_suture_flags(out)
+    return surface._check(out), forced
+
+
+def reference_concatenate_bordered(b1, b2, pair=(0, 0)):
+    """``surface.concatenate_bordered`` identifying each vertex pair by a
+    scan over every edge and gluing or reversing each edge by a rewrite
+    of every face word; the prefixed copies are the library's."""
+    i1 = b1.interfaces[pair[0]]
+    i2 = b2.interfaces[pair[1]]
+    arc_map = surface._interface_arc_bijection(i1.arc_diagram, i2.arc_diagram)
+    left = surface._prefix_diagram(b1, "L:")
+    right = surface._prefix_diagram(b2, "R:")
+    il = left.interfaces.pop(pair[0])
+    ir = right.interfaces.pop(pair[1])
+    out = surface.Diagram(
+        left.vertices | right.vertices,
+        {**left.edges, **right.edges},
+        {**left.faces, **right.faces},
+        {**left.alpha_curves, **right.alpha_curves},
+        {**left.beta_curves, **right.beta_curves},
+        left.interfaces + right.interfaces,
+        left.eh + right.eh,
+        dict(left.marks),
+    )
+    for k, v in right.marks.items():
+        if k in out.marks:
+            raise ValueError(f"mark {k} present on both sides")
+        out.marks[k] = v
+
+    def merge_vertex(keep, lose):
+        if keep == lose:
+            return
+        for ed in out.edges.values():
+            if ed.frm == lose:
+                ed.frm = keep
+            if ed.to == lose:
+                ed.to = keep
+        out.eh = [keep if v == lose else v for v in out.eh]
+        out.marks = {k: (keep if v == lose else v) for k, v in out.marks.items()}
+        out.vertices.discard(lose)
+
+    def reverse_edge(eid):
+        ed = out.edges[eid]
+        ed.frm, ed.to = ed.to, ed.frm
+        for f in out.faces.values():
+            f.word = [(e, -s if e == eid else s) for (e, s) in f.word]
+
+    for edges_l, edges_r in zip(il.intervals, ir.intervals):
+        if len(edges_l) != len(edges_r):
+            raise ValueError("interval subdivision mismatch")
+        m = len(edges_l)
+        vl = [out.edges[edges_l[0]].frm] + [out.edges[e].to for e in edges_l]
+        vr = [out.edges[edges_r[0]].frm] + [out.edges[e].to for e in edges_r]
+        for j, v in enumerate(vr):
+            merge_vertex(vl[m - j], v)
+        for idx, e in enumerate(edges_l):
+            f = edges_r[m - 1 - idx]
+            del out.edges[f]
+            for face in out.faces.values():
+                face.word = [(e if ee == f else ee, -s if ee == f else s) for (ee, s) in face.word]
+            out.edges[e].kind = "seam"
+
+    for a1, c1 in sorted(il.arcs.items()):
+        c2 = ir.arcs[arc_map[a1]]
+        fam = il.arc_diagram.kind
+        store = out.curves(fam)
+        left_curve = store[c1]
+        right_curve = store.pop(c2)
+        e_end = out.edges[left_curve.segments[-1]].to
+        r_start = out.edges[right_curve.segments[0]].frm
+        r_end = out.edges[right_curve.segments[-1]].to
+        if r_start == e_end:
+            appended = list(right_curve.segments)
+        elif r_end == e_end:
+            appended = list(reversed(right_curve.segments))
+            for e in appended:
+                reverse_edge(e)
+        else:
+            raise ValueError(f"arcs {c1} and {c2} do not meet")
+        for e in appended:
+            out.edges[e].curve = c1
+        left_curve.segments = left_curve.segments + appended
+        left_curve.closed = True
+    surface.recompute_suture_flags(out)
+    return surface._check(out)

@@ -193,7 +193,7 @@ def test_criterion_5_two_handle_identity():
         # re-walk the identity over every cycle, not just a kernel basis
         cx = sfc.differential(base)
         cx5 = rec["H5"]
-        marks = {k.split("_")[0]: v for k, v in rec["H3"].marks.items()
+        marks = {k.split("_")[0]: v for k, v in rec["H3"].diagram.marks.items()
                  if k.split("_")[0] in ("x0", "y0")}
         x0, y0 = f"R:{marks['x0']}", f"R:{marks['y0']}"
         cycles = [

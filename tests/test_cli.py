@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from sutured import cli, glue, pieces, sfc, surface
 
 LISTING = [
@@ -129,15 +130,6 @@ def test_invalid_documents_are_refused_on_read(capsys, tmp_path):
     assert code == 1 and json.loads(out)["problems"]
 
 
-def _nodes(doc, path=()):
-    """(path, value) for every value below the document root."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-    for k, v in items:
-        yield path + (k,), v
-        if isinstance(v, (dict, list)):
-            yield from _nodes(v, path + (k,))
-
-
 CATALOG = sorted(pieces.catalog()) + ["fix-bigonpair", "fix-disk", "fix-stab"]
 
 
@@ -170,24 +162,7 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, data):
         base, plan_doc = HANDLE_DOCUMENTS[data.draw(st.sampled_from(sorted(HANDLE_DOCUMENTS)))]
         plan_doc = copy.deepcopy(plan_doc)
         doc = plan_doc[0] if target == "spec" else plan_doc
-    nodes = list(_nodes(doc))
-    path, value = data.draw(st.sampled_from(nodes))
-    holder = doc
-    for k in path[:-1]:
-        holder = holder[k]
-    key = path[-1]
-    op = data.draw(st.sampled_from(["delete", "swap", "retype", "duplicate"]))
-    if op == "delete":
-        del holder[key]
-    elif op == "swap":
-        ids = sorted({v for _p, v in nodes if isinstance(v, str)})
-        holder[key] = data.draw(st.sampled_from(ids))
-    elif op == "retype":
-        holder[key] = data.draw(st.sampled_from([None, 0, 7, True, "", [], {}]))
-    elif isinstance(holder, list):
-        holder.insert(key, copy.deepcopy(value))
-    else:
-        holder[key] = [value, value] if isinstance(value, list) else [value]
+    fixtures.mutate(doc, lambda items: data.draw(st.sampled_from(items)))
     diagram = tmp_path / "mutated.json"
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(plan_doc))
@@ -281,9 +256,9 @@ def test_attach_then_glue(capsys, tmp_path, stab_file, monkeypatch):
                        "--format", "json")
     assert code == 0
     # the base, the three bordered invariants (two of them the builtin
-    # blocks, built once per process), the join's source and target
-    # (H4), H5, H6, and H3 again for its rank
-    assert len(built) == 9
+    # blocks, built once per process; the third is H3, ranked from the
+    # same complex), the join's source and target (H4), H5 and H6
+    assert len(built) == 8
     # H4, H5 and H6 are ranked once, by the pipeline; the verb ranks H3
     assert len(ranked) == 4
     payload = json.loads(out)

@@ -221,7 +221,7 @@ def test_twist_stage_differential_realizes_the_identity():
     base, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(base, handle)
     rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
-    marks = {k: v for k, v in rec["H3"].marks.items()}
+    marks = {k: v for k, v in rec["H3"].diagram.marks.items()}
     x0, y0 = f"R:{marks['x0']}", f"R:{marks['y0']}"
     cx5 = rec["H5"]
     start = frozenset({"L:z1", y0})
@@ -242,7 +242,7 @@ def test_join_table_lands_on_the_tagged_generator():
     base, handle = glue.one_handled(d)
     spec = glue.two_handle_spec(base, handle)
     rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
-    y0 = f"R:{rec['H3'].marks['y0']}"
+    y0 = f"R:{rec['H3'].diagram.marks['y0']}"
     assert rec["joinTable"].entries == {
         frozenset(["c"]): frozenset([frozenset({"L:L:c", "L:R:z3", "R:c", y0})])
     }

@@ -185,7 +185,8 @@ def test_bigonpair_powers_match_references(k):
 @given(data=st.data())
 def test_subdivided_curves_match_references(data):
     """Plain vertices added on curves of a piece, its mirror or a small
-    grid leave both outputs equal to the references."""
+    grid leave both outputs equal to the references; ``simplify``, which
+    fuses them away again, edits exactly as its restart loop does."""
     name = data.draw(st.sampled_from(NICE_PIECES + ["grid3"]))
     d = fixtures.punctured_grid(3, 1) if name == "grid3" else pieces.build(name)
     if data.draw(st.booleans()):
@@ -201,6 +202,8 @@ def test_subdivided_curves_match_references(data):
         sf.subdivide_edge(d, data.draw(st.sampled_from(curve_edges)))
     assert sf.validate(d) == []
     _assert_matches_references(d)
+    simplified = sf.to_json_dict(sf.simplify(d.copy()))
+    assert simplified == sf.to_json_dict(oracles.reference_simplify(d.copy()))
 
 
 def _move(shape, xs, ys, inside=""):

@@ -5,12 +5,17 @@ operations (handles, bypasses, destabilization, bordered concatenation).
 """
 
 import copy
+import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sutured import pieces
+import fixtures
+import oracles
+from sutured import glue, pieces, sfc
 from sutured import surface as sf
 from sutured.surface import ArcDiagram, Curve, Diagram, Edge, Face
 
@@ -201,7 +206,7 @@ def test_subdivide_curve_edge_keeps_curve(stab):
 def test_fuse_edges_round_trip(stab):
     d = stab.copy()
     _first, _second, w = sf.subdivide_edge(d, "bd")
-    assert sf.fuse_edges_at(d, w)
+    assert sf._LocalEdits(d).fuse(w, set(), d.interface_edge_ids())
     assert sf.validate(d) == []
     assert sf.equivalent(d, stab)
 
@@ -210,7 +215,7 @@ def test_dissolve_seam_merges_faces(disk):
     h = sf.attach_one_handle(disk, "s0", "s0")
     seams = sorted(e for e, ed in h.edges.items() if ed.kind == "seam")
     n_faces = len(h.faces)
-    assert sf.dissolve_edge(h, seams[0])
+    assert sf._LocalEdits(h).dissolve(seams[0])
     assert sf.validate(h) == []
     assert len(h.faces) == n_faces - 1
 
@@ -352,3 +357,145 @@ def test_regions_merge_across_seams(stab):
     # seamless diagram: every face is its own region
     d = pieces.az2()
     assert sf.regions(d) == [[f] for f in sorted(d.faces)]
+
+
+# ---------------------------------------------------------------------------
+# the worklist edits and the one-index validator against the references
+# in ``oracles``, which rescan the whole diagram at every step
+
+CATALOG = sorted(pieces.catalog()) + ["fix-bigonpair", "fix-disk", "fix-stab"]
+FAILURES = (AssertionError, IndexError, KeyError, RuntimeError, TypeError, ValueError)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except FAILURES as err:
+        return type(err).__name__, str(err)
+
+
+def _edited(fn, d, *args):
+    """``fn`` run on a copy of ``d``: the serialized diagram it returns,
+    with any further return values, or its exception."""
+    out = _outcome(fn, d.copy(), *args)
+    if isinstance(out, Diagram):
+        return sf.to_json_dict(out)
+    if isinstance(out[0], Diagram):
+        return sf.to_json_dict(out[0]), out[1:]
+    return out
+
+
+def _assert_matches_references(d):
+    """simplify, every closed pair's destabilization, the links and the
+    problem list equal the references', failures included."""
+    assert _edited(sf.simplify, d) == _edited(oracles.reference_simplify, d)
+    for a in sorted(c for c, cv in d.alpha_curves.items() if cv.closed):
+        for b in sorted(c for c, cv in d.beta_curves.items() if cv.closed):
+            assert _edited(sf.trivial_destabilize, d, a, b) == _edited(
+                oracles.reference_trivial_destabilize, d, a, b
+            )
+    assert _outcome(sf.vertex_links, d) == _outcome(oracles.reference_vertex_links, d)
+    assert sf.validate(d) == oracles.reference_validate(d)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_pieces_and_mirrors_edit_like_references(name):
+    _assert_matches_references(pieces.build(name))
+    _assert_matches_references(pieces.mirror(pieces.build(name)))
+
+
+def _concatenated(b1, b2, pair=(0, 0)):
+    out = _outcome(sf.concatenate_bordered, b1, b2, pair)
+    return sf.to_json_dict(out) if isinstance(out, Diagram) else out
+
+
+@pytest.mark.parametrize("name", ["fix-stab", "bigonpair^3"])
+def test_handle_stages_edit_like_references(name, monkeypatch):
+    """Each stage of the two-handle sequence, every diagram the glued
+    1-handle pipeline destabilizes, and every concatenation both glued
+    pipelines make, the fixed blocks' included."""
+    d = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
+    one, two = glue.two_handle_sequence(d)
+    mid, _handle = glue.one_handled(d, one.p)
+    top, x0 = sf.attach_two_handle(mid, two.p, two.q, two.a_path, two.b_path)
+    for stage in (d, mid, top):
+        _assert_matches_references(stage)
+    destabilized, glued = [], []
+    real_destabilize, real_concatenate = glue.trivial_destabilize, glue.concatenate_bordered
+    monkeypatch.setattr(
+        glue, "trivial_destabilize",
+        lambda g, a, b: destabilized.append((g.copy(), a, b)) or real_destabilize(g, a, b),
+    )
+    monkeypatch.setattr(
+        glue, "concatenate_bordered",
+        lambda b1, b2, *pair: glued.append((b1.copy(), b2.copy(), *pair)) or real_concatenate(b1, b2, *pair),
+    )
+    glue._handle_blocks.cache_clear()
+    glue.glue_one_handle(d, one.p, one.q)
+    site = sorted(mid.free_boundary_edge_ids())[0]
+    glue.glue_one_handle(mid, site, site)
+    glue.glue_two_handle(mid, two, sfc.differential(top), x0)
+    glue._handle_blocks.cache_clear()
+    assert len(destabilized) == 2 and len(glued) == 9
+    for g, _a, _b in destabilized:
+        _assert_matches_references(g)  # destabilizes every closed pair
+    for args in glued:
+        assert _concatenated(*args) == _outcome(
+            lambda *a: sf.to_json_dict(oracles.reference_concatenate_bordered(*a)), *args
+        )
+
+
+def test_concatenation_matches_reference():
+    """Every ordered pair of bordered catalog pieces and mirrors, on every
+    pair of interfaces: the same diagram or the same failure."""
+    bordered = [pieces.build(n) for n in CATALOG if pieces.build(n).interfaces]
+    bordered += [pieces.mirror(b) for b in bordered]
+    for b1 in bordered:
+        for b2 in bordered:
+            for pair in itertools.product(range(len(b1.interfaces)), range(len(b2.interfaces))):
+                assert _concatenated(b1, b2, pair) == _outcome(
+                    lambda *a: sf.to_json_dict(oracles.reference_concatenate_bordered(*a)),
+                    b1, b2, pair,
+                )
+
+
+def _flips(d):
+    """Copies of ``d`` with one face's suture flag flipped, or every
+    face's, or one curve edge moved to the other family: complexes that
+    stay coherent, so the checks after the link walk run."""
+    for flipped in [[f] for f in sorted(d.faces)] + [list(d.faces)]:
+        out = d.copy()
+        for f in flipped:
+            out.faces[f].suture = not out.faces[f].suture
+        yield out
+    for e in sorted(e for e, ed in d.edges.items() if ed.kind in ("alpha", "beta")):
+        out = d.copy()
+        out.edges[e].kind = "beta" if out.edges[e].kind == "alpha" else "alpha"
+        yield out
+
+
+def test_validate_matches_reference_on_mutated_documents():
+    """Every catalog document and its flips, and one-step mutations of
+    them (the mutator of the CLI's exit-code test) that still parse: the
+    same problem list in the same order, and the same links or failure."""
+    rng = random.Random(9)
+    checked = 0
+    for name in CATALOG:
+        d = pieces.build(name)
+        assert sf.validate(d) == oracles.reference_validate(d) == []
+        for flipped in _flips(d):
+            assert sf.validate(flipped) == oracles.reference_validate(flipped)
+    for _ in range(3000):
+        doc = sf.to_json_dict(pieces.build(rng.choice(CATALOG)))
+        fixtures.mutate(doc, rng.choice)
+        try:
+            d = sf.parse(json.dumps(doc))
+        except ValueError:
+            continue
+        assert _outcome(sf.validate, d) == _outcome(oracles.reference_validate, d)
+        assert _outcome(sf.vertex_links, d) == _outcome(oracles.reference_vertex_links, d)
+        checked += 1
+        if checked == 320:
+            break
+    assert checked == 320
