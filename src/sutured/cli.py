@@ -7,6 +7,7 @@ machine-readable reason, 2 invariant violation with a repro dump.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -264,7 +265,10 @@ def _cmd_examples(args):
 # wiring
 
 
+@functools.cache
 def _build_parser():
+    """The verb parser, built once per process: ``parse_args`` leaves it
+    unchanged, so every ``main`` call in one process shares it."""
     parser = _Parser(prog="sutured", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 

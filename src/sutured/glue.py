@@ -47,7 +47,6 @@ from .surface import (
     attach_trivial_bypass,
     attach_two_handle,
     concatenate_bordered,
-    recompute_suture_flags,
     subdivide_edge,
     trivial_destabilize,
 )
@@ -375,8 +374,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
             {2: arc_long, 1: arc_short},
         )
     )
-    recompute_suture_flags(out)
-    return _check(out)
+    return _check(out, set_flags=True)
 
 
 def _new_marks(base, prepared) -> dict:
@@ -905,8 +903,7 @@ def one_handled(d, site: str | None = None):
     if site is None:
         site = sorted(out.free_boundary_edge_ids())[0]
     handle = _attach_one_handle(out, site, site)
-    recompute_suture_flags(out)
-    return _check(out), handle
+    return _check(out, set_flags=True), handle
 
 
 def two_handle_sequence(d, site: str | None = None) -> list:

@@ -5,6 +5,12 @@ The unit of every census here is the *region*: faces merged across seam
 edges, walked with the seams cancelled.  On seamless diagrams regions
 and faces coincide; after a bordered concatenation a single rectangle
 may well consist of two faces joined along a scar, and it still counts.
+
+Each census makes one pass over the face words (``_face_index``), which
+files the faces on each edge, from which the regions follow, and the
+faces at each vertex, which decide the crossings a domain holds inside.
+``differential`` builds the crossing table once, for both the census
+and the generators.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +45,7 @@ def _crossing_curves(d: Diagram) -> dict:
     return {v: fams for v, fams in out.items() if len(fams) == 2}
 
 
-def generators(d: Diagram) -> list:
+def generators(d: Diagram, crossings: Optional[dict] = None) -> list:
     """All occupancy sets, canonically ordered.
 
     A generator uses each closed curve exactly once and each arc at most
@@ -49,9 +55,10 @@ def generators(d: Diagram) -> list:
     an alpha arc takes one such crossing or none, and a choice is kept
     when it uses every closed beta curve.  Diagrams admitting no such
     matching, among them any with a closed curve that meets no crossing,
-    yield an empty list.
+    yield an empty list.  ``crossings``: ``_crossing_curves(d)``, if built.
     """
-    crossings = _crossing_curves(d)
+    if crossings is None:
+        crossings = _crossing_curves(d)
     on_alpha = {}  # alpha curve -> [(crossing, beta curve)], by vertex
     for v in sorted(crossings):
         on_alpha.setdefault(crossings[v]["alpha"], []).append(
@@ -211,22 +218,32 @@ def _corner_points(d, runs):
     return frozenset(xs), frozenset(ys)
 
 
-def _vertex_faces(d: Diagram) -> dict:
-    """vertex -> set of faces whose word touches it."""
-    incident = {}
+def _face_index(d: Diagram):
+    """One pass over the face words for a census: edge -> faces (one
+    entry per side, in face order) and vertex -> the set of faces whose
+    word touches it."""
+    faces_on, incident = {}, {}
     for f, face in d.faces.items():
         for (e, _s) in face.word:
             ed = d.edges[e]
+            faces_on.setdefault(e, []).append(f)
             incident.setdefault(ed.frm, set()).add(f)
             incident.setdefault(ed.to, set()).add(f)
-    return incident
+    return faces_on, incident
+
+
+def _seam_classes(d: Diagram, faces_on: dict, seams) -> list:
+    """``surface.regions(d)`` from ``_face_index``'s edge -> faces."""
+    parent = {f: f for f in d.faces}
+    surface._merge(parent, faces_on, seams)
+    return surface._classes(parent)
 
 
 def _interior_crossings(d, faces, cycles, crossings, incident) -> frozenset:
     """Crossings off the boundary cycles whose faces all lie in ``faces``.
 
     ``crossings`` is ``_crossing_curves(d)`` and ``incident`` is
-    ``_vertex_faces(d)``, built once by the census that asks.
+    ``_face_index(d)``'s vertex -> faces, built once per census.
     """
     on_cycle = set()
     for cyc in cycles:
@@ -255,13 +272,16 @@ class RegionShape:
     chord: Optional[tuple] = None  # interface edges of the port side, in order
 
 
-def region_census(d: Diagram) -> list:
-    """Classify every non-suture region of the diagram."""
+def region_census(d: Diagram, crossings: Optional[dict] = None) -> list:
+    """Classify every non-suture region of the diagram.  ``crossings``:
+    ``_crossing_curves(d)``, if built."""
     out = []
     seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
     interface = d.interface_edge_ids()
-    crossings, incident = _crossing_curves(d), _vertex_faces(d)
-    for group in surface.regions(d):
+    if crossings is None:
+        crossings = _crossing_curves(d)
+    faces_on, incident = _face_index(d)
+    for group in _seam_classes(d, faces_on, seams):
         if d.faces[group[0]].suture:
             continue
         inner = {
@@ -368,8 +388,11 @@ def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
     non-suture regions; classes are numbered by first appearance in
     canonical generator order.  ``gens`` is ``generators(d)`` and
     ``groups`` the face tuples of the non-suture regions, in the order
-    of ``region_census(d)``.
+    of ``region_census(d)``.  With at most one generator there is one
+    class, and no Smith form is needed.
     """
+    if len(gens) <= 1:
+        return {x: 0 for x in gens}
     verts = sorted(
         {
             v
@@ -451,14 +474,15 @@ def differential(d: Diagram) -> ChainComplexF2:
     first, and each generator visits only the moves whose least x-corner
     it occupies, so a generator costs about its own size in lookups.
     """
-    census = region_census(d)
+    crossings = _crossing_curves(d)
+    census = region_census(d, crossings)
     offenders = _not_nice_faces(census)
     if offenders:
         raise ValueError(f"diagram is not nice; offending faces: {offenders}")
     ok, witness = is_admissible(d)
     if not ok:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
-    basis = generators(d)
+    basis = generators(d, crossings)
     entries = _boundary_entries(basis, census)
     diff = BinaryMatrix(len(basis), len(basis), frozenset(entries))
     groups = [rec.faces for rec in census]
@@ -606,11 +630,8 @@ def action_census(d: Diagram) -> list:
             f"refusing to enumerate 2^{len(nonsuture)} candidate domains; "
             "simplify the diagram first"
         )
-    face_of_edge = {}
-    for f, face in d.faces.items():
-        for (e, _s) in face.word:
-            face_of_edge.setdefault(e, []).append(f)
-    crossings, incident = _crossing_curves(d), _vertex_faces(d)
+    face_of_edge, incident = _face_index(d)
+    crossings = _crossing_curves(d)
     out = []
     for k, iface in enumerate(d.interfaces):
         for t, interval in enumerate(iface.intervals):

@@ -280,13 +280,14 @@ def vertex_links(d: Diagram):
     return _links(d.vertices, at, occ)
 
 
-def _links(vertices, at, occ) -> dict:
+def _links(vertices, at, occ, keep=None) -> dict:
     """``vertex_links`` from one pass's index of the face words: ``at``
     files every corner (f, i) under its vertex, the start of side i, with
     its incoming side i-1 and its outgoing side i; ``occ`` holds the side
     occurrences.  The walk crosses a corner's outgoing side (e, s) to the
     corner at the same vertex whose incoming side is (e, -s); a side with
-    no opposite (a boundary edge) ends a path link.
+    no opposite (a boundary edge) ends a path link.  Every vertex is
+    walked; only those in ``keep`` (all when ``None``) get their items.
     """
     links = {}
     for v in sorted(vertices):
@@ -302,16 +303,18 @@ def _links(vertices, at, occ) -> dict:
                 break
         if kind == "cycle":
             t = min(cs)
-        items = []
+        items = [] if keep is None or v in keep else None
         visited = set()
         while True:
             c, inc, out = t
-            items.append(("inc", inc))
-            items.append(("corner", c))
+            if items is not None:
+                items.append(("inc", inc))
+                items.append(("corner", c))
             visited.add(c)
             back = (out[0], -out[1])
             if back not in occ:
-                items.append(("inc", out))
+                if items is not None:
+                    items.append(("inc", out))
                 break
             t = by_in.get(back)
             if t is None:
@@ -320,7 +323,8 @@ def _links(vertices, at, occ) -> dict:
                 break
         if len(visited) != len(cs):
             raise ValueError(f"vertex {v} has a disconnected link")
-        links[v] = (kind, items)
+        if items is not None:
+            links[v] = (kind, items)
     return links
 
 
@@ -381,19 +385,22 @@ def recompute_suture_flags(d: Diagram) -> Diagram:
 # validation
 
 
-def validate(d: Diagram) -> list:
+def validate(d: Diagram, *, set_flags: bool = False) -> list:
     """All structural invariants; returns a list of problem strings.
 
     One pass over the face words files the sides that the link walk,
-    the regions and the family cuts read.
+    the regions and the family cuts read.  It writes nothing, unless
+    ``set_flags`` has it set the suture flags from the regions first, as
+    ``recompute_suture_flags`` would; the flag check still runs.
     """
     problems = []
     ids = list(d.edges) + list(d.faces) + list(d.alpha_curves) + list(d.beta_curves)
     if len(ids) != len(set(ids)):
         problems.append("duplicate ids across edges/faces/curves")
 
+    edges = sorted(d.edges.items())
     by_kind = {}  # edge kind -> sorted edge ids
-    for e, ed in sorted(d.edges.items()):
+    for e, ed in edges:
         by_kind.setdefault(ed.kind, []).append(e)
         if ed.kind not in EDGE_KINDS:
             problems.append(f"edge {e} has unknown kind {ed.kind!r}")
@@ -439,14 +446,15 @@ def validate(d: Diagram) -> list:
                 breaks.append(f"face {fid} word breaks at position {i}")
             head = nxt
             inc = out
-    for e, ed in sorted(d.edges.items()):
-        signs = [-1] * len(occ.get((e, -1), ())) + [1] * len(occ.get((e, 1), ()))
+    for e, ed in edges:
+        uses = (len(occ.get((e, -1), ())), len(occ.get((e, 1), ())))
+        if uses == ((0, 1) if ed.kind == "boundary" else (1, 1)):
+            continue
+        signs = [-1] * uses[0] + [1] * uses[1]
         if ed.kind == "boundary":
-            if signs != [1]:
-                problems.append(f"boundary edge {e} used {signs}, expected once +")
+            problems.append(f"boundary edge {e} used {signs}, expected once +")
         else:
-            if signs != [-1, 1]:
-                problems.append(f"interior edge {e} used {signs}, expected once each way")
+            problems.append(f"interior edge {e} used {signs}, expected once each way")
     problems += breaks
 
     # every curve segment and interface edge resolves
@@ -470,9 +478,11 @@ def validate(d: Diagram) -> list:
     if problems:
         return problems  # the link walk needs a coherent complex
 
-    # vertex links are single fans (manifold condition)
+    # vertex links are single fans (manifold condition); the crossing
+    # check below reads the links of the intersection vertices
+    crossing = d.intersection_vertices()
     try:
-        links = _links(d.vertices, at, occ)
+        links = _links(d.vertices, at, occ, set(crossing))
     except ValueError as err:
         return problems + [str(err)]
 
@@ -489,9 +499,21 @@ def validate(d: Diagram) -> list:
         problems.append("boundary chains do not close up")
         return problems
 
-    # every boundary circle carries at least one suture side
+    # regions and whether they touch free boundary (the suture flags)
     boundary = by_kind.get("boundary", [])
     free = set(boundary) - d.interface_edge_ids()
+    regions_of = {f: f for f in d.faces}
+    _merge(regions_of, faces_on, by_kind.get("seam", ()))
+    near_free = {f for e in free for f in faces_on[e]}
+    contact = [
+        (group, any(f in near_free for f in group)) for group in _classes(regions_of)
+    ]
+    if set_flags:
+        for group, touches in contact:
+            for f in group:
+                d.faces[f].suture = touches
+
+    # every boundary circle carries at least one suture side
     seen = set()
     suture_faces_edges = {
         e for f in d.faces.values() if f.suture for (e, _s) in f.word
@@ -538,7 +560,7 @@ def validate(d: Diagram) -> list:
             problems.append(f"curve edge {e} belongs to no curve")
 
     # intersection vertices: degree four, alternating families
-    for v in d.intersection_vertices():
+    for v in crossing:
         kind, items = links[v]
         incs = [it for it in items if it[0] == "inc"]
         fams = [d.edges[e].kind for (_t, (e, _s)) in incs]
@@ -559,11 +581,7 @@ def validate(d: Diagram) -> list:
             problems.append(f"unbalanced diagram: {na} closed alpha vs {nb} closed beta")
 
     # suture flags match region contact with free boundary
-    regions_of = {f: f for f in d.faces}
-    _merge(regions_of, faces_on, by_kind.get("seam", ()))
-    near_free = {f for e in free for f in faces_on[e]}
-    for group in _classes(regions_of):
-        touches = any(f in near_free for f in group)
+    for group, touches in contact:
         for f in group:
             if d.faces[f].suture != touches:
                 problems.append(
@@ -1003,8 +1021,11 @@ def canonical_form(d: Diagram) -> Diagram:
 # local edits: subdivision, dissolution, chord insertion
 
 
-def _check(d: Diagram) -> Diagram:
-    problems = validate(d)
+def _check(d: Diagram, set_flags: bool = False) -> Diagram:
+    """``d`` if it validates; ``set_flags`` first sets its suture flags
+    from the regions ``validate`` builds anyway, as
+    ``recompute_suture_flags`` would."""
+    problems = validate(d, set_flags=set_flags)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
     return d
@@ -1422,8 +1443,7 @@ def attach_one_handle(d: Diagram, p: str, q: str) -> Diagram:
     """
     out = d.copy()
     _attach_one_handle(out, p, q)
-    recompute_suture_flags(out)
-    return _check(out)
+    return _check(out, set_flags=True)
 
 
 def _subdivide_ports(d: Diagram, seam: str, order) -> dict:
@@ -1529,8 +1549,7 @@ def attach_two_handle(
         n += 1
         name = f"x0_{n}"
     out.marks[name] = x0
-    recompute_suture_flags(out)
-    return _check(out), x0
+    return _check(out, set_flags=True), x0
 
 
 def attach_trivial_bypass(d: Diagram, site: str, sign: str):
@@ -1598,8 +1617,7 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     edits = _LocalEdits(out)
     edits.dissolve_all(pending)
     edits.simplify()
-    recompute_suture_flags(out)
-    return _check(out), forced
+    return _check(out, set_flags=True), forced
 
 
 def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
@@ -1862,5 +1880,4 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
             (glued[e], -s) if e in glued else (e, -s) if e in flipped else (e, s)
             for (e, s) in face.word
         ]
-    recompute_suture_flags(out)
-    return _check(out)
+    return _check(out, set_flags=True)

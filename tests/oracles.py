@@ -27,7 +27,8 @@ time; ``reference_validate`` runs every structural check in the
 library's order, each recomputing what it reads, with faces grouped by
 a fresh search for every component.  The library's worklist edits and
 one-index validator must give the same diagrams, links and problem
-lists, failures included.
+lists, failures included.  ``reference_vertex_faces`` reads a vertex's
+faces in a scan of its own, which the census's one pass must match.
 """
 
 from fractions import Fraction
@@ -47,6 +48,18 @@ def crossing_vertices(d):
                 on[family].add(d.edges[e].frm)
                 on[family].add(d.edges[e].to)
     return sorted(on["alpha"] & on["beta"])
+
+
+def reference_vertex_faces(d):
+    """Vertex -> set of faces whose word touches it, by a scan of its
+    own over the face words."""
+    incident = {}
+    for f, face in d.faces.items():
+        for (e, _s) in face.word:
+            ed = d.edges[e]
+            incident.setdefault(ed.frm, set()).add(f)
+            incident.setdefault(ed.to, set()).add(f)
+    return incident
 
 
 def powerset_generators(d):

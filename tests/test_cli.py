@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -103,7 +104,7 @@ def test_generators_listing(capsys, tmp_path):
 def test_validate_accepts_and_rejects(capsys, tmp_path, disk_file):
     code, out, _ = run(capsys, "validate", disk_file)
     assert code == 0 and out == "ok\n"
-    doc = json.loads((open(disk_file).read()))
+    doc = json.loads(Path(disk_file).read_text())
     doc["tags"]["eh"] = ["ghost"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc, sort_keys=True, indent=1))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fixtures
 import oracles
-from sutured import pieces, sfc
+from sutured import glue, pieces, sfc
 from sutured import surface as sf
 
 NICE_PIECES = pieces.catalog()
@@ -143,10 +143,21 @@ def _partition(d, gens=None):
     return sfc.spinc_partition(d, sfc.generators(d) if gens is None else gens, groups)
 
 
+def _assert_one_pass_census(d):
+    """The census's one pass over the face words gives the regions of
+    ``surface.regions`` and the reference vertex -> faces incidence."""
+    faces_on, incident = sfc._face_index(d)
+    seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
+    assert sfc._seam_classes(d, faces_on, seams) == sf.regions(d)
+    assert incident == oracles.reference_vertex_faces(d)
+
+
 def _assert_matches_references(d):
-    """Generators and classes equal the references, order included, and
-    the differential's entries equal the all-moves loop's, on the
-    complex itself when the diagram passes the gates."""
+    """Generators and classes equal the references, order included, the
+    census's one pass matches its references, and the differential's
+    entries equal the all-moves loop's, on the complex itself when the
+    diagram passes the gates."""
+    _assert_one_pass_census(d)
     gens = sfc.generators(d)
     assert gens == oracles.reference_generators(d)
     part = _partition(d, gens)
@@ -179,6 +190,53 @@ def test_relabeled_grids_match_references(n, k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_bigonpair_powers_match_references(k):
     _assert_matches_references(fixtures.bigonpair_power(k))
+
+
+def _handle_stages(name):
+    """A base, each stage of its two-handle sequence's sigma maps, and
+    the 1-handled and 2-handled diagrams the glued route builds."""
+    d = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
+    one, two = glue.two_handle_sequence(d)
+    yield d
+    cur = d
+    for spec in (one, two):
+        cur = glue.sigma_map(cur, spec)[0]
+        yield cur
+    mid, _handle = glue.one_handled(d, one.p)
+    yield mid
+    yield sf.attach_two_handle(mid, two.p, two.q, two.a_path, two.b_path)[0]
+
+
+@pytest.mark.parametrize("name", ["fix-stab", "bigonpair^3"])
+def test_handle_stages_match_references(name):
+    for d in _handle_stages(name):
+        _assert_matches_references(d)
+
+
+def test_single_generator_classes_skip_the_smith_form(monkeypatch):
+    """With at most one generator ``spinc_partition`` puts it in class 0,
+    as the reference does, without calling ``cokernel_residue``."""
+    diagrams = [pieces.build(name) for name in NICE_PIECES]
+    diagrams += [pieces.mirror(d) for d in diagrams]
+    diagrams += [d for name in ("fix-stab", "bigonpair^3") for d in _handle_stages(name)]
+    calls = []
+    real = sfc.cokernel_residue
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sfc, "cokernel_residue", counting)
+    single = 0
+    for d in diagrams:
+        gens = sfc.generators(d)
+        if len(gens) > 1:
+            continue
+        single += 1
+        part = _partition(d, gens)
+        assert list(part.items()) == list(oracles.reference_spinc_partition(d, gens).items())
+    assert single >= 20
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,11 +376,12 @@ def test_census_walks_across_seams():
     assert h.total == 2
 
 
-@pytest.mark.parametrize("census", ["region_census", "action_census"])
+@pytest.mark.parametrize("census", ["region_census", "action_census", "differential"])
 @pytest.mark.parametrize("name", ["az2", "rt2", "u2", "bigonpair"])
 def test_census_reads_crossings_once(census, name, monkeypatch):
     """Each census builds the crossing table once, however many regions
-    or candidate domains it classifies (none for u2, five for az2)."""
+    or candidate domains it classifies (none for u2, five for az2), and
+    ``differential`` builds it once for its census and generators."""
     d = pieces.build(name)
     calls = []
     real = sfc._crossing_curves
@@ -480,7 +539,9 @@ def test_differential_rejects_inadmissible(grid):
 def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch):
     d = pieces.build(name)
     calls = Counter()
-    for module, attr in ((sfc, "generators"), (sfc, "region_census"), (sf, "regions")):
+    targets = ((sfc, "generators"), (sfc, "region_census"), (sfc, "_crossing_curves"),
+               (sf, "regions"))
+    for module, attr in targets:
         real = getattr(module, attr)
 
         def counting(*args, _real=real, _attr=attr):
@@ -489,7 +550,7 @@ def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch
 
         monkeypatch.setattr(module, attr, counting)
     sfc.differential(d)
-    assert calls == {"generators": 1, "region_census": 1, "regions": 1}
+    assert calls == {"generators": 1, "region_census": 1, "_crossing_curves": 1}
 
 
 @pytest.mark.parametrize("name", NICE_PIECES)

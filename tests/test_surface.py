@@ -499,3 +499,45 @@ def test_validate_matches_reference_on_mutated_documents():
         if checked == 320:
             break
     assert checked == 320
+
+
+def _unvalidated(d):
+    """``d`` serialized, then the same after ``validate`` has read it."""
+    before = sf.to_json_dict(d)
+    _outcome(sf.validate, d)
+    return before, sf.to_json_dict(d)
+
+
+def test_validate_never_writes_to_its_input():
+    """``validate`` reports wrong suture flags and mends nothing: catalog
+    pieces with one or every flag flipped, and one-step mutations of
+    catalog documents that still parse, serialize alike before and after
+    it."""
+    for name in CATALOG:
+        for flipped in _flips(pieces.build(name)):
+            before, after = _unvalidated(flipped)
+            assert before == after
+    rng = random.Random(11)
+    checked = 0
+    while checked < 320:
+        doc = sf.to_json_dict(pieces.build(rng.choice(CATALOG)))
+        fixtures.mutate(doc, rng.choice)
+        try:
+            d = sf.parse(json.dumps(doc))
+        except ValueError:
+            continue
+        before, after = _unvalidated(d)
+        assert before == after
+        checked += 1
+
+
+def test_set_flags_recomputes_like_the_separate_pass():
+    """``validate(d, set_flags=True)`` leaves the flags and the problem
+    list that ``recompute_suture_flags`` followed by ``validate`` does."""
+    for name in CATALOG:
+        for flipped in _flips(pieces.build(name)):
+            mended = flipped.copy()
+            sf.recompute_suture_flags(mended)
+            expected = sf.validate(mended)
+            assert sf.validate(flipped, set_flags=True) == expected
+            assert sf.to_json_dict(flipped) == sf.to_json_dict(mended)
