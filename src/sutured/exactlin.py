@@ -2,7 +2,8 @@
 
 Everything at desk scale: the diagrams this package works with produce
 systems with a few hundred rows at most, so plain Gaussian elimination
-on bitmask rows over F2 and a textbook Smith normal form are enough.
+on bitmask rows over F2 and a Smith reduction that keeps only the
+invariant factors and the row operations U are enough.
 No floating point is used anywhere.
 
 Whether a nonzero nonnegative kernel vector exists is settled mod 2
@@ -152,99 +153,65 @@ def f2_rank(rows: Sequence[int]) -> int:
 # Z: Smith normal form and cokernel classes
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
-    """Compute S = U * A * V in Smith normal form.
+def smith_reduce(mat: Sequence[Sequence[int]]) -> tuple:
+    """Invariant factors of an integer matrix A, and a U reaching them.
 
-    Returns ``(S, U, V)`` as dense lists; U and V are unimodular, S is
-    diagonal with s_i | s_{i+1}.  Textbook elimination with exact integer
-    arithmetic; fine at this scale.
+    Returns ``(factors, U)``: the nonzero invariant factors s_1 | s_2 |
+    ..., all positive, and a unimodular U as sparse rows (dicts column
+    -> entry) with U A V = diag(factors, 0, ...) for a unimodular V that
+    is never built.  U lists the pivot rows as they were settled, then
+    the others in order.  Each pivot is an entry of least absolute
+    value; row operations clear its column, and a remainder becomes the
+    next pivot.  Once the pivot is alone in its column, the column
+    operations that clear its row change that row only: its entries are
+    taken mod the pivot.  A pivot of +-1 skips the divisibility fix-up.
     """
-    S = [list(row) for row in mat]
-    nr = len(S)
-    nc = len(S[0]) if nr else 0
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):  # row dst += k * row src
-        S[dst] = [a + k * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, k):
-        for row in S:
-            row[dst] += k * row[src]
-        for row in V:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # find a nonzero pivot at (t, t) or beyond
-        pr = pc = -1
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if S[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
+    rows = [{j: a for j, a in enumerate(row) if a} for row in mat]
+    U = [{i: 1} for i in range(len(rows))]
+    live = list(range(len(rows)))
+    factors, order = [], []
+    while True:
+        entries = [(abs(a), i, j) for i in live for j, a in rows[i].items()]
+        if not entries:
             break
-        swap_rows(t, pr)
-        swap_cols(t, pc)
+        _, r, c = min(entries)
         while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nr):
-                if S[i][t] != 0:
-                    if S[i][t] % S[t][t] == 0:
-                        add_row(i, t, -S[i][t] // S[t][t])
-                    else:
-                        q = S[i][t] // S[t][t]
-                        add_row(i, t, -q)
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if S[t][j] != 0:
-                    if S[t][j] % S[t][t] == 0:
-                        add_col(j, t, -S[t][j] // S[t][t])
-                    else:
-                        q = S[t][j] // S[t][t]
-                        add_col(j, t, -q)
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty and all(S[i][t] == 0 for i in range(t + 1, nr)) and all(
-                S[t][j] == 0 for j in range(t + 1, nc)
-            ):
-                break
-        # divisibility fix-up: S[t][t] must divide everything below-right
-        val = S[t][t]
-        fixed = True
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if S[i][j] % val != 0:
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if S[t][t] < 0:
-                negate_row(t)
-            t += 1
-    return S, U, V
+            p = rows[r][c]
+            for i in live:
+                if i != r and c in rows[i]:
+                    q = rows[i][c] // p
+                    _add_row(rows[i], rows[r], -q)
+                    _add_row(U[i], U[r], -q)
+            left = [(abs(rows[i][c]), i) for i in live if i != r and c in rows[i]]
+            if left:
+                r = min(left)[1]
+                continue
+            rest = {j: a % p for j, a in rows[r].items() if j != c and a % p}
+            rows[r] = {c: p, **rest}
+            if rest:
+                c = min(rest, key=lambda j: (abs(rest[j]), j))
+                continue
+            if abs(p) != 1:
+                bad = next((i for i in live if i != r and any(a % p for a in rows[i].values())), None)
+                if bad is not None:
+                    _add_row(rows[r], rows[bad], 1)
+                    _add_row(U[r], U[bad], 1)
+                    continue
+            break
+        live.remove(r)
+        factors.append(abs(p))
+        if p < 0:
+            U[r] = {k: -u for k, u in U[r].items()}
+        order.append(r)
+    return factors, [U[i] for i in order + live]
+
+
+def _add_row(dst: dict, src: dict, k: int) -> None:
+    """Sparse row ``dst`` += k * ``src``, dropping entries that reach 0."""
+    for j, a in src.items():
+        v = dst.pop(j, 0) + k * a
+        if v:
+            dst[j] = v
 
 
 def cokernel_residue(m: IntegerMatrix):
@@ -254,10 +221,10 @@ def cokernel_residue(m: IntegerMatrix):
     iterable of distinct row indices.  Two vectors b, b' get equal keys
     iff b - b' lies in the integer image of ``m``.  Used to split
     generators into boundary-equivalence classes with a single Smith
-    reduction S = U m V: b lies in the image iff each entry of U b is
-    divisible by its invariant factor (zero where the factor is zero).
-    A row whose factor is 1 never tells cosets apart, so the key reads
-    only the other rows.
+    reduction (``smith_reduce``) S = U m V: b lies in the image iff each
+    entry of U b is divisible by its invariant factor (zero where the
+    factor is zero).  A row whose factor is 1 never tells cosets apart,
+    so the key reads only the other rows.
 
     The free rows (factor 0) are packed side by side into one int per
     column of U, row i of the column in a lane W bits wide at bit W * i
@@ -268,18 +235,18 @@ def cokernel_residue(m: IntegerMatrix):
     puts that bound below 2^W, so equal sums have equal lanes: the
     lowest lane that differed would have to differ by a multiple of
     2^W.  The torsion rows (factor > 1) are reduced lane by lane, and
-    make up the key's second part.
+    make up the key's second part; without torsion rows the key is the
+    sum alone.
     """
-    S, U, _V = smith_normal_form(m.dense())
-    diag = [S[i][i] if i < min(m.rows, m.cols) else 0 for i in range(m.rows)]
-    free = [U[i] for i in range(m.rows) if diag[i] == 0]
-    torsion = [(U[i], diag[i]) for i in range(m.rows) if diag[i] > 1]
-    bound = max((abs(u) for row in free for u in row), default=0)
+    factors, U = smith_reduce(m.dense())
+    free = U[len(factors):]
+    torsion = [(U[i], q) for i, q in enumerate(factors) if q > 1]
+    bound = max((abs(u) for row in free for u in row.values()), default=0)
     width = (m.rows * bound).bit_length()
-    packed = {
-        k: sum(row[k] << (width * lane) for lane, row in enumerate(free))
-        for k in range(m.rows)
-    }
+    packed = dict.fromkeys(range(m.rows), 0)
+    for lane, row in enumerate(free):
+        for k, u in row.items():
+            packed[k] += u << (width * lane)
 
     def key(rows):
         rows = list(rows)
@@ -287,7 +254,9 @@ def cokernel_residue(m: IntegerMatrix):
             total = sum(map(packed.__getitem__, rows))
         except KeyError as err:
             raise ValueError(f"row index {err.args[0]} out of range") from None
-        return total, tuple(sum(row[k] for k in rows) % q for row, q in torsion)
+        if not torsion:
+            return total
+        return total, tuple(sum(row.get(k, 0) for k in rows) % q for row, q in torsion)
 
     return key
 

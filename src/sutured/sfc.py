@@ -8,9 +8,12 @@ may well consist of two faces joined along a scar, and it still counts.
 
 Each census makes one pass over the face words (``_face_index``), which
 files the faces on each edge, from which the regions follow, and the
-faces at each vertex, which decide the crossings a domain holds inside.
+faces at each crossing, which decide the crossings a domain holds inside.
 ``differential`` builds the crossing table once, for both the census
 and the generators.
+
+The action census grows each chord's candidate domains from the faces
+on the chord across shared edges (``_connected_supersets``).
 """
 
 from dataclasses import dataclass, field
@@ -218,17 +221,18 @@ def _corner_points(d, runs):
     return frozenset(xs), frozenset(ys)
 
 
-def _face_index(d: Diagram):
+def _face_index(d: Diagram, crossings: dict):
     """One pass over the face words for a census: edge -> faces (one
-    entry per side, in face order) and vertex -> the set of faces whose
-    word touches it."""
+    entry per side, in face order) and crossing -> the set of faces
+    whose word touches it.  ``crossings`` is ``_crossing_curves(d)``."""
     faces_on, incident = {}, {}
     for f, face in d.faces.items():
         for (e, _s) in face.word:
             ed = d.edges[e]
             faces_on.setdefault(e, []).append(f)
-            incident.setdefault(ed.frm, set()).add(f)
-            incident.setdefault(ed.to, set()).add(f)
+            for v in (ed.frm, ed.to):
+                if v in crossings:
+                    incident.setdefault(v, set()).add(f)
     return faces_on, incident
 
 
@@ -243,7 +247,7 @@ def _interior_crossings(d, faces, cycles, crossings, incident) -> frozenset:
     """Crossings off the boundary cycles whose faces all lie in ``faces``.
 
     ``crossings`` is ``_crossing_curves(d)`` and ``incident`` is
-    ``_face_index(d)``'s vertex -> faces, built once per census.
+    ``_face_index``'s crossing -> faces, built once per census.
     """
     on_cycle = set()
     for cyc in cycles:
@@ -280,7 +284,7 @@ def region_census(d: Diagram, crossings: Optional[dict] = None) -> list:
     interface = d.interface_edge_ids()
     if crossings is None:
         crossings = _crossing_curves(d)
-    faces_on, incident = _face_index(d)
+    faces_on, incident = _face_index(d, crossings)
     for group in _seam_classes(d, faces_on, seams):
         if d.faces[group[0]].suture:
             continue
@@ -616,22 +620,55 @@ def _try_quad(d, faces, bd, k, t, i, j, crossings, incident):
     )
 
 
+def _connected_supersets(base, allowed, adjacent):
+    """Each set of faces holding ``base``, inside ``base | allowed`` and
+    joined to ``base`` across shared edges (``adjacent``: face -> faces
+    sharing an edge with it), once, as a frozenset.  Branches on the
+    first frontier face (next to the set, seen by no earlier branch):
+    leave it out for good, or take it in and queue its unseen neighbours.
+    """
+    start = tuple(sorted({g for f in base for g in adjacent[f] if g in allowed} - set(base)))
+    stack = [(frozenset(base), start, set(base).union(start))]
+    while stack:
+        chosen, frontier, seen = stack.pop()
+        if not frontier:
+            yield chosen
+            continue
+        f, rest = frontier[0], frontier[1:]
+        grown = tuple(sorted(g for g in adjacent[f] if g in allowed and g not in seen))
+        stack.append((chosen, rest, seen))
+        stack.append((chosen | {f}, rest + grown, seen.union(grown)))
+
+
 def action_census(d: Diagram) -> list:
     """All embedded quadrilaterals carried by interface chords.
 
     A chord joins two marked points of one interval; the quad picks up
-    any set of non-suture faces whose union is a disk meeting the
+    a set of non-suture faces whose union is a disk meeting the
     interface in exactly that chord, with the rest of its boundary an
     alternating beta-alpha-beta (or alpha-beta-alpha) walk.
+
+    Candidates are the sets grown from the faces on the chord across
+    shared edges, through faces whose boundary edges all lie on the
+    chord; each still goes through the full quadrilateral test.  No set
+    is missed: an accepted set has one boundary cycle, so it is joined
+    across shared edges, and a boundary edge lies on one face only, so
+    one off the chord would sit on the cycle and break the chord run.
     """
     nonsuture = sorted(f for f, face in d.faces.items() if not face.suture)
     if d.interfaces and len(nonsuture) > 14:
+        # Kept only as the benchmark's baseline: lifting it is ROADMAP item 1.
         raise ValueError(
-            f"refusing to enumerate 2^{len(nonsuture)} candidate domains; "
-            "simplify the diagram first"
+            f"refusing a bordered census over {len(nonsuture)} non-suture "
+            "faces (limit 14); simplify the diagram first"
         )
-    face_of_edge, incident = _face_index(d)
     crossings = _crossing_curves(d)
+    face_of_edge, incident = _face_index(d, crossings)
+    rim, adjacent = {}, {}  # face -> its boundary edges, the faces across its edges
+    for f in nonsuture:
+        word = [e for (e, _s) in d.faces[f].word]
+        rim[f] = {e for e in word if d.edges[e].kind == "boundary"}
+        adjacent[f] = {g for e in word for g in face_of_edge[e]} - {f}
     out = []
     for k, iface in enumerate(d.interfaces):
         for t, interval in enumerate(iface.intervals):
@@ -639,20 +676,14 @@ def action_census(d: Diagram) -> list:
             for i in range(points):
                 for j in range(i + 1, points):
                     bd = [interval[p] for p in range(i + 1, j + 1)]
+                    chord = set(bd)
                     base = {f for e in bd for f in face_of_edge[e]}
-                    if any(d.faces[f].suture for f in base):
+                    if any(d.faces[f].suture or rim[f] - chord for f in base):
                         continue
-                    others = [f for f in nonsuture if f not in base]
-                    for bits in range(1 << len(others)):
-                        chosen = sorted(
-                            base.union(
-                                others[b]
-                                for b in range(len(others))
-                                if bits >> b & 1
-                            )
-                        )
+                    allowed = {f for f in nonsuture if rim[f] <= chord}
+                    for faces in _connected_supersets(base, allowed, adjacent):
                         rec = _try_quad(
-                            d, chosen, bd, k, t, i, j, crossings, incident
+                            d, sorted(faces), bd, k, t, i, j, crossings, incident
                         )
                         if rec is not None:
                             out.append(rec)

@@ -4,8 +4,8 @@ Everything here is written from the definitions: generators by
 filtering the full power set, the boundary map by reading face words
 directly (only meaningful when no region spans a seam), F2 rank by
 list-of-sets elimination, and membership in an integer image by solving
-through the Smith form.  The Smith form itself is the library's
-``smith_normal_form``, the one code path shared with it; its own
+through a textbook Smith form S = U A V kept here with both U and V,
+so no algebra is shared with the library's U-only reduction; its
 properties are tested in ``test_exactlin``.  The positive-kernel
 simplex is kept here in its plain form, which rebuilds the reduced
 costs from the whole tableau on every pivot, as the reference the
@@ -29,14 +29,19 @@ a fresh search for every component.  The library's worklist edits and
 one-index validator must give the same diagrams, links and problem
 lists, failures included.  ``reference_vertex_faces`` reads a vertex's
 faces in a scan of its own, which the census's one pass must match.
+``reference_action_census`` tries every subset of the non-suture faces
+for each chord, as the library did before it grew candidates from the
+chord, with its own copy of the quadrilateral test; the library must
+give the same records in the same order.  ``grid_rectangle_differential``
+counts empty rectangles on an n x n grid from permutations alone, with
+no surface or census code.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 
-from sutured import surface
-from sutured.exactlin import smith_normal_form
+from sutured import sfc, surface
 
 
 def crossing_vertices(d):
@@ -226,6 +231,121 @@ def naive_f2_rank(rows):
             basis.append(cur)
             basis.sort(key=max, reverse=True)
     return len(basis)
+
+
+def smith_normal_form(mat):
+    """Compute S = U * A * V in Smith normal form.
+
+    Returns ``(S, U, V)`` as dense lists; U and V are unimodular, S is
+    diagonal with s_i | s_{i+1}.  Textbook elimination with exact integer
+    arithmetic: the first nonzero entry is the pivot, and the row and
+    column operations are applied to U and V alike.
+    """
+    S = [list(row) for row in mat]
+    nr = len(S)
+    nc = len(S[0]) if nr else 0
+    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, k):  # row dst += k * row src
+        S[dst] = [a + k * b for a, b in zip(S[dst], S[src])]
+        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(dst, src, k):
+        for row in S:
+            row[dst] += k * row[src]
+        for row in V:
+            row[dst] += k * row[src]
+
+    def negate_row(i):
+        S[i] = [-a for a in S[i]]
+        U[i] = [-a for a in U[i]]
+
+    t = 0
+    while t < min(nr, nc):
+        # find a nonzero pivot at (t, t) or beyond
+        pr = pc = -1
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if S[i][j] != 0:
+                    pr, pc = i, j
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            break
+        swap_rows(t, pr)
+        swap_cols(t, pc)
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, nr):
+                if S[i][t] != 0:
+                    if S[i][t] % S[t][t] == 0:
+                        add_row(i, t, -S[i][t] // S[t][t])
+                    else:
+                        q = S[i][t] // S[t][t]
+                        add_row(i, t, -q)
+                        swap_rows(i, t)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if S[t][j] != 0:
+                    if S[t][j] % S[t][t] == 0:
+                        add_col(j, t, -S[t][j] // S[t][t])
+                    else:
+                        q = S[t][j] // S[t][t]
+                        add_col(j, t, -q)
+                        swap_cols(j, t)
+                        dirty = True
+            if not dirty and all(S[i][t] == 0 for i in range(t + 1, nr)) and all(
+                S[t][j] == 0 for j in range(t + 1, nc)
+            ):
+                break
+        # divisibility fix-up: S[t][t] must divide everything below-right
+        val = S[t][t]
+        fixed = True
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if S[i][j] % val != 0:
+                    add_row(t, i, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            if S[t][t] < 0:
+                negate_row(t)
+            t += 1
+    return S, U, V
+
+
+def determinant(mat):
+    """Determinant of a square integer matrix, by elimination over Q."""
+    rows = [[Fraction(v) for v in row] for row in mat]
+    n = len(rows)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return int(det)
 
 
 def z_image_contains(m, target):
@@ -423,6 +543,119 @@ def reference_spinc_partition(d, gens):
         key = tuple(ub[i] % diag[i] if diag[i] else ub[i] for i in range(n))
         classes[x] = labels.setdefault(key, len(labels))
     return classes
+
+
+def _reference_try_quad(d, faces, bd, k, t, i, j):
+    """The quadrilateral test on one face set, its interior read from
+    this module's own crossing and vertex -> faces scans."""
+    occ = {}
+    for f in faces:
+        for (e, _s) in d.faces[f].word:
+            occ[e] = occ.get(e, 0) + 1
+    inner = {e for e, n in occ.items() if n == 2}
+    if inner & set(bd):
+        return None
+    cycles = sfc._boundary_cycles(d, faces, inner)
+    if len(cycles) != 1:
+        return None
+    runs = sfc._cycle_runs(d, cycles[0])
+    if len(runs) != 4:
+        return None
+    bd_runs = [r for r in runs if r[0] == "bd"]
+    if len(bd_runs) != 1:
+        return None
+    if [d.faces[f].word[p][0] for (f, p) in bd_runs[0][1]] != bd:
+        return None
+    xs, ys = sfc._corner_points(d, runs)
+    if len(xs) != 1 or len(ys) != 1:
+        return None
+    on_cycle = set()
+    for (f, p) in cycles[0]:
+        ed = d.edges[d.faces[f].word[p][0]]
+        on_cycle.update((ed.frm, ed.to))
+    incident = reference_vertex_faces(d)
+    interior = frozenset(
+        v for v in crossing_vertices(d)
+        if v not in on_cycle and incident[v] <= set(faces)
+    )
+    return sfc.ActionRecord(
+        k, t, i, j, next(iter(xs)), next(iter(ys)), tuple(faces), interior
+    )
+
+
+def reference_action_census(d):
+    """Action records by trying, for every chord, every set of the
+    non-suture faces off the chord together with the chord's faces,
+    sorted as the library sorts them."""
+    if not d.interfaces:
+        return []
+    nonsuture = sorted(f for f, face in d.faces.items() if not face.suture)
+    if len(nonsuture) > 14:
+        raise ValueError("power set too large for the brute oracle")
+    face_of_edge = {}
+    for f, face in d.faces.items():
+        for (e, _s) in face.word:
+            face_of_edge.setdefault(e, []).append(f)
+    out = []
+    for k, iface in enumerate(d.interfaces):
+        for t, interval in enumerate(iface.intervals):
+            points = len(interval) - 1
+            for i in range(points):
+                for j in range(i + 1, points):
+                    bd = [interval[p] for p in range(i + 1, j + 1)]
+                    base = {f for e in bd for f in face_of_edge[e]}
+                    if any(d.faces[f].suture for f in base):
+                        continue
+                    others = [f for f in nonsuture if f not in base]
+                    for bits in range(1 << len(others)):
+                        chosen = sorted(
+                            base.union(o for b, o in enumerate(others) if bits >> b & 1)
+                        )
+                        rec = _reference_try_quad(d, chosen, bd, k, t, i, j)
+                        if rec is not None:
+                            out.append(rec)
+    return sorted(out, key=lambda r: (r.interface, r.interval, r.start, r.end, r.faces))
+
+
+# ---------------------------------------------------------------------------
+# grid diagrams from permutations
+
+
+def grid_rectangle_differential(n, k):
+    """The differential of the n x n toroidal grid with X squares at
+    (i, i) and O squares at (i, i + k), the layout of
+    ``fixtures.punctured_grid``, counting every empty rectangle that
+    holds no X and no O square.
+
+    A generator is a permutation s, the point (i, s[i]) on alpha row i
+    and beta column s[i].  A rectangle runs over rows i1, ..., i2 - 1
+    and columns j1, ..., j2 - 1, both mod n; as in the library's census
+    it moves x with s[i1] = j1 and s[i2] = j2 to y with the two columns
+    exchanged, and it is empty when no point of x lies strictly inside.
+    Returns generator -> frozenset of generators, mod 2.
+    """
+    marked = {(i, i) for i in range(n)} | {(i, (i + k) % n) for i in range(n)}
+
+    def span(a, b):  # a, a + 1, ..., b - 1 mod n
+        return [(a + r) % n for r in range((b - a) % n)]
+
+    out = {}
+    for s in permutations(range(n)):
+        hits = set()
+        for i1 in range(n):
+            for i2 in range(n):
+                if i1 == i2:
+                    continue
+                rows, cols = span(i1, i2), span(s[i1], s[i2])
+                if any((r, c) in marked for r in rows for c in cols):
+                    continue
+                if any(s[r] in cols[1:] for r in rows[1:]):
+                    continue
+                y = list(s)
+                y[i1], y[i2] = s[i2], s[i1]
+                hits ^= {tuple(y)}
+        out[s] = frozenset(hits)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The expected values here were fixed by small independent oracles
 (exhaustive vector enumeration over F2, exhaustive box search for
 nonnegative kernel vectors) before the implementations were written.
 The positive-kernel simplex is also compared, answer for answer, with
-the plain reference simplex in ``oracles``.
+the plain reference simplex in ``oracles``, and the U-only Smith
+reduction with the textbook Smith form kept there.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from sutured.exactlin import (
     f2_rank,
     f2_rank_kernel,
     positive_kernel_witness,
-    smith_normal_form,
+    smith_reduce,
 )
 
 
@@ -114,7 +115,7 @@ def test_smith_normal_form_properties():
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
         A = random_int_matrix(rng, nr, nc)
-        S, U, V = smith_normal_form(A)
+        S, U, V = oracles.smith_normal_form(A)
         # S == U A V
         UA = [[sum(U[i][k] * A[k][j] for k in range(nr)) for j in range(nc)] for i in range(nr)]
         UAV = [[sum(UA[i][k] * V[k][j] for k in range(nc)) for j in range(nc)] for i in range(nr)]
@@ -131,6 +132,35 @@ def test_smith_normal_form_properties():
                 assert b % a == 0 or b == 0 or a == 0
             else:
                 assert b == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.integers(-3, 3), min_size=nc, max_size=nc), min_size=1, max_size=6
+        )
+    ),
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=8),
+)
+def test_smith_reduce_matches_the_textbook_form(rows, pairs):
+    """The U-only reduction gives the textbook form's invariant factors,
+    a divisibility chain, a unimodular U, and keys that agree with
+    membership in the image on 0/1 pairs."""
+    factors, U = smith_reduce(rows)
+    S, _U, _V = oracles.smith_normal_form(rows)
+    assert factors == [S[i][i] for i in range(min(len(S), len(S[0]))) if S[i][i]]
+    assert all(q > 0 for q in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert abs(oracles.determinant([[row.get(k, 0) for k in range(len(U))] for row in U])) == 1
+    m = IntegerMatrix.from_rows(rows)
+    key = cokernel_residue(m)
+    for p1, p2 in pairs:
+        b1 = [p1 >> i & 1 for i in range(m.rows)]
+        b2 = [p2 >> i & 1 for i in range(m.rows)]
+        diff = tuple(a - b for a, b in zip(b1, b2))
+        same = oracles.z_image_contains(m, diff) is not None
+        assert (key(_support(b1)) == key(_support(b2))) == same
 
 
 def test_z_image_contains():
@@ -169,6 +199,11 @@ def _support(b):
     return [i for i, v in enumerate(b) if v]
 
 
+def _sparse(units):
+    """Dense rows as the sparse rows ``smith_reduce`` returns."""
+    return [{k: u for k, u in enumerate(row) if u} for row in units]
+
+
 def _assert_keys_separate_all_subsets(m):
     """On a matrix with zero image, every 0/1 vector is its own class."""
     key = cokernel_residue(m)
@@ -180,7 +215,7 @@ def _assert_keys_separate_all_subsets(m):
 def test_cokernel_residue_keys_large_unimodular_factors(monkeypatch):
     """Free rows read through a U with entries near 2^40 stay apart.
 
-    Any unimodular U is a Smith form S = U A V of a zero matrix A.  With
+    Any unimodular U reduces a zero matrix A, with no factors.  With
     D = 2^40, U = [[1, 1 - D], [0, 1]] has max|U| = D - 1, so the sums
     of its columns over the 2 rows need lanes 41 bits wide; with lanes
     40 bits wide the columns {0} and {1} would pack to the same int.
@@ -188,9 +223,7 @@ def test_cokernel_residue_keys_large_unimodular_factors(monkeypatch):
     big = 1 << 40
     m = IntegerMatrix(2, 1, ())
     units = [[1, 1 - big], [0, 1]]
-    monkeypatch.setattr(
-        exactlin, "smith_normal_form", lambda dense: ([[0], [0]], units, [[1]])
-    )
+    monkeypatch.setattr(exactlin, "smith_reduce", lambda dense: ([], _sparse(units)))
     key = cokernel_residue(m)
     assert key([0]) != key([1])
     _assert_keys_separate_all_subsets(m)
@@ -206,19 +239,19 @@ def test_cokernel_residue_keys_large_unimodular_factors(monkeypatch):
 )
 def test_cokernel_residue_keys_random_unimodular_factors(rows, steps):
     """Row operations with large multipliers build a unimodular U; as the
-    Smith form of a zero matrix it must still separate every 0/1 vector."""
+    reduction of a zero matrix it must still separate every 0/1 vector."""
     units = [[int(i == j) for j in range(rows)] for i in range(rows)]
     for dst, src, k in steps:
         dst, src = dst % rows, src % rows
         if dst != src:
             units[dst] = [a + k * b for a, b in zip(units[dst], units[src])]
     m = IntegerMatrix(rows, 1, ())
-    real = exactlin.smith_normal_form
-    exactlin.smith_normal_form = lambda dense: ([[0]] * rows, units, [[1]])
+    real = exactlin.smith_reduce
+    exactlin.smith_reduce = lambda dense: ([], _sparse(units))
     try:
         _assert_keys_separate_all_subsets(m)
     finally:
-        exactlin.smith_normal_form = real
+        exactlin.smith_reduce = real
 
 
 def test_cokernel_residue_rejects_rows_out_of_range():

@@ -3,6 +3,7 @@ classes, the differential, homology, and interface actions."""
 
 import gc
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -145,11 +146,14 @@ def _partition(d, gens=None):
 
 def _assert_one_pass_census(d):
     """The census's one pass over the face words gives the regions of
-    ``surface.regions`` and the reference vertex -> faces incidence."""
-    faces_on, incident = sfc._face_index(d)
+    ``surface.regions`` and the reference vertex -> faces incidence on
+    the crossings."""
+    crossings = sfc._crossing_curves(d)
+    faces_on, incident = sfc._face_index(d, crossings)
     seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
     assert sfc._seam_classes(d, faces_on, seams) == sf.regions(d)
-    assert incident == oracles.reference_vertex_faces(d)
+    reference = oracles.reference_vertex_faces(d)
+    assert incident == {v: reference[v] for v in crossings}
 
 
 def _assert_matches_references(d):
@@ -737,6 +741,114 @@ def test_actions_survive_concatenation():
     ]
 
 
+def _cut_open(name, base, sites):
+    """The cut-open bases that a 1-handle and a 2-handle route at each
+    site census: ``prepare_one_handle`` of the base, and
+    ``prepare_two_handle`` of the 1-handled base."""
+    for site in sites:
+        one, two = glue.two_handle_sequence(base, site)
+        where = f"{name} cut at {site or one.p}"
+        yield where, glue.prepare_one_handle(base, one.p, one.q)
+        mid = glue.one_handled(base, site)[0]
+        yield where.replace("cut", "2-handle cut"), glue.prepare_two_handle(
+            mid, two.p, two.q, two.a_path, two.b_path
+        )
+
+
+def _bordered_diagrams():
+    """Diagrams with interfaces: every catalog piece with one and its
+    mirror (the blocks u1, cap1, u2 and cap2 among them), the stages of
+    the two-handle sequences over fix-stab and bigonpair^3 with their
+    cut-open bases, and the cut-open bases of an n = 4 grid at three
+    sites."""
+    for name in NICE_PIECES:
+        yield name, pieces.build(name)
+        yield f"mirror {name}", pieces.mirror(pieces.build(name))
+    for name in ("fix-stab", "bigonpair^3"):
+        for k, d in enumerate(_handle_stages(name)):
+            yield f"{name} stage {k}", d
+        base = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
+        yield from _cut_open(name, base, [None])
+    grid = fixtures.relabel(fixtures.punctured_grid(4, 1), random.Random(4))
+    free = sorted(grid.free_boundary_edge_ids())
+    yield from _cut_open("grid4", grid, free[::3])
+    yield "grid4 cut at two sites", glue.prepare_one_handle(grid, free[0], free[5])
+
+
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(d, id=where.replace(" ", "-")) for where, d in _bordered_diagrams() if d.interfaces],
+)
+def test_action_census_matches_the_reference(d):
+    """Growing candidates from each chord finds exactly the records of
+    trying every face subset, list order included."""
+    assert sfc.action_census(d) == oracles.reference_action_census(d)
+
+
+def test_cut_open_grids_carry_actions():
+    """The reference comparison on grids is not vacuous: each 2-handle
+    cut of the n = 4 grid has action records."""
+    cuts = [d for where, d in _bordered_diagrams() if where.startswith("grid4 2-handle")]
+    assert len(cuts) == 3 and all(sfc.action_census(d) for d in cuts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_action_census_of_subdivided_pieces_matches_the_reference(data):
+    """Plain vertices added on the curves of a bordered piece or its
+    mirror leave the records equal to the reference's."""
+    names = [n for n in NICE_PIECES if pieces.build(n).interfaces]
+    d = pieces.build(data.draw(st.sampled_from(names)))
+    if data.draw(st.booleans()):
+        d = pieces.mirror(d)
+    interface = d.interface_edge_ids()
+    for _ in range(data.draw(st.integers(1, 3))):
+        curve_edges = sorted(
+            e for e, ed in d.edges.items()
+            if ed.kind in ("alpha", "beta") and e not in interface
+        )
+        if not curve_edges:
+            break
+        sf.subdivide_edge(d, data.draw(st.sampled_from(curve_edges)))
+    assert sf.validate(d) == []
+    assert sfc.action_census(d) == oracles.reference_action_census(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_connected_supersets_each_once_and_reached_from_the_base(data):
+    """On a random graph, the grown sets are exactly the sets holding
+    the base, inside the allowed faces, and connected to the base, each
+    listed once."""
+    n = data.draw(st.integers(1, 7))
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    adjacent = {v: set() for v in range(n)}
+    for a, b in edges:
+        if a != b:
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+    base = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    allowed = data.draw(st.sets(st.integers(0, n - 1)))
+    grown = list(sfc._connected_supersets(base, allowed, adjacent))
+    assert len(grown) == len(set(grown))
+
+    def reached(faces):
+        seen, todo = set(base), list(base)
+        while todo:
+            for g in adjacent[todo.pop()] & faces - seen:
+                seen.add(g)
+                todo.append(g)
+        return seen == faces
+
+    extra = sorted(allowed - base)
+    expect = {
+        frozenset(base).union(combo)
+        for r in range(len(extra) + 1)
+        for combo in itertools.combinations(extra, r)
+    }
+    assert set(grown) == {faces for faces in expect if reached(faces)}
+
+
 def test_action_census_refuses_large_enumerations():
     big = fixtures.disjoint_union(
         pieces.build("az2"),
@@ -749,3 +861,22 @@ def test_action_census_refuses_large_enumerations():
 
 def test_action_census_empty_without_interfaces():
     assert sfc.action_census(pieces.build("bigonpair")) == []
+
+
+# ---------------------------------------------------------------------------
+# the grid oracle
+
+
+@pytest.mark.parametrize("n, k, rank", [(4, 1, 8), (5, 1, 16), (6, 1, 32), (5, 2, 48)])
+def test_grid_rectangle_oracle_ranks(n, k, rank):
+    """The permutation oracle is a complex on n! generators whose
+    homology has the known grid ranks: 2^(n-1) for the unknot and 48
+    for the trefoil."""
+    d = oracles.grid_rectangle_differential(n, k)
+    assert len(d) == math.factorial(n)
+    for ys in d.values():
+        twice = set()
+        for y in ys:
+            twice ^= d[y]
+        assert not twice
+    assert len(d) - 2 * oracles.naive_f2_rank(d.values()) == rank
