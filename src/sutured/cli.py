@@ -57,7 +57,10 @@ def _read_diagram(path):
 
 def _read_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("document nests too deeply") from None
 
 
 def _plural(n, noun):

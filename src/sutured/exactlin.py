@@ -153,20 +153,21 @@ def f2_rank(rows: Sequence[int]) -> int:
 # Z: Smith normal form and cokernel classes
 
 
-def smith_reduce(mat: Sequence[Sequence[int]]) -> tuple:
+def smith_reduce(rows: Sequence[dict]) -> tuple:
     """Invariant factors of an integer matrix A, and a U reaching them.
 
-    Returns ``(factors, U)``: the nonzero invariant factors s_1 | s_2 |
-    ..., all positive, and a unimodular U as sparse rows (dicts column
-    -> entry) with U A V = diag(factors, 0, ...) for a unimodular V that
-    is never built.  U lists the pivot rows as they were settled, then
+    A is given by its rows, each a dict column -> nonzero entry; the
+    rows are copied, not changed.  Returns ``(factors, U)``: the nonzero
+    invariant factors s_1 | s_2 | ..., all positive, and a unimodular U
+    as sparse rows (dicts column -> entry) with U A V = diag(factors, 0,
+    ...) for a unimodular V that is never built.  U lists the pivot rows as they were settled, then
     the others in order.  Each pivot is an entry of least absolute
     value; row operations clear its column, and a remainder becomes the
     next pivot.  Once the pivot is alone in its column, the column
     operations that clear its row change that row only: its entries are
     taken mod the pivot.  A pivot of +-1 skips the divisibility fix-up.
     """
-    rows = [{j: a for j, a in enumerate(row) if a} for row in mat]
+    rows = [dict(row) for row in rows]
     U = [{i: 1} for i in range(len(rows))]
     live = list(range(len(rows)))
     factors, order = [], []
@@ -214,17 +215,18 @@ def _add_row(dst: dict, src: dict, k: int) -> None:
             dst[j] = v
 
 
-def cokernel_residue(m: IntegerMatrix):
-    """Return a function classifying 0/1 vectors modulo the column span of ``m``.
+def cokernel_residue(rows: Sequence[dict]):
+    """Return a function classifying 0/1 vectors modulo the column span of m.
 
-    The returned ``key`` takes the rows where a 0/1 vector is 1, as an
-    iterable of distinct row indices.  Two vectors b, b' get equal keys
-    iff b - b' lies in the integer image of ``m``.  Used to split
-    generators into boundary-equivalence classes with a single Smith
-    reduction (``smith_reduce``) S = U m V: b lies in the image iff each
-    entry of U b is divisible by its invariant factor (zero where the
-    factor is zero).  A row whose factor is 1 never tells cosets apart,
-    so the key reads only the other rows.
+    The matrix m is given as ``smith_reduce`` takes it: one dict column
+    -> nonzero entry per row.  The returned ``key`` takes the rows where
+    a 0/1 vector is 1, as an iterable of distinct row indices.  Two
+    vectors b, b' get equal keys iff b - b' lies in the integer image of
+    m.  Used to split generators into boundary-equivalence classes with
+    a single Smith reduction (``smith_reduce``) S = U m V: b lies in the
+    image iff each entry of U b is divisible by its invariant factor
+    (zero where the factor is zero).  A row whose factor is 1 never
+    tells cosets apart, so the key reads only the other rows.
 
     The free rows (factor 0) are packed side by side into one int per
     column of U, row i of the column in a lane W bits wide at bit W * i
@@ -238,25 +240,25 @@ def cokernel_residue(m: IntegerMatrix):
     make up the key's second part; without torsion rows the key is the
     sum alone.
     """
-    factors, U = smith_reduce(m.dense())
+    factors, U = smith_reduce(rows)
     free = U[len(factors):]
     torsion = [(U[i], q) for i, q in enumerate(factors) if q > 1]
     bound = max((abs(u) for row in free for u in row.values()), default=0)
-    width = (m.rows * bound).bit_length()
-    packed = dict.fromkeys(range(m.rows), 0)
+    width = (len(rows) * bound).bit_length()
+    packed = dict.fromkeys(range(len(rows)), 0)
     for lane, row in enumerate(free):
         for k, u in row.items():
             packed[k] += u << (width * lane)
 
-    def key(rows):
-        rows = list(rows)
+    def key(support):
+        support = list(support)
         try:
-            total = sum(map(packed.__getitem__, rows))
+            total = sum(map(packed.__getitem__, support))
         except KeyError as err:
             raise ValueError(f"row index {err.args[0]} out of range") from None
         if not torsion:
             return total
-        return total, tuple(sum(row.get(k, 0) for k in rows) % q for row, q in torsion)
+        return total, tuple(sum(row.get(k, 0) for k in support) % q for row, q in torsion)
 
     return key
 

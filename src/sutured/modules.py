@@ -9,17 +9,17 @@ on alpha-type ones), and type-D structures store ``δ¹`` outputs as
 (algebra basis element, generator) pairs.  Higher actions vanish on nice
 diagrams, and non-nice input is rejected rather than silently truncated.
 
-The module also provides the box tensor product against a type-A
-structure, dualization by table transposition, and a structure-relation
-checker used by the test harness and the command-line reports.
+The staged gluing route (``glue``) and the ``bordered`` verb read these
+tables.  The checks on them -- the structure relations and the box
+tensor product against the glued diagram's complex -- are test
+references in ``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from . import sfc, strands
-from .exactlin import BinaryMatrix, f2_rank_kernel
-from .surface import ArcDiagram, Diagram, _interface_arc_bijection
+from .surface import ArcDiagram, Diagram
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class BorderedStructure:
     differential: dict  # generator -> frozenset of generators
     tables: list  # per side: {algebra label: {generator: frozenset of outputs}}
     delta: dict  # kind D: generator -> frozenset of (label, generator)
-    dual: bool = False
 
     def generator_names(self) -> list:
         return [format_generator(x) for x in self.generators]
@@ -267,16 +266,6 @@ def delta1(bs: BorderedStructure, y) -> frozenset:
     return bs.delta.get(y, frozenset())
 
 
-def idempotent_of(bs: BorderedStructure, x, side_pos: int):
-    """ι_L/ι_R of a generator: its occupied arcs, or their complement on
-    a type-D side."""
-    side = bs.sides[side_pos]
-    occ = set(bs.occupancy[side_pos][x])
-    if bs.kind == "D":
-        occ = set(side.arcs) - occ
-    return strands.idempotent(side.algebra, occ)
-
-
 def is_elementary(bs: BorderedStructure) -> bool:
     """One generator, no differential, no non-idempotent actions."""
     if len(bs.generators) != 1 or bs.differential:
@@ -290,238 +279,6 @@ def is_elementary(bs: BorderedStructure) -> bool:
             if movers and col:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# dualization
-
-
-def dualize(m: BorderedStructure) -> BorderedStructure:
-    """Transpose every table; swap the acting sides of an AA bimodule."""
-    order = list(range(len(m.sides)))[::-1] if m.kind == "AA" else [0]
-    diff = {}
-    for x, ys in m.differential.items():
-        for y in ys:
-            diff.setdefault(y, set()).add(x)
-    tables = []
-    for s in order:
-        table = {}
-        for label, col in m.tables[s].items():
-            for x, outs in col.items():
-                for y in outs:
-                    table.setdefault(label, {}).setdefault(y, set()).add(x)
-        tables.append(
-            {
-                label: {y: frozenset(xs) for y, xs in col.items()}
-                for label, col in table.items()
-            }
-        )
-    delta = {}
-    for y, entries in m.delta.items():
-        for (label, y2) in entries:
-            delta.setdefault(y2, set()).add((label, y))
-    return BorderedStructure(
-        m.kind,
-        m.diagram,
-        [m.sides[s] for s in order],
-        list(m.generators),
-        [m.occupancy[s] for s in order],
-        {x: frozenset(ys) for x, ys in diff.items()},
-        tables if m.kind != "D" else [{}],
-        {y: frozenset(es) for y, es in delta.items()},
-        not m.dual,
-    )
-
-
-# ---------------------------------------------------------------------------
-# structure relations
-
-
-def _leibniz_safe(z: ArcDiagram, term) -> bool:
-    """True when the generator visibly has no resolvable crossing, so the
-    Leibniz rule holds without an algebra differential term."""
-    movers, occupied = term
-    pos = _positions(z)
-    spans = sorted((pos[s], pos[t]) for s, t in movers)
-    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-        if a1[0] == a2[0] and a1 < a2 and b1 > b2:
-            return False
-    by_arc = {}
-    for p, a in z.matching.items():
-        by_arc.setdefault(a, []).append(p)
-    for o in occupied:
-        for p in by_arc[o]:
-            for (i, k), (j, l) in spans:
-                if pos[p][0] == i and k < pos[p][1] < l:
-                    return False
-    return True
-
-
-def _apply(table, label, xs) -> frozenset:
-    out = set()
-    for x in xs:
-        out ^= table.get(label, {}).get(x, frozenset())
-    return frozenset(out)
-
-
-def check_relations(m: BorderedStructure) -> dict:
-    """Verify ∂²=0, idempotent compatibility, action composition, the
-    Leibniz rule, and for type D the δ¹ structure equation."""
-    violations = []
-    name = format_generator
-    diff = m.differential
-    for x in m.generators:
-        acc = set()
-        for y in diff.get(x, ()):
-            acc ^= set(diff.get(y, ()))
-        if acc:
-            violations.append(f"∂² ≠ 0 at {name(x)}")
-    for side_pos, side in enumerate(m.sides):
-        if m.kind == "D":
-            break
-        basis = algebra_basis(m, side_pos)
-        table = m.tables[side_pos]
-        for label, col in table.items():
-            a = basis[label]
-            la, ra = strands.left_arcs(a), strands.right_arcs(a)
-            src, dst = (la, ra) if side.family == "beta" else (ra, la)
-            for x, outs in col.items():
-                if m.occupancy[side_pos][x] != src:
-                    violations.append(
-                        f"idempotent mismatch: {label} into {name(x)}"
-                    )
-                for y in outs:
-                    if m.occupancy[side_pos][y] != dst:
-                        violations.append(
-                            f"idempotent mismatch: {label} out of {name(y)}"
-                        )
-        for l1, b1 in basis.items():
-            for l2, b2 in basis.items():
-                two_step = {
-                    x: _apply(table, l2, _apply(table, l1, {x}))
-                    for x in m.generators
-                }
-                prod = (
-                    strands.multiply(b1, b2)
-                    if side.family == "beta"
-                    else strands.multiply(b2, b1)
-                )
-                for x in m.generators:
-                    expect = set()
-                    for term in prod.terms:
-                        lab = strands.label(
-                            strands.StrandDiagramSum(side.algebra, frozenset({term}))
-                        )
-                        expect ^= table.get(lab, {}).get(x, frozenset())
-                    if two_step[x] != frozenset(expect):
-                        violations.append(
-                            f"composition fails: {l2}∘{l1} vs their product "
-                            f"at {name(x)}"
-                        )
-        for label, b in basis.items():
-            if not _leibniz_safe(side.algebra, next(iter(b.terms))):
-                continue
-            for x in m.generators:
-                lhs = set()
-                for y in table.get(label, {}).get(x, frozenset()):
-                    lhs ^= set(diff.get(y, ()))
-                rhs = _apply(table, label, diff.get(x, frozenset()))
-                if frozenset(lhs) != rhs:
-                    violations.append(f"Leibniz fails: {label} at {name(x)}")
-    if m.kind == "D":
-        z = m.sides[0].algebra
-        basis = algebra_basis(m, 0)
-        arcs = set(m.sides[0].arcs)
-        for y, entries in m.delta.items():
-            comp = arcs - set(m.occupancy[0][y])
-            for label, y2 in entries:
-                if strands.left_arcs(basis[label]) != frozenset(comp):
-                    violations.append(
-                        f"idempotent mismatch: δ¹({name(y)}) term {label}"
-                    )
-            acc = {}
-            for (l1, y1) in entries:
-                for (l2, y2) in m.delta.get(y1, ()):
-                    prev = acc.get(y2, strands.zero(z))
-                    acc[y2] = strands.add(
-                        prev, strands.multiply(basis[l1], basis[l2])
-                    )
-            for y2, total in acc.items():
-                if not total.is_zero():
-                    violations.append(
-                        f"δ¹ structure equation fails: {name(y)} → {name(y2)}"
-                    )
-    return {"ok": not violations, "violations": violations}
-
-
-# ---------------------------------------------------------------------------
-# box tensor product
-
-
-def box_tensor(a: BorderedStructure, d: BorderedStructure) -> sfc.ChainComplexF2:
-    """Pair a type-A with a type-D structure over matching interfaces.
-
-    Generators are the pairs whose occupied arc sets are complementary
-    under the interface identification; each is encoded as the union of
-    its two halves with the concatenation prefixes, so the result is
-    directly comparable with the complex of the glued diagram.
-    """
-    if a.kind != "A" or d.kind != "D":
-        raise ValueError("box tensor pairs a type-A with a type-D structure")
-    za, zd = a.sides[0].algebra, d.sides[0].algebra
-    arc_map = _interface_arc_bijection(za, zd)
-    inv_map = {v: k for k, v in arc_map.items()}
-    point_map = {}
-    for ia, ib in zip(za.intervals, zd.intervals):
-        for r, p in enumerate(ia):
-            point_map[ib[len(ib) - 1 - r]] = p
-    all_arcs = set(zd.matching.values())
-    pairs = []
-    for x in a.generators:
-        ox = {arc_map[o] for o in a.occupancy[0][x]}
-        for y in d.generators:
-            oy = set(d.occupancy[0][y])
-            if not (ox & oy) and ox | oy == all_arcs:
-                pairs.append((x, y))
-
-    def key(pair):
-        x, y = pair
-        return frozenset(f"L:{v}" for v in x) | frozenset(f"R:{v}" for v in y)
-
-    pairs.sort(key=lambda p: tuple(sorted(key(p))))
-    index = {p: i for i, p in enumerate(pairs)}
-    basis_d = algebra_basis(d, 0)
-    entries = set()
-    for (x, y) in pairs:
-        outs = set()
-        for x2 in a.differential.get(x, ()):
-            outs ^= {(x2, y)}
-        for (label, y2) in d.delta.get(y, ()):
-            movers, occupied = next(iter(basis_d[label].terms))
-            coeff = strands.element(
-                za,
-                [(point_map[t], point_map[f]) for (f, t) in movers],
-                {inv_map[o] for o in occupied},
-            )
-            for x2 in act(a, 0, coeff, x):
-                outs ^= {(x2, y2)}
-        for out in outs:
-            if out not in index:
-                raise AssertionError("box tensor left the compatible pairs")
-            entries.add((index[out], index[(x, y)]))
-    n = len(pairs)
-    basis = [key(p) for p in pairs]
-    return sfc.ChainComplexF2(
-        basis,
-        BinaryMatrix(n, n, frozenset(entries)),
-        {b: 0 for b in basis},
-        None,
-    )
-
-
-def chain_homology_rank(cx: sfc.ChainComplexF2) -> int:
-    rank, _ = f2_rank_kernel(cx.differential)
-    return len(cx.basis) - 2 * rank
 
 
 # ---------------------------------------------------------------------------

@@ -409,7 +409,7 @@ def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
         return {x: 0 for x in gens}
     vrow = {v: i for i, v in enumerate(verts)}
     alpha_edges = {e for c in d.curves("alpha").values() for e in c.segments}
-    dense = [[0] * len(groups) for _ in verts]
+    rows = [{} for _ in verts]
     for j, group in enumerate(groups):
         coeff = {}
         for f in group:
@@ -418,9 +418,12 @@ def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
                     coeff[e] = coeff.get(e, 0) + s
         for e, c in coeff.items():
             ed = d.edges[e]
-            dense[vrow[ed.to]][j] += c
-            dense[vrow[ed.frm]][j] -= c
-    key = cokernel_residue(IntegerMatrix.from_rows(dense))
+            for v, k in ((ed.to, c), (ed.frm, -c)):
+                row = rows[vrow[v]]
+                total = row.pop(j, 0) + k
+                if total:
+                    row[j] = total
+    key = cokernel_residue(rows)
     labels = {}
     classes = {}
     for x in gens:
@@ -441,8 +444,9 @@ class ChainComplexF2:
 
     ``differential`` builds it once per diagram, and homology, the handle
     maps and the glue routes take it instead of rebuilding it.
-    ``diagram`` is the diagram it came from (``None`` for a box tensor
-    product); ``position`` and ``columns`` are derived at construction.
+    ``diagram`` is the diagram it came from (``None`` for a complex built
+    from tables, such as the box tensor product of the test references);
+    ``position`` and ``columns`` are derived at construction.
     """
 
     basis: list  # canonically ordered generators

@@ -44,13 +44,6 @@ class StrandDiagramSum:
         return counts.pop() if len(counts) == 1 else None
 
 
-@dataclass(frozen=True)
-class DualElement:
-    """Formal dual of an element; pairs to 1 against its primal."""
-
-    primal: StrandDiagramSum
-
-
 # ---------------------------------------------------------------------------
 # bookkeeping
 
@@ -257,22 +250,6 @@ def render(x: StrandDiagramSum) -> str:
     return " + ".join(names)
 
 
-def dual(x: StrandDiagramSum) -> DualElement:
-    return DualElement(x)
-
-
-def dual_label(x: StrandDiagramSum) -> str:
-    """Name of a generator's dual: ρ12 becomes ρ∨12, ι1 becomes ι∨1."""
-    parts = label(x).split("|")
-    return "|".join(p[0] + "∨" + p[1:] for p in parts)
-
-
-def pairing(x: StrandDiagramSum, d: DualElement) -> int:
-    """Bilinear pairing: counts shared generators mod 2."""
-    _same_diagram(x, d.primal)
-    return len(x.terms & d.primal.terms) % 2
-
-
 # ---------------------------------------------------------------------------
 # idempotent bookkeeping
 
@@ -291,14 +268,6 @@ def right_arcs(x: StrandDiagramSum) -> frozenset:
         raise ValueError("defined for single generators")
     movers, occupied = next(iter(x.terms))
     return frozenset(x.z.matching[t] for _, t in movers) | occupied
-
-
-def left_idempotent(x: StrandDiagramSum) -> StrandDiagramSum:
-    return idempotent(x.z, left_arcs(x))
-
-
-def right_idempotent(x: StrandDiagramSum) -> StrandDiagramSum:
-    return idempotent(x.z, right_arcs(x))
 
 
 # ---------------------------------------------------------------------------

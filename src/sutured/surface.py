@@ -253,15 +253,6 @@ class Diagram:
 # derived structure: corners, vertex links, regions
 
 
-def side_occurrences(d: Diagram) -> dict:
-    """(edge, direction) -> list of (face id, word position)."""
-    occ = {}
-    for f in d.faces.values():
-        for i, (e, s) in enumerate(f.word):
-            occ.setdefault((e, s), []).append((f.id, i))
-    return occ
-
-
 def vertex_links(d: Diagram):
     """Cyclic (or linear) link of every vertex, as alternating lists.
 
@@ -659,10 +650,6 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
     return problems
 
 
-def euler_characteristic(d: Diagram) -> int:
-    return len(d.vertices) - len(d.edges) + len(d.faces)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 
@@ -762,259 +749,10 @@ def serialize(d: Diagram) -> str:
 def parse(text: str) -> Diagram:
     try:
         return from_json_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("document nests too deeply") from None
     except (KeyError, TypeError, AttributeError) as err:
         raise ValueError(f"malformed diagram document: {err!r}") from err
-
-
-# ---------------------------------------------------------------------------
-# canonical form and isomorphism
-
-
-def _component_faces(d: Diagram) -> list:
-    adj = {}
-    occ = side_occurrences(d)
-    for (e, _s), fs in occ.items():
-        faces_touching = [f for f, _ in fs]
-        other = [f for f, _ in occ.get((e, 1), [])] + [f for f, _ in occ.get((e, -1), [])]
-        for f in faces_touching:
-            adj.setdefault(f, set()).update(other)
-    comps = []
-    seen = set()
-    for f in sorted(d.faces):
-        if f in seen:
-            continue
-        comp = {f}
-        queue = [f]
-        while queue:
-            cur = queue.pop()
-            for nxt in adj.get(cur, ()):  # pragma: no branch
-                if nxt not in comp:
-                    comp.add(nxt)
-                    queue.append(nxt)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
-
-
-def _signature_from_flag(d: Diagram, comp, start_face, start_pos):
-    """Deterministic traversal signature starting at one flag."""
-    face_no = {}
-    edge_no = {}
-    vert_no = {}
-    curve_no = {}
-    order = []
-
-    def enum_vertex(v):
-        if v not in vert_no:
-            vert_no[v] = len(vert_no)
-        return vert_no[v]
-
-    def enum_edge(e):
-        if e not in edge_no:
-            edge_no[e] = len(edge_no)
-            ed = d.edges[e]
-            if ed.curve is not None and ed.curve not in curve_no:
-                curve_no[ed.curve] = len(curve_no)
-        return edge_no[e]
-
-    occ = side_occurrences(d)
-    queue = [(start_face, start_pos)]
-    face_no[start_face] = 0
-    sig_faces = []
-    while queue:
-        f, pos = queue.pop(0)
-        face = d.faces[f]
-        n = len(face.word)
-        rotated = [face.word[(pos + k) % n] for k in range(n)]
-        entry = []
-        for (e, s) in rotated:
-            ed = d.edges[e]
-            enum_vertex(ed.start(s))
-            enum_vertex(ed.end(s))
-            entry.append(
-                (
-                    enum_edge(e),
-                    s,
-                    ed.kind,
-                    None if ed.curve is None else curve_no[ed.curve],
-                )
-            )
-            opp = occ.get((e, -s))
-            if opp:
-                of, oi = opp[0]
-                if of not in face_no:
-                    face_no[of] = len(face_no)
-                    queue.append((of, (oi + 1) % len(d.faces[of].word)))
-        sig_faces.append((tuple(entry), face.suture))
-        order.append(f)
-    if len(face_no) != len(comp):
-        raise ValueError("component traversal incomplete")
-    # curve payload: family, closed, segment numbers in order
-    curves_sig = []
-    for cid, no in sorted(curve_no.items(), key=lambda kv: kv[1]):
-        fam = d.family_of(cid)
-        c = d.curves(fam)[cid]
-        curves_sig.append((fam, c.closed, tuple(edge_no[e] for e in c.segments)))
-    # interfaces touching this component
-    itf_sig = []
-    for itf in d.interfaces:
-        edges_flat = [e for iv in itf.intervals for e in iv]
-        if not edges_flat or edges_flat[0] not in edge_no:
-            continue
-        itf_sig.append(
-            (
-                tuple(tuple(edge_no[e] for e in iv) for iv in itf.intervals),
-                tuple(tuple(iv) for iv in itf.arc_diagram.intervals),
-                tuple(sorted(itf.arc_diagram.matching.items())),
-                itf.arc_diagram.kind,
-                tuple(
-                    (a, curve_no[c]) for a, c in sorted(itf.arcs.items()) if c in curve_no
-                ),
-            )
-        )
-    itf_sig.sort()
-    eh_sig = tuple(sorted(vert_no[v] for v in d.eh if v in vert_no))
-    marks_sig = tuple(
-        (k, vert_no[v]) for k, v in sorted(d.marks.items()) if v in vert_no
-    )
-    return (tuple(sig_faces), tuple(curves_sig), tuple(itf_sig), eh_sig, marks_sig)
-
-
-def canonical_signature(d: Diagram):
-    """A label-independent signature; equal iff diagrams are isomorphic."""
-    comps = _component_faces(d)
-    comp_sigs = []
-    for comp in comps:
-        best = None
-        # cheap prefilter on local flag data keeps the flag set small
-        flags = []
-        for f in comp:
-            word = d.faces[f].word
-            n = len(word)
-            for i in range(n):
-                e, s = word[i]
-                ed = d.edges[e]
-                local = (n, d.faces[f].suture, ed.kind, s)
-                flags.append((local, f, i))
-        min_local = min(fl[0] for fl in flags)
-        for local, f, i in flags:
-            if local != min_local:
-                continue
-            sig = _signature_from_flag(d, comp, f, i)
-            if best is None or sig < best:
-                best = sig
-        comp_sigs.append(best)
-    return tuple(sorted(comp_sigs))
-
-
-def equivalent(d1: Diagram, d2: Diagram) -> bool:
-    """Equality up to relabeling."""
-    return canonical_signature(d1) == canonical_signature(d2)
-
-
-def canonical_form(d: Diagram) -> Diagram:
-    """Relabel by the canonical traversal; stable across isomorphic inputs."""
-    comps = _component_faces(d)
-    plans = []
-    for comp in comps:
-        best = None
-        best_flag = None
-        flags = []
-        for f in comp:
-            word = d.faces[f].word
-            for i in range(len(word)):
-                e, s = word[i]
-                ed = d.edges[e]
-                flags.append(((len(word), d.faces[f].suture, ed.kind, s), f, i))
-        min_local = min(fl[0] for fl in flags)
-        for local, f, i in flags:
-            if local != min_local:
-                continue
-            sig = _signature_from_flag(d, comp, f, i)
-            if best is None or sig < best:
-                best = sig
-                best_flag = (f, i)
-        plans.append((best, best_flag, comp))
-    plans.sort(key=lambda p: p[0])
-
-    vmap, emap, fmap, cmap = {}, {}, {}, {}
-    face_order = []
-    occ = side_occurrences(d)
-    for _sig, (start_face, start_pos), comp in plans:
-        queue = [(start_face, start_pos)]
-        seen = {start_face}
-        while queue:
-            f, pos = queue.pop(0)
-            fmap[f] = f"f{len(fmap)}"
-            face_order.append((f, pos))
-            face = d.faces[f]
-            n = len(face.word)
-            for k in range(n):
-                e, s = face.word[(pos + k) % n]
-                ed = d.edges[e]
-                for v in (ed.start(s), ed.end(s)):
-                    if v not in vmap:
-                        vmap[v] = f"v{len(vmap)}"
-                if e not in emap:
-                    emap[e] = f"e{len(emap)}"
-                    if ed.curve is not None and ed.curve not in cmap:
-                        fam = d.family_of(ed.curve)
-                        prefix = "a" if fam == "alpha" else "b"
-                        cmap[ed.curve] = f"{prefix}{len(cmap)}"
-                opp = occ.get((e, -s))
-                if opp:
-                    (of, oi) = opp[0]
-                    if of not in seen:
-                        seen.add(of)
-                        queue.append((of, (oi + 1) % len(d.faces[of].word)))
-
-    out = Diagram(set(), {}, {}, {}, {}, [], [], {})
-    out.vertices = {vmap[v] for v in d.vertices if v in vmap}
-    for f, pos in face_order:
-        face = d.faces[f]
-        n = len(face.word)
-        word = [
-            (emap[e], s) for (e, s) in (face.word[(pos + k) % n] for k in range(n))
-        ]
-        out.faces[fmap[f]] = Face(fmap[f], word, face.suture)
-    for e, ed in d.edges.items():
-        if e not in emap:
-            continue
-        out.edges[emap[e]] = Edge(
-            emap[e],
-            ed.kind,
-            None if ed.curve is None else cmap[ed.curve],
-            vmap[ed.frm],
-            vmap[ed.to],
-        )
-    for family, store in (("alpha", out.alpha_curves), ("beta", out.beta_curves)):
-        ordered = sorted(
-            (c for c in d.curves(family).values() if c.id in cmap),
-            key=lambda c: cmap[c.id],
-        )
-        for c in ordered:
-            store[cmap[c.id]] = Curve(cmap[c.id], c.closed, [emap[e] for e in c.segments])
-    itfs = []
-    for itf in d.interfaces:
-        edges_flat = [e for iv in itf.intervals for e in iv]
-        if not all(e in emap for e in edges_flat):
-            continue
-        itfs.append(
-            Interface(
-                ArcDiagram(
-                    [list(iv) for iv in itf.arc_diagram.intervals],
-                    dict(itf.arc_diagram.matching),
-                    itf.arc_diagram.kind,
-                ),
-                [[emap[e] for e in iv] for iv in itf.intervals],
-                {a: cmap[c] for a, c in itf.arcs.items()},
-            )
-        )
-    itfs.sort(key=lambda i: [i.intervals])
-    out.interfaces = itfs
-    out.eh = sorted(vmap[v] for v in d.eh if v in vmap)
-    out.marks = {k: vmap[v] for k, v in sorted(d.marks.items()) if v in vmap}
-    return out
 
 
 # ---------------------------------------------------------------------------

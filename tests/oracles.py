@@ -35,13 +35,26 @@ chord, with its own copy of the quadrilateral test; the library must
 give the same records in the same order.  ``grid_rectangle_differential``
 counts empty rectangles on an n x n grid from permutations alone, with
 no surface or census code.
+
+Three references check what the library builds instead of re-deriving
+it.  ``check_relations`` verifies a bordered structure's relations:
+∂² = 0, idempotent compatibility, composition of actions against the
+strands product, the Leibniz rule where no algebra differential term
+can arise, and for type D the δ¹ structure equation.  ``box_tensor``
+pairs a type-A with a type-D structure from their tables alone; by the
+pairing theorem it must equal the complex of the concatenated diagram,
+basis and entries alike.  ``equivalent`` tests two diagrams for
+isomorphism by comparing ``canonical_signature``s, the least traversal
+signature over the starting flags of each component; the surgery tests
+use it as their isomorphism oracle.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 
-from sutured import sfc, surface
+from sutured import modules, sfc, strands, surface
+from sutured.exactlin import BinaryMatrix
 
 
 def crossing_vertices(d):
@@ -670,7 +683,7 @@ def reference_vertex_links(d):
     opposite side occurrences; the library's one-pass walk must return
     the same links and raise the same errors.
     """
-    occ = surface.side_occurrences(d)
+    occ = side_occurrences(d)
     corners = {}
     for f in d.faces.values():
         for i, (e, s) in enumerate(f.word):
@@ -1176,3 +1189,342 @@ def reference_concatenate_bordered(b1, b2, pair=(0, 0)):
         left_curve.closed = True
     surface.recompute_suture_flags(out)
     return surface._check(out)
+
+
+# ---------------------------------------------------------------------------
+# bordered structures: the structure relations
+
+
+def _leibniz_safe(z, term) -> bool:
+    """True when the generator visibly has no resolvable crossing, so the
+    Leibniz rule holds without an algebra differential term."""
+    movers, occupied = term
+    pos = {p: (i, k) for i, iv in enumerate(z.intervals) for k, p in enumerate(iv)}
+    spans = sorted((pos[s], pos[t]) for s, t in movers)
+    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+        if a1[0] == a2[0] and a1 < a2 and b1 > b2:
+            return False
+    by_arc = {}
+    for p, a in z.matching.items():
+        by_arc.setdefault(a, []).append(p)
+    for o in occupied:
+        for p in by_arc[o]:
+            for (i, k), (j, l) in spans:
+                if pos[p][0] == i and k < pos[p][1] < l:
+                    return False
+    return True
+
+
+def _apply(table, label, xs) -> frozenset:
+    out = set()
+    for x in xs:
+        out ^= table.get(label, {}).get(x, frozenset())
+    return frozenset(out)
+
+
+def check_relations(m) -> dict:
+    """Verify ∂²=0, idempotent compatibility, action composition, the
+    Leibniz rule, and for type D the δ¹ structure equation."""
+    violations = []
+    name = modules.format_generator
+    diff = m.differential
+    for x in m.generators:
+        acc = set()
+        for y in diff.get(x, ()):
+            acc ^= set(diff.get(y, ()))
+        if acc:
+            violations.append(f"∂² ≠ 0 at {name(x)}")
+    for side_pos, side in enumerate(m.sides):
+        if m.kind == "D":
+            break
+        basis = modules.algebra_basis(m, side_pos)
+        table = m.tables[side_pos]
+        for label, col in table.items():
+            a = basis[label]
+            la, ra = strands.left_arcs(a), strands.right_arcs(a)
+            src, dst = (la, ra) if side.family == "beta" else (ra, la)
+            for x, outs in col.items():
+                if m.occupancy[side_pos][x] != src:
+                    violations.append(
+                        f"idempotent mismatch: {label} into {name(x)}"
+                    )
+                for y in outs:
+                    if m.occupancy[side_pos][y] != dst:
+                        violations.append(
+                            f"idempotent mismatch: {label} out of {name(y)}"
+                        )
+        for l1, b1 in basis.items():
+            for l2, b2 in basis.items():
+                two_step = {
+                    x: _apply(table, l2, _apply(table, l1, {x}))
+                    for x in m.generators
+                }
+                prod = (
+                    strands.multiply(b1, b2)
+                    if side.family == "beta"
+                    else strands.multiply(b2, b1)
+                )
+                for x in m.generators:
+                    expect = set()
+                    for term in prod.terms:
+                        lab = strands.label(
+                            strands.StrandDiagramSum(side.algebra, frozenset({term}))
+                        )
+                        expect ^= table.get(lab, {}).get(x, frozenset())
+                    if two_step[x] != frozenset(expect):
+                        violations.append(
+                            f"composition fails: {l2}∘{l1} vs their product "
+                            f"at {name(x)}"
+                        )
+        for label, b in basis.items():
+            if not _leibniz_safe(side.algebra, next(iter(b.terms))):
+                continue
+            for x in m.generators:
+                lhs = set()
+                for y in table.get(label, {}).get(x, frozenset()):
+                    lhs ^= set(diff.get(y, ()))
+                rhs = _apply(table, label, diff.get(x, frozenset()))
+                if frozenset(lhs) != rhs:
+                    violations.append(f"Leibniz fails: {label} at {name(x)}")
+    if m.kind == "D":
+        z = m.sides[0].algebra
+        basis = modules.algebra_basis(m, 0)
+        arcs = set(m.sides[0].arcs)
+        for y, entries in m.delta.items():
+            comp = arcs - set(m.occupancy[0][y])
+            for label, y2 in entries:
+                if strands.left_arcs(basis[label]) != frozenset(comp):
+                    violations.append(
+                        f"idempotent mismatch: δ¹({name(y)}) term {label}"
+                    )
+            acc = {}
+            for (l1, y1) in entries:
+                for (l2, y2) in m.delta.get(y1, ()):
+                    prev = acc.get(y2, strands.zero(z))
+                    acc[y2] = strands.add(
+                        prev, strands.multiply(basis[l1], basis[l2])
+                    )
+            for y2, total in acc.items():
+                if not total.is_zero():
+                    violations.append(
+                        f"δ¹ structure equation fails: {name(y)} → {name(y2)}"
+                    )
+    return {"ok": not violations, "violations": violations}
+
+
+# ---------------------------------------------------------------------------
+# the box tensor product
+
+
+def box_tensor(a, d):
+    """Pair a type-A with a type-D structure over matching interfaces.
+
+    Generators are the pairs whose occupied arc sets are complementary
+    under the interface identification; each is encoded as the union of
+    its two halves with the concatenation prefixes, so the result is
+    directly comparable with the complex of the glued diagram.
+    """
+    if a.kind != "A" or d.kind != "D":
+        raise ValueError("box tensor pairs a type-A with a type-D structure")
+    za, zd = a.sides[0].algebra, d.sides[0].algebra
+    arc_map = surface._interface_arc_bijection(za, zd)
+    inv_map = {v: k for k, v in arc_map.items()}
+    point_map = {}
+    for ia, ib in zip(za.intervals, zd.intervals):
+        for r, p in enumerate(ia):
+            point_map[ib[len(ib) - 1 - r]] = p
+    all_arcs = set(zd.matching.values())
+    pairs = []
+    for x in a.generators:
+        ox = {arc_map[o] for o in a.occupancy[0][x]}
+        for y in d.generators:
+            oy = set(d.occupancy[0][y])
+            if not (ox & oy) and ox | oy == all_arcs:
+                pairs.append((x, y))
+
+    def key(pair):
+        x, y = pair
+        return frozenset(f"L:{v}" for v in x) | frozenset(f"R:{v}" for v in y)
+
+    pairs.sort(key=lambda p: tuple(sorted(key(p))))
+    index = {p: i for i, p in enumerate(pairs)}
+    basis_d = modules.algebra_basis(d, 0)
+    entries = set()
+    for (x, y) in pairs:
+        outs = set()
+        for x2 in a.differential.get(x, ()):
+            outs ^= {(x2, y)}
+        for (label, y2) in d.delta.get(y, ()):
+            movers, occupied = next(iter(basis_d[label].terms))
+            coeff = strands.element(
+                za,
+                [(point_map[t], point_map[f]) for (f, t) in movers],
+                {inv_map[o] for o in occupied},
+            )
+            for x2 in modules.act(a, 0, coeff, x):
+                outs ^= {(x2, y2)}
+        for out in outs:
+            if out not in index:
+                raise AssertionError("box tensor left the compatible pairs")
+            entries.add((index[out], index[(x, y)]))
+    n = len(pairs)
+    basis = [key(p) for p in pairs]
+    return sfc.ChainComplexF2(
+        basis,
+        BinaryMatrix(n, n, frozenset(entries)),
+        {b: 0 for b in basis},
+        None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# diagram isomorphism
+
+
+def side_occurrences(d) -> dict:
+    """(edge, direction) -> list of (face id, word position)."""
+    occ = {}
+    for f in d.faces.values():
+        for i, (e, s) in enumerate(f.word):
+            occ.setdefault((e, s), []).append((f.id, i))
+    return occ
+
+
+def _component_faces(d) -> list:
+    adj = {}
+    occ = side_occurrences(d)
+    for (e, _s), fs in occ.items():
+        faces_touching = [f for f, _ in fs]
+        other = [f for f, _ in occ.get((e, 1), [])] + [f for f, _ in occ.get((e, -1), [])]
+        for f in faces_touching:
+            adj.setdefault(f, set()).update(other)
+    comps = []
+    seen = set()
+    for f in sorted(d.faces):
+        if f in seen:
+            continue
+        comp = {f}
+        queue = [f]
+        while queue:
+            cur = queue.pop()
+            for nxt in adj.get(cur, ()):  # pragma: no branch
+                if nxt not in comp:
+                    comp.add(nxt)
+                    queue.append(nxt)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def _signature_from_flag(d, comp, start_face, start_pos):
+    """Deterministic traversal signature starting at one flag."""
+    face_no = {}
+    edge_no = {}
+    vert_no = {}
+    curve_no = {}
+
+    def enum_vertex(v):
+        if v not in vert_no:
+            vert_no[v] = len(vert_no)
+        return vert_no[v]
+
+    def enum_edge(e):
+        if e not in edge_no:
+            edge_no[e] = len(edge_no)
+            ed = d.edges[e]
+            if ed.curve is not None and ed.curve not in curve_no:
+                curve_no[ed.curve] = len(curve_no)
+        return edge_no[e]
+
+    occ = side_occurrences(d)
+    queue = [(start_face, start_pos)]
+    face_no[start_face] = 0
+    sig_faces = []
+    while queue:
+        f, pos = queue.pop(0)
+        face = d.faces[f]
+        n = len(face.word)
+        rotated = [face.word[(pos + k) % n] for k in range(n)]
+        entry = []
+        for (e, s) in rotated:
+            ed = d.edges[e]
+            enum_vertex(ed.start(s))
+            enum_vertex(ed.end(s))
+            entry.append(
+                (
+                    enum_edge(e),
+                    s,
+                    ed.kind,
+                    None if ed.curve is None else curve_no[ed.curve],
+                )
+            )
+            opp = occ.get((e, -s))
+            if opp:
+                of, oi = opp[0]
+                if of not in face_no:
+                    face_no[of] = len(face_no)
+                    queue.append((of, (oi + 1) % len(d.faces[of].word)))
+        sig_faces.append((tuple(entry), face.suture))
+    if len(face_no) != len(comp):
+        raise ValueError("component traversal incomplete")
+    # curve payload: family, closed, segment numbers in order
+    curves_sig = []
+    for cid, no in sorted(curve_no.items(), key=lambda kv: kv[1]):
+        fam = d.family_of(cid)
+        c = d.curves(fam)[cid]
+        curves_sig.append((fam, c.closed, tuple(edge_no[e] for e in c.segments)))
+    # interfaces touching this component
+    itf_sig = []
+    for itf in d.interfaces:
+        edges_flat = [e for iv in itf.intervals for e in iv]
+        if not edges_flat or edges_flat[0] not in edge_no:
+            continue
+        itf_sig.append(
+            (
+                tuple(tuple(edge_no[e] for e in iv) for iv in itf.intervals),
+                tuple(tuple(iv) for iv in itf.arc_diagram.intervals),
+                tuple(sorted(itf.arc_diagram.matching.items())),
+                itf.arc_diagram.kind,
+                tuple(
+                    (a, curve_no[c]) for a, c in sorted(itf.arcs.items()) if c in curve_no
+                ),
+            )
+        )
+    itf_sig.sort()
+    eh_sig = tuple(sorted(vert_no[v] for v in d.eh if v in vert_no))
+    marks_sig = tuple(
+        (k, vert_no[v]) for k, v in sorted(d.marks.items()) if v in vert_no
+    )
+    return (tuple(sig_faces), tuple(curves_sig), tuple(itf_sig), eh_sig, marks_sig)
+
+
+def canonical_signature(d):
+    """A label-independent signature; equal iff diagrams are isomorphic."""
+    comps = _component_faces(d)
+    comp_sigs = []
+    for comp in comps:
+        best = None
+        # cheap prefilter on local flag data keeps the flag set small
+        flags = []
+        for f in comp:
+            word = d.faces[f].word
+            n = len(word)
+            for i in range(n):
+                e, s = word[i]
+                ed = d.edges[e]
+                local = (n, d.faces[f].suture, ed.kind, s)
+                flags.append((local, f, i))
+        min_local = min(fl[0] for fl in flags)
+        for local, f, i in flags:
+            if local != min_local:
+                continue
+            sig = _signature_from_flag(d, comp, f, i)
+            if best is None or sig < best:
+                best = sig
+        comp_sigs.append(best)
+    return tuple(sorted(comp_sigs))
+
+
+def equivalent(d1, d2) -> bool:
+    """Equality up to relabeling."""
+    return canonical_signature(d1) == canonical_signature(d2)

@@ -189,6 +189,23 @@ def test_missing_file_is_a_domain_rejection(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "{deep}"],
+        ["verify-equivalence", "{stab}", "--handles", "{deep}"],
+        ["attach", "{stab}", "--spec", "{deep}"],
+    ],
+    ids=["diagram", "handles", "spec"],
+)
+def test_deeply_nested_documents_are_domain_rejections(capsys, tmp_path, stab_file, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(a.format(deep=deep, stab=stab_file) for a in argv))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "document nests too deeply"}
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "homology")
     assert code == 1 and "error" in json.loads(err)

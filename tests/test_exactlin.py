@@ -147,14 +147,16 @@ def test_smith_reduce_matches_the_textbook_form(rows, pairs):
     """The U-only reduction gives the textbook form's invariant factors,
     a divisibility chain, a unimodular U, and keys that agree with
     membership in the image on 0/1 pairs."""
-    factors, U = smith_reduce(rows)
+    sparse = _sparse(rows)
+    factors, U = smith_reduce(sparse)
+    assert sparse == _sparse(rows)  # the input rows are copied, not changed
     S, _U, _V = oracles.smith_normal_form(rows)
     assert factors == [S[i][i] for i in range(min(len(S), len(S[0]))) if S[i][i]]
     assert all(q > 0 for q in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
     assert abs(oracles.determinant([[row.get(k, 0) for k in range(len(U))] for row in U])) == 1
     m = IntegerMatrix.from_rows(rows)
-    key = cokernel_residue(m)
+    key = cokernel_residue(_sparse(rows))
     for p1, p2 in pairs:
         b1 = [p1 >> i & 1 for i in range(m.rows)]
         b2 = [p2 >> i & 1 for i in range(m.rows)]
@@ -185,7 +187,7 @@ def test_cokernel_residue_classifies():
         nr, nc = rng.randint(1, 4), rng.randint(0, 4)
         A = random_int_matrix(rng, nr, nc)
         m = IntegerMatrix.from_rows(A) if nc else IntegerMatrix(nr, 0, ())
-        key = cokernel_residue(m)
+        key = cokernel_residue(_sparse(A))
         for _ in range(10):
             b1 = tuple(rng.randint(0, 1) for _ in range(nr))
             b2 = tuple(rng.randint(0, 1) for _ in range(nr))
@@ -199,15 +201,15 @@ def _support(b):
     return [i for i, v in enumerate(b) if v]
 
 
-def _sparse(units):
-    """Dense rows as the sparse rows ``smith_reduce`` returns."""
-    return [{k: u for k, u in enumerate(row) if u} for row in units]
+def _sparse(dense):
+    """Dense rows as the sparse rows ``smith_reduce`` takes and returns."""
+    return [{k: u for k, u in enumerate(row) if u} for row in dense]
 
 
-def _assert_keys_separate_all_subsets(m):
+def _assert_keys_separate_all_subsets(rows):
     """On a matrix with zero image, every 0/1 vector is its own class."""
-    key = cokernel_residue(m)
-    subsets = list(itertools.product((0, 1), repeat=m.rows))
+    key = cokernel_residue(rows)
+    subsets = list(itertools.product((0, 1), repeat=len(rows)))
     keys = {key(_support(b)) for b in subsets}
     assert len(keys) == len(subsets)
 
@@ -221,12 +223,12 @@ def test_cokernel_residue_keys_large_unimodular_factors(monkeypatch):
     40 bits wide the columns {0} and {1} would pack to the same int.
     """
     big = 1 << 40
-    m = IntegerMatrix(2, 1, ())
+    zero = [{}, {}]
     units = [[1, 1 - big], [0, 1]]
-    monkeypatch.setattr(exactlin, "smith_reduce", lambda dense: ([], _sparse(units)))
-    key = cokernel_residue(m)
+    monkeypatch.setattr(exactlin, "smith_reduce", lambda rows: ([], _sparse(units)))
+    key = cokernel_residue(zero)
     assert key([0]) != key([1])
-    _assert_keys_separate_all_subsets(m)
+    _assert_keys_separate_all_subsets(zero)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,17 +247,16 @@ def test_cokernel_residue_keys_random_unimodular_factors(rows, steps):
         dst, src = dst % rows, src % rows
         if dst != src:
             units[dst] = [a + k * b for a, b in zip(units[dst], units[src])]
-    m = IntegerMatrix(rows, 1, ())
     real = exactlin.smith_reduce
-    exactlin.smith_reduce = lambda dense: ([], _sparse(units))
+    exactlin.smith_reduce = lambda rows: ([], _sparse(units))
     try:
-        _assert_keys_separate_all_subsets(m)
+        _assert_keys_separate_all_subsets([{} for _ in range(rows)])
     finally:
         exactlin.smith_reduce = real
 
 
 def test_cokernel_residue_rejects_rows_out_of_range():
-    key = cokernel_residue(IntegerMatrix.from_rows([[2], [0]]))
+    key = cokernel_residue(_sparse([[2], [0]]))
     with pytest.raises(ValueError, match="row index 2"):
         key([2])
 

@@ -1,12 +1,15 @@
-"""Bordered structures of the catalog pieces: frozen action tables,
-duality against the strands algebra, structure relations, dualization,
-and the box tensor product against actual gluings."""
+"""Bordered structures of the catalog pieces and of the gluing
+pipelines: frozen action tables, duality against the strands algebra,
+and the structure relations and box tensor product of ``oracles``
+checked against actual gluings."""
 
 import copy
 
 import pytest
 
-from sutured import modules, pieces, sfc, strands
+import fixtures
+import oracles
+from sutured import glue, modules, pieces, sfc, strands
 from sutured.surface import concatenate_bordered
 
 
@@ -45,10 +48,10 @@ def test_az2_sector_has_five_generators():
 
 def test_az2_sector_idempotents():
     bs = az2_sector()
-    left = {name(x): strands.label(modules.idempotent_of(bs, x, 0)) for x in bs.generators}
-    right = {name(x): strands.label(modules.idempotent_of(bs, x, 1)) for x in bs.generators}
-    assert left == {"{z1}": "ι2", "{z2}": "ι2", "{z3}": "ι2", "{z4}": "ι1", "{z5}": "ι1"}
-    assert right == {"{z1}": "ι2", "{z2}": "ι1", "{z3}": "ι2", "{z4}": "ι2", "{z5}": "ι1"}
+    left = {name(x): set(bs.occupancy[0][x]) for x in bs.generators}
+    right = {name(x): set(bs.occupancy[1][x]) for x in bs.generators}
+    assert left == {"{z1}": {2}, "{z2}": {2}, "{z3}": {2}, "{z4}": {1}, "{z5}": {1}}
+    assert right == {"{z1}": {2}, "{z2}": {1}, "{z3}": {2}, "{z4}": {2}, "{z5}": {1}}
 
 
 def test_az2_sector_action_table_golden():
@@ -153,7 +156,7 @@ def test_unknot_and_cap_pieces_are_elementary():
         bs = modules.bordered_invariant(build(), kind)
         assert bs.generator_names() == gens
         assert modules.is_elementary(bs)
-        assert modules.check_relations(bs)["ok"]
+        assert oracles.check_relations(bs)["ok"]
     assert modules.bordered_invariant(pieces.cap2(), "D").delta == {}
 
 
@@ -179,10 +182,11 @@ def test_twist_piece_idempotents():
     # the type-D side indexes generators by the complementary arcs
     bd = modules.bordered_invariant(pieces.rt2(), "D")
     ba = modules.bordered_invariant(pieces.rt2(), "A")
-    d_labels = {name(x): strands.label(modules.idempotent_of(bd, x, 0)) for x in bd.generators}
-    a_labels = {name(x): strands.label(modules.idempotent_of(ba, x, 0)) for x in ba.generators}
-    assert d_labels == {"{z1}": "ι1", "{z2}": "ι2", "{z3}": "ι1"}
-    assert a_labels == {"{z1}": "ι2", "{z2}": "ι1", "{z3}": "ι2"}
+    arcs = set(bd.sides[0].arcs)
+    d_arcs = {name(x): arcs - bd.occupancy[0][x] for x in bd.generators}
+    a_arcs = {name(x): set(ba.occupancy[0][x]) for x in ba.generators}
+    assert d_arcs == {"{z1}": {1}, "{z2}": {2}, "{z3}": {1}}
+    assert a_arcs == {"{z1}": {2}, "{z2}": {1}, "{z3}": {2}}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,7 @@ def corpus():
 
 def test_relations_hold_on_the_catalog():
     for bs in corpus():
-        report = modules.check_relations(bs)
+        report = oracles.check_relations(bs)
         assert report == {"ok": True, "violations": []}
 
 
@@ -214,7 +218,7 @@ def test_relations_detect_a_tampered_action():
     z1 = next(x for x in bs.generators if name(x) == "{z1}")
     z5 = next(x for x in bs.generators if name(x) == "{z5}")
     bs.tables[0]["ρ1"][z1] = frozenset({z5})  # should be {z4}
-    report = modules.check_relations(bs)
+    report = oracles.check_relations(bs)
     assert not report["ok"]
     assert any("composition fails" in v for v in report["violations"])
 
@@ -224,7 +228,7 @@ def test_relations_detect_a_tampered_differential():
     pair = next(x for x in bs.generators if name(x) == "{z1,z5}")
     empty = next(x for x in bs.generators if name(x) == "∅")
     bs.differential[pair] = frozenset({empty})
-    report = modules.check_relations(bs)
+    report = oracles.check_relations(bs)
     assert any(v == "∂² ≠ 0 at {z2,z4}" for v in report["violations"])
 
 
@@ -233,37 +237,9 @@ def test_relations_detect_a_tampered_delta():
     z1 = next(x for x in bs.generators if name(x) == "{z1}")
     z2 = next(x for x in bs.generators if name(x) == "{z2}")
     bs.delta[z1] = frozenset({("ρ1", z2)})  # wrong chord for the idempotents
-    report = modules.check_relations(bs)
+    report = oracles.check_relations(bs)
     assert not report["ok"]
     assert any("idempotent mismatch" in v for v in report["violations"])
-
-
-# ---------------------------------------------------------------------------
-# dualization
-
-
-def test_dualize_is_an_involution():
-    for bs in [modules.bordered_invariant(pieces.az2(), "AA"),
-               modules.bordered_invariant(pieces.rt2(), "D"),
-               modules.bordered_invariant(pieces.rt2(), "A")]:
-        assert modules.dualize(modules.dualize(bs)) == bs
-        assert modules.dualize(bs).dual
-
-
-def test_dualize_transposes_every_table():
-    bs = modules.bordered_invariant(pieces.rt2(), "D")
-    dual = modules.dualize(bs)
-    diff = {name(x): {name(y) for y in ys} for x, ys in dual.differential.items()}
-    assert diff == {"{z3}": {"{z1}"}}
-    delta = {
-        name(x): {(lab, name(y)) for lab, y in es} for x, es in dual.delta.items()
-    }
-    assert delta == {
-        "{z2}": {("ρ2", "{z1}")},
-        "{z3}": {("ι1", "{z1}"), ("ρ1", "{z2}")},
-    }
-    swapped = modules.dualize(modules.bordered_invariant(pieces.az2(), "AA"))
-    assert [s.family for s in swapped.sides] == ["alpha", "beta"]
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +247,18 @@ def test_dualize_transposes_every_table():
 
 
 def test_box_tensor_matches_the_one_handle_gluing():
-    box = modules.box_tensor(
+    box = oracles.box_tensor(
         modules.bordered_invariant(pieces.u1(), "A"),
         modules.bordered_invariant(pieces.mirror(pieces.cap1()), "D"),
     )
     cx = sfc.differential(pieces.handle1())
     assert box.basis == cx.basis
     assert box.differential.entries == cx.differential.entries
-    assert modules.chain_homology_rank(box) == 1
+    assert sfc.homology(box).total == 1
 
 
 def test_box_tensor_matches_the_two_handle_gluing():
-    box = modules.box_tensor(
+    box = oracles.box_tensor(
         modules.bordered_invariant(pieces.u2(), "A"),
         modules.bordered_invariant(pieces.mirror(pieces.cap2()), "D"),
     )
@@ -290,14 +266,14 @@ def test_box_tensor_matches_the_two_handle_gluing():
     assert box.basis == cx.basis
     assert [sorted(b) for b in box.basis] == [["L:c", "R:w"]]
     assert box.differential.entries == cx.differential.entries
-    assert modules.chain_homology_rank(box) == 1
+    assert sfc.homology(box).total == 1
 
 
 def test_box_tensor_matches_a_gluing_with_a_differential():
     """Capping the unknot piece with the twist piece pairs a delta chord
     against a boundary rectangle; the result must agree with the glued
     diagram map for map, not just in rank."""
-    box = modules.box_tensor(
+    box = oracles.box_tensor(
         modules.bordered_invariant(pieces.u2(), "A"),
         modules.bordered_invariant(pieces.mirror(pieces.rt2()), "D"),
     )
@@ -308,7 +284,7 @@ def test_box_tensor_matches_a_gluing_with_a_differential():
     ]
     assert box.basis == cx.basis
     assert box.differential.entries == cx.differential.entries == frozenset({(0, 1)})
-    assert modules.chain_homology_rank(box) == 0
+    assert sfc.homology(box).total == 0
     assert sfc.homology(glued).total == 0
     # ∂² = 0 directly on the box complex
     paths = {
@@ -324,11 +300,78 @@ def test_box_tensor_rejects_bad_inputs():
     a = modules.bordered_invariant(pieces.u2(), "A")
     d = modules.bordered_invariant(pieces.mirror(pieces.cap2()), "D")
     with pytest.raises(ValueError, match="type-A with a type-D"):
-        modules.box_tensor(a, a)
+        oracles.box_tensor(a, a)
     with pytest.raises(ValueError, match="type-A with a type-D"):
-        modules.box_tensor(d, d)
+        oracles.box_tensor(d, d)
     with pytest.raises(ValueError, match="interval shapes"):
-        modules.box_tensor(a, modules.bordered_invariant(pieces.mirror(pieces.cap1()), "D"))
+        oracles.box_tensor(a, modules.bordered_invariant(pieces.mirror(pieces.cap1()), "D"))
+
+
+# ---------------------------------------------------------------------------
+# the pairing theorem on the pipelines' own structures
+
+
+def _pipeline_base(name):
+    return fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
+
+
+PIPELINE_SITES = [
+    (name, site)
+    for name in ("fix-disk", "fix-stab", "fix-bigonpair", "bigonpair^3")
+    for site in sorted(_pipeline_base(name).free_boundary_edge_ids())
+]
+
+# differential entries of stage H5, the twist block over H3
+TWIST_ENTRIES = {"fix-disk": 2, "fix-stab": 2, "fix-bigonpair": 4, "bigonpair^3": 16}
+
+
+def _one_handle_cut(base, site):
+    """The type-D structure of the base cut open for a 1-handle at ``site``."""
+    return modules.bordered_invariant(glue.prepare_one_handle(base, site, site), "D")
+
+
+def _two_handle_stages(base, site):
+    """D(H3) and the staged 2-handle record, the 2-handle running over a
+    1-handle attached at ``site``."""
+    base2, handle = glue.one_handled(base, site)
+    spec = glue.two_handle_spec(base2, handle)
+    rec = glue.glue_two_handle(base2, spec, *glue.direct_two_handle(base2, spec))
+    return modules.bordered_invariant(rec["H3"], "D"), rec
+
+
+def _assert_same_complex(box, cx):
+    assert box.basis == cx.basis
+    assert box.differential.entries == cx.differential.entries
+
+
+@pytest.mark.parametrize("name,site", PIPELINE_SITES)
+def test_box_tensor_matches_the_one_handle_join_source(name, site):
+    """A(cap1) ⊠ D(cut-open base) is the complex the 1-handle join starts from."""
+    blocks = glue._handle_blocks("1")
+    cut = _one_handle_cut(_pipeline_base(name), site)
+    box = oracles.box_tensor(blocks.w, cut)
+    _assert_same_complex(box, glue.elementary_join(blocks, cut).source)
+
+
+@pytest.mark.parametrize("name,site", PIPELINE_SITES)
+def test_box_tensor_matches_the_two_handle_stages(name, site):
+    """A(cap2) ⊠ D(H3) is the 2-handle join's source, and A(rt2) ⊠ D(H3)
+    is stage H5, differential entries included."""
+    h3, rec = _two_handle_stages(_pipeline_base(name), site)
+    blocks = glue._handle_blocks("2")
+    box = oracles.box_tensor(blocks.w, h3)
+    _assert_same_complex(box, glue.elementary_join(blocks, h3).source)
+    twist = oracles.box_tensor(modules.bordered_invariant(pieces.rt2(), "A"), h3)
+    _assert_same_complex(twist, rec["H5"])
+    assert len(twist.differential.entries) == TWIST_ENTRIES[name]
+
+
+@pytest.mark.parametrize("name,site", PIPELINE_SITES)
+def test_relations_hold_on_the_pipelines_type_d_structures(name, site):
+    base = _pipeline_base(name)
+    h3, _rec = _two_handle_stages(base, site)
+    for bs in (_one_handle_cut(base, site), h3):
+        assert oracles.check_relations(bs) == {"ok": True, "violations": []}
 
 
 # ---------------------------------------------------------------------------

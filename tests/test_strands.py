@@ -1,5 +1,5 @@
 """Tests for the strands algebra: summand ranks, the full one-strand
-multiplication table, duals and the pairing, and structural invariants
+multiplication table, names, and structural invariants
 (associativity, identities, opposite algebras, double-crossing products)."""
 
 import random
@@ -218,13 +218,20 @@ def test_summand_idempotent_sums_are_identities(z2):
 
 def test_left_right_idempotents(z2):
     b = named_basis(z2)
-    assert strands.left_idempotent(b["ρ1"]) == b["ι2"]
-    assert strands.right_idempotent(b["ρ1"]) == b["ι1"]
-    assert strands.left_idempotent(b["ρ12|ι1"]) == b["ι12"]
-    assert strands.right_idempotent(b["ρ12|ι1"]) == b["ι12"]
+
+    def left(x):
+        return strands.idempotent(x.z, strands.left_arcs(x))
+
+    def right(x):
+        return strands.idempotent(x.z, strands.right_arcs(x))
+
+    assert left(b["ρ1"]) == b["ι2"]
+    assert right(b["ρ1"]) == b["ι1"]
+    assert left(b["ρ12|ι1"]) == b["ι12"]
+    assert right(b["ρ12|ι1"]) == b["ι12"]
     for x in strands.basis(z2):
-        assert strands.multiply(strands.left_idempotent(x), x) == x
-        assert strands.multiply(x, strands.right_idempotent(x)) == x
+        assert strands.multiply(left(x), x) == x
+        assert strands.multiply(x, right(x)) == x
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +343,7 @@ def test_chains_of_chords():
 
 
 # ---------------------------------------------------------------------------
-# names, duals, pairing
+# names
 
 
 def test_render(z2):
@@ -350,27 +357,6 @@ def test_label_rejects_sums(z2):
     b = named_basis(z2)
     with pytest.raises(ValueError, match="single generators"):
         strands.label(strands.add(b["ρ1"], b["ρ2"]))
-
-
-def test_dual_labels(z2):
-    b = named_basis(z2)
-    assert strands.dual_label(b["ρ12"]) == "ρ∨12"
-    assert strands.dual_label(b["ι1"]) == "ι∨1"
-    assert strands.dual_label(b["ρ12|ι1"]) == "ρ∨12|ι∨1"
-
-
-def test_pairing(z2):
-    basis = strands.basis(z2)
-    for a, b in iproduct(basis, repeat=2):
-        assert strands.pairing(a, strands.dual(b)) == (1 if a == b else 0)
-
-
-def test_pairing_is_bilinear(z2):
-    b = named_basis(z2)
-    s = strands.add(b["ρ1"], b["ρ12"])
-    assert strands.pairing(s, strands.dual(b["ρ1"])) == 1
-    assert strands.pairing(s, strands.dual(b["ρ2"])) == 0
-    assert strands.pairing(s, strands.dual(s)) == 0  # two shared terms
 
 
 def test_mixed_diagram_operations_rejected(z2):
