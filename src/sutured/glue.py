@@ -7,9 +7,12 @@ generators, adding the forced intersection point where one appears.  The
 staged route cuts the base open along the attachment region
 (``prepare_one_handle`` / ``prepare_two_handle``), concatenates the
 builtin blocks, and maps through the pairing piece (``elementary_join``).
-The package's comparison artifacts -- chain-map tables, stage ranks, the
-boundary identity on the twist stage -- are produced by ``glue_one_handle``,
-``glue_two_handle`` and ``equivalence_report``.
+The routes share only surface mechanics: the path router, the mark
+naming and the id renaming; the staged cut builds its own strip,
+interface and arcs.  The package's comparison artifacts -- chain-map
+tables, stage ranks, the boundary identity on the twist stage -- are
+produced by ``glue_one_handle``, ``glue_two_handle`` and
+``equivalence_report``.
 
 The route functions take a diagram or its complex (built once, by
 ``sfc.differential``); ``equivalence_report`` passes each stage's target
@@ -40,8 +43,12 @@ from .surface import (
     _attach_one_handle,
     _check,
     _check_two_handle_paths,
+    _face_carrying,
+    _put_mark,
+    _renamed,
     _require_free_suture_edge,
     _route_and_insert_chord,
+    _route_path,
     _subdivide_ports,
     attach_one_handle,
     attach_trivial_bypass,
@@ -293,32 +300,12 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
             word += [(slit, 1), (f1, 1), (f2, 1), (fs, 1), (slit, -1)]
     strip.word = word
 
-    pieces_map = {}
-
-    def piece_set(face_id):
-        return pieces_map.setdefault(face_id, {face_id})
-
-    crossings = []
-
-    def path_chords(path, curve_id, family, v_start, v_end, crossing_curves):
-        segs = []
-        waypoints = [v_start]
-        for e in path.crossed():
-            _a, _b, wv = subdivide_edge(out, e)
-            waypoints.append(wv)
-        waypoints.append(v_end)
-        for fdecl, wa, wb in zip(path.faces(), waypoints, waypoints[1:]):
-            segs += _route_and_insert_chord(
-                out, piece_set(fdecl), wa, wb, family, curve_id,
-                crossing_curves, crossings,
-            )
-        return segs
-
+    pieces, crossings = {}, []
+    strip = handle["strip"]
     beta_id = out.fresh_id("B")
-    beta_segs = path_chords(b_path, beta_id, "beta", ports_p["b"], ports_q["b"], [])
-    beta_segs += _route_and_insert_chord(
-        out, piece_set(handle["strip"]), ports_q["b"], ports_p["b"],
-        "beta", beta_id, [], crossings,
+    beta_segs = _route_path(
+        out, pieces, b_path, ports_p["b"], ports_q["b"], "beta", beta_id, [],
+        crossings, close_in=strip,
     )
     out.beta_curves[beta_id] = Curve(beta_id, True, beta_segs)
     if crossings:
@@ -329,13 +316,14 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
 
     arc_long = out.fresh_id("A")
     long_segs = _route_and_insert_chord(
-        out, piece_set(handle["strip"]), j0, ports_p["a"],
-        "alpha", arc_long, surgery, crossings,
+        out, pieces, strip, j0, ports_p["a"], "alpha", arc_long, surgery, crossings,
     )
-    long_segs += path_chords(a_path, arc_long, "alpha", ports_p["a"], ports_q["a"], surgery)
+    long_segs += _route_path(
+        out, pieces, a_path, ports_p["a"], ports_q["a"], "alpha", arc_long, surgery,
+        crossings,
+    )
     long_segs += _route_and_insert_chord(
-        out, piece_set(handle["strip"]), ports_q["a"], j2,
-        "alpha", arc_long, surgery, crossings,
+        out, pieces, strip, ports_q["a"], j2, "alpha", arc_long, surgery, crossings,
     )
     out.alpha_curves[arc_long] = Curve(arc_long, False, long_segs)
     if len(crossings) != 1:
@@ -347,8 +335,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
 
     arc_short = out.fresh_id("A")
     short_segs = _route_and_insert_chord(
-        out, piece_set(handle["strip"]), j1, j3,
-        "alpha", arc_short, surgery, crossings,
+        out, pieces, strip, j1, j3, "alpha", arc_short, surgery, crossings,
     )
     out.alpha_curves[arc_short] = Curve(arc_short, False, short_segs)
     if len(crossings) != 2:
@@ -356,16 +343,8 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
             f"stage H3: the short arc forces {len(crossings) - 1} crossings, expected 1"
         )
     y0 = crossings[1]
-
-    def put_mark(stem, v):
-        name, n = stem, 0
-        while name in out.marks:
-            n += 1
-            name = f"{stem}_{n}"
-        out.marks[name] = v
-
-    put_mark("x0", x0)
-    put_mark("y0", y0)
+    _put_mark(out, "x0", x0)
+    _put_mark(out, "y0", y0)
     out.interfaces.append(
         Interface(
             ArcDiagram([["k0", "k1", "k2"], ["k3"]],
@@ -503,46 +482,13 @@ def elementary_join(blocks: PairingBlocks, v) -> ChainMapTable:
 
 def _strip_prefix(d, tag: str):
     """Remove a concatenation prefix from every id carrying it."""
-    n = len(tag)
-
-    def r(x):
-        return x[n:] if x.startswith(tag) else x
-
-    out = d.copy()
-    for pool in (
-        out.vertices,
-        set(out.edges),
-        set(out.faces),
-        set(out.alpha_curves),
-        set(out.beta_curves),
-    ):
-        if len({r(x) for x in pool}) != len(pool):
+    new = {}
+    for pool in (d.vertices, d.edges, d.faces, d.alpha_curves, d.beta_curves):
+        stripped = {x: x.removeprefix(tag) for x in pool}
+        if len(set(stripped.values())) != len(pool):
             raise AssertionError("prefix strip would collide ids")
-    out.vertices = {r(v) for v in out.vertices}
-    out.edges = {
-        r(e): Edge(r(e), ed.kind, None if ed.curve is None else r(ed.curve),
-                   r(ed.frm), r(ed.to))
-        for e, ed in out.edges.items()
-    }
-    for face in out.faces.values():
-        face.word = [(r(e), s) for (e, s) in face.word]
-    out.faces = {r(f): face for f, face in out.faces.items()}
-    for f, face in out.faces.items():
-        face.id = f
-    for store in (out.alpha_curves, out.beta_curves):
-        renamed = {}
-        for c, cv in store.items():
-            renamed[r(c)] = Curve(r(c), cv.closed, [r(e) for e in cv.segments])
-        store.clear()
-        store.update(renamed)
-    out.interfaces = [
-        Interface(i.arc_diagram, [[r(e) for e in iv] for iv in i.intervals],
-                  {a: r(c) for a, c in i.arcs.items()})
-        for i in out.interfaces
-    ]
-    out.eh = [r(v) for v in out.eh]
-    out.marks = {k: r(v) for k, v in out.marks.items()}
-    return out
+        new.update(stripped)
+    return _renamed(d, new)
 
 
 def glue_one_handle(d, p: str, q: str):
@@ -924,11 +870,7 @@ def two_handle_spec(base, handle) -> HandleSpec:
     canonical shape for which both the direct attachment and the staged
     pipeline force exactly one intersection.
     """
-    face_p = next(
-        f
-        for f, face in base.faces.items()
-        if any(e == handle["p"]["left"] for (e, _s) in face.word)
-    )
+    face_p = _face_carrying(base, handle["p"]["left"])
     return HandleSpec(
         "2",
         p=handle["p"]["left"],

@@ -58,10 +58,6 @@ _IFACE_COUNT = {"D": 1, "A": 1, "AA": 2}
 # construction
 
 
-def _positions(z: ArcDiagram) -> dict:
-    return {p: (i, k) for i, iv in enumerate(z.intervals) for k, p in enumerate(iv)}
-
-
 def _occupancy_map(d: Diagram, iface: int, gens) -> dict:
     itf = d.interfaces[iface]
     vert_arc = {}
@@ -87,7 +83,7 @@ def _act_raw(bs, side_pos, records, gen_set, term, x):
     side = bs.sides[side_pos]
     z = side.algebra
     movers, occupied = term
-    pos = _positions(z)
+    pos = strands._positions(z)
     start_arcs = {z.matching[s] for s, _ in movers}
     end_arcs = {z.matching[t] for _, t in movers}
     need = (start_arcs if side.family == "beta" else end_arcs) | set(occupied)

@@ -13,9 +13,13 @@ faces at each crossing, which decide the crossings a domain holds inside.
 and the generators.
 
 The action census grows each chord's candidate domains from the faces
-on the chord across shared edges (``_connected_supersets``).
+on the chord across shared edges (``_connected_supersets``).  Both
+censuses classify a union of faces through one function
+(``_classify``): a region glued along its seams, and a candidate domain
+glued along the edges it holds on both sides.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -265,55 +269,61 @@ def _interior_crossings(d, faces, cycles, crossings, incident) -> frozenset:
 
 @dataclass
 class RegionShape:
-    """One non-suture region with its classified boundary."""
+    """A union of non-suture faces with its classified boundary."""
 
     faces: tuple
     shape: str  # "bigon" | "rect" | "port" | "other"
     moves_from: frozenset = frozenset()  # x-corners
     moves_to: frozenset = frozenset()  # y-corners
     interior: frozenset = frozenset()  # crossings strictly inside
-    runs: list = field(default_factory=list)
     chord: Optional[tuple] = None  # interface edges of the port side, in order
+
+
+def _classify(d, faces, inner, interface, crossings, incident) -> RegionShape:
+    """The shape of the union of ``faces`` glued along the ``inner`` edges.
+
+    With one boundary cycle, the cycle splits into runs of one edge
+    class; the corners and the crossings inside are recorded, and the
+    runs decide the shape: two curve runs make a bigon, four a
+    rectangle, and four with one run on ``interface`` edges a port,
+    whose chord is that run.  Anything else is "other".  ``crossings``
+    and ``incident`` come from ``_crossing_curves`` and ``_face_index``.
+    """
+    rec = RegionShape(tuple(faces), "other")
+    cycles = _boundary_cycles(d, faces, inner)
+    if len(cycles) != 1:
+        return rec
+    runs = _cycle_runs(d, cycles[0])
+    pattern = [c for c, _ in runs]
+    rec.moves_from, rec.moves_to = _corner_points(d, runs)
+    rec.interior = _interior_crossings(d, faces, cycles, crossings, incident)
+    if sorted(pattern) == ["alpha", "beta"]:
+        rec.shape = "bigon"
+    elif len(runs) == 4 and pattern.count("bd") == 0:
+        rec.shape = "rect"
+    elif len(runs) == 4 and pattern.count("bd") == 1:
+        chord = tuple(_occ_edge(d, occ)[0] for c, run in runs if c == "bd" for occ in run)
+        if interface.issuperset(chord):
+            rec.shape, rec.chord = "port", chord
+    return rec
 
 
 def region_census(d: Diagram, crossings: Optional[dict] = None) -> list:
     """Classify every non-suture region of the diagram.  ``crossings``:
     ``_crossing_curves(d)``, if built."""
-    out = []
     seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
     interface = d.interface_edge_ids()
     if crossings is None:
         crossings = _crossing_curves(d)
     faces_on, incident = _face_index(d, crossings)
-    for group in _seam_classes(d, faces_on, seams):
-        if d.faces[group[0]].suture:
-            continue
-        inner = {
-            e for f in group for (e, _s) in d.faces[f].word if e in seams
-        }
-        cycles = _boundary_cycles(d, group, inner)
-        rec = RegionShape(tuple(group), "other")
-        if len(cycles) == 1:
-            runs = _cycle_runs(d, cycles[0])
-            rec.runs = runs
-            pattern = [c for c, _ in runs]
-            rec.moves_from, rec.moves_to = _corner_points(d, runs)
-            rec.interior = _interior_crossings(d, group, cycles, crossings, incident)
-            if sorted(pattern) == ["alpha", "beta"]:
-                rec.shape = "bigon"
-            elif len(runs) == 4 and pattern.count("bd") == 0:
-                rec.shape = "rect"
-            elif len(runs) == 4 and pattern.count("bd") == 1:
-                bd_run = next(r for r in runs if r[0] == "bd")
-                if all(
-                    _occ_edge(d, occ)[0] in interface for occ in bd_run[1]
-                ):
-                    rec.shape = "port"
-                    rec.chord = tuple(
-                        _occ_edge(d, occ)[0] for occ in bd_run[1]
-                    )
-        out.append(rec)
-    return out
+    return [
+        _classify(
+            d, group, {e for f in group for (e, _s) in d.faces[f].word if e in seams},
+            interface, crossings, incident,
+        )
+        for group in _seam_classes(d, faces_on, seams)
+        if not d.faces[group[0]].suture
+    ]
 
 
 def is_nice(d: Diagram):
@@ -589,41 +599,6 @@ class ActionRecord:
     interior: frozenset
 
 
-def _try_quad(d, faces, bd, k, t, i, j, crossings, incident):
-    occ = {}
-    for f in faces:
-        for (e, _s) in d.faces[f].word:
-            occ[e] = occ.get(e, 0) + 1
-    inner = {e for e, n in occ.items() if n == 2}
-    if inner & set(bd):
-        return None
-    cycles = _boundary_cycles(d, faces, inner)
-    if len(cycles) != 1:
-        return None
-    runs = _cycle_runs(d, cycles[0])
-    if len(runs) != 4:
-        return None
-    bd_runs = [r for r in runs if r[0] == "bd"]
-    if len(bd_runs) != 1:
-        return None
-    run_edges = [_occ_edge(d, o)[0] for o in bd_runs[0][1]]
-    if run_edges != bd:
-        return None
-    xs, ys = _corner_points(d, runs)
-    if len(xs) != 1 or len(ys) != 1:
-        return None
-    return ActionRecord(
-        interface=k,
-        interval=t,
-        start=i,
-        end=j,
-        x_pt=next(iter(xs)),
-        y_pt=next(iter(ys)),
-        faces=tuple(faces),
-        interior=_interior_crossings(d, faces, cycles, crossings, incident),
-    )
-
-
 def _connected_supersets(base, allowed, adjacent):
     """Each set of faces holding ``base``, inside ``base | allowed`` and
     joined to ``base`` across shared edges (``adjacent``: face -> faces
@@ -654,7 +629,9 @@ def action_census(d: Diagram) -> list:
 
     Candidates are the sets grown from the faces on the chord across
     shared edges, through faces whose boundary edges all lie on the
-    chord; each still goes through the full quadrilateral test.  No set
+    chord.  Each is glued along the edges it holds on both sides and
+    classified as the regions are (``_classify``); it is kept when it is
+    a port on this chord with one x-corner and one y-corner.  No set
     is missed: an accepted set has one boundary cycle, so it is joined
     across shared edges, and a boundary edge lies on one face only, so
     one off the chord would sit on the cycle and break the chord run.
@@ -668,6 +645,7 @@ def action_census(d: Diagram) -> list:
         )
     crossings = _crossing_curves(d)
     face_of_edge, incident = _face_index(d, crossings)
+    interface = d.interface_edge_ids()
     rim, adjacent = {}, {}  # face -> its boundary edges, the faces across its edges
     for f in nonsuture:
         word = [e for (e, _s) in d.faces[f].word]
@@ -679,18 +657,23 @@ def action_census(d: Diagram) -> list:
             points = len(interval) - 1  # m+1 edges carry m marked points
             for i in range(points):
                 for j in range(i + 1, points):
-                    bd = [interval[p] for p in range(i + 1, j + 1)]
+                    bd = tuple(interval[i + 1:j + 1])
                     chord = set(bd)
                     base = {f for e in bd for f in face_of_edge[e]}
                     if any(d.faces[f].suture or rim[f] - chord for f in base):
                         continue
                     allowed = {f for f in nonsuture if rim[f] <= chord}
                     for faces in _connected_supersets(base, allowed, adjacent):
-                        rec = _try_quad(
-                            d, sorted(faces), bd, k, t, i, j, crossings, incident
-                        )
-                        if rec is not None:
-                            out.append(rec)
+                        faces = sorted(faces)
+                        sides = Counter(e for f in faces for (e, _s) in d.faces[f].word)
+                        inner = {e for e, n in sides.items() if n == 2}
+                        rec = _classify(d, faces, inner, interface, crossings, incident)
+                        if (rec.shape == "port" and rec.chord == bd
+                                and len(rec.moves_from) == len(rec.moves_to) == 1):
+                            (x_pt,), (y_pt,) = rec.moves_from, rec.moves_to
+                            out.append(ActionRecord(
+                                k, t, i, j, x_pt, y_pt, rec.faces, rec.interior
+                            ))
     return sorted(
         out,
         key=lambda r: (r.interface, r.interval, r.start, r.end, r.faces),

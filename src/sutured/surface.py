@@ -359,19 +359,6 @@ def _classes(parent: dict) -> list:
     return [sorted(g) for g in sorted(groups.values())]
 
 
-def recompute_suture_flags(d: Diagram) -> Diagram:
-    """Suture status: the region touches a free (non-interface) piece of
-    the surface boundary."""
-    free = d.free_boundary_edge_ids()
-    for group in regions(d):
-        touches = any(
-            e in free for f in group for (e, _s) in d.faces[f].word
-        )
-        for f in group:
-            d.faces[f].suture = touches
-    return d
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -381,8 +368,9 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
 
     One pass over the face words files the sides that the link walk,
     the regions and the family cuts read.  It writes nothing, unless
-    ``set_flags`` has it set the suture flags from the regions first, as
-    ``recompute_suture_flags`` would; the flag check still runs.
+    ``set_flags`` has it set the suture flags from the regions first: a
+    region is a suture region when it touches a free (non-interface)
+    boundary edge.  The flag check still runs.
     """
     problems = []
     ids = list(d.edges) + list(d.faces) + list(d.alpha_curves) + list(d.beta_curves)
@@ -761,8 +749,7 @@ def parse(text: str) -> Diagram:
 
 def _check(d: Diagram, set_flags: bool = False) -> Diagram:
     """``d`` if it validates; ``set_flags`` first sets its suture flags
-    from the regions ``validate`` builds anyway, as
-    ``recompute_suture_flags`` would."""
+    from the regions ``validate`` builds anyway (see ``validate``)."""
     problems = validate(d, set_flags=set_flags)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
@@ -1044,15 +1031,18 @@ def split_face_by_chord(d: Diagram, face_id, pos1, pos2, edge_id, kind, curve):
     return fa, fb
 
 
-def _route_and_insert_chord(d, piece_set, v1, v2, family, curve_id, crossing_curves, crossings_out):
+def _route_and_insert_chord(d, pieces, face_id, v1, v2, family, curve_id, crossing_curves, crossings_out):
     """Insert a curve chord from v1 to v2 inside the pieces of one face.
 
+    ``pieces`` maps each face id named so far to the faces the inserted
+    chords have cut it into; this face starts as its own one piece.
     If the endpoints were separated by previously inserted chords of the
     curves in crossing_curves, the chord crosses them (the pieces of a
     disk face form a tree, so the route is unique); each forced crossing
     subdivides the crossed chord at a fresh intersection vertex, which is
     appended to crossings_out.  Returns the new edge ids in order.
     """
+    piece_set = pieces.setdefault(face_id, {face_id})
 
     def piece_with(v):
         hits = []
@@ -1116,6 +1106,43 @@ def _route_and_insert_chord(d, piece_set, v1, v2, family, curve_id, crossing_cur
         piece_set.add(fb)
         new_edges.append(eid)
     return new_edges
+
+
+def _route_path(d, pieces, path, v_start, v_end, family, curve_id, crossing_curves,
+                crossings_out, close_in=None):
+    """Insert a curve along a transverse path from v_start to v_end.
+
+    Each crossed edge is subdivided at a fresh waypoint, in path order,
+    and a chord is routed through each face of the path between its
+    waypoints; when ``close_in`` names a face, a last chord runs back
+    from v_end to v_start inside it, closing the curve up.  The other
+    arguments are ``_route_and_insert_chord``'s.  Returns the new edge
+    ids in order.
+    """
+    waypoints = [v_start]
+    for e in path.crossed():
+        waypoints.append(subdivide_edge(d, e)[2])
+    waypoints.append(v_end)
+    segs = []
+    for f, wa, wb in zip(path.faces(), waypoints, waypoints[1:]):
+        segs += _route_and_insert_chord(
+            d, pieces, f, wa, wb, family, curve_id, crossing_curves, crossings_out
+        )
+    if close_in is not None:
+        segs += _route_and_insert_chord(
+            d, pieces, close_in, v_end, v_start, family, curve_id, crossing_curves,
+            crossings_out,
+        )
+    return segs
+
+
+def _put_mark(d: Diagram, stem: str, v: str) -> None:
+    """Mark ``v`` as ``stem``, or as ``stem_1``, ``stem_2``, ... if taken."""
+    name, n = stem, 0
+    while name in d.marks:
+        n += 1
+        name = f"{stem}_{n}"
+    d.marks[name] = v
 
 
 # ---------------------------------------------------------------------------
@@ -1190,9 +1217,17 @@ def _subdivide_ports(d: Diagram, seam: str, order) -> dict:
     return {order[0]: u1, order[1]: u2}
 
 
+def _face_carrying(d: Diagram, eid: str):
+    """The first face whose word carries the edge ``eid``, or None."""
+    return next(
+        (f for f, face in d.faces.items() if any(e == eid for (e, _s) in face.word)),
+        None,
+    )
+
+
 def _check_two_handle_paths(d: Diagram, p: str, q: str, a_path, b_path) -> None:
-    """Both paths cross distinct non-boundary edges of ``d`` and run from
-    the face at the foot ``p`` to the face at the foot ``q``."""
+    """Both paths cross non-boundary edges of ``d``, no edge twice, and
+    run from the face at the foot ``p`` to the face at the foot ``q``."""
     for path in (a_path, b_path):
         for e in path.crossed():
             ed = d.edges.get(e)
@@ -1201,14 +1236,13 @@ def _check_two_handle_paths(d: Diagram, p: str, q: str, a_path, b_path) -> None:
         for f in path.faces():
             if f not in d.faces:
                 raise ValueError(f"path names missing face {f}")
+        if len(set(path.crossed())) != len(path.crossed()):
+            raise ValueError("a path must cross each edge at most once")
     if set(a_path.crossed()) & set(b_path.crossed()):
         raise ValueError("the two paths must cross distinct edges")
     ends = []
     for foot in (p, q):
-        face = next(
-            (f for f, fc in d.faces.items() if any(e == foot for (e, _s) in fc.word)),
-            None,
-        )
+        face = _face_carrying(d, foot)
         if face is None:
             raise ValueError(f"no face carries the foot {foot}")
         ends.append(face)
@@ -1241,39 +1275,19 @@ def attach_two_handle(
     ports_q = _subdivide_ports(out, handle["q"]["seam"], port_order_q)
 
     pieces = {}
-
-    def piece_set(face_id):
-        return pieces.setdefault(face_id, {face_id})
-
+    strip = handle["strip"]
     beta_id = out.fresh_id("B")
     alpha_id = out.fresh_id("A")
     crossings = []
-
-    def insert_closed(path, curve_id, family, port_p, port_q, crossing_curves):
-        segs = []
-        waypoints = [port_p]
-        for e in path.crossed():
-            _a, _b, w = subdivide_edge(out, e)
-            waypoints.append(w)
-        waypoints.append(port_q)
-        for fdecl, wa, wb in zip(path.faces(), waypoints, waypoints[1:]):
-            segs += _route_and_insert_chord(
-                out, piece_set(fdecl), wa, wb, family, curve_id,
-                crossing_curves, crossings,
-            )
-        segs += _route_and_insert_chord(
-            out, piece_set(handle["strip"]), port_q, port_p, family, curve_id,
-            crossing_curves, crossings,
-        )
-        return segs
-
-    beta_segs = insert_closed(b_path, beta_id, "beta", ports_p["b"], ports_q["b"], [])
+    beta_segs = _route_path(
+        out, pieces, b_path, ports_p["b"], ports_q["b"], "beta", beta_id, [],
+        crossings, close_in=strip,
+    )
     out.beta_curves[beta_id] = Curve(beta_id, True, beta_segs)
-    n_before = len(crossings)
-    assert n_before == 0
-    alpha_segs = insert_closed(
-        a_path, alpha_id, "alpha", ports_p["a"], ports_q["a"],
-        [out.beta_curves[beta_id]],
+    assert not crossings
+    alpha_segs = _route_path(
+        out, pieces, a_path, ports_p["a"], ports_q["a"], "alpha", alpha_id,
+        [out.beta_curves[beta_id]], crossings, close_in=strip,
     )
     out.alpha_curves[alpha_id] = Curve(alpha_id, True, alpha_segs)
     if len(crossings) != 1:
@@ -1281,12 +1295,7 @@ def attach_two_handle(
             f"paths are not disjoint: {len(crossings)} forced crossings"
         )
     x0 = crossings[0]
-    name = "x0"
-    n = 0
-    while name in out.marks:
-        n += 1
-        name = f"x0_{n}"
-    out.marks[name] = x0
+    _put_mark(out, "x0", x0)
     return _check(out, set_flags=True), x0
 
 
@@ -1301,14 +1310,9 @@ def attach_trivial_bypass(d: Diagram, site: str, sign: str):
         raise ValueError("sign must be '+' or '-'")
     out = d.copy()
     handle = _attach_one_handle(out, site, site)
-    face_site = next(
-        f
-        for f, face in out.faces.items()
-        if any(e == handle["p"]["right"] for (e, _s) in face.word)
-    )
+    face_site = _face_carrying(out, handle["p"]["right"])
     a_path = TransversePath([face_site, handle["p"]["seam"], handle["strip"]])
     b_path = TransversePath([face_site, handle["q"]["seam"], handle["strip"]])
-    recompute_suture_flags(out)
     port_q = ("a", "b") if sign == "+" else ("b", "a")
     return attach_two_handle(
         out,
@@ -1462,30 +1466,24 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
 # bordered concatenation
 
 
-def _prefix_diagram(d: Diagram, tag: str) -> Diagram:
-    """A copy of ``d`` with ``tag`` before every vertex, edge, face and
-    curve id."""
-    pv = {v: f"{tag}{v}" for v in d.vertices}
-    pe = {e: f"{tag}{e}" for e in d.edges}
-    pc = {c: f"{tag}{c}" for c in list(d.alpha_curves) + list(d.beta_curves)}
+def _renamed(d: Diagram, new: dict) -> Diagram:
+    """A copy of ``d`` with every vertex, edge, face and curve id ``x``
+    renamed ``new[x]``."""
+    curves = [
+        {new[c]: Curve(new[c], cv.closed, [new[e] for e in cv.segments]) for c, cv in store.items()}
+        for store in (d.alpha_curves, d.beta_curves)
+    ]
     return Diagram(
-        set(pv.values()),
+        {new[v] for v in d.vertices},
         {
-            pe[e]: Edge(pe[e], ed.kind, None if ed.curve is None else pc[ed.curve], pv[ed.frm], pv[ed.to])
+            new[e]: Edge(new[e], ed.kind, None if ed.curve is None else new[ed.curve], new[ed.frm], new[ed.to])
             for e, ed in d.edges.items()
         },
         {
-            f"{tag}{f}": Face(f"{tag}{f}", [(pe[e], s) for (e, s) in face.word], face.suture)
+            new[f]: Face(new[f], [(new[e], s) for (e, s) in face.word], face.suture)
             for f, face in d.faces.items()
         },
-        {
-            pc[c]: Curve(pc[c], cv.closed, [pe[e] for e in cv.segments])
-            for c, cv in d.alpha_curves.items()
-        },
-        {
-            pc[c]: Curve(pc[c], cv.closed, [pe[e] for e in cv.segments])
-            for c, cv in d.beta_curves.items()
-        },
+        *curves,
         [
             Interface(
                 ArcDiagram(
@@ -1493,14 +1491,21 @@ def _prefix_diagram(d: Diagram, tag: str) -> Diagram:
                     dict(i.arc_diagram.matching),
                     i.arc_diagram.kind,
                 ),
-                [[pe[e] for e in iv] for iv in i.intervals],
-                {a: pc[c] for a, c in i.arcs.items()},
+                [[new[e] for e in iv] for iv in i.intervals],
+                {a: new[c] for a, c in i.arcs.items()},
             )
             for i in d.interfaces
         ],
-        [pv[v] for v in d.eh],
-        {k: pv[v] for k, v in d.marks.items()},
+        [new[v] for v in d.eh],
+        {k: new[v] for k, v in d.marks.items()},
     )
+
+
+def _prefix_diagram(d: Diagram, tag: str) -> Diagram:
+    """A copy of ``d`` with ``tag`` before every vertex, edge, face and
+    curve id."""
+    pools = (d.vertices, d.edges, d.faces, d.alpha_curves, d.beta_curves)
+    return _renamed(d, {x: f"{tag}{x}" for pool in pools for x in pool})
 
 
 def _interface_arc_bijection(z1: ArcDiagram, z2: ArcDiagram) -> dict:

@@ -11,7 +11,7 @@ import copy
 from functools import reduce
 
 from sutured import pieces, surface
-from sutured.surface import Curve, Diagram, Edge, Face, Interface
+from sutured.surface import Curve, Diagram, Edge, Face
 
 
 def annular_trap() -> Diagram:
@@ -228,25 +228,7 @@ def relabel(d: Diagram, rng) -> Diagram:
     )
     slots = list(range(len(ids)))
     rng.shuffle(slots)
-    new = {x: f"n{t}" for x, t in zip(ids, slots)}
-    curves = lambda cs: {  # noqa: E731
-        new[c]: Curve(new[c], cv.closed, [new[e] for e in cv.segments])
-        for c, cv in cs.items()
-    }
-    return Diagram(
-        {new[v] for v in d.vertices},
-        {new[e]: Edge(new[e], ed.kind, ed.curve and new[ed.curve], new[ed.frm], new[ed.to])
-         for e, ed in d.edges.items()},
-        {new[f]: Face(new[f], [(new[e], s) for (e, s) in fc.word], fc.suture)
-         for f, fc in d.faces.items()},
-        curves(d.alpha_curves),
-        curves(d.beta_curves),
-        [Interface(i.arc_diagram, [[new[e] for e in iv] for iv in i.intervals],
-                   {a: new[c] for a, c in i.arcs.items()})
-         for i in d.interfaces],
-        [new[v] for v in d.eh],
-        {k: new[v] for k, v in d.marks.items()},
-    )
+    return surface._renamed(d, {x: f"n{t}" for x, t in zip(ids, slots)})
 
 
 def _nodes(doc, path=()):
@@ -260,17 +242,25 @@ def _nodes(doc, path=()):
 
 def mutate(doc, choose) -> None:
     """Change a JSON document in place at one node: delete it, swap it
-    for another string in the document, retype it or duplicate it.
-    ``choose`` picks one item of a list (a Hypothesis draw or a seeded
-    ``Random.choice``)."""
+    for another string in the document, retype it or duplicate it, or,
+    in a list of two or more items, repeat the two-item stretch it
+    starts (or ends, at the list's end), which keeps an odd length odd,
+    as a transverse path's must be.  ``choose`` picks one item of a list
+    (a Hypothesis draw or a seeded ``Random.choice``)."""
     nodes = list(_nodes(doc))
     path, value = choose(nodes)
     holder = doc
     for k in path[:-1]:
         holder = holder[k]
     key = path[-1]
-    op = choose(["delete", "swap", "retype", "duplicate"])
-    if op == "delete":
+    ops = ["delete", "swap", "retype", "duplicate"]
+    if isinstance(holder, list) and len(holder) >= 2:
+        ops.append("repeat")
+    op = choose(ops)
+    if op == "repeat":
+        start = min(key, len(holder) - 2)
+        holder[start:start] = copy.deepcopy(holder[start:start + 2])
+    elif op == "delete":
         del holder[key]
     elif op == "swap":
         ids = sorted({v for _p, v in nodes if isinstance(v, str)})

@@ -25,9 +25,11 @@ same restart loop; ``reference_vertex_links`` walks each vertex from
 corners and flanking sides read off the face words one vertex at a
 time; ``reference_validate`` runs every structural check in the
 library's order, each recomputing what it reads, with faces grouped by
-a fresh search for every component.  The library's worklist edits and
-one-index validator must give the same diagrams, links and problem
-lists, failures included.  ``reference_vertex_faces`` reads a vertex's
+a fresh search for every component; ``recompute_suture_flags`` sets
+the suture flags in a pass of its own over the regions.  The library's
+worklist edits and one-index validator, which sets the flags inside its
+check, must give the same diagrams, links, flags and problem lists,
+failures included.  ``reference_vertex_faces`` reads a vertex's
 faces in a scan of its own, which the census's one pass must match.
 ``reference_action_census`` tries every subset of the non-suture faces
 for each chord, as the library did before it grew candidates from the
@@ -969,6 +971,20 @@ def reference_validate(d):
     return problems
 
 
+def recompute_suture_flags(d):
+    """Suture status: the region touches a free (non-interface) piece of
+    the surface boundary.  The separate pass that ``validate(d,
+    set_flags=True)`` folds into its check."""
+    free = d.free_boundary_edge_ids()
+    for group in surface.regions(d):
+        touches = any(
+            e in free for f in group for (e, _s) in d.faces[f].word
+        )
+        for f in group:
+            d.faces[f].suture = touches
+    return d
+
+
 def reference_dissolve_edge(d, eid):
     """An edge's dissolve (``surface._LocalEdits.dissolve``) finding its
     sides by scanning every face, and its orphaned ends by scanning every
@@ -1103,7 +1119,7 @@ def reference_trivial_destabilize(d, alpha_id, beta_id):
         else:
             raise RuntimeError(f"destabilization stuck on {sorted(pending)}")
     reference_simplify(out)
-    surface.recompute_suture_flags(out)
+    recompute_suture_flags(out)
     return surface._check(out), forced
 
 
@@ -1187,7 +1203,7 @@ def reference_concatenate_bordered(b1, b2, pair=(0, 0)):
             out.edges[e].curve = c1
         left_curve.segments = left_curve.segments + appended
         left_curve.closed = True
-    surface.recompute_suture_flags(out)
+    recompute_suture_flags(out)
     return surface._check(out)
 
 

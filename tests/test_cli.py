@@ -311,6 +311,24 @@ def test_attach_rejects_malformed_specs(capsys, tmp_path, stab_file):
     assert code == 1 and "unknown handle kind" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("verb", ["attach", "glue", "verify-equivalence"])
+def test_paths_crossing_an_edge_twice_are_refused(capsys, tmp_path, stab_file, verb):
+    """A transverse path that crosses one edge twice is a domain
+    rejection, not a traceback, on every verb that attaches a 2-handle."""
+    spec = {"kind": "2", "p": "bd", "q": "bd",
+            "a_path": ["F", "a2", "F", "a2", "F"], "b_path": ["F"]}
+    path = tmp_path / "spec.json"
+    if verb == "verify-equivalence":
+        path.write_text(json.dumps([spec]))
+        opts = ["--handles", str(path)]
+    else:
+        path.write_text(json.dumps(spec))
+        opts = ["--spec", str(path)]
+    code, out, err = run(capsys, verb, stab_file, *opts)
+    assert (code, out) == (1, "")
+    assert "cross each edge at most once" in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # equivalence runs
 

@@ -135,6 +135,27 @@ def test_prepare_two_handle_validates_paths():
         )
 
 
+@pytest.mark.parametrize("key", sorted(pieces.catalog()) + list(FIXTURES))
+def test_strip_prefix_undoes_the_concatenation_prefix(key):
+    d = build(key)
+    stripped = glue._strip_prefix(surface._prefix_diagram(d, "R:"), "R:")
+    assert surface.serialize(stripped) == surface.serialize(d)
+
+
+@pytest.mark.parametrize("pool", ["vertices", "edges", "faces", "alpha_curves", "beta_curves"])
+def test_strip_prefix_refuses_to_merge_two_ids(pool):
+    """An unprefixed id beside its prefixed twin in one pool would merge."""
+    d = surface._prefix_diagram(build("fix-stab"), "R:")
+    ids = getattr(d, pool)
+    twin = min(ids)
+    if isinstance(ids, set):
+        ids.add(twin.removeprefix("R:"))
+    else:
+        ids[twin.removeprefix("R:")] = ids[twin]
+    with pytest.raises(AssertionError, match="collide"):
+        glue._strip_prefix(d, "R:")
+
+
 # ---------------------------------------------------------------------------
 # one-handle pipeline vs transport
 
