@@ -74,12 +74,13 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        ent = tuple(
-            sorted(((i, j), v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
-        )
-        return cls(nr, nc, ent)
+        return cls.from_sparse([dict(enumerate(row)) for row in rows], len(rows[0]) if rows else 0)
+
+    @classmethod
+    def from_sparse(cls, rows: Sequence[dict], cols: int) -> "IntegerMatrix":
+        """From one dict per row, column -> value; zero values are left out."""
+        ent = tuple(sorted(((i, j), v) for i, row in enumerate(rows) for j, v in row.items() if v))
+        return cls(len(rows), cols, ent)
 
     def dense(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]

@@ -40,9 +40,11 @@ from .surface import (
     Edge,
     Interface,
     TransversePath,
+    _after,
     _attach_one_handle,
     _check,
     _check_two_handle_paths,
+    _cut_twice,
     _face_carrying,
     _put_mark,
     _renamed,
@@ -240,15 +242,9 @@ def prepare_one_handle(d, p: str, q: str):
     else:
         _require_free_suture_edge(out, q)
 
-    def foot(eid):
-        # middle third becomes the interface edge, margins stay free
-        _left, rest, _v1 = subdivide_edge(out, eid)
-        mid, _right, _v2 = subdivide_edge(out, rest)
-        return mid
-
-    out.interfaces.append(
-        Interface(ArcDiagram([[], []], {}, "alpha"), [[foot(p)], [foot(q)]], {})
-    )
+    # the middle thirds of the feet become the interface, margins stay free
+    feet = [[_cut_twice(out, eid)[1]] for eid in (p, q)]
+    out.interfaces.append(Interface(ArcDiagram([[], []], {}, "alpha"), feet, {}))
     return _check(out)
 
 
@@ -268,27 +264,19 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     _check_two_handle_paths(d, p, q, a_path, b_path)
     out = d.copy()
     handle = _attach_one_handle(out, p, q)
-    ports_p = _subdivide_ports(out, handle["p"]["seam"], ("b", "a"))
-    ports_q = _subdivide_ports(out, handle["q"]["seam"], ("b", "a"))
+    ports_p, ports_q = _subdivide_ports(out, handle, ("b", "a"), ("b", "a"))
 
     # the attaching-circle side of the strip becomes the long interval
-    e1, rest, j0 = subdivide_edge(out, handle["s1"])
-    e2, rest2, j1 = subdivide_edge(out, rest)
-    e3, e4, j2 = subdivide_edge(out, rest2)
+    e1, e2, rest, j0, j1 = _cut_twice(out, handle["s1"], _after(ports_q["a"]))
+    e3, e4, j2 = subdivide_edge(out, rest, _after(j1))
 
     # slit hole in the strip: the short arc's far endpoint lives on it
-    s2a, _s2b, sl = subdivide_edge(out, handle["s2"])
-    hv0 = out.fresh_id("v")
-    out.vertices.add(hv0)
-    j3 = out.fresh_id("v")
-    out.vertices.add(j3)
-    hv1 = out.fresh_id("v")
-    out.vertices.add(hv1)
-    f1 = out.fresh_id("hole")
+    s2a, _s2b, sl = subdivide_edge(out, handle["s2"], _after(j2))
+    hv0, j3, hv1 = out.fresh_ids("v", 3)
+    out.vertices |= {hv0, j3, hv1}
+    f1, f2, fs = out.fresh_ids("hole", 3)
     out.edges[f1] = Edge(f1, "boundary", None, hv0, j3)
-    f2 = out.fresh_id("hole")
     out.edges[f2] = Edge(f2, "boundary", None, j3, hv1)
-    fs = out.fresh_id("hole")
     out.edges[fs] = Edge(fs, "boundary", None, hv1, hv0)
     slit = out.fresh_id("slit")
     out.edges[slit] = Edge(slit, "seam", None, sl, hv0)

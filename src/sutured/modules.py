@@ -221,7 +221,7 @@ def bordered_invariant(d, kind: str, sector=None) -> BorderedStructure:
                 raise AssertionError("differential leaves the occupancy sector")
             diff.setdefault(x, set()).add(y)
     diff = {x: frozenset(ys) for x, ys in diff.items()}
-    records = sfc.action_census(d)
+    records = sfc.action_census(d, cx.darts)
     bs = BorderedStructure(
         kind,
         d,

@@ -6,11 +6,17 @@ edges, walked with the seams cancelled.  On seamless diagrams regions
 and faces coincide; after a bordered concatenation a single rectangle
 may well consist of two faces joined along a scar, and it still counts.
 
-Each census makes one pass over the face words (``_face_index``), which
-files the faces on each edge, from which the regions follow, and the
-faces at each crossing, which decide the crossings a domain holds inside.
-``differential`` builds the crossing table once, for both the census
-and the generators.
+Every census reads one dart build of the diagram (``darts.Darts``):
+each side of each face word is a dart, and flat lists give its edge,
+face, tail, next side in the face and mate across the edge.  The
+regions are a union-find over face indices across the seams.  A
+domain's boundary is walked dart to dart, crossing its glued edges
+through their mates; its corners are the tails where runs of the two
+curve families meet, and a crossing lies inside when it is off the
+boundary and the domain touches it.
+``differential`` makes one build for the census, the admissibility
+rows, the crossing table and the generators, and its complex keeps the
+build for the action census.
 
 The action census grows each chord's candidate domains from the faces
 on the chord across shared edges (``_connected_supersets``).  Both
@@ -19,9 +25,8 @@ censuses classify a union of faces through one function
 glued along the edges it holds on both sides.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from typing import Optional
 
 from .exactlin import (
@@ -32,24 +37,12 @@ from .exactlin import (
     positive_kernel_witness,
     set_bits,
 )
-from . import surface
+from .darts import Darts
 from .surface import CURVE_KINDS, Diagram
 
 
 # ---------------------------------------------------------------------------
 # generators
-
-
-def _crossing_curves(d: Diagram) -> dict:
-    """crossing vertex -> {"alpha": curve id, "beta": curve id}."""
-    out = {}
-    for family in CURVE_KINDS:
-        for c in d.curves(family).values():
-            for e in c.segments:
-                ed = d.edges[e]
-                for v in (ed.frm, ed.to):
-                    out.setdefault(v, {})[family] = c.id
-    return {v: fams for v, fams in out.items() if len(fams) == 2}
 
 
 def generators(d: Diagram, crossings: Optional[dict] = None) -> list:
@@ -62,10 +55,11 @@ def generators(d: Diagram, crossings: Optional[dict] = None) -> list:
     an alpha arc takes one such crossing or none, and a choice is kept
     when it uses every closed beta curve.  Diagrams admitting no such
     matching, among them any with a closed curve that meets no crossing,
-    yield an empty list.  ``crossings``: ``_crossing_curves(d)``, if built.
+    yield an empty list.  ``crossings``: the crossing table of the
+    diagram's dart build (``darts.Darts``), if made.
     """
     if crossings is None:
-        crossings = _crossing_curves(d)
+        crossings = Darts(d).crossings
     on_alpha = {}  # alpha curve -> [(crossing, beta curve)], by vertex
     for v in sorted(crossings):
         on_alpha.setdefault(crossings[v]["alpha"], []).append(
@@ -113,158 +107,35 @@ def _extend_by_curve(i, chosen, slots, closed_beta, used, found):
 # domain boundary walks and the shape census
 
 
-def _classify_edge(d: Diagram, eid: str) -> str:
-    kind = d.edges[eid].kind
-    if kind in CURVE_KINDS:
-        return kind
-    return "bd"
+def _boundary_cycle(dx, darts, glued):
+    """The boundary of the union of faces holding ``darts``, glued along
+    the darts in ``glued`` (closed under ``mate``), as the darts of its
+    one boundary cycle in walking order; None when it has no boundary
+    or more than one cycle."""
+    rim = [k for k in darts if k not in glued]
+    if not rim:
+        return None
+    nxt, mate = dx.nxt, dx.mate
+    cycle, k = [], rim[0]
+    while True:
+        cycle.append(k)
+        k = nxt[k]
+        while k in glued:
+            k = nxt[mate[k]]
+        if k == rim[0]:
+            break
+        if len(cycle) == len(rim):
+            raise ValueError("domain boundary walk does not close up")
+    return cycle if len(cycle) == len(rim) else None
 
 
-def _boundary_cycles(d: Diagram, faces, inner) -> list:
-    """Boundary cycles of a union of faces, as lists of (face, pos).
-
-    ``inner`` names the edges glued inside the union; their occurrences
-    cancel pairwise and the walk jumps across them.  Every remaining
-    occurrence lies on exactly one cycle.
-    """
-    partner = {}
-    occ_of = {}
-    for f in faces:
-        for i, (e, _s) in enumerate(d.faces[f].word):
-            occ_of.setdefault(e, []).append((f, i))
-    for e in inner:
-        occs = occ_of.get(e, [])
-        if len(occs) != 2:
-            raise ValueError(f"inner edge {e} does not occur twice in the union")
-        partner[occs[0]] = occs[1]
-        partner[occs[1]] = occs[0]
-
-    budget = sum(len(d.faces[f].word) for f in faces) + 1
-
-    def advance(f, i):
-        n = len(d.faces[f].word)
-        j = (i + 1) % n
-        steps = 0
-        while d.faces[f].word[j][0] in inner:
-            f, j = partner[(f, j)]
-            n = len(d.faces[f].word)
-            j = (j + 1) % n
-            steps += 1
-            if steps > budget:
-                raise ValueError("domain boundary walk does not close up")
-        return f, j
-
-    todo = {
-        (f, i)
-        for f in faces
-        for i, (e, _s) in enumerate(d.faces[f].word)
-        if e not in inner
-    }
-    cycles = []
-    while todo:
-        start = min(todo)
-        cyc = []
-        cur = start
-        while True:
-            cyc.append(cur)
-            todo.discard(cur)
-            cur = advance(*cur)
-            if cur == start:
-                break
-        cycles.append(cyc)
-    return cycles
-
-
-def _cycle_runs(d: Diagram, cycle) -> list:
-    """Maximal runs of one edge class: list of (class, [(face, pos), ...])."""
-    classes = [_classify_edge(d, d.faces[f].word[i][0]) for (f, i) in cycle]
-    n = len(cycle)
-    if len(set(classes)) == 1:
-        return [(classes[0], list(cycle))]
-    k = next(i for i in range(n) if classes[i - 1] != classes[i])
-    cyc = cycle[k:] + cycle[:k]
-    cls = classes[k:] + classes[:k]
-    runs = []
-    for c, occ in zip(cls, cyc):
-        if runs and runs[-1][0] == c:
-            runs[-1][1].append(occ)
-        else:
-            runs.append((c, [occ]))
-    return runs
-
-
-def _occ_edge(d, occ):
-    f, i = occ
-    return d.faces[f].word[i]
-
-
-def _run_head(d, run):
-    """Head vertex of a run traversed in boundary orientation."""
-    e, s = _occ_edge(d, run[1][-1])
-    return d.edges[e].end(s)
-
-
-def _corner_points(d, runs):
-    """x- and y-corners at junctions of consecutive curve runs.
-
-    A corner is the head of the incoming run; it is an x-point when the
-    incoming side is an alpha run and a y-point when it is a beta run.
-    """
-    xs, ys = set(), set()
-    n = len(runs)
-    for i in range(n):
-        cls_in, _ = runs[i]
-        cls_out, _ = runs[(i + 1) % n]
-        if "bd" in (cls_in, cls_out):
-            continue
-        v = _run_head(d, runs[i])
-        if cls_in == "alpha":
-            xs.add(v)
-        else:
-            ys.add(v)
-    return frozenset(xs), frozenset(ys)
-
-
-def _face_index(d: Diagram, crossings: dict):
-    """One pass over the face words for a census: edge -> faces (one
-    entry per side, in face order) and crossing -> the set of faces
-    whose word touches it.  ``crossings`` is ``_crossing_curves(d)``."""
-    faces_on, incident = {}, {}
-    for f, face in d.faces.items():
-        for (e, _s) in face.word:
-            ed = d.edges[e]
-            faces_on.setdefault(e, []).append(f)
-            for v in (ed.frm, ed.to):
-                if v in crossings:
-                    incident.setdefault(v, set()).add(f)
-    return faces_on, incident
-
-
-def _seam_classes(d: Diagram, faces_on: dict, seams) -> list:
-    """``surface.regions(d)`` from ``_face_index``'s edge -> faces."""
-    parent = {f: f for f in d.faces}
-    surface._merge(parent, faces_on, seams)
-    return surface._classes(parent)
-
-
-def _interior_crossings(d, faces, cycles, crossings, incident) -> frozenset:
-    """Crossings off the boundary cycles whose faces all lie in ``faces``.
-
-    ``crossings`` is ``_crossing_curves(d)`` and ``incident`` is
-    ``_face_index``'s crossing -> faces, built once per census.
-    """
-    on_cycle = set()
-    for cyc in cycles:
-        for occ in cyc:
-            e, _s = _occ_edge(d, occ)
-            on_cycle.add(d.edges[e].frm)
-            on_cycle.add(d.edges[e].to)
-    face_set = set(faces)
-    return frozenset(
-        v
-        for v in crossings
-        if v not in on_cycle and incident.get(v, set()) <= face_set
-    )
+def _cycle_runs(dx, cycle) -> list:
+    """Maximal runs of one edge class ("alpha", "beta", or "bd" for any
+    other kind) along ``cycle``: list of (class, [dart, ...])."""
+    kinds = map(dx.kind.__getitem__, cycle)
+    cls = {k: c if c in CURVE_KINDS else "bd" for k, c in zip(cycle, kinds)}
+    i = next((i for i, k in enumerate(cycle) if cls[cycle[i - 1]] != cls[k]), 0)
+    return [(c, list(run)) for c, run in groupby(cycle[i:] + cycle[:i], cls.__getitem__)]
 
 
 @dataclass
@@ -279,49 +150,54 @@ class RegionShape:
     chord: Optional[tuple] = None  # interface edges of the port side, in order
 
 
-def _classify(d, faces, inner, interface, crossings, incident) -> RegionShape:
-    """The shape of the union of ``faces`` glued along the ``inner`` edges.
+def _classify(dx, faces, glued, interface) -> RegionShape:
+    """The shape of the union of ``faces`` (sorted ids) glued along the
+    darts in ``glued``, read from the dart build ``dx``.
 
     With one boundary cycle, the cycle splits into runs of one edge
-    class; the corners and the crossings inside are recorded, and the
+    class.  Where two curve runs meet, the head of the incoming run is
+    a corner: an x-corner after an alpha run, a y-corner after a beta
+    run.  The corners and the crossings inside are recorded, and the
     runs decide the shape: two curve runs make a bigon, four a
     rectangle, and four with one run on ``interface`` edges a port,
-    whose chord is that run.  Anything else is "other".  ``crossings``
-    and ``incident`` come from ``_crossing_curves`` and ``_face_index``.
+    whose chord is that run.  Anything else is "other".  A crossing is
+    inside when the union touches it off the cycle: the link of a vertex
+    is one cycle of corners, so its corners are then all in the union.
     """
     rec = RegionShape(tuple(faces), "other")
-    cycles = _boundary_cycles(d, faces, inner)
-    if len(cycles) != 1:
+    darts = [k for f in faces for k in dx.darts_of(dx.index[f])]
+    cycle = _boundary_cycle(dx, darts, glued)
+    if cycle is None:
         return rec
-    runs = _cycle_runs(d, cycles[0])
+    runs = _cycle_runs(dx, cycle)
     pattern = [c for c, _ in runs]
-    rec.moves_from, rec.moves_to = _corner_points(d, runs)
-    rec.interior = _interior_crossings(d, faces, cycles, crossings, incident)
+    tail, corners = dx.tail, (set(), set())  # the x- and y-corners
+    for (c_in, _run), (c_out, run) in zip(runs, runs[1:] + runs[:1]):
+        if "bd" not in (c_in, c_out):  # the head of an alpha (x) or beta (y) run
+            corners[c_in == "beta"].add(tail[run[0]])
+    rec.moves_from, rec.moves_to = map(frozenset, corners)
+    touched = {tail[k] for k in darts}
+    rec.interior = frozenset(touched.intersection(dx.crossings) - {tail[k] for k in cycle})
     if sorted(pattern) == ["alpha", "beta"]:
         rec.shape = "bigon"
     elif len(runs) == 4 and pattern.count("bd") == 0:
         rec.shape = "rect"
     elif len(runs) == 4 and pattern.count("bd") == 1:
-        chord = tuple(_occ_edge(d, occ)[0] for c, run in runs if c == "bd" for occ in run)
+        chord = tuple(dx.edge[k] for c, run in runs if c == "bd" for k in run)
         if interface.issuperset(chord):
             rec.shape, rec.chord = "port", chord
     return rec
 
 
-def region_census(d: Diagram, crossings: Optional[dict] = None) -> list:
-    """Classify every non-suture region of the diagram.  ``crossings``:
-    ``_crossing_curves(d)``, if built."""
-    seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
+def region_census(d: Diagram, darts=None) -> list:
+    """Classify every non-suture region of the diagram.  ``darts``: the
+    diagram's ``darts.Darts`` build, if made."""
+    dx = Darts(d) if darts is None else darts
+    seams = {k for k, kind in enumerate(dx.kind) if kind == "seam"}
     interface = d.interface_edge_ids()
-    if crossings is None:
-        crossings = _crossing_curves(d)
-    faces_on, incident = _face_index(d, crossings)
     return [
-        _classify(
-            d, group, {e for f in group for (e, _s) in d.faces[f].word if e in seams},
-            interface, crossings, incident,
-        )
-        for group in _seam_classes(d, faces_on, seams)
+        _classify(dx, group, seams, interface)
+        for group in dx.groups(dx.join(("seam",)))
         if not d.faces[group[0]].suture
     ]
 
@@ -345,25 +221,28 @@ def _not_nice_faces(census) -> list:
 # admissibility
 
 
-def is_admissible(d: Diagram):
+def is_admissible(d: Diagram, darts=None):
     """No nonzero nonnegative combination of non-suture faces may have
     constant multiplicity along every full curve; returns (flag, witness)
     where the witness maps faces to the coefficients of an offending
-    domain, or None.
+    domain, or None.  The multiplicities are read off the darts
+    (``darts``: the diagram's ``darts.Darts`` build, if made), and the
+    sparse rows, one per non-curve edge in id order and one per
+    consecutive pair of segments along each curve, make the matrix as
+    they are.
     """
-    cols = sorted(f for f, face in d.faces.items() if not face.suture)
+    dx = Darts(d) if darts is None else darts
+    cols = sorted(f.id for f in dx.faces if not f.suture)
     if not cols:
         return True, None
-    col_of = {f: j for j, f in enumerate(cols)}
+    col = {dx.index[f]: j for j, f in enumerate(cols)}  # face index -> column
     mult = {}  # edge -> {column: signed occurrence count}
-    for f in cols:
-        for (e, s) in d.faces[f].word:
+    for e, i, s in zip(dx.edge, dx.face, dx.sign):
+        j = col.get(i)
+        if j is not None:
             row = mult.setdefault(e, {})
-            row[col_of[f]] = row.get(col_of[f], 0) + s
-    rows = []
-    for e, ed in sorted(d.edges.items()):
-        if ed.kind not in CURVE_KINDS and e in mult:
-            rows.append(dict(mult[e]))
+            row[j] = row.get(j, 0) + s
+    rows = [mult[e] for e in sorted(mult) if d.edges[e].kind not in CURVE_KINDS]
     for family in CURVE_KINDS:
         for c in d.curves(family).values():
             segs = list(c.segments)
@@ -371,20 +250,12 @@ def is_admissible(d: Diagram):
             if c.closed and len(segs) > 1:
                 pairs.append((segs[-1], segs[0]))
             for e1, e2 in pairs:
-                row = {}
-                for j, v in mult.get(e1, {}).items():
-                    row[j] = row.get(j, 0) + v
+                row = dict(mult.get(e1, {}))
                 for j, v in mult.get(e2, {}).items():
                     row[j] = row.get(j, 0) - v
                 rows.append(row)
-    dense = [
-        [row.get(j, 0) for j in range(len(cols))]
-        for row in rows
-        if any(row.values())
-    ]
-    if not dense:
-        dense = [[0] * len(cols)]
-    witness = positive_kernel_witness(IntegerMatrix.from_rows(dense))
+    rows = [row for row in rows if any(row.values())] or [{}]
+    witness = positive_kernel_witness(IntegerMatrix.from_sparse(rows, len(cols)))
     if witness is None:
         return True, None
     return False, {cols[j]: w for j, w in enumerate(witness) if w}
@@ -455,14 +326,17 @@ class ChainComplexF2:
     ``differential`` builds it once per diagram, and homology, the handle
     maps and the glue routes take it instead of rebuilding it.
     ``diagram`` is the diagram it came from (``None`` for a complex built
-    from tables, such as the box tensor product of the test references);
-    ``position`` and ``columns`` are derived at construction.
+    from tables, such as the box tensor product of the test references)
+    and ``darts`` the dart build its census read, which the action
+    census reads again; ``position`` and ``columns`` are derived at
+    construction.
     """
 
     basis: list  # canonically ordered generators
     differential: BinaryMatrix  # entry (i, j): basis[i] appears in d(basis[j])
     spinc_class: dict  # generator -> class index
     diagram: Optional[Diagram]
+    darts: object = field(default=None, repr=False, compare=False)  # the diagram's Darts
     position: dict = field(init=False, repr=False)  # generator -> basis index
     columns: list = field(init=False, repr=False)  # column j as a bitmask of rows
 
@@ -492,19 +366,19 @@ def differential(d: Diagram) -> ChainComplexF2:
     first, and each generator visits only the moves whose least x-corner
     it occupies, so a generator costs about its own size in lookups.
     """
-    crossings = _crossing_curves(d)
-    census = region_census(d, crossings)
+    dx = Darts(d)
+    census = region_census(d, dx)
     offenders = _not_nice_faces(census)
     if offenders:
         raise ValueError(f"diagram is not nice; offending faces: {offenders}")
-    ok, witness = is_admissible(d)
+    ok, witness = is_admissible(d, dx)
     if not ok:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
-    basis = generators(d, crossings)
+    basis = generators(d, dx.crossings)
     entries = _boundary_entries(basis, census)
     diff = BinaryMatrix(len(basis), len(basis), frozenset(entries))
     groups = [rec.faces for rec in census]
-    return ChainComplexF2(basis, diff, spinc_partition(d, basis, groups), d)
+    return ChainComplexF2(basis, diff, spinc_partition(d, basis, groups), d, dx)
 
 
 def _boundary_entries(basis: list, census: list) -> set:
@@ -619,7 +493,7 @@ def _connected_supersets(base, allowed, adjacent):
         stack.append((chosen | {f}, rest + grown, seen.union(grown)))
 
 
-def action_census(d: Diagram) -> list:
+def action_census(d: Diagram, darts=None) -> list:
     """All embedded quadrilaterals carried by interface chords.
 
     A chord joins two marked points of one interval; the quad picks up
@@ -635,6 +509,8 @@ def action_census(d: Diagram) -> list:
     is missed: an accepted set has one boundary cycle, so it is joined
     across shared edges, and a boundary edge lies on one face only, so
     one off the chord would sit on the cycle and break the chord run.
+    ``darts``: the diagram's ``darts.Darts`` build, if made (the
+    complex of ``d`` keeps the one its census read).
     """
     nonsuture = sorted(f for f, face in d.faces.items() if not face.suture)
     if d.interfaces and len(nonsuture) > 14:
@@ -643,14 +519,15 @@ def action_census(d: Diagram) -> list:
             f"refusing a bordered census over {len(nonsuture)} non-suture "
             "faces (limit 14); simplify the diagram first"
         )
-    crossings = _crossing_curves(d)
-    face_of_edge, incident = _face_index(d, crossings)
+    dx = Darts(d) if darts is None else darts
+    ids = [f.id for f in dx.faces]
+    face, mate = dx.face, dx.mate
     interface = d.interface_edge_ids()
     rim, adjacent = {}, {}  # face -> its boundary edges, the faces across its edges
     for f in nonsuture:
-        word = [e for (e, _s) in d.faces[f].word]
-        rim[f] = {e for e in word if d.edges[e].kind == "boundary"}
-        adjacent[f] = {g for e in word for g in face_of_edge[e]} - {f}
+        ks = dx.darts_of(dx.index[f])
+        rim[f] = {dx.edge[k] for k in ks if dx.kind[k] == "boundary"}
+        adjacent[f] = {ids[face[mate[k]]] for k in ks if mate[k] >= 0} - {f}
     out = []
     for k, iface in enumerate(d.interfaces):
         for t, interval in enumerate(iface.intervals):
@@ -659,15 +536,16 @@ def action_census(d: Diagram) -> list:
                 for j in range(i + 1, points):
                     bd = tuple(interval[i + 1:j + 1])
                     chord = set(bd)
-                    base = {f for e in bd for f in face_of_edge[e]}
+                    base = {ids[face[k]] for e in bd for k in dx.darts_on(e)}
                     if any(d.faces[f].suture or rim[f] - chord for f in base):
                         continue
                     allowed = {f for f in nonsuture if rim[f] <= chord}
                     for faces in _connected_supersets(base, allowed, adjacent):
                         faces = sorted(faces)
-                        sides = Counter(e for f in faces for (e, _s) in d.faces[f].word)
-                        inner = {e for e, n in sides.items() if n == 2}
-                        rec = _classify(d, faces, inner, interface, crossings, incident)
+                        held = {dx.index[f] for f in faces}
+                        glued = {k for f in faces for k in dx.darts_of(dx.index[f])
+                                 if mate[k] >= 0 and face[mate[k]] in held}
+                        rec = _classify(dx, faces, glued, interface)
                         if (rec.shape == "port" and rec.chord == bd
                                 and len(rec.moves_from) == len(rec.moves_to) == 1):
                             (x_pt,), (y_pt,) = rec.moves_from, rec.moves_to

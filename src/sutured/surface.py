@@ -21,6 +21,8 @@ import bisect
 import json
 from dataclasses import dataclass, field
 
+from .darts import Darts
+
 CURVE_KINDS = ("alpha", "beta")
 EDGE_KINDS = ("alpha", "beta", "boundary", "seam")
 
@@ -173,13 +175,6 @@ class Diagram:
         merged.update(self.beta_curves)
         return merged
 
-    def family_of(self, curve_id):
-        if curve_id in self.alpha_curves:
-            return "alpha"
-        if curve_id in self.beta_curves:
-            return "beta"
-        raise KeyError(curve_id)
-
     def copy(self) -> "Diagram":
         return Diagram(
             set(self.vertices),
@@ -203,16 +198,22 @@ class Diagram:
             dict(self.marks),
         )
 
-    def fresh_id(self, prefix: str) -> str:
-        n = 0
-        name = f"{prefix}0"
-        while (
-            name in self.vertices or name in self.edges or name in self.faces
-            or name in self.alpha_curves or name in self.beta_curves
-        ):
-            n += 1
+    def fresh_ids(self, prefix: str, count: int = 1, start: int = 0) -> list:
+        """The first ``count`` of ``prefix`` + n, n = start, start + 1, ...,
+        that name nothing.  A run of ids with one prefix, with nothing
+        removed in between, resumes past the last one (``start``): every
+        id before it is taken."""
+        out, n = [], start
+        while len(out) < count:
             name = f"{prefix}{n}"
-        return name
+            if not (name in self.vertices or name in self.edges or name in self.faces
+                    or name in self.alpha_curves or name in self.beta_curves):
+                out.append(name)
+            n += 1
+        return out
+
+    def fresh_id(self, prefix: str, start: int = 0) -> str:
+        return self.fresh_ids(prefix, 1, start)[0]
 
     def interface_edge_ids(self) -> set:
         out = set()
@@ -221,11 +222,9 @@ class Diagram:
                 out |= set(iv)
         return out
 
-    def boundary_edge_ids(self) -> set:
-        return {e for e, ed in self.edges.items() if ed.kind == "boundary"}
-
     def free_boundary_edge_ids(self) -> set:
-        return self.boundary_edge_ids() - self.interface_edge_ids()
+        boundary = {e for e, ed in self.edges.items() if ed.kind == "boundary"}
+        return boundary - self.interface_edge_ids()
 
     def marked_vertices(self) -> dict:
         """Interface marked points: point id -> vertex id.
@@ -250,7 +249,7 @@ class Diagram:
 
 
 # ---------------------------------------------------------------------------
-# derived structure: corners, vertex links, regions
+# derived structure: vertex links, regions
 
 
 def vertex_links(d: Diagram):
@@ -259,104 +258,17 @@ def vertex_links(d: Diagram):
     Returns vertex -> ("cycle" | "path", items) where items alternate
     edge incidences ("inc", edge, end) and corners ("corner", face, pos).
     A path link starts and ends with boundary-edge incidences.  Raises
-    ValueError on a non-manifold vertex (disconnected link).
+    ValueError on a non-manifold vertex (disconnected link).  A cycle
+    starts at its least corner, a path at its first corner in face
+    order whose incoming side has no opposite.
     """
-    occ, at = {}, {}
-    for f in d.faces.values():
-        inc = f.word[-1] if f.word else None
-        for i, out in enumerate(f.word):
-            occ.setdefault(out, []).append((f.id, i))
-            at.setdefault(d.edges[out[0]].start(out[1]), []).append(((f.id, i), inc, out))
-            inc = out
-    return _links(d.vertices, at, occ)
-
-
-def _links(vertices, at, occ, keep=None) -> dict:
-    """``vertex_links`` from one pass's index of the face words: ``at``
-    files every corner (f, i) under its vertex, the start of side i, with
-    its incoming side i-1 and its outgoing side i; ``occ`` holds the side
-    occurrences.  The walk crosses a corner's outgoing side (e, s) to the
-    corner at the same vertex whose incoming side is (e, -s); a side with
-    no opposite (a boundary edge) ends a path link.  Every vertex is
-    walked; only those in ``keep`` (all when ``None``) get their items.
-    """
-    links = {}
-    for v in sorted(vertices):
-        cs = at.get(v)
-        if not cs:
-            links[v] = ("cycle", [])
-            continue
-        by_in = {t[1]: t for t in cs}
-        kind = "cycle"
-        for t in cs:
-            if (t[1][0], -t[1][1]) not in occ:
-                kind = "path"
-                break
-        if kind == "cycle":
-            t = min(cs)
-        items = [] if keep is None or v in keep else None
-        visited = set()
-        while True:
-            c, inc, out = t
-            if items is not None:
-                items.append(("inc", inc))
-                items.append(("corner", c))
-            visited.add(c)
-            back = (out[0], -out[1])
-            if back not in occ:
-                if items is not None:
-                    items.append(("inc", out))
-                break
-            t = by_in.get(back)
-            if t is None:
-                raise ValueError(f"broken link at vertex {v}")
-            if t[0] in visited:
-                break
-        if len(visited) != len(cs):
-            raise ValueError(f"vertex {v} has a disconnected link")
-        if items is not None:
-            links[v] = (kind, items)
-    return links
+    return Darts(d).links(d.vertices)
 
 
 def regions(d: Diagram) -> list:
     """Faces merged across seam edges; returns lists of face ids."""
-    seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
-    faces_on = {}
-    for f in d.faces.values():
-        for (e, _s) in f.word:
-            if e in seams:
-                faces_on.setdefault(e, []).append(f.id)
-    parent = {f: f for f in d.faces}
-    _merge(parent, faces_on, seams)
-    return _classes(parent)
-
-
-def _find(parent: dict, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _merge(parent: dict, faces_on: dict, glued) -> None:
-    """Join, in the union-find ``parent`` over face ids, the faces on
-    each edge of ``glued`` (``faces_on``: edge -> face ids)."""
-    for e in glued:
-        fs = faces_on.get(e, ())
-        for a, b in zip(fs, fs[1:]):
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-
-def _classes(parent: dict) -> list:
-    """The classes of ``parent`` as sorted lists of face ids, in sorted
-    order."""
-    groups = {}
-    for f in parent:
-        groups.setdefault(_find(parent, f), []).append(f)
-    return [sorted(g) for g in sorted(groups.values())]
+    dx = Darts(d)
+    return dx.groups(dx.join(("seam",)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +278,13 @@ def _classes(parent: dict) -> list:
 def validate(d: Diagram, *, set_flags: bool = False) -> list:
     """All structural invariants; returns a list of problem strings.
 
-    One pass over the face words files the sides that the link walk,
-    the regions and the family cuts read.  It writes nothing, unless
-    ``set_flags`` has it set the suture flags from the regions first: a
-    region is a suture region when it touches a free (non-interface)
-    boundary edge.  The flag check still runs.
+    Every check after the edge checks reads one ``Darts`` build: the
+    usage counts and word breaks, the link walk, which also chains the
+    boundary circles, and the regions and family cuts as union-finds
+    over face indices.  It writes nothing,
+    unless ``set_flags`` has it set the suture flags from the regions
+    first: a region is a suture region when it touches a free
+    (non-interface) boundary edge.  The flag check still runs.
     """
     problems = []
     ids = list(d.edges) + list(d.faces) + list(d.alpha_curves) + list(d.beta_curves)
@@ -378,10 +292,11 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
         problems.append("duplicate ids across edges/faces/curves")
 
     edges = sorted(d.edges.items())
-    by_kind = {}  # edge kind -> sorted edge ids
+    boundary = []  # sorted boundary edge ids
     for e, ed in edges:
-        by_kind.setdefault(ed.kind, []).append(e)
-        if ed.kind not in EDGE_KINDS:
+        if ed.kind == "boundary":
+            boundary.append(e)
+        elif ed.kind not in EDGE_KINDS:
             problems.append(f"edge {e} has unknown kind {ed.kind!r}")
         if ed.frm not in d.vertices or ed.to not in d.vertices:
             problems.append(f"edge {e} references a missing vertex")
@@ -392,49 +307,22 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
 
     # usage counts and signs (a word holds directions +1 and -1); face
     # words connect head to tail, reported after the counts
-    occ = {}  # (edge, direction) -> [(face id, position)]
-    faces_on = {}  # edge -> face ids, one per side
-    at = {}  # vertex -> [(corner, incoming side, outgoing side)]
-    breaks = []
-    for f in d.faces.values():
-        word = f.word
-        if not word:
-            breaks.append(f"face {f.id} has an empty word")
-            continue
-        fid = f.id
-        inc = word[-1]
-        ed = d.edges.get(inc[0])
-        head = None if ed is None else ed.end(inc[1])
-        for i, out in enumerate(word):
-            e, s = out
-            ed = d.edges.get(e)
-            if ed is None:
-                problems.append(f"face {fid} references missing edge {e}")
-                head = None
-                inc = out
-                continue
-            corner = (fid, i)
-            occ.setdefault(out, []).append(corner)
-            faces_on.setdefault(e, []).append(fid)
-            if s > 0:
-                tail, nxt = ed.frm, ed.to
-            else:
-                tail, nxt = ed.to, ed.frm
-            at.setdefault(tail, []).append((corner, inc, out))
-            if head is not None and head != tail:
-                breaks.append(f"face {fid} word breaks at position {i}")
-            head = nxt
-            inc = out
-    for e, ed in edges:
-        uses = (len(occ.get((e, -1), ())), len(occ.get((e, 1), ())))
-        if uses == ((0, 1) if ed.kind == "boundary" else (1, 1)):
-            continue
-        signs = [-1] * uses[0] + [1] * uses[1]
-        if ed.kind == "boundary":
+    dx = Darts(d)
+    sign, face, first = dx.sign, dx.face, dx.first
+    problems += [f"face {f} references missing edge {e}" for f, e in dx.missing]
+    once = (  # every interior edge paired, every boundary edge once +
+        not dx.missing and dx.sides is None and len(first) == len(d.edges)
+        and len(dx.pairs) == len(d.edges) - len(boundary)
+        and dx.kind.count("boundary") == len(boundary)
+        and all(sign[first[e]] > 0 for e in boundary)
+    )
+    for e, ed in [] if once else edges:
+        signs = sorted(sign[k] for k in dx.darts_on(e))
+        if ed.kind == "boundary" and signs != [1]:
             problems.append(f"boundary edge {e} used {signs}, expected once +")
-        else:
+        elif ed.kind != "boundary" and signs != [-1, 1]:
             problems.append(f"interior edge {e} used {signs}, expected once each way")
-    problems += breaks
+    problems += dx.breaks
 
     # every curve segment and interface edge resolves
     for c in d.curves().values():
@@ -459,56 +347,32 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
 
     # vertex links are single fans (manifold condition); the crossing
     # check below reads the links of the intersection vertices
-    crossing = d.intersection_vertices()
-    try:
-        links = _links(d.vertices, at, occ, set(crossing))
-    except ValueError as err:
-        return problems + [str(err)]
-
-    # boundary edges chain into circles: one in, one out per vertex
-    bout, bin_ = {}, {}
-    for e, ed in d.edges.items():
-        if ed.kind != "boundary":
-            continue
-        if ed.frm in bout or ed.to in bin_:
-            problems.append(f"boundary branches at edge {e}")
-        bout[ed.frm] = e
-        bin_[ed.to] = e
-    if set(bout) != set(bin_):
-        problems.append("boundary chains do not close up")
-        return problems
+    corner_at, twice = {}, []  # vertex -> the corner its link starts at
+    for k in dx.orbits():
+        if corner_at.setdefault(dx.tail[k], k) != k:
+            twice.append(dx.tail[k])
+    if twice:
+        return problems + [f"vertex {min(twice)} has a disconnected link"]
 
     # regions and whether they touch free boundary (the suture flags)
-    boundary = by_kind.get("boundary", [])
-    free = set(boundary) - d.interface_edge_ids()
-    regions_of = {f: f for f in d.faces}
-    _merge(regions_of, faces_on, by_kind.get("seam", ()))
-    near_free = {f for e in free for f in faces_on[e]}
-    contact = [
-        (group, any(f in near_free for f in group)) for group in _classes(regions_of)
-    ]
+    root = dx.join(("seam",))
+    near_free = {root[face[first[e]]] for e in set(boundary) - d.interface_edge_ids()}
+    touches = [r in near_free for r in root]
     if set_flags:
-        for group, touches in contact:
-            for f in group:
-                d.faces[f].suture = touches
+        for f, t in zip(dx.faces, touches):
+            f.suture = t
 
-    # every boundary circle carries at least one suture side
-    seen = set()
-    suture_faces_edges = {
-        e for f in d.faces.values() if f.suture for (e, _s) in f.word
-    }
-    for start in sorted(bout.values()):
-        if start in seen:
-            continue
-        circle = []
-        e = start
-        while True:
-            circle.append(e)
+    # every boundary circle carries at least one suture side.  With one
+    # link per vertex the boundary cannot branch: the side after a
+    # boundary side j ends the link walk from the corner after j.
+    seen, walked = set(), bytearray(len(dx.tail))
+    for start in boundary:
+        e, sides = start, []  # the suture flags along the circle
+        while e not in seen:
             seen.add(e)
-            e = bout[d.edges[e].to]
-            if e == start:
-                break
-        if not any(e in suture_faces_edges for e in circle):
+            sides.append(dx.faces[face[first[e]]].suture)
+            e = dx.edge[dx.walk(dx.nxt[first[e]], walked)[0][-1]]
+        if sides and not any(sides):
             problems.append(f"boundary circle through {start} has no suture side")
 
     # curves
@@ -538,17 +402,19 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
         if ed.kind in CURVE_KINDS and e not in seg_owner:
             problems.append(f"curve edge {e} belongs to no curve")
 
-    # intersection vertices: degree four, alternating families
-    for v in crossing:
-        kind, items = links[v]
-        incs = [it for it in items if it[0] == "inc"]
-        fams = [d.edges[e].kind for (_t, (e, _s)) in incs]
-        if not all(f in CURVE_KINDS for f in fams):
-            continue  # mixed with seams: not a crossing vertex
-        if kind == "cycle":
-            if len(incs) != 4:
-                problems.append(f"intersection vertex {v} has degree {len(incs)}")
-            elif fams[0] == fams[1]:
+    # intersection vertices: degree four, alternating families, read
+    # around the link from its least corner
+    seen, kind = bytearray(len(dx.tail)), dx.kind
+    for v in d.intersection_vertices():
+        ring, is_open = dx.walk(corner_at[v], seen)
+        fams = [kind[k] for k in ring]  # the incoming sides' kinds, shifted
+        if is_open or not all(f in CURVE_KINDS for f in fams):
+            continue  # on the boundary, or mixed with seams: not a crossing
+        if len(fams) != 4:
+            problems.append(f"intersection vertex {v} has degree {len(fams)}")
+        elif fams[0] == fams[1] or fams[1] == fams[2] or fams[2] == fams[3]:
+            k = min(ring, key=dx._corner)
+            if kind[dx._prv(k)] == kind[k]:
                 problems.append(f"intersection vertex {v} is not alternating")
 
     # balanced (only meaningful once every interface has been glued up;
@@ -559,14 +425,17 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
         if na != nb:
             problems.append(f"unbalanced diagram: {na} closed alpha vs {nb} closed beta")
 
-    # suture flags match region contact with free boundary
-    for group, touches in contact:
-        for f in group:
-            if d.faces[f].suture != touches:
-                problems.append(
-                    f"face {f} suture flag {d.faces[f].suture} but region "
-                    f"{'touches' if touches else 'avoids'} free boundary"
-                )
+    # suture flags match region contact with free boundary, reported
+    # region by region
+    if any(f.suture != t for f, t in zip(dx.faces, touches)):
+        touch = {f.id: t for f, t in zip(dx.faces, touches)}
+        for group in dx.groups(root):
+            for f in group:
+                if d.faces[f].suture != touch[f]:
+                    problems.append(
+                        f"face {f} suture flag {d.faces[f].suture} but region "
+                        f"{'touches' if touch[f] else 'avoids'} free boundary"
+                    )
 
     # interfaces
     all_interval_edges = []
@@ -616,15 +485,9 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
         }
         # the cut glues across seams and the other family: the regions,
         # merged further
-        cut = dict(regions_of)
-        _merge(cut, faces_on, by_kind.get("beta" if family == "alpha" else "alpha", ()))
-        reach = {
-            _find(cut, f)
-            for e in boundary
-            if e not in fam_interface_edges
-            for f in faces_on[e]
-        }
-        for _root in {_find(cut, f) for f in cut} - reach:
+        cut = dx.join(("beta" if family == "alpha" else "alpha",), root)
+        reach = {cut[face[first[e]]] for e in boundary if e not in fam_interface_edges}
+        for _ in range(len(set(cut)) - len(reach)):
             problems.append(f"a component cut along {family} avoids the free boundary")
 
     # tags
@@ -681,20 +544,26 @@ def to_json_dict(d: Diagram) -> dict:
     }
 
 
+def _by_id(pool: str, items) -> dict:
+    """id -> item; a repeated id refuses the document."""
+    out = {}
+    for x in items:
+        if out.setdefault(x.id, x) is not x:
+            raise ValueError(f"duplicate {pool} id {x.id}")
+    return out
+
+
 def from_json_dict(data: dict) -> Diagram:
-    edges = {
-        e["id"]: Edge(e["id"], e["kind"], e.get("curve"), e["from"], e["to"])
-        for e in data["edges"]
-    }
-    faces = {
-        f["id"]: Face(
-            f["id"],
-            [(e, 1 if s == "+" else -1) for (e, s) in f["boundary"]],
-            bool(f["suture"]),
-        )
+    edges = _by_id("edge", (
+        Edge(e["id"], e["kind"], e.get("curve"), e["from"], e["to"]) for e in data["edges"]
+    ))
+    faces = _by_id("face", (
+        Face(f["id"], [(e, 1 if s == "+" else -1) for (e, s) in f["boundary"]], bool(f["suture"]))
         for f in data["faces"]
-    }
-    mk = lambda cs: {c["id"]: Curve(c["id"], bool(c["closed"]), list(c["segments"])) for c in cs}
+    ))
+    mk = lambda pool, cs: _by_id(  # noqa: E731
+        pool, (Curve(c["id"], bool(c["closed"]), list(c["segments"])) for c in cs)
+    )
     interfaces = [
         Interface(
             ArcDiagram(
@@ -712,8 +581,8 @@ def from_json_dict(data: dict) -> Diagram:
         set(data["vertices"]),
         edges,
         faces,
-        mk(data["alpha_curves"]),
-        mk(data["beta_curves"]),
+        mk("alpha curve", data["alpha_curves"]),
+        mk("beta curve", data["beta_curves"]),
         interfaces,
         list(tags.get("eh", [])),
         dict(tags.get("marks", {})),
@@ -756,16 +625,17 @@ def _check(d: Diagram, set_flags: bool = False) -> Diagram:
     return d
 
 
-def subdivide_edge(d: Diagram, eid: str):
-    """Split an edge at a fresh vertex; returns (first, second, vertex)."""
+def subdivide_edge(d: Diagram, eid: str, w_from: int = 0):
+    """Split an edge at a fresh vertex; returns (first, second, vertex).
+    ``w_from`` resumes a run of vertex ids (see ``fresh_ids``; ``_after``)
+    unless the edge removed here may free one of them."""
     if eid in d.interface_edge_ids():
         raise ValueError(f"cannot subdivide interface edge {eid}")
     ed = d.edges.pop(eid)
-    w = d.fresh_id("w")
+    w = d.fresh_id("w", 0 if eid.startswith("w") else w_from)
     d.vertices.add(w)
-    first = d.fresh_id(f"{eid}.")
+    first, second = d.fresh_ids(f"{eid}.", 2)
     d.edges[first] = Edge(first, ed.kind, ed.curve, ed.frm, w)
-    second = d.fresh_id(f"{eid}.")
     d.edges[second] = Edge(second, ed.kind, ed.curve, w, ed.to)
     for f in d.faces.values():
         if (eid, 1) not in f.word and (eid, -1) not in f.word:
@@ -1024,9 +894,8 @@ def split_face_by_chord(d: Diagram, face_id, pos1, pos2, edge_id, kind, curve):
     d.edges[edge_id] = Edge(edge_id, kind, curve, v1, v2)
     slice1 = [word[(pos2 + k) % n] for k in range((pos1 - pos2) % n)]
     slice2 = [word[(pos1 + k) % n] for k in range((pos2 - pos1) % n)]
-    fa = d.fresh_id("f")
+    fa, fb = d.fresh_ids("f", 2)
     d.faces[fa] = Face(fa, [(edge_id, 1)] + slice1, face.suture)
-    fb = d.fresh_id("f")
     d.faces[fb] = Face(fb, [(edge_id, -1)] + slice2, face.suture)
     return fa, fb
 
@@ -1171,25 +1040,37 @@ def _require_free_suture_edge(d: Diagram, eid: str) -> None:
             raise ValueError(f"{eid} does not bound a suture region")
 
 
-def _make_foot(d: Diagram, eid: str) -> dict:
-    left, rest, v1 = subdivide_edge(d, eid)
-    seam, right, v2 = subdivide_edge(d, rest)
+def _after(w: str) -> int:
+    """Where a run of vertex ids resumes after ``w``."""
+    return int(w[1:]) + 1
+
+
+def _cut_twice(d: Diagram, eid: str, w_from: int = 0) -> tuple:
+    """``eid`` split in three, the second piece of a subdivision split
+    again; returns (left, middle, right, first vertex, second vertex)."""
+    left, rest, v1 = subdivide_edge(d, eid, w_from)
+    mid, right, v2 = subdivide_edge(d, rest, _after(v1))
+    return left, mid, right, v1, v2
+
+
+def _make_foot(d: Diagram, eid: str, w_from: int = 0) -> dict:
+    left, seam, right, v1, v2 = _cut_twice(d, eid, w_from)
     d.edges[seam].kind = "seam"
     return {"left": left, "seam": seam, "right": right, "v1": v1, "v2": v2}
 
 
 def _attach_one_handle(d: Diagram, p: str, q: str):
     _require_free_suture_edge(d, p)
+    run = 0
     if p == q:
-        first, second, _w = subdivide_edge(d, p)
-        p, q = first, second
+        p, q, w = subdivide_edge(d, p)
+        run = _after(w)
     else:
         _require_free_suture_edge(d, q)
-    fp = _make_foot(d, p)
-    fq = _make_foot(d, q)
-    s1 = d.fresh_id("s")
+    fp = _make_foot(d, p, run)
+    fq = _make_foot(d, q, _after(fp["v2"]))
+    s1, s2 = d.fresh_ids("s", 2)
     d.edges[s1] = Edge(s1, "boundary", None, fp["v1"], fq["v2"])
-    s2 = d.fresh_id("s")
     d.edges[s2] = Edge(s2, "boundary", None, fq["v1"], fp["v2"])
     strip = d.fresh_id("f")
     d.faces[strip] = Face(
@@ -1211,10 +1092,12 @@ def attach_one_handle(d: Diagram, p: str, q: str) -> Diagram:
     return _check(out, set_flags=True)
 
 
-def _subdivide_ports(d: Diagram, seam: str, order) -> dict:
-    first_part, rest, u1 = subdivide_edge(d, seam)
-    _mid, _last, u2 = subdivide_edge(d, rest)
-    return {order[0]: u1, order[1]: u2}
+def _subdivide_ports(d: Diagram, handle: dict, order_p, order_q) -> tuple:
+    """Two port vertices on each foot seam of the 1-handle ``handle``,
+    at p, then at q, named by the order of each foot."""
+    *_pieces, u1, u2 = _cut_twice(d, handle["p"]["seam"], _after(handle["q"]["v2"]))
+    *_pieces, x1, x2 = _cut_twice(d, handle["q"]["seam"], _after(u2))
+    return {order_p[0]: u1, order_p[1]: u2}, {order_q[0]: x1, order_q[1]: x2}
 
 
 def _face_carrying(d: Diagram, eid: str):
@@ -1271,8 +1154,7 @@ def attach_two_handle(
     _check_two_handle_paths(d, p, q, a_path, b_path)
     out = d.copy()
     handle = _attach_one_handle(out, p, q)
-    ports_p = _subdivide_ports(out, handle["p"]["seam"], port_order_p)
-    ports_q = _subdivide_ports(out, handle["q"]["seam"], port_order_q)
+    ports_p, ports_q = _subdivide_ports(out, handle, port_order_p, port_order_q)
 
     pieces = {}
     strip = handle["strip"]
@@ -1405,10 +1287,8 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
         signs = [incs[i1][1], incs[i2][1]]
         if signs[0] == signs[1]:
             raise ValueError(f"inconsistent sides at {v}")
-        plus = out.fresh_id("v")
-        out.vertices.add(plus)
-        minus = out.fresh_id("v")
-        out.vertices.add(minus)
+        plus, minus = out.fresh_ids("v", 2)
+        out.vertices |= {plus, minus}
         copies = {1: plus, -1: minus}
         # the arc following the incidence with sign s lies on side s
         for (e, s), arc in zip([incs[i1], incs[i2]], arcs):
@@ -1450,9 +1330,8 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
         f.word = [occ_rewrite.get((e, s), (e, s)) for (e, s) in f.word]
     plus_ids = [occ_rewrite[(e, 1)][0] for e in alpha_edges]
     minus_ids = [occ_rewrite[(e, -1)][0] for e in alpha_edges]
-    cap_plus = out.fresh_id("f")
+    cap_plus, cap_minus = out.fresh_ids("f", 2)
     out.faces[cap_plus] = Face(cap_plus, [(e, -1) for e in reversed(plus_ids)], False)
-    cap_minus = out.fresh_id("f")
     out.faces[cap_minus] = Face(cap_minus, [(e, 1) for e in minus_ids], False)
 
     # beta edges are plain interior edges now; release and dissolve all

@@ -31,10 +31,14 @@ worklist edits and one-index validator, which sets the flags inside its
 check, must give the same diagrams, links, flags and problem lists,
 failures included.  ``reference_vertex_faces`` reads a vertex's
 faces in a scan of its own, which the census's one pass must match.
-``reference_action_census`` tries every subset of the non-suture faces
-for each chord, as the library did before it grew candidates from the
-chord, with its own copy of the quadrilateral test; the library must
-give the same records in the same order.  ``grid_rectangle_differential``
+``reference_region_census`` finds the regions by a component search of
+its own and walks each one's boundary with this module's own copies of
+the boundary walk, the run split and the corner rule, none of them read
+from ``sfc``.  ``reference_action_census`` tries every subset of the
+non-suture faces for each chord, as the library did before it grew
+candidates from the chord, with its own copy of the quadrilateral test
+on the same walks; the library must give the same records in the same
+order.  ``grid_rectangle_differential``
 counts empty rectangles on an n x n grid from permutations alone, with
 no surface or census code.
 
@@ -118,7 +122,7 @@ def seamless_face_moves(d):
     Precondition: no non-suture region spans a seam, so each non-suture
     face word is its own boundary cycle.
     """
-    for group in surface.regions(d):
+    for group in _reference_regions(d):
         if d.faces[group[0]].suture:
             continue
         if len(group) > 1 or any(
@@ -536,7 +540,7 @@ def reference_spinc_partition(d, gens):
         return {x: 0 for x in gens}
     vrow = {v: i for i, v in enumerate(verts)}
     alpha_edges = {e for c in d.curves("alpha").values() for e in c.segments}
-    groups = [g for g in surface.regions(d) if not d.faces[g[0]].suture]
+    groups = [g for g in _reference_regions(d) if not d.faces[g[0]].suture]
     dense = [[0] * len(groups) for _ in verts]
     for j, group in enumerate(groups):
         for f in group:
@@ -560,6 +564,121 @@ def reference_spinc_partition(d, gens):
     return classes
 
 
+def _reference_boundary_cycles(d, faces, inner):
+    """Boundary cycles of a union of faces, as lists of (face, pos): the
+    occurrences of the ``inner`` edges cancel pairwise and the walk
+    jumps across them; every other occurrence lies on one cycle."""
+    occ_of = {}
+    for f in faces:
+        for i, (e, _s) in enumerate(d.faces[f].word):
+            occ_of.setdefault(e, []).append((f, i))
+    partner = {}
+    for e in inner:
+        a, b = occ_of[e]
+        partner[a], partner[b] = b, a
+
+    def advance(f, i):
+        i = (i + 1) % len(d.faces[f].word)
+        while d.faces[f].word[i][0] in inner:
+            f, i = partner[(f, i)]
+            i = (i + 1) % len(d.faces[f].word)
+        return f, i
+
+    todo = {(f, i) for f in faces for i, (e, _s) in enumerate(d.faces[f].word)
+            if e not in inner}
+    cycles = []
+    while todo:
+        cur = start = min(todo)
+        cyc = []
+        while True:
+            cyc.append(cur)
+            todo.discard(cur)
+            cur = advance(*cur)
+            if cur == start:
+                break
+        cycles.append(cyc)
+    return cycles
+
+
+def _reference_class(d, occ):
+    f, i = occ
+    kind = d.edges[d.faces[f].word[i][0]].kind
+    return kind if kind in ("alpha", "beta") else "bd"
+
+
+def _reference_cycle_runs(d, cycle):
+    """Maximal runs of one edge class along a cycle: (class, occurrences)."""
+    classes = [_reference_class(d, occ) for occ in cycle]
+    if len(set(classes)) == 1:
+        return [(classes[0], list(cycle))]
+    k = next(i for i in range(len(cycle)) if classes[i - 1] != classes[i])
+    runs = []
+    for c, occ in zip(classes[k:] + classes[:k], cycle[k:] + cycle[:k]):
+        if runs and runs[-1][0] == c:
+            runs[-1][1].append(occ)
+        else:
+            runs.append((c, [occ]))
+    return runs
+
+
+def _reference_corner_points(d, runs):
+    """x-corners (an alpha run ends) and y-corners (a beta run ends) at
+    the junctions of consecutive curve runs: each the head of the
+    incoming run's last edge."""
+    xs, ys = set(), set()
+    for (c_in, run), (c_out, _run) in zip(runs, runs[1:] + runs[:1]):
+        if "bd" in (c_in, c_out):
+            continue
+        f, i = run[-1]
+        e, s = d.faces[f].word[i]
+        (xs if c_in == "alpha" else ys).add(d.edges[e].end(s))
+    return frozenset(xs), frozenset(ys)
+
+
+def _reference_interior(d, faces, cycle):
+    """Crossings off the cycle whose faces all lie in ``faces``."""
+    on_cycle = set()
+    for (f, p) in cycle:
+        ed = d.edges[d.faces[f].word[p][0]]
+        on_cycle.update((ed.frm, ed.to))
+    incident = reference_vertex_faces(d)
+    return frozenset(
+        v for v in crossing_vertices(d)
+        if v not in on_cycle and incident[v] <= set(faces)
+    )
+
+
+def reference_region_census(d):
+    """``sfc.region_census`` from the definitions: the non-suture
+    regions by a fresh component search across the seams, each walked
+    with its seams cancelled and classified by its runs."""
+    seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
+    interface = d.interface_edge_ids()
+    out = []
+    for group in _reference_regions(d):
+        if d.faces[group[0]].suture:
+            continue
+        rec = sfc.RegionShape(tuple(group), "other")
+        inner = {e for f in group for (e, _s) in d.faces[f].word if e in seams}
+        cycles = _reference_boundary_cycles(d, group, inner)
+        if len(cycles) == 1:
+            runs = _reference_cycle_runs(d, cycles[0])
+            pattern = sorted(c for c, _run in runs)
+            rec.moves_from, rec.moves_to = _reference_corner_points(d, runs)
+            rec.interior = _reference_interior(d, group, cycles[0])
+            if pattern == ["alpha", "beta"]:
+                rec.shape = "bigon"
+            elif len(runs) == 4 and "bd" not in pattern:
+                rec.shape = "rect"
+            elif len(runs) == 4 and pattern.count("bd") == 1:
+                chord = tuple(d.faces[f].word[i][0] for c, run in runs if c == "bd"
+                              for (f, i) in run)
+                if interface.issuperset(chord):
+                    rec.shape, rec.chord = "port", chord
+        out.append(rec)
+    return out
+
+
 def _reference_try_quad(d, faces, bd, k, t, i, j):
     """The quadrilateral test on one face set, its interior read from
     this module's own crossing and vertex -> faces scans."""
@@ -570,10 +689,10 @@ def _reference_try_quad(d, faces, bd, k, t, i, j):
     inner = {e for e, n in occ.items() if n == 2}
     if inner & set(bd):
         return None
-    cycles = sfc._boundary_cycles(d, faces, inner)
+    cycles = _reference_boundary_cycles(d, faces, inner)
     if len(cycles) != 1:
         return None
-    runs = sfc._cycle_runs(d, cycles[0])
+    runs = _reference_cycle_runs(d, cycles[0])
     if len(runs) != 4:
         return None
     bd_runs = [r for r in runs if r[0] == "bd"]
@@ -581,20 +700,12 @@ def _reference_try_quad(d, faces, bd, k, t, i, j):
         return None
     if [d.faces[f].word[p][0] for (f, p) in bd_runs[0][1]] != bd:
         return None
-    xs, ys = sfc._corner_points(d, runs)
+    xs, ys = _reference_corner_points(d, runs)
     if len(xs) != 1 or len(ys) != 1:
         return None
-    on_cycle = set()
-    for (f, p) in cycles[0]:
-        ed = d.edges[d.faces[f].word[p][0]]
-        on_cycle.update((ed.frm, ed.to))
-    incident = reference_vertex_faces(d)
-    interior = frozenset(
-        v for v in crossing_vertices(d)
-        if v not in on_cycle and incident[v] <= set(faces)
-    )
     return sfc.ActionRecord(
-        k, t, i, j, next(iter(xs)), next(iter(ys)), tuple(faces), interior
+        k, t, i, j, next(iter(xs)), next(iter(ys)), tuple(faces),
+        _reference_interior(d, faces, cycles[0]),
     )
 
 
@@ -754,6 +865,11 @@ def _reference_face_components(d, glued):
         seen |= comp
         comps.append([g for g in d.faces if g in comp])
     return [sorted(c) for c in sorted(comps)]
+
+
+def _reference_regions(d):
+    """``surface.regions``: faces merged across the seams, by a fresh search."""
+    return _reference_face_components(d, {e for e, ed in d.edges.items() if ed.kind == "seam"})
 
 
 def reference_validate(d):
@@ -954,7 +1070,7 @@ def reference_validate(d):
             for iv in itf.intervals
             for e in iv
         }
-        allowed = d.boundary_edge_ids() - fam_interface_edges
+        allowed = {e for e, ed in d.edges.items() if ed.kind == "boundary"} - fam_interface_edges
         cut = {e for e, ed in d.edges.items() if ed.kind not in (family, "boundary")}
         for comp in _reference_face_components(d, cut):
             edges_here = {e for f in comp for (e, _s) in d.faces[f].word}
@@ -976,7 +1092,7 @@ def recompute_suture_flags(d):
     the surface boundary.  The separate pass that ``validate(d,
     set_flags=True)`` folds into its check."""
     free = d.free_boundary_edge_ids()
-    for group in surface.regions(d):
+    for group in _reference_regions(d):
         touches = any(
             e in free for f in group for (e, _s) in d.faces[f].word
         )
@@ -1486,7 +1602,7 @@ def _signature_from_flag(d, comp, start_face, start_pos):
     # curve payload: family, closed, segment numbers in order
     curves_sig = []
     for cid, no in sorted(curve_no.items(), key=lambda kv: kv[1]):
-        fam = d.family_of(cid)
+        fam = "alpha" if cid in d.alpha_curves else "beta"
         c = d.curves(fam)[cid]
         curves_sig.append((fam, c.closed, tuple(edge_no[e] for e in c.segments)))
     # interfaces touching this component

@@ -43,3 +43,23 @@ def replay(name, specs):
         out.append(res)
         cur = res[0]
     return out
+
+
+def shaped_plan(d, shape, rng):
+    """Specs for the handle kinds in ``shape`` ("1", "2" or "b", a
+    trivial bypass of random sign), sites drawn by ``rng`` from the
+    running diagram's free edges in sorted order; "2" expands to the
+    1-handle-then-2-handle pair."""
+    cur, specs = d, []
+    for kind in shape:
+        free = sorted(cur.free_boundary_edge_ids())
+        if kind == "1":
+            sub = [HandleSpec("1", p=rng.choice(free), q=rng.choice(free))]
+        elif kind == "2":
+            sub = glue.two_handle_sequence(cur, rng.choice(free))
+        else:
+            sub = [HandleSpec(rng.choice(("bypass+", "bypass-")), site=rng.choice(free))]
+        for spec in sub:
+            cur = glue.sigma_map(cur, spec)[0]
+            specs.append(spec)
+    return specs

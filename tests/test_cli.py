@@ -4,6 +4,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fixtures
+import sequences
 from sutured import cli, glue, pieces, sfc, surface
 
 LISTING = [
@@ -365,3 +370,58 @@ def test_verify_equivalence_rejects_non_list_plans(capsys, tmp_path, stab_file):
     code, _, err = run(capsys, "verify-equivalence", stab_file,
                        "--handles", str(plan))
     assert code == 1 and "JSON list" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("pool", ["edges", "faces", "alpha_curves", "beta_curves"])
+def test_duplicate_ids_refuse_the_document(capsys, tmp_path, pool):
+    """A second entry with an id already in its pool would replace the
+    first unseen; the document is refused instead."""
+    doc = json.loads(surface.serialize(pieces.build("fix-stab")))
+    twin = dict(doc[pool][0])
+    if pool == "edges":
+        twin["kind"] = "seam"
+    doc[pool].append(twin)
+    bad = tmp_path / "twin.json"
+    bad.write_text(json.dumps(doc))
+    label = {"edges": "edge", "faces": "face"}.get(pool, pool[:-1].replace("_", " "))
+    for verb in ("validate", "homology"):
+        code, out, err = run(capsys, verb, str(bad))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": f"duplicate {label} id {twin['id']}"}
+
+
+def _cli_stdout(argv, seed):
+    """stdout of the CLI run in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    src = str(Path(surface.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "sutured.cli", *argv], env=env,
+                          capture_output=True, check=False)
+    return proc.returncode, proc.stdout
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    """``verify-equivalence`` over bigonpair^3 with a six-step plan, and
+    ``validate`` on documents with several problems, print the same
+    bytes under two hash seeds: no set order reaches the output."""
+    base = fixtures.bigonpair_power(3)
+    specs = sequences.shaped_plan(base, ("1", "2", "b", "2", "1", "b"), random.Random(5))
+    diagram = tmp_path / "base.json"
+    diagram.write_text(surface.serialize(base))
+    plan = write_plan(tmp_path, specs)
+    flipped = json.loads(surface.serialize(pieces.build("fix-stab")))
+    for face in flipped["faces"][:2]:
+        face["suture"] = not face["suture"]
+    flipped["tags"]["marks"]["ghost"] = "nowhere"
+    broken = json.loads(surface.serialize(pieces.build("az2")))
+    broken["faces"][0]["boundary"].reverse()
+    broken["edges"][1]["kind"] = "ridge"
+    runs = [["verify-equivalence", str(diagram), "--handles", plan, "--format", "json"]]
+    for name, doc in (("flipped", flipped), ("broken", broken)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        runs.append(["validate", str(path), "--format", "json"])
+    for argv in runs:
+        code, out = _cli_stdout(argv, 0)
+        assert code == (0 if argv[0] == "verify-equivalence" else 1)
+        assert len(json.loads(out)) > 0
+        assert (code, out) == _cli_stdout(argv, 1)

@@ -46,6 +46,17 @@ def test_az2_sector_has_five_generators():
     assert [s.family for s in bs.sides] == ["beta", "alpha"]
 
 
+def test_action_census_reads_the_complex_darts(monkeypatch):
+    """``bordered_invariant`` gates the diagram through ``differential``,
+    whose complex keeps its dart build, and the action census reads that
+    build instead of making its own."""
+    builds = []
+    real = sfc.Darts
+    monkeypatch.setattr(sfc, "Darts", lambda d: builds.append(d) or real(d))
+    assert modules.bordered_invariant(pieces.az2(), "AA").tables
+    assert len(builds) == 1
+
+
 def test_az2_sector_idempotents():
     bs = az2_sector()
     left = {name(x): set(bs.occupancy[0][x]) for x in bs.generators}

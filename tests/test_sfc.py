@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import fixtures
 import oracles
+import sequences
 from sutured import glue, pieces, sfc
 from sutured import surface as sf
+from sutured.darts import Darts
 
 NICE_PIECES = pieces.catalog()
 
@@ -145,15 +147,19 @@ def _partition(d, gens=None):
 
 
 def _assert_one_pass_census(d):
-    """The census's one pass over the face words gives the regions of
-    ``surface.regions`` and the reference vertex -> faces incidence on
-    the crossings."""
-    crossings = sfc._crossing_curves(d)
-    faces_on, incident = sfc._face_index(d, crossings)
-    seams = {e for e, ed in d.edges.items() if ed.kind == "seam"}
-    assert sfc._seam_classes(d, faces_on, seams) == sf.regions(d)
+    """The census's one dart build gives the regions of ``surface.regions``
+    and of a fresh component search, the reference crossings, and the
+    reference vertex -> faces incidence on them."""
+    dx = Darts(d)
+    regions = dx.groups(dx.join(("seam",)))
+    assert regions == sf.regions(d) == oracles._reference_regions(d)
+    assert sorted(dx.crossings) == oracles.crossing_vertices(d)
+    incident = {}
+    for k, v in enumerate(dx.tail):
+        if v in dx.crossings:
+            incident.setdefault(v, set()).add(dx.faces[dx.face[k]].id)
     reference = oracles.reference_vertex_faces(d)
-    assert incident == {v: reference[v] for v in crossings}
+    assert incident == {v: reference[v] for v in dx.crossings}
 
 
 def _assert_matches_references(d):
@@ -171,6 +177,66 @@ def _assert_matches_references(d):
     assert sfc._boundary_entries(gens, census) == expected
     if sfc.is_nice(d)[0] and sfc.is_admissible(d)[0]:
         assert sfc.differential(d).differential.entries == expected
+
+
+# The handle shapes of the route-small benchmark plans.
+ROUTE_SHAPES = (("1",), ("b",), ("2", "1"), ("1", "b", "2"), ("1", "2", "b", "2", "1", "b"))
+
+
+def _pipeline_diagrams(d, monkeypatch):
+    """Every diagram that ``surface.validate`` or ``sfc.differential``
+    reads while ``equivalence_report`` runs the route-small shapes over
+    ``d`` (the handle blocks' included), once each, as handed over."""
+    seen = {}
+    real_validate, real_differential = sf.validate, sfc.differential
+
+    def capture(g):
+        seen.setdefault(sf.serialize(g), g.copy())
+
+    def validate(g, **kwargs):
+        capture(g)
+        return real_validate(g, **kwargs)
+
+    def differential(g):
+        capture(g)
+        return real_differential(g)
+
+    plans = [sequences.shaped_plan(d, shape, random.Random(t))
+             for t, shape in enumerate(ROUTE_SHAPES)]
+    monkeypatch.setattr(sf, "validate", validate)
+    monkeypatch.setattr(sfc, "differential", differential)
+    glue._handle_blocks.cache_clear()
+    try:
+        for specs in plans:
+            assert glue.equivalence_report(d, specs)["ok"]
+    finally:
+        monkeypatch.undo()
+        glue._handle_blocks.cache_clear()
+    return list(seen.values())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("name", ["fix-disk", "fix-stab", "fix-bigonpair", "bigonpair^3"])
+def test_pipeline_diagrams_match_references(name, monkeypatch):
+    """On every diagram the route pipelines validate or census, the
+    problem list (flags set or not), the vertex links and the region
+    census equal the references'."""
+    d = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
+    captured = _pipeline_diagrams(d, monkeypatch)
+    assert len(captured) > 10
+    for g in captured:
+        assert sf.validate(g) == oracles.reference_validate(g)
+        flagged, mended = g.copy(), oracles.recompute_suture_flags(g.copy())
+        assert sf.validate(flagged, set_flags=True) == oracles.reference_validate(mended)
+        assert sf.to_json_dict(flagged) == sf.to_json_dict(mended)
+        assert _outcome(sf.vertex_links, g) == _outcome(oracles.reference_vertex_links, g)
+        assert sfc.region_census(g) == oracles.reference_region_census(g)
 
 
 @pytest.mark.parametrize("name", NICE_PIECES)
@@ -383,18 +449,19 @@ def test_census_walks_across_seams():
 @pytest.mark.parametrize("census", ["region_census", "action_census", "differential"])
 @pytest.mark.parametrize("name", ["az2", "rt2", "u2", "bigonpair"])
 def test_census_reads_crossings_once(census, name, monkeypatch):
-    """Each census builds the crossing table once, however many regions
-    or candidate domains it classifies (none for u2, five for az2), and
-    ``differential`` builds it once for its census and generators."""
+    """Each census builds the dart index, and with it the crossing table,
+    once, however many regions or candidate domains it classifies (none
+    for u2, five for az2), and ``differential`` builds it once for its
+    census, admissibility rows and generators."""
     d = pieces.build(name)
     calls = []
-    real = sfc._crossing_curves
+    real = sfc.Darts
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(sfc, "_crossing_curves", counting)
+    monkeypatch.setattr(sfc, "Darts", counting)
     getattr(sfc, census)(d)
     assert len(calls) == 1
 
@@ -543,7 +610,7 @@ def test_differential_rejects_inadmissible(grid):
 def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch):
     d = pieces.build(name)
     calls = Counter()
-    targets = ((sfc, "generators"), (sfc, "region_census"), (sfc, "_crossing_curves"),
+    targets = ((sfc, "generators"), (sfc, "region_census"), (sfc, "Darts"),
                (sf, "regions"))
     for module, attr in targets:
         real = getattr(module, attr)
@@ -554,7 +621,7 @@ def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch
 
         monkeypatch.setattr(module, attr, counting)
     sfc.differential(d)
-    assert calls == {"generators": 1, "region_census": 1, "_crossing_curves": 1}
+    assert calls == {"generators": 1, "region_census": 1, "Darts": 1}
 
 
 @pytest.mark.parametrize("name", NICE_PIECES)

@@ -507,6 +507,23 @@ def _unvalidated(d):
     return before, sf.to_json_dict(d)
 
 
+def test_pinched_vertices_have_disconnected_links():
+    """Three boundary triangles, pinched together at two vertices: each
+    of their links is two paths.  ``validate`` reports the least, as the
+    reference does, and ``vertex_links`` refuses alike."""
+    edges, faces = {}, {}
+    for f, (a, b, c) in {"F": "abc", "G": "ade", "H": "cfg"}.items():
+        ids = [f"{f}{i}" for i in range(3)]
+        for e, (u, v) in zip(ids, [(a, b), (b, c), (c, a)]):
+            edges[e] = Edge(e, "boundary", None, u, v)
+        faces[f] = Face(f, [(e, 1) for e in ids], True)
+    d = Diagram(set("abcdefg"), edges, faces, {}, {}, [])
+    problem = "vertex a has a disconnected link"
+    assert sf.validate(d) == oracles.reference_validate(d) == [problem]
+    assert _outcome(sf.vertex_links, d) == _outcome(oracles.reference_vertex_links, d)
+    assert _outcome(sf.vertex_links, d) == ("ValueError", problem)
+
+
 def test_validate_never_writes_to_its_input():
     """``validate`` reports wrong suture flags and mends nothing: catalog
     pieces with one or every flag flipped, and one-step mutations of
