@@ -1,7 +1,7 @@
 """The dart index of a diagram, one build per gate call: ``surface``
-validates from it and ``sfc`` runs its census on it."""
+validates from it and cuts along a curve with it, and ``sfc`` runs its
+census on it."""
 
-from collections import Counter
 from functools import cached_property
 
 
@@ -19,9 +19,11 @@ class Darts:
     id) references and ``breaks``.
 
     A corner is a dart read at its tail, and the next corner around the
-    tail is ``nxt[mate[k]]``: vertex links are orbits of that step, and
-    regions and cuts are union-finds over face indices.  ``d`` is a
-    ``surface.Diagram``; nothing is cached on it.
+    tail is ``nxt[mate[k]]``: vertex links are orbits of that step, kept
+    in no other form (``walk`` follows one, ``orbits`` starts each once,
+    and ``_prv`` gives the side into a corner), and regions and cuts are
+    union-finds over face indices.  ``d`` is a ``surface.Diagram``;
+    nothing is cached on it.
     """
 
     def __init__(self, d):
@@ -123,6 +125,7 @@ class Darts:
         return {v: fams for v, fams in out.items() if len(fams) == 2}
 
     def _prv(self, k: int) -> int:
+        """The side before ``k`` in its face: the one into the corner ``k``."""
         i = self.face[k]
         return k - 1 if k > self.start[i] else self.start[i + 1] - 1
 
@@ -171,39 +174,6 @@ class Darts:
                 while k != k0:
                     seen[k] = 1
                     k = nxt[mate[k]]
-        return out
-
-    def links(self, vertices) -> dict:
-        """``vertex_links`` read from the darts, on any build."""
-        if self.missing:
-            raise KeyError(self.missing[0][1])
-        tail, nxt, mate, edge, sign = self.tail, self.nxt, self.mate, self.edge, self.sign
-        face, start, ids = self.face, self.start, [f.id for f in self.faces]
-        count = Counter(tail)
-        opens = {}  # vertex -> its first corner whose incoming side is unmated
-        for k in sorted(nxt[j] for j, m in enumerate(mate) if m < 0):
-            opens.setdefault(tail[k], k)
-        by_id = [k for i in sorted(range(len(ids)), key=ids.__getitem__) for k in self.darts_of(i)]
-        by_id.reverse()  # so each vertex keeps its least corner by (face id, position)
-        least = dict(zip(map(tail.__getitem__, by_id), by_id))
-        seen = bytearray(len(tail))
-        out = {}
-        for v in sorted(vertices):
-            if not count[v]:
-                out[v] = ("cycle", [])
-                continue
-            ring, is_open = self.walk(opens.get(v, least[v]), seen)
-            if len(ring) != count[v]:
-                raise ValueError(f"vertex {v} has a disconnected link")
-            items = []
-            for k in ring:
-                i = face[k]
-                pos = k - start[i]
-                j = k - 1 if pos else start[i + 1] - 1  # the incoming side
-                items += (("inc", (edge[j], sign[j])), ("corner", (ids[i], pos)))
-            if is_open:
-                items.append(("inc", (edge[ring[-1]], sign[ring[-1]])))
-            out[v] = ("path" if v in opens else "cycle", items)
         return out
 
     def join(self, kinds, root=None) -> list:

@@ -1,10 +1,13 @@
-"""Exact linear algebra over F2 and the integers.
+"""Exact linear algebra over F2 and the integers, one stored form each.
 
-Everything at desk scale: the diagrams this package works with produce
-systems with a few hundred rows at most, so plain Gaussian elimination
-on bitmask rows over F2 and a Smith reduction that keeps only the
-invariant factors and the row operations U are enough.
-No floating point is used anywhere.
+An F2 matrix is a tuple of bit-packed columns, bit i of column j its
+entry in row i: the complexes build their differentials in that form,
+and the rank, kernel and boundary tests read it as it is.  An integer
+matrix is a tuple of sparse rows {column: nonzero entry}, the form
+``smith_reduce`` takes.  Systems have a few hundred rows at most, so
+plain Gaussian elimination and a Smith reduction that keeps only the
+invariant factors and the row operations U are enough; no floating
+point is used anywhere.
 
 Whether a nonzero nonnegative kernel vector exists is settled mod 2
 when the matrix has full column rank over F2 (then its kernel over Q is
@@ -29,70 +32,46 @@ from typing import Optional, Sequence
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """A matrix over F2, stored as the set of positions holding a 1."""
+    """A matrix over F2 with ``rows`` rows, stored as its columns:
+    ``columns[j]`` is an int whose bit i is the entry in row i."""
 
     rows: int
-    cols: int
-    entries: frozenset
+    columns: tuple
 
     def __post_init__(self):
-        for (r, c) in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry {(r, c)} out of bounds")
+        for c, mask in enumerate(self.columns):
+            if mask < 0 or mask >> self.rows:
+                raise ValueError(f"column {c} has an entry out of bounds")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        ent = frozenset(
-            (i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v % 2
-        )
-        return cls(nr, nc, ent)
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
-    def bitrows(self) -> list:
-        """Rows as integers with bit j standing for column j."""
-        out = [0] * self.rows
-        for (r, c) in self.entries:
-            out[r] |= 1 << c
-        return out
+    @property
+    def entries(self) -> frozenset:
+        """The positions (i, j) holding a 1, read off the columns."""
+        return frozenset((i, j) for j, mask in enumerate(self.columns) for i in set_bits(mask))
 
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """A matrix over Z, stored sparsely as position -> value."""
+    """A matrix over Z with ``cols`` columns, stored as sparse rows:
+    ``sparse[i]`` maps each column to its nonzero entry in row i."""
 
-    rows: int
+    sparse: tuple
     cols: int
-    entries: tuple  # sorted tuple of ((r, c), value) with value != 0
 
     def __post_init__(self):
-        for ((r, c), v) in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry {(r, c)} out of bounds")
-            if v == 0:
-                raise ValueError("explicit zero entry")
+        for r, row in enumerate(self.sparse):
+            for c, v in row.items():
+                if not 0 <= c < self.cols:
+                    raise ValueError(f"entry {(r, c)} out of bounds")
+                if v == 0:
+                    raise ValueError("explicit zero entry")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        return cls.from_sparse([dict(enumerate(row)) for row in rows], len(rows[0]) if rows else 0)
-
-    @classmethod
-    def from_sparse(cls, rows: Sequence[dict], cols: int) -> "IntegerMatrix":
-        """From one dict per row, column -> value; zero values are left out."""
-        ent = tuple(sorted(((i, j), v) for i, row in enumerate(rows) for j, v in row.items() if v))
-        return cls(len(rows), cols, ent)
-
-    def dense(self) -> list:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for ((r, c), v) in self.entries:
-            out[r][c] = v
-        return out
-
-    def mul_vec(self, vec: Sequence[int]) -> tuple:
-        out = [0] * self.rows
-        for ((r, c), v) in self.entries:
-            out[r] += v * vec[c]
-        return tuple(out)
+    @property
+    def rows(self) -> int:
+        return len(self.sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -104,27 +83,28 @@ def f2_rank_kernel(m: BinaryMatrix) -> tuple:
 
     Returns ``(rank, basis)`` where each basis vector is an int bitmask,
     bit j standing for column j, one per non-pivot column in increasing
-    order; rank + len(basis) == m.cols.
+    order; rank + len(basis) == m.cols.  Columns are reduced from the
+    last down against pivots keyed by their top row, recording what
+    each absorbs: one reducing to zero lies in the span of the later
+    ones, and its own bit with what it absorbed is its kernel vector,
+    zero on every other non-pivot column.
     """
-    rows = [r for r in m.bitrows() if r]
-    pivots = {}  # col -> reduced row
-    for row in rows:
-        for col, prow in pivots.items():
-            if (row >> col) & 1:
-                row ^= prow
-        if row:
-            col = row.bit_length() - 1
-            # back-substitute into existing rows to keep them reduced
-            for c2 in list(pivots):
-                if (pivots[c2] >> col) & 1:
-                    pivots[c2] ^= row
-            pivots[col] = row
-    free = ((1 << m.cols) - 1) & ~sum(1 << col for col in pivots)
-    basis = {j: 1 << j for j in set_bits(free)}
-    for col, prow in pivots.items():
-        for j in set_bits(prow & free):
-            basis[j] |= 1 << col
-    return len(pivots), list(basis.values())
+    pivots = {}  # top row -> (reduced column, the columns summed into it)
+    basis = []
+    for j in reversed(range(m.cols)):
+        col, used = m.columns[j], 1 << j
+        while col:
+            top = col.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (col, used)
+                break
+            pcol, pused = pivots[top]
+            col ^= pcol
+            used ^= pused
+        else:
+            basis.append(used)
+    basis.reverse()
+    return len(pivots), basis
 
 
 def set_bits(mask: int):
@@ -136,7 +116,7 @@ def set_bits(mask: int):
 
 
 def f2_rank(rows: Sequence[int]) -> int:
-    """Rank of a list of bitmask rows over F2 (convenience form)."""
+    """Rank over F2 of a list of bitmask vectors, rows or columns."""
     pivots = {}
     for row in rows:
         cur = row
@@ -281,13 +261,9 @@ def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
     one.
     """
     n = m.cols
-    bits = [0] * m.rows
-    for ((r, c), v) in m.entries:
-        if v % 2:
-            bits[r] |= 1 << c
-    if f2_rank(bits) == n:
+    if f2_rank([sum(1 << c for c, v in row.items() if v % 2) for row in m.sparse]) == n:
         return None
-    rows = m.dense()
+    rows = [[row.get(c, 0) for c in range(n)] for row in m.sparse]
     rows.append([1] * n)
     sol = _phase1_simplex(rows, [0] * m.rows + [1])
     if sol is None:
@@ -295,7 +271,7 @@ def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
     denom = lcm(*(f.denominator for f in sol)) if sol else 1
     out = tuple(int(f * denom) for f in sol)
     assert any(out) and all(v >= 0 for v in out)
-    assert all(v == 0 for v in m.mul_vec(out))
+    assert all(sum(v * out[c] for c, v in row.items()) == 0 for row in m.sparse)
     return out
 
 

@@ -8,11 +8,11 @@ staged route cuts the base open along the attachment region
 (``prepare_one_handle`` / ``prepare_two_handle``), concatenates the
 builtin blocks, and maps through the pairing piece (``elementary_join``).
 The routes share only surface mechanics: the path router, the mark
-naming and the id renaming; the staged cut builds its own strip,
-interface and arcs.  The package's comparison artifacts -- chain-map
-tables, stage ranks, the boundary identity on the twist stage -- are
-produced by ``glue_one_handle``, ``glue_two_handle`` and
-``equivalence_report``.
+naming, the id renaming and a 1-handle's feet; the staged cut builds
+its own strip, interface and arcs.  The package's comparison
+artifacts -- chain-map tables, stage ranks, the boundary identity on
+the twist stage -- are produced by ``glue_one_handle``,
+``glue_two_handle`` and ``equivalence_report``.
 
 The route functions take a diagram or its complex (built once, by
 ``sfc.differential``); ``equivalence_report`` passes each stage's target
@@ -46,9 +46,9 @@ from .surface import (
     _check_two_handle_paths,
     _cut_twice,
     _face_carrying,
+    _foot_edges,
     _put_mark,
     _renamed,
-    _require_free_suture_edge,
     _route_and_insert_chord,
     _route_path,
     _subdivide_ports,
@@ -56,6 +56,7 @@ from .surface import (
     attach_trivial_bypass,
     attach_two_handle,
     concatenate_bordered,
+    one_handle_parts,
     subdivide_edge,
     trivial_destabilize,
 )
@@ -153,7 +154,7 @@ def _is_boundary(cx: sfc.ChainComplexF2, cycle) -> bool:
     vec = 0
     for g in cycle:
         vec ^= 1 << cx.index(g)
-    cols = [m for m in cx.columns if m]
+    cols = [m for m in cx.differential.columns if m]
     return f2_rank(cols + [vec]) == f2_rank(cols)
 
 
@@ -236,11 +237,7 @@ def prepare_one_handle(d, p: str, q: str):
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
     out = d.copy()
-    _require_free_suture_edge(out, p)
-    if p == q:
-        p, q, _w = subdivide_edge(out, p)
-    else:
-        _require_free_suture_edge(out, q)
+    p, q, _run = _foot_edges(out, p, q)
 
     # the middle thirds of the feet become the interface, margins stay free
     feet = [[_cut_twice(out, eid)[1]] for eid in (p, q)]
@@ -631,27 +628,34 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
 def eh_generator(d, applied):
     """Transport the tagged contact generator through applied handle maps.
 
-    ``applied`` is the list of ``sigma_map`` results; 1-handles leave the
-    tag alone, 2-handles and bypasses add their forced intersection
-    point.  The transported tag must be a cycle generator of the final
-    diagram.  Returns ``(generator, complex)``, the complex being the
-    last table's target, or the base's complex when nothing was applied.
-    An empty ``d.eh`` means the base is untagged; it is refused before
-    any complex is built.
+    ``d`` is the base diagram or its complex, and ``applied`` the list
+    of ``sigma_map`` results; 1-handles leave the tag alone, 2-handles
+    and bypasses add their forced intersection point.  The transported
+    tag must be a cycle generator of the final diagram.  Returns
+    ``(generator, complex)``, the complex being the last table's target,
+    or the base's complex when nothing was applied.  An empty ``eh`` tag
+    means the base is untagged; it is refused before any complex is
+    built.
     """
-    if not d.eh:
+    base = d.diagram if isinstance(d, sfc.ChainComplexF2) else d
+    if not base.eh:
         raise ValueError("base has no tagged generator")
-    tag = set(d.eh)
+    tag = set(base.eh)
     for (_d2, _table, x0) in applied:
         if x0 is not None:
             tag.add(x0)
-    cx = applied[-1][1].target if applied else sfc.differential(d)
+    cx = applied[-1][1].target if applied else sfc.as_complex(d)
+    return _cycle_generator(cx, tag, "transported tag"), cx
+
+
+def _cycle_generator(cx, tag, what: str) -> frozenset:
+    """``tag`` as a generator of ``cx``, refused unless it is a cycle."""
     g = frozenset(tag)
     if g not in cx.position:
-        raise ValueError(f"transported tag {_fmt(g)} is not a generator")
+        raise ValueError(f"{what} {_fmt(g)} is not a generator")
     if cx.boundary_of(g):
-        raise ValueError(f"transported tag {_fmt(g)} is not a cycle")
-    return g, cx
+        raise ValueError(f"{what} {_fmt(g)} is not a cycle")
+    return g
 
 
 def _eh_block(d, applied):
@@ -680,13 +684,19 @@ def equivalence_report(d, handles) -> dict:
     and its table, target complex and stage ranks are compared with the
     direct route's.  The report carries one deterministic block per stage
     plus the contact class summary; the first disagreement is dumped as a
-    counterexample.
+    counterexample.  A tagged base has its complex built up front, as
+    stage 0's source, and a tag that is not a cycle generator of it is
+    refused with ``ValueError``.
     """
     blocks = []
     stage_checks = []
     applied = []
     counterexample = None
-    cur = d
+    base = d
+    if d.eh:
+        base = sfc.differential(d)
+        _cycle_generator(base, d.eh, "contact tag")
+    cur = base
     for i, spec in enumerate(handles):
         d2, table, x0 = sigma_map(cur, spec)
         source, target = table.source, table.target
@@ -737,7 +747,7 @@ def equivalence_report(d, handles) -> dict:
         stage_checks.append(check)
         applied.append((d2, table, x0))
         cur = target
-    eh = _eh_block(d, applied) if d.eh else None
+    eh = _eh_block(base, applied) if d.eh else None
     ok = counterexample is None and (eh is None or eh["ok"])
     base_generators = (
         len(applied[0][1].source.basis) if applied else len(sfc.generators(d))
@@ -833,11 +843,9 @@ def _port_order(obj: dict, field: str) -> tuple:
 
 def one_handled(d, site: str | None = None):
     """Attach a 1-handle at ``site`` (both feet) and keep the part ids."""
-    out = d.copy()
     if site is None:
-        site = sorted(out.free_boundary_edge_ids())[0]
-    handle = _attach_one_handle(out, site, site)
-    return _check(out, set_flags=True), handle
+        site = sorted(d.free_boundary_edge_ids())[0]
+    return one_handle_parts(d, site, site)
 
 
 def two_handle_sequence(d, site: str | None = None) -> list:

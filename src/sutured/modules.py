@@ -214,13 +214,12 @@ def bordered_invariant(d, kind: str, sector=None) -> BorderedStructure:
         ]
     kept = set(gens)
     diff = {}
-    for (r, c) in cx.differential.entries:
-        x, y = cx.basis[c], cx.basis[r]
-        if x in kept:
-            if y not in kept:
+    for x in gens:
+        ys = cx.boundary_of(x)
+        if ys:
+            if not ys <= kept:
                 raise AssertionError("differential leaves the occupancy sector")
-            diff.setdefault(x, set()).add(y)
-    diff = {x: frozenset(ys) for x, ys in diff.items()}
+            diff[x] = ys
     records = sfc.action_census(d, cx.darts)
     bs = BorderedStructure(
         kind,
@@ -245,21 +244,6 @@ def bordered_invariant(d, kind: str, sector=None) -> BorderedStructure:
 
 # ---------------------------------------------------------------------------
 # evaluation and bookkeeping
-
-
-def act(bs: BorderedStructure, side_pos: int, a, x) -> frozenset:
-    """Action of a single algebra generator on a module generator."""
-    if bs.kind == "D":
-        raise ValueError("type-D structures are evaluated through delta1")
-    if len(a.terms) != 1:
-        raise ValueError("actions are tabulated for single generators")
-    return bs.tables[side_pos].get(strands.label(a), {}).get(x, frozenset())
-
-
-def delta1(bs: BorderedStructure, y) -> frozenset:
-    if bs.kind != "D":
-        raise ValueError("delta1 is defined for type-D structures")
-    return bs.delta.get(y, frozenset())
 
 
 def is_elementary(bs: BorderedStructure) -> bool:

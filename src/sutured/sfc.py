@@ -228,8 +228,8 @@ def is_admissible(d: Diagram, darts=None):
     domain, or None.  The multiplicities are read off the darts
     (``darts``: the diagram's ``darts.Darts`` build, if made), and the
     sparse rows, one per non-curve edge in id order and one per
-    consecutive pair of segments along each curve, make the matrix as
-    they are.
+    consecutive pair of segments along each curve, make the matrix once
+    their zero entries and empty rows are dropped.
     """
     dx = Darts(d) if darts is None else darts
     cols = sorted(f.id for f in dx.faces if not f.suture)
@@ -254,8 +254,9 @@ def is_admissible(d: Diagram, darts=None):
                 for j, v in mult.get(e2, {}).items():
                     row[j] = row.get(j, 0) - v
                 rows.append(row)
-    rows = [row for row in rows if any(row.values())] or [{}]
-    witness = positive_kernel_witness(IntegerMatrix.from_sparse(rows, len(cols)))
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
+    rows = tuple(row for row in rows if row) or ({},)
+    witness = positive_kernel_witness(IntegerMatrix(rows, len(cols)))
     if witness is None:
         return True, None
     return False, {cols[j]: w for j, w in enumerate(witness) if w}
@@ -324,33 +325,32 @@ class ChainComplexF2:
     """A sutured chain complex over F2.
 
     ``differential`` builds it once per diagram, and homology, the handle
-    maps and the glue routes take it instead of rebuilding it.
-    ``diagram`` is the diagram it came from (``None`` for a complex built
-    from tables, such as the box tensor product of the test references)
-    and ``darts`` the dart build its census read, which the action
-    census reads again; ``position`` and ``columns`` are derived at
+    maps and the glue routes take it instead of rebuilding it.  The
+    differential is kept in one form, the bit-packed columns of its
+    ``BinaryMatrix``: column j is d(basis[j]), bit i standing for
+    basis[i].  ``diagram`` is the diagram it came from (``None`` for a
+    complex built from tables, such as the box tensor product of the
+    test references) and ``darts`` the dart build its census read, which
+    the action census reads again; ``position`` is derived at
     construction.
     """
 
     basis: list  # canonically ordered generators
-    differential: BinaryMatrix  # entry (i, j): basis[i] appears in d(basis[j])
+    differential: BinaryMatrix  # bit i of column j: basis[i] appears in d(basis[j])
     spinc_class: dict  # generator -> class index
     diagram: Optional[Diagram]
     darts: object = field(default=None, repr=False, compare=False)  # the diagram's Darts
     position: dict = field(init=False, repr=False)  # generator -> basis index
-    columns: list = field(init=False, repr=False)  # column j as a bitmask of rows
 
     def __post_init__(self):
         self.position = {x: i for i, x in enumerate(self.basis)}
-        self.columns = [0] * len(self.basis)
-        for (r, c) in self.differential.entries:
-            self.columns[c] |= 1 << r
 
     def index(self, x) -> int:
         return self.position[x]
 
     def boundary_of(self, x) -> frozenset:
-        return frozenset(self.basis[r] for r in set_bits(self.columns[self.index(x)]))
+        column = self.differential.columns[self.index(x)]
+        return frozenset(self.basis[r] for r in set_bits(column))
 
 
 def as_complex(d) -> ChainComplexF2:
@@ -362,7 +362,7 @@ def differential(d: Diagram) -> ChainComplexF2:
     """The mod-2 boundary map counting bigon and rectangle regions.
 
     Requires a nice, admissible diagram and rejects anything else.  The
-    entries come from ``_boundary_entries``: equal moves cancel in pairs
+    columns come from ``_boundary_entries``: equal moves cancel in pairs
     first, and each generator visits only the moves whose least x-corner
     it occupies, so a generator costs about its own size in lookups.
     """
@@ -375,14 +375,14 @@ def differential(d: Diagram) -> ChainComplexF2:
     if not ok:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
     basis = generators(d, dx.crossings)
-    entries = _boundary_entries(basis, census)
-    diff = BinaryMatrix(len(basis), len(basis), frozenset(entries))
+    diff = BinaryMatrix(len(basis), _boundary_entries(basis, census))
     groups = [rec.faces for rec in census]
     return ChainComplexF2(basis, diff, spinc_partition(d, basis, groups), d, dx)
 
 
-def _boundary_entries(basis: list, census: list) -> set:
-    """Positions (i, j) where ``basis[i]`` appears in d(``basis[j]``).
+def _boundary_entries(basis: list, census: list) -> tuple:
+    """The differential's columns: bit i of column j is set where
+    ``basis[i]`` appears in d(``basis[j]``).
 
     Each bigon and rectangle region of ``census`` is a move: it carries
     a generator x holding its x-corners X, and missing its y-corners Y
@@ -403,16 +403,16 @@ def _boundary_entries(basis: list, census: list) -> set:
             anchored.setdefault(min(move[0]), []).append(move)
         else:
             unanchored.append(move)
-    idx = {x: i for i, x in enumerate(basis)}
-    entries = set()
-    for j, x in enumerate(basis):
-        hits = set()
+    bit = {x: 1 << i for i, x in enumerate(basis)}
+    columns = []
+    for x in basis:
+        column = 0
         visiting = chain(unanchored, *(anchored[v] for v in anchored.keys() & x))
         for X, Y, interior in visiting:
             if X <= x and not (Y & x) and not (interior & x):
-                hits ^= {(x - X) | Y}
-        entries.update((idx[y], j) for y in hits)
-    return entries
+                column ^= bit[(x - X) | Y]
+        columns.append(column)
+    return tuple(columns)
 
 
 @dataclass
@@ -426,7 +426,8 @@ def homology(d) -> Homology:
 
     The differential preserves the Spin^c classes, so each class block
     of ``m`` generators is a complex on its own, of rank ``m - 2 r``
-    where ``r`` is the rank of its differential.
+    where ``r`` is the rank of its differential: of its columns, whose
+    bits must all lie in the block.
     """
     cx = as_complex(d)
     blocks = {}
@@ -435,18 +436,11 @@ def homology(d) -> Homology:
     by_class = {}
     for label in sorted(blocks):
         block = blocks[label]
-        pos = {j: t for t, j in enumerate(block)}
-        bcols = []
-        for j in block:
-            mask = 0
-            for r in set_bits(cx.columns[j]):
-                if r not in pos:
-                    raise AssertionError(
-                        "differential does not respect the class partition"
-                    )
-                mask |= 1 << pos[r]
-            bcols.append(mask)
-        by_class[label] = len(block) - 2 * f2_rank(bcols)
+        in_block = sum(1 << j for j in block)
+        cols = [cx.differential.columns[j] for j in block]
+        if any(c & ~in_block for c in cols):
+            raise AssertionError("differential does not respect the class partition")
+        by_class[label] = len(block) - 2 * f2_rank(cols)
     return Homology(sum(by_class.values()), by_class)
 
 

@@ -35,9 +35,6 @@ class StrandDiagramSum:
     z: ArcDiagram = field(compare=False, repr=False)
     terms: frozenset = frozenset()
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def strand_count(self):
         """Common strand count of the terms, or None if mixed or zero."""
         counts = {len(m) + len(o) for m, o in self.terms}
@@ -76,12 +73,6 @@ def _term_key(pos, term):
     movers, occupied = term
     spans = tuple(sorted((pos[s], pos[t]) for s, t in movers))
     return (len(movers) + len(occupied), len(movers), spans, tuple(sorted(occupied)))
-
-
-def _same_diagram(x: StrandDiagramSum, y: StrandDiagramSum) -> ArcDiagram:
-    if x.z is not y.z and x.z != y.z:
-        raise ValueError("elements live over different arc diagrams")
-    return x.z
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +115,6 @@ def element(z: ArcDiagram, movers, occupied) -> StrandDiagramSum:
 def idempotent(z: ArcDiagram, arcs) -> StrandDiagramSum:
     """The idempotent occupying the given set of arcs."""
     return element(z, [], arcs)
-
-
-def chord(z: ArcDiagram, frm, to) -> StrandDiagramSum:
-    """A single moving strand with no occupied arcs."""
-    return element(z, [(frm, to)], [])
-
-
-def zero(z: ArcDiagram) -> StrandDiagramSum:
-    return StrandDiagramSum(z, frozenset())
-
-
-def add(x: StrandDiagramSum, y: StrandDiagramSum) -> StrandDiagramSum:
-    z = _same_diagram(x, y)
-    return StrandDiagramSum(z, x.terms ^ y.terms)
-
-
-def unit(z: ArcDiagram) -> StrandDiagramSum:
-    """Sum of all idempotents; the multiplicative identity."""
-    arcs = sorted(set(z.matching.values()))
-    terms = set()
-    for r in range(len(arcs) + 1):
-        for combo in combinations(arcs, r):
-            terms.add((frozenset(), frozenset(combo)))
-    return StrandDiagramSum(z, frozenset(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +311,9 @@ def _regroup(z: ArcDiagram, pos, elementaries) -> frozenset:
 
 def multiply(x: StrandDiagramSum, y: StrandDiagramSum) -> StrandDiagramSum:
     """Concatenation product; zero on mismatch or double crossing."""
-    z = _same_diagram(x, y)
+    z = x.z
+    if z is not y.z and z != y.z:
+        raise ValueError("elements live over different arc diagrams")
     pos = _positions(z)
     acc = set()
     for t1 in x.terms:

@@ -13,6 +13,11 @@ interface marked points.  Bordered diagrams additionally carry arc
 interfaces: an arc diagram (intervals of matched points), the boundary
 edges realizing each interval, and the assignment of arc indices to
 diagram arcs.
+
+Vertex links, regions and the cuts along each curve family are read
+from a ``darts.Darts`` build and kept in no other form.  A 1-handle's
+feet (``_foot_edges``) and parts (``one_handle_parts``) have one home
+here, which ``glue`` uses too.
 """
 
 from __future__ import annotations
@@ -70,14 +75,6 @@ class ArcDiagram:
 
     def points(self):
         return [p for iv in self.intervals for p in iv]
-
-    def reversed(self) -> "ArcDiagram":
-        """Orientation reversal: every interval flips."""
-        return ArcDiagram(
-            [list(reversed(iv)) for iv in self.intervals],
-            dict(self.matching),
-            self.kind,
-        )
 
     def mirrored(self) -> "ArcDiagram":
         """Role mirror: the arcs switch curve family."""
@@ -249,20 +246,7 @@ class Diagram:
 
 
 # ---------------------------------------------------------------------------
-# derived structure: vertex links, regions
-
-
-def vertex_links(d: Diagram):
-    """Cyclic (or linear) link of every vertex, as alternating lists.
-
-    Returns vertex -> ("cycle" | "path", items) where items alternate
-    edge incidences ("inc", edge, end) and corners ("corner", face, pos).
-    A path link starts and ends with boundary-edge incidences.  Raises
-    ValueError on a non-manifold vertex (disconnected link).  A cycle
-    starts at its least corner, a path at its first corner in face
-    order whose incoming side has no opposite.
-    """
-    return Darts(d).links(d.vertices)
+# derived structure: regions
 
 
 def regions(d: Diagram) -> list:
@@ -1059,14 +1043,20 @@ def _make_foot(d: Diagram, eid: str, w_from: int = 0) -> dict:
     return {"left": left, "seam": seam, "right": right, "v1": v1, "v2": v2}
 
 
-def _attach_one_handle(d: Diagram, p: str, q: str):
+def _foot_edges(d: Diagram, p: str, q: str) -> tuple:
+    """The two edges that carry a handle's feet on the free suture edges
+    ``p`` and ``q``; one edge given twice is subdivided into two.
+    Returns (p edge, q edge, where a run of vertex ids resumes)."""
     _require_free_suture_edge(d, p)
-    run = 0
     if p == q:
         p, q, w = subdivide_edge(d, p)
-        run = _after(w)
-    else:
-        _require_free_suture_edge(d, q)
+        return p, q, _after(w)
+    _require_free_suture_edge(d, q)
+    return p, q, 0
+
+
+def _attach_one_handle(d: Diagram, p: str, q: str):
+    p, q, run = _foot_edges(d, p, q)
     fp = _make_foot(d, p, run)
     fq = _make_foot(d, q, _after(fp["v2"]))
     s1, s2 = d.fresh_ids("s", 2)
@@ -1087,9 +1077,16 @@ def attach_one_handle(d: Diagram, p: str, q: str) -> Diagram:
     Each foot replaces the middle of its edge by a seam; the strip face
     between the two seams is a new suture region with two free sides.
     """
+    return one_handle_parts(d, p, q)[0]
+
+
+def one_handle_parts(d: Diagram, p: str, q: str) -> tuple:
+    """``attach_one_handle`` with the handle's part ids: (diagram,
+    {"p": foot, "q": foot, "s1", "s2": strip sides, "strip": face}), each
+    foot {"left", "seam", "right": edges, "v1", "v2": vertices}."""
     out = d.copy()
-    _attach_one_handle(out, p, q)
-    return _check(out, set_flags=True)
+    handle = _attach_one_handle(out, p, q)
+    return _check(out, set_flags=True), handle
 
 
 def _subdivide_ports(d: Diagram, handle: dict, order_p, order_q) -> tuple:
@@ -1219,16 +1216,6 @@ def _curve_vertices(d: Diagram, c: Curve) -> set:
     return out
 
 
-def simplify(d: Diagram) -> Diagram:
-    """Dissolve dissolvable seams and fuse two-valent vertices.
-
-    Regions, curves and boundary structure are unchanged up to
-    normalization; only redundant subdivision is removed.
-    """
-    _LocalEdits(d).simplify()
-    return d
-
-
 def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     """Remove a stabilizing curve pair crossing once and nothing else.
 
@@ -1264,17 +1251,19 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
             if v in (ed.frm, ed.to) and ed.kind in CURVE_KINDS and e not in pair_edges:
                 raise ValueError(f"curve edge {e} touches the pair at {v}")
 
-    links = vertex_links(out)
     alpha_edges = list(alpha.segments)
     alpha_set = set(alpha_edges)
+    dx = Darts(out)
+    seen = bytearray(len(dx.tail))
 
     # cut: split every vertex on alpha into a + and a - copy
     side_of_vertex_end = {}  # (edge id, "frm"/"to") -> new vertex id
     for v in sorted(_curve_vertices(out, alpha)):
-        kind, items = links[v]
-        if kind != "cycle":
+        ring, is_open = dx.walk(dx.tail.index(v), seen)  # the link of v
+        if is_open:
             raise ValueError(f"alpha vertex {v} lies on the boundary")
-        incs = [it[1] for it in items if it[0] == "inc"]
+        # the side into each corner of the link, in walking order
+        incs = [(dx.edge[j], dx.sign[j]) for j in map(dx._prv, ring)]
         alpha_positions = [i for i, (e, _s) in enumerate(incs) if e in alpha_set]
         if len(alpha_positions) != 2:
             raise ValueError(f"vertex {v} is not a simple alpha vertex")

@@ -21,15 +21,15 @@ restarts its sorted sweep over every seam, then every vertex, after
 each edit, and its dissolves and fusions find an edge's sides and a
 vertex's edges by scanning every face and every edge;
 ``reference_trivial_destabilize`` dissolves the released edges by the
-same restart loop; ``reference_vertex_links`` walks each vertex from
-corners and flanking sides read off the face words one vertex at a
-time; ``reference_validate`` runs every structural check in the
-library's order, each recomputing what it reads, with faces grouped by
-a fresh search for every component; ``recompute_suture_flags`` sets
-the suture flags in a pass of its own over the regions.  The library's
-worklist edits and one-index validator, which sets the flags inside its
-check, must give the same diagrams, links, flags and problem lists,
-failures included.  ``reference_vertex_faces`` reads a vertex's
+same restart loop; ``reference_validate`` runs every structural check
+in the library's order, each recomputing what it reads, with faces
+grouped by a fresh search for every component and vertex links
+(``reference_vertex_links``) walked from corners and flanking sides
+read off the face words one vertex at a time;
+``recompute_suture_flags`` sets the suture flags in a pass of its own
+over the regions.  The library's worklist edits and one-index
+validator, which sets the flags inside its check, must give the same
+diagrams, flags and problem lists, failures included.  ``reference_vertex_faces`` reads a vertex's
 faces in a scan of its own, which the census's one pass must match.
 ``reference_region_census`` finds the regions by a component search of
 its own and walks each one's boundary with this module's own copies of
@@ -382,7 +382,7 @@ def z_image_contains(m, target):
         return () if all(t == 0 for t in target) else None
     if m.rows == 0:
         return tuple(0 for _ in range(m.cols))
-    S, U, V = smith_normal_form(m.dense())
+    S, U, V = smith_normal_form([[row.get(j, 0) for j in range(m.cols)] for row in m.sparse])
     ub = [sum(U[i][k] * target[k] for k in range(m.rows)) for i in range(m.rows)]
     y = [0] * m.cols
     for i in range(m.rows):
@@ -1419,7 +1419,6 @@ def check_relations(m) -> dict:
                 if frozenset(lhs) != rhs:
                     violations.append(f"Leibniz fails: {label} at {name(x)}")
     if m.kind == "D":
-        z = m.sides[0].algebra
         basis = modules.algebra_basis(m, 0)
         arcs = set(m.sides[0].arcs)
         for y, entries in m.delta.items():
@@ -1429,15 +1428,14 @@ def check_relations(m) -> dict:
                     violations.append(
                         f"idempotent mismatch: δ¹({name(y)}) term {label}"
                     )
-            acc = {}
+            acc = {}  # y2 -> the terms of its coefficient
             for (l1, y1) in entries:
                 for (l2, y2) in m.delta.get(y1, ()):
-                    prev = acc.get(y2, strands.zero(z))
-                    acc[y2] = strands.add(
-                        prev, strands.multiply(basis[l1], basis[l2])
-                    )
+                    acc[y2] = acc.get(y2, frozenset()) ^ strands.multiply(
+                        basis[l1], basis[l2]
+                    ).terms
             for y2, total in acc.items():
-                if not total.is_zero():
+                if total:
                     violations.append(
                         f"δ¹ structure equation fails: {name(y)} → {name(y2)}"
                     )
@@ -1446,6 +1444,12 @@ def check_relations(m) -> dict:
 
 # ---------------------------------------------------------------------------
 # the box tensor product
+
+
+def act(bs, side_pos, a, x) -> frozenset:
+    """The action of the single algebra generator ``a`` on ``x``, read
+    from the type-A or type-AA tables of ``bs``."""
+    return bs.tables[side_pos].get(strands.label(a), {}).get(x, frozenset())
 
 
 def box_tensor(a, d):
@@ -1481,7 +1485,7 @@ def box_tensor(a, d):
     pairs.sort(key=lambda p: tuple(sorted(key(p))))
     index = {p: i for i, p in enumerate(pairs)}
     basis_d = modules.algebra_basis(d, 0)
-    entries = set()
+    columns = []
     for (x, y) in pairs:
         outs = set()
         for x2 in a.differential.get(x, ()):
@@ -1493,17 +1497,18 @@ def box_tensor(a, d):
                 [(point_map[t], point_map[f]) for (f, t) in movers],
                 {inv_map[o] for o in occupied},
             )
-            for x2 in modules.act(a, 0, coeff, x):
+            for x2 in act(a, 0, coeff, x):
                 outs ^= {(x2, y2)}
+        column = 0
         for out in outs:
             if out not in index:
                 raise AssertionError("box tensor left the compatible pairs")
-            entries.add((index[out], index[(x, y)]))
-    n = len(pairs)
+            column |= 1 << index[out]
+        columns.append(column)
     basis = [key(p) for p in pairs]
     return sfc.ChainComplexF2(
         basis,
-        BinaryMatrix(n, n, frozenset(entries)),
+        BinaryMatrix(len(pairs), tuple(columns)),
         {b: 0 for b in basis},
         None,
     )

@@ -110,7 +110,7 @@ def test_criterion_3_pairing_bimodule():
         (1, "ρ2", "{z4}", "{z5}"),
     ]:
         a = (basis_l if side == 0 else basis_r)[label]
-        got = {name(y) for y in modules.act(bs, side, a, gen[x])}
+        got = {name(y) for y in oracles.act(bs, side, a, gen[x])}
         if got != {want}:
             failures.append(f"action {label} on {x} gave {got}, want {want}")
     if any(
@@ -124,7 +124,7 @@ def test_criterion_3_pairing_bimodule():
         b_left = next(iter(basis_l[tags[name(x)]].terms))
         b_right = next(iter(basis_r[tags[name(x)]].terms))
         for a in basis_l.values():
-            got = {name(y) for y in modules.act(bs, 0, a, x)}
+            got = {name(y) for y in oracles.act(bs, 0, a, x)}
             want = {
                 nm for nm, t in tags.items()
                 if b_left in strands.multiply(a, basis_l[t]).terms
@@ -132,7 +132,7 @@ def test_criterion_3_pairing_bimodule():
             if got != want:
                 failures.append(f"left duality at {name(x)}, {strands.label(a)}")
         for a in basis_r.values():
-            got = {name(y) for y in modules.act(bs, 1, a, x)}
+            got = {name(y) for y in oracles.act(bs, 1, a, x)}
             want = {
                 nm for nm, t in tags.items()
                 if b_right in strands.multiply(basis_r[t], a).terms

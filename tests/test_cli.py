@@ -350,17 +350,53 @@ def test_verify_equivalence_clean(capsys, tmp_path, stab_file):
     assert json.loads(out)["ok"]
 
 
-def test_verify_equivalence_flags_broken_contact_tag(capsys, tmp_path):
-    d = pieces.build("fix-stab")
+def _tagged_file(tmp_path, d, tag):
+    """``d`` written with its contact tag set to ``tag``."""
     doc = json.loads(surface.serialize(d))
-    tag = sorted(v for v in d.vertices if v != "c")[0]
-    doc["tags"]["eh"] = [tag]  # a boundary vertex: not a generator
-    path = tmp_path / "doctored.json"
+    doc["tags"]["eh"] = tag
+    path = tmp_path / "tagged.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=1))
-    plan = write_plan(tmp_path, [glue.HandleSpec("1", p="bd", q="bd")])
-    code, out, err = run(capsys, "verify-equivalence", str(path), "--handles", plan)
+    return str(path)
+
+
+@pytest.mark.parametrize("plan", [
+    [],
+    [{"kind": "bypass+", "site": "bd"}],
+    [{"kind": "1", "p": "bd", "q": "bd"}],
+])
+def test_verify_equivalence_refuses_a_tag_off_the_generators(capsys, tmp_path, plan):
+    """A vertex on the alpha curve, not a crossing: refused with a JSON
+    reason before any stage runs, not reported as a disagreement."""
+    path = _tagged_file(tmp_path, pieces.build("fix-stab"), ["m"])
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    code, out, err = run(capsys, "verify-equivalence", path, "--handles", str(plan_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "contact tag {m} is not a generator"}
+
+
+def test_verify_equivalence_refuses_a_tag_off_the_cycles(capsys, tmp_path):
+    d = fixtures.punctured_grid(3, 1)
+    cx = sfc.differential(d)
+    g = next(x for x in cx.basis if cx.boundary_of(x))
+    path = _tagged_file(tmp_path, d, sorted(g))
+    code, out, err = run(capsys, "verify-equivalence", path, "--handles",
+                         write_plan(tmp_path, []))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": f"contact tag {glue._fmt(g)} is not a cycle"}
+
+
+def test_verify_equivalence_flags_broken_contact_tag(capsys, tmp_path, stab_file, monkeypatch):
+    """A cycle tag whose transport leaves the generators is an internal
+    fault: the report flags it and the exit code is 2."""
+    real = glue.sigma_map
+    monkeypatch.setattr(glue, "sigma_map", lambda cur, spec: real(cur, spec)[:2] + ("ghost",))
+    plan = write_plan(tmp_path, [glue.HandleSpec("bypass+", site="bd")])
+    code, out, err = run(capsys, "verify-equivalence", stab_file, "--handles", plan)
     assert code == 2
-    assert out.splitlines()[-1] == "NOT EQUIVALENT"
+    assert out.splitlines()[-2:] == [
+        "EH: ERROR transported tag {c,ghost} is not a generator", "NOT EQUIVALENT"
+    ]
     assert "not a generator" in json.dumps(json.loads(err)["repro"])
 
 

@@ -62,18 +62,30 @@ def random_int_matrix(rng, nr, nc, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
+def int_matrix(rows):
+    """An ``IntegerMatrix`` from dense rows."""
+    return IntegerMatrix(tuple(_sparse(rows)), len(rows[0]) if rows else 0)
+
+
+def bin_matrix(rows, cols):
+    """A ``BinaryMatrix`` from dense 0/1 rows over ``cols`` columns."""
+    return BinaryMatrix(len(rows), tuple(
+        sum(row[j] << i for i, row in enumerate(rows)) for j in range(cols)
+    ))
+
+
 # ---------------------------------------------------------------------------
 # F2
 
 
 def test_f2_empty_and_identity():
-    assert f2_rank_kernel(BinaryMatrix(0, 0, frozenset())) == (0, [])
-    ident = BinaryMatrix.from_rows([[1, 0], [0, 1]])
+    assert f2_rank_kernel(BinaryMatrix(0, ())) == (0, [])
+    ident = bin_matrix([[1, 0], [0, 1]], 2)
     assert f2_rank_kernel(ident) == (2, [])
 
 
 def test_f2_repeated_row():
-    m = BinaryMatrix.from_rows([[1, 1], [1, 1]])
+    m = bin_matrix([[1, 1], [1, 1]], 2)
     rank, basis = f2_rank_kernel(m)
     assert rank == 1
     assert basis == [0b11]
@@ -85,7 +97,7 @@ def test_f2_matches_brute_force():
         nr = rng.randint(0, 5)
         nc = rng.randint(1, 6)
         rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
-        rank, basis = f2_rank_kernel(BinaryMatrix.from_rows(rows) if nr else BinaryMatrix(0, nc, frozenset()))
+        rank, basis = f2_rank_kernel(bin_matrix(rows, nc))
         brank, bkernel = brute_f2_rank_kernel(rows, nc)
         assert rank == brank
         assert rank + len(basis) == nc
@@ -99,7 +111,7 @@ def test_f2_matches_brute_force():
 @given(st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_f2_rank_nullity(rows):
-    rank, basis = f2_rank_kernel(BinaryMatrix.from_rows(rows))
+    rank, basis = f2_rank_kernel(bin_matrix(rows, 4))
     assert rank + len(basis) == 4
     bitrows = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
     assert f2_rank(bitrows) == rank
@@ -155,7 +167,7 @@ def test_smith_reduce_matches_the_textbook_form(rows, pairs):
     assert all(q > 0 for q in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
     assert abs(oracles.determinant([[row.get(k, 0) for k in range(len(U))] for row in U])) == 1
-    m = IntegerMatrix.from_rows(rows)
+    m = int_matrix(rows)
     key = cokernel_residue(_sparse(rows))
     for p1, p2 in pairs:
         b1 = [p1 >> i & 1 for i in range(m.rows)]
@@ -166,19 +178,19 @@ def test_smith_reduce_matches_the_textbook_form(rows, pairs):
 
 
 def test_z_image_contains():
-    m = IntegerMatrix.from_rows([[2, 0], [0, 3]])
+    m = int_matrix([[2, 0], [0, 3]])
     assert oracles.z_image_contains(m, (4, 9)) == (2, 3)
     assert oracles.z_image_contains(m, (1, 0)) is None
     rng = random.Random(13)
     for _ in range(25):
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         A = random_int_matrix(rng, nr, nc)
-        m = IntegerMatrix.from_rows(A)
+        m = int_matrix(A)
         x = tuple(rng.randint(-3, 3) for _ in range(nc))
-        b = m.mul_vec(x)
+        b = _mul_vec(A, x)
         got = oracles.z_image_contains(m, b)
         assert got is not None
-        assert m.mul_vec(got) == b
+        assert _mul_vec(A, got) == b
 
 
 def test_cokernel_residue_classifies():
@@ -186,7 +198,7 @@ def test_cokernel_residue_classifies():
     for _ in range(20):
         nr, nc = rng.randint(1, 4), rng.randint(0, 4)
         A = random_int_matrix(rng, nr, nc)
-        m = IntegerMatrix.from_rows(A) if nc else IntegerMatrix(nr, 0, ())
+        m = int_matrix(A)
         key = cokernel_residue(_sparse(A))
         for _ in range(10):
             b1 = tuple(rng.randint(0, 1) for _ in range(nr))
@@ -204,6 +216,10 @@ def _support(b):
 def _sparse(dense):
     """Dense rows as the sparse rows ``smith_reduce`` takes and returns."""
     return [{k: u for k, u in enumerate(row) if u} for row in dense]
+
+
+def _mul_vec(rows, x):
+    return tuple(sum(a * v for a, v in zip(row, x)) for row in rows)
 
 
 def _assert_keys_separate_all_subsets(rows):
@@ -266,17 +282,17 @@ def test_cokernel_residue_rejects_rows_out_of_range():
 
 
 def test_witness_forced():
-    w = positive_kernel_witness(IntegerMatrix.from_rows([[1, -1]]))
+    w = positive_kernel_witness(int_matrix([[1, -1]]))
     assert w is not None and w[0] == w[1] > 0
 
 
 def test_witness_none_for_identity():
-    assert positive_kernel_witness(IntegerMatrix.from_rows([[1, 0], [0, 1]])) is None
+    assert positive_kernel_witness(int_matrix([[1, 0], [0, 1]])) is None
 
 
 def test_witness_mixed_sign_kernel():
     # kernel spanned by (1, -1): no nonnegative point besides 0
-    assert positive_kernel_witness(IntegerMatrix.from_rows([[1, 1]])) is None
+    assert positive_kernel_witness(int_matrix([[1, 1]])) is None
 
 
 def test_witness_against_box_oracle():
@@ -285,7 +301,7 @@ def test_witness_against_box_oracle():
         nr = rng.randint(1, 3)
         nc = rng.randint(1, 4)
         A = random_int_matrix(rng, nr, nc, lo=-2, hi=2)
-        got = positive_kernel_witness(IntegerMatrix.from_rows(A))
+        got = positive_kernel_witness(int_matrix(A))
         expect = brute_positive_witness(A, nc)
         if expect is None:
             # the box search is complete for small boxes only when rays are
@@ -308,7 +324,7 @@ def test_witness_against_box_oracle():
 )
 @settings(max_examples=60, deadline=None)
 def test_witness_sound(rows):
-    got = positive_kernel_witness(IntegerMatrix.from_rows(rows))
+    got = positive_kernel_witness(int_matrix(rows))
     if got is not None:
         assert all(v >= 0 for v in got) and any(got)
         assert all(sum(r * v for r, v in zip(row, got)) == 0 for row in rows)
@@ -339,7 +355,7 @@ def test_witness_and_simplex_match_the_reference(rows):
     assert got == oracles.reference_phase1_simplex(fractions, [Fraction(v) for v in b])
     assert got is None or all(type(v) is Fraction for v in got)
     assert positive_kernel_witness(
-        IntegerMatrix.from_rows(rows)
+        int_matrix(rows)
     ) == oracles.reference_positive_kernel_witness(rows)
 
 
@@ -388,7 +404,8 @@ def test_admissibility_witness_matches_the_reference(monkeypatch):
             assert (ok, witness) == (True, None), where
             continue
         ((m, got),) = calls
-        expect = oracles.reference_positive_kernel_witness(m.dense())
+        dense = [[row.get(j, 0) for j in range(m.cols)] for row in m.sparse]
+        expect = oracles.reference_positive_kernel_witness(dense)
         assert got == expect, where
         cols = sorted(f for f, face in d.faces.items() if not face.suture)
         assert ok == (expect is None), where
@@ -404,8 +421,8 @@ def test_full_f2_rank_settles_without_the_simplex(monkeypatch):
         raise AssertionError("simplex reached")
 
     monkeypatch.setattr(exactlin, "_phase1_simplex", unreachable)
-    assert positive_kernel_witness(IntegerMatrix.from_rows([[1, 0], [0, 1]])) is None
-    assert positive_kernel_witness(IntegerMatrix(2, 0, ())) is None
+    assert positive_kernel_witness(int_matrix([[1, 0], [0, 1]])) is None
+    assert positive_kernel_witness(IntegerMatrix(({}, {}), 0)) is None
 
 
 @pytest.mark.parametrize(
@@ -425,7 +442,7 @@ def test_rank_deficient_mod_2_reaches_the_simplex(rows, expect_witness, monkeypa
         return real(*args)
 
     monkeypatch.setattr(exactlin, "_phase1_simplex", recording)
-    got = positive_kernel_witness(IntegerMatrix.from_rows(rows))
+    got = positive_kernel_witness(int_matrix(rows))
     assert reached
     if expect_witness:
         assert got is not None and got[0] == got[1] > 0
