@@ -196,8 +196,8 @@ def _add_row(dst: dict, src: dict, k: int) -> None:
             dst[j] = v
 
 
-def cokernel_residue(rows: Sequence[dict]):
-    """Return a function classifying 0/1 vectors modulo the column span of m.
+def cokernel_residue(rows: Sequence[dict]) -> "CosetKey":
+    """Return a key classifying 0/1 vectors modulo the column span of m.
 
     The matrix m is given as ``smith_reduce`` takes it: one dict column
     -> nonzero entry per row.  The returned ``key`` takes the rows where
@@ -209,39 +209,56 @@ def cokernel_residue(rows: Sequence[dict]):
     (zero where the factor is zero).  A row whose factor is 1 never
     tells cosets apart, so the key reads only the other rows.
 
-    The free rows (factor 0) are packed side by side into one int per
-    column of U, row i of the column in a lane W bits wide at bit W * i
-    of the free rows' order, so the key's first part is a plain sum of
-    ints.  Lanes are signed: a negative entry borrows from the lanes
-    above it.  Two sums over sets of the same columns differ in a lane
-    by at most ``rows * max|U|``, and W = (rows * max|U|).bit_length()
-    puts that bound below 2^W, so equal sums have equal lanes: the
-    lowest lane that differed would have to differ by a multiple of
-    2^W.  The torsion rows (factor > 1) are reduced lane by lane, and
-    make up the key's second part; without torsion rows the key is the
-    sum alone.
+    Row r of m gets one int, ``key.weights[r]``, column r of U in lanes,
+    and the key of b is ``key.reduce`` of its rows' summed weights.  The
+    torsion rows (factor q > 1) hold entries mod q in the low lanes, each
+    wide enough for ``rows`` residues, and are reduced mod q at the end.
+    The free rows (factor 0) sit above in signed lanes W bits wide: a
+    negative entry borrows from the lanes above.  Two sums over sets of
+    the same columns differ in a lane by at most ``rows * max|U|`` <
+    2^W, so equal sums have equal lanes: the lowest lane that differed
+    would differ by a multiple of 2^W.  Without torsion rows the key is
+    the sum itself.
     """
     factors, U = smith_reduce(rows)
     free = U[len(factors):]
-    torsion = [(U[i], q) for i, q in enumerate(factors) if q > 1]
     bound = max((abs(u) for row in free for u in row.values()), default=0)
     width = (len(rows) * bound).bit_length()
-    packed = dict.fromkeys(range(len(rows)), 0)
+    weights = dict.fromkeys(range(len(rows)), 0)
+    torsion, low = [], 0  # (lane shift, lane mask, factor) per torsion row
+    for row, q in zip(U, factors):
+        if q > 1:
+            lane = (len(rows) * (q - 1)).bit_length()
+            torsion.append((low, (1 << lane) - 1, q))
+            for k, u in row.items():
+                weights[k] += u % q << low
+            low += lane
     for lane, row in enumerate(free):
         for k, u in row.items():
-            packed[k] += u << (width * lane)
+            weights[k] += u << (width * lane + low)
+    return CosetKey(weights, tuple(torsion), low)
 
-    def key(support):
-        support = list(support)
+
+class CosetKey:
+    """``cokernel_residue``'s key of a 0/1 vector's support: ``reduce`` of
+    the sum of its rows' ``weights``, which a caller may add up itself.
+    ``torsion`` holds (lane shift, lane mask, factor) per torsion row, in
+    the ``low`` bits below the free lanes."""
+
+    def __init__(self, weights: dict, torsion: tuple, low: int):
+        self.weights, self.torsion, self.low = weights, torsion, low
+
+    def reduce(self, total: int):
+        if not self.torsion:
+            return total
+        return total >> self.low, tuple((total >> s & mask) % q for s, mask, q in self.torsion)
+
+    def __call__(self, support):
         try:
-            total = sum(map(packed.__getitem__, support))
+            total = sum(map(self.weights.__getitem__, support))
         except KeyError as err:
             raise ValueError(f"row index {err.args[0]} out of range") from None
-        if not torsion:
-            return total
-        return total, tuple(sum(row.get(k, 0) for k in support) % q for row, q in torsion)
-
-    return key
+        return self.reduce(total)
 
 
 # ---------------------------------------------------------------------------

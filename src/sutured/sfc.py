@@ -16,7 +16,11 @@ curve families meet, and a crossing lies inside when it is off the
 boundary and the domain touches it.
 ``differential`` makes one build for the census, the admissibility
 rows, the crossing table and the generators, and its complex keeps the
-build for the action census.
+build for the action census.  Inside it a generator is its sorted index
+tuple and bit mask over the crossings in vertex order, from one
+enumeration (``_matchings``) through the Spin^c keys (``_spinc_labels``)
+to the columns (``_boundary_entries``); vertex-id frozensets are built
+for the basis and in the views ``generators`` and ``spinc_partition``.
 
 The action census grows each chord's candidate domains from the faces
 on the chord across shared edges (``_connected_supersets``).  Both
@@ -26,7 +30,8 @@ glued along the edges it holds on both sides.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .exactlin import (
@@ -46,61 +51,44 @@ from .surface import CURVE_KINDS, Diagram
 
 
 def generators(d: Diagram, crossings: Optional[dict] = None) -> list:
-    """All occupancy sets, canonically ordered.
+    """All occupancy sets, canonically ordered: ``_matchings`` written
+    as frozensets of vertex ids.  ``crossings``: the crossing table of
+    the diagram's dart build (``darts.Darts``), if made."""
+    verts, gens = _matchings(d, Darts(d).crossings if crossings is None else crossings)
+    return [frozenset(map(verts.__getitem__, t)) for t, _ in gens]
+
+
+def _matchings(d: Diagram, crossings: dict) -> tuple:
+    """``(verts, gens)``: the crossings in vertex order, and every
+    generator as ``(indices, mask)``, its sorted indices into ``verts``
+    and the int with those bits set, in canonical order (index order is
+    vertex order).
 
     A generator uses each closed curve exactly once and each arc at most
-    once.  The enumeration goes curve by curve along the alpha family,
-    each alpha curve's crossings in sorted vertex order: a closed alpha
-    curve takes exactly one crossing whose beta curve is still unused,
-    an alpha arc takes one such crossing or none, and a choice is kept
-    when it uses every closed beta curve.  Diagrams admitting no such
-    matching, among them any with a closed curve that meets no crossing,
-    yield an empty list.  ``crossings``: the crossing table of the
-    diagram's dart build (``darts.Darts``), if made.
+    once.  Going curve by curve along the alpha family, a closed alpha
+    curve takes one crossing whose beta curve is unused, an alpha arc
+    one or none, and a choice is kept when it uses every closed beta
+    curve.  Partial choices are grouped by the mask of beta curves they
+    use, which fixes how they go on, so a group tests each crossing once.
     """
-    if crossings is None:
-        crossings = Darts(d).crossings
-    on_alpha = {}  # alpha curve -> [(crossing, beta curve)], by vertex
-    for v in sorted(crossings):
-        on_alpha.setdefault(crossings[v]["alpha"], []).append(
-            (v, crossings[v]["beta"])
-        )
-    slots = []
+    verts = sorted(crossings)
+    beta = {c: 1 << k for k, c in enumerate(d.curves("beta"))}
+    closed_beta = sum(beta[c.id] for c in d.curves("beta").values() if c.closed)
+    options = {}  # alpha curve -> [(index, its bit, beta curve bit)], by vertex
+    for i, v in enumerate(verts):
+        options.setdefault(crossings[v]["alpha"], []).append((i, 1 << i, beta[crossings[v]["beta"]]))
+    level = {0: [((), 0)]}  # beta curves used -> [(indices, mask)]
     for c in d.curves("alpha").values():
-        options = on_alpha.get(c.id, [])
-        if c.closed and not options:
-            return []
-        if options:
-            slots.append((c.closed, options))
-    closed_beta = {c.id for c in d.curves("beta").values() if c.closed}
-    found = []
-    _extend_by_curve(0, [], slots, closed_beta, set(), found)
-    return sorted(found, key=lambda x: tuple(sorted(x)))
-
-
-def _extend_by_curve(i, chosen, slots, closed_beta, used, found):
-    """Depth-first step of ``generators``: choose on alpha curve ``i``.
-
-    ``used`` holds the beta curves already taken.  A module-level
-    function rather than a closure, so the recursion holds no reference
-    cycle that would keep ``found`` alive until the cyclic garbage
-    collector runs.
-    """
-    if i == len(slots):
-        if closed_beta <= used:
-            found.append(frozenset(chosen))
-        return
-    closed, options = slots[i]
-    if not closed:
-        _extend_by_curve(i + 1, chosen, slots, closed_beta, used, found)
-    for v, b in options:
-        if b in used:
-            continue
-        used.add(b)
-        chosen.append(v)
-        _extend_by_curve(i + 1, chosen, slots, closed_beta, used, found)
-        chosen.pop()
-        used.discard(b)
+        grown = {} if c.closed else {used: list(ps) for used, ps in level.items()}
+        for used, ps in level.items():
+            for i, bit, b in options.get(c.id, ()):
+                if not used & b:
+                    grown.setdefault(used | b, []).extend([(t + (i,), m | bit) for t, m in ps])
+        level = grown
+    gens = [(tuple(sorted(t)), m) for used, ps in level.items()
+            if used & closed_beta == closed_beta for t, m in ps]
+    gens.sort(key=itemgetter(0))
+    return verts, gens
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +255,32 @@ def is_admissible(d: Diagram, darts=None):
 
 
 def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
-    """Generator -> class index.
+    """Generator -> class index: ``_spinc_labels`` over vertex-id sets.
+    ``gens`` is ``generators(d)`` and ``groups`` the face tuples of the
+    non-suture regions, in the order of ``region_census(d)``."""
+    verts = sorted(set().union(*gens))
+    index = {v: i for i, v in enumerate(verts)}
+    tuples = [tuple(map(index.__getitem__, x)) for x in gens]
+    return dict(zip(gens, _spinc_labels(d, groups, verts, tuples)))
+
+
+def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list) -> list:
+    """The class index of each of ``gens``, tuples of indices into the
+    crossings ``verts``.
 
     Two generators share a class exactly when the difference of their
     occupancy vectors, spread along the alpha family, is a boundary of
-    non-suture regions; classes are numbered by first appearance in
-    canonical generator order.  ``gens`` is ``generators(d)`` and
-    ``groups`` the face tuples of the non-suture regions, in the order
-    of ``region_census(d)``.  With at most one generator there is one
-    class, and no Smith form is needed.
+    non-suture regions (``groups``); classes are numbered by first
+    appearance.  One ``cokernel_residue`` reduction gives each crossing
+    a weight, and a key is the reduced sum of a generator's weights.
+    With at most one generator no Smith form is needed.
     """
     if len(gens) <= 1:
-        return {x: 0 for x in gens}
-    verts = sorted(
-        {
-            v
-            for c in d.curves("alpha").values()
-            for e in c.segments
-            for v in (d.edges[e].frm, d.edges[e].to)
-        }
-    )
-    if not verts:
-        return {x: 0 for x in gens}
-    vrow = {v: i for i, v in enumerate(verts)}
+        return [0] * len(gens)
     alpha_edges = {e for c in d.curves("alpha").values() for e in c.segments}
-    rows = [{} for _ in verts]
+    ends = {v for e in alpha_edges for v in (d.edges[e].frm, d.edges[e].to)}
+    vrow = {v: i for i, v in enumerate(sorted(ends))}
+    rows = [{} for _ in vrow]
     for j, group in enumerate(groups):
         coeff = {}
         for f in group:
@@ -306,14 +295,10 @@ def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
                 if total:
                     row[j] = total
     key = cokernel_residue(rows)
+    weight = [key.weights[vrow[v]] for v in verts]
     labels = {}
-    classes = {}
-    for x in gens:
-        k = key(map(vrow.__getitem__, x))
-        if k not in labels:
-            labels[k] = len(labels)
-        classes[x] = labels[k]
-    return classes
+    return [labels.setdefault(key.reduce(sum(map(weight.__getitem__, t))), len(labels))
+            for t in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +344,9 @@ def as_complex(d) -> ChainComplexF2:
 
 
 def differential(d: Diagram) -> ChainComplexF2:
-    """The mod-2 boundary map counting bigon and rectangle regions.
-
-    Requires a nice, admissible diagram and rejects anything else.  The
-    columns come from ``_boundary_entries``: equal moves cancel in pairs
-    first, and each generator visits only the moves whose least x-corner
-    it occupies, so a generator costs about its own size in lookups.
-    """
+    """The mod-2 boundary map counting bigon and rectangle regions, on
+    generators as ints (see the module docstring).  Requires a nice,
+    admissible diagram and rejects anything else."""
     dx = Darts(d)
     census = region_census(d, dx)
     offenders = _not_nice_faces(census)
@@ -374,43 +355,44 @@ def differential(d: Diagram) -> ChainComplexF2:
     ok, witness = is_admissible(d, dx)
     if not ok:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
-    basis = generators(d, dx.crossings)
-    diff = BinaryMatrix(len(basis), _boundary_entries(basis, census))
-    groups = [rec.faces for rec in census]
-    return ChainComplexF2(basis, diff, spinc_partition(d, basis, groups), d, dx)
+    verts, gens = _matchings(d, dx.crossings)
+    basis = [frozenset(map(verts.__getitem__, t)) for t, _ in gens]
+    diff = BinaryMatrix(len(basis), _boundary_entries(verts, gens, census))
+    labels = _spinc_labels(d, [rec.faces for rec in census], verts, [t for t, _ in gens])
+    return ChainComplexF2(basis, diff, dict(zip(basis, labels)), d, dx)
 
 
-def _boundary_entries(basis: list, census: list) -> tuple:
-    """The differential's columns: bit i of column j is set where
-    ``basis[i]`` appears in d(``basis[j]``).
+def _boundary_entries(verts: list, gens: list, census: list) -> tuple:
+    """The differential's columns over ``_matchings``' ``verts`` and
+    ``gens``: bit i of column j is set where ``gens[i]`` is in d(``gens[j]``).
 
-    Each bigon and rectangle region of ``census`` is a move: it carries
-    a generator x holding its x-corners X, and missing its y-corners Y
-    and the crossings inside it, to (x - X) | Y.  Moves with the same
-    (X, Y, interior) act alike on every generator, so they cancel in
-    pairs mod 2 before any generator is visited.  The moves left are
-    indexed by their least x-corner, and each generator visits only the
-    moves anchored at its own points, plus any move without x-corners,
-    which every generator visits.
+    Each bigon and rectangle region of ``census`` is a move carrying a
+    generator x that holds its x-corners X, and misses its y-corners Y
+    and the crossings I inside it, to (x - X) | Y.  Equal moves cancel
+    in pairs mod 2 first.  As masks a move is (X, K = X | Y | I, Y): x
+    takes it when x & K == X, to x ^ X | Y, so one whose X meets Y or I
+    never acts and is dropped.  Each generator visits only the moves
+    anchored at the lowest bit of X among its crossings, and those
+    without x-corners, kept in a last slot.
     """
     odd = set()
     for rec in census:
         if rec.shape in ("bigon", "rect"):
             odd ^= {(rec.moves_from, rec.moves_to, rec.interior)}
-    anchored, unanchored = {}, []
-    for move in odd:
-        if move[0]:
-            anchored.setdefault(min(move[0]), []).append(move)
-        else:
-            unanchored.append(move)
-    bit = {x: 1 << i for i, x in enumerate(basis)}
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    anchored = [[] for _ in range(len(verts) + 1)]  # the last: moves without x-corners
+    for points in odd:
+        X, Y, inside = (sum(map(bit.__getitem__, p)) for p in points)
+        if not X & (Y | inside):  # (X & -X).bit_length() - 1 is -1 when X is 0
+            anchored[(X & -X).bit_length() - 1].append((X, X | Y | inside, Y))
+    column_of = {m: 1 << j for j, (_, m) in enumerate(gens)}
     columns = []
-    for x in basis:
+    for t, x in gens:
         column = 0
-        visiting = chain(unanchored, *(anchored[v] for v in anchored.keys() & x))
-        for X, Y, interior in visiting:
-            if X <= x and not (Y & x) and not (interior & x):
-                column ^= bit[(x - X) | Y]
+        for i in t + (-1,):
+            for X, K, Y in anchored[i]:
+                if x & K == X:
+                    column ^= column_of[x ^ X | Y]
         columns.append(column)
     return tuple(columns)
 

@@ -275,12 +275,13 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
     if len(ids) != len(set(ids)):
         problems.append("duplicate ids across edges/faces/curves")
 
-    edges = sorted(d.edges.items())
-    boundary = []  # sorted boundary edge ids
-    for e, ed in edges:
-        if ed.kind == "boundary":
-            boundary.append(e)
-        elif ed.kind not in EDGE_KINDS:
+    # edge kinds, ends and curve ids, edge by edge in id order only when
+    # a pass in any order finds a fault
+    boundary = sorted(e for e, ed in d.edges.items() if ed.kind == "boundary")
+    sound = all(ed.kind in EDGE_KINDS and (ed.kind in CURVE_KINDS) != (ed.curve is None)
+                and ed.frm in d.vertices and ed.to in d.vertices for ed in d.edges.values())
+    for e, ed in [] if sound else sorted(d.edges.items()):
+        if ed.kind not in EDGE_KINDS:
             problems.append(f"edge {e} has unknown kind {ed.kind!r}")
         if ed.frm not in d.vertices or ed.to not in d.vertices:
             problems.append(f"edge {e} references a missing vertex")
@@ -300,7 +301,7 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
         and dx.kind.count("boundary") == len(boundary)
         and all(sign[first[e]] > 0 for e in boundary)
     )
-    for e, ed in [] if once else edges:
+    for e, ed in [] if once else sorted(d.edges.items()):
         signs = sorted(sign[k] for k in dx.darts_on(e))
         if ed.kind == "boundary" and signs != [1]:
             problems.append(f"boundary edge {e} used {signs}, expected once +")

@@ -7,12 +7,17 @@ set-up checks read, breaks the traced run; these tests catch that
 without running the benchmark.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import os
+import random
 
 import fixtures
-from sutured import sfc
+import sequences
+from sutured import cli, glue, pieces, sfc, surface
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -24,11 +29,23 @@ GRID4_ENTRIES = frozenset([
 ])
 
 
+# Per-layer names that bench/run.py adds beside the tracer's ``metrics``.
+RUN_LEVEL = {"check.rank_mismatch", "check.refused", "trace.overhead_ratio"}
+
+
 def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(BENCH, "tracer.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _main(argv):
+    """``cli.main`` on ``argv``: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
 
 
 def test_every_traced_target_resolves():
@@ -58,3 +75,33 @@ def test_admissibility_matrix_has_int_shape(monkeypatch):
     (m,) = seen
     assert type(m.rows) is int and type(m.cols) is int
     assert m.rows * m.cols > 0
+
+
+def test_traced_cli_runs_match_untraced(tmp_path):
+    """With the tracer installed, a punctured grid's ``homology`` and a
+    ``fix-stab`` plan's ``verify-equivalence`` give the untraced exit
+    codes and stdout, and the tracer's metrics hold every per-layer
+    name of BENCHMARK.json that it, rather than bench/run.py, reports."""
+    grid, base, plan = (tmp_path / name for name in ("grid.json", "stab.json", "plan.json"))
+    grid.write_text(surface.serialize(fixtures.punctured_grid(4, 1)))
+    stab = pieces.build("fix-stab")
+    base.write_text(surface.serialize(stab))
+    specs = sequences.shaped_plan(stab, ("1", "b", "2"), random.Random(3))
+    plan.write_text(json.dumps([glue.spec_to_json(s) for s in specs]))
+    ops = [["homology", str(grid), "--format", "json"],
+           ["verify-equivalence", str(base), "--handles", str(plan), "--format", "json"]]
+    untraced = [_main(argv) for argv in ops]
+    assert [code for code, _out in untraced] == [0, 0]
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        traced = [_main(argv) for argv in ops]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert not hasattr(sfc.differential, "__wrapped__")  # uninstalled
+    metrics = tracer.metrics()
+    assert metrics["sfc.differential.calls"] > 0 and metrics["surface.validate.calls"] > 0
+    with open(os.path.join(os.path.dirname(BENCH), "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert names - RUN_LEVEL <= metrics.keys()

@@ -271,6 +271,49 @@ def test_cokernel_residue_keys_random_unimodular_factors(rows, steps):
         exactlin.smith_reduce = real
 
 
+# Boundary rows with torsion, beside a zero row that leaves a free lane:
+# invariant factors (1, 2), (1, 3), and (1, 1, 2, 6) from the two blocks
+# [[1, 1], [1, -1]] and [[1, 1], [1, -5]].  Each block makes two 0/1
+# vectors equivalent, the rows 1 + 1 against none.
+TORSION_ROWS = (
+    [[1, 1], [1, -1], [0, 0]],
+    [[1, 1], [1, -2], [0, 0]],
+    [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, -5]],
+)
+
+
+@pytest.mark.parametrize("dense", TORSION_ROWS)
+def test_summed_weights_keep_torsion_exact(dense):
+    """The class from summing the rows' weights, in any order, and
+    reducing once equals the class from ``key`` and the reference's
+    exact membership test, for every 0/1 support; on these rows some
+    equal classes have unequal raw sums, so the torsion lanes are
+    reduced, not compared as summed."""
+    sparse = _sparse(dense)
+    factors, _U = smith_reduce(sparse)
+    assert any(q > 1 for q in factors) and len(factors) < len(dense)
+    key = cokernel_residue(sparse)
+    m = int_matrix(dense)
+    rng = random.Random(len(dense))
+    supports = [list(s) for r in range(len(dense) + 1)
+                for s in itertools.combinations(range(len(dense)), r)]
+    raw, summed = [], []
+    for support in supports:
+        rng.shuffle(support)
+        total = 0
+        for r in support:
+            total += key.weights[r]
+        raw.append(total)
+        summed.append(key.reduce(total))
+        assert summed[-1] == key(support)
+    for (s1, k1), (s2, k2) in itertools.combinations(zip(supports, summed), 2):
+        b1 = [int(i in s1) for i in range(len(dense))]
+        b2 = [int(i in s2) for i in range(len(dense))]
+        same = oracles.z_image_contains(m, tuple(a - b for a, b in zip(b1, b2))) is not None
+        assert (k1 == k2) == same
+    assert len(set(summed)) < len(set(raw))
+
+
 def test_cokernel_residue_rejects_rows_out_of_range():
     key = cokernel_residue(_sparse([[2], [0]]))
     with pytest.raises(ValueError, match="row index 2"):

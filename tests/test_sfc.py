@@ -17,7 +17,7 @@ import sequences
 from sutured import glue, pieces, sfc
 from sutured import surface as sf
 from sutured.darts import Darts
-from sutured.exactlin import BinaryMatrix
+from sutured.exactlin import BinaryMatrix, set_bits
 
 NICE_PIECES = pieces.catalog()
 
@@ -95,6 +95,24 @@ def test_generators_match_powerset_oracle(name):
 def test_generators_match_powerset_oracle_on_adversaries(trap, hexagram, grid):
     for d in (trap, hexagram, grid):
         assert sfc.generators(d) == oracles.powerset_generators(d)
+
+
+def test_canonical_order_and_d_squared_at_n7():
+    """The 7 x 7 punctured grid: 5,040 distinct generators in the order
+    of their sorted vertex ids, and its differential squares to zero."""
+    d = fixtures.punctured_grid(7, 1)
+    gens = sfc.generators(d)
+    assert len(set(gens)) == len(gens) == math.factorial(7)
+    assert gens == sorted(gens, key=lambda x: tuple(sorted(x)))
+    cx = sfc.differential(d)
+    assert cx.basis == gens
+    columns = cx.differential.columns
+    assert any(columns)
+    for column in columns:
+        square = 0
+        for i in set_bits(column):
+            square ^= columns[i]
+        assert square == 0
 
 
 def test_generators_leave_no_reference_cycles(az2, hexagram, grid):
@@ -342,8 +360,15 @@ def _move(shape, xs, ys, inside=""):
 
 
 def _entries(basis, census):
-    """``_boundary_entries``'s columns as (row, column) positions."""
-    return BinaryMatrix(len(basis), sfc._boundary_entries(basis, census)).entries
+    """``_boundary_entries``'s columns as (row, column) positions, with
+    ``basis`` handed over as ``_matchings`` gives it: index tuples and
+    masks over the sorted points of the basis and the census."""
+    moves = (p for rec in census for p in (rec.moves_from, rec.moves_to, rec.interior))
+    verts = sorted(set().union(*basis, *moves))
+    index = {v: i for i, v in enumerate(verts)}
+    gens = [(tuple(sorted(map(index.__getitem__, x))), sum(1 << index[v] for v in x))
+            for x in basis]
+    return BinaryMatrix(len(basis), sfc._boundary_entries(verts, gens, census)).entries
 
 
 def _all_subsets(points):
@@ -370,9 +395,11 @@ def test_equal_moves_cancel_only_with_equal_interiors():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_boundary_entries_match_all_moves_loop_on_random_moves(data):
-    """Moves drawn with repeats from a small pool, some with no
-    x-corner and some of shapes that never move, on every subset of
-    five points."""
+    """The int move pass against the all-moves loop over vertex-id
+    sets: moves drawn with repeats from a small pool, some with no
+    x-corner, some whose x-corners meet their y-corners or interior (the
+    int pass drops those), and some of shapes that never move, on every
+    subset of five points."""
     points = "abcde"
     subset = st.frozensets(st.sampled_from(points), max_size=3)
     pool = data.draw(st.lists(
@@ -617,8 +644,8 @@ def test_differential_rejects_inadmissible(grid):
 def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch):
     d = pieces.build(name)
     calls = Counter()
-    targets = ((sfc, "generators"), (sfc, "region_census"), (sfc, "Darts"),
-               (sf, "regions"))
+    targets = ((sfc, "generators"), (sfc, "_matchings"), (sfc, "region_census"),
+               (sfc, "Darts"), (sf, "regions"))
     for module, attr in targets:
         real = getattr(module, attr)
 
@@ -628,7 +655,7 @@ def test_differential_builds_one_census_and_one_generator_list(name, monkeypatch
 
         monkeypatch.setattr(module, attr, counting)
     sfc.differential(d)
-    assert calls == {"generators": 1, "region_census": 1, "Darts": 1}
+    assert calls == {"_matchings": 1, "region_census": 1, "Darts": 1}
 
 
 @pytest.mark.parametrize("name", NICE_PIECES)
