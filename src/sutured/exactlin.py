@@ -53,6 +53,15 @@ class BinaryMatrix:
         return frozenset((i, j) for j, mask in enumerate(self.columns) for i in set_bits(mask))
 
 
+def column_sum(columns: Sequence[int], mask: int) -> int:
+    """The F2 sum of ``columns[j]`` over the set bits j of ``mask``: the
+    image of the vector ``mask`` under the matrix with those columns."""
+    out = 0
+    for j in set_bits(mask):
+        out ^= columns[j]
+    return out
+
+
 @dataclass(frozen=True)
 class IntegerMatrix:
     """A matrix over Z with ``cols`` columns, stored as sparse rows:

@@ -14,6 +14,11 @@ artifacts -- chain-map tables, stage ranks, the boundary identity on
 the twist stage -- are produced by ``glue_one_handle``,
 ``glue_two_handle`` and ``equivalence_report``.
 
+A chain-map table is a ``BinaryMatrix``, one bit-packed column per source
+generator like the differentials; the law check, composition and route
+comparison are column sums.  One builder, ``_generator_map``, makes every
+table the routes build: each sends generators to single generators.
+
 The route functions take a diagram or its complex (built once, by
 ``sfc.differential``); ``equivalence_report`` passes each stage's target
 complex on as the next stage's source, hands the direct 2-handle
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import modules, pieces, sfc
-from .exactlin import f2_rank, f2_rank_kernel, set_bits
+from .exactlin import BinaryMatrix, column_sum, f2_rank, f2_rank_kernel, set_bits
 from .surface import (
     ArcDiagram,
     Curve,
@@ -72,45 +77,38 @@ _fmt = modules.format_generator
 class ChainMapTable:
     """An F2-linear map between two sutured chain complexes.
 
-    ``entries`` sends each source generator to the frozenset of target
-    generators in its image; linearity is by symmetric difference.
+    ``matrix`` has one bit-packed column per source generator, in the
+    form of the complexes' differentials: bit i of column j is set when
+    ``target.basis[i]`` is in the image of ``source.basis[j]``.
     """
 
     source: sfc.ChainComplexF2
     target: sfc.ChainComplexF2
-    entries: dict
+    matrix: BinaryMatrix
+
+    def __post_init__(self):
+        if (self.matrix.rows, self.matrix.cols) != (len(self.target.basis), len(self.source.basis)):
+            raise ValueError("table shape does not match its source and target")
 
     def apply(self, combination) -> frozenset:
-        out = set()
+        mask = 0
         for g in combination:
-            out ^= self.entries[g]
-        return frozenset(out)
+            mask ^= 1 << self.source.position[g]
+        return _generators(self.target, column_sum(self.matrix.columns, mask))
 
     def check(self) -> list:
         """Chain-map law violations: boundary-then-map vs map-then-boundary."""
-        problems = []
-        for g in self.source.basis:
-            img = self.entries.get(g)
-            if img is None:
-                problems.append(f"no entry for {_fmt(g)}")
-                continue
-            stray = [t for t in img if t not in self.target.position]
-            if stray:
-                problems.append(
-                    f"image of {_fmt(g)} leaves the target complex: "
-                    + ", ".join(sorted(_fmt(t) for t in stray))
-                )
-                continue
-            lhs = _boundary_set(self.target, img)
-            rhs = self.apply(self.source.boundary_of(g))
-            if lhs != rhs:
-                problems.append(f"chain-map law fails at {_fmt(g)}")
-        return problems
+        cols, d_target = self.matrix.columns, self.target.differential.columns
+        return [
+            f"chain-map law fails at {_fmt(g)}"
+            for g, img, boundary in zip(self.source.basis, cols, self.source.differential.columns)
+            if column_sum(d_target, img) != column_sum(cols, boundary)
+        ]
 
     def render(self) -> list:
         lines = []
-        for g in self.source.basis:
-            img = sorted(_fmt(t) for t in self.entries[g])
+        for g, img in zip(self.source.basis, self.matrix.columns):
+            img = sorted(_fmt(t) for t in _generators(self.target, img))
             lines.append(f"{_fmt(g)} -> {' + '.join(img) if img else '0'}")
         return lines
 
@@ -118,35 +116,43 @@ class ChainMapTable:
         return hashlib.sha256("\n".join(self.render()).encode()).hexdigest()
 
     def is_bijection(self) -> bool:
-        """Generator bijection whose inverse is also a chain map."""
-        images = []
-        for g in self.source.basis:
-            img = self.entries[g]
-            if len(img) != 1:
-                return False
-            images.append(next(iter(img)))
-        if len(set(images)) != len(images) or set(images) != set(self.target.basis):
-            return False
-        inverse = ChainMapTable(
-            self.target,
-            self.source,
-            {img: frozenset([g]) for g, img in zip(self.source.basis, images)},
-        )
-        return not inverse.check()
+        """Generator bijection whose inverse is also a chain map.
+
+        A permutation matrix P with dP = Pd also has P^-1 d = d P^-1, so
+        the inverse is a chain map exactly when the table is one.
+        """
+        units = [1 << i for i in range(self.matrix.rows)]
+        return sorted(self.matrix.columns) == units and not self.check()
 
 
 def compose(outer: ChainMapTable, inner: ChainMapTable) -> ChainMapTable:
     if inner.target.basis != outer.source.basis:
         raise ValueError("tables do not compose: middle complexes differ")
-    entries = {g: outer.apply(inner.entries[g]) for g in inner.source.basis}
-    return ChainMapTable(inner.source, outer.target, entries)
+    columns = tuple(column_sum(outer.matrix.columns, c) for c in inner.matrix.columns)
+    return ChainMapTable(inner.source, outer.target, BinaryMatrix(outer.matrix.rows, columns))
 
 
-def _boundary_set(cx: sfc.ChainComplexF2, gens) -> frozenset:
-    out = set()
-    for g in gens:
-        out ^= cx.boundary_of(g)
-    return frozenset(out)
+def _generators(cx: sfc.ChainComplexF2, mask: int) -> frozenset:
+    return frozenset(cx.basis[i] for i in set_bits(mask))
+
+
+def _generator_map(source, target, image, what: str) -> ChainMapTable:
+    """The table sending each generator g of ``source`` to the single
+    generator ``image(g)`` of ``target``.  Every table the routes build
+    has this shape.  An image that is not a generator, or a failure of
+    the chain-map law, signals a convention bug rather than bad input,
+    so it raises ``AssertionError`` naming ``what``."""
+    columns = []
+    for g in source.basis:
+        img = image(g)
+        if img not in target.position:
+            raise AssertionError(f"{what}: image {_fmt(img)} of {_fmt(g)} is not a generator")
+        columns.append(1 << target.position[img])
+    table = ChainMapTable(source, target, BinaryMatrix(len(target.basis), tuple(columns)))
+    problems = table.check()
+    if problems:
+        raise AssertionError(f"{what} is not a chain map: " + problems[0])
+    return table
 
 
 def _is_boundary(cx: sfc.ChainComplexF2, cycle) -> bool:
@@ -192,15 +198,10 @@ def sigma_map(d, spec: HandleSpec):
     """
     source = sfc.as_complex(d)
     d2, x0 = _attach(source.diagram, spec)
-    target = sfc.differential(d2)
-    if x0 is None:
-        entries = {g: frozenset([g]) for g in source.basis}
-    else:
-        entries = {g: frozenset([frozenset(set(g) | {x0})]) for g in source.basis}
-    table = ChainMapTable(source, target, entries)
-    problems = table.check()
-    if problems:
-        raise AssertionError("handle transport is not a chain map: " + problems[0])
+    forced = frozenset() if x0 is None else frozenset([x0])
+    table = _generator_map(
+        source, sfc.differential(d2), lambda g: g | forced, "handle transport"
+    )
     return d2, table, x0
 
 
@@ -438,22 +439,16 @@ def _elementary_join_full(blocks: PairingBlocks, v):
     tgt_d = concatenate_bordered(block, v.diagram)
     source = sfc.differential(src_d)
     target = sfc.differential(tgt_d)
-    wgen = {f"L:{x}" for x in w.generators[0]}
+    wgen = frozenset(f"L:{x}" for x in w.generators[0])
     ugen = frozenset(f"L:L:{x}" for x in u.generators[0])
     tagv = frozenset(f"L:R:{t}" for t in tags)
-    entries = {}
-    for g in source.basis:
+
+    def image(g):
         if not wgen <= g:
             raise AssertionError(f"source generator {_fmt(g)} misses the pairing piece")
-        image = frozenset((set(g) - wgen) | ugen | tagv)
-        if image not in target.position:
-            raise AssertionError(f"join image {_fmt(image)} is not a generator")
-        entries[g] = frozenset([image])
-    table = ChainMapTable(source, target, entries)
-    problems = table.check()
-    if problems:
-        raise AssertionError("join table is not a chain map: " + problems[0])
-    return src_d, tgt_d, table
+        return (g - wgen) | ugen | tagv
+
+    return src_d, tgt_d, _generator_map(source, target, image, "join table")
 
 
 def elementary_join(blocks: PairingBlocks, v) -> ChainMapTable:
@@ -490,26 +485,19 @@ def glue_one_handle(d, p: str, q: str):
     cut = prepare_one_handle(base.diagram, p, q)
     v = modules.bordered_invariant(cut, "D")
     _src_d, tgt_d, join = _elementary_join_full(_handle_blocks("1"), v)
-    pre = ChainMapTable(
-        base,
-        join.source,
-        {g: frozenset([frozenset(f"R:{x}" for x in g)]) for g in base.basis},
+    pre = _generator_map(
+        base, join.source, lambda g: frozenset(f"R:{x}" for x in g), "1-handle base inclusion"
     )
     lifted = compose(join, pre)
 
     stripped = _strip_prefix(tgt_d, "R:")
     d1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be")
-    cx1 = sfc.differential(d1)
-    entries = {}
-    for g in base.basis:
-        (img,) = lifted.entries[g]
-        reduced = frozenset(x[2:] if x.startswith("R:") else x for x in img) - {forced}
-        entries[g] = frozenset([reduced])
-    table = ChainMapTable(base, cx1, entries)
-    problems = table.check()
-    if problems:
-        raise AssertionError("pipeline table is not a chain map: " + problems[0])
-    return d1, table
+
+    def reduced(g):
+        (img,) = lifted.apply([g])
+        return frozenset(x.removeprefix("R:") for x in img) - {forced}
+
+    return d1, _generator_map(base, sfc.differential(d1), reduced, "pipeline table")
 
 
 def direct_two_handle(d, spec: HandleSpec) -> tuple:
@@ -566,37 +554,31 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
         raise ValueError(f"stage H5: {err}") from err
 
     wv = next(iter(blocks.w.generators[0]))
-    pre = ChainMapTable(
+    pre = _generator_map(
         base,
         join.source,
-        {
-            g: frozenset([frozenset({f"L:{wv}", y0v} | {f"R:{x}" for x in g})])
-            for g in base.basis
-        },
+        lambda g: frozenset({f"L:{wv}", y0v} | {f"R:{x}" for x in g}),
+        "2-handle base inclusion",
     )
     join_table = compose(join, pre)
 
-    # twist-stage boundary identity over the cycle basis of the base
-    failures = []
-
-    def h5_gen(z, c, g):
+    # twist-stage boundary identity over the cycle basis of the base:
+    # d(z1 y0 g) = z3 y0 g + z2 x0 g, summed over each cycle's generators
+    def h5_index(z, c, g):
         out = frozenset({f"L:{z}", c} | {f"R:{x}" for x in g})
         if out not in cx5.position:
             raise AssertionError(f"expected twist-stage generator {_fmt(out)} missing")
-        return out
+        return cx5.position[out]
 
+    lhs = [cx5.differential.columns[h5_index("z1", y0v, g)] for g in base.basis]
+    rhs = [1 << h5_index("z3", y0v, g) | 1 << h5_index("z2", x0v, g) for g in base.basis]
     _rank, kernel = f2_rank_kernel(base.differential)
-    for vec in kernel:
-        cycle = [base.basis[j] for j in set_bits(vec)]
-        lhs = _boundary_set(cx5, [h5_gen("z1", y0v, g) for g in cycle])
-        rhs = set()
-        for g in cycle:
-            rhs ^= {h5_gen("z3", y0v, g), h5_gen("z2", x0v, g)}
-        if lhs != frozenset(rhs):
-            failures.append(
-                "boundary identity fails on the cycle "
-                + " + ".join(_fmt(g) for g in cycle)
-            )
+    failures = [
+        "boundary identity fails on the cycle "
+        + " + ".join(_fmt(base.basis[j]) for j in set_bits(vec))
+        for vec in kernel
+        if column_sum(lhs, vec) != column_sum(rhs, vec)
+    ]
     ranks = {
         "H4": sfc.homology(join.target).total,
         "H5": sfc.homology(cx5).total,
@@ -715,8 +697,8 @@ def equivalence_report(d, handles) -> dict:
         if spec.kind == "1":
             _d1, ptable = glue_one_handle(source, spec.p, spec.q)
             check["tables_equal"] = (
-                ptable.entries == table.entries
-                and ptable.target.basis == target.basis
+                ptable.target.basis == target.basis
+                and ptable.matrix == table.matrix
                 and ptable.target.differential == target.differential
             )
             check["ranks_match"] = sfc.homology(ptable.target).total == hom.total

@@ -20,7 +20,9 @@ and checks are kept as whole-diagram rescans: ``reference_simplify``
 restarts its sorted sweep over every seam, then every vertex, after
 each edit, and its dissolves and fusions find an edge's sides and a
 vertex's edges by scanning every face and every edge;
-``reference_trivial_destabilize`` dissolves the released edges by the
+``reference_trivial_destabilize`` cuts along alpha by
+``reference_surger_pair``, which reads each alpha vertex's link from
+``reference_vertex_links``, and dissolves the released edges by the
 same restart loop; ``reference_validate`` runs every structural check
 in the library's order, each recomputing what it reads, with faces
 grouped by a fresh search for every component and vertex links
@@ -1222,11 +1224,91 @@ def reference_simplify(d):
     return d
 
 
+def reference_surger_pair(d, alpha_id, beta_id):
+    """``surface._surger_pair`` with each alpha vertex's link read from
+    ``reference_vertex_links`` instead of the dart walk.
+
+    The link lists the incoming side of every corner around the vertex.
+    Its two alpha sides split it into two arcs; the arc after the alpha
+    side with sign s lies on side s, so each edge end in it moves to the
+    vertex's copy on that side.  Returns the cut copy, the forced point
+    and the edges to dissolve, with the library's fresh ids and order.
+    """
+    out = d.copy()
+    alpha = out.alpha_curves.pop(alpha_id)
+    beta = out.beta_curves.pop(beta_id)
+    if not alpha.closed or not beta.closed:
+        raise ValueError("only closed curves can be destabilized")
+
+    def ends(curve):
+        return {v for e in curve.segments for v in (out.edges[e].frm, out.edges[e].to)}
+
+    across = ends(alpha) & ends(beta)
+    if len(across) != 1:
+        raise ValueError(f"curves meet at {sorted(across)}, need a single point")
+    pair_edges = set(alpha.segments) | set(beta.segments)
+    for v in ends(alpha) | ends(beta):
+        for e, ed in out.edges.items():
+            if v in (ed.frm, ed.to) and ed.kind in surface.CURVE_KINDS and e not in pair_edges:
+                raise ValueError(f"curve edge {e} touches the pair at {v}")
+
+    links = reference_vertex_links(out)
+    copies = {}  # alpha vertex -> {sign: the copy on that side}
+    moved = {}  # (edge, "frm" | "to") -> the copy that end moves to
+    for v in sorted(ends(alpha)):
+        kind, items = links[v]
+        if kind == "path":
+            raise ValueError(f"alpha vertex {v} lies on the boundary")
+        incs = [side for tag, side in items if tag == "inc"]
+        at = [i for i, (e, _s) in enumerate(incs) if e in alpha.segments]
+        if len(at) != 2:
+            raise ValueError(f"vertex {v} is not a simple alpha vertex")
+        if incs[at[0]][1] == incs[at[1]][1]:
+            raise ValueError(f"inconsistent sides at {v}")
+        plus, minus = out.fresh_ids("v", 2)
+        out.vertices |= {plus, minus}
+        copies[v] = {1: plus, -1: minus}
+        for i, stop in ((at[0], at[1]), (at[1], at[0])):
+            k = (i + 1) % len(incs)
+            while k != stop:
+                e, s = incs[k]  # side s of e ends at v
+                moved[(e, "to" if s > 0 else "frm")] = copies[v][incs[i][1]]
+                k = (k + 1) % len(incs)
+        out.vertices.discard(v)
+    for e, ed in out.edges.items():
+        if e not in alpha.segments:
+            ed.frm = moved.get((e, "frm"), ed.frm)
+            ed.to = moved.get((e, "to"), ed.to)
+
+    seams, rewrite = [], {}
+    for e in alpha.segments:
+        ed = out.edges.pop(e)
+        for s, name in ((1, out.fresh_id(f"{e}+")), (-1, out.fresh_id(f"{e}-"))):
+            out.edges[name] = surface.Edge(
+                name, "seam", None, copies[ed.frm][s], copies[ed.to][s]
+            )
+            rewrite[(e, s)] = (name, s)
+            seams.append(name)
+    for f in out.faces.values():
+        f.word = [rewrite.get(side, side) for side in f.word]
+    cap_plus, cap_minus = out.fresh_ids("f", 2)
+    out.faces[cap_plus] = surface.Face(
+        cap_plus, [(rewrite[(e, 1)][0], -1) for e in reversed(alpha.segments)], False
+    )
+    out.faces[cap_minus] = surface.Face(
+        cap_minus, [(rewrite[(e, -1)][0], 1) for e in alpha.segments], False
+    )
+    for e in beta.segments:
+        out.edges[e].kind = "seam"
+        out.edges[e].curve = None
+    return out, next(iter(across)), set(beta.segments) | set(seams)
+
+
 def reference_trivial_destabilize(d, alpha_id, beta_id):
-    """``surface.trivial_destabilize`` with the released edges dissolved
-    by a restart loop over the sorted pending set, then
-    ``reference_simplify``; the surgery along alpha is the library's."""
-    out, forced, pending = surface._surger_pair(d, alpha_id, beta_id)
+    """``surface.trivial_destabilize`` from ``reference_surger_pair``'s
+    cut, with the released edges dissolved by a restart loop over the
+    sorted pending set, then ``reference_simplify``."""
+    out, forced, pending = reference_surger_pair(d, alpha_id, beta_id)
     while pending:
         for e in sorted(pending):
             if e not in out.edges or reference_dissolve_edge(out, e):

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -461,3 +462,48 @@ def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
         assert code == (0 if argv[0] == "verify-equivalence" else 1)
         assert len(json.loads(out)) > 0
         assert (code, out) == _cli_stdout(argv, 1)
+
+
+# sha256 of ``verify-equivalence --format json`` stdout for two seven-stage
+# plans; the reports carry every stage's table ``digest``.
+ROUTE_STDOUT_SHA256 = {
+    "fix-stab": "59460d5322d15eba0676776510ac25d661596d32574fcdfc58a37b99f3db4864",
+    "bigonpair^3": "fc96218efda5d7eb732c7b812602328855ed7f82fe082d481fef0ca0d715dd08",
+}
+
+
+@pytest.mark.parametrize("name,shape", [("fix-stab", ("1", "2", "b", "1", "2")),
+                                        ("bigonpair^3", ("2", "1", "b", "2", "b"))])
+def test_route_report_stdout_is_pinned(capsys, tmp_path, name, shape):
+    """The table digests and the rest of the report reach stdout unchanged."""
+    base = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
+    specs = sequences.shaped_plan(base, shape, random.Random(11))
+    assert len(specs) == 7 and {s.kind[0] for s in specs} == {"1", "2", "b"}
+    diagram = tmp_path / "base.json"
+    diagram.write_text(surface.serialize(base))
+    code, out, _ = run(capsys, "verify-equivalence", str(diagram),
+                       "--handles", write_plan(tmp_path, specs), "--format", "json")
+    assert code == 0
+    assert all(len(b["digest"]) == 64 for b in json.loads(out)["stages"])
+    assert hashlib.sha256(out.encode()).hexdigest() == ROUTE_STDOUT_SHA256[name]
+
+
+def test_glue_table_lines_are_pinned(capsys, tmp_path):
+    """``glue --format text`` prints each table's rendered lines as they were."""
+    d = pieces.build("fix-bigonpair")
+    base2, handle = glue.one_handled(d)
+    cases = [
+        (d, glue.HandleSpec("1", p="ci", q="co"),
+         ["{x} -> {x}", "{y} -> {y}", "rank 2"]),
+        (base2, glue.two_handle_spec(base2, handle),
+         ["{x} -> {L:L:c,L:R:z3,R:w20,R:x}", "{y} -> {L:L:c,L:R:z3,R:w20,R:y}",
+          "identity ok on 2 cycles", "stage ranks H3=4 H4=2 H5=2 H6=2"]),
+    ]
+    for base, spec, lines in cases:
+        diagram = tmp_path / "base.json"
+        diagram.write_text(surface.serialize(base))
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(glue.spec_to_json(spec)))
+        code, out, _ = run(capsys, "glue", str(diagram), "--spec", str(spec_file),
+                           "--format", "text")
+        assert (code, out.splitlines()) == (0, lines)

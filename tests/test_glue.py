@@ -8,6 +8,7 @@ import pytest
 
 import sequences
 from sutured import cli, glue, modules, pieces, sfc, surface
+from sutured.exactlin import BinaryMatrix
 from sutured.glue import ChainMapTable, HandleSpec, compose
 
 FIXTURES = sequences.FIXTURES
@@ -15,6 +16,11 @@ FIXTURES = sequences.FIXTURES
 
 def name(x):
     return modules.format_generator(x)
+
+
+def images(table):
+    """Each source generator's image, as a set of target generators."""
+    return {g: table.apply([g]) for g in table.source.basis}
 
 
 def build(key):
@@ -29,7 +35,7 @@ def test_one_handle_transport_is_identity_on_generators():
     d = build("fix-disk")
     d2, table, x0 = glue.sigma_map(d, HandleSpec("1", p="s0", q="s0"))
     assert x0 is None
-    assert table.entries == {frozenset(): frozenset([frozenset()])}
+    assert images(table) == {frozenset(): frozenset([frozenset()])}
     assert sfc.homology(d2).total == 1
 
 
@@ -38,7 +44,7 @@ def test_two_handle_transport_adds_the_forced_point():
     spec = glue.two_handle_spec(d, handle)
     d2, table, x0 = glue.sigma_map(d, spec)
     assert x0 == d2.marks["x0"]
-    assert table.entries == {frozenset(): frozenset([frozenset([x0])])}
+    assert images(table) == {frozenset(): frozenset([frozenset([x0])])}
     assert sfc.homology(d2).total == 1
 
 
@@ -62,7 +68,7 @@ def test_compose_chains_tables_and_rejects_mismatches():
     free = sorted(d2.free_boundary_edge_ids())
     d3, t2, _ = glue.sigma_map(d2, HandleSpec("1", p=free[0], q=free[-1]))
     both = compose(t2, t1)
-    assert both.entries == {frozenset(["c"]): frozenset([frozenset(["c"])])}
+    assert images(both) == {frozenset(["c"]): frozenset([frozenset(["c"])])}
     assert not both.check()
     assert len(both.digest()) == 64
     other = glue.sigma_map(build("fix-bigonpair"), HandleSpec("1", p="ci", q="co"))[1]
@@ -70,13 +76,35 @@ def test_compose_chains_tables_and_rejects_mismatches():
         compose(t1, other)
 
 
-def test_chain_map_table_flags_stray_images():
-    d = build("fix-stab")
-    cx = sfc.differential(d)
-    bad = ChainMapTable(cx, cx, {frozenset(["c"]): frozenset([frozenset(["zz"])])})
-    assert any("leaves the target" in p for p in bad.check())
-    empty = ChainMapTable(cx, cx, {})
-    assert any("no entry" in p for p in empty.check())
+def test_chain_map_tables_refuse_stray_images_and_bad_shapes():
+    cx = sfc.differential(build("fix-stab"))
+    with pytest.raises(AssertionError, match=r"^stray: image \{zz\} of \{c\} is not a generator$"):
+        glue._generator_map(cx, cx, lambda g: frozenset(["zz"]), "stray")
+    with pytest.raises(ValueError, match="shape"):
+        ChainMapTable(cx, cx, BinaryMatrix(len(cx.basis), ()))
+    with pytest.raises(ValueError, match="out of bounds"):
+        ChainMapTable(cx, cx, BinaryMatrix(len(cx.basis), (1 << len(cx.basis),)))
+
+
+def test_stray_join_image_exits_2(monkeypatch, capsys, tmp_path):
+    """A join image outside the target complex is an invariant violation."""
+    real = glue._handle_blocks
+    monkeypatch.setattr(glue, "_handle_blocks", lambda kind: real(kind)._replace(tags=["zz"]))
+    diagram = tmp_path / "stab.json"
+    diagram.write_text(surface.serialize(build("fix-stab")))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(glue.spec_to_json(HandleSpec("1", p="bd", q="bd"))))
+    assert cli.main(["glue", str(diagram), "--spec", str(spec)]) == 2
+    assert "join table: image" in capsys.readouterr().err
+
+
+def test_is_bijection_refuses_zero_and_repeated_columns():
+    _d2, table, _x0 = glue.sigma_map(build("fix-bigonpair"), HandleSpec("bypass+", site="co"))
+    assert table.is_bijection()
+    first, second = table.matrix.columns
+    for columns in ((0, second), (first, first)):
+        skewed = ChainMapTable(table.source, table.target, BinaryMatrix(table.matrix.rows, columns))
+        assert not skewed.check() and not skewed.is_bijection()
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +195,7 @@ def test_one_handle_pipeline_matches_transport(key):
     for p, q in {(free[0], free[0]), (free[0], free[-1])}:
         d1, table = glue.glue_one_handle(d, p, q)
         _d2, sigma, _x0 = glue.sigma_map(d, HandleSpec("1", p=p, q=q))
-        assert table.entries == sigma.entries
+        assert images(table) == images(sigma)
         assert not table.check()
         assert sfc.homology(d1).total == sfc.homology(d).total
 
@@ -185,7 +213,7 @@ def test_square_pairing_join_leaves_base_generators_alone():
     v = modules.bordered_invariant(cut, "D")
     table = glue.elementary_join(blocks, v)
     assert not table.check()
-    for g, img in table.entries.items():
+    for g, img in images(table).items():
         assert img == frozenset([frozenset(set(g) | {"L:L:e"})])
 
 
@@ -199,7 +227,7 @@ def test_five_point_pairing_join_tags_the_outer_arc():
     )
     v = modules.bordered_invariant(hv, "D")
     table = glue.elementary_join(blocks, v)
-    for g, img in table.entries.items():
+    for g, img in images(table).items():
         (target,) = img
         assert {"L:L:c", "L:R:z3"} <= target
         assert "L:R:z5" not in target
@@ -264,7 +292,7 @@ def test_join_table_lands_on_the_tagged_generator():
     spec = glue.two_handle_spec(base, handle)
     rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
     y0 = f"R:{rec['H3'].diagram.marks['y0']}"
-    assert rec["joinTable"].entries == {
+    assert images(rec["joinTable"]) == {
         frozenset(["c"]): frozenset([frozenset({"L:L:c", "L:R:z3", "R:c", y0})])
     }
     assert not rec["joinTable"].check()
@@ -400,9 +428,8 @@ def test_route_disagreement_is_reported_not_raised(monkeypatch, capsys, tmp_path
     def skewed(d, spec):
         d2, table, x0 = real(d, spec)
         if spec.kind == "1":
-            entries = dict(table.entries)
-            entries[table.source.basis[0]] = frozenset()
-            table = ChainMapTable(table.source, table.target, entries)
+            columns = (0,) + table.matrix.columns[1:]
+            table = ChainMapTable(table.source, table.target, BinaryMatrix(table.matrix.rows, columns))
         return d2, table, x0
 
     monkeypatch.setattr(glue, "sigma_map", skewed)

@@ -322,18 +322,29 @@ def test_box_tensor_rejects_bad_inputs():
 # the pairing theorem on the pipelines' own structures
 
 
+GRID_BASES = {"grid(3,1)": (3, 1), "grid(4,1)": (4, 1)}
+
+
 def _pipeline_base(name):
+    if name in GRID_BASES:
+        return fixtures.punctured_grid(*GRID_BASES[name])
     return fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
 
 
+# every free edge of the small bases, and the first four of each punctured grid
 PIPELINE_SITES = [
     (name, site)
-    for name in ("fix-disk", "fix-stab", "fix-bigonpair", "bigonpair^3")
-    for site in sorted(_pipeline_base(name).free_boundary_edge_ids())
+    for name in ("fix-disk", "fix-stab", "fix-bigonpair", "bigonpair^3", *GRID_BASES)
+    for site in sorted(_pipeline_base(name).free_boundary_edge_ids())[
+        : 4 if name in GRID_BASES else None
+    ]
 ]
 
 # differential entries of stage H5, the twist block over H3
-TWIST_ENTRIES = {"fix-disk": 2, "fix-stab": 2, "fix-bigonpair": 4, "bigonpair^3": 16}
+TWIST_ENTRIES = {
+    "fix-disk": 2, "fix-stab": 2, "fix-bigonpair": 4, "bigonpair^3": 16,
+    "grid(3,1)": 21, "grid(4,1)": 96,
+}
 
 
 def _one_handle_cut(base, site):

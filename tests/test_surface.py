@@ -392,13 +392,17 @@ def _simplified(d):
 
 def _assert_matches_references(d):
     """simplify, every closed pair's destabilization and the problem
-    list equal the references', failures included; the cut along alpha
-    that both destabilizations share is a valid diagram on its own."""
+    list equal the references', failures included; so does the cut
+    along alpha before its dissolves, which is a valid diagram on its
+    own."""
     assert _edited(_simplified, d) == _edited(oracles.reference_simplify, d)
     for a in sorted(c for c, cv in d.alpha_curves.items() if cv.closed):
         for b in sorted(c for c, cv in d.beta_curves.items() if cv.closed):
             assert _edited(sf.trivial_destabilize, d, a, b) == _edited(
                 oracles.reference_trivial_destabilize, d, a, b
+            )
+            assert _edited(sf._surger_pair, d, a, b) == _edited(
+                oracles.reference_surger_pair, d, a, b
             )
             cut = _outcome(sf._surger_pair, d.copy(), a, b)
             if isinstance(cut[0], Diagram):  # before its dissolves
@@ -411,6 +415,11 @@ def _assert_matches_references(d):
 def test_pieces_and_mirrors_edit_like_references(name):
     _assert_matches_references(pieces.build(name))
     _assert_matches_references(pieces.mirror(pieces.build(name)))
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 2)])
+def test_relabeled_grids_edit_like_references(n, k):
+    _assert_matches_references(fixtures.relabel(fixtures.punctured_grid(n, k), random.Random(n + k)))
 
 
 def _concatenated(b1, b2, pair=(0, 0)):
