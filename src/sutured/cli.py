@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from . import glue, modules, pieces, sfc, strands, surface
+from . import darts, glue, modules, pieces, sfc, strands, surface
 from .surface import ArcDiagram
 
 ARC_DIAGRAMS = {
@@ -47,12 +47,13 @@ def _parse_diagram(path):
 
 
 def _read_diagram(path):
-    """Parse a diagram document and refuse it unless it validates."""
+    """Parse a diagram document, refused unless it validates: ``(d, its Darts build)``."""
     d = _parse_diagram(path)
-    problems = surface.validate(d)
+    dx = darts.Darts(d)
+    problems = surface.validate(d, darts=dx)
     if problems:
         raise ValueError("invalid diagram document: " + "; ".join(problems))
-    return d
+    return d, dx
 
 
 def _read_json(path):
@@ -82,15 +83,15 @@ def _cmd_validate(args):
 
 
 def _cmd_generators(args):
-    d = _read_diagram(args.diagram)
-    names = [modules.format_generator(g) for g in sfc.generators(d)]
+    d, dx = _read_diagram(args.diagram)
+    names = [modules.format_generator(g) for g in sfc.generators(d, dx.crossings)]
     _emit({"count": len(names), "generators": names}, args.format, names)
     return 0
 
 
 def _cmd_homology(args):
-    d = _read_diagram(args.diagram)
-    hom = sfc.homology(d)
+    d, dx = _read_diagram(args.diagram)
+    hom = sfc.homology(sfc.differential(d, dx))
     by_class = {str(k): v for k, v in sorted(hom.by_class.items())}
     _emit(
         {"by_class": by_class, "total": hom.total},
@@ -101,18 +102,18 @@ def _cmd_homology(args):
 
 
 def _cmd_attach(args):
-    d = _read_diagram(args.diagram)
+    d, dx = _read_diagram(args.diagram)
     spec = glue.spec_from_json(_read_json(args.spec))
-    d2, _table, _x0 = glue.sigma_map(d, spec)
+    d2, _table, _x0 = glue.sigma_map(sfc.differential(d, dx), spec)
     sys.stdout.write(surface.serialize(d2))
     return 0
 
 
 def _cmd_glue(args):
-    d = _read_diagram(args.diagram)
+    d, dx = _read_diagram(args.diagram)
     spec = glue.spec_from_json(_read_json(args.spec))
     if spec.kind == "1":
-        _d1, table = glue.glue_one_handle(d, spec.p, spec.q)
+        _d1, table = glue.glue_one_handle(sfc.differential(d, dx), spec.p, spec.q)
         payload = {
             "kind": "1",
             "table": table.render(),
@@ -121,7 +122,7 @@ def _cmd_glue(args):
         }
         lines = payload["table"] + [f"rank {payload['rank']}"]
     elif spec.kind == "2":
-        base = sfc.differential(d)
+        base = sfc.differential(d, dx)
         rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(d, spec))
         ranks = dict(rec["identityReport"]["ranks"], H3=sfc.homology(rec["H3"]).total)
         stages = {
@@ -174,11 +175,11 @@ def _cmd_algebra(args):
 
 
 def _cmd_bordered(args):
-    d = _read_diagram(args.diagram)
+    d, dx = _read_diagram(args.diagram)
     sector = None
     if args.sector:
         sector = tuple(int(x) for x in args.sector.split(","))
-    bs = modules.bordered_invariant(d, args.kind, sector=sector)
+    bs = modules.bordered_invariant(d, args.kind, sector=sector, darts=dx)
     dump = modules.dump(bs).splitlines()
     payload = {
         "kind": bs.kind,
@@ -190,12 +191,12 @@ def _cmd_bordered(args):
 
 
 def _cmd_verify_equivalence(args):
-    d = _read_diagram(args.diagram)
+    d, dx = _read_diagram(args.diagram)
     plan = _read_json(args.handles)
     if not isinstance(plan, list):
         raise ValueError("handle plan must be a JSON list of handle specs")
     specs = [glue.spec_from_json(obj) for obj in plan]
-    report = glue.equivalence_report(d, specs)
+    report = glue.equivalence_report(d, specs, darts=dx)
     lines = []
     for block, check in zip(report["stages"], report["checks"]):
         ok = check["ranks_match"] and check.get("tables_equal", True) and check.get(

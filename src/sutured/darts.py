@@ -1,6 +1,6 @@
-"""The dart index of a diagram, one build per gate call: ``surface``
-validates from it and cuts along a curve with it, and ``sfc`` runs its
-census on it."""
+"""The dart index of a diagram, one build per gated diagram: ``surface``
+validates from it and cuts along a curve with it, and ``sfc``, handed
+the same build, runs its census on it."""
 
 from functools import cached_property
 
@@ -22,8 +22,8 @@ class Darts:
     tail is ``nxt[mate[k]]``: vertex links are orbits of that step, kept
     in no other form (``walk`` follows one, ``orbits`` starts each once,
     and ``_prv`` gives the side into a corner), and regions and cuts are
-    union-finds over face indices.  ``d`` is a ``surface.Diagram``;
-    nothing is cached on it.
+    union-finds over face indices (``regions`` is kept).  ``d`` is a
+    ``surface.Diagram``; an edit to it needs a new build.
     """
 
     def __init__(self, d):
@@ -97,6 +97,11 @@ class Darts:
         for a, b in pairs:
             mate[a], mate[b] = b, a
         self.pairs = pairs
+
+    @cached_property
+    def regions(self) -> list:
+        """The faces joined across the seams: ``join(("seam",))``."""
+        return self.join(("seam",))
 
     def darts_of(self, i: int) -> range:
         """The darts of face ``i``."""

@@ -197,19 +197,19 @@ def sigma_map(d, spec: HandleSpec):
     since it signals a convention bug rather than bad input.
     """
     source = sfc.as_complex(d)
-    d2, x0 = _attach(source.diagram, spec)
+    dx2, x0 = _attach(source.diagram, spec)
     forced = frozenset() if x0 is None else frozenset([x0])
     table = _generator_map(
-        source, sfc.differential(d2), lambda g: g | forced, "handle transport"
+        source, sfc.differential(dx2.d, dx2), lambda g: g | forced, "handle transport"
     )
-    return d2, table, x0
+    return dx2.d, table, x0
 
 
 def _attach(d, spec: HandleSpec) -> tuple:
-    """``(d2, x0)``: ``d`` with the handle attached, and the forced
-    intersection point (``None`` for 1-handles)."""
+    """``(build, x0)``: the dart build of ``d`` with the handle attached,
+    and the forced intersection point (``None`` for 1-handles)."""
     if spec.kind == "1":
-        return attach_one_handle(d, spec.p, spec.q), None
+        return attach_one_handle(d, spec.p, spec.q, built=True), None
     if spec.kind == "2":
         return attach_two_handle(
             d,
@@ -219,9 +219,10 @@ def _attach(d, spec: HandleSpec) -> tuple:
             spec.b_path,
             port_order_p=spec.port_order_p,
             port_order_q=spec.port_order_q,
+            built=True,
         )
     if spec.kind in ("bypass+", "bypass-"):
-        return attach_trivial_bypass(d, spec.site, spec.kind[-1])
+        return attach_trivial_bypass(d, spec.site, spec.kind[-1], built=True)
     raise ValueError(f"unknown handle kind {spec.kind!r}")
 
 
@@ -229,11 +230,11 @@ def _attach(d, spec: HandleSpec) -> tuple:
 # cutting the base open
 
 
-def prepare_one_handle(d, p: str, q: str):
+def prepare_one_handle(d, p: str, q: str, *, built: bool = False):
     """Declare the feet ``p``, ``q`` as a point-free interface.
 
     The base is otherwise untouched: concatenating the stabilizing block
-    onto the interface is what performs the surgery.
+    onto the interface is what performs the surgery (``built``: as in ``surface``).
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
@@ -243,10 +244,11 @@ def prepare_one_handle(d, p: str, q: str):
     # the middle thirds of the feet become the interface, margins stay free
     feet = [[_cut_twice(out, eid)[1]] for eid in (p, q)]
     out.interfaces.append(Interface(ArcDiagram([[], []], {}, "alpha"), feet, {}))
-    return _check(out)
+    return _check(out, built=built)
 
 
-def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: TransversePath):
+def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: TransversePath,
+                       *, built: bool = False):
     """Cut the base open along the 2-handle attachment region.
 
     The feet are joined by a strip whose attaching-circle side is
@@ -255,7 +257,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     where the attaching curve's a-side would, the short arc connects the
     middle junction to the hole, and the b-side path closes up into a
     curve crossing them once each; the two crossings are recorded as the
-    marks ``x0`` (long arc) and ``y0`` (short arc).
+    marks ``x0`` (long arc) and ``y0`` (short arc) (``built``: as in ``surface``).
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
@@ -339,7 +341,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
             {2: arc_long, 1: arc_short},
         )
     )
-    return _check(out, set_flags=True)
+    return _check(out, set_flags=True, built=built)
 
 
 def _new_marks(base, prepared) -> dict:
@@ -435,10 +437,10 @@ def _elementary_join_full(blocks: PairingBlocks, v):
     if v.kind != "D":
         raise ValueError("the base must be a type-D structure")
     u, w, block, tags = blocks
-    src_d = concatenate_bordered(w.diagram, v.diagram)
-    tgt_d = concatenate_bordered(block, v.diagram)
-    source = sfc.differential(src_d)
-    target = sfc.differential(tgt_d)
+    src = concatenate_bordered(w.diagram, v.diagram, built=True)
+    tgt = concatenate_bordered(block, v.diagram, built=True)
+    source = sfc.differential(src.d, src)
+    target = sfc.differential(tgt.d, tgt)
     wgen = frozenset(f"L:{x}" for x in w.generators[0])
     ugen = frozenset(f"L:L:{x}" for x in u.generators[0])
     tagv = frozenset(f"L:R:{t}" for t in tags)
@@ -448,7 +450,7 @@ def _elementary_join_full(blocks: PairingBlocks, v):
             raise AssertionError(f"source generator {_fmt(g)} misses the pairing piece")
         return (g - wgen) | ugen | tagv
 
-    return src_d, tgt_d, _generator_map(source, target, image, "join table")
+    return src.d, tgt.d, _generator_map(source, target, image, "join table")
 
 
 def elementary_join(blocks: PairingBlocks, v) -> ChainMapTable:
@@ -482,8 +484,8 @@ def glue_one_handle(d, p: str, q: str):
     and its target with the diagrammatic transport.
     """
     base = sfc.as_complex(d)
-    cut = prepare_one_handle(base.diagram, p, q)
-    v = modules.bordered_invariant(cut, "D")
+    cut = prepare_one_handle(base.diagram, p, q, built=True)
+    v = modules.bordered_invariant(cut.d, "D", darts=cut)
     _src_d, tgt_d, join = _elementary_join_full(_handle_blocks("1"), v)
     pre = _generator_map(
         base, join.source, lambda g: frozenset(f"R:{x}" for x in g), "1-handle base inclusion"
@@ -491,13 +493,13 @@ def glue_one_handle(d, p: str, q: str):
     lifted = compose(join, pre)
 
     stripped = _strip_prefix(tgt_d, "R:")
-    d1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be")
+    dx1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be", built=True)
 
     def reduced(g):
         (img,) = lifted.apply([g])
         return frozenset(x.removeprefix("R:") for x in img) - {forced}
 
-    return d1, _generator_map(base, sfc.differential(d1), reduced, "pipeline table")
+    return dx1.d, _generator_map(base, sfc.differential(dx1.d, dx1), reduced, "pipeline table")
 
 
 def direct_two_handle(d, spec: HandleSpec) -> tuple:
@@ -510,7 +512,7 @@ def direct_two_handle(d, spec: HandleSpec) -> tuple:
     """
     try:
         h6, x0 = _attach(d, spec)
-        return sfc.differential(h6), x0
+        return sfc.differential(h6.d, h6), x0
     except ValueError as err:
         raise ValueError(f"stage H6: {err}") from err
 
@@ -533,13 +535,13 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
     base = sfc.as_complex(d)
     d = base.diagram
-    hv = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
-    marks = _new_marks(d, hv)
+    hv = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path, built=True)
+    marks = _new_marks(d, hv.d)
     x0v, y0v = f"R:{marks['x0']}", f"R:{marks['y0']}"
 
     blocks = _handle_blocks("2")
     try:
-        h3 = sfc.differential(hv)
+        h3 = sfc.differential(hv.d, hv)
         v = modules.bordered_invariant(h3, "D")
     except ValueError as err:
         raise ValueError(f"stage H3: {err}") from err
@@ -548,8 +550,8 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     except ValueError as err:
         raise ValueError(f"stage H4: {err}") from err
     try:
-        h5 = concatenate_bordered(pieces.rt2(), hv)
-        cx5 = sfc.differential(h5)
+        h5 = concatenate_bordered(pieces.rt2(), hv.d, built=True)
+        cx5 = sfc.differential(h5.d, h5)
     except ValueError as err:
         raise ValueError(f"stage H5: {err}") from err
 
@@ -657,7 +659,7 @@ def _eh_block(d, applied):
 # route comparison
 
 
-def equivalence_report(d, handles) -> dict:
+def equivalence_report(d, handles, darts=None) -> dict:
     """Compare the diagrammatic route against the glued pipelines.
 
     Every handle in ``handles`` is applied by ``sigma_map`` to advance
@@ -666,17 +668,16 @@ def equivalence_report(d, handles) -> dict:
     and its table, target complex and stage ranks are compared with the
     direct route's.  The report carries one deterministic block per stage
     plus the contact class summary; the first disagreement is dumped as a
-    counterexample.  A tagged base has its complex built up front, as
-    stage 0's source, and a tag that is not a cycle generator of it is
-    refused with ``ValueError``.
+    counterexample.  A tagged base, or one with handles, has its complex
+    built up front on ``darts``, its dart build, if made, as stage 0's
+    source; a tag that is not a cycle generator of it is a ``ValueError``.
     """
     blocks = []
     stage_checks = []
     applied = []
     counterexample = None
-    base = d
+    base = sfc.differential(d, darts) if d.eh or handles else d
     if d.eh:
-        base = sfc.differential(d)
         _cycle_generator(base, d.eh, "contact tag")
     cur = base
     for i, spec in enumerate(handles):

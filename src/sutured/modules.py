@@ -174,10 +174,10 @@ def _delta_table(bs, records) -> dict:
     return delta
 
 
-def bordered_invariant(d, kind: str, sector=None) -> BorderedStructure:
+def bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructure:
     """Build the finite bordered structure of a nice bordered diagram.
 
-    ``d`` is the diagram or its complex (``sfc.as_complex``).  ``sector``
+    ``d`` is the diagram or its complex (``sfc.as_complex(d, darts)``).  ``sector``
     optionally restricts the generators to a fixed tuple of
     per-interface occupancy counts (the differential and all actions
     preserve these counts, so the restriction is a direct summand).
@@ -190,7 +190,7 @@ def bordered_invariant(d, kind: str, sector=None) -> BorderedStructure:
             f"kind {kind} needs {_IFACE_COUNT[kind]} interface(s); "
             f"diagram has {len(diagram.interfaces)}"
         )
-    cx = sfc.as_complex(d)  # gates niceness and admissibility
+    cx = sfc.as_complex(d, darts)  # gates niceness and admissibility
     d = cx.diagram
     sides = [
         Side(

@@ -14,8 +14,9 @@ domain's boundary is walked dart to dart, crossing its glued edges
 through their mates; its corners are the tails where runs of the two
 curve families meet, and a crossing lies inside when it is off the
 boundary and the domain touches it.
-``differential`` makes one build for the census, the admissibility
-rows, the crossing table and the generators, and its complex keeps the
+``differential`` reads one build, the one the diagram's gate validated
+when its caller hands it on, for the census, the admissibility rows,
+the crossing table and the generators, and its complex keeps the
 build for the action census.  Inside it a generator is its sorted index
 tuple and bit mask over the crossings in vertex order, from one
 enumeration (``_matchings``) through the Spin^c keys (``_spinc_labels``)
@@ -185,7 +186,7 @@ def region_census(d: Diagram, darts=None) -> list:
     interface = d.interface_edge_ids()
     return [
         _classify(dx, group, seams, interface)
-        for group in dx.groups(dx.join(("seam",)))
+        for group in dx.groups(dx.regions)
         if not d.faces[group[0]].suture
     ]
 
@@ -315,9 +316,9 @@ class ChainComplexF2:
     ``BinaryMatrix``: column j is d(basis[j]), bit i standing for
     basis[i].  ``diagram`` is the diagram it came from (``None`` for a
     complex built from tables, such as the box tensor product of the
-    test references) and ``darts`` the dart build its census read, which
-    the action census reads again; ``position`` is derived at
-    construction.
+    test references) and ``darts`` the dart build its census read (the
+    one its caller handed to ``differential``, if any), which the action
+    census reads again; ``position`` is derived at construction.
     """
 
     basis: list  # canonically ordered generators
@@ -338,16 +339,19 @@ class ChainComplexF2:
         return frozenset(self.basis[r] for r in set_bits(column))
 
 
-def as_complex(d) -> ChainComplexF2:
-    """``d`` itself when it is a complex, else ``differential(d)``."""
-    return d if isinstance(d, ChainComplexF2) else differential(d)
+def as_complex(d, darts=None) -> ChainComplexF2:
+    """``d`` itself when it is a complex, else ``differential(d, darts)``."""
+    return d if isinstance(d, ChainComplexF2) else differential(d, darts)
 
 
-def differential(d: Diagram) -> ChainComplexF2:
+def differential(d: Diagram, darts=None) -> ChainComplexF2:
     """The mod-2 boundary map counting bigon and rectangle regions, on
     generators as ints (see the module docstring).  Requires a nice,
-    admissible diagram and rejects anything else."""
-    dx = Darts(d)
+    admissible diagram and rejects anything else.  ``darts``: the
+    diagram's ``darts.Darts`` build, if made, and refused if of another."""
+    if darts is not None and darts.d is not d:
+        raise ValueError("the dart build is of another diagram")
+    dx = Darts(d) if darts is None else darts
     census = region_census(d, dx)
     offenders = _not_nice_faces(census)
     if offenders:

@@ -17,7 +17,8 @@ diagram arcs.
 Vertex links, regions and the cuts along each curve family are read
 from a ``darts.Darts`` build and kept in no other form.  A 1-handle's
 feet (``_foot_edges``) and parts (``one_handle_parts``) have one home
-here, which ``glue`` uses too.
+here, which ``glue`` uses too.  With ``built=True`` a constructor returns
+the ``Darts`` build its gate (``_check``) validated, whose ``d`` is the diagram.
 """
 
 from __future__ import annotations
@@ -252,20 +253,20 @@ class Diagram:
 def regions(d: Diagram) -> list:
     """Faces merged across seam edges; returns lists of face ids."""
     dx = Darts(d)
-    return dx.groups(dx.join(("seam",)))
+    return dx.groups(dx.regions)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def validate(d: Diagram, *, set_flags: bool = False) -> list:
+def validate(d: Diagram, *, set_flags: bool = False, darts=None) -> list:
     """All structural invariants; returns a list of problem strings.
 
-    Every check after the edge checks reads one ``Darts`` build: the
-    usage counts and word breaks, the link walk, which also chains the
-    boundary circles, and the regions and family cuts as union-finds
-    over face indices.  It writes nothing,
+    Every check after the edge checks reads one ``Darts`` build
+    (``darts``, if made): the usage counts and word breaks, the link
+    walk, which also chains the boundary circles, and the regions and
+    family cuts as union-finds over face indices.  It writes nothing,
     unless ``set_flags`` has it set the suture flags from the regions
     first: a region is a suture region when it touches a free
     (non-interface) boundary edge.  The flag check still runs.
@@ -292,7 +293,7 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
 
     # usage counts and signs (a word holds directions +1 and -1); face
     # words connect head to tail, reported after the counts
-    dx = Darts(d)
+    dx = Darts(d) if darts is None else darts
     sign, face, first = dx.sign, dx.face, dx.first
     problems += [f"face {f} references missing edge {e}" for f, e in dx.missing]
     once = (  # every interior edge paired, every boundary edge once +
@@ -340,7 +341,7 @@ def validate(d: Diagram, *, set_flags: bool = False) -> list:
         return problems + [f"vertex {min(twice)} has a disconnected link"]
 
     # regions and whether they touch free boundary (the suture flags)
-    root = dx.join(("seam",))
+    root = dx.regions
     near_free = {root[face[first[e]]] for e in set(boundary) - d.interface_edge_ids()}
     touches = [r in near_free for r in root]
     if set_flags:
@@ -601,13 +602,14 @@ def parse(text: str) -> Diagram:
 # local edits: subdivision, dissolution, chord insertion
 
 
-def _check(d: Diagram, set_flags: bool = False) -> Diagram:
-    """``d`` if it validates; ``set_flags`` first sets its suture flags
-    from the regions ``validate`` builds anyway (see ``validate``)."""
-    problems = validate(d, set_flags=set_flags)
+def _check(d: Diagram, set_flags: bool = False, built: bool = False):
+    """``d``, or with ``built`` the ``Darts`` build it validated on, if it
+    validates; ``set_flags`` first sets its suture flags (see ``validate``)."""
+    dx = Darts(d)
+    problems = validate(d, set_flags=set_flags, darts=dx)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    return d
+    return dx if built else d
 
 
 def subdivide_edge(d: Diagram, eid: str, w_from: int = 0):
@@ -1072,22 +1074,22 @@ def _attach_one_handle(d: Diagram, p: str, q: str):
     return {"p": fp, "q": fq, "s1": s1, "s2": s2, "strip": strip}
 
 
-def attach_one_handle(d: Diagram, p: str, q: str) -> Diagram:
+def attach_one_handle(d: Diagram, p: str, q: str, *, built: bool = False):
     """Attach a 1-handle with feet on the free suture edges p and q.
 
     Each foot replaces the middle of its edge by a seam; the strip face
     between the two seams is a new suture region with two free sides.
     """
-    return one_handle_parts(d, p, q)[0]
+    return one_handle_parts(d, p, q, built=built)[0]
 
 
-def one_handle_parts(d: Diagram, p: str, q: str) -> tuple:
+def one_handle_parts(d: Diagram, p: str, q: str, *, built: bool = False) -> tuple:
     """``attach_one_handle`` with the handle's part ids: (diagram,
     {"p": foot, "q": foot, "s1", "s2": strip sides, "strip": face}), each
     foot {"left", "seam", "right": edges, "v1", "v2": vertices}."""
     out = d.copy()
     handle = _attach_one_handle(out, p, q)
-    return _check(out, set_flags=True), handle
+    return _check(out, set_flags=True, built=built), handle
 
 
 def _subdivide_ports(d: Diagram, handle: dict, order_p, order_q) -> tuple:
@@ -1140,6 +1142,7 @@ def attach_two_handle(
     b_path: TransversePath,
     port_order_p=("b", "a"),
     port_order_q=("b", "a"),
+    *, built: bool = False,
 ):
     """Attach a 2-handle along a curve through the suture points p, q.
 
@@ -1176,10 +1179,10 @@ def attach_two_handle(
         )
     x0 = crossings[0]
     _put_mark(out, "x0", x0)
-    return _check(out, set_flags=True), x0
+    return _check(out, set_flags=True, built=built), x0
 
 
-def attach_trivial_bypass(d: Diagram, site: str, sign: str):
+def attach_trivial_bypass(d: Diagram, site: str, sign: str, *, built: bool = False):
     """Attach a trivial bypass along the free suture edge `site`.
 
     This is literally a 1-handle attachment followed by a 2-handle whose
@@ -1202,6 +1205,7 @@ def attach_trivial_bypass(d: Diagram, site: str, sign: str):
         b_path,
         port_order_p=("a", "b"),
         port_order_q=port_q,
+        built=built,
     )
 
 
@@ -1217,7 +1221,7 @@ def _curve_vertices(d: Diagram, c: Curve) -> set:
     return out
 
 
-def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
+def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str, *, built: bool = False):
     """Remove a stabilizing curve pair crossing once and nothing else.
 
     The surface is surgered along the alpha curve (cut and capped on both
@@ -1229,7 +1233,7 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     edits = _LocalEdits(out)
     edits.dissolve_all(pending)
     edits.simplify()
-    return _check(out, set_flags=True), forced
+    return _check(out, set_flags=True, built=built), forced
 
 
 def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
@@ -1247,10 +1251,12 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
         raise ValueError(f"curves meet at {sorted(across)}, need a single point")
     forced = next(iter(across))
     pair_edges = set(alpha.segments) | set(beta.segments)
-    for v in _curve_vertices(out, alpha) | _curve_vertices(out, beta):
-        for e, ed in out.edges.items():
-            if v in (ed.frm, ed.to) and ed.kind in CURVE_KINDS and e not in pair_edges:
-                raise ValueError(f"curve edge {e} touches the pair at {v}")
+    pair_vertices = _curve_vertices(out, alpha) | _curve_vertices(out, beta)
+    touching = [(v, e) for e, ed in out.edges.items() if ed.kind in CURVE_KINDS
+                and e not in pair_edges for v in (ed.frm, ed.to) if v in pair_vertices]
+    if touching:
+        v, e = min(touching)  # the least, so the message is the same in every process
+        raise ValueError(f"curve edge {e} touches the pair at {v}")
 
     alpha_edges = list(alpha.segments)
     alpha_set = set(alpha_edges)
@@ -1395,7 +1401,7 @@ def _interface_arc_bijection(z1: ArcDiagram, z2: ArcDiagram) -> dict:
     return arc_map
 
 
-def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
+def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0), *, built: bool = False):
     """Glue interface pair[0] of b1 to interface pair[1] of b2.
 
     The interval edges identify in reversed order and become seams, the
@@ -1492,4 +1498,4 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0)) -> Diagram:
             (glued[e], -s) if e in glued else (e, -s) if e in flipped else (e, s)
             for (e, s) in face.word
         ]
-    return _check(out, set_flags=True)
+    return _check(out, set_flags=True, built=built)

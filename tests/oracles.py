@@ -1247,10 +1247,11 @@ def reference_surger_pair(d, alpha_id, beta_id):
     if len(across) != 1:
         raise ValueError(f"curves meet at {sorted(across)}, need a single point")
     pair_edges = set(alpha.segments) | set(beta.segments)
-    for v in ends(alpha) | ends(beta):
-        for e, ed in out.edges.items():
-            if v in (ed.frm, ed.to) and ed.kind in surface.CURVE_KINDS and e not in pair_edges:
-                raise ValueError(f"curve edge {e} touches the pair at {v}")
+    for v in sorted(ends(alpha) | ends(beta)):  # the least vertex, then its least edge
+        touching = sorted(e for e, ed in out.edges.items() if v in (ed.frm, ed.to)
+                          and ed.kind in surface.CURVE_KINDS and e not in pair_edges)
+        if touching:
+            raise ValueError(f"curve edge {touching[0]} touches the pair at {v}")
 
     links = reference_vertex_links(out)
     copies = {}  # alpha vertex -> {sign: the copy on that side}

@@ -273,7 +273,7 @@ def test_attach_then_glue(capsys, tmp_path, stab_file, monkeypatch):
     spec2.write_text(json.dumps(glue.spec_to_json(specs[1])))
     built, ranked = [], []
     real, real_homology = sfc.differential, sfc.homology
-    monkeypatch.setattr(sfc, "differential", lambda d: built.append(d) or real(d))
+    monkeypatch.setattr(sfc, "differential", lambda d, darts=None: built.append(d) or real(d, darts))
     monkeypatch.setattr(sfc, "homology", lambda d: ranked.append(d) or real_homology(d))
     glue._handle_blocks.cache_clear()
     code, out, _ = run(capsys, "glue", str(mid), "--spec", str(spec2),

@@ -3,11 +3,14 @@ through the builtin blocks, and the route-comparison harness."""
 
 import copy
 import json
+import random
 
 import pytest
 
+import fixtures
 import sequences
 from sutured import cli, glue, modules, pieces, sfc, surface
+from sutured.darts import Darts
 from sutured.exactlin import BinaryMatrix
 from sutured.glue import ChainMapTable, HandleSpec, compose
 
@@ -379,9 +382,9 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
     calls = []
     real = sfc.differential
 
-    def counting(diagram):
+    def counting(diagram, darts=None):
         calls.append(surface.serialize(diagram))
-        return real(diagram)
+        return real(diagram, darts)
 
     monkeypatch.setattr(sfc, "differential", counting)
     glue._handle_blocks.cache_clear()
@@ -393,6 +396,34 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
     calls.clear()
     assert glue.equivalence_report(d, specs)["ok"]
     assert len(calls) == 11
+
+
+def test_complexes_reuse_the_builds_their_gates_validated(monkeypatch):
+    """Over a six-step plan on bigonpair^3, with its handle blocks built
+    beforehand, every complex is built on the ``Darts`` build that its
+    diagram's gate validated: no ``sfc.differential`` call makes one."""
+    d = fixtures.bigonpair_power(3)
+    specs = sequences.shaped_plan(d, ("1", "2", "b", "2", "1", "b"), random.Random(5))
+    for kind in ("1", "2"):
+        glue._handle_blocks(kind)
+    inside, builds = [], []  # open differential calls; per build, whether one was open
+    real_init, real_differential = Darts.__init__, sfc.differential
+
+    def init(self, g):
+        builds.append(bool(inside))
+        real_init(self, g)
+
+    def differential(g, darts=None):
+        inside.append(g)
+        try:
+            return real_differential(g, darts)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Darts, "__init__", init)
+    monkeypatch.setattr(sfc, "differential", differential)
+    assert glue.equivalence_report(d, specs, darts=Darts(d))["ok"]
+    assert builds and not any(builds)
 
 
 def test_cached_blocks_are_shared_and_never_mutated(capsys, tmp_path):

@@ -216,9 +216,9 @@ def _pipeline_diagrams(d, monkeypatch):
         capture(g)
         return real_validate(g, **kwargs)
 
-    def differential(g):
+    def differential(g, darts=None):
         capture(g)
-        return real_differential(g)
+        return real_differential(g, darts)
 
     plans = [sequences.shaped_plan(d, shape, random.Random(t))
              for t, shape in enumerate(ROUTE_SHAPES)]
@@ -498,6 +498,22 @@ def test_census_reads_crossings_once(census, name, monkeypatch):
     monkeypatch.setattr(sfc, "Darts", counting)
     getattr(sfc, census)(d)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [pytest.param(pieces.build(n), id=n) for n in NICE_PIECES]
+                         + [pytest.param(pieces.mirror(pieces.build(n)), id=f"mirror-{n}")
+                            for n in NICE_PIECES]
+                         + [pytest.param(fixtures.punctured_grid(n, 1), id=f"grid{n}-1")
+                            for n in (3, 4)])
+def test_a_handed_build_changes_nothing(d):
+    """``differential`` on a build of the diagram handed to it gives the
+    complex it builds for itself, and refuses a build of another diagram."""
+    own, handed = sfc.differential(d), sfc.differential(d, darts=Darts(d))
+    assert handed.basis == own.basis
+    assert handed.differential.columns == own.differential.columns
+    assert handed.spinc_class == own.spinc_class
+    with pytest.raises(ValueError, match="another diagram"):
+        sfc.differential(d, darts=Darts(d.copy()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ bypasses, destabilization, bordered concatenation).
 import copy
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +287,24 @@ def test_destabilize_rejects_entangled_pair():
         sf.trivial_destabilize(d, "A0", "B0")
 
 
+def test_entangled_pair_refusal_does_not_depend_on_the_hash_seed():
+    """The refusal names the least (vertex, edge) touching the pair, so
+    two fresh interpreters under different hash seeds print one message."""
+    script = (
+        "import fixtures\nfrom sutured import surface\n"
+        "try:\n    surface.trivial_destabilize(fixtures.punctured_grid(3, 1), 'A0', 'B1')\n"
+        "except ValueError as err:\n    print(err)\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(sf.__file__).resolve().parents[1]), str(here)])
+    outs = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True,
+                       env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)).stdout
+        for seed in (0, 1)
+    ]
+    assert outs == ["curve edge b0_0 touches the pair at g0_0\n"] * 2
+
+
 def test_stacked_bypasses(disk):
     d = disk
     for sign in ("+", "-", "+"):
@@ -442,11 +464,12 @@ def test_handle_stages_edit_like_references(name, monkeypatch):
     real_destabilize, real_concatenate = glue.trivial_destabilize, glue.concatenate_bordered
     monkeypatch.setattr(
         glue, "trivial_destabilize",
-        lambda g, a, b: destabilized.append((g.copy(), a, b)) or real_destabilize(g, a, b),
+        lambda g, a, b, **kw: destabilized.append((g.copy(), a, b)) or real_destabilize(g, a, b, **kw),
     )
     monkeypatch.setattr(
         glue, "concatenate_bordered",
-        lambda b1, b2, *pair: glued.append((b1.copy(), b2.copy(), *pair)) or real_concatenate(b1, b2, *pair),
+        lambda b1, b2, *pair, **kw: glued.append((b1.copy(), b2.copy(), *pair))
+        or real_concatenate(b1, b2, *pair, **kw),
     )
     glue._handle_blocks.cache_clear()
     glue.glue_one_handle(d, one.p, one.q)
