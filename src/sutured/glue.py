@@ -230,11 +230,12 @@ def _attach(d, spec: HandleSpec) -> tuple:
 # cutting the base open
 
 
-def prepare_one_handle(d, p: str, q: str, *, built: bool = False):
-    """Declare the feet ``p``, ``q`` as a point-free interface.
+def prepare_one_handle(d, p: str, q: str):
+    """Declare the feet ``p``, ``q`` as a point-free interface; returns
+    the cut's ``Darts`` build, whose ``d`` is the cut diagram.
 
     The base is otherwise untouched: concatenating the stabilizing block
-    onto the interface is what performs the surgery (``built``: as in ``surface``).
+    onto the interface is what performs the surgery.
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
@@ -244,11 +245,10 @@ def prepare_one_handle(d, p: str, q: str, *, built: bool = False):
     # the middle thirds of the feet become the interface, margins stay free
     feet = [[_cut_twice(out, eid)[1]] for eid in (p, q)]
     out.interfaces.append(Interface(ArcDiagram([[], []], {}, "alpha"), feet, {}))
-    return _check(out, built=built)
+    return _check(out, built=True)
 
 
-def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: TransversePath,
-                       *, built: bool = False):
+def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: TransversePath):
     """Cut the base open along the 2-handle attachment region.
 
     The feet are joined by a strip whose attaching-circle side is
@@ -257,7 +257,8 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     where the attaching curve's a-side would, the short arc connects the
     middle junction to the hole, and the b-side path closes up into a
     curve crossing them once each; the two crossings are recorded as the
-    marks ``x0`` (long arc) and ``y0`` (short arc) (``built``: as in ``surface``).
+    marks ``x0`` (long arc) and ``y0`` (short arc).  Returns the cut's
+    ``Darts`` build, whose ``d`` is the cut diagram.
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
@@ -341,7 +342,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
             {2: arc_long, 1: arc_short},
         )
     )
-    return _check(out, set_flags=True, built=built)
+    return _check(out, set_flags=True, built=True)
 
 
 def _new_marks(base, prepared) -> dict:
@@ -484,7 +485,7 @@ def glue_one_handle(d, p: str, q: str):
     and its target with the diagrammatic transport.
     """
     base = sfc.as_complex(d)
-    cut = prepare_one_handle(base.diagram, p, q, built=True)
+    cut = prepare_one_handle(base.diagram, p, q)
     v = modules.bordered_invariant(cut.d, "D", darts=cut)
     _src_d, tgt_d, join = _elementary_join_full(_handle_blocks("1"), v)
     pre = _generator_map(
@@ -493,7 +494,7 @@ def glue_one_handle(d, p: str, q: str):
     lifted = compose(join, pre)
 
     stripped = _strip_prefix(tgt_d, "R:")
-    dx1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be", built=True)
+    dx1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be")
 
     def reduced(g):
         (img,) = lifted.apply([g])
@@ -535,7 +536,7 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
     base = sfc.as_complex(d)
     d = base.diagram
-    hv = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path, built=True)
+    hv = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
     marks = _new_marks(d, hv.d)
     x0v, y0v = f"R:{marks['x0']}", f"R:{marks['y0']}"
 

@@ -17,8 +17,9 @@ diagram arcs.
 Vertex links, regions and the cuts along each curve family are read
 from a ``darts.Darts`` build and kept in no other form.  A 1-handle's
 feet (``_foot_edges``) and parts (``one_handle_parts``) have one home
-here, which ``glue`` uses too.  With ``built=True`` a constructor returns
-the ``Darts`` build its gate (``_check``) validated, whose ``d`` is the diagram.
+here, which ``glue`` uses too.  ``trivial_destabilize``, and with
+``built=True`` the other constructors, return the ``Darts`` build their
+gate (``_check``) validated, whose ``d`` is the diagram.
 """
 
 from __future__ import annotations
@@ -1221,19 +1222,19 @@ def _curve_vertices(d: Diagram, c: Curve) -> set:
     return out
 
 
-def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str, *, built: bool = False):
+def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     """Remove a stabilizing curve pair crossing once and nothing else.
 
     The surface is surgered along the alpha curve (cut and capped on both
     sides) and the then-dangling beta arc is erased; the faces around the
-    removed pair merge.  Returns the simplified diagram and the id the
-    forced intersection point had.
+    removed pair merge.  Returns the ``Darts`` build of the simplified
+    diagram (its ``d``) and the id the forced intersection point had.
     """
     out, forced, pending = _surger_pair(d, alpha_id, beta_id)
     edits = _LocalEdits(out)
     edits.dissolve_all(pending)
     edits.simplify()
-    return _check(out, set_flags=True, built=built), forced
+    return _check(out, set_flags=True, built=True), forced
 
 
 def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):

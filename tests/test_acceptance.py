@@ -279,7 +279,7 @@ def _stage_properties(key, specs, failures):
             (alpha,) = set(d2.alpha_curves) - set(cur.alpha_curves)
             (beta,) = set(d2.beta_curves) - set(cur.beta_curves)
             undone, forced = surface.trivial_destabilize(d2, alpha, beta)
-            if forced != x0 or sfc.homology(undone).total != before:
+            if forced != x0 or sfc.homology(undone.d).total != before:
                 failures.append(f"{where}: destabilization broke the rank")
         if tag:
             tag |= {x0} if x0 is not None else set()

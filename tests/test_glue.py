@@ -116,7 +116,7 @@ def test_is_bijection_refuses_zero_and_repeated_columns():
 
 def test_prepare_one_handle_keeps_free_margins():
     d = build("fix-disk")
-    cut = glue.prepare_one_handle(d, "s0", "s0")
+    cut = glue.prepare_one_handle(d, "s0", "s0").d
     assert len(cut.interfaces) == 1
     iface = cut.interfaces[0]
     assert [len(iv) for iv in iface.intervals] == [1, 1]
@@ -129,7 +129,7 @@ def test_prepare_one_handle_keeps_free_margins():
 def test_prepare_two_handle_interface_and_marks():
     d, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(d, handle)
-    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
+    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path).d
     iface = hv.interfaces[0]
     assert [len(iv) for iv in iface.arc_diagram.intervals] == [3, 1]
     assert [len(iv) for iv in iface.intervals] == [4, 2]
@@ -208,7 +208,7 @@ def test_one_handle_pipeline_matches_transport(key):
 
 
 def test_square_pairing_join_leaves_base_generators_alone():
-    cut = glue.prepare_one_handle(build("fix-bigonpair"), "ci", "co")
+    cut = glue.prepare_one_handle(build("fix-bigonpair"), "ci", "co").d
     blocks = glue.pairing_blocks(
         modules.bordered_invariant(pieces.u1(), "D"),
         modules.bordered_invariant(pieces.cap1(), "A"),
@@ -223,7 +223,7 @@ def test_square_pairing_join_leaves_base_generators_alone():
 def test_five_point_pairing_join_tags_the_outer_arc():
     d, handle = glue.one_handled(build("fix-stab"))
     spec = glue.two_handle_spec(d, handle)
-    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
+    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path).d
     blocks = glue.pairing_blocks(
         modules.bordered_invariant(pieces.u2(), "D"),
         modules.bordered_invariant(pieces.cap2(), "A"),
@@ -509,5 +509,6 @@ def test_bypass_then_destabilize_restores_the_rank():
     (alpha,) = set(d2.alpha_curves) - set(d.alpha_curves)
     (beta,) = set(d2.beta_curves) - set(d.beta_curves)
     out, forced = surface.trivial_destabilize(d2, alpha, beta)
+    out = out.d
     assert forced == x0
     assert sfc.homology(out).total == sfc.homology(d2).total == 2

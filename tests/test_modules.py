@@ -349,7 +349,7 @@ TWIST_ENTRIES = {
 
 def _one_handle_cut(base, site):
     """The type-D structure of the base cut open for a 1-handle at ``site``."""
-    return modules.bordered_invariant(glue.prepare_one_handle(base, site, site), "D")
+    return modules.bordered_invariant(glue.prepare_one_handle(base, site, site).d, "D")
 
 
 def _two_handle_stages(base, site):

@@ -768,7 +768,7 @@ def test_homology_invariant_under_destabilization():
     st_d = pieces.build("stab")
     flat, forced = sf.trivial_destabilize(st_d, "A0", "B0")
     assert forced == "c"
-    assert sfc.homology(flat).total == sfc.homology(st_d).total == 1
+    assert sfc.homology(flat.d).total == sfc.homology(st_d).total == 1
 
 
 def test_homology_invariant_under_relabeling(az2):
@@ -865,11 +865,11 @@ def _cut_open(name, base, sites):
     for site in sites:
         one, two = glue.two_handle_sequence(base, site)
         where = f"{name} cut at {site or one.p}"
-        yield where, glue.prepare_one_handle(base, one.p, one.q)
+        yield where, glue.prepare_one_handle(base, one.p, one.q).d
         mid = glue.one_handled(base, site)[0]
         yield where.replace("cut", "2-handle cut"), glue.prepare_two_handle(
             mid, two.p, two.q, two.a_path, two.b_path
-        )
+        ).d
 
 
 def _bordered_diagrams():
@@ -889,7 +889,7 @@ def _bordered_diagrams():
     grid = fixtures.relabel(fixtures.punctured_grid(4, 1), random.Random(4))
     free = sorted(grid.free_boundary_edge_ids())
     yield from _cut_open("grid4", grid, free[::3])
-    yield "grid4 cut at two sites", glue.prepare_one_handle(grid, free[0], free[5])
+    yield "grid4 cut at two sites", glue.prepare_one_handle(grid, free[0], free[5]).d
 
 
 @pytest.mark.parametrize(
