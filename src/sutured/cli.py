@@ -199,12 +199,9 @@ def _cmd_verify_equivalence(args):
     report = glue.equivalence_report(d, specs, darts=dx)
     lines = []
     for block, check in zip(report["stages"], report["checks"]):
-        ok = check["ranks_match"] and check.get("tables_equal", True) and check.get(
-            "identity", True
-        )
         lines.append(
             f"stage {block['stage']} [{block['kind']}]: rank {block['rank']} "
-            + ("ok" if ok else "DISAGREES")
+            + ("ok" if glue.stage_ok(check) else "DISAGREES")
         )
     if report["eh"] is not None:
         eh = report["eh"]

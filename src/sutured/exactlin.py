@@ -209,13 +209,13 @@ def cokernel_residue(rows: Sequence[dict]) -> "CosetKey":
     """Return a key classifying 0/1 vectors modulo the column span of m.
 
     The matrix m is given as ``smith_reduce`` takes it: one dict column
-    -> nonzero entry per row.  The returned ``key`` takes the rows where
-    a 0/1 vector is 1, as an iterable of distinct row indices.  Two
-    vectors b, b' get equal keys iff b - b' lies in the integer image of
-    m.  Used to split generators into boundary-equivalence classes with
-    a single Smith reduction (``smith_reduce``) S = U m V: b lies in the
-    image iff each entry of U b is divisible by its invariant factor
-    (zero where the factor is zero).  A row whose factor is 1 never
+    -> nonzero entry per row.  The returned ``key`` reads a 0/1 vector
+    by the rows where it is 1 (see below).  Two vectors b, b' get equal
+    keys iff b - b' lies in the integer image of m.  Used to split
+    generators into boundary-equivalence classes with a single Smith
+    reduction (``smith_reduce``) S = U m V: b lies in the image iff
+    each entry of U b is divisible by its invariant factor (zero where
+    the factor is zero).  A row whose factor is 1 never
     tells cosets apart, so the key reads only the other rows.
 
     Row r of m gets one int, ``key.weights[r]``, column r of U in lanes,
@@ -250,7 +250,7 @@ def cokernel_residue(rows: Sequence[dict]) -> "CosetKey":
 
 class CosetKey:
     """``cokernel_residue``'s key of a 0/1 vector's support: ``reduce`` of
-    the sum of its rows' ``weights``, which a caller may add up itself.
+    the sum of its rows' ``weights``, which the caller adds up.
     ``torsion`` holds (lane shift, lane mask, factor) per torsion row, in
     the ``low`` bits below the free lanes."""
 
@@ -261,13 +261,6 @@ class CosetKey:
         if not self.torsion:
             return total
         return total >> self.low, tuple((total >> s & mask) % q for s, mask, q in self.torsion)
-
-    def __call__(self, support):
-        try:
-            total = sum(map(self.weights.__getitem__, support))
-        except KeyError as err:
-            raise ValueError(f"row index {err.args[0]} out of range") from None
-        return self.reduce(total)
 
 
 # ---------------------------------------------------------------------------

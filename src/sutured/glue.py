@@ -342,7 +342,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
             {2: arc_long, 1: arc_short},
         )
     )
-    return _check(out, set_flags=True, built=True)
+    return _check(out, built=True)
 
 
 def _new_marks(base, prepared) -> dict:
@@ -660,6 +660,13 @@ def _eh_block(d, applied):
 # route comparison
 
 
+def stage_ok(check: dict) -> bool:
+    """Whether a stage check of ``equivalence_report`` passes: its ranks
+    match and, where the stage has them, its tables agree and its
+    boundary identity holds."""
+    return check["ranks_match"] and check.get("tables_equal", True) and check.get("identity", True)
+
+
 def equivalence_report(d, handles, darts=None) -> dict:
     """Compare the diagrammatic route against the glued pipelines.
 
@@ -718,10 +725,7 @@ def equivalence_report(d, handles, darts=None) -> dict:
                 sfc.homology(source).total == hom.total
             )
             detail = table
-        ok = check["ranks_match"] and check.get("tables_equal", True) and check.get(
-            "identity", True
-        )
-        if not ok and counterexample is None:
+        if not stage_ok(check) and counterexample is None:
             counterexample = {
                 "stage": i,
                 "kind": spec.kind,

@@ -4,9 +4,12 @@ A diagram is a polygonal map: faces carry cyclic boundary words over
 oriented edges, every interior edge is traversed once in each direction,
 boundary edges once positively.  Edge kinds are "alpha", "beta",
 "boundary" and "seam"; seams are interior non-curve edges used to encode
-non-disk regions (slits), 1-handle feet and glued interface intervals.
-Regions are faces merged across seams; all counting (niceness, suture
-status, disk censuses) happens at region level.
+non-disk regions (slits), 1-handle feet, glued interface intervals and
+the cut of a destabilization.  Regions are faces merged across seams;
+all counting (niceness, suture status, disk censuses) happens at region
+level, so no construction here dissolves a seam: ``trivial_destabilize``
+stops at its cut, and its result keeps the seams of the cut and of the
+released beta curve.
 
 Curves are ordered edge chains: closed curves are cycles, arcs end on
 interface marked points.  Bordered diagrams additionally carry arc
@@ -24,7 +27,6 @@ gate (``_check``) validated, whose ``d`` is the diagram.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field
 
@@ -600,14 +602,14 @@ def parse(text: str) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# local edits: subdivision, dissolution, chord insertion
+# local edits: subdivision, chord insertion
 
 
-def _check(d: Diagram, set_flags: bool = False, built: bool = False):
+def _check(d: Diagram, built: bool = False):
     """``d``, or with ``built`` the ``Darts`` build it validated on, if it
-    validates; ``set_flags`` first sets its suture flags (see ``validate``)."""
+    validates once its suture flags are set (see ``validate``)."""
     dx = Darts(d)
-    problems = validate(d, set_flags=set_flags, darts=dx)
+    problems = validate(d, set_flags=True, darts=dx)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
     return dx if built else d
@@ -644,227 +646,6 @@ def subdivide_edge(d: Diagram, eid: str, w_from: int = 0):
             segs += [first, second] if e == eid else [e]
         c.segments = segs
     return first, second, w
-
-
-def _prune_tags(d: Diagram) -> None:
-    d.eh = [v for v in d.eh if v in d.vertices]
-    d.marks = {k: v for k, v in d.marks.items() if v in d.vertices}
-
-
-class _LocalEdits:
-    """Dissolves and fusions on ``d``, read from two indexes that each
-    edit keeps current on what it touched: edge -> the faces of its
-    sides (one entry per side, in face order), and vertex -> its edge
-    ends (edge id, "frm" or "to").  Rewritten faces collect in
-    ``dirty_faces`` and vertices whose edges changed in
-    ``dirty_vertices``, for a worklist to try its refused candidates
-    again.
-    """
-
-    def __init__(self, d: Diagram):
-        self.d = d
-        self.rank = {f: k for k, f in enumerate(d.faces)}  # faces are never added
-        self.faces_on = {}
-        for f in d.faces.values():
-            for (e, _s) in f.word:
-                self.faces_on.setdefault(e, []).append(f.id)
-        self.ends = {}
-        for e, ed in d.edges.items():
-            self.ends.setdefault(ed.frm, set()).add((e, "frm"))
-            self.ends.setdefault(ed.to, set()).add((e, "to"))
-        self.owner = {}  # curve edge -> the first curve listing it
-        for family in CURVE_KINDS:
-            for c in d.curves(family).values():
-                for e in c.segments:
-                    self.owner.setdefault(e, c.id)
-        self.dirty_faces, self.dirty_vertices = set(), set()
-
-    def dissolve(self, eid: str) -> bool:
-        """Remove an interior edge, merging or trimming its faces.
-
-        Returns False (leaving the diagram untouched) when the edge has
-        both sides on one face non-adjacently; dissolving it would create
-        a non-disk face.  Curve edges must be released from their curve
-        first.
-        """
-        d = self.d
-        ed = d.edges[eid]
-        if eid in self.owner:
-            raise ValueError(f"edge {eid} still belongs to curve {self.owner[eid]}")
-        sides = []
-        for f in dict.fromkeys(self.faces_on.get(eid, ())):
-            sides += [(f, i) for i, (e, _s) in enumerate(d.faces[f].word) if e == eid]
-        if len(sides) != 2:
-            raise ValueError(f"edge {eid} is not interior")
-        (f1, i1), (f2, i2) = sides
-        wa = d.faces[f1].word
-        if f1 != f2:
-            wb = d.faces[f2].word
-            d.faces[f1].word = wa[:i1] + wb[i2 + 1 :] + wb[:i2] + wa[i1 + 1 :]
-            d.faces[f1].suture = d.faces[f1].suture or d.faces[f2].suture
-            del d.faces[f2]
-            for e in {e for (e, _s) in wb} - {eid}:
-                fs = [f1 if f == f2 else f for f in self.faces_on[e]]
-                fs.sort(key=self.rank.__getitem__)
-                self.faces_on[e] = fs
-        else:
-            n = len(wa)
-            if i2 - i1 == 1:
-                new = wa[:i1] + wa[i2 + 1 :]
-            elif i1 == 0 and i2 == n - 1:
-                new = wa[1 : n - 1]
-            else:
-                return False
-            if not new:
-                raise ValueError(f"dissolving {eid} empties face {f1}")
-            d.faces[f1].word = new
-        del self.faces_on[eid]
-        self.dirty_faces.add(f1)
-        del d.edges[eid]
-        self.ends[ed.frm].discard((eid, "frm"))
-        self.ends[ed.to].discard((eid, "to"))
-        for v in (ed.frm, ed.to):
-            if not self.ends[v]:
-                d.vertices.discard(v)  # orphaned
-            self.dirty_vertices.add(v)
-        return True
-
-    def fuse(self, v: str, protected, iface) -> bool:
-        """Erase a two-valent vertex by fusing its two like edges, unless
-        the vertex is in ``protected`` or an edge in ``iface``."""
-        d = self.d
-        incident = self.ends.get(v, ())
-        if len(incident) != 2:
-            return False
-        (e1, _end1), (e2, _end2) = incident
-        if e1 == e2:
-            return False
-        a, b = d.edges[e1], d.edges[e2]
-        if a.kind != b.kind or a.curve != b.curve:
-            return False
-        if v in protected or e1 in iface or e2 in iface:
-            return False
-        # orient the fusion as first -> v -> second
-        if a.to == v and b.frm == v:
-            first, second = a, b
-        elif b.to == v and a.frm == v:
-            first, second = b, a
-        else:
-            return False  # both heads or both tails: not a through vertex
-        pair = (first.id, second.id)
-        faces = set(self.faces_on.get(first.id, ())) | set(self.faces_on.get(second.id, ()))
-        for fid in sorted(faces, key=self.rank.__getitem__):
-            f = d.faces[fid]
-            n = len(f.word)
-            if n >= 2 and f.word[0][0] in pair:
-                # rotate so a fused pair never wraps
-                for r in range(n):
-                    if f.word[r][0] not in pair:
-                        f.word = f.word[r:] + f.word[:r]
-                        break
-            word = []
-            i = 0
-            while i < len(f.word):
-                e, s = f.word[i]
-                if e == first.id and s > 0:
-                    assert f.word[i + 1] == (second.id, 1)
-                    word.append((first.id, 1))
-                    i += 2
-                elif e == second.id and s < 0:
-                    assert f.word[i + 1] == (first.id, -1)
-                    word.append((first.id, -1))
-                    i += 2
-                else:
-                    word.append((e, s))
-                    i += 1
-            f.word = word
-        # every face on a side of ``second`` also carries ``first``
-        self.faces_on.pop(second.id, None)
-        self.dirty_faces |= faces
-        if first.curve is not None:
-            c = d.curves(first.kind)[first.curve]
-            c.segments = [e for e in c.segments if e != second.id]
-        w = second.to
-        self.ends[w].discard((second.id, "to"))
-        self.ends[w].add((first.id, "to"))
-        del self.ends[v]
-        first.to = w
-        del d.edges[second.id]
-        d.vertices.discard(v)
-        self.dirty_vertices.update((first.frm, w))
-        return True
-
-    def _joined(self) -> set:
-        """Edges with two cyclically consecutive sides on a face rewritten
-        since the last call.  Faces only merge here, so a seam refused
-        for having both sides on one face apart dissolves once they
-        meet, and only then."""
-        out = set()
-        for fid in self.dirty_faces:
-            word = self.d.faces[fid].word
-            prev = word[-1][0] if word else None
-            for e, _s in word:
-                if e == prev:
-                    out.add(e)
-                prev = e
-        self.dirty_faces.clear()
-        return out
-
-    @staticmethod
-    def _first(todo, stuck, live, edit) -> bool:
-        """Take items from the sorted list ``todo``, smallest first, until
-        ``edit`` succeeds on one still in ``live``; refused items wait in
-        ``stuck``."""
-        while todo:
-            x = todo.pop(0)
-            if x in live:
-                if edit(x):
-                    return True
-                stuck.add(x)
-        return False
-
-    @staticmethod
-    def _requeue(todo, stuck, changed) -> None:
-        """Put the refused items in ``changed`` back in line."""
-        for x in stuck & changed:
-            stuck.discard(x)
-            bisect.insort(todo, x)
-
-    def dissolve_all(self, pending: set) -> None:
-        """Dissolve every edge of ``pending``, each time the smallest one
-        that dissolves."""
-        todo, stuck = sorted(pending), set()
-        while pending:
-            if not todo:
-                raise RuntimeError(f"destabilization stuck on {sorted(pending)}")
-            e = todo.pop(0)
-            if e in self.d.edges and not self.dissolve(e):
-                stuck.add(e)
-                continue
-            pending.discard(e)
-            self._requeue(todo, stuck, self._joined())
-
-    def simplify(self) -> None:
-        """Dissolve the smallest dissolvable seam (sorted, not on an
-        interface) while there is one, else fuse at the smallest fusable
-        vertex; stop when neither exists.  A refused seam is tried again
-        once its sides meet (``_joined``), a refused vertex once its
-        edges change, since whether it fuses depends on them alone."""
-        d = self.d
-        iface = d.interface_edge_ids()
-        protected = set(d.marks.values()) | set(d.eh) | set(d.marked_vertices().values())
-        seams = sorted(e for e, ed in d.edges.items() if ed.kind == "seam" and e not in iface)
-        verts = sorted(d.vertices)
-        stuck_seams, stuck_verts = set(), set()
-        self.dirty_faces.clear()
-        self.dirty_vertices.clear()
-        while self._first(seams, stuck_seams, d.edges, self.dissolve) or self._first(
-            verts, stuck_verts, d.vertices, lambda v: self.fuse(v, protected, iface)
-        ):
-            self._requeue(seams, stuck_seams, self._joined())
-            self._requeue(verts, stuck_verts, self.dirty_vertices)
-            self.dirty_vertices.clear()
-        _prune_tags(d)
 
 
 def _corner_positions(d: Diagram, face_id: str, v: str):
@@ -1090,7 +871,7 @@ def one_handle_parts(d: Diagram, p: str, q: str, *, built: bool = False) -> tupl
     foot {"left", "seam", "right": edges, "v1", "v2": vertices}."""
     out = d.copy()
     handle = _attach_one_handle(out, p, q)
-    return _check(out, set_flags=True, built=built), handle
+    return _check(out, built=built), handle
 
 
 def _subdivide_ports(d: Diagram, handle: dict, order_p, order_q) -> tuple:
@@ -1180,7 +961,7 @@ def attach_two_handle(
         )
     x0 = crossings[0]
     _put_mark(out, "x0", x0)
-    return _check(out, set_flags=True, built=built), x0
+    return _check(out, built=built), x0
 
 
 def attach_trivial_bypass(d: Diagram, site: str, sign: str, *, built: bool = False):
@@ -1225,23 +1006,16 @@ def _curve_vertices(d: Diagram, c: Curve) -> set:
 def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     """Remove a stabilizing curve pair crossing once and nothing else.
 
-    The surface is surgered along the alpha curve (cut and capped on both
-    sides) and the then-dangling beta arc is erased; the faces around the
-    removed pair merge.  Returns the ``Darts`` build of the simplified
-    diagram (its ``d``) and the id the forced intersection point had.
+    A copy of ``d`` is cut along the alpha curve and capped on both
+    sides, which surgers the surface, and the beta curve, now an arc
+    from cap to cap, is released into seams.  Nothing is dissolved or
+    fused after the cut: the result keeps those seams, and its faces
+    join across them into regions, the unit every census, the
+    admissibility rows and the Spin^c partition count, so its complex
+    is the complex of the diagram with the seams dissolved.  Returns
+    the ``Darts`` build of the result (its ``d``) and the id the forced
+    intersection point had.
     """
-    out, forced, pending = _surger_pair(d, alpha_id, beta_id)
-    edits = _LocalEdits(out)
-    edits.dissolve_all(pending)
-    edits.simplify()
-    return _check(out, set_flags=True, built=True), forced
-
-
-def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
-    """``trivial_destabilize`` up to its dissolves: a copy of ``d`` cut
-    along the alpha curve and capped, with the beta curve released.
-    Returns the copy, the forced point and the set of edges to dissolve
-    (the released beta edges and the seams left by the cut)."""
     out = d.copy()
     alpha = out.alpha_curves.pop(alpha_id)
     beta = out.beta_curves.pop(beta_id)
@@ -1300,7 +1074,6 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
             continue
         setattr(out.edges[e], "to" if end == "to" else "frm", target)
 
-    copy_edges = []
     occ_rewrite = {}
     for e in alpha_edges:
         ed = out.edges.pop(e)
@@ -1322,7 +1095,6 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
         )
         occ_rewrite[(e, 1)] = (ep, 1)
         occ_rewrite[(e, -1)] = (em, -1)
-        copy_edges += [ep, em]
     for f in out.faces.values():
         f.word = [occ_rewrite.get((e, s), (e, s)) for (e, s) in f.word]
     plus_ids = [occ_rewrite[(e, 1)][0] for e in alpha_edges]
@@ -1331,11 +1103,13 @@ def _surger_pair(d: Diagram, alpha_id: str, beta_id: str):
     out.faces[cap_plus] = Face(cap_plus, [(e, -1) for e in reversed(plus_ids)], False)
     out.faces[cap_minus] = Face(cap_minus, [(e, 1) for e in minus_ids], False)
 
-    # beta edges are plain interior edges now; release and dissolve all
+    # the beta edges are plain interior edges now
     for e in beta.segments:
         out.edges[e].kind = "seam"
         out.edges[e].curve = None
-    return out, forced, set(beta.segments) | set(copy_edges)
+    out.eh = [v for v in out.eh if v in out.vertices]
+    out.marks = {k: v for k, v in out.marks.items() if v in out.vertices}
+    return _check(out, built=True), forced
 
 
 # ---------------------------------------------------------------------------
@@ -1499,4 +1273,4 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0), *, built: bool =
             (glued[e], -s) if e in glued else (e, -s) if e in flipped else (e, s)
             for (e, s) in face.word
         ]
-    return _check(out, set_flags=True, built=built)
+    return _check(out, built=built)

@@ -16,22 +16,24 @@ U b reduced row by row; the library must match both exactly, list
 order and class numbers included.  The differential's loop is kept as
 it was before equal moves were cancelled and the moves indexed by
 corner: every move against every generator.  The surface layer's edits
-and checks are kept as whole-diagram rescans: ``reference_simplify``
-restarts its sorted sweep over every seam, then every vertex, after
-each edit, and its dissolves and fusions find an edge's sides and a
-vertex's edges by scanning every face and every edge;
+and checks are kept as whole-diagram rescans:
 ``reference_trivial_destabilize`` cuts along alpha by
 ``reference_surger_pair``, which reads each alpha vertex's link from
-``reference_vertex_links``, and dissolves the released edges by the
-same restart loop; ``reference_validate`` runs every structural check
-in the library's order, each recomputing what it reads, with faces
-grouped by a fresh search for every component and vertex links
-(``reference_vertex_links``) walked from corners and flanking sides
-read off the face words one vertex at a time;
+``reference_vertex_links``; ``reference_validate`` runs every
+structural check in the library's order, each recomputing what it
+reads, with faces grouped by a fresh search for every component and
+vertex links (``reference_vertex_links``) walked from corners and
+flanking sides read off the face words one vertex at a time;
 ``recompute_suture_flags`` sets the suture flags in a pass of its own
-over the regions.  The library's worklist edits and one-index
-validator, which sets the flags inside its check, must give the same
-diagrams, flags and problem lists, failures included.  ``reference_vertex_faces`` reads a vertex's
+over the regions.  The library's cut and one-index validator, which
+sets the flags inside its check, must give the same diagrams, flags
+and problem lists, failures included.  ``reference_simplify`` reduces
+a diagram to a normal form, dissolving seams and fusing two-valent
+vertices by a sorted sweep that restarts after each edit; the library
+keeps no such reduction, since its counts read regions across seams,
+and the tests use it to compare a destabilization with a known diagram
+up to isomorphism and to check that the reduction leaves the complex
+as it was.  ``reference_vertex_faces`` reads a vertex's
 faces in a scan of its own, which the census's one pass must match.
 ``reference_region_census`` finds the regions by a component search of
 its own and walks each one's boundary with this module's own copies of
@@ -1104,9 +1106,10 @@ def recompute_suture_flags(d):
 
 
 def reference_dissolve_edge(d, eid):
-    """An edge's dissolve (``surface._LocalEdits.dissolve``) finding its
-    sides by scanning every face, and its orphaned ends by scanning every
-    edge."""
+    """Remove the interior edge ``eid``, merging its two faces or
+    trimming its one; False, leaving ``d`` as it was, when its sides lie
+    on one face apart.  Finds the sides by scanning every face, and the
+    orphaned ends by scanning every edge."""
     ed = d.edges[eid]
     for family in surface.CURVE_KINDS:
         for c in d.curves(family).values():
@@ -1144,8 +1147,10 @@ def reference_dissolve_edge(d, eid):
 
 
 def reference_fuse_edges_at(d, v):
-    """A vertex's fusion (``surface._LocalEdits.fuse``) finding its edges
-    by scanning every edge and rewriting every face word."""
+    """Erase the two-valent vertex ``v`` by fusing its two like edges,
+    unless it is tagged or marked or an edge is on an interface; False
+    when it does not fuse.  Finds the edges by scanning every edge and
+    rewrites every face word."""
     incident = [
         (e, end)
         for e, ed in d.edges.items()
@@ -1169,30 +1174,12 @@ def reference_fuse_edges_at(d, v):
         first, second = b, a
     else:
         return False
-    pair = (first.id, second.id)
     for f in d.faces.values():
-        n = len(f.word)
-        if n >= 2 and f.word[0][0] in pair:
-            for r in range(n):
-                if f.word[r][0] not in pair:
-                    f.word = f.word[r:] + f.word[:r]
-                    break
-        word = []
-        i = 0
-        while i < len(f.word):
-            e, s = f.word[i]
-            if e == first.id and s > 0:
-                assert f.word[i + 1] == (second.id, 1)
-                word.append((first.id, 1))
-                i += 2
-            elif e == second.id and s < 0:
-                assert f.word[i + 1] == (first.id, -1)
-                word.append((first.id, -1))
-                i += 2
-            else:
-                word.append((e, s))
-                i += 1
-        f.word = word
+        word = f.word
+        for i, (e, s) in enumerate(word):  # each side of second meets first at v
+            if e == second.id:
+                assert word[i - 1 if s > 0 else (i + 1) % len(word)] == (first.id, s)
+        f.word = [(e, s) for (e, s) in word if e != second.id]
     if first.curve is not None:
         c = d.curves(first.kind)[first.curve]
         c.segments = [e for e in c.segments if e != second.id]
@@ -1203,8 +1190,10 @@ def reference_fuse_edges_at(d, v):
 
 
 def reference_simplify(d):
-    """``surface.simplify`` as a restart loop: after every edit the sweep
-    starts again over all sorted seams, then all sorted vertices."""
+    """``d`` reduced to a normal form: the least dissolvable seam off the
+    interfaces is dissolved while there is one, else the least fusable
+    vertex fused, the sweep starting again after every edit; then the
+    tags on erased vertices are dropped."""
     changed = True
     while changed:
         changed = False
@@ -1225,14 +1214,15 @@ def reference_simplify(d):
 
 
 def reference_surger_pair(d, alpha_id, beta_id):
-    """``surface._surger_pair`` with each alpha vertex's link read from
-    ``reference_vertex_links`` instead of the dart walk.
+    """The cut of ``surface.trivial_destabilize``, with each alpha
+    vertex's link read from ``reference_vertex_links`` instead of the
+    dart walk.
 
     The link lists the incoming side of every corner around the vertex.
     Its two alpha sides split it into two arcs; the arc after the alpha
     side with sign s lies on side s, so each edge end in it moves to the
-    vertex's copy on that side.  Returns the cut copy, the forced point
-    and the edges to dissolve, with the library's fresh ids and order.
+    vertex's copy on that side.  Returns the cut copy and the forced
+    point, with the library's fresh ids and order.
     """
     out = d.copy()
     alpha = out.alpha_curves.pop(alpha_id)
@@ -1281,7 +1271,7 @@ def reference_surger_pair(d, alpha_id, beta_id):
             ed.frm = moved.get((e, "frm"), ed.frm)
             ed.to = moved.get((e, "to"), ed.to)
 
-    seams, rewrite = [], {}
+    rewrite = {}
     for e in alpha.segments:
         ed = out.edges.pop(e)
         for s, name in ((1, out.fresh_id(f"{e}+")), (-1, out.fresh_id(f"{e}-"))):
@@ -1289,7 +1279,6 @@ def reference_surger_pair(d, alpha_id, beta_id):
                 name, "seam", None, copies[ed.frm][s], copies[ed.to][s]
             )
             rewrite[(e, s)] = (name, s)
-            seams.append(name)
     for f in out.faces.values():
         f.word = [rewrite.get(side, side) for side in f.word]
     cap_plus, cap_minus = out.fresh_ids("f", 2)
@@ -1302,24 +1291,27 @@ def reference_surger_pair(d, alpha_id, beta_id):
     for e in beta.segments:
         out.edges[e].kind = "seam"
         out.edges[e].curve = None
-    return out, next(iter(across)), set(beta.segments) | set(seams)
+    return out, next(iter(across))
+
+
+def _gate(d):
+    """``d`` if it validates with the flags it has; unlike the library's
+    gate this sets no flag, so the flags compared are this module's."""
+    problems = surface.validate(d)
+    if problems:
+        raise ValueError("invalid diagram: " + "; ".join(problems))
+    return d
 
 
 def reference_trivial_destabilize(d, alpha_id, beta_id):
-    """``surface.trivial_destabilize`` from ``reference_surger_pair``'s
-    cut, with the released edges dissolved by a restart loop over the
-    sorted pending set, then ``reference_simplify``."""
-    out, forced, pending = reference_surger_pair(d, alpha_id, beta_id)
-    while pending:
-        for e in sorted(pending):
-            if e not in out.edges or reference_dissolve_edge(out, e):
-                pending.discard(e)
-                break
-        else:
-            raise RuntimeError(f"destabilization stuck on {sorted(pending)}")
-    reference_simplify(out)
+    """``surface.trivial_destabilize``: ``reference_surger_pair``'s cut,
+    the tags on erased vertices dropped, the suture flags set by their
+    own pass and the gate, with no edit after the cut."""
+    out, forced = reference_surger_pair(d, alpha_id, beta_id)
+    out.eh = [v for v in out.eh if v in out.vertices]
+    out.marks = {k: v for k, v in out.marks.items() if v in out.vertices}
     recompute_suture_flags(out)
-    return surface._check(out), forced
+    return _gate(out), forced
 
 
 def reference_concatenate_bordered(b1, b2, pair=(0, 0)):
@@ -1403,7 +1395,7 @@ def reference_concatenate_bordered(b1, b2, pair=(0, 0)):
         left_curve.segments = left_curve.segments + appended
         left_curve.closed = True
     recompute_suture_flags(out)
-    return surface._check(out)
+    return _gate(out)
 
 
 # ---------------------------------------------------------------------------

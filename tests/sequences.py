@@ -12,6 +12,9 @@ from sutured.glue import HandleSpec
 
 FIXTURES = ("fix-disk", "fix-stab", "fix-bigonpair")
 
+# The handle shapes of the route-small benchmark plans (``shaped_plan``).
+ROUTE_SHAPES = (("1",), ("b",), ("2", "1"), ("1", "b", "2"), ("1", "2", "b", "2", "1", "b"))
+
 
 def random_sequence(seed, max_steps=2, kinds=("1", "1", "bypass+", "bypass-", "2")):
     """Return ``(fixture name, [HandleSpec])`` for the given seed."""

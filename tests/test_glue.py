@@ -126,6 +126,18 @@ def test_prepare_one_handle_keeps_free_margins():
         glue.prepare_one_handle(cut, "s0.0.0", "s0.0.0")
 
 
+@pytest.mark.parametrize("key", FIXTURES)
+def test_prepare_one_handle_keeps_suture_flags(key):
+    """The feet's margins stay free, so cutting at any free site leaves
+    every face's suture flag as the base had it; the gate, which sets
+    the flags from the regions, must find nothing to change."""
+    d = build(key)
+    flags = {f: face.suture for f, face in d.faces.items()}
+    for site in sorted(d.free_boundary_edge_ids()):
+        cut = glue.prepare_one_handle(d, site, site).d
+        assert {f: face.suture for f, face in cut.faces.items()} == flags, site
+
+
 def test_prepare_two_handle_interface_and_marks():
     d, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(d, handle)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import fixtures
 import oracles
+import sequences
 from sutured import glue, pieces, sfc
 from sutured import surface as sf
 from sutured.surface import ArcDiagram, Curve, Diagram, Edge, Face
@@ -187,7 +188,7 @@ def test_canonical_form_independent_of_rotation(rot):
 
 
 # ---------------------------------------------------------------------------
-# subdivision and local edits
+# subdivision
 
 
 def test_subdivide_edge_preserves_validity(stab):
@@ -195,8 +196,7 @@ def test_subdivide_edge_preserves_validity(stab):
     first, second, w = sf.subdivide_edge(d, "bd")
     assert sf.validate(d) == []
     assert d.edges[first].to == w and d.edges[second].frm == w
-    sf._LocalEdits(d).simplify()
-    assert oracles.equivalent(d, stab)
+    assert oracles.equivalent(oracles.reference_simplify(d), stab)
 
 
 def test_subdivide_curve_edge_keeps_curve(stab):
@@ -204,23 +204,6 @@ def test_subdivide_curve_edge_keeps_curve(stab):
     first, second, _w = sf.subdivide_edge(d, "b")
     assert sf.validate(d) == []
     assert d.beta_curves["B0"].segments == [first, second]
-
-
-def test_fuse_edges_round_trip(stab):
-    d = stab.copy()
-    _first, _second, w = sf.subdivide_edge(d, "bd")
-    assert sf._LocalEdits(d).fuse(w, set(), d.interface_edge_ids())
-    assert sf.validate(d) == []
-    assert oracles.equivalent(d, stab)
-
-
-def test_dissolve_seam_merges_faces(disk):
-    h = sf.attach_one_handle(disk, "s0", "s0")
-    seams = sorted(e for e, ed in h.edges.items() if ed.kind == "seam")
-    n_faces = len(h.faces)
-    assert sf._LocalEdits(h).dissolve(seams[0])
-    assert sf.validate(h) == []
-    assert len(h.faces) == n_faces - 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +247,7 @@ def test_bypass_then_destabilize_returns_to_base(disk):
         back, forced = sf.trivial_destabilize(d2, aid, bid)
         back = back.d
         assert sf.validate(back) == []
-        assert oracles.equivalent(back, disk)
+        assert oracles.equivalent(oracles.reference_simplify(back), disk)
         assert forced == x0
 
 
@@ -279,7 +262,7 @@ def test_destabilize_stab(disk, stab):
     back, forced = sf.trivial_destabilize(stab, "A0", "B0")
     back = back.d
     assert sf.validate(back) == []
-    assert oracles.equivalent(back, disk)
+    assert oracles.equivalent(oracles.reference_simplify(back), disk)
     assert forced == "c"
 
 
@@ -383,8 +366,9 @@ def test_regions_merge_across_seams(stab):
 
 
 # ---------------------------------------------------------------------------
-# the worklist edits and the one-index validator against the references
-# in ``oracles``, which rescan the whole diagram at every step
+# the destabilizing cut, the concatenation and the one-index validator
+# against the references in ``oracles``, which rescan the whole diagram
+# at every step
 
 CATALOG = sorted(pieces.catalog()) + ["fix-bigonpair", "fix-disk", "fix-stab"]
 FAILURES = (AssertionError, IndexError, KeyError, RuntimeError, TypeError, ValueError)
@@ -409,35 +393,39 @@ def _edited(fn, d, *args):
     return out
 
 
-def _simplified(d):
-    sf._LocalEdits(d).simplify()
-    return d
-
-
 def _destabilized(d, a, b):
     """``trivial_destabilize`` with its build's diagram for the build."""
     dx, forced = sf.trivial_destabilize(d, a, b)
     return dx.d, forced
 
 
+def _complex(d):
+    """The basis, differential columns and Spin^c classes of ``d``."""
+    cx = sfc.differential(d)
+    return cx.basis, cx.differential.columns, cx.spinc_class
+
+
+def _assert_reduction_keeps_the_complex(d):
+    """A destabilization's complex is the complex of the diagram with its
+    seams dissolved and its two-valent vertices fused: the census reads
+    regions across seams, so ``trivial_destabilize`` need not reduce."""
+    reduced = oracles.reference_simplify(d.copy())
+    assert len(reduced.faces) < len(d.faces)
+    assert _complex(d) == _complex(reduced)
+
+
 def _assert_matches_references(d):
-    """simplify, every closed pair's destabilization and the problem
-    list equal the references', failures included; so does the cut
-    along alpha before its dissolves, which is a valid diagram on its
-    own."""
-    assert _edited(_simplified, d) == _edited(oracles.reference_simplify, d)
+    """Every closed pair's destabilization and the problem list equal
+    the references', failures included, and every destabilization has
+    the complex of its reduction."""
     for a in sorted(c for c, cv in d.alpha_curves.items() if cv.closed):
         for b in sorted(c for c, cv in d.beta_curves.items() if cv.closed):
+            out = _outcome(_destabilized, d, a, b)  # which copies ``d``
+            if isinstance(out[0], Diagram):
+                _assert_reduction_keeps_the_complex(out[0])
             assert _edited(_destabilized, d, a, b) == _edited(
                 oracles.reference_trivial_destabilize, d, a, b
             )
-            assert _edited(sf._surger_pair, d, a, b) == _edited(
-                oracles.reference_surger_pair, d, a, b
-            )
-            cut = _outcome(sf._surger_pair, d.copy(), a, b)
-            if isinstance(cut[0], Diagram):  # before its dissolves
-                sf._prune_tags(cut[0])
-                assert sf.validate(cut[0], set_flags=True) == []
     assert sf.validate(d) == oracles.reference_validate(d)
 
 
@@ -492,6 +480,25 @@ def test_handle_stages_edit_like_references(name, monkeypatch):
         assert _concatenated(*args) == _outcome(
             lambda *a: sf.to_json_dict(oracles.reference_concatenate_bordered(*a)), *args
         )
+
+
+@pytest.mark.parametrize("name", ["fix-stab", "bigonpair^3"])
+def test_route_destabilizations_keep_their_complex(name, monkeypatch):
+    """Every diagram the glued 1-handle route destabilizes while
+    ``equivalence_report`` runs the route-small plan shapes has the
+    complex of its reduction."""
+    d = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
+    plans = [sequences.shaped_plan(d, shape, random.Random(t))
+             for t, shape in enumerate(sequences.ROUTE_SHAPES)]
+    results, real = [], glue.trivial_destabilize
+    monkeypatch.setattr(
+        glue, "trivial_destabilize", lambda g, a, b: results.append(real(g, a, b)) or results[-1]
+    )
+    for specs in plans:
+        assert glue.equivalence_report(d, specs)["ok"]
+    assert len(results) == 9  # one per 1-handle, a 2-handle's included
+    for dx, _forced in results:
+        _assert_reduction_keeps_the_complex(dx.d)
 
 
 def test_concatenation_matches_reference():
