@@ -84,7 +84,7 @@ def _cmd_validate(args):
 
 def _cmd_generators(args):
     d, dx = _read_diagram(args.diagram)
-    names = [modules.format_generator(g) for g in sfc.generators(d, dx.crossings)]
+    names = [modules.format_generator(g) for g in sfc.generators(d, dx)]
     _emit({"count": len(names), "generators": names}, args.format, names)
     return 0
 

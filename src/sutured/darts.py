@@ -13,7 +13,8 @@ class Darts:
     lists indexed by dart give the side's ``edge`` id, ``sign`` and
     ``kind`` (its edge's; None for a missing edge), its ``face`` index,
     the ``tail`` vertex it starts at, ``nxt``, the next side of its
-    face, and ``mate``, the side of the same edge the other way, or -1.
+    face, and ``mate``, the side of the same edge the other way, or -1,
+    as on each side of an edge used more than twice (``validate`` refuses).
     ``pairs`` lists the mated darts once per edge.  The build also keeps
     what ``validate`` reports of the words: ``missing`` (face id, edge
     id) references and ``breaks``.
@@ -86,14 +87,6 @@ class Darts:
                 sides.setdefault(e, []).append(j)
             pairs = [tuple(ds) for ds in sides.values()
                      if len(ds) == 2 and sign[ds[0]] != sign[ds[1]]]
-            for ds in sides.values():
-                if len(ds) > 2:
-                    # the corner after the last such side at this side's
-                    # tail, as the link walk looks it up
-                    for a in ds:
-                        opp = [b for b in ds if sign[b] != sign[a]]
-                        near = [b for b in opp if tail[nxt[b]] == tail[a]]
-                        mate[a] = max(near, key=nxt.__getitem__) if near else opp[0] if opp else -1
         for a, b in pairs:
             mate[a], mate[b] = b, a
         self.pairs = pairs

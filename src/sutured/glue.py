@@ -45,7 +45,6 @@ from .surface import (
     Edge,
     Interface,
     TransversePath,
-    _after,
     _attach_one_handle,
     _check,
     _check_two_handle_paths,
@@ -159,7 +158,7 @@ def _is_boundary(cx: sfc.ChainComplexF2, cycle) -> bool:
     """Does the given generator set lie in the image of the differential?"""
     vec = 0
     for g in cycle:
-        vec ^= 1 << cx.index(g)
+        vec ^= 1 << cx.position[g]
     cols = [m for m in cx.differential.columns if m]
     return f2_rank(cols + [vec]) == f2_rank(cols)
 
@@ -240,7 +239,7 @@ def prepare_one_handle(d, p: str, q: str):
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
     out = d.copy()
-    p, q, _run = _foot_edges(out, p, q)
+    p, q = _foot_edges(out, p, q)
 
     # the middle thirds of the feet become the interface, margins stay free
     feet = [[_cut_twice(out, eid)[1]] for eid in (p, q)]
@@ -256,9 +255,10 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     the strip carrying the second interval.  The long interface arc runs
     where the attaching curve's a-side would, the short arc connects the
     middle junction to the hole, and the b-side path closes up into a
-    curve crossing them once each; the two crossings are recorded as the
-    marks ``x0`` (long arc) and ``y0`` (short arc).  Returns the cut's
-    ``Darts`` build, whose ``d`` is the cut diagram.
+    curve crossing them once each; the two crossings are also recorded
+    as the marks ``x0`` (long arc) and ``y0`` (short arc).  Returns
+    ``(build, x0, y0)``: the cut's ``Darts`` build, whose ``d`` is the
+    cut diagram, and the two crossings.
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
@@ -268,11 +268,11 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     ports_p, ports_q = _subdivide_ports(out, handle, ("b", "a"), ("b", "a"))
 
     # the attaching-circle side of the strip becomes the long interval
-    e1, e2, rest, j0, j1 = _cut_twice(out, handle["s1"], _after(ports_q["a"]))
-    e3, e4, j2 = subdivide_edge(out, rest, _after(j1))
+    e1, e2, rest, j0, j1 = _cut_twice(out, handle["s1"])
+    e3, e4, j2 = subdivide_edge(out, rest)
 
     # slit hole in the strip: the short arc's far endpoint lives on it
-    s2a, _s2b, sl = subdivide_edge(out, handle["s2"], _after(j2))
+    s2a, _s2b, sl = subdivide_edge(out, handle["s2"])
     hv0, j3, hv1 = out.fresh_ids("v", 3)
     out.vertices |= {hv0, j3, hv1}
     f1, f2, fs = out.fresh_ids("hole", 3)
@@ -342,18 +342,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
             {2: arc_long, 1: arc_short},
         )
     )
-    return _check(out, built=True)
-
-
-def _new_marks(base, prepared) -> dict:
-    """Stem -> vertex for marks the preparation added."""
-    out = {}
-    for name, v in prepared.marks.items():
-        if name in base.marks:
-            continue
-        stem = name.split("_")[0]
-        out[stem] = v
-    return out
+    return _check(out, built=True), x0, y0
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +357,7 @@ def _pairing_tags(w: modules.BorderedStructure) -> tuple:
     arcs of the single generator select the tagged middle vertices: the
     outer arc tags ``z3``, the arc reaching the hole tags ``z5``.
     """
-    algebra = w.sides[0].algebra
+    algebra = w.sides[0]
     pts = algebra.points()
     if not pts:
         return pieces.az1(), []
@@ -536,9 +525,8 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
     base = sfc.as_complex(d)
     d = base.diagram
-    hv = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
-    marks = _new_marks(d, hv.d)
-    x0v, y0v = f"R:{marks['x0']}", f"R:{marks['y0']}"
+    hv, *cut = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
+    x0v, y0v = (f"R:{v}" for v in cut)  # the cut's crossings, named as in H4 and H5
 
     blocks = _handle_blocks("2")
     try:
@@ -738,7 +726,7 @@ def equivalence_report(d, handles, darts=None) -> dict:
     eh = _eh_block(base, applied) if d.eh else None
     ok = counterexample is None and (eh is None or eh["ok"])
     base_generators = (
-        len(applied[0][1].source.basis) if applied else len(sfc.generators(d))
+        len(applied[0][1].source.basis) if applied else len(sfc.generators(d, darts))
     )
     return {
         "base_generators": base_generators,

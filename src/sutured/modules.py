@@ -19,24 +19,18 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import sfc, strands
-from .surface import ArcDiagram, Diagram
-
-
-@dataclass(frozen=True)
-class Side:
-    """One acting interface: its position, curve family, and arc diagram."""
-
-    index: int
-    family: str
-    algebra: ArcDiagram
-    arcs: tuple
+from .surface import Diagram
 
 
 @dataclass
 class BorderedStructure:
+    """``sides`` are the diagram's interface arc diagrams in interface
+    order, the acting order; a beta side acts on the left (``m[1|1|0]``),
+    an alpha side on the right (``m[0|1|1]``)."""
+
     kind: str  # "D" | "A" | "AA"
     diagram: Diagram
-    sides: list  # [Side], acting order (left to right by interface index)
+    sides: list  # [surface.ArcDiagram], one per interface
     generators: list  # frozensets of crossing ids, canonical order
     occupancy: list  # per side: {generator: frozenset of occupied arcs}
     differential: dict  # generator -> frozenset of generators
@@ -73,20 +67,19 @@ def _occupancy_map(d: Diagram, iface: int, gens) -> dict:
 
 def algebra_basis(bs: BorderedStructure, side_pos: int) -> dict:
     """label -> basis element of the side's strands algebra."""
-    return {strands.label(b): b for b in strands.basis(bs.sides[side_pos].algebra)}
+    return {strands.label(b): b for b in strands.basis(bs.sides[side_pos])}
 
 
 def _act_raw(bs, side_pos, records, gen_set, term, x):
     """Evaluate one algebra generator on one module generator from the
     port census: one boundary rectangle per moving strand, pairwise
     disjoint, with matching occupancy."""
-    side = bs.sides[side_pos]
-    z = side.algebra
+    z = bs.sides[side_pos]
     movers, occupied = term
     pos = strands._positions(z)
     start_arcs = {z.matching[s] for s, _ in movers}
     end_arcs = {z.matching[t] for _, t in movers}
-    need = (start_arcs if side.family == "beta" else end_arcs) | set(occupied)
+    need = (start_arcs if z.kind == "beta" else end_arcs) | set(occupied)
     if bs.occupancy[side_pos][x] != frozenset(need):
         return frozenset()
     if not movers:
@@ -142,7 +135,7 @@ def _delta_table(bs, records) -> dict:
     """δ¹ for a type-D structure: idempotent terms from the differential
     plus one Reeb-chord term per applicable boundary rectangle, each
     completed by the complementary idempotent."""
-    z = bs.sides[0].algebra
+    z = bs.sides[0]
     arcs = set(z.matching.values())
     gen_set = set(bs.generators)
     delta = {}
@@ -192,15 +185,7 @@ def bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructu
         )
     cx = sfc.as_complex(d, darts)  # gates niceness and admissibility
     d = cx.diagram
-    sides = [
-        Side(
-            i,
-            itf.arc_diagram.kind,
-            itf.arc_diagram,
-            tuple(sorted(set(itf.arc_diagram.matching.values()))),
-        )
-        for i, itf in enumerate(d.interfaces)
-    ]
+    sides = [itf.arc_diagram for itf in d.interfaces]
     occ_maps = [_occupancy_map(d, i, cx.basis) for i in range(len(sides))]
     gens = list(cx.basis)
     if sector is not None:
@@ -301,7 +286,7 @@ def dump(bs: BorderedStructure) -> str:
                 if not outs:
                     continue
                 rhs = " + ".join(name(y) for y in sorted(outs, key=order.get))
-                if side.family == "beta":
+                if side.kind == "beta":
                     lines.append(f"m[1|1|0]({label}, {name(x)}) = {rhs}")
                 else:
                     lines.append(f"m[0|1|1]({name(x)}, {label}) = {rhs}")

@@ -51,11 +51,11 @@ from .surface import CURVE_KINDS, Diagram
 # generators
 
 
-def generators(d: Diagram, crossings: Optional[dict] = None) -> list:
+def generators(d: Diagram, darts=None) -> list:
     """All occupancy sets, canonically ordered: ``_matchings`` written
-    as frozensets of vertex ids.  ``crossings``: the crossing table of
-    the diagram's dart build (``darts.Darts``), if made."""
-    verts, gens = _matchings(d, Darts(d).crossings if crossings is None else crossings)
+    as frozensets of vertex ids.  The crossings are read from ``darts``,
+    the diagram's ``Darts`` build, made here when not handed in."""
+    verts, gens = _matchings(d, (Darts(d) if darts is None else darts).crossings)
     return [frozenset(map(verts.__getitem__, t)) for t, _ in gens]
 
 
@@ -331,11 +331,8 @@ class ChainComplexF2:
     def __post_init__(self):
         self.position = {x: i for i, x in enumerate(self.basis)}
 
-    def index(self, x) -> int:
-        return self.position[x]
-
     def boundary_of(self, x) -> frozenset:
-        column = self.differential.columns[self.index(x)]
+        column = self.differential.columns[self.position[x]]
         return frozenset(self.basis[r] for r in set_bits(column))
 
 
@@ -496,8 +493,7 @@ def action_census(d: Diagram, darts=None) -> list:
     if d.interfaces and len(nonsuture) > 14:
         # Kept only as the benchmark's baseline: lifting it is ROADMAP item 1.
         raise ValueError(
-            f"refusing a bordered census over {len(nonsuture)} non-suture "
-            "faces (limit 14); simplify the diagram first"
+            f"refusing a bordered census over {len(nonsuture)} non-suture faces (limit 14)"
         )
     dx = Darts(d) if darts is None else darts
     ids = [f.id for f in dx.faces]

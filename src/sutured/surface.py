@@ -199,12 +199,10 @@ class Diagram:
             dict(self.marks),
         )
 
-    def fresh_ids(self, prefix: str, count: int = 1, start: int = 0) -> list:
-        """The first ``count`` of ``prefix`` + n, n = start, start + 1, ...,
-        that name nothing.  A run of ids with one prefix, with nothing
-        removed in between, resumes past the last one (``start``): every
-        id before it is taken."""
-        out, n = [], start
+    def fresh_ids(self, prefix: str, count: int = 1) -> list:
+        """The least ``count`` ids ``prefix`` + n, n = 0, 1, ..., that
+        name no vertex, edge, face or curve."""
+        out, n = [], 0
         while len(out) < count:
             name = f"{prefix}{n}"
             if not (name in self.vertices or name in self.edges or name in self.faces
@@ -213,8 +211,8 @@ class Diagram:
             n += 1
         return out
 
-    def fresh_id(self, prefix: str, start: int = 0) -> str:
-        return self.fresh_ids(prefix, 1, start)[0]
+    def fresh_id(self, prefix: str) -> str:
+        return self.fresh_ids(prefix)[0]
 
     def interface_edge_ids(self) -> set:
         out = set()
@@ -542,16 +540,28 @@ def _by_id(pool: str, items) -> dict:
     return out
 
 
+def _sign(s) -> int:
+    if s not in ("+", "-"):
+        raise TypeError(f"boundary signs must be '+' or '-', not {s!r}")
+    return 1 if s == "+" else -1
+
+
+def _flag(x) -> bool:
+    if not isinstance(x, bool):
+        raise TypeError(f"suture and closed flags must be booleans, not {x!r}")
+    return x
+
+
 def from_json_dict(data: dict) -> Diagram:
     edges = _by_id("edge", (
         Edge(e["id"], e["kind"], e.get("curve"), e["from"], e["to"]) for e in data["edges"]
     ))
     faces = _by_id("face", (
-        Face(f["id"], [(e, 1 if s == "+" else -1) for (e, s) in f["boundary"]], bool(f["suture"]))
+        Face(f["id"], [(e, _sign(s)) for (e, s) in f["boundary"]], _flag(f["suture"]))
         for f in data["faces"]
     ))
     mk = lambda pool, cs: _by_id(  # noqa: E731
-        pool, (Curve(c["id"], bool(c["closed"]), list(c["segments"])) for c in cs)
+        pool, (Curve(c["id"], _flag(c["closed"]), list(c["segments"])) for c in cs)
     )
     interfaces = [
         Interface(
@@ -615,14 +625,13 @@ def _check(d: Diagram, built: bool = False):
     return dx if built else d
 
 
-def subdivide_edge(d: Diagram, eid: str, w_from: int = 0):
-    """Split an edge at a fresh vertex; returns (first, second, vertex).
-    ``w_from`` resumes a run of vertex ids (see ``fresh_ids``; ``_after``)
-    unless the edge removed here may free one of them."""
+def subdivide_edge(d: Diagram, eid: str):
+    """Split an edge at a fresh vertex, the least free ``w`` id (see
+    ``fresh_ids``); returns (first, second, vertex)."""
     if eid in d.interface_edge_ids():
         raise ValueError(f"cannot subdivide interface edge {eid}")
     ed = d.edges.pop(eid)
-    w = d.fresh_id("w", 0 if eid.startswith("w") else w_from)
+    w = d.fresh_id("w")
     d.vertices.add(w)
     first, second = d.fresh_ids(f"{eid}.", 2)
     d.edges[first] = Edge(first, ed.kind, ed.curve, ed.frm, w)
@@ -809,41 +818,34 @@ def _require_free_suture_edge(d: Diagram, eid: str) -> None:
             raise ValueError(f"{eid} does not bound a suture region")
 
 
-def _after(w: str) -> int:
-    """Where a run of vertex ids resumes after ``w``."""
-    return int(w[1:]) + 1
-
-
-def _cut_twice(d: Diagram, eid: str, w_from: int = 0) -> tuple:
+def _cut_twice(d: Diagram, eid: str) -> tuple:
     """``eid`` split in three, the second piece of a subdivision split
     again; returns (left, middle, right, first vertex, second vertex)."""
-    left, rest, v1 = subdivide_edge(d, eid, w_from)
-    mid, right, v2 = subdivide_edge(d, rest, _after(v1))
+    left, rest, v1 = subdivide_edge(d, eid)
+    mid, right, v2 = subdivide_edge(d, rest)
     return left, mid, right, v1, v2
 
 
-def _make_foot(d: Diagram, eid: str, w_from: int = 0) -> dict:
-    left, seam, right, v1, v2 = _cut_twice(d, eid, w_from)
+def _make_foot(d: Diagram, eid: str) -> dict:
+    left, seam, right, v1, v2 = _cut_twice(d, eid)
     d.edges[seam].kind = "seam"
     return {"left": left, "seam": seam, "right": right, "v1": v1, "v2": v2}
 
 
 def _foot_edges(d: Diagram, p: str, q: str) -> tuple:
     """The two edges that carry a handle's feet on the free suture edges
-    ``p`` and ``q``; one edge given twice is subdivided into two.
-    Returns (p edge, q edge, where a run of vertex ids resumes)."""
+    ``p`` and ``q``; one edge given twice is subdivided into two."""
     _require_free_suture_edge(d, p)
     if p == q:
-        p, q, w = subdivide_edge(d, p)
-        return p, q, _after(w)
+        return subdivide_edge(d, p)[:2]
     _require_free_suture_edge(d, q)
-    return p, q, 0
+    return p, q
 
 
 def _attach_one_handle(d: Diagram, p: str, q: str):
-    p, q, run = _foot_edges(d, p, q)
-    fp = _make_foot(d, p, run)
-    fq = _make_foot(d, q, _after(fp["v2"]))
+    p, q = _foot_edges(d, p, q)
+    fp = _make_foot(d, p)
+    fq = _make_foot(d, q)
     s1, s2 = d.fresh_ids("s", 2)
     d.edges[s1] = Edge(s1, "boundary", None, fp["v1"], fq["v2"])
     d.edges[s2] = Edge(s2, "boundary", None, fq["v1"], fp["v2"])
@@ -877,8 +879,8 @@ def one_handle_parts(d: Diagram, p: str, q: str, *, built: bool = False) -> tupl
 def _subdivide_ports(d: Diagram, handle: dict, order_p, order_q) -> tuple:
     """Two port vertices on each foot seam of the 1-handle ``handle``,
     at p, then at q, named by the order of each foot."""
-    *_pieces, u1, u2 = _cut_twice(d, handle["p"]["seam"], _after(handle["q"]["v2"]))
-    *_pieces, x1, x2 = _cut_twice(d, handle["q"]["seam"], _after(u2))
+    *_pieces, u1, u2 = _cut_twice(d, handle["p"]["seam"])
+    *_pieces, x1, x2 = _cut_twice(d, handle["q"]["seam"])
     return {order_p[0]: u1, order_p[1]: u2}, {order_q[0]: x1, order_q[1]: x2}
 
 

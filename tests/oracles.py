@@ -1449,7 +1449,7 @@ def check_relations(m) -> dict:
         for label, col in table.items():
             a = basis[label]
             la, ra = strands.left_arcs(a), strands.right_arcs(a)
-            src, dst = (la, ra) if side.family == "beta" else (ra, la)
+            src, dst = (la, ra) if side.kind == "beta" else (ra, la)
             for x, outs in col.items():
                 if m.occupancy[side_pos][x] != src:
                     violations.append(
@@ -1468,14 +1468,14 @@ def check_relations(m) -> dict:
                 }
                 prod = (
                     strands.multiply(b1, b2)
-                    if side.family == "beta"
+                    if side.kind == "beta"
                     else strands.multiply(b2, b1)
                 )
                 for x in m.generators:
                     expect = set()
                     for term in prod.terms:
                         lab = strands.label(
-                            strands.StrandDiagramSum(side.algebra, frozenset({term}))
+                            strands.StrandDiagramSum(side, frozenset({term}))
                         )
                         expect ^= table.get(lab, {}).get(x, frozenset())
                     if two_step[x] != frozenset(expect):
@@ -1484,7 +1484,7 @@ def check_relations(m) -> dict:
                             f"at {name(x)}"
                         )
         for label, b in basis.items():
-            if not _leibniz_safe(side.algebra, next(iter(b.terms))):
+            if not _leibniz_safe(side, next(iter(b.terms))):
                 continue
             for x in m.generators:
                 lhs = set()
@@ -1495,7 +1495,7 @@ def check_relations(m) -> dict:
                     violations.append(f"Leibniz fails: {label} at {name(x)}")
     if m.kind == "D":
         basis = modules.algebra_basis(m, 0)
-        arcs = set(m.sides[0].arcs)
+        arcs = set(m.sides[0].matching.values())
         for y, entries in m.delta.items():
             comp = arcs - set(m.occupancy[0][y])
             for label, y2 in entries:
@@ -1537,7 +1537,7 @@ def box_tensor(a, d):
     """
     if a.kind != "A" or d.kind != "D":
         raise ValueError("box tensor pairs a type-A with a type-D structure")
-    za, zd = a.sides[0].algebra, d.sides[0].algebra
+    za, zd = a.sides[0], d.sides[0]
     arc_map = surface._interface_arc_bijection(za, zd)
     inv_map = {v: k for k, v in arc_map.items()}
     point_map = {}

@@ -427,6 +427,34 @@ def test_duplicate_ids_refuse_the_document(capsys, tmp_path, pool):
         assert json.loads(err) == {"error": f"duplicate {label} id {twin['id']}"}
 
 
+def _mistyped(doc, value):
+    if value == "sign":
+        for f in doc["faces"]:
+            f["boundary"] = [[e, "x" if s == "-" else s] for e, s in f["boundary"]]
+    elif value == "suture":
+        doc["faces"][0]["suture"] = "no"
+    else:
+        doc["alpha_curves"][0]["closed"] = "false"
+
+
+@pytest.mark.parametrize("key", ["fix-stab", "fix-bigonpair"])
+@pytest.mark.parametrize("value", ["sign", "suture", "closed"])
+def test_malformed_values_refuse_the_document(capsys, tmp_path, key, value):
+    """A boundary sign other than "+" or "-", or a suture or closed flag
+    that is not a JSON boolean, is refused, not read as -1 or through
+    ``bool``."""
+    doc = json.loads(surface.serialize(pieces.build(key)))
+    _mistyped(doc, value)
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(doc))
+    for verb in ("validate", "homology"):
+        code, out, err = run(capsys, verb, str(bad))
+        assert (code, out) == (1, "")
+        reason = json.loads(err)["error"]
+        assert reason.startswith("malformed diagram document")
+        assert ("signs" if value == "sign" else "booleans") in reason
+
+
 def _cli_stdout(argv, seed):
     """stdout of the CLI run in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
     src = str(Path(surface.__file__).resolve().parents[1])

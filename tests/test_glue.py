@@ -141,7 +141,7 @@ def test_prepare_one_handle_keeps_suture_flags(key):
 def test_prepare_two_handle_interface_and_marks():
     d, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(d, handle)
-    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path).d
+    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)[0].d
     iface = hv.interfaces[0]
     assert [len(iv) for iv in iface.arc_diagram.intervals] == [3, 1]
     assert [len(iv) for iv in iface.intervals] == [4, 2]
@@ -152,6 +152,32 @@ def test_prepare_two_handle_interface_and_marks():
         [[hv.marks["x0"]], [hv.marks["y0"]]]
     )
     assert all(not cx.boundary_of(g) for g in cx.basis)
+
+
+def _two_handled(key):
+    """The base ``key`` after the canonical 1-handle-then-2-handle pair,
+    so that it already carries an ``x0`` mark."""
+    d = build(key)
+    for spec in glue.two_handle_sequence(d):
+        d = glue.sigma_map(d, spec)[0]
+    return d
+
+
+@pytest.mark.parametrize("key", ["fix-disk", "fix-stab", "fix-bigonpair"])
+@pytest.mark.parametrize("twice", [False, True], ids=["once", "twice"])
+def test_prepare_two_handle_returns_its_crossings(key, twice):
+    """``x0`` and ``y0`` are the cut's crossings on the long and the short
+    interface arc, and the vertices of the marks the cut adds (``x0_1``
+    where the base has an ``x0`` already)."""
+    d, handle = glue.one_handled(_two_handled(key) if twice else build(key))
+    spec = glue.two_handle_spec(d, handle)
+    dx, x0, y0 = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
+    cut = dx.d
+    added = {k: v for k, v in cut.marks.items() if k not in d.marks}
+    assert added == ({"x0_1": x0, "y0": y0} if twice else {"x0": x0, "y0": y0})
+    arcs = cut.interfaces[0].arcs
+    for v, arc in ((x0, arcs[2]), (y0, arcs[1])):  # arc 2 is the long one
+        assert dx.crossings[v]["alpha"] == arc  # a crossing on that arc
 
 
 def test_prepare_two_handle_validates_paths():
@@ -235,7 +261,7 @@ def test_square_pairing_join_leaves_base_generators_alone():
 def test_five_point_pairing_join_tags_the_outer_arc():
     d, handle = glue.one_handled(build("fix-stab"))
     spec = glue.two_handle_spec(d, handle)
-    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path).d
+    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)[0].d
     blocks = glue.pairing_blocks(
         modules.bordered_invariant(pieces.u2(), "D"),
         modules.bordered_invariant(pieces.cap2(), "A"),

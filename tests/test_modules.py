@@ -43,7 +43,16 @@ def test_az2_sector_has_five_generators():
     bs = az2_sector()
     assert bs.generator_names() == ["{z1}", "{z2}", "{z3}", "{z4}", "{z5}"]
     assert bs.kind == "AA"
-    assert [s.family for s in bs.sides] == ["beta", "alpha"]
+    assert [s.kind for s in bs.sides] == ["beta", "alpha"]
+
+
+@pytest.mark.parametrize("key, kind", [("rt2", "D"), ("rt2", "A"), ("u2", "D"),
+                                       ("cap2", "A"), ("az2", "AA")])
+def test_sides_are_the_interface_arc_diagrams(key, kind):
+    bs = modules.bordered_invariant(pieces.build(key), kind)
+    assert len(bs.sides) == len(bs.diagram.interfaces)
+    for side, itf in zip(bs.sides, bs.diagram.interfaces):
+        assert side is itf.arc_diagram
 
 
 def test_action_census_reads_the_complex_darts(monkeypatch):
@@ -193,7 +202,7 @@ def test_twist_piece_idempotents():
     # the type-D side indexes generators by the complementary arcs
     bd = modules.bordered_invariant(pieces.rt2(), "D")
     ba = modules.bordered_invariant(pieces.rt2(), "A")
-    arcs = set(bd.sides[0].arcs)
+    arcs = set(bd.sides[0].matching.values())
     d_arcs = {name(x): arcs - bd.occupancy[0][x] for x in bd.generators}
     a_arcs = {name(x): set(ba.occupancy[0][x]) for x in ba.generators}
     assert d_arcs == {"{z1}": {1}, "{z2}": {2}, "{z3}": {1}}

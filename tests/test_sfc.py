@@ -688,8 +688,8 @@ def test_differential_matches_face_oracle(name):
 
 def test_boundary_of_uses_column_indexing(az2):
     cx = sfc.differential(az2)
-    j = cx.index(frozenset({"z2", "z4"}))
-    i = cx.index(frozenset({"z1", "z5"}))
+    j = cx.position[frozenset({"z2", "z4"})]
+    i = cx.position[frozenset({"z1", "z5"})]
     assert cx.differential.entries == frozenset({(i, j)})
 
 
@@ -861,7 +861,7 @@ def _cut_open(name, base, sites):
         mid = glue.one_handled(base, site)[0]
         yield where.replace("cut", "2-handle cut"), glue.prepare_two_handle(
             mid, two.p, two.q, two.a_path, two.b_path
-        ).d
+        )[0].d
 
 
 def _bordered_diagrams():

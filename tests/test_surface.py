@@ -206,6 +206,46 @@ def test_subdivide_curve_edge_keeps_curve(stab):
     assert d.beta_curves["B0"].segments == [first, second]
 
 
+def _pool_diagram():
+    """A diagram whose ids ``x0`` .. ``x4`` are taken one per pool."""
+    return Diagram(
+        {"x0"},
+        {"x1": Edge("x1", "boundary", None, "x0", "x0")},
+        {"x2": Face("x2", [("x1", 1)], True)},
+        {"x3": Curve("x3", True, [])},
+        {"x4": Curve("x4", True, [])},
+        [],
+    )
+
+
+def test_fresh_ids_skip_every_pool():
+    d = _pool_diagram()
+    assert d.fresh_ids("x", 3) == ["x5", "x6", "x7"]
+    assert d.fresh_id("x") == "x5"
+    assert d.fresh_ids("y", 2) == ["y0", "y1"]
+
+
+def test_fresh_ids_reuse_a_freed_id_first():
+    d = _pool_diagram()
+    d.faces.pop("x2")
+    assert d.fresh_id("x") == "x2"
+    assert d.fresh_ids("x", 3) == ["x2", "x5", "x6"]
+
+
+def test_fresh_ids_are_the_least_free(stab):
+    """Subdivisions mint the least free ``w`` ids: a run of them skips
+    the taken ones, and a vertex freed by an edit is minted again."""
+    d = stab.copy()
+    d.vertices |= {"w1", "w3"}
+    eid, minted = "bd", []
+    for _ in range(3):
+        eid, _second, w = sf.subdivide_edge(d, eid)
+        minted.append(w)
+    assert minted == ["w0", "w2", "w4"]
+    d.vertices.discard("w1")
+    assert d.fresh_ids("w", 2) == ["w1", "w5"]
+
+
 # ---------------------------------------------------------------------------
 # surgeries: one-handles, bypasses, destabilization
 
