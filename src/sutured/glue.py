@@ -365,10 +365,8 @@ def _pairing_tags(w: modules.BorderedStructure) -> tuple:
     if shape != [3, 1]:
         raise ValueError("no pairing block for this interface shape")
     outer = set(algebra.intervals[0])
-    tag_of = {}
-    for a in set(algebra.matching.values()):
-        arc_pts = [pt for pt, ai in algebra.matching.items() if ai == a]
-        tag_of[a] = "z3" if all(pt in outer for pt in arc_pts) else "z5"
+    tag_of = {a: "z3" if all(pt in outer for pt in arc_pts) else "z5"
+              for a, arc_pts in algebra.arcs().items()}
     occ = w.occupancy[0][w.generators[0]]
     return pieces.az2(), sorted(tag_of[a] for a in occ)
 

@@ -50,15 +50,6 @@ def _positions(z: ArcDiagram) -> dict:
     return {p: (i, k) for i, iv in enumerate(z.intervals) for k, p in enumerate(iv)}
 
 
-def _arc_points(z: ArcDiagram) -> dict:
-    """arc index -> its two point ids, in interval order."""
-    pos = _positions(z)
-    out = {}
-    for p, a in z.matching.items():
-        out.setdefault(a, []).append(p)
-    return {a: sorted(ps, key=pos.__getitem__) for a, ps in out.items()}
-
-
 def _segment_offsets(z: ArcDiagram) -> list:
     """Starting label for each interval's run of inter-point segments."""
     offs = []
@@ -177,7 +168,7 @@ def algebra_summary(z: ArcDiagram) -> dict:
 # names
 
 
-def _chord_label(z, pos, offsets, frm, to):
+def _chord_label(pos, offsets, frm, to):
     i, k = pos[frm]
     l = pos[to][1]
     segs = [offsets[i] + s for s in range(k + 1, l + 1)]
@@ -186,10 +177,10 @@ def _chord_label(z, pos, offsets, frm, to):
     return "ρ" + "".join(str(s) for s in segs)
 
 
-def _term_label(z, pos, offsets, term):
+def _term_label(pos, offsets, term):
     movers, occupied = term
     parts = [
-        _chord_label(z, pos, offsets, s, t)
+        _chord_label(pos, offsets, s, t)
         for s, t in sorted(movers, key=lambda st: pos[st[0]])
     ]
     if occupied:
@@ -204,7 +195,7 @@ def label(x: StrandDiagramSum) -> str:
     if len(x.terms) != 1:
         raise ValueError("label is defined for single generators")
     pos = _positions(x.z)
-    return _term_label(x.z, pos, _segment_offsets(x.z), next(iter(x.terms)))
+    return _term_label(pos, _segment_offsets(x.z), next(iter(x.terms)))
 
 
 def render(x: StrandDiagramSum) -> str:
@@ -213,7 +204,7 @@ def render(x: StrandDiagramSum) -> str:
         return "0"
     pos = _positions(x.z)
     offs = _segment_offsets(x.z)
-    names = [_term_label(x.z, pos, offs, t) for t in sorted(x.terms, key=lambda t: _term_key(pos, t))]
+    names = [_term_label(pos, offs, t) for t in sorted(x.terms, key=lambda t: _term_key(pos, t))]
     return " + ".join(names)
 
 
@@ -244,14 +235,11 @@ def right_arcs(x: StrandDiagramSum) -> frozenset:
 def _expand(z: ArcDiagram, term) -> list:
     """Point-level diagrams of a generator: one point choice per occupied arc."""
     movers, occupied = term
-    arcpts = _arc_points(z)
-    out = []
-    for combo in product(*(arcpts[a] for a in sorted(occupied))):
-        out.append((movers, frozenset(combo)))
-    return out
+    arcpts = z.arcs()
+    return [(movers, frozenset(c)) for c in product(*(arcpts[a] for a in sorted(occupied)))]
 
 
-def _crossings(z: ArcDiagram, pos, movers, horiz) -> int:
+def _crossings(pos, movers, horiz) -> int:
     strands = [(pos[s], pos[t]) for s, t in movers]
     strands += [(pos[p], pos[p]) for p in horiz]
     n = 0
@@ -263,7 +251,7 @@ def _crossings(z: ArcDiagram, pos, movers, horiz) -> int:
     return n
 
 
-def _compose(z: ArcDiagram, pos, e1, e2):
+def _compose(pos, e1, e2):
     """Concatenate two point-level diagrams, or None if they do not meet.
 
     Returns None as well when two strands of the concatenation cross twice,
@@ -286,8 +274,8 @@ def _compose(z: ArcDiagram, pos, e1, e2):
             movers.append((p, q))
     mset = frozenset(movers)
     hset = frozenset(horiz)
-    before = _crossings(z, pos, m1, h1) + _crossings(z, pos, m2, h2)
-    if _crossings(z, pos, mset, hset) != before:
+    before = _crossings(pos, m1, h1) + _crossings(pos, m2, h2)
+    if _crossings(pos, mset, hset) != before:
         return None
     return (mset, hset)
 
@@ -320,7 +308,7 @@ def multiply(x: StrandDiagramSum, y: StrandDiagramSum) -> StrandDiagramSum:
         for e1 in _expand(z, t1):
             for t2 in y.terms:
                 for e2 in _expand(z, t2):
-                    prod = _compose(z, pos, e1, e2)
+                    prod = _compose(pos, e1, e2)
                     if prod is not None:
                         acc ^= {prod}
     return StrandDiagramSum(z, _regroup(z, pos, acc))

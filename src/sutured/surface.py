@@ -80,10 +80,22 @@ class ArcDiagram:
     def points(self):
         return [p for iv in self.intervals for p in iv]
 
+    def arcs(self) -> dict:
+        """Arc index -> its marked points, in interval order (a repeated
+        point counts once, where it first stands)."""
+        out = {}
+        for p in dict.fromkeys(self.points()):
+            out.setdefault(self.matching[p], []).append(p)
+        return out
+
+    def copy(self) -> "ArcDiagram":
+        return ArcDiagram([list(iv) for iv in self.intervals], dict(self.matching), self.kind)
+
     def mirrored(self) -> "ArcDiagram":
         """Role mirror: the arcs switch curve family."""
-        other = "beta" if self.kind == "alpha" else "alpha"
-        return ArcDiagram([list(iv) for iv in self.intervals], dict(self.matching), other)
+        out = self.copy()
+        out.kind = "beta" if self.kind == "alpha" else "alpha"
+        return out
 
     def validate(self) -> list:
         problems = []
@@ -95,53 +107,32 @@ class ArcDiagram:
         if set(self.matching) != set(pts):
             problems.append("matching domain differs from the marked points")
             return problems
-        by_arc = {}
-        for p, a in self.matching.items():
-            by_arc.setdefault(a, []).append(p)
+        by_arc = self.arcs()
         for a, ps in sorted(by_arc.items()):
             if len(ps) != 2:
                 problems.append(f"arc {a} has {len(ps)} points (needs 2)")
         if problems:
             return problems
         # surgery on every matched pair must leave no closed component.
-        # Segments between consecutive points are nodes; surgery joins
-        # left-of-p with right-of-q crosswise.  A closed component is a
-        # cycle of segments none of which touches an interval end.
-        seg_left = {}
-        seg_right = {}
-        free = set()
-        for i, iv in enumerate(self.intervals):
-            segs = [("seg", i, k) for k in range(len(iv) + 1)]
-            free.add(segs[0])
-            free.add(segs[-1])
-            for k, p in enumerate(iv):
-                seg_left[p] = segs[k]
-                seg_right[p] = segs[k + 1]
+        # The segments between consecutive points, (interval, position),
+        # are the nodes; surgery on (p, q) joins the segment left of p to
+        # the one right of q and crosswise.  A segment that the walk from
+        # the interval ends never reaches lies on a closed component.
+        at = {p: (i, k) for i, iv in enumerate(self.intervals) for k, p in enumerate(iv)}
         links = {}
-
-        def link(a, b):
-            links.setdefault(a, []).append(b)
-            links.setdefault(b, []).append(a)
-
-        for a, (p, q) in sorted((a, sorted(ps)) for a, ps in by_arc.items()):
-            link(seg_left[p], seg_right[q])
-            link(seg_left[q], seg_right[p])
-        seen = set()
-        for node in sorted(links):
-            if node in seen:
-                continue
-            comp = {node}
-            queue = [node]
-            while queue:
-                cur = queue.pop()
-                for nxt in links.get(cur, []):
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        queue.append(nxt)
-            seen |= comp
-            if not comp & free:
-                problems.append("surgery on the matched pairs closes a component")
-                break
+        for p, q in by_arc.values():
+            for (i, k), (j, m) in ((at[p], at[q]), (at[q], at[p])):
+                links.setdefault((i, k), []).append((j, m + 1))
+                links.setdefault((j, m + 1), []).append((i, k))
+        stack = [(i, k) for i, iv in enumerate(self.intervals) for k in {0, len(iv)}]
+        seen = set(stack)
+        while stack:
+            for nxt in links.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if len(seen) < sum(len(iv) + 1 for iv in self.intervals):
+            problems.append("surgery on the matched pairs closes a component")
         return problems
 
 
@@ -184,15 +175,7 @@ class Diagram:
             {c: Curve(v.id, v.closed, list(v.segments)) for c, v in self.alpha_curves.items()},
             {c: Curve(v.id, v.closed, list(v.segments)) for c, v in self.beta_curves.items()},
             [
-                Interface(
-                    ArcDiagram(
-                        [list(iv) for iv in i.arc_diagram.intervals],
-                        dict(i.arc_diagram.matching),
-                        i.arc_diagram.kind,
-                    ),
-                    [list(iv) for iv in i.intervals],
-                    dict(i.arcs),
-                )
+                Interface(i.arc_diagram.copy(), [list(iv) for iv in i.intervals], dict(i.arcs))
                 for i in self.interfaces
             ],
             list(self.eh),
@@ -432,9 +415,7 @@ def validate(d: Diagram, *, set_flags: bool = False, darts=None) -> list:
             for e1, e2 in zip(edges, edges[1:]):
                 if d.edges[e1].to != d.edges[e2].frm:
                     problems.append(f"interface {k}: interval breaks at {e2}")
-        arcs_by_index = {}
-        for p, a in itf.arc_diagram.matching.items():
-            arcs_by_index.setdefault(a, []).append(p)
+        arcs_by_index = itf.arc_diagram.arcs()
         if set(itf.arcs) != set(arcs_by_index):
             problems.append(f"interface {k}: arc assignment indices mismatch")
             continue
@@ -540,16 +521,36 @@ def _by_id(pool: str, items) -> dict:
     return out
 
 
-def _sign(s) -> int:
-    if s not in ("+", "-"):
-        raise TypeError(f"boundary signs must be '+' or '-', not {s!r}")
-    return 1 if s == "+" else -1
-
-
 def _flag(x) -> bool:
     if not isinstance(x, bool):
         raise TypeError(f"suture and closed flags must be booleans, not {x!r}")
     return x
+
+
+def _side(entry) -> tuple:
+    """A face's ``boundary`` entry ``[edge, "+" or "-"]`` as ``(edge, ±1)``."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise TypeError(f"boundary entries must be [edge, sign] pairs, not {entry!r}")
+    if entry[1] not in ("+", "-"):
+        raise TypeError(f"boundary signs must be '+' or '-', not {entry[1]!r}")
+    return entry[0], 1 if entry[1] == "+" else -1
+
+
+def _arc_index(a) -> int:
+    """A ``matching`` value: an int, and not a bool."""
+    if type(a) is not int:
+        raise TypeError(f"matching values must be ints, not {a!r}")
+    return a
+
+
+def _arc_key(k: str) -> int:
+    """An ``arcs`` key: the decimal form of an int."""
+    try:
+        if str(int(k)) == k:
+            return int(k)
+    except (TypeError, ValueError):
+        pass
+    raise TypeError(f"arcs keys must be decimal ints, not {k!r}")
 
 
 def from_json_dict(data: dict) -> Diagram:
@@ -557,7 +558,7 @@ def from_json_dict(data: dict) -> Diagram:
         Edge(e["id"], e["kind"], e.get("curve"), e["from"], e["to"]) for e in data["edges"]
     ))
     faces = _by_id("face", (
-        Face(f["id"], [(e, _sign(s)) for (e, s) in f["boundary"]], _flag(f["suture"]))
+        Face(f["id"], [_side(x) for x in f["boundary"]], _flag(f["suture"]))
         for f in data["faces"]
     ))
     mk = lambda pool, cs: _by_id(  # noqa: E731
@@ -567,11 +568,11 @@ def from_json_dict(data: dict) -> Diagram:
         Interface(
             ArcDiagram(
                 [list(iv) for iv in i["arc_diagram"]["intervals"]],
-                {p: int(a) for p, a in i["arc_diagram"]["matching"].items()},
+                {p: _arc_index(a) for p, a in i["arc_diagram"]["matching"].items()},
                 i["arc_diagram"]["kind"],
             ),
             [list(iv) for iv in i["intervals"]],
-            {int(a): c for a, c in i["arcs"].items()},
+            {_arc_key(a): c for a, c in i["arcs"].items()},
         )
         for i in data.get("arc_interfaces", [])
     ]
@@ -1138,11 +1139,7 @@ def _renamed(d: Diagram, new: dict) -> Diagram:
         *curves,
         [
             Interface(
-                ArcDiagram(
-                    [list(iv) for iv in i.arc_diagram.intervals],
-                    dict(i.arc_diagram.matching),
-                    i.arc_diagram.kind,
-                ),
+                i.arc_diagram.copy(),
                 [[new[e] for e in iv] for iv in i.intervals],
                 {a: new[c] for a, c in i.arcs.items()},
             )
@@ -1178,19 +1175,20 @@ def _interface_arc_bijection(z1: ArcDiagram, z2: ArcDiagram) -> dict:
     return arc_map
 
 
-def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0), *, built: bool = False):
-    """Glue interface pair[0] of b1 to interface pair[1] of b2.
+def concatenate_bordered(b1: Diagram, b2: Diagram, *, built: bool = False):
+    """Glue the first interface of b1 to the first interface of b2.
 
     The interval edges identify in reversed order and become seams, the
-    marked points merge, and matched arcs fuse into closed curves.
+    marked points merge, and matched arcs fuse into closed curves.  The
+    pieces' ids get the prefixes ``L:`` and ``R:``; their marks keep
+    their names, b2's through ``_put_mark`` (a name b1 has gets the next
+    free suffix).
     """
-    i1 = b1.interfaces[pair[0]]
-    i2 = b2.interfaces[pair[1]]
-    arc_map = _interface_arc_bijection(i1.arc_diagram, i2.arc_diagram)
+    arc_map = _interface_arc_bijection(b1.interfaces[0].arc_diagram, b2.interfaces[0].arc_diagram)
     left = _prefix_diagram(b1, "L:")
     right = _prefix_diagram(b2, "R:")
-    il = left.interfaces.pop(pair[0])
-    ir = right.interfaces.pop(pair[1])
+    il = left.interfaces.pop(0)
+    ir = right.interfaces.pop(0)
 
     out = Diagram(
         left.vertices | right.vertices,
@@ -1203,54 +1201,40 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, pair=(0, 0), *, built: bool =
         dict(left.marks),
     )
     for k, v in right.marks.items():
-        if k in out.marks:
-            raise ValueError(f"mark {k} present on both sides")
-        out.marks[k] = v
+        _put_mark(out, k, v)
 
     # Identified vertices and glued edges are recorded first and applied
     # in one pass over the edges and one over the face words.  ``merged``
-    # maps a vertex id to the id its carriers hold now; a later merge
-    # moves whatever holds its ``lose`` id, as renaming in place would.
+    # maps each lost vertex to the vertex it merged into; ``now`` follows
+    # it to the vertex that stays.
     merged = {}
 
     def now(v):
-        return merged.get(v, v)
-
-    def merge_vertex(keep, lose):
-        if keep == lose:
-            return
-        for v, held in merged.items():
-            if held == lose:
-                merged[v] = keep
-        if lose not in merged:
-            merged[lose] = keep
-        out.vertices.discard(lose)
+        while v in merged:
+            v = merged[v]
+        return v
 
     glued = {}  # right interval edge -> the left edge it becomes
     for edges_l, edges_r in zip(il.intervals, ir.intervals):
         if len(edges_l) != len(edges_r):
             raise ValueError("interval subdivision mismatch")
-        m = len(edges_l)
-        # vertices along each side, tail to head
-        vl = [now(out.edges[edges_l[0]].frm)] + [now(out.edges[e].to) for e in edges_l]
-        vr = [now(out.edges[edges_r[0]].frm)] + [now(out.edges[e].to) for e in edges_r]
-        for j, v in enumerate(vr):
-            merge_vertex(vl[m - j], v)
-        for idx, e in enumerate(edges_l):
-            f = edges_r[m - 1 - idx]
-            del out.edges[f]
+        for e, f in zip(edges_l, reversed(edges_r)):
+            el, er = out.edges[e], out.edges.pop(f)
+            for a, b in ((el.to, er.frm), (el.frm, er.to)):  # reversed ends meet
+                keep, lose = now(a), now(b)
+                if keep != lose:
+                    merged[lose] = keep
+                    out.vertices.discard(lose)
             glued[f] = e
-            out.edges[e].kind = "seam"
+            el.kind = "seam"
     for ed in out.edges.values():
         ed.frm, ed.to = now(ed.frm), now(ed.to)
     out.eh = [now(v) for v in out.eh]
     out.marks = {k: now(v) for k, v in out.marks.items()}
 
-    flipped = set()
+    flipped, store = set(), out.curves(il.arc_diagram.kind)
     for a1, c1 in sorted(il.arcs.items()):
         c2 = ir.arcs[arc_map[a1]]
-        fam = il.arc_diagram.kind
-        store = out.curves(fam)
         left_curve = store[c1]
         right_curve = store.pop(c2)
         e_end = out.edges[left_curve.segments[-1]].to

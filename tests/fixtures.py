@@ -242,11 +242,13 @@ def _nodes(doc, path=()):
 
 def mutate(doc, choose) -> None:
     """Change a JSON document in place at one node: delete it, swap it
-    for another string in the document, retype it or duplicate it, or,
-    in a list of two or more items, repeat the two-item stretch it
-    starts (or ends, at the list's end), which keeps an odd length odd,
-    as a transverse path's must be.  ``choose`` picks one item of a list
-    (a Hypothesis draw or a seeded ``Random.choice``)."""
+    for another string in the document, retype it (a float among the
+    new types) or duplicate it, or, in a list of two or more items,
+    repeat the two-item stretch it starts (or ends, at the list's end),
+    which keeps an odd length odd, as a transverse path's must be.  A
+    node that is a list of two or more items may also be cut to its
+    first item.  ``choose`` picks one item of a list (a Hypothesis draw
+    or a seeded ``Random.choice``)."""
     nodes = list(_nodes(doc))
     path, value = choose(nodes)
     holder = doc
@@ -256,8 +258,12 @@ def mutate(doc, choose) -> None:
     ops = ["delete", "swap", "retype", "duplicate"]
     if isinstance(holder, list) and len(holder) >= 2:
         ops.append("repeat")
+    if isinstance(value, list) and len(value) >= 2:
+        ops.append("shorten")
     op = choose(ops)
-    if op == "repeat":
+    if op == "shorten":
+        del value[1:]
+    elif op == "repeat":
         start = min(key, len(holder) - 2)
         holder[start:start] = copy.deepcopy(holder[start:start + 2])
     elif op == "delete":
@@ -266,7 +272,7 @@ def mutate(doc, choose) -> None:
         ids = sorted({v for _p, v in nodes if isinstance(v, str)})
         holder[key] = choose(ids)
     elif op == "retype":
-        holder[key] = choose([None, 0, 7, True, "", [], {}])
+        holder[key] = choose([None, 0, 7, 2.5, True, "", [], {}])
     elif isinstance(holder, list):
         holder.insert(key, copy.deepcopy(value))
     else:

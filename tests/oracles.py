@@ -1314,17 +1314,19 @@ def reference_trivial_destabilize(d, alpha_id, beta_id):
     return _gate(out), forced
 
 
-def reference_concatenate_bordered(b1, b2, pair=(0, 0)):
+def reference_concatenate_bordered(b1, b2):
     """``surface.concatenate_bordered`` identifying each vertex pair by a
     scan over every edge and gluing or reversing each edge by a rewrite
-    of every face word; the prefixed copies are the library's."""
-    i1 = b1.interfaces[pair[0]]
-    i2 = b2.interfaces[pair[1]]
-    arc_map = surface._interface_arc_bijection(i1.arc_diagram, i2.arc_diagram)
+    of every face word; the prefixed copies are the library's.  A mark
+    name the left piece has takes the least free suffix ``_1``, ``_2``,
+    ...; the pieces glue at their first interfaces."""
+    arc_map = surface._interface_arc_bijection(
+        b1.interfaces[0].arc_diagram, b2.interfaces[0].arc_diagram
+    )
     left = surface._prefix_diagram(b1, "L:")
     right = surface._prefix_diagram(b2, "R:")
-    il = left.interfaces.pop(pair[0])
-    ir = right.interfaces.pop(pair[1])
+    il = left.interfaces.pop(0)
+    ir = right.interfaces.pop(0)
     out = surface.Diagram(
         left.vertices | right.vertices,
         {**left.edges, **right.edges},
@@ -1336,9 +1338,11 @@ def reference_concatenate_bordered(b1, b2, pair=(0, 0)):
         dict(left.marks),
     )
     for k, v in right.marks.items():
-        if k in out.marks:
-            raise ValueError(f"mark {k} present on both sides")
-        out.marks[k] = v
+        name, j = k, 0
+        while name in out.marks:
+            j += 1
+            name = f"{k}_{j}"
+        out.marks[name] = v
 
     def merge_vertex(keep, lose):
         if keep == lose:

@@ -6,8 +6,6 @@ board in conftest, so a full run prints nine pass/fail lines.
 
 import itertools
 
-import pytest
-
 import oracles
 import sequences
 from conftest import record_criterion

@@ -351,6 +351,55 @@ def test_verify_equivalence_clean(capsys, tmp_path, stab_file):
     assert json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("name", ["handle1", "disk-h5"])
+def test_staged_routes_glue_pieces_that_share_mark_names(capsys, tmp_path, name):
+    """``handle1`` and ``disk-h5`` carry mark names that the pieces the
+    staged routes concatenate onto them carry too: the concatenation
+    suffixes the second piece's mark, so the 1-handle (``handle1``) and
+    the two-handle sequence (``disk-h5``) glue and agree with ``attach``."""
+    d = cli._build_example(name)
+    specs = glue.two_handle_sequence(d)[:1 if name == "handle1" else 2]
+    # the 1-handle glues onto d, the 2-handle onto the 1-handled d
+    for key, diagram in (("base", d), ("glued", d if len(specs) == 1 else glue.one_handled(d)[0])):
+        (tmp_path / f"{key}.json").write_text(surface.serialize(diagram))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(glue.spec_to_json(specs[-1])))
+    code, out, err = run(capsys, "glue", str(tmp_path / "glued.json"), "--spec", str(spec))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "verify-equivalence", str(tmp_path / "base.json"),
+                         "--handles", write_plan(tmp_path, specs))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "equivalent"
+
+
+@pytest.mark.parametrize("value", ["float", "bool", "padded", "zero-led", "short"])
+def test_malformed_numbers_and_entries_refuse_the_document(capsys, tmp_path, value):
+    """A ``matching`` value that is not an int (a bool is not one), an
+    ``arcs`` key that is not the decimal form of an int, or a
+    ``boundary`` entry that is not a two-item list is refused with a
+    reason naming the field, not read through ``int`` or unpacked bare."""
+    doc = json.loads(surface.serialize(pieces.build("rt2")))
+    arc_diagram, itf = doc["arc_interfaces"][0]["arc_diagram"], doc["arc_interfaces"][0]
+    if value == "float":  # each raised by 0.5, which ``int`` would read back
+        arc_diagram["matching"] = {p: a + 0.5 for p, a in arc_diagram["matching"].items()}
+    elif value == "bool":
+        arc_diagram["matching"] = {p: a == 1 for p, a in arc_diagram["matching"].items()}
+    elif value in ("padded", "zero-led"):
+        form = " {} " if value == "padded" else "0{}"
+        itf["arcs"] = {form.format(a): c for a, c in itf["arcs"].items()}
+    else:
+        doc["faces"][0]["boundary"][0] = doc["faces"][0]["boundary"][0][:1]
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(doc))
+    field = {"float": "matching", "bool": "matching", "short": "boundary"}.get(value, "arcs")
+    for verb, *opts in (["validate"], ["bordered", "--kind", "D"]):
+        code, out, err = run(capsys, verb, str(bad), *opts)
+        assert (code, out) == (1, "")
+        reason = json.loads(err)["error"]
+        assert reason.startswith("malformed diagram document")
+        assert f"{field} " in reason
+
+
 def _tagged_file(tmp_path, d, tag):
     """``d`` written with its contact tag set to ``tag``."""
     doc = json.loads(surface.serialize(d))

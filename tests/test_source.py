@@ -1,8 +1,8 @@
-"""Checks on the library's source text: every module-level import of a
-module in ``src/sutured`` is used in it, and every module-level private
-name (one leading underscore) is read somewhere in the package.  The
-package's ``__init__.py`` imports to re-export and is not checked for
-unused imports."""
+"""Checks on the source text: every module-level import of a module in
+``src/sutured`` or ``tests`` is used in it, and every module-level
+private name (one leading underscore) is read somewhere in the package.
+The package's ``__init__.py`` imports to re-export and is not checked
+for unused imports."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ import sutured
 
 SOURCES = sorted(Path(sutured.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -36,7 +37,7 @@ def test_the_check_finds_an_orphaned_import():
     assert _unused_imports(source) == [(1, "bisect")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 

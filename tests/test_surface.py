@@ -5,8 +5,6 @@ Structural invariants, serialization, isomorphism through the
 bypasses, destabilization, bordered concatenation).
 """
 
-import copy
-import itertools
 import json
 import os
 import random
@@ -113,13 +111,35 @@ def test_validate_flags_arc_endpoint_mismatch():
     assert any("endpoints mismatch" in p for p in sf.validate(d))
 
 
+CLOSES = ["surgery on the matched pairs closes a component"]
+
+
 def test_arc_diagram_rejects_closing_surgery():
     # an arc between two intervals is fine ...
     ok = ArcDiagram([["p"], ["q"]], {"p": 0, "q": 0}, "alpha")
     assert ok.validate() == []
     # ... but an adjacent matched pair traps a closed circle under surgery
     bad = ArcDiagram([["p", "q"]], {"p": 0, "q": 0}, "alpha")
-    assert bad.validate() != []
+    assert bad.validate() == CLOSES
+
+
+@pytest.mark.parametrize("intervals,pairs,problems", [
+    ([["p1", "p2", "p3"], ["q1"]], [("p2", "q1"), ("p1", "p3")], []),
+    ([list("abcd")], [("a", "c"), ("b", "d")], []),  # the torus
+    ([list("abcd")], [("a", "d"), ("b", "c")], CLOSES),  # nested pairs
+], ids=["3+1", "torus", "nested"])
+def test_arc_diagram_surgery_check(intervals, pairs, problems):
+    """Surgery on every matched pair leaves no closed component, or the
+    arc diagram reports that it closes one."""
+    matching = {p: a for a, pair in enumerate(pairs, 1) for p in pair}
+    assert ArcDiagram(intervals, matching, "alpha").validate() == problems
+
+
+def test_arc_diagram_arcs_lists_points_in_interval_order():
+    z = ArcDiagram([["p1", "p2", "p3"], ["q1"]], {"p3": 2, "q1": 1, "p2": 1, "p1": 2}, "beta")
+    assert z.arcs() == {2: ["p1", "p3"], 1: ["p2", "q1"]}
+    assert list(z.arcs()) == [2, 1]  # keyed in the order the arcs first appear
+    assert ArcDiagram([[], []], {}, "beta").arcs() == {}
 
 
 def test_arc_diagram_reversal_and_mirror_are_involutions():
@@ -353,15 +373,19 @@ def test_concatenate_fuses_arcs():
 
 def test_concatenate_requires_matching_shape():
     with pytest.raises(ValueError):
-        sf.concatenate_bordered(pieces.u1(), pieces.az2(), pair=(0, 0))
+        sf.concatenate_bordered(pieces.u1(), pieces.az2())
 
 
 def test_concatenate_mark_collision():
-    a = pieces.az2()
-    b = pieces.rt2()
-    b.marks = {"z1": "z1"}
-    with pytest.raises(ValueError):
-        sf.concatenate_bordered(a, b, pair=(1, 0))
+    """A mark name both pieces carry keeps the left piece's vertex; the
+    right piece's mark takes the next free suffix, as in ``_put_mark``."""
+    glued = sf.concatenate_bordered(pieces.az2(), pieces.mirror(pieces.rt2()))
+    assert sf.validate(glued) == []
+    assert {k: glued.marks[k] for k in ("z1", "z2", "z3", "z4", "z5")} == {
+        f"z{n}": f"L:z{n}" for n in range(1, 6)
+    }
+    assert sorted(glued.marks) == ["z1", "z1_1", "z2", "z2_1", "z3", "z3_1", "z4", "z5"]
+    assert [glued.marks[f"z{n}_1"] for n in (1, 2, 3)] == ["R:z1", "R:z2", "R:z3"]
 
 
 def test_handle_blocks_are_closed():
@@ -480,8 +504,8 @@ def test_relabeled_grids_edit_like_references(n, k):
     _assert_matches_references(fixtures.relabel(fixtures.punctured_grid(n, k), random.Random(n + k)))
 
 
-def _concatenated(b1, b2, pair=(0, 0)):
-    out = _outcome(sf.concatenate_bordered, b1, b2, pair)
+def _concatenated(b1, b2):
+    out = _outcome(sf.concatenate_bordered, b1, b2)
     return sf.to_json_dict(out) if isinstance(out, Diagram) else out
 
 
@@ -504,8 +528,8 @@ def test_handle_stages_edit_like_references(name, monkeypatch):
     )
     monkeypatch.setattr(
         glue, "concatenate_bordered",
-        lambda b1, b2, *pair, **kw: glued.append((b1.copy(), b2.copy(), *pair))
-        or real_concatenate(b1, b2, *pair, **kw),
+        lambda b1, b2, **kw: glued.append((b1.copy(), b2.copy()))
+        or real_concatenate(b1, b2, **kw),
     )
     glue._handle_blocks.cache_clear()
     glue.glue_one_handle(d, one.p, one.q)
@@ -542,17 +566,15 @@ def test_route_destabilizations_keep_their_complex(name, monkeypatch):
 
 
 def test_concatenation_matches_reference():
-    """Every ordered pair of bordered catalog pieces and mirrors, on every
-    pair of interfaces: the same diagram or the same failure."""
+    """Every ordered pair of bordered catalog pieces and mirrors, glued
+    at their first interfaces: the same diagram or the same failure."""
     bordered = [pieces.build(n) for n in CATALOG if pieces.build(n).interfaces]
     bordered += [pieces.mirror(b) for b in bordered]
     for b1 in bordered:
         for b2 in bordered:
-            for pair in itertools.product(range(len(b1.interfaces)), range(len(b2.interfaces))):
-                assert _concatenated(b1, b2, pair) == _outcome(
-                    lambda *a: sf.to_json_dict(oracles.reference_concatenate_bordered(*a)),
-                    b1, b2, pair,
-                )
+            assert _concatenated(b1, b2) == _outcome(
+                lambda *a: sf.to_json_dict(oracles.reference_concatenate_bordered(*a)), b1, b2
+            )
 
 
 def _flips(d):
