@@ -178,7 +178,10 @@ def _cmd_bordered(args):
     d, dx = _read_diagram(args.diagram)
     sector = None
     if args.sector:
-        sector = tuple(int(x) for x in args.sector.split(","))
+        try:
+            sector = tuple(int(x) for x in args.sector.split(","))
+        except ValueError:
+            raise ValueError(f"--sector takes comma-separated ints, not {args.sector!r}") from None
     bs = modules.bordered_invariant(d, args.kind, sector=sector, darts=dx)
     dump = modules.dump(bs).splitlines()
     payload = {

@@ -9,9 +9,11 @@ plain Gaussian elimination and a Smith reduction that keeps only the
 invariant factors and the row operations U are enough; no floating
 point is used anywhere.
 
-Whether a nonzero nonnegative kernel vector exists is settled mod 2
-when the matrix has full column rank over F2 (then its kernel over Q is
-zero), and otherwise by a phase-I simplex on an integer tableau: every
+Whether a nonzero nonnegative kernel vector exists is settled by three
+checks in turn.  Mod 2: full column rank over F2 makes the kernel over Q
+zero.  Then by sign: a row whose live entries share one sign forces its
+columns to zero, and when that propagates to every column there is no
+witness.  Otherwise by a phase-I simplex on an integer tableau: every
 entry is an int over one common denominator, the last pivot, and each
 pivot divides exactly by the previous one (Edmonds' integer-preserving
 pivoting, as in Bareiss elimination).  Only the final solution is turned
@@ -152,7 +154,9 @@ def smith_reduce(rows: Sequence[dict]) -> tuple:
     as sparse rows (dicts column -> entry) with U A V = diag(factors, 0,
     ...) for a unimodular V that is never built.  U lists the pivot rows as they were settled, then
     the others in order.  Each pivot is an entry of least absolute
-    value; row operations clear its column, and a remainder becomes the
+    value, ties to the lowest row and then column; the search scans the
+    live rows in order and stops at the first +-1, which nothing beats.
+    Row operations clear its column, and a remainder becomes the
     next pivot.  Once the pivot is alone in its column, the column
     operations that clear its row change that row only: its entries are
     taken mod the pivot.  A pivot of +-1 skips the divisibility fix-up.
@@ -162,10 +166,17 @@ def smith_reduce(rows: Sequence[dict]) -> tuple:
     live = list(range(len(rows)))
     factors, order = [], []
     while True:
-        entries = [(abs(a), i, j) for i in live for j, a in rows[i].items()]
-        if not entries:
+        best = None
+        for i in live:
+            if rows[i]:
+                a, j = min((abs(a), j) for j, a in rows[i].items())
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        break
+        if best is None:
             break
-        _, r, c = min(entries)
+        _, r, c = best
         while True:
             p = rows[r][c]
             for i in live:
@@ -272,15 +283,18 @@ def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
 
     First ``m`` is reduced mod 2: full column rank over F2 forces full
     column rank over Q (a nonzero maximal minor mod 2 is nonzero over
-    Z), so the kernel is zero and there is no witness.  Otherwise
-    decides feasibility of {v >= 0, m v = 0, sum(v) = 1} by the
-    fraction-free phase-I simplex, fed the integer rows of ``m`` as they
-    are, then clears denominators.  The normalisation makes "nonzero" a
+    Z), so the kernel is zero and there is no witness.  Then
+    ``_sign_settled`` may show by signs alone that every nonnegative
+    kernel vector is zero.  Otherwise decides feasibility of {v >= 0,
+    m v = 0, sum(v) = 1} by the fraction-free phase-I simplex, fed the
+    integer rows of ``m`` as they are, then clears denominators.  The normalisation makes "nonzero" a
     linear condition, and any rational solution scales to an integer
     one.
     """
     n = m.cols
     if f2_rank([sum(1 << c for c, v in row.items() if v % 2) for row in m.sparse]) == n:
+        return None
+    if _sign_settled(m):
         return None
     rows = [[row.get(c, 0) for c in range(n)] for row in m.sparse]
     rows.append([1] * n)
@@ -292,6 +306,38 @@ def positive_kernel_witness(m: IntegerMatrix) -> Optional[tuple]:
     assert any(out) and all(v >= 0 for v in out)
     assert all(sum(v * out[c] for c, v in row.items()) == 0 for row in m.sparse)
     return out
+
+
+def _sign_settled(m: IntegerMatrix) -> bool:
+    """Whether signs alone force every nonnegative kernel vector to zero.
+
+    A row whose entries on the columns not yet forced all share one sign
+    forces its columns to zero too: a nonnegative v with m v = 0 sums
+    terms of one sign there.  Rows turn one-signed as columns are
+    dropped; a queue over each row's counts of positive and negative
+    live entries visits each row and column once.
+    """
+    meets = [[] for _ in range(m.cols)]  # column -> rows holding it
+    signs = []  # row -> [positive, negative] live entry counts
+    for r, row in enumerate(m.sparse):
+        for c in row:
+            meets[c].append(r)
+        pos = sum(v > 0 for v in row.values())
+        signs.append([pos, len(row) - pos])
+    queue = [r for r, (pos, neg) in enumerate(signs) if not (pos and neg)]
+    forced = set()
+    while queue:
+        for c in m.sparse[queue.pop()]:
+            if c in forced:
+                continue
+            forced.add(c)
+            for i in meets[c]:
+                count = signs[i]
+                mixed = count[0] and count[1]
+                count[m.sparse[i][c] < 0] -= 1
+                if mixed and not (count[0] and count[1]):
+                    queue.append(i)
+    return len(forced) == m.cols
 
 
 def _phase1_simplex(a_rows: list, b: list) -> Optional[list]:

@@ -191,6 +191,10 @@ def bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructu
     if sector is not None:
         if len(sector) != len(sides):
             raise ValueError("sector length must match the interface count")
+        for s, (n, side) in enumerate(zip(sector, sides)):
+            arcs = len(side.arcs())
+            if not 0 <= n <= arcs:
+                raise ValueError(f"sector count {n} for interface {s} is outside 0..{arcs}")
         gens = [
             x
             for x in gens

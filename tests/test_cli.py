@@ -255,6 +255,24 @@ def test_bordered_dump(capsys, tmp_path):
     assert code == 0 and "δ¹({z1})" in out
 
 
+def test_bordered_refuses_impossible_sectors(capsys, tmp_path):
+    """rt2 has one interface of 2 arcs: a count outside 0..2 is refused
+    with the interface named, and an entry that is no int with
+    ``--sector`` named."""
+    rt = tmp_path / "rt2.json"
+    rt.write_text(surface.serialize(pieces.build("rt2")))
+    for count in ("-1", "99"):
+        code, out, err = run(capsys, "bordered", str(rt), "--kind", "D", "--sector", count)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == f"sector count {count} for interface 0 is outside 0..2"
+    for bad in (",", "1,x"):
+        code, out, err = run(capsys, "bordered", str(rt), "--kind", "D", "--sector", bad)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == f"--sector takes comma-separated ints, not {bad!r}"
+    code, _, _ = run(capsys, "bordered", str(rt), "--kind", "D", "--sector", "0")
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # attachment verbs
 

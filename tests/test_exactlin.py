@@ -177,6 +177,16 @@ def test_smith_reduce_matches_the_textbook_form(rows, pairs):
         assert (_class(key, _support(b1)) == _class(key, _support(b2))) == same
 
 
+def test_smith_pivot_is_the_first_least_entry():
+    """The pivot is an entry of least absolute value, ties to the lowest
+    row and then column; U lists the pivot rows as they were settled."""
+    assert smith_reduce([{0: 2}, {1: 1}]) == ([1, 2], [{1: 1}, {0: 1}])
+    assert smith_reduce([{0: 3, 1: -1}]) == ([1], [{0: -1}])  # the pivot -1 in column 1
+    # both rows hold a unit: row 0's comes first, and row 1 is left as it is
+    assert smith_reduce([{0: 2, 1: 1}, {0: -1}]) == ([1, 1], [{0: 1}, {1: -1}])
+    assert smith_reduce([{0: 2}, {1: 2}]) == ([2, 2], [{0: 1}, {1: 1}])  # a tie of 2s
+
+
 def test_z_image_contains():
     m = int_matrix([[2, 0], [0, 3]])
     assert oracles.z_image_contains(m, (4, 9)) == (2, 3)
@@ -396,9 +406,9 @@ def test_witness_and_simplex_match_the_reference(rows):
     fractions = [[Fraction(v) for v in row] for row in a_rows]
     assert got == oracles.reference_phase1_simplex(fractions, [Fraction(v) for v in b])
     assert got is None or all(type(v) is Fraction for v in got)
-    assert positive_kernel_witness(
-        int_matrix(rows)
-    ) == oracles.reference_positive_kernel_witness(rows)
+    expect = oracles.reference_positive_kernel_witness(rows)
+    assert positive_kernel_witness(int_matrix(rows)) == expect
+    assert expect is None or not exactlin._sign_settled(int_matrix(rows))
 
 
 def test_simplex_makes_fractions_only_for_the_answer(monkeypatch):
@@ -458,20 +468,50 @@ def test_admissibility_witness_matches_the_reference(monkeypatch):
     assert checked > refused == 3
 
 
-def test_full_f2_rank_settles_without_the_simplex(monkeypatch):
-    def unreachable(*_args):
-        raise AssertionError("simplex reached")
+def _unreachable(*_args):
+    raise AssertionError("simplex reached")
 
-    monkeypatch.setattr(exactlin, "_phase1_simplex", unreachable)
+
+def test_full_f2_rank_settles_without_the_simplex(monkeypatch):
+    monkeypatch.setattr(exactlin, "_phase1_simplex", _unreachable)
     assert positive_kernel_witness(int_matrix([[1, 0], [0, 1]])) is None
     assert positive_kernel_witness(IntegerMatrix(({}, {}), 0)) is None
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0], [0, 1]],  # singular mod 2, each row of one sign
+        [[1, 1], [1, -1]],  # row 0 of one sign forces both columns
+        [[1, -1, 0], [0, 1, 1]],  # row 1 forces columns 1 and 2, then row 0 column 0
+    ],
+)
+def test_sign_settles_without_the_simplex(rows, monkeypatch):
+    monkeypatch.setattr(exactlin, "_phase1_simplex", _unreachable)
+    assert exactlin._sign_settled(int_matrix(rows))
+    assert positive_kernel_witness(int_matrix(rows)) is None
+
+
+def test_admissible_traffic_never_reaches_the_simplex(monkeypatch):
+    """Every admissible diagram the gate meets here, staged route
+    diagrams and a closed sum included, is settled mod 2 or by sign; the
+    three that are not admissible still reach the simplex for their
+    witnesses."""
+    monkeypatch.setattr(exactlin, "_phase1_simplex", _unreachable)
+    diagrams = [*_admissibility_diagrams(), ("bigonpair^4", fixtures.bigonpair_power(4))]
+    for where, d in diagrams:
+        if where in ("annular_trap", "hexagram", "grid_torus"):
+            with pytest.raises(AssertionError, match="simplex reached"):
+                sfc.is_admissible(d)
+        else:
+            assert sfc.is_admissible(d) == (True, None), where
+
+
+@pytest.mark.parametrize(
     "rows, expect_witness",
     [
-        ([[2, 0], [0, 1]], False),  # singular mod 2, full rank over Q
-        ([[1, 1], [1, -1]], False),  # likewise
+        ([[2, -2], [1, -3]], False),  # mixed signs, singular mod 2, full rank over Q
+        ([[1, -1], [3, -1]], False),  # likewise
         ([[2, -2]], True),
     ],
 )

@@ -425,4 +425,7 @@ def test_bordered_invariant_interface_count_guards():
         modules.bordered_invariant(pieces.u1(), "DD")
     with pytest.raises(ValueError, match="sector length"):
         modules.bordered_invariant(pieces.u1(), "A", sector=(1, 1))
+    for count in (-1, 3):
+        with pytest.raises(ValueError, match=f"sector count {count} for interface 0 is outside 0..2"):
+            modules.bordered_invariant(pieces.rt2(), "D", sector=(count,))
 
