@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import modules, pieces, sfc
+from .darts import Darts
 from .exactlin import BinaryMatrix, column_sum, f2_rank, f2_rank_kernel, set_bits
 from .surface import (
     ArcDiagram,
@@ -723,9 +724,11 @@ def equivalence_report(d, handles, darts=None) -> dict:
         cur = target
     eh = _eh_block(base, applied) if d.eh else None
     ok = counterexample is None and (eh is None or eh["ok"])
-    base_generators = (
-        len(applied[0][1].source.basis) if applied else len(sfc.generators(d, darts))
-    )
+    if base is d:  # no plan and no tag: count the enumeration, build no complex
+        dx = Darts(d) if darts is None else darts
+        base_generators = len(sfc._matchings(d, dx.crossings)[1])
+    else:
+        base_generators = len(base.differential.columns)
     return {
         "base_generators": base_generators,
         "stages": blocks,

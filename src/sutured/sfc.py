@@ -20,8 +20,11 @@ the crossing table and the generators, and its complex keeps the
 build for the action census.  Inside it a generator is its sorted index
 tuple and bit mask over the crossings in vertex order, from one
 enumeration (``_matchings``) through the Spin^c keys (``_spinc_labels``)
-to the columns (``_boundary_entries``); vertex-id frozensets are built
-for the basis and in the views ``generators`` and ``spinc_partition``.
+to the columns (``_boundary_entries``), and the complex keeps the index
+tuples.  Vertex-id frozensets are built only where they are read, by
+one helper (``_as_sets``): in the view ``generators``, which
+``spinc_partition`` takes, and in the complex's ``basis`` view on its
+first read.  ``homology`` reads the class labels and builds none.
 
 The action census grows each chord's candidate domains from the faces
 on the chord across shared edges (``_connected_supersets``).  Both
@@ -31,6 +34,7 @@ glued along the edges it holds on both sides.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
@@ -56,7 +60,13 @@ def generators(d: Diagram, darts=None) -> list:
     as frozensets of vertex ids.  The crossings are read from ``darts``,
     the diagram's ``Darts`` build, made here when not handed in."""
     verts, gens = _matchings(d, (Darts(d) if darts is None else darts).crossings)
-    return [frozenset(map(verts.__getitem__, t)) for t, _ in gens]
+    return _as_sets(verts, (t for t, _ in gens))
+
+
+def _as_sets(verts: list, tuples) -> list:
+    """Each of ``tuples``, indices into the crossings ``verts``, as the
+    frozenset of its vertex ids."""
+    return [frozenset(map(verts.__getitem__, t)) for t in tuples]
 
 
 def _matchings(d: Diagram, crossings: dict) -> tuple:
@@ -311,25 +321,40 @@ class ChainComplexF2:
     """A sutured chain complex over F2.
 
     ``differential`` builds it once per diagram, and homology, the handle
-    maps and the glue routes take it instead of rebuilding it.  The
-    differential is kept in one form, the bit-packed columns of its
-    ``BinaryMatrix``: column j is d(basis[j]), bit i standing for
-    basis[i].  ``diagram`` is the diagram it came from (``None`` for a
-    complex built from tables, such as the box tensor product of the
-    test references) and ``darts`` the dart build its census read (the
-    one its caller handed to ``differential``, if any), which the action
-    census reads again; ``position`` is derived at construction.
+    maps and the glue routes take it instead of rebuilding it.  It keeps
+    one form: ``verts``, the crossings in vertex order; ``gens``, each
+    generator as its sorted tuple of indices into ``verts``, canonically
+    ordered; the bit-packed columns of its ``BinaryMatrix``, column j
+    being d(gens[j]) with bit i standing for gens[i]; and ``labels``, the
+    Spin^c class of each generator.  ``diagram`` is the diagram it came
+    from (``None`` for a complex built from tables, such as the box
+    tensor product of the test references) and ``darts`` the dart build
+    its census read (the one its caller handed to ``differential``, if
+    any), which the action census reads again.
+
+    ``basis`` (the generators as vertex-id frozensets), ``position``
+    (generator -> basis index) and ``spinc_class`` (generator -> class
+    index) are views, each built on its first read and kept.
     """
 
-    basis: list  # canonically ordered generators
-    differential: BinaryMatrix  # bit i of column j: basis[i] appears in d(basis[j])
-    spinc_class: dict  # generator -> class index
+    verts: list  # the crossings, in vertex order
+    gens: list  # canonically ordered generators, as sorted index tuples into verts
+    differential: BinaryMatrix  # bit i of column j: gens[i] appears in d(gens[j])
+    labels: list  # class index of each generator
     diagram: Optional[Diagram]
     darts: object = field(default=None, repr=False, compare=False)  # the diagram's Darts
-    position: dict = field(init=False, repr=False)  # generator -> basis index
 
-    def __post_init__(self):
-        self.position = {x: i for i, x in enumerate(self.basis)}
+    @cached_property
+    def basis(self) -> list:
+        return _as_sets(self.verts, self.gens)
+
+    @cached_property
+    def position(self) -> dict:
+        return {x: i for i, x in enumerate(self.basis)}
+
+    @cached_property
+    def spinc_class(self) -> dict:
+        return dict(zip(self.basis, self.labels))
 
     def boundary_of(self, x) -> frozenset:
         column = self.differential.columns[self.position[x]]
@@ -357,10 +382,10 @@ def differential(d: Diagram, darts=None) -> ChainComplexF2:
     if not ok:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
     verts, gens = _matchings(d, dx.crossings)
-    basis = [frozenset(map(verts.__getitem__, t)) for t, _ in gens]
-    diff = BinaryMatrix(len(basis), _boundary_entries(verts, gens, census))
-    labels = _spinc_labels(d, [rec.faces for rec in census], verts, [t for t, _ in gens])
-    return ChainComplexF2(basis, diff, dict(zip(basis, labels)), d, dx)
+    diff = BinaryMatrix(len(gens), _boundary_entries(verts, gens, census))
+    tuples = [t for t, _ in gens]
+    labels = _spinc_labels(d, [rec.faces for rec in census], verts, tuples)
+    return ChainComplexF2(verts, tuples, diff, labels, d, dx)
 
 
 def _boundary_entries(verts: list, gens: list, census: list) -> tuple:
@@ -414,8 +439,8 @@ def homology(d) -> Homology:
     """
     cx = as_complex(d)
     blocks = {}
-    for j, x in enumerate(cx.basis):
-        blocks.setdefault(cx.spinc_class[x], []).append(j)
+    for j, label in enumerate(cx.labels):
+        blocks.setdefault(label, []).append(j)
     by_class = {}
     for label in sorted(blocks):
         block = blocks[label]

@@ -1537,7 +1537,9 @@ def box_tensor(a, d):
     Generators are the pairs whose occupied arc sets are complementary
     under the interface identification; each is encoded as the union of
     its two halves with the concatenation prefixes, so the result is
-    directly comparable with the complex of the glued diagram.
+    directly comparable with the complex of the glued diagram.  The
+    prefixed names, sorted, are the complex's ``verts``, and every pair
+    is in one class.
     """
     if a.kind != "A" or d.kind != "D":
         raise ValueError("box tensor pairs a type-A with a type-D structure")
@@ -1584,11 +1586,13 @@ def box_tensor(a, d):
                 raise AssertionError("box tensor left the compatible pairs")
             column |= 1 << index[out]
         columns.append(column)
-    basis = [key(p) for p in pairs]
+    names = sorted({n for p in pairs for n in key(p)})
+    where = {n: i for i, n in enumerate(names)}
     return sfc.ChainComplexF2(
-        basis,
+        names,
+        [tuple(sorted(map(where.__getitem__, key(p)))) for p in pairs],
         BinaryMatrix(len(pairs), tuple(columns)),
-        {b: 0 for b in basis},
+        [0] * len(pairs),
         None,
     )
 

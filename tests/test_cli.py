@@ -99,6 +99,27 @@ def test_homology_text_and_json(capsys, disk_file):
     assert json.loads(out) == {"by_class": {"0": 1}, "total": 1}
 
 
+@pytest.mark.parametrize("d", [fixtures.punctured_grid(5, 1), fixtures.bigonpair_power(6)],
+                         ids=["grid-5", "bigonpair^6"])
+def test_homology_builds_no_basis(capsys, tmp_path, monkeypatch, d):
+    """The ``homology`` verb ranks the complex from its class labels: the
+    ``basis``, ``position`` and ``spinc_class`` views are never built."""
+    path = tmp_path / "d.json"
+    path.write_text(surface.serialize(d))
+    rank, built, real = sfc.homology(d).total, [], sfc.differential
+
+    def keeping(d, darts=None):
+        built.append(real(d, darts))
+        return built[-1]
+
+    monkeypatch.setattr(sfc, "differential", keeping)
+    code, out, _ = run(capsys, "homology", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["total"] == rank
+    (cx,) = built
+    assert len(cx.gens) == len(sfc.generators(d)) > 1
+    assert {"basis", "position", "spinc_class"}.isdisjoint(vars(cx))
+
+
 def test_generators_listing(capsys, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(surface.serialize(pieces.build("fix-bigonpair")))

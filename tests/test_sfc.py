@@ -184,18 +184,21 @@ def _assert_one_pass_census(d):
 def _assert_matches_references(d):
     """Generators and classes equal the references, order included, the
     census's one pass matches its references, and the differential's
-    entries equal the all-moves loop's, on the complex itself when the
-    diagram passes the gates."""
+    entries equal the all-moves loop's; when the diagram passes the
+    gates, the complex's own basis, classes and entries do too."""
     _assert_one_pass_census(d)
     gens = sfc.generators(d)
     assert gens == oracles.reference_generators(d)
-    part = _partition(d, gens)
-    assert list(part.items()) == list(oracles.reference_spinc_partition(d, gens).items())
+    reference = list(oracles.reference_spinc_partition(d, gens).items())
+    assert list(_partition(d, gens).items()) == reference
     census = sfc.region_census(d)
     expected = oracles.reference_differential_entries(gens, census)
     assert _entries(gens, census) == expected
     if sfc.is_nice(d)[0] and sfc.is_admissible(d)[0]:
-        assert sfc.differential(d).differential.entries == expected
+        cx = sfc.differential(d)
+        assert cx.basis == gens
+        assert list(cx.spinc_class.items()) == reference
+        assert cx.differential.entries == expected
 
 
 def _pipeline_diagrams(d, monkeypatch):
@@ -298,8 +301,9 @@ def test_handle_stages_match_references(name):
 
 
 def test_single_generator_classes_skip_the_smith_form(monkeypatch):
-    """With at most one generator ``spinc_partition`` puts it in class 0,
-    as the reference does, without calling ``cokernel_residue``."""
+    """With at most one generator ``spinc_partition`` and the complex of
+    ``differential`` put it in class 0, as the reference does, without
+    calling ``cokernel_residue``."""
     diagrams = [pieces.build(name) for name in NICE_PIECES]
     diagrams += [pieces.mirror(d) for d in diagrams]
     diagrams += [d for name in ("fix-stab", "bigonpair^3") for d in _handle_stages(name)]
@@ -311,15 +315,20 @@ def test_single_generator_classes_skip_the_smith_form(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sfc, "cokernel_residue", counting)
-    single = 0
+    single = gated = 0
     for d in diagrams:
         gens = sfc.generators(d)
         if len(gens) > 1:
             continue
         single += 1
-        part = _partition(d, gens)
-        assert list(part.items()) == list(oracles.reference_spinc_partition(d, gens).items())
-    assert single >= 20
+        reference = list(oracles.reference_spinc_partition(d, gens).items())
+        assert list(_partition(d, gens).items()) == reference
+        if sfc.is_nice(d)[0] and sfc.is_admissible(d)[0]:
+            gated += 1
+            cx = sfc.differential(d)
+            assert cx.labels == [0] * len(gens)
+            assert list(cx.spinc_class.items()) == reference
+    assert single >= 20 and gated >= 20
     assert calls == []
 
 
