@@ -8,11 +8,12 @@ staged route cuts the base open along the attachment region
 (``prepare_one_handle`` / ``prepare_two_handle``), concatenates the
 builtin blocks, and maps through the pairing piece (``elementary_join``).
 The routes share only surface mechanics: the path router, the mark
-naming, the id renaming and a 1-handle's feet; the staged cut builds
-its own strip, interface and arcs.  The package's comparison
-artifacts -- chain-map tables, stage ranks, the boundary identity on
-the twist stage -- are produced by ``glue_one_handle``,
-``glue_two_handle`` and ``equivalence_report``.
+naming, the id renaming, a 1-handle's feet and, for a 2-handle, the
+strip with its ports (``_attach_one_handle``, ``_subdivide_ports``);
+the staged cut adds its own interface, slit hole and arcs.  The
+package's comparison artifacts -- chain-map tables, stage ranks, the
+boundary identity on the twist stage -- are produced by
+``glue_one_handle``, ``glue_two_handle`` and ``equivalence_report``.
 
 A chain-map table is a ``BinaryMatrix``, one bit-packed column per source
 generator like the differentials; the law check, composition and route

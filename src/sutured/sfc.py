@@ -332,9 +332,9 @@ class ChainComplexF2:
     its census read (the one its caller handed to ``differential``, if
     any), which the action census reads again.
 
-    ``basis`` (the generators as vertex-id frozensets), ``position``
-    (generator -> basis index) and ``spinc_class`` (generator -> class
-    index) are views, each built on its first read and kept.
+    ``basis`` (the generators as vertex-id frozensets) and ``position``
+    (generator -> basis index) are views, each built on its first read
+    and kept.
     """
 
     verts: list  # the crossings, in vertex order
@@ -351,10 +351,6 @@ class ChainComplexF2:
     @cached_property
     def position(self) -> dict:
         return {x: i for i, x in enumerate(self.basis)}
-
-    @cached_property
-    def spinc_class(self) -> dict:
-        return dict(zip(self.basis, self.labels))
 
     def boundary_of(self, x) -> frozenset:
         column = self.differential.columns[self.position[x]]

@@ -553,6 +553,14 @@ def _arc_key(k: str) -> int:
     raise TypeError(f"arcs keys must be decimal ints, not {k!r}")
 
 
+def _json(field: str, x, kind: type = list):
+    """A copy of ``x``, which the schema gives as a JSON list (``kind``
+    ``list``) or object (``dict``)."""
+    if not isinstance(x, kind):
+        raise TypeError(f"{field} must be a {kind.__name__}, not a {type(x).__name__}")
+    return kind(x)
+
+
 def from_json_dict(data: dict) -> Diagram:
     edges = _by_id("edge", (
         Edge(e["id"], e["kind"], e.get("curve"), e["from"], e["to"]) for e in data["edges"]
@@ -562,30 +570,31 @@ def from_json_dict(data: dict) -> Diagram:
         for f in data["faces"]
     ))
     mk = lambda pool, cs: _by_id(  # noqa: E731
-        pool, (Curve(c["id"], _flag(c["closed"]), list(c["segments"])) for c in cs)
+        pool, (Curve(c["id"], _flag(c["closed"]), _json("segments", c["segments"])) for c in cs)
     )
+    intervals = lambda field, ivs: [_json(field, iv) for iv in _json(field, ivs)]  # noqa: E731
     interfaces = [
         Interface(
             ArcDiagram(
-                [list(iv) for iv in i["arc_diagram"]["intervals"]],
+                intervals("arc_diagram intervals", i["arc_diagram"]["intervals"]),
                 {p: _arc_index(a) for p, a in i["arc_diagram"]["matching"].items()},
                 i["arc_diagram"]["kind"],
             ),
-            [list(iv) for iv in i["intervals"]],
+            intervals("interface intervals", i["intervals"]),
             {_arc_key(a): c for a, c in i["arcs"].items()},
         )
         for i in data.get("arc_interfaces", [])
     ]
     tags = data.get("tags", {})
     d = Diagram(
-        set(data["vertices"]),
+        set(_json("vertices", data["vertices"])),
         edges,
         faces,
         mk("alpha curve", data["alpha_curves"]),
         mk("beta curve", data["beta_curves"]),
         interfaces,
-        list(tags.get("eh", [])),
-        dict(tags.get("marks", {})),
+        _json("eh", tags.get("eh", [])),
+        _json("marks", tags.get("marks", {}), dict),
     )
     names = [*d.vertices, *d.faces, *d.curves(), *d.eh, *d.marks.values()]
     names += [x for ed in d.edges.values() for x in (ed.id, ed.kind, ed.frm, ed.to)]
@@ -998,14 +1007,6 @@ def attach_trivial_bypass(d: Diagram, site: str, sign: str, *, built: bool = Fal
 # destabilization
 
 
-def _curve_vertices(d: Diagram, c: Curve) -> set:
-    out = set()
-    for e in c.segments:
-        out.add(d.edges[e].frm)
-        out.add(d.edges[e].to)
-    return out
-
-
 def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     """Remove a stabilizing curve pair crossing once and nothing else.
 
@@ -1024,87 +1025,64 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     beta = out.beta_curves.pop(beta_id)
     if not alpha.closed or not beta.closed:
         raise ValueError("only closed curves can be destabilized")
-    across = _curve_vertices(out, alpha) & _curve_vertices(out, beta)
+    alpha_vertices, beta_vertices = (
+        {v for e in c.segments for v in (out.edges[e].frm, out.edges[e].to)} for c in (alpha, beta)
+    )
+    across = alpha_vertices & beta_vertices
     if len(across) != 1:
         raise ValueError(f"curves meet at {sorted(across)}, need a single point")
     forced = next(iter(across))
     pair_edges = set(alpha.segments) | set(beta.segments)
-    pair_vertices = _curve_vertices(out, alpha) | _curve_vertices(out, beta)
+    pair_vertices = alpha_vertices | beta_vertices
     touching = [(v, e) for e, ed in out.edges.items() if ed.kind in CURVE_KINDS
                 and e not in pair_edges for v in (ed.frm, ed.to) if v in pair_vertices]
     if touching:
         v, e = min(touching)  # the least, so the message is the same in every process
         raise ValueError(f"curve edge {e} touches the pair at {v}")
 
-    alpha_edges = list(alpha.segments)
-    alpha_set = set(alpha_edges)
+    # cut: split every vertex on alpha into a + and a - copy
+    alpha_set = set(alpha.segments)
     dx = Darts(out)
     seen = bytearray(len(dx.tail))
-
-    # cut: split every vertex on alpha into a + and a - copy
-    side_of_vertex_end = {}  # (edge id, "frm"/"to") -> new vertex id
-    for v in sorted(_curve_vertices(out, alpha)):
+    copies = {}  # alpha vertex -> {sign: its copy on that side}
+    moved = {}  # (edge id, "frm"/"to") -> the copy that end moves to
+    for v in sorted(alpha_vertices):
         ring, is_open = dx.walk(dx.tail.index(v), seen)  # the link of v
         if is_open:
             raise ValueError(f"alpha vertex {v} lies on the boundary")
         # the side into each corner of the link, in walking order
         incs = [(dx.edge[j], dx.sign[j]) for j in map(dx._prv, ring)]
-        alpha_positions = [i for i, (e, _s) in enumerate(incs) if e in alpha_set]
-        if len(alpha_positions) != 2:
+        at = [i for i, (e, _s) in enumerate(incs) if e in alpha_set]
+        if len(at) != 2:
             raise ValueError(f"vertex {v} is not a simple alpha vertex")
-        i1, i2 = alpha_positions
-        n = len(incs)
-        arcs = [
-            [incs[(i1 + k) % n] for k in range(1, (i2 - i1) % n)],
-            [incs[(i2 + k) % n] for k in range(1, (i1 - i2) % n)],
-        ]
-        signs = [incs[i1][1], incs[i2][1]]
-        if signs[0] == signs[1]:
+        if incs[at[0]][1] == incs[at[1]][1]:
             raise ValueError(f"inconsistent sides at {v}")
         plus, minus = out.fresh_ids("v", 2)
         out.vertices |= {plus, minus}
-        copies = {1: plus, -1: minus}
-        # the arc following the incidence with sign s lies on side s
-        for (e, s), arc in zip([incs[i1], incs[i2]], arcs):
-            target = copies[s]
-            for (ee, ss) in arc:
-                side_of_vertex_end[(ee, "to" if ss > 0 else "frm")] = target
-        side_of_vertex_end[("alpha+", v)] = plus
-        side_of_vertex_end[("alpha-", v)] = minus
+        copies[v] = {1: plus, -1: minus}
+        # the arc after the alpha side with sign s lies on side s
+        n = len(incs)
+        for i, stop in ((at[0], at[1]), (at[1], at[0])):
+            for k in range(i + 1, i + (stop - i) % n):
+                e, s = incs[k % n]  # side s of e ends at v
+                moved[(e, "to" if s > 0 else "frm")] = copies[v][incs[i][1]]
         out.vertices.discard(v)
-    for (e, end), target in side_of_vertex_end.items():
-        if e in ("alpha+", "alpha-") or e in alpha_set:
-            continue
-        setattr(out.edges[e], "to" if end == "to" else "frm", target)
+    for (e, end), target in moved.items():
+        setattr(out.edges[e], end, target)
 
-    occ_rewrite = {}
-    for e in alpha_edges:
+    rewrite = {}  # (alpha edge, sign) -> (its copy on that side, sign)
+    for e in alpha.segments:
         ed = out.edges.pop(e)
-        ep = out.fresh_id(f"{e}+")
-        em = out.fresh_id(f"{e}-")
-        out.edges[ep] = Edge(
-            ep,
-            "seam",
-            None,
-            side_of_vertex_end[("alpha+", ed.frm)],
-            side_of_vertex_end[("alpha+", ed.to)],
-        )
-        out.edges[em] = Edge(
-            em,
-            "seam",
-            None,
-            side_of_vertex_end[("alpha-", ed.frm)],
-            side_of_vertex_end[("alpha-", ed.to)],
-        )
-        occ_rewrite[(e, 1)] = (ep, 1)
-        occ_rewrite[(e, -1)] = (em, -1)
+        for s, name in ((1, out.fresh_id(f"{e}+")), (-1, out.fresh_id(f"{e}-"))):
+            out.edges[name] = Edge(name, "seam", None, copies[ed.frm][s], copies[ed.to][s])
+            rewrite[(e, s)] = (name, s)
     for f in out.faces.values():
-        f.word = [occ_rewrite.get((e, s), (e, s)) for (e, s) in f.word]
-    plus_ids = [occ_rewrite[(e, 1)][0] for e in alpha_edges]
-    minus_ids = [occ_rewrite[(e, -1)][0] for e in alpha_edges]
+        f.word = [rewrite.get(side, side) for side in f.word]
     cap_plus, cap_minus = out.fresh_ids("f", 2)
-    out.faces[cap_plus] = Face(cap_plus, [(e, -1) for e in reversed(plus_ids)], False)
-    out.faces[cap_minus] = Face(cap_minus, [(e, 1) for e in minus_ids], False)
+    out.faces[cap_plus] = Face(
+        cap_plus, [(rewrite[(e, 1)][0], -1) for e in reversed(alpha.segments)], False)
+    out.faces[cap_minus] = Face(
+        cap_minus, [(rewrite[(e, -1)][0], 1) for e in alpha.segments], False)
 
     # the beta edges are plain interior edges now
     for e in beta.segments:

@@ -259,11 +259,11 @@ def _stage_properties(key, specs, failures):
             return
         results.append((d2, table, x0))
         for cx in (table.source, table.target):
+            classes = dict(zip(cx.basis, cx.labels))
             for g in cx.basis:
                 if boundary_set(cx, cx.boundary_of(g)):
                     failures.append(f"{where}: differential does not square to zero")
-                bad = [y for y in cx.boundary_of(g)
-                       if cx.spinc_class[y] != cx.spinc_class[g]]
+                bad = [y for y in cx.boundary_of(g) if classes[y] != classes[g]]
                 if bad:
                     failures.append(f"{where}: differential leaves the class of {name(g)}")
         if table.check():

@@ -81,6 +81,18 @@ def test_examples_out_dir_matches_stdout(capsys, tmp_path):
     assert (tmp_path / "stab.json").read_text() == out
 
 
+def test_examples_out_dir_writes_every_example(capsys, tmp_path):
+    """With no name, ``--out-dir`` writes one file per example, each
+    byte-equal to the stdout of ``examples <name>`` and valid."""
+    code, out, _ = run(capsys, "examples", "--out-dir", str(tmp_path))
+    assert code == 0 and out.splitlines() == cli._example_family() == LISTING
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.json" for n in LISTING)
+    for name in LISTING:
+        path = tmp_path / f"{name}.json"
+        assert run(capsys, "examples", name) == (0, path.read_text(), "")
+        assert run(capsys, "validate", str(path))[0] == 0
+
+
 def test_examples_unknown_name(capsys):
     code, _, err = run(capsys, "examples", "fix-torus")
     assert code == 1
@@ -103,7 +115,7 @@ def test_homology_text_and_json(capsys, disk_file):
                          ids=["grid-5", "bigonpair^6"])
 def test_homology_builds_no_basis(capsys, tmp_path, monkeypatch, d):
     """The ``homology`` verb ranks the complex from its class labels: the
-    ``basis``, ``position`` and ``spinc_class`` views are never built."""
+    ``basis`` and ``position`` views are never built."""
     path = tmp_path / "d.json"
     path.write_text(surface.serialize(d))
     rank, built, real = sfc.homology(d).total, [], sfc.differential
@@ -117,7 +129,7 @@ def test_homology_builds_no_basis(capsys, tmp_path, monkeypatch, d):
     assert code == 0 and json.loads(out)["total"] == rank
     (cx,) = built
     assert len(cx.gens) == len(sfc.generators(d)) > 1
-    assert {"basis", "position", "spinc_class"}.isdisjoint(vars(cx))
+    assert {"basis", "position"}.isdisjoint(vars(cx))
 
 
 def test_generators_listing(capsys, tmp_path):
@@ -541,6 +553,55 @@ def test_malformed_values_refuse_the_document(capsys, tmp_path, key, value):
         reason = json.loads(err)["error"]
         assert reason.startswith("malformed diagram document")
         assert ("signs" if value == "sign" else "booleans") in reason
+
+
+def _unlisted(doc, case):
+    """``doc`` with one list field given as a string or an object, or its
+    ``marks`` object given as a list of pairs."""
+    if case.startswith(("interface", "arc-diagram")):
+        itf = doc["arc_interfaces"][0]
+        owner = itf if case.startswith("interface") else itf["arc_diagram"]
+        if case.endswith("intervals"):
+            owner["intervals"] = {str(k): iv for k, iv in enumerate(owner["intervals"])}
+        else:
+            owner["intervals"][1] = "".join(owner["intervals"][1])
+    elif case == "vertices-string":
+        doc["vertices"] = "".join(doc["vertices"])
+    elif case == "vertices-object":
+        doc["vertices"] = {v: k for k, v in enumerate(doc["vertices"])}
+    elif case == "segments":
+        doc["beta_curves"][0]["segments"] = "".join(doc["beta_curves"][0]["segments"])
+    elif case == "eh":
+        doc["tags"]["eh"] = "".join(doc["tags"]["eh"])
+    else:
+        doc["tags"]["marks"] = [list(pair) for pair in doc["tags"]["marks"].items()]
+
+
+@pytest.mark.parametrize("case, key, field", [
+    ("vertices-string", "fix-stab", "vertices"),
+    ("vertices-object", "fix-stab", "vertices"),
+    ("segments", "fix-stab", "segments"),
+    ("eh", "fix-stab", "eh"),
+    ("marks", "rt2", "marks"),
+    ("interface-intervals", "rt2", "interface intervals"),
+    ("interface-interval", "rt2", "interface intervals"),
+    ("arc-diagram-intervals", "rt2", "arc_diagram intervals"),
+    ("arc-diagram-interval", "rt2", "arc_diagram intervals"),
+])
+def test_fields_of_the_wrong_json_type_refuse_the_document(capsys, tmp_path, case, key, field):
+    """A list field given as a string or an object, or ``marks`` given
+    as a list, is refused with a reason naming the field, not iterated
+    into characters, keys or pairs."""
+    doc = json.loads(surface.serialize(pieces.build(key)))
+    _unlisted(doc, case)
+    bad = tmp_path / "unlisted.json"
+    bad.write_text(json.dumps(doc))
+    for verb in ("validate", "homology"):
+        code, out, err = run(capsys, verb, str(bad))
+        assert (code, out) == (1, "")
+        reason = json.loads(err)["error"]
+        assert reason.startswith("malformed diagram document")
+        assert f"{field} must be a " in reason
 
 
 def _cli_stdout(argv, seed):

@@ -466,7 +466,7 @@ def _destabilized(d, a, b):
 def _complex(d):
     """The basis, differential columns and Spin^c classes of ``d``."""
     cx = sfc.differential(d)
-    return cx.basis, cx.differential.columns, cx.spinc_class
+    return cx.basis, cx.differential.columns, dict(zip(cx.basis, cx.labels))
 
 
 def _assert_reduction_keeps_the_complex(d):
@@ -615,6 +615,32 @@ def test_validate_matches_reference_on_mutated_documents():
         if checked == 320:
             break
     assert checked == 320
+
+
+@pytest.mark.parametrize("problem", [
+    "intersection vertex m has degree 3",
+    "interface 0: interval breaks at o1",
+    "interface 0: arc assignment indices mismatch",
+])
+def test_validate_reports_edited_documents_like_the_reference(problem):
+    """Three problems, each reached by one edit of a catalog document
+    once the checks before them pass: the same problem list as the
+    reference, holding that problem."""
+    if problem.startswith("intersection"):
+        doc = sf.to_json_dict(pieces.build("fix-stab"))
+        seam = next(e for e in doc["edges"] if e["id"] == "s")
+        seam.update(kind="beta", curve="B0")  # m now meets three curve edges and nothing else
+    else:
+        doc = sf.to_json_dict(pieces.build("rt2"))
+        itf = doc["arc_interfaces"][0]
+        if "breaks" in problem:
+            itf["intervals"][0][:2] = itf["intervals"][0][1::-1]  # o2 before o1
+        else:
+            itf["arcs"] = {"1": "A1R", "3": "A2R"}  # the matching has no arc 3
+    d = sf.parse(json.dumps(doc))
+    problems = sf.validate(d)
+    assert problems == oracles.reference_validate(d)
+    assert problem in problems
 
 
 def _unvalidated(d):
