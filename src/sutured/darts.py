@@ -23,8 +23,9 @@ class Darts:
     tail is ``nxt[mate[k]]``: vertex links are orbits of that step, kept
     in no other form (``walk`` follows one, ``orbits`` starts each once,
     and ``_prv`` gives the side into a corner), and regions and cuts are
-    union-finds over face indices (``regions`` is kept).  ``d`` is a
-    ``surface.Diagram``; an edit to it needs a new build.
+    union-finds over face indices (``regions`` is kept, with its
+    ``region_groups``).  ``d`` is a ``surface.Diagram``; an edit to it
+    needs a new build.
     """
 
     def __init__(self, d):
@@ -95,6 +96,11 @@ class Darts:
     def regions(self) -> list:
         """The faces joined across the seams: ``join(("seam",))``."""
         return self.join(("seam",))
+
+    @cached_property
+    def region_groups(self) -> list:
+        """The regions as sorted lists of face ids: ``groups(regions)``."""
+        return self.groups(self.regions)
 
     def darts_of(self, i: int) -> range:
         """The darts of face ``i``."""

@@ -50,7 +50,6 @@ from .surface import (
     _attach_one_handle,
     _check,
     _check_two_handle_paths,
-    _cut_twice,
     _face_carrying,
     _foot_edges,
     _put_mark,
@@ -244,7 +243,7 @@ def prepare_one_handle(d, p: str, q: str):
     p, q = _foot_edges(out, p, q)
 
     # the middle thirds of the feet become the interface, margins stay free
-    feet = [[_cut_twice(out, eid)[1]] for eid in (p, q)]
+    feet = [[subdivide_edge(out, eid, 2)[1]] for eid in (p, q)]
     out.interfaces.append(Interface(ArcDiagram([[], []], {}, "alpha"), feet, {}))
     return _check(out, built=True)
 
@@ -270,8 +269,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     ports_p, ports_q = _subdivide_ports(out, handle, ("b", "a"), ("b", "a"))
 
     # the attaching-circle side of the strip becomes the long interval
-    e1, e2, rest, j0, j1 = _cut_twice(out, handle["s1"])
-    e3, e4, j2 = subdivide_edge(out, rest)
+    e1, e2, e3, e4, j0, j1, j2 = subdivide_edge(out, handle["s1"], 3)
 
     # slit hole in the strip: the short arc's far endpoint lives on it
     s2a, _s2b, sl = subdivide_edge(out, handle["s2"])

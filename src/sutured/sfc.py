@@ -17,14 +17,16 @@ boundary and the domain touches it.
 ``differential`` reads one build, the one the diagram's gate validated
 when its caller hands it on, for the census, the admissibility rows,
 the crossing table and the generators, and its complex keeps the
-build for the action census.  Inside it a generator is its sorted index
-tuple and bit mask over the crossings in vertex order, from one
-enumeration (``_matchings``) through the Spin^c keys (``_spinc_labels``)
-to the columns (``_boundary_entries``), and the complex keeps the index
-tuples.  Vertex-id frozensets are built only where they are read, by
-one helper (``_as_sets``): in the view ``generators``, which
-``spinc_partition`` takes, and in the complex's ``basis`` view on its
-first read.  ``homology`` reads the class labels and builds none.
+build for the action census and the Spin^c labels.  Inside it a
+generator is its sorted index tuple and bit mask over the crossings in
+vertex order, from one enumeration (``_matchings``) to the columns
+(``_boundary_entries``), and the complex keeps the index tuples.  Its
+class labels (``_spinc_labels``) are a view built on first read, which
+``homology`` makes and the glue routes make only for the complexes
+whose ranks they report.  Vertex-id frozensets are built only where
+they are read, by one helper (``_as_sets``): in the view
+``generators``, which ``spinc_partition`` takes, and in the complex's
+``basis`` view on its first read.  ``homology`` builds none.
 
 The action census grows each chord's candidate domains from the faces
 on the chord across shared edges (``_connected_supersets``).  Both
@@ -196,7 +198,7 @@ def region_census(d: Diagram, darts=None) -> list:
     interface = d.interface_edge_ids()
     return [
         _classify(dx, group, seams, interface)
-        for group in dx.groups(dx.regions)
+        for group in dx.region_groups
         if not d.faces[group[0]].suture
     ]
 
@@ -324,25 +326,33 @@ class ChainComplexF2:
     maps and the glue routes take it instead of rebuilding it.  It keeps
     one form: ``verts``, the crossings in vertex order; ``gens``, each
     generator as its sorted tuple of indices into ``verts``, canonically
-    ordered; the bit-packed columns of its ``BinaryMatrix``, column j
-    being d(gens[j]) with bit i standing for gens[i]; and ``labels``, the
-    Spin^c class of each generator.  ``diagram`` is the diagram it came
-    from (``None`` for a complex built from tables, such as the box
-    tensor product of the test references) and ``darts`` the dart build
-    its census read (the one its caller handed to ``differential``, if
-    any), which the action census reads again.
+    ordered; and the bit-packed columns of its ``BinaryMatrix``, column j
+    being d(gens[j]) with bit i standing for gens[i].  ``diagram`` is the
+    diagram it came from (``None`` for a complex built from tables, such
+    as the box tensor product of the test references, which gives its
+    class labels as ``given``) and ``darts`` the dart build its census
+    read (the one its caller handed to ``differential``, if any), which
+    the action census and the labels read again.
 
-    ``basis`` (the generators as vertex-id frozensets) and ``position``
-    (generator -> basis index) are views, each built on its first read
-    and kept.
+    ``labels`` (the Spin^c class of each generator), ``basis`` (the
+    generators as vertex-id frozensets) and ``position`` (generator ->
+    basis index) are views, each built on its first read and kept.
     """
 
     verts: list  # the crossings, in vertex order
     gens: list  # canonically ordered generators, as sorted index tuples into verts
     differential: BinaryMatrix  # bit i of column j: gens[i] appears in d(gens[j])
-    labels: list  # class index of each generator
+    given: Optional[list]  # class index of each generator, when built from tables
     diagram: Optional[Diagram]
     darts: object = field(default=None, repr=False, compare=False)  # the diagram's Darts
+
+    @cached_property
+    def labels(self) -> list:
+        if self.given is not None:
+            return self.given
+        d, dx = self.diagram, self.darts
+        groups = [g for g in dx.region_groups if not d.faces[g[0]].suture]
+        return _spinc_labels(d, groups, self.verts, self.gens)
 
     @cached_property
     def basis(self) -> list:
@@ -379,9 +389,7 @@ def differential(d: Diagram, darts=None) -> ChainComplexF2:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
     verts, gens = _matchings(d, dx.crossings)
     diff = BinaryMatrix(len(gens), _boundary_entries(verts, gens, census))
-    tuples = [t for t, _ in gens]
-    labels = _spinc_labels(d, [rec.faces for rec in census], verts, tuples)
-    return ChainComplexF2(verts, tuples, diff, labels, d, dx)
+    return ChainComplexF2(verts, [t for t, _ in gens], diff, None, d, dx)
 
 
 def _boundary_entries(verts: list, gens: list, census: list) -> tuple:

@@ -236,8 +236,7 @@ class Diagram:
 
 def regions(d: Diagram) -> list:
     """Faces merged across seam edges; returns lists of face ids."""
-    dx = Darts(d)
-    return dx.groups(dx.regions)
+    return Darts(d).region_groups
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +248,9 @@ def validate(d: Diagram, *, set_flags: bool = False, darts=None) -> list:
 
     Every check after the edge checks reads one ``Darts`` build
     (``darts``, if made): the usage counts and word breaks, the link
-    walk, which also chains the boundary circles, and the regions and
-    family cuts as union-finds over face indices.  It writes nothing,
+    walk, which also chains the boundary circles, the intersection
+    vertices (the tails of both curve families' sides), and the regions
+    and family cuts as union-finds over face indices.  It writes nothing,
     unless ``set_flags`` has it set the suture flags from the regions
     first: a region is a suture region when it touches a free
     (non-interface) boundary edge.  The flag check still runs.
@@ -261,10 +261,20 @@ def validate(d: Diagram, *, set_flags: bool = False, darts=None) -> list:
         problems.append("duplicate ids across edges/faces/curves")
 
     # edge kinds, ends and curve ids, edge by edge in id order only when
-    # a pass in any order finds a fault
-    boundary = sorted(e for e, ed in d.edges.items() if ed.kind == "boundary")
-    sound = all(ed.kind in EDGE_KINDS and (ed.kind in CURVE_KINDS) != (ed.curve is None)
-                and ed.frm in d.vertices and ed.to in d.vertices for ed in d.edges.values())
+    # the one pass over the kinds finds a fault
+    boundary, curve_edges, sound, vertices = [], [], True, d.vertices
+    for e, ed in d.edges.items():
+        if ed.kind == "boundary":
+            boundary.append(e)
+        if ed.kind in CURVE_KINDS:
+            curve_edges.append(e)
+            if ed.curve is None:
+                sound = False
+        elif ed.curve is not None or ed.kind not in EDGE_KINDS:
+            sound = False
+        if ed.frm not in vertices or ed.to not in vertices:
+            sound = False
+    boundary.sort()
     for e, ed in [] if sound else sorted(d.edges.items()):
         if ed.kind not in EDGE_KINDS:
             problems.append(f"edge {e} has unknown kind {ed.kind!r}")
@@ -334,14 +344,17 @@ def validate(d: Diagram, *, set_flags: bool = False, darts=None) -> list:
 
     # every boundary circle carries at least one suture side.  With one
     # link per vertex the boundary cannot branch: the side after a
-    # boundary side j ends the link walk from the corner after j.
-    seen, walked = set(), bytearray(len(dx.tail))
+    # boundary side j ends the link's chain from the corner after j.
+    seen, nxt, mate, tail, kind = set(), dx.nxt, dx.mate, dx.tail, dx.kind
     for start in boundary:
         e, sides = start, []  # the suture flags along the circle
         while e not in seen:
             seen.add(e)
             sides.append(dx.faces[face[first[e]]].suture)
-            e = dx.edge[dx.walk(dx.nxt[first[e]], walked)[0][-1]]
+            k = nxt[first[e]]
+            while mate[k] >= 0:
+                k = nxt[mate[k]]
+            e = dx.edge[k]
         if sides and not any(sides):
             problems.append(f"boundary circle through {start} has no suture side")
 
@@ -351,31 +364,31 @@ def validate(d: Diagram, *, set_flags: bool = False, darts=None) -> list:
     seg_owner = {}
     for family in CURVE_KINDS:
         for c in d.curves(family).values():
-            for e in c.segments:
-                if d.edges[e].kind != family or d.edges[e].curve != c.id:
+            eds = [d.edges[e] for e in c.segments]
+            for e, ed in zip(c.segments, eds):
+                if ed.kind != family or ed.curve != c.id:
                     problems.append(f"edge {e} mislabeled for curve {c.id}")
                 if e in seg_owner:
                     problems.append(f"edge {e} appears in two curves")
                 seg_owner[e] = c.id
-            for e1, e2 in zip(c.segments, c.segments[1:]):
-                if d.edges[e1].to != d.edges[e2].frm:
+            for e1, e2, ed1, ed2 in zip(c.segments, c.segments[1:], eds, eds[1:]):
+                if ed1.to != ed2.frm:
                     problems.append(f"curve {c.id} breaks between {e1} and {e2}")
             if c.closed:
-                if d.edges[c.segments[-1]].to != d.edges[c.segments[0]].frm:
+                if eds[-1].to != eds[0].frm:
                     problems.append(f"closed curve {c.id} does not close")
             else:
-                ends = (d.edges[c.segments[0]].frm, d.edges[c.segments[-1]].to)
-                for v in ends:
+                for v in (eds[0].frm, eds[-1].to):
                     if v not in marked_at:
                         problems.append(f"arc {c.id} ends at unmarked vertex {v}")
-    for e, ed in d.edges.items():
-        if ed.kind in CURVE_KINDS and e not in seg_owner:
-            problems.append(f"curve edge {e} belongs to no curve")
+    problems += [f"curve edge {e} belongs to no curve" for e in curve_edges if e not in seg_owner]
 
     # intersection vertices: degree four, alternating families, read
-    # around the link from its least corner
-    seen, kind = bytearray(len(dx.tail)), dx.kind
-    for v in d.intersection_vertices():
+    # around the link from its least corner.  Every curve edge is
+    # interior and used both ways, so both its ends are tails.
+    alpha_at = {v for v, kd in zip(tail, kind) if kd == "alpha"}
+    seen = bytearray(len(tail))
+    for v in sorted(alpha_at.intersection([v for v, kd in zip(tail, kind) if kd == "beta"])):
         ring, is_open = dx.walk(corner_at[v], seen)
         fams = [kind[k] for k in ring]  # the incoming sides' kinds, shifted
         if is_open or not all(f in CURVE_KINDS for f in fams):
@@ -562,16 +575,19 @@ def _json(field: str, x, kind: type = list):
 
 
 def from_json_dict(data: dict) -> Diagram:
+    data = _json("document", data, dict)
     edges = _by_id("edge", (
-        Edge(e["id"], e["kind"], e.get("curve"), e["from"], e["to"]) for e in data["edges"]
+        Edge(e["id"], e["kind"], e.get("curve"), e["from"], e["to"])
+        for e in _json("edges", data["edges"])
     ))
     faces = _by_id("face", (
-        Face(f["id"], [_side(x) for x in f["boundary"]], _flag(f["suture"]))
-        for f in data["faces"]
+        Face(f["id"], [_side(x) for x in _json("boundary", f["boundary"])], _flag(f["suture"]))
+        for f in _json("faces", data["faces"])
     ))
-    mk = lambda pool, cs: _by_id(  # noqa: E731
-        pool, (Curve(c["id"], _flag(c["closed"]), _json("segments", c["segments"])) for c in cs)
-    )
+    mk = lambda pool, key: _by_id(pool, (  # noqa: E731
+        Curve(c["id"], _flag(c["closed"]), _json("segments", c["segments"]))
+        for c in _json(key, data[key])
+    ))
     intervals = lambda field, ivs: [_json(field, iv) for iv in _json(field, ivs)]  # noqa: E731
     interfaces = [
         Interface(
@@ -583,15 +599,15 @@ def from_json_dict(data: dict) -> Diagram:
             intervals("interface intervals", i["intervals"]),
             {_arc_key(a): c for a, c in i["arcs"].items()},
         )
-        for i in data.get("arc_interfaces", [])
+        for i in _json("arc_interfaces", data.get("arc_interfaces", []))
     ]
-    tags = data.get("tags", {})
+    tags = _json("tags", data.get("tags", {}), dict)
     d = Diagram(
         set(_json("vertices", data["vertices"])),
         edges,
         faces,
-        mk("alpha curve", data["alpha_curves"]),
-        mk("beta curve", data["beta_curves"]),
+        mk("alpha curve", "alpha_curves"),
+        mk("beta curve", "beta_curves"),
         interfaces,
         _json("eh", tags.get("eh", [])),
         _json("marks", tags.get("marks", {}), dict),
@@ -635,36 +651,39 @@ def _check(d: Diagram, built: bool = False):
     return dx if built else d
 
 
-def subdivide_edge(d: Diagram, eid: str):
-    """Split an edge at a fresh vertex, the least free ``w`` id (see
-    ``fresh_ids``); returns (first, second, vertex)."""
+def subdivide_edge(d: Diagram, eid: str, k: int = 1) -> tuple:
+    """Split an edge at ``k`` fresh vertices, the least free ``w`` ids
+    (see ``fresh_ids``), into ``k + 1`` pieces in the edge's direction;
+    returns the pieces, then the vertices, in order.
+
+    This is the one split primitive: one interface check, one ``w``
+    scan, one pass over the face words and one over the curve's
+    segments.  Ids, the order of ``d.edges``, the words and the
+    segments come out as from ``k`` splits at one vertex each, every
+    one of the last piece: a split of ``p`` names its two pieces
+    ``fresh_ids(f"{p}.", 2)``.
+    """
     if eid in d.interface_edge_ids():
         raise ValueError(f"cannot subdivide interface edge {eid}")
     ed = d.edges.pop(eid)
-    w = d.fresh_id("w")
-    d.vertices.add(w)
-    first, second = d.fresh_ids(f"{eid}.", 2)
-    d.edges[first] = Edge(first, ed.kind, ed.curve, ed.frm, w)
-    d.edges[second] = Edge(second, ed.kind, ed.curve, w, ed.to)
+    ws = d.fresh_ids("w", k)
+    d.vertices.update(ws)
+    pieces, last, frm = [], eid, ed.frm
+    for w in ws:
+        first, last = d.fresh_ids(f"{last}.", 2)
+        d.edges[first] = Edge(first, ed.kind, ed.curve, frm, w)
+        pieces.append(first)
+        frm = w
+    d.edges[last] = Edge(last, ed.kind, ed.curve, frm, ed.to)
+    pieces.append(last)
+    sides = {1: [(e, 1) for e in pieces], -1: [(e, -1) for e in reversed(pieces)]}
     for f in d.faces.values():
-        if (eid, 1) not in f.word and (eid, -1) not in f.word:
-            continue
-        word = []
-        for (e, s) in f.word:
-            if e != eid:
-                word.append((e, s))
-            elif s > 0:
-                word += [(first, 1), (second, 1)]
-            else:
-                word += [(second, -1), (first, -1)]
-        f.word = word
+        if (eid, 1) in f.word or (eid, -1) in f.word:
+            f.word = [x for e, s in f.word for x in (sides[s] if e == eid else [(e, s)])]
     if ed.curve is not None:
         c = d.curves(ed.kind)[ed.curve]
-        segs = []
-        for e in c.segments:
-            segs += [first, second] if e == eid else [e]
-        c.segments = segs
-    return first, second, w
+        c.segments = [x for e in c.segments for x in (pieces if e == eid else [e])]
+    return (*pieces, *ws)
 
 
 def _corner_positions(d: Diagram, face_id: str, v: str):
@@ -821,23 +840,16 @@ class TransversePath:
 
 
 def _require_free_suture_edge(d: Diagram, eid: str) -> None:
-    if eid not in d.free_boundary_edge_ids():
+    ed = d.edges.get(eid)
+    if ed is None or ed.kind != "boundary" or eid in d.interface_edge_ids():
         raise ValueError(f"{eid} is not a free boundary edge")
     for f in d.faces.values():
         if any(e == eid for (e, _s) in f.word) and not f.suture:
             raise ValueError(f"{eid} does not bound a suture region")
 
 
-def _cut_twice(d: Diagram, eid: str) -> tuple:
-    """``eid`` split in three, the second piece of a subdivision split
-    again; returns (left, middle, right, first vertex, second vertex)."""
-    left, rest, v1 = subdivide_edge(d, eid)
-    mid, right, v2 = subdivide_edge(d, rest)
-    return left, mid, right, v1, v2
-
-
 def _make_foot(d: Diagram, eid: str) -> dict:
-    left, seam, right, v1, v2 = _cut_twice(d, eid)
+    left, seam, right, v1, v2 = subdivide_edge(d, eid, 2)
     d.edges[seam].kind = "seam"
     return {"left": left, "seam": seam, "right": right, "v1": v1, "v2": v2}
 
@@ -889,8 +901,8 @@ def one_handle_parts(d: Diagram, p: str, q: str, *, built: bool = False) -> tupl
 def _subdivide_ports(d: Diagram, handle: dict, order_p, order_q) -> tuple:
     """Two port vertices on each foot seam of the 1-handle ``handle``,
     at p, then at q, named by the order of each foot."""
-    *_pieces, u1, u2 = _cut_twice(d, handle["p"]["seam"])
-    *_pieces, x1, x2 = _cut_twice(d, handle["q"]["seam"])
+    *_pieces, u1, u2 = subdivide_edge(d, handle["p"]["seam"], 2)
+    *_pieces, x1, x2 = subdivide_edge(d, handle["q"]["seam"], 2)
     return {order_p[0]: u1, order_p[1]: u2}, {order_q[0]: x1, order_q[1]: x2}
 
 
@@ -946,8 +958,14 @@ def attach_two_handle(
     b_path, alpha along a_path).  The two new curves intersect exactly
     once; that point is returned alongside the diagram.
     """
-    _check_two_handle_paths(d, p, q, a_path, b_path)
     out = d.copy()
+    x0 = _attach_two_handle(out, p, q, a_path, b_path, port_order_p, port_order_q)
+    return _check(out, built=built), x0
+
+
+def _attach_two_handle(out: Diagram, p, q, a_path, b_path, port_order_p, port_order_q) -> str:
+    """``attach_two_handle`` on ``out`` itself, ungated; returns the crossing."""
+    _check_two_handle_paths(out, p, q, a_path, b_path)
     handle = _attach_one_handle(out, p, q)
     ports_p, ports_q = _subdivide_ports(out, handle, port_order_p, port_order_q)
 
@@ -971,9 +989,8 @@ def attach_two_handle(
         raise ValueError(
             f"paths are not disjoint: {len(crossings)} forced crossings"
         )
-    x0 = crossings[0]
-    _put_mark(out, "x0", x0)
-    return _check(out, built=built), x0
+    _put_mark(out, "x0", crossings[0])
+    return crossings[0]
 
 
 def attach_trivial_bypass(d: Diagram, site: str, sign: str, *, built: bool = False):
@@ -991,16 +1008,10 @@ def attach_trivial_bypass(d: Diagram, site: str, sign: str, *, built: bool = Fal
     a_path = TransversePath([face_site, handle["p"]["seam"], handle["strip"]])
     b_path = TransversePath([face_site, handle["q"]["seam"], handle["strip"]])
     port_q = ("a", "b") if sign == "+" else ("b", "a")
-    return attach_two_handle(
-        out,
-        handle["p"]["right"],
-        handle["s1"],
-        a_path,
-        b_path,
-        port_order_p=("a", "b"),
-        port_order_q=port_q,
-        built=built,
+    x0 = _attach_two_handle(
+        out, handle["p"]["right"], handle["s1"], a_path, b_path, ("a", "b"), port_q
     )
+    return _check(out, built=built), x0
 
 
 # ---------------------------------------------------------------------------
@@ -1184,7 +1195,7 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, *, built: bool = False):
     # Identified vertices and glued edges are recorded first and applied
     # in one pass over the edges and one over the face words.  ``merged``
     # maps each lost vertex to the vertex it merged into; ``now`` follows
-    # it to the vertex that stays.
+    # it to the vertex that stays, once per lost vertex (``kept``).
     merged = {}
 
     def now(v):
@@ -1205,10 +1216,11 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, *, built: bool = False):
                     out.vertices.discard(lose)
             glued[f] = e
             el.kind = "seam"
+    kept = {v: now(v) for v in merged}
     for ed in out.edges.values():
-        ed.frm, ed.to = now(ed.frm), now(ed.to)
-    out.eh = [now(v) for v in out.eh]
-    out.marks = {k: now(v) for k, v in out.marks.items()}
+        ed.frm, ed.to = kept.get(ed.frm, ed.frm), kept.get(ed.to, ed.to)
+    out.eh = [kept.get(v, v) for v in out.eh]
+    out.marks = {k: kept.get(v, v) for k, v in out.marks.items()}
 
     flipped, store = set(), out.curves(il.arc_diagram.kind)
     for a1, c1 in sorted(il.arcs.items()):

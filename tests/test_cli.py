@@ -556,9 +556,17 @@ def test_malformed_values_refuse_the_document(capsys, tmp_path, key, value):
 
 
 def _unlisted(doc, case):
-    """``doc`` with one list field given as a string or an object, or its
-    ``marks`` object given as a list of pairs."""
-    if case.startswith(("interface", "arc-diagram")):
+    """``doc`` with one list field given as a string or an object, or one
+    object (``marks``, ``tags``, the document itself) given as a list."""
+    if case == "document":
+        return [doc]
+    if case in ("edges", "faces", "alpha_curves", "beta_curves", "arc_interfaces"):
+        doc[case] = {str(k): x for k, x in enumerate(doc[case])}
+    elif case == "boundary":
+        doc["faces"][0]["boundary"] = dict(doc["faces"][0]["boundary"])
+    elif case == "tags":
+        doc["tags"] = []
+    elif case.startswith(("interface", "arc-diagram")):
         itf = doc["arc_interfaces"][0]
         owner = itf if case.startswith("interface") else itf["arc_diagram"]
         if case.endswith("intervals"):
@@ -575,6 +583,7 @@ def _unlisted(doc, case):
         doc["tags"]["eh"] = "".join(doc["tags"]["eh"])
     else:
         doc["tags"]["marks"] = [list(pair) for pair in doc["tags"]["marks"].items()]
+    return doc
 
 
 @pytest.mark.parametrize("case, key, field", [
@@ -587,13 +596,23 @@ def _unlisted(doc, case):
     ("interface-interval", "rt2", "interface intervals"),
     ("arc-diagram-intervals", "rt2", "arc_diagram intervals"),
     ("arc-diagram-interval", "rt2", "arc_diagram intervals"),
+    ("edges", "fix-stab", "edges"),
+    ("faces", "fix-stab", "faces"),
+    ("alpha_curves", "fix-stab", "alpha_curves"),
+    ("beta_curves", "fix-stab", "beta_curves"),
+    ("arc_interfaces", "fix-stab", "arc_interfaces"),
+    ("arc_interfaces", "rt2", "arc_interfaces"),
+    ("boundary", "fix-stab", "boundary"),
+    ("tags", "fix-stab", "tags"),
+    ("document", "fix-stab", "document"),
 ])
 def test_fields_of_the_wrong_json_type_refuse_the_document(capsys, tmp_path, case, key, field):
-    """A list field given as a string or an object, or ``marks`` given
-    as a list, is refused with a reason naming the field, not iterated
-    into characters, keys or pairs."""
-    doc = json.loads(surface.serialize(pieces.build(key)))
-    _unlisted(doc, case)
+    """A list field given as a string or an object, or an object (``marks``,
+    ``tags``, the document) given as a list, is refused with a reason
+    naming the field, not iterated into characters, keys or pairs, nor
+    read as empty (fix-stab has no interfaces, so ``arc_interfaces`` is
+    an empty object there)."""
+    doc = _unlisted(json.loads(surface.serialize(pieces.build(key))), case)
     bad = tmp_path / "unlisted.json"
     bad.write_text(json.dumps(doc))
     for verb in ("validate", "homology"):

@@ -3,6 +3,7 @@ classes, the differential, homology, and interface actions."""
 
 import gc
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import fixtures
 import oracles
 import sequences
-from sutured import glue, pieces, sfc
+from sutured import cli, glue, pieces, sfc
 from sutured import surface as sf
 from sutured.darts import Darts
 from sutured.exactlin import BinaryMatrix, set_bits
@@ -620,6 +621,31 @@ def test_differential_preserves_classes(name):
     cx = sfc.differential(pieces.build(name))
     for (r, c) in cx.differential.entries:
         assert cx.labels[r] == cx.labels[c]
+
+
+def test_labels_are_built_on_first_read(monkeypatch, tmp_path, capsys):
+    """``differential`` builds no class labels and ``homology`` builds
+    them once per complex; ``verify-equivalence`` on fix-bigonpair's
+    canonical plan labels exactly the complexes whose homology it takes."""
+    labelled, reported = [], []
+    real_labels, real_homology = sfc._spinc_labels, sfc.homology
+    monkeypatch.setattr(sfc, "_spinc_labels",
+                        lambda d, *rest: labelled.append(d) or real_labels(d, *rest))
+    d = pieces.build("fix-bigonpair")
+    cx = sfc.differential(d)
+    assert "labels" not in vars(cx) and labelled == []
+    assert sfc.homology(cx) == sfc.homology(cx) and labelled == [d]
+
+    labelled.clear()
+    monkeypatch.setattr(sfc, "homology", lambda c: reported.append(c) or real_homology(c))
+    doc, plan = tmp_path / "d.json", tmp_path / "plan.json"
+    doc.write_text(sf.serialize(d))
+    plan.write_text(json.dumps([glue.spec_to_json(s) for s in glue.two_handle_sequence(d)]))
+    assert cli.main(["verify-equivalence", str(doc), "--handles", str(plan)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "equivalent"
+    distinct = list({id(c): c for c in reported}.values())
+    assert all(isinstance(c, sfc.ChainComplexF2) for c in distinct)
+    assert sorted(map(id, labelled)) == sorted(id(c.diagram) for c in distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,43 @@ def test_fresh_ids_reuse_a_freed_id_first():
     assert d.fresh_ids("x", 3) == ["x2", "x5", "x6"]
 
 
+def _split_in_turn(d, eid, k):
+    """``eid`` split ``k`` times at one vertex each, every time the last
+    piece: the pieces, then the vertices, as ``subdivide_edge(d, eid, k)``
+    returns them."""
+    firsts, ws = [], []
+    for _ in range(k):
+        first, eid, w = sf.subdivide_edge(d, eid)
+        firsts.append(first)
+        ws.append(w)
+    return (*firsts, eid, *ws)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", ["fix-stab", "fix-bigonpair", "grid(4,1)"])
+def test_one_split_equals_splits_in_turn(name, k):
+    """Splitting every free boundary edge and every curve edge at ``k``
+    vertices at once gives the ids, edge order, words, segments and
+    vertices of ``k`` splits in turn."""
+    base = fixtures.punctured_grid(4, 1) if name == "grid(4,1)" else pieces.build(name)
+    free = base.free_boundary_edge_ids()
+    targets = [e for e, ed in base.edges.items() if e in free or ed.kind in sf.CURVE_KINDS]
+    one, turn = base.copy(), base.copy()
+    for e in targets:
+        assert sf.subdivide_edge(one, e, k) == _split_in_turn(turn, e, k)
+    assert list(one.edges) == list(turn.edges)
+    assert one == turn
+    assert sf.validate(one) == []
+
+
+def test_subdivide_edge_refuses_an_interface_edge():
+    d = pieces.build("rt2")
+    e = d.interfaces[0].intervals[0][0]
+    with pytest.raises(ValueError, match=f"^cannot subdivide interface edge {e}$"):
+        sf.subdivide_edge(d, e, 2)
+    assert d == pieces.build("rt2")
+
+
 def test_fresh_ids_are_the_least_free(stab):
     """Subdivisions mint the least free ``w`` ids: a run of them skips
     the taken ones, and a vertex freed by an edit is minted again."""
