@@ -282,12 +282,12 @@ def _build_parser():
         p.add_argument("--format", choices=("json", "text"), default="text")
         return p
 
-    for verb, func in (
-        ("validate", _cmd_validate),
-        ("generators", _cmd_generators),
-        ("homology", _cmd_homology),
+    for verb, func, text in (
+        ("validate", _cmd_validate, "check a diagram document, print its problems"),
+        ("generators", _cmd_generators, "list the generators of a diagram"),
+        ("homology", _cmd_homology, "sutured Floer homology ranks of a diagram"),
     ):
-        add(verb, func, help=f"{verb} a diagram document").add_argument("diagram")
+        add(verb, func, help=text).add_argument("diagram")
 
     p = add("attach", _cmd_attach, help="attach a handle, print the new diagram")
     p.add_argument("diagram")

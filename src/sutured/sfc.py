@@ -18,13 +18,13 @@ boundary and the domain touches it.
 when its caller hands it on, for the census, the admissibility rows,
 the crossing table and the generators, and its complex keeps the
 build for the action census and the Spin^c labels.  Inside it a
-generator is its sorted index tuple and bit mask over the crossings in
-vertex order, from one enumeration (``_matchings``) to the columns
-(``_boundary_entries``), and the complex keeps the index tuples.  Its
-class labels (``_spinc_labels``) are a view built on first read, which
-``homology`` makes and the glue routes make only for the complexes
-whose ranks they report.  Vertex-id frozensets are built only where
-they are read, by one helper (``_as_sets``): in the view
+generator is its index tuple, unsorted, and bit mask over the crossings
+in vertex order, from one enumeration (``_matchings``, ordered by an int
+key) to the columns (``_boundary_entries``); the complex keeps the
+tuples.  Its class labels (``_spinc_labels``) are a view built on first
+read, which ``homology`` makes and the glue routes make only for the
+complexes whose ranks they report.  Vertex-id frozensets are built only
+where they are read, by one helper (``_as_sets``): in the view
 ``generators``, which ``spinc_partition`` takes, and in the complex's
 ``basis`` view on its first read.  ``homology`` builds none.
 
@@ -38,7 +38,6 @@ glued along the edges it holds on both sides.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 from typing import Optional
 
 from .exactlin import (
@@ -73,9 +72,9 @@ def _as_sets(verts: list, tuples) -> list:
 
 def _matchings(d: Diagram, crossings: dict) -> tuple:
     """``(verts, gens)``: the crossings in vertex order, and every
-    generator as ``(indices, mask)``, its sorted indices into ``verts``
-    and the int with those bits set, in canonical order (index order is
-    vertex order).
+    generator as ``(indices, mask)``, its indices into ``verts``, unsorted,
+    and the int with those bits set, in canonical order: the lex order of
+    the sorted index tuples, prefixes first (index order is vertex order).
 
     A generator uses each closed curve exactly once and each arc at most
     once.  Going curve by curve along the alpha family, a closed alpha
@@ -83,25 +82,32 @@ def _matchings(d: Diagram, crossings: dict) -> tuple:
     one or none, and a choice is kept when it uses every closed beta
     curve.  Partial choices are grouped by the mask of beta curves they
     use, which fixes how they go on, so a group tests each crossing once.
+
+    Each choice also carries an order mask o: bit 2(n - i) - 1 for each
+    index i among n crossings, and bit 2n + 1.  The key o + ((o & -o) >> 1)
+    ends the sorted tuple with the even bit below its last index, so where
+    two tuples first differ, the smaller index, or the end, has the higher
+    bit: sorted descending by key, the generators fall in canonical order.
     """
     verts = sorted(crossings)
     beta = {c: 1 << k for k, c in enumerate(d.curves("beta"))}
     closed_beta = sum(beta[c.id] for c in d.curves("beta").values() if c.closed)
-    options = {}  # alpha curve -> [(index, its bit, beta curve bit)], by vertex
+    options = {}  # alpha curve -> [(index, its bit, its order bit, beta curve bit)], by vertex
     for i, v in enumerate(verts):
-        options.setdefault(crossings[v]["alpha"], []).append((i, 1 << i, beta[crossings[v]["beta"]]))
-    level = {0: [((), 0)]}  # beta curves used -> [(indices, mask)]
+        options.setdefault(crossings[v]["alpha"], []).append(
+            (i, 1 << i, 1 << 2 * (len(verts) - i) - 1, beta[crossings[v]["beta"]]))
+    level = {0: [((), 0, 2 << 2 * len(verts))]}  # beta curves used -> [(indices, mask, order)]
     for c in d.curves("alpha").values():
         grown = {} if c.closed else {used: list(ps) for used, ps in level.items()}
         for used, ps in level.items():
-            for i, bit, b in options.get(c.id, ()):
+            for i, bit, obit, b in options.get(c.id, ()):
                 if not used & b:
-                    grown.setdefault(used | b, []).extend([(t + (i,), m | bit) for t, m in ps])
+                    grown.setdefault(used | b, []).extend(
+                        [(t + (i,), m | bit, o | obit) for t, m, o in ps])
         level = grown
-    gens = [(tuple(sorted(t)), m) for used, ps in level.items()
-            if used & closed_beta == closed_beta for t, m in ps]
-    gens.sort(key=itemgetter(0))
-    return verts, gens
+    gens = [g for used, ps in level.items() if used & closed_beta == closed_beta for g in ps]
+    gens.sort(key=lambda g: g[2] + ((g[2] & -g[2]) >> 1), reverse=True)
+    return verts, [(t, m) for t, m, _ in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +291,8 @@ def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list) -> list:
     occupancy vectors, spread along the alpha family, is a boundary of
     non-suture regions (``groups``); classes are numbered by first
     appearance.  One ``cokernel_residue`` reduction gives each crossing
-    a weight, and a key is the reduced sum of a generator's weights.
-    With at most one generator no Smith form is needed.
+    a weight, and a key is the reduced sum of a generator's weights, each
+    distinct sum reduced once.  At most one generator needs no Smith form.
     """
     if len(gens) <= 1:
         return [0] * len(gens)
@@ -309,9 +315,10 @@ def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list) -> list:
                     row[j] = total
     key = cokernel_residue(rows)
     weight = [key.weights[vrow[v]] for v in verts]
-    labels = {}
-    return [labels.setdefault(key.reduce(sum(map(weight.__getitem__, t))), len(labels))
-            for t in gens]
+    sums = [sum(map(weight.__getitem__, t)) for t in gens]
+    classes = {}
+    label = {s: classes.setdefault(key.reduce(s), len(classes)) for s in dict.fromkeys(sums)}
+    return list(map(label.__getitem__, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +332,7 @@ class ChainComplexF2:
     ``differential`` builds it once per diagram, and homology, the handle
     maps and the glue routes take it instead of rebuilding it.  It keeps
     one form: ``verts``, the crossings in vertex order; ``gens``, each
-    generator as its sorted tuple of indices into ``verts``, canonically
+    generator as its unsorted tuple of indices into ``verts``, canonically
     ordered; and the bit-packed columns of its ``BinaryMatrix``, column j
     being d(gens[j]) with bit i standing for gens[i].  ``diagram`` is the
     diagram it came from (``None`` for a complex built from tables, such
@@ -340,7 +347,7 @@ class ChainComplexF2:
     """
 
     verts: list  # the crossings, in vertex order
-    gens: list  # canonically ordered generators, as sorted index tuples into verts
+    gens: list  # canonically ordered generators, as index tuples into verts, unsorted
     differential: BinaryMatrix  # bit i of column j: gens[i] appears in d(gens[j])
     given: Optional[list]  # class index of each generator, when built from tables
     diagram: Optional[Diagram]
@@ -403,7 +410,7 @@ def _boundary_entries(verts: list, gens: list, census: list) -> tuple:
     takes it when x & K == X, to x ^ X | Y, so one whose X meets Y or I
     never acts and is dropped.  Each generator visits only the moves
     anchored at the lowest bit of X among its crossings, and those
-    without x-corners, kept in a last slot.
+    without x-corners, kept in a last slot; none, when no move is left.
     """
     odd = set()
     for rec in census:
@@ -415,6 +422,8 @@ def _boundary_entries(verts: list, gens: list, census: list) -> tuple:
         X, Y, inside = (sum(map(bit.__getitem__, p)) for p in points)
         if not X & (Y | inside):  # (X & -X).bit_length() - 1 is -1 when X is 0
             anchored[(X & -X).bit_length() - 1].append((X, X | Y | inside, Y))
+    if not any(anchored):
+        return (0,) * len(gens)
     column_of = {m: 1 << j for j, (_, m) in enumerate(gens)}
     columns = []
     for t, x in gens:
@@ -439,17 +448,16 @@ def homology(d) -> Homology:
     The differential preserves the Spin^c classes, so each class block
     of ``m`` generators is a complex on its own, of rank ``m - 2 r``
     where ``r`` is the rank of its differential: of its columns, whose
-    bits must all lie in the block.
+    bits must all lie in the block.  Only its nonzero columns are read.
     """
     cx = as_complex(d)
     blocks = {}
     for j, label in enumerate(cx.labels):
         blocks.setdefault(label, []).append(j)
-    by_class = {}
-    for label in sorted(blocks):
-        block = blocks[label]
-        in_block = sum(1 << j for j in block)
-        cols = [cx.differential.columns[j] for j in block]
+    columns, by_class = cx.differential.columns, {}
+    for label, block in sorted(blocks.items()):
+        cols = [c for c in map(columns.__getitem__, block) if c]
+        in_block = sum(1 << j for j in block) if cols else 0
         if any(c & ~in_block for c in cols):
             raise AssertionError("differential does not respect the class partition")
         by_class[label] = len(block) - 2 * f2_rank(cols)

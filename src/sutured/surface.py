@@ -221,14 +221,6 @@ class Diagram:
                     out[p] = self.edges[edges[k]].to
         return out
 
-    def intersection_vertices(self) -> list:
-        fams = {}
-        for ed in self.edges.values():
-            if ed.kind in CURVE_KINDS:
-                fams.setdefault(ed.frm, set()).add(ed.kind)
-                fams.setdefault(ed.to, set()).add(ed.kind)
-        return sorted(v for v, fs in fams.items() if fs == {"alpha", "beta"})
-
 
 # ---------------------------------------------------------------------------
 # derived structure: regions

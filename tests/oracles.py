@@ -78,6 +78,17 @@ def crossing_vertices(d):
     return sorted(on["alpha"] & on["beta"])
 
 
+def intersection_vertices(d):
+    """Vertices met by edges of both curve kinds, whether or not a curve
+    holds those edges."""
+    fams = {}
+    for ed in d.edges.values():
+        if ed.kind in surface.CURVE_KINDS:
+            fams.setdefault(ed.frm, set()).add(ed.kind)
+            fams.setdefault(ed.to, set()).add(ed.kind)
+    return sorted(v for v, fs in fams.items() if fs == {"alpha", "beta"})
+
+
 def reference_vertex_faces(d):
     """Vertex -> set of faces whose word touches it, by a scan of its
     own over the face words."""
@@ -1002,7 +1013,7 @@ def reference_validate(d):
         if ed.kind in surface.CURVE_KINDS and e not in seg_owner:
             problems.append(f"curve edge {e} belongs to no curve")
 
-    for v in d.intersection_vertices():
+    for v in intersection_vertices(d):
         kind, items = links[v]
         incs = [it for it in items if it[0] == "inc"]
         fams = [d.edges[e].kind for (_t, (e, _s)) in incs]

@@ -252,6 +252,19 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_help_says_what_each_document_verb_does(capsys):
+    """``--help`` gives validate, generators and homology each its own
+    text, none of them the verb followed by "a diagram document"."""
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["--help"])
+    assert stop.value.code == 0
+    lines = {line.split()[0]: line.split(None, 1)[1]
+             for line in capsys.readouterr().out.splitlines()
+             if line.split()[:1] in (["validate"], ["generators"], ["homology"])}
+    assert len(set(lines.values())) == len(lines) == 3
+    assert all(not text.startswith(verb) for verb, text in lines.items())
+
+
 # ---------------------------------------------------------------------------
 # algebra and bordered
 

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from sutured import pieces
 from sutured import surface as sf
+from sutured.darts import Darts
 
 
 @pytest.mark.parametrize("name", pieces.catalog())
@@ -55,7 +56,7 @@ def test_interface_shapes():
 def test_az2_marks_sit_on_crossings():
     az2 = pieces.az2()
     assert sorted(az2.marks) == ["z1", "z2", "z3", "z4", "z5"]
-    assert set(az2.marks.values()) <= set(az2.intersection_vertices())
+    assert set(az2.marks.values()) <= set(Darts(az2).crossings)
 
 
 def test_az2_interfaces_mirror_each_other():
@@ -84,7 +85,7 @@ def test_pieces_are_fresh_objects():
 
 def test_handle2_has_one_crossing_pair():
     h2 = pieces.handle2()
-    xs = h2.intersection_vertices()
+    xs = Darts(h2).crossings
     assert sorted(xs) == ["L:c", "R:w"]
     closed_a = [c for c in h2.alpha_curves.values() if c.closed]
     closed_b = [c for c in h2.beta_curves.values() if c.closed]

@@ -7,6 +7,7 @@ import json
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,35 @@ def test_closed_curve_without_crossing_blocks_every_generator(az2, trap):
     """az2 has nine generators, but beside trap's circles, which meet no
     crossing, nothing survives."""
     assert sfc.generators(fixtures.disjoint_union(az2, trap)) == []
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_order_key_gives_lex_order_on_every_subset(n):
+    """Crossing i alone on alpha arc i and beta arc i: the generators are
+    every subset of range(n), and the order key puts them in the lex
+    order of their sorted tuples, prefixes first, however the alpha arcs
+    are listed."""
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    arcs = {family: {f"{family}{i}": SimpleNamespace(id=f"{family}{i}", closed=False)
+                     for i in (order if family == "alpha" else range(n))}
+            for family in ("alpha", "beta")}
+    crossings = {f"v{i}": {"alpha": f"alpha{i}", "beta": f"beta{i}"} for i in range(n)}
+    verts, gens = sfc._matchings(SimpleNamespace(curves=arcs.__getitem__), crossings)
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    assert [tuple(sorted(t)) for t, _ in gens] == sorted(subsets)
+    assert [m for _, m in gens] == [sum(1 << i for i in t) for t, _ in gens]
+
+
+def test_only_az2_mixes_generator_sizes_among_the_pieces():
+    """Among the catalog pieces and their mirrors only az2 has generators
+    of sizes 0, 1 and 2, so its order, which
+    ``test_pieces_and_mirrors_match_references`` compares with the
+    reference's, pins the prefixes-first order of mixed sizes."""
+    mixed = [name for name in NICE_PIECES
+             for d in (pieces.build(name), pieces.mirror(pieces.build(name)))
+             if {len(x) for x in sfc.generators(d)} == {0, 1, 2}]
+    assert mixed == ["az2", "az2"]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +443,26 @@ def test_boundary_entries_match_all_moves_loop_on_random_moves(data):
     basis = _all_subsets(points)
     expected = oracles.reference_differential_entries(basis, census)
     assert _entries(basis, census) == expected
+
+
+class _Unread(list):
+    """A generator list whose entries must not be read."""
+
+    def __iter__(self):
+        raise AssertionError("a generator was visited")
+
+
+def test_moves_that_all_cancel_give_zero_columns_unvisited():
+    """Each bigon of bigonpair^3 has its twin, so no move survives the
+    cancellation and no generator is visited."""
+    d = fixtures.bigonpair_power(3)
+    dx = Darts(d)
+    census = sfc.region_census(d, dx)
+    assert [rec.shape for rec in census].count("bigon") == 6
+    verts, gens = sfc._matchings(d, dx.crossings)
+    assert sfc._boundary_entries(verts, _Unread(gens), census) == (0,) * 8
+    assert oracles.reference_differential_entries(sfc._as_sets(verts, (t for t, _ in gens)),
+                                                  census) == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +853,24 @@ def test_homology_invariant_under_relabeling(az2):
     h1, h2 = sfc.homology(az2), sfc.homology(renamed)
     assert h1.total == h2.total
     assert sorted(h1.by_class.values()) == sorted(h2.by_class.values())
+
+
+def _table_complex(columns, labels):
+    """A complex built from tables: one crossing per generator."""
+    n = len(labels)
+    return sfc.ChainComplexF2([f"p{i}" for i in range(n)], [(i,) for i in range(n)],
+                              BinaryMatrix(n, tuple(columns)), labels, None)
+
+
+def test_homology_reads_only_nonzero_columns():
+    """With every column zero each class's rank is its size; a nonzero
+    column is reduced within its class, and one that leaves it is a bug."""
+    hom = sfc.homology(_table_complex([0] * 5, [0, 1, 1, 2, 1]))
+    assert (hom.total, hom.by_class) == (5, {0: 1, 1: 3, 2: 1})
+    hom = sfc.homology(_table_complex([0, 0b001, 0], [0, 0, 1]))
+    assert (hom.total, hom.by_class) == (1, {0: 0, 1: 1})
+    with pytest.raises(AssertionError, match="does not respect the class partition"):
+        sfc.homology(_table_complex([0, 0b100, 0], [0, 0, 1]))
 
 
 def test_disjoint_union_homology_multiplies():

@@ -21,6 +21,7 @@ import oracles
 import sequences
 from sutured import glue, pieces, sfc
 from sutured import surface as sf
+from sutured.darts import Darts
 from sutured.surface import ArcDiagram, Curve, Diagram, Edge, Face
 
 
@@ -50,7 +51,7 @@ def test_disk_is_valid(disk):
 def test_stab_is_valid(stab):
     assert sf.validate(stab) == []
     assert euler(stab) == -1
-    assert stab.intersection_vertices() == ["c"]
+    assert sorted(Darts(stab).crossings) == ["c"]
 
 
 def test_validate_flags_bad_usage(disk):
@@ -352,7 +353,7 @@ def test_bypass_is_a_stabilization(disk, stab):
     d2, _x0 = sf.attach_trivial_bypass(disk, "s0", "+")
     assert euler(d2) == euler(stab)
     assert len(d2.alpha_curves) == len(stab.alpha_curves)
-    assert len(d2.intersection_vertices()) == 1
+    assert len(Darts(d2).crossings) == 1
 
 
 def test_destabilize_stab(disk, stab):
