@@ -21,7 +21,8 @@ class Darts:
 
     A corner is a dart read at its tail, and the next corner around the
     tail is ``nxt[mate[k]]``: vertex links are orbits of that step, kept
-    in no other form (``walk`` follows one, ``orbits`` starts each once,
+    in no other form (``walk`` follows one from a corner until it is open
+    or back at that corner, ``orbits`` gives each link's first corner,
     and ``_prv`` gives the side into a corner), and regions and cuts are
     union-finds over face indices (``regions`` is kept, with its
     ``region_groups``).  ``d`` is a ``surface.Diagram``; an edit to it
@@ -137,32 +138,29 @@ class Darts:
         i = self.face[k]
         return self.faces[i].id, k - self.start[i]
 
-    def walk(self, k: int, seen) -> tuple:
-        """``(corners, open)``: the corners around the tail of ``k`` from
-        ``k`` on, until an unmated outgoing side (``open``) or a corner
-        already in ``seen``, which the walk fills.  ValueError when a
-        step leaves the tail, as it can in a word that breaks."""
-        tail, nxt, mate = self.tail, self.nxt, self.mate
-        v = tail[k]
-        ring = []
+    def walk(self, k0: int) -> tuple:
+        """``(corners, open)``: the corners around the tail of ``k0``
+        from ``k0`` on, until an unmated outgoing side (``open``) or the
+        walk is back at ``k0``.  The step is one-to-one, so no other
+        corner repeats first.  Read it on a build with no ``breaks``,
+        where every step stays at the tail."""
+        nxt, mate = self.nxt, self.mate
+        ring, k = [], k0
         while True:
             ring.append(k)
-            seen[k] = 1
             m = mate[k]
             if m < 0:
                 return ring, True
             k = nxt[m]
-            if tail[k] != v:
-                raise ValueError(f"broken link at vertex {v}")
-            if seen[k]:
+            if k == k0:
                 return ring, False
 
     def orbits(self) -> list:
         """One corner per vertex link of a coherent build (every side
-        mated once, no word breaking), walked as ``walk`` does without
-        its checks: the first corner of each chain, which starts at a
-        corner whose incoming side is unmated, in dart order, then the
-        least corner of each remaining cycle."""
+        mated once, no word breaking), the one ``walk`` starts the link
+        from: the first corner of each chain, which starts at a corner
+        whose incoming side is unmated, in dart order, then the least
+        corner of each remaining cycle."""
         nxt, mate = self.nxt, self.mate
         seen = bytearray(len(nxt))
         out = sorted(nxt[j] for j, m in enumerate(mate) if m < 0)

@@ -41,9 +41,10 @@ class BinaryMatrix:
     columns: tuple
 
     def __post_init__(self):
-        for c, mask in enumerate(self.columns):
-            if mask < 0 or mask >> self.rows:
-                raise ValueError(f"column {c} has an entry out of bounds")
+        cols = self.columns
+        if cols and (min(cols) < 0 or max(cols) >> self.rows):
+            c = next(c for c, mask in enumerate(cols) if mask < 0 or mask >> self.rows)
+            raise ValueError(f"column {c} has an entry out of bounds")
 
     @property
     def cols(self) -> int:

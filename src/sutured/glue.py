@@ -6,14 +6,15 @@ diagrammatic route attaches a handle directly (``attach_one_handle``,
 generators, adding the forced intersection point where one appears.  The
 staged route cuts the base open along the attachment region
 (``prepare_one_handle`` / ``prepare_two_handle``), concatenates the
-builtin blocks, and maps through the pairing piece (``elementary_join``).
-The routes share only surface mechanics: the path router, the mark
-naming, the id renaming, a 1-handle's feet and, for a 2-handle, the
-strip with its ports (``_attach_one_handle``, ``_subdivide_ports``);
-the staged cut adds its own interface, slit hole and arcs.  The
-package's comparison artifacts -- chain-map tables, stage ranks, the
-boundary identity on the twist stage -- are produced by
-``glue_one_handle``, ``glue_two_handle`` and ``equivalence_report``.
+builtin blocks, and maps through the pairing piece with the join
+(``_elementary_join_full``), whose one result is a chain-map table.  The
+routes share only surface mechanics: the path router, the mark naming,
+the id renaming, a 1-handle's feet and, for a 2-handle, the strip with
+its ports (``_attach_one_handle``, ``_subdivide_ports``); the staged cut
+adds its own interface, slit hole and arcs.  The package's comparison
+artifacts -- chain-map tables, stage ranks, the boundary identity on the
+twist stage -- are produced by ``glue_one_handle``, ``glue_two_handle``
+and ``equivalence_report``.
 
 A chain-map table is a ``BinaryMatrix``, one bit-packed column per source
 generator like the differentials; the law check, composition and route
@@ -414,13 +415,13 @@ def _handle_blocks(kind: str) -> PairingBlocks:
     )
 
 
-def _elementary_join_full(blocks: PairingBlocks, v):
+def _elementary_join_full(blocks: PairingBlocks, v) -> ChainMapTable:
     """Join the handle block onto ``v`` through the pairing piece.
 
-    Returns ``(source diagram, target diagram, table)``: the source is
-    the cap-closed preparation, the target the block-and-pairing
-    concatenation, and the table sends each generator to its image under
-    the join (handle-block generator, tag vertices, base part).
+    Returns the chain-map table from the cap-closed preparation's
+    complex into the block-and-pairing concatenation's, each carrying
+    its diagram, sending each generator to its image under the join
+    (handle-block generator, tag vertices, base part).
     """
     if v.kind != "D":
         raise ValueError("the base must be a type-D structure")
@@ -438,12 +439,7 @@ def _elementary_join_full(blocks: PairingBlocks, v):
             raise AssertionError(f"source generator {_fmt(g)} misses the pairing piece")
         return (g - wgen) | ugen | tagv
 
-    return src.d, tgt.d, _generator_map(source, target, image, "join table")
-
-
-def elementary_join(blocks: PairingBlocks, v) -> ChainMapTable:
-    """The join through an elementary pairing piece, as a chain-map table."""
-    return _elementary_join_full(blocks, v)[2]
+    return _generator_map(source, target, image, "join table")
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +470,13 @@ def glue_one_handle(d, p: str, q: str):
     base = sfc.as_complex(d)
     cut = prepare_one_handle(base.diagram, p, q)
     v = modules.bordered_invariant(cut.d, "D", darts=cut)
-    _src_d, tgt_d, join = _elementary_join_full(_handle_blocks("1"), v)
+    join = _elementary_join_full(_handle_blocks("1"), v)
     pre = _generator_map(
         base, join.source, lambda g: frozenset(f"R:{x}" for x in g), "1-handle base inclusion"
     )
     lifted = compose(join, pre)
 
-    stripped = _strip_prefix(tgt_d, "R:")
+    stripped = _strip_prefix(join.target.diagram, "R:")
     dx1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be")
 
     def reduced(g):
@@ -533,7 +529,7 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     except ValueError as err:
         raise ValueError(f"stage H3: {err}") from err
     try:
-        join = elementary_join(blocks, v)
+        join = _elementary_join_full(blocks, v)
     except ValueError as err:
         raise ValueError(f"stage H4: {err}") from err
     try:

@@ -336,27 +336,26 @@ class ChainComplexF2:
     ordered; and the bit-packed columns of its ``BinaryMatrix``, column j
     being d(gens[j]) with bit i standing for gens[i].  ``diagram`` is the
     diagram it came from (``None`` for a complex built from tables, such
-    as the box tensor product of the test references, which gives its
-    class labels as ``given``) and ``darts`` the dart build its census
-    read (the one its caller handed to ``differential``, if any), which
-    the action census and the labels read again.
+    as the box tensor product of the test references) and ``darts`` the
+    dart build its census read (the one its caller handed to
+    ``differential``, if any), which the action census and the labels
+    read again.
 
     ``labels`` (the Spin^c class of each generator), ``basis`` (the
     generators as vertex-id frozensets) and ``position`` (generator ->
-    basis index) are views, each built on its first read and kept.
+    basis index) are views, each built on its first read and kept.  The
+    labels come only from the diagram's dart build; a complex built from
+    tables has none until its builder assigns ``labels``.
     """
 
     verts: list  # the crossings, in vertex order
     gens: list  # canonically ordered generators, as index tuples into verts, unsorted
     differential: BinaryMatrix  # bit i of column j: gens[i] appears in d(gens[j])
-    given: Optional[list]  # class index of each generator, when built from tables
     diagram: Optional[Diagram]
     darts: object = field(default=None, repr=False, compare=False)  # the diagram's Darts
 
     @cached_property
     def labels(self) -> list:
-        if self.given is not None:
-            return self.given
         d, dx = self.diagram, self.darts
         groups = [g for g in dx.region_groups if not d.faces[g[0]].suture]
         return _spinc_labels(d, groups, self.verts, self.gens)
@@ -396,7 +395,7 @@ def differential(d: Diagram, darts=None) -> ChainComplexF2:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
     verts, gens = _matchings(d, dx.crossings)
     diff = BinaryMatrix(len(gens), _boundary_entries(verts, gens, census))
-    return ChainComplexF2(verts, [t for t, _ in gens], diff, None, d, dx)
+    return ChainComplexF2(verts, [t for t, _ in gens], diff, d, dx)
 
 
 def _boundary_entries(verts: list, gens: list, census: list) -> tuple:

@@ -379,9 +379,8 @@ def validate(d: Diagram, *, set_flags: bool = False, darts=None) -> list:
     # around the link from its least corner.  Every curve edge is
     # interior and used both ways, so both its ends are tails.
     alpha_at = {v for v, kd in zip(tail, kind) if kd == "alpha"}
-    seen = bytearray(len(tail))
     for v in sorted(alpha_at.intersection([v for v, kd in zip(tail, kind) if kd == "beta"])):
-        ring, is_open = dx.walk(corner_at[v], seen)
+        ring, is_open = dx.walk(corner_at[v])
         fams = [kind[k] for k in ring]  # the incoming sides' kinds, shifted
         if is_open or not all(f in CURVE_KINDS for f in fams):
             continue  # on the boundary, or mixed with seams: not a crossing
@@ -1021,7 +1020,8 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     admissibility rows and the Spin^c partition count, so its complex
     is the complex of the diagram with the seams dissolved.  Returns
     the ``Darts`` build of the result (its ``d``) and the id the forced
-    intersection point had.
+    intersection point had.  ``d`` is a gated diagram: its vertex links
+    are read without a check for breaks.
     """
     out = d.copy()
     alpha = out.alpha_curves.pop(alpha_id)
@@ -1046,11 +1046,10 @@ def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
     # cut: split every vertex on alpha into a + and a - copy
     alpha_set = set(alpha.segments)
     dx = Darts(out)
-    seen = bytearray(len(dx.tail))
     copies = {}  # alpha vertex -> {sign: its copy on that side}
     moved = {}  # (edge id, "frm"/"to") -> the copy that end moves to
     for v in sorted(alpha_vertices):
-        ring, is_open = dx.walk(dx.tail.index(v), seen)  # the link of v
+        ring, is_open = dx.walk(dx.tail.index(v))  # the link of v
         if is_open:
             raise ValueError(f"alpha vertex {v} lies on the boundary")
         # the side into each corner of the link, in walking order

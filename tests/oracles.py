@@ -1599,13 +1599,14 @@ def box_tensor(a, d):
         columns.append(column)
     names = sorted({n for p in pairs for n in key(p)})
     where = {n: i for i, n in enumerate(names)}
-    return sfc.ChainComplexF2(
+    cx = sfc.ChainComplexF2(
         names,
         [tuple(sorted(map(where.__getitem__, key(p)))) for p in pairs],
         BinaryMatrix(len(pairs), tuple(columns)),
-        [0] * len(pairs),
         None,
     )
+    cx.labels = [0] * len(pairs)
+    return cx
 
 
 # ---------------------------------------------------------------------------

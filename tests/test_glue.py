@@ -87,6 +87,8 @@ def test_chain_map_tables_refuse_stray_images_and_bad_shapes():
         ChainMapTable(cx, cx, BinaryMatrix(len(cx.basis), ()))
     with pytest.raises(ValueError, match="out of bounds"):
         ChainMapTable(cx, cx, BinaryMatrix(len(cx.basis), (1 << len(cx.basis),)))
+    with pytest.raises(ValueError, match=r"^column 1 has an entry out of bounds$"):
+        BinaryMatrix(len(cx.basis), (0, -1, 1 << len(cx.basis)))
 
 
 def test_stray_join_image_exits_2(monkeypatch, capsys, tmp_path):
@@ -252,7 +254,7 @@ def test_square_pairing_join_leaves_base_generators_alone():
         modules.bordered_invariant(pieces.cap1(), "A"),
     )
     v = modules.bordered_invariant(cut, "D")
-    table = glue.elementary_join(blocks, v)
+    table = glue._elementary_join_full(blocks, v)
     assert not table.check()
     for g, img in images(table).items():
         assert img == frozenset([frozenset(set(g) | {"L:L:e"})])
@@ -267,7 +269,7 @@ def test_five_point_pairing_join_tags_the_outer_arc():
         modules.bordered_invariant(pieces.cap2(), "A"),
     )
     v = modules.bordered_invariant(hv, "D")
-    table = glue.elementary_join(blocks, v)
+    table = glue._elementary_join_full(blocks, v)
     for g, img in images(table).items():
         (target,) = img
         assert {"L:L:c", "L:R:z3"} <= target
@@ -287,7 +289,7 @@ def test_join_rejections():
     with pytest.raises(ValueError, match="type-A structure"):
         glue.pairing_blocks(u, u)
     with pytest.raises(ValueError, match="base must be a type-D structure"):
-        glue.elementary_join(glue.pairing_blocks(u, w), w)
+        glue._elementary_join_full(glue.pairing_blocks(u, w), w)
 
 
 # ---------------------------------------------------------------------------

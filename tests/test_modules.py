@@ -381,7 +381,7 @@ def test_box_tensor_matches_the_one_handle_join_source(name, site):
     blocks = glue._handle_blocks("1")
     cut = _one_handle_cut(_pipeline_base(name), site)
     box = oracles.box_tensor(blocks.w, cut)
-    _assert_same_complex(box, glue.elementary_join(blocks, cut).source)
+    _assert_same_complex(box, glue._elementary_join_full(blocks, cut).source)
 
 
 @pytest.mark.parametrize("name,site", PIPELINE_SITES)
@@ -391,7 +391,7 @@ def test_box_tensor_matches_the_two_handle_stages(name, site):
     h3, rec = _two_handle_stages(_pipeline_base(name), site)
     blocks = glue._handle_blocks("2")
     box = oracles.box_tensor(blocks.w, h3)
-    _assert_same_complex(box, glue.elementary_join(blocks, h3).source)
+    _assert_same_complex(box, glue._elementary_join_full(blocks, h3).source)
     twist = oracles.box_tensor(modules.bordered_invariant(pieces.rt2(), "A"), h3)
     _assert_same_complex(twist, rec["H5"])
     assert len(twist.differential.entries) == TWIST_ENTRIES[name]

@@ -858,8 +858,10 @@ def test_homology_invariant_under_relabeling(az2):
 def _table_complex(columns, labels):
     """A complex built from tables: one crossing per generator."""
     n = len(labels)
-    return sfc.ChainComplexF2([f"p{i}" for i in range(n)], [(i,) for i in range(n)],
-                              BinaryMatrix(n, tuple(columns)), labels, None)
+    cx = sfc.ChainComplexF2([f"p{i}" for i in range(n)], [(i,) for i in range(n)],
+                            BinaryMatrix(n, tuple(columns)), None)
+    cx.labels = labels
+    return cx
 
 
 def test_homology_reads_only_nonzero_columns():

@@ -516,10 +516,30 @@ def _assert_reduction_keeps_the_complex(d):
     assert _complex(d) == _complex(reduced)
 
 
+def _assert_walks_match_reference_links(d):
+    """``Darts.walk`` from each link's first corner, as ``orbits`` gives
+    it, reads the reference link's corners, as (face, position) pairs:
+    a path's in order, a cycle's up to rotation."""
+
+    def link(kind, corners):  # a cycle from its least corner
+        i = corners.index(min(corners)) if kind == "cycle" else 0
+        return kind, corners[i:] + corners[:i]
+
+    dx = Darts(d)
+    walked = {}
+    for k in dx.orbits():
+        ring, is_open = dx.walk(k)
+        walked[dx.tail[k]] = link("path" if is_open else "cycle", [dx._corner(j) for j in ring])
+    reference = {v: link(kind, [c for tag, c in items if tag == "corner"])
+                 for v, (kind, items) in oracles.reference_vertex_links(d).items() if items}
+    assert walked == reference
+
+
 def _assert_matches_references(d):
-    """Every closed pair's destabilization and the problem list equal
-    the references', failures included, and every destabilization has
-    the complex of its reduction."""
+    """Every closed pair's destabilization, the problem list and every
+    link walk equal the references', failures included, and every
+    destabilization has the complex of its reduction."""
+    _assert_walks_match_reference_links(d)
     for a in sorted(c for c, cv in d.alpha_curves.items() if cv.closed):
         for b in sorted(c for c, cv in d.beta_curves.items() if cv.closed):
             out = _outcome(_destabilized, d, a, b)  # which copies ``d``
