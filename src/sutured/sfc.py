@@ -21,9 +21,14 @@ build for the action census and the Spin^c labels.  Inside it a
 generator is its index tuple, unsorted, and bit mask over the crossings
 in vertex order, from one enumeration (``_matchings``, ordered by an int
 key) to the columns (``_boundary_entries``); the complex keeps the
-tuples.  Its class labels (``_spinc_labels``) are a view built on first
-read, which ``homology`` makes and the glue routes make only for the
-complexes whose ranks they report.  Vertex-id frozensets are built only
+tuples, and the masks too when there are at least 3 * 2^ceil(n/3)
+generators over n crossings, as on disjoint unions of bigon pairs (not
+on the grids, the route stages or any catalog piece).  Its class labels
+(``_spinc_labels``) are a view built on first read, which ``homology``
+makes and the glue routes make only for the complexes whose ranks they
+report; a generator's weight sum is three subset-sum table lookups on
+its mask where the complex kept them (``_subset_sums``), else a sum
+over its tuple.  Vertex-id frozensets are built only
 where they are read, by one helper (``_as_sets``): in the view
 ``generators``, which ``spinc_partition`` takes, and in the complex's
 ``basis`` view on its first read.  ``homology`` builds none.
@@ -283,7 +288,7 @@ def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
     return dict(zip(gens, _spinc_labels(d, groups, verts, tuples)))
 
 
-def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list) -> list:
+def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list, masks=None) -> list:
     """The class index of each of ``gens``, tuples of indices into the
     crossings ``verts``.
 
@@ -293,6 +298,8 @@ def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list) -> list:
     appearance.  One ``cokernel_residue`` reduction gives each crossing
     a weight, and a key is the reduced sum of a generator's weights, each
     distinct sum reduced once.  At most one generator needs no Smith form.
+    ``masks``, the generators' bit masks over ``verts`` where given
+    (see ``_subset_sums``), are summed by table in place of the tuples.
     """
     if len(gens) <= 1:
         return [0] * len(gens)
@@ -315,10 +322,31 @@ def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list) -> list:
                     row[j] = total
     key = cokernel_residue(rows)
     weight = [key.weights[vrow[v]] for v in verts]
-    sums = [sum(map(weight.__getitem__, t)) for t in gens]
+    if masks is None:
+        sums = [sum(map(weight.__getitem__, t)) for t in gens]
+    else:
+        sums = _subset_sums(weight, masks)
     classes = {}
     label = {s: classes.setdefault(key.reduce(s), len(classes)) for s in dict.fromkeys(sums)}
     return list(map(label.__getitem__, sums))
+
+
+def _subset_sums(weight: list, masks: list) -> list:
+    """The sum of ``weight[i]`` over the bits i of each of ``masks``: the
+    n weights split into three runs of w = ceil(n / 3), the sums of
+    every subset of a run tabled by doubling (2^w entries), and a mask's
+    sum is three lookups, one per run.  It pays when 3 * 2^w is at most
+    the number of masks (``differential`` keeps them only then)."""
+    w = -(-len(weight) // 3)
+    tables = []
+    for k in range(3):
+        table = [0]
+        for x in weight[k * w:(k + 1) * w]:
+            table += [s + x for s in table]
+        tables.append(table)
+    t0, t1, t2 = tables
+    low, w2 = (1 << w) - 1, 2 * w
+    return [t0[m & low] + t1[m >> w & low] + t2[m >> w2] for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +362,10 @@ class ChainComplexF2:
     one form: ``verts``, the crossings in vertex order; ``gens``, each
     generator as its unsorted tuple of indices into ``verts``, canonically
     ordered; and the bit-packed columns of its ``BinaryMatrix``, column j
-    being d(gens[j]) with bit i standing for gens[i].  ``diagram`` is the
+    being d(gens[j]) with bit i standing for gens[i].  ``masks`` holds
+    each generator's bit mask over ``verts`` where ``differential`` found
+    enough generators for the labels' subset-sum tables to pay (see
+    ``_subset_sums``), and is ``None`` otherwise.  ``diagram`` is the
     diagram it came from (``None`` for a complex built from tables, such
     as the box tensor product of the test references) and ``darts`` the
     dart build its census read (the one its caller handed to
@@ -353,12 +384,13 @@ class ChainComplexF2:
     differential: BinaryMatrix  # bit i of column j: gens[i] appears in d(gens[j])
     diagram: Optional[Diagram]
     darts: object = field(default=None, repr=False, compare=False)  # the diagram's Darts
+    masks: Optional[list] = field(default=None, repr=False, compare=False)  # gens as bit masks, or None
 
     @cached_property
     def labels(self) -> list:
         d, dx = self.diagram, self.darts
         groups = [g for g in dx.region_groups if not d.faces[g[0]].suture]
-        return _spinc_labels(d, groups, self.verts, self.gens)
+        return _spinc_labels(d, groups, self.verts, self.gens, self.masks)
 
     @cached_property
     def basis(self) -> list:
@@ -395,7 +427,9 @@ def differential(d: Diagram, darts=None) -> ChainComplexF2:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
     verts, gens = _matchings(d, dx.crossings)
     diff = BinaryMatrix(len(gens), _boundary_entries(verts, gens, census))
-    return ChainComplexF2(verts, [t for t, _ in gens], diff, d, dx)
+    tabled = 3 << -(-len(verts) // 3) <= len(gens)  # see _subset_sums
+    return ChainComplexF2(verts, [t for t, _ in gens], diff, d, dx,
+                          [m for _, m in gens] if tabled else None)
 
 
 def _boundary_entries(verts: list, gens: list, census: list) -> tuple:

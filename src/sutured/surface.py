@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .darts import Darts
 
@@ -610,7 +611,7 @@ def from_json_dict(data: dict) -> Diagram:
     for i in d.interfaces:
         names += [x for iv in i.intervals + i.arc_diagram.intervals for x in iv]
         names += [i.arc_diagram.kind, *i.arcs.values()]
-    if not all(isinstance(x, str) for x in names):
+    if not all(map(isinstance, names, repeat(str))):
         raise TypeError("ids and references must be strings")
     return d
 
@@ -835,7 +836,7 @@ def _require_free_suture_edge(d: Diagram, eid: str) -> None:
     if ed is None or ed.kind != "boundary" or eid in d.interface_edge_ids():
         raise ValueError(f"{eid} is not a free boundary edge")
     for f in d.faces.values():
-        if any(e == eid for (e, _s) in f.word) and not f.suture:
+        if ((eid, 1) in f.word or (eid, -1) in f.word) and not f.suture:
             raise ValueError(f"{eid} does not bound a suture region")
 
 
@@ -900,7 +901,7 @@ def _subdivide_ports(d: Diagram, handle: dict, order_p, order_q) -> tuple:
 def _face_carrying(d: Diagram, eid: str):
     """The first face whose word carries the edge ``eid``, or None."""
     return next(
-        (f for f, face in d.faces.items() if any(e == eid for (e, _s) in face.word)),
+        (f for f, face in d.faces.items() if (eid, 1) in face.word or (eid, -1) in face.word),
         None,
     )
 

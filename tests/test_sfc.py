@@ -698,6 +698,38 @@ def test_labels_are_built_on_first_read(monkeypatch, tmp_path, capsys):
     assert sorted(map(id, labelled)) == sorted(id(c.diagram) for c in distinct)
 
 
+@pytest.mark.parametrize("grid, power, tabled", [
+    ((3, 1), 7, True),  # 768 generators over 23 crossings: 3 * 2^8 <= 768
+    ((4, 1), 5, False),  # 768 generators over 26 crossings: 3 * 2^9 > 768
+])
+def test_labels_match_reference_on_either_sum(grid, power, tabled):
+    """The labels equal the reference key whether the weights are summed
+    by subset-sum tables over the masks or over the index tuples, and a
+    complex keeps its masks exactly when it takes the tables."""
+    d = fixtures.disjoint_union(fixtures.punctured_grid(*grid), fixtures.bigonpair_power(power))
+    cx = sfc.differential(d)
+    assert len(cx.gens) == 768
+    assert (cx.masks is not None) == tabled
+    if tabled:
+        assert cx.masks == [sum(1 << i for i in t) for t in cx.gens]
+    reference = oracles.reference_spinc_partition(d, cx.basis)
+    assert cx.labels == [reference[x] for x in cx.basis]
+    assert len(set(cx.labels)) == (3 if tabled else 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 11, 13, 18, 20])
+def test_subset_sums_equal_tuple_sums(n):
+    """On lane-packed weights, negative ones included (a free lane
+    borrows from the lanes above), every mask's table sum equals the
+    tuple sum, for n crossings whether or not 3 divides n."""
+    rng = random.Random(n)
+    weight = [rng.randrange(4) + (rng.randrange(-9, 10) << 3) + (rng.randrange(-9, 10) << 11)
+              for _ in range(n)]
+    masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(300)]
+    tuples = [tuple(set_bits(m)) for m in masks]
+    assert sfc._subset_sums(weight, masks) == [sum(map(weight.__getitem__, t)) for t in tuples]
+
+
 # ---------------------------------------------------------------------------
 # the differential
 
