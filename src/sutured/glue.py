@@ -703,9 +703,10 @@ def equivalence_report(d, handles, darts=None) -> dict:
             detail = rec["joinTable"]
         else:
             check["iso"] = table.is_bijection()
+            # past stage 0 the source is the stage before's target, ranked in its block
             check["ranks_match"] = check["iso"] and (
-                sfc.homology(source).total == hom.total
-            )
+                blocks[-2]["rank"] if i else sfc.homology(source).total
+            ) == hom.total
             detail = table
         if not stage_ok(check) and counterexample is None:
             counterexample = {

@@ -20,10 +20,12 @@ the crossing table and the generators, and its complex keeps the
 build for the action census and the Spin^c labels.  Inside it a
 generator is its index tuple, unsorted, and bit mask over the crossings
 in vertex order, from one enumeration (``_matchings``, ordered by an int
-key) to the columns (``_boundary_entries``); the complex keeps the
-tuples, and the masks too when there are at least 3 * 2^ceil(n/3)
-generators over n crossings, as on disjoint unions of bigon pairs (not
-on the grids, the route stages or any catalog piece).  Its class labels
+key, or by its order mask alone when every alpha curve is closed, since
+then every generator has one crossing per alpha curve) to the columns
+(``_boundary_entries``); the complex keeps the tuples, and the masks
+too when there are at least 3 * 2^ceil(n/3) generators over n
+crossings, as on disjoint unions of bigon pairs (not on the grids, the
+route stages or any catalog piece).  Its class labels
 (``_spinc_labels``) are a view built on first read, which ``homology``
 makes and the glue routes make only for the complexes whose ranks they
 report; a generator's weight sum is three subset-sum table lookups on
@@ -43,6 +45,7 @@ glued along the edges it holds on both sides.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .exactlin import (
@@ -93,6 +96,10 @@ def _matchings(d: Diagram, crossings: dict) -> tuple:
     ends the sorted tuple with the even bit below its last index, so where
     two tuples first differ, the smaller index, or the end, has the higher
     bit: sorted descending by key, the generators fall in canonical order.
+    The end bit only matters where one sorted tuple is a proper prefix of
+    another.  When every alpha curve is closed, every generator holds one
+    crossing per alpha curve, so none is a prefix of another and o alone,
+    descending, is the order.
     """
     verts = sorted(crossings)
     beta = {c: 1 << k for k, c in enumerate(d.curves("beta"))}
@@ -111,7 +118,10 @@ def _matchings(d: Diagram, crossings: dict) -> tuple:
                         [(t + (i,), m | bit, o | obit) for t, m, o in ps])
         level = grown
     gens = [g for used, ps in level.items() if used & closed_beta == closed_beta for g in ps]
-    gens.sort(key=lambda g: g[2] + ((g[2] & -g[2]) >> 1), reverse=True)
+    if all(c.closed for c in d.curves("alpha").values()):
+        gens.sort(key=itemgetter(2), reverse=True)
+    else:
+        gens.sort(key=lambda g: g[2] + ((g[2] & -g[2]) >> 1), reverse=True)
     return verts, [(t, m) for t, m, _ in gens]
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -716,3 +718,118 @@ def test_glue_table_lines_are_pinned(capsys, tmp_path):
         code, out, _ = run(capsys, "glue", str(diagram), "--spec", str(spec_file),
                            "--format", "text")
         assert (code, out.splitlines()) == (0, lines)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector's pause
+
+
+def _command_lines(tmp_path):
+    """One command line per verb, text and JSON, over catalog pieces, a
+    bigonpair^3 plan and grid(4,1)."""
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    stab, az2, rt2, grid, bp3 = (
+        write(f"{key}.json", surface.serialize(d)) for key, d in (
+            ("stab", pieces.build("fix-stab")), ("az2", pieces.build("az2")),
+            ("rt2", pieces.build("rt2")), ("grid", fixtures.punctured_grid(4, 1)),
+            ("bp3", fixtures.bigonpair_power(3))))
+    one, two = glue.two_handle_sequence(pieces.build("fix-stab"))
+    mid = write("mid.json", surface.serialize(glue.sigma_map(pieces.build("fix-stab"), one)[0]))
+    spec1, spec2 = (write(f"spec{k}.json", json.dumps(glue.spec_to_json(s)))
+                    for k, s in ((1, one), (2, two)))
+    plan = write_plan(tmp_path, sequences.shaped_plan(
+        fixtures.bigonpair_power(3), ("1", "2", "b"), random.Random(5)))
+    lines = [
+        ["validate", grid], ["generators", grid], ["generators", az2],
+        ["homology", grid], ["homology", bp3],
+        ["attach", stab, "--spec", spec1],
+        ["glue", stab, "--spec", spec1],
+        ["glue", mid, "--spec", spec2],
+        ["algebra", "--arc-diagram", "Z2", "--table"],
+        ["bordered", az2, "--kind", "AA", "--sector", "1,1"], ["bordered", rt2, "--kind", "D"],
+        ["verify-equivalence", bp3, "--handles", plan],
+        ["examples"], ["examples", "disk-h5"],
+    ]
+    return [argv + fmt for argv in lines for fmt in ([], ["--format", "json"])]
+
+
+class _Writes(io.StringIO):
+    """stdout that records whether the collector was on at each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.enabled = []
+
+    def write(self, s):
+        self.enabled.append(gc.isenabled())
+        return super().write(s)
+
+
+def _made_by_sutured(obj):
+    """An instance of a ``sutured`` class, a function from a ``sutured``
+    module, or a cell holding either."""
+    if isinstance(obj, types.CellType):
+        try:
+            obj = obj.cell_contents
+        except ValueError:  # an empty cell
+            return False
+    module = obj.__module__ if isinstance(obj, types.FunctionType) else type(obj).__module__
+    return (module or "").split(".")[0] == "sutured"
+
+
+def test_every_verb_runs_with_the_collector_paused_and_leaves_no_cycles(tmp_path):
+    """Every verb writes its output with the collector off, and after
+    each command a collection finds nothing made by ``sutured``: the
+    library's objects are freed by reference counting alone, which is
+    what makes the pause safe."""
+    argvs = _command_lines(tmp_path)
+    assert {argv[0] for argv in argvs} == {
+        "validate", "generators", "homology", "attach", "glue", "algebra",
+        "bordered", "verify-equivalence", "examples"}
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)  # keep what a collection finds, to read it
+    try:
+        for argv in argvs:
+            out = _Writes()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0, argv
+            assert gc.isenabled()
+            assert out.enabled and not any(out.enabled), argv
+            gc.collect()
+            found = [type(x).__name__ for x in gc.garbage if _made_by_sutured(x)]
+            gc.garbage.clear()
+            assert found == [], argv
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_restores_the_callers_collector_state(stab_file, monkeypatch, enabled):
+    """``main`` puts the collector back as it found it, on or off, after
+    exit codes 0, 1 and 2 and after an exception that escapes it."""
+    def failing(error):
+        def homology(d):
+            raise error
+        return homology
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(["homology", stab_file]) == 0
+        assert gc.isenabled() is enabled
+        assert cli.main(["homology", stab_file + ".missing"]) == 1
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(sfc, "homology", failing(AssertionError("planted")))
+        assert cli.main(["homology", stab_file]) == 2
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(sfc, "homology", failing(KeyError("planted")))
+        with pytest.raises(KeyError):
+            cli.main(["homology", stab_file])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -438,6 +438,22 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
     assert len(calls) == 11
 
 
+@pytest.mark.parametrize("shape", [("b", "b", "b"), ("1", "b", "b")])
+def test_bypass_stages_rank_no_complex_twice(monkeypatch, shape):
+    """A bypass stage's source is the stage before's target, whose rank
+    that stage's block holds: only the base is ranked again, and only
+    when stage 0 is a bypass, so no complex is ranked twice."""
+    d = fixtures.bigonpair_power(3)
+    specs = sequences.shaped_plan(d, shape, random.Random(5))
+    calls = []
+    real = sfc.homology
+    monkeypatch.setattr(sfc, "homology", lambda cx: calls.append(cx) or real(cx))
+    rep = glue.equivalence_report(d, specs)
+    assert rep["ok"] and all(check["ranks_match"] for check in rep["checks"])
+    assert len(calls) == len({id(cx) for cx in calls}) == 4
+    assert (calls[1].diagram is d) == (shape[0] == "b")
+
+
 def test_complexes_reuse_the_builds_their_gates_validated(monkeypatch):
     """Over a six-step plan on bigonpair^3, with its handle blocks built
     beforehand, every complex is built on the ``Darts`` build that its

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -184,6 +185,66 @@ def test_only_az2_mixes_generator_sizes_among_the_pieces():
              for d in (pieces.build(name), pieces.mirror(pieces.build(name)))
              if {len(x) for x in sfc.generators(d)} == {0, 1, 2}]
     assert mixed == ["az2", "az2"]
+
+
+def _end_bit_order(verts, gens):
+    """``gens`` sorted by the end-bit key, from each index tuple's order
+    mask as ``_matchings`` builds it."""
+    n = len(verts)
+
+    def key(g):
+        o = sum(1 << 2 * (n - i) - 1 for i in g[0]) | 2 << 2 * n
+        return o + ((o & -o) >> 1)
+
+    return sorted(gens, key=key, reverse=True)
+
+
+def _sorts_by_mask_alone(d, monkeypatch):
+    """``(verts, gens, mask_only)``: ``_matchings`` on ``d``, and whether
+    it sorted by the order mask alone (``itemgetter(2)``)."""
+    made = []
+
+    def spy(*items):
+        made.append(items)
+        return operator.itemgetter(*items)
+
+    monkeypatch.setattr(sfc, "itemgetter", spy)
+    verts, gens = sfc._matchings(d, Darts(d).crossings)
+    return verts, gens, made == [(2,)]
+
+
+@pytest.mark.parametrize("d", [
+    *(pytest.param(fixtures.relabel(fixtures.punctured_grid(n, k), random.Random(10 * n + k)),
+                   id=f"grid({n},{k})") for n, k in ((3, 1), (4, 1), (5, 2))),
+    pytest.param(fixtures.bigonpair_power(4), id="bigonpair^4"),
+    pytest.param(fixtures.disjoint_union(fixtures.punctured_grid(3, 1),
+                                         fixtures.bigonpair_power(3)),
+                 id="grid(3,1)+bigonpair^3"),
+])
+def test_closed_alpha_curves_sort_by_the_order_mask_alone(d, monkeypatch):
+    """Every alpha curve closed: each generator holds one crossing per
+    alpha curve, so the mask alone orders them, as the reference and
+    the end-bit key do."""
+    assert all(c.closed for c in d.curves("alpha").values())
+    verts, gens, mask_only = _sorts_by_mask_alone(d, monkeypatch)
+    assert mask_only
+    assert len({len(t) for t, _ in gens}) == 1
+    assert sfc._as_sets(verts, (t for t, _ in gens)) == oracles.reference_generators(d)
+    assert gens == _end_bit_order(verts, gens)
+
+
+@pytest.mark.parametrize("d", [
+    *(pytest.param(pieces.build(name), id=name) for name in ("az2", "cap2", "rt2")),
+    pytest.param(pieces.mirror(pieces.build("u2")), id="mirror(u2)"),
+])
+def test_alpha_arcs_keep_the_end_bit_key(d, monkeypatch):
+    """A diagram with an alpha arc keeps the end-bit key.  u2's arcs are
+    beta arcs, so its mirror is the one with alpha arcs."""
+    assert not all(c.closed for c in d.curves("alpha").values())
+    verts, gens, mask_only = _sorts_by_mask_alone(d, monkeypatch)
+    assert not mask_only
+    assert sfc._as_sets(verts, (t for t, _ in gens)) == oracles.reference_generators(d)
+    assert gens == _end_bit_order(verts, gens)
 
 
 # ---------------------------------------------------------------------------
