@@ -30,7 +30,8 @@ route stages or any catalog piece).  Its class labels
 makes and the glue routes make only for the complexes whose ranks they
 report; a generator's weight sum is three subset-sum table lookups on
 its mask where the complex kept them (``_subset_sums``), else a sum
-over its tuple.  Vertex-id frozensets are built only
+over its tuple.  Its ranks are a view too, so a complex that two
+callers rank is ranked once.  Vertex-id frozensets are built only
 where they are read, by one helper (``_as_sets``): in the view
 ``generators``, which ``spinc_partition`` takes, and in the complex's
 ``basis`` view on its first read.  ``homology`` builds none.
@@ -363,6 +364,12 @@ def _subset_sums(weight: list, masks: list) -> list:
 # the chain complex
 
 
+@dataclass(frozen=True)
+class Homology:
+    total: int
+    by_class: dict  # class index -> rank
+
+
 @dataclass
 class ChainComplexF2:
     """A sutured chain complex over F2.
@@ -382,11 +389,12 @@ class ChainComplexF2:
     ``differential``, if any), which the action census and the labels
     read again.
 
-    ``labels`` (the Spin^c class of each generator), ``basis`` (the
-    generators as vertex-id frozensets) and ``position`` (generator ->
-    basis index) are views, each built on its first read and kept.  The
-    labels come only from the diagram's dart build; a complex built from
-    tables has none until its builder assigns ``labels``.
+    ``labels`` (the Spin^c class of each generator), ``homology`` (the
+    per-class ranks), ``basis`` (the generators as vertex-id frozensets)
+    and ``position`` (generator -> basis index) are views, each built on
+    its first read and kept.  The labels come only from the diagram's
+    dart build; a complex built from tables has none until its builder
+    assigns ``labels``.
     """
 
     verts: list  # the crossings, in vertex order
@@ -401,6 +409,25 @@ class ChainComplexF2:
         d, dx = self.diagram, self.darts
         groups = [g for g in dx.region_groups if not d.faces[g[0]].suture]
         return _spinc_labels(d, groups, self.verts, self.gens, self.masks)
+
+    @cached_property
+    def homology(self) -> Homology:
+        """Per-class mod-2 homology ranks.  The differential preserves
+        the Spin^c classes, so each class block of ``m`` generators is a
+        complex on its own, of rank ``m - 2 r`` where ``r`` is the rank
+        of its differential: of its columns, whose bits must all lie in
+        the block.  Only its nonzero columns are read."""
+        blocks = {}
+        for j, label in enumerate(self.labels):
+            blocks.setdefault(label, []).append(j)
+        columns, by_class = self.differential.columns, {}
+        for label, block in sorted(blocks.items()):
+            cols = [c for c in map(columns.__getitem__, block) if c]
+            in_block = sum(1 << j for j in block) if cols else 0
+            if any(c & ~in_block for c in cols):
+                raise AssertionError("differential does not respect the class partition")
+            by_class[label] = len(block) - 2 * f2_rank(cols)
+        return Homology(sum(by_class.values()), by_class)
 
     @cached_property
     def basis(self) -> list:
@@ -479,32 +506,10 @@ def _boundary_entries(verts: list, gens: list, census: list) -> tuple:
     return tuple(columns)
 
 
-@dataclass
-class Homology:
-    total: int
-    by_class: dict  # class index -> rank
-
-
 def homology(d) -> Homology:
-    """Per-class mod-2 homology ranks of a diagram or its complex.
-
-    The differential preserves the Spin^c classes, so each class block
-    of ``m`` generators is a complex on its own, of rank ``m - 2 r``
-    where ``r`` is the rank of its differential: of its columns, whose
-    bits must all lie in the block.  Only its nonzero columns are read.
-    """
-    cx = as_complex(d)
-    blocks = {}
-    for j, label in enumerate(cx.labels):
-        blocks.setdefault(label, []).append(j)
-    columns, by_class = cx.differential.columns, {}
-    for label, block in sorted(blocks.items()):
-        cols = [c for c in map(columns.__getitem__, block) if c]
-        in_block = sum(1 << j for j in block) if cols else 0
-        if any(c & ~in_block for c in cols):
-            raise AssertionError("differential does not respect the class partition")
-        by_class[label] = len(block) - 2 * f2_rank(cols)
-    return Homology(sum(by_class.values()), by_class)
+    """Per-class mod-2 homology ranks of a diagram or its complex: the
+    complex's ``homology`` view, so a complex is ranked once."""
+    return as_complex(d).homology
 
 
 # ---------------------------------------------------------------------------

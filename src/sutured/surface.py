@@ -704,11 +704,15 @@ def _route_and_insert_chord(d, pieces, face_id, v1, v2, family, curve_id, crossi
 
     ``pieces`` maps each face id named so far to the faces the inserted
     chords have cut it into; this face starts as its own one piece.
-    If the endpoints were separated by previously inserted chords of the
-    curves in crossing_curves, the chord crosses them (the pieces of a
-    disk face form a tree, so the route is unique); each forced crossing
-    subdivides the crossed chord at a fresh intersection vertex, which is
-    appended to crossings_out.  Returns the new edge ids in order.
+    The route is searched breadth first from the piece at v1 to the
+    piece at v2, across previously inserted chords of the curves in
+    crossing_curves (the pieces of a disk face form a tree, so the route
+    is unique).  Each chord crossed is subdivided at a fresh intersection
+    vertex, in route order, which is appended to crossings_out, and the
+    chord runs through the route's pieces, one segment in each: a fresh
+    vertex is a corner only of the two pieces on its crossed chord and
+    the route visits no piece twice, so segment k's ends meet in route
+    piece k alone.  Returns the new edge ids in order.
     """
     piece_set = pieces.setdefault(face_id, {face_id})
 
@@ -739,39 +743,23 @@ def _route_and_insert_chord(d, pieces, face_id, v1, v2, family, curve_id, crossi
                     queue.append(f)
     if goal not in prev:
         raise ValueError(f"no route between {v1} and {v2}")
-    hops = []
-    node = goal
-    while prev[node] is not None:
-        cur, e = prev[node]
+    route, hops = [goal], []
+    while prev[route[-1]] is not None:
+        cur, e = prev[route[-1]]
+        route.append(cur)
         hops.append(e)
-        node = cur
-    hops.reverse()
-    chain = [v1]
-    for e in hops:
-        _a, _b, w = subdivide_edge(d, e)
-        crossings_out.append(w)
-        chain.append(w)
-    chain.append(v2)
+    ws = [subdivide_edge(d, e)[2] for e in reversed(hops)]
+    crossings_out.extend(ws)
+    chain = [v1, *ws, v2]
     new_edges = []
-    for wa, wb in zip(chain, chain[1:]):
-        hit = None
-        for f in sorted(piece_set):
-            pa = _corner_positions(d, f, wa)
-            pb = _corner_positions(d, f, wb)
-            if pa and pb:
-                if hit is not None:
-                    raise ValueError(f"chord {wa}->{wb} is ambiguous")
-                if len(pa) != 1 or len(pb) != 1:
-                    raise ValueError(f"repeated corner for chord {wa}->{wb}")
-                hit = (f, pa[0], pb[0])
-        if hit is None:
-            raise ValueError(f"no piece contains both {wa} and {wb}")
-        f, pa, pb = hit
+    for f, wa, wb in zip(reversed(route), chain, chain[1:]):
+        pa = _corner_positions(d, f, wa)
+        pb = _corner_positions(d, f, wb)
+        if len(pa) != 1 or len(pb) != 1:
+            raise ValueError(f"repeated corner for chord {wa}->{wb}")
         eid = d.fresh_id(f"{curve_id}.")
-        fa, fb = split_face_by_chord(d, f, pa, pb, eid, family, curve_id)
-        piece_set.discard(f)
-        piece_set.add(fa)
-        piece_set.add(fb)
+        piece_set.remove(f)
+        piece_set.update(split_face_by_chord(d, f, pa[0], pb[0], eid, family, curve_id))
         new_edges.append(eid)
     return new_edges
 

@@ -101,6 +101,16 @@ def test_examples_unknown_name(capsys):
     assert "unknown example" in json.loads(err)["error"]
 
 
+def test_examples_refuses_an_unknown_stage_before_the_pipeline(capsys, monkeypatch):
+    """``disk-h9`` names no stage: it is refused as any unknown name is,
+    before the fix-disk 2-handle pipeline runs."""
+    calls = []
+    monkeypatch.setattr(glue, "glue_two_handle", lambda *a: calls.append(a))
+    code, out, err = run(capsys, "examples", "disk-h9")
+    assert (code, out, calls) == (1, "", [])
+    assert json.loads(err) == {"error": "unknown example 'disk-h9'"}
+
+
 # ---------------------------------------------------------------------------
 # inspection verbs
 
@@ -718,6 +728,21 @@ def test_glue_table_lines_are_pinned(capsys, tmp_path):
         code, out, _ = run(capsys, "glue", str(diagram), "--spec", str(spec_file),
                            "--format", "text")
         assert (code, out.splitlines()) == (0, lines)
+
+
+def test_two_handle_over_distinct_feet_is_refused_by_the_router(capsys, tmp_path):
+    """The chord router's reachable refusal reaches the user as exit 1
+    with one JSON reason: a 1-handle on fix-bigonpair with its feet on
+    two different edges, then the canonical 2-handle spec over it, whose
+    paths start in the face at one foot only.  The spec router planned
+    in ROADMAP item 7 turns this case into a pass."""
+    base, handle = surface.one_handle_parts(pieces.build("fix-bigonpair"), "ci", "co")
+    diagram, spec = tmp_path / "base.json", tmp_path / "spec.json"
+    diagram.write_text(surface.serialize(base))
+    spec.write_text(json.dumps(glue.spec_to_json(glue.two_handle_spec(base, handle))))
+    code, out, err = run(capsys, "attach", str(diagram), "--spec", str(spec))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "vertex w12 is not an unambiguous corner ([])"}
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,23 @@ def test_bypass_stages_rank_no_complex_twice(monkeypatch, shape):
     assert (calls[1].diagram is d) == (shape[0] == "b")
 
 
+def test_two_handle_stage_ranks_each_class_block_once(monkeypatch):
+    """A 2-handle stage hands its target to ``sfc.homology`` twice, as
+    the pipeline's H6 and as the stage's own rank; the complex's ranks
+    are a view, so each class block of each complex is ranked once."""
+    d = fixtures.bigonpair_power(3)
+    specs = sequences.shaped_plan(d, ("1", "2"), random.Random(5))
+    ranked, blocks = [], []
+    real_homology, real_rank = sfc.homology, sfc.f2_rank
+    monkeypatch.setattr(sfc, "homology", lambda cx: ranked.append(cx) or real_homology(cx))
+    monkeypatch.setattr(sfc, "f2_rank", lambda cols: blocks.append(cols) or real_rank(cols))
+    assert glue.equivalence_report(d, specs)["ok"]
+    distinct = list({id(cx): cx for cx in ranked}.values())
+    assert all(isinstance(cx, sfc.ChainComplexF2) for cx in distinct)
+    assert len(ranked) > len(distinct)
+    assert len(blocks) == sum(len(set(cx.labels)) for cx in distinct)
+
+
 def test_complexes_reuse_the_builds_their_gates_validated(monkeypatch):
     """Over a six-step plan on bigonpair^3, with its handle blocks built
     beforehand, every complex is built on the ``Darts`` build that its

@@ -5,6 +5,7 @@ Structural invariants, serialization, isomorphism through the
 bypasses, destabilization, bordered concatenation).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -395,6 +396,45 @@ def test_stacked_bypasses(disk):
         d, _x0 = sf.attach_trivial_bypass(d, sites[0], sign)
     assert sf.validate(d) == []
     assert len(d.alpha_curves) == 3
+
+
+# sha256 of ``serialize`` for each construction that routes chords: every
+# vertex, edge, face word and curve, with its id, as the router made them.
+ROUTED_SHA256 = {
+    ("fix-stab", "two-handle"): "e86a544d1eb5e6de50e0215bc5e3f24e0db7202ca3a1bb1ff41bb03703925412",
+    ("fix-stab", "bypass+"): "4743547569e7e2b5b06f8361562445ff5f41da57e4dd3bcd68db1de352cdd026",
+    ("fix-stab", "bypass-"): "ad31ff54837c0ad82ef25e8fdbe7037676e9087a5b3cf77dd1c2f02a754dfe8c",
+    ("fix-stab", "cut"): "c970c7b6f59a19fc374a4d1c0a315c0f0a8fc66407c537a28747cad6709b752d",
+    ("bigonpair^3", "two-handle"): "7773a9e9bd36e2daeb0450b92041ce5ca84b93a3ceafb5641ceb76ce2e07184c",
+    ("bigonpair^3", "bypass+"): "520d05548881a6b8ac6efd30d367460aaea63510600d9764d5dee6bf2efba24c",
+    ("bigonpair^3", "bypass-"): "f861f0708c5a1ebc5a712800190bc59377cf4d2dbc395f15febec68a622816a9",
+    ("bigonpair^3", "cut"): "a843a04c7a5199004ff0982e0265abbc54fef79faa6f68a911a7f8ac1405d6c0",
+    ("grid(4,1)", "two-handle"): "f01d89068dc38d383f7d4a0325d29910e6331c86de8ef66217f1625e59864b25",
+    ("grid(4,1)", "bypass+"): "23cc1baca5fbecc4dd85bc02caab27ceb39239a5d23124fd00204dbf45b88c9a",
+    ("grid(4,1)", "bypass-"): "01aa83f0713afc2f01706e59193186721290df9d33858e243a0e72242ce4053e",
+    ("grid(4,1)", "cut"): "9ed76c9bd3cbf92161889be93c441f7076251a1f8770e4a0e3b79ebcd17b5e10",
+}
+
+
+@pytest.mark.parametrize("name, construction", sorted(ROUTED_SHA256))
+def test_routed_constructions_are_pinned(name, construction):
+    """The direct 2-handle of the canonical two-stage sequence, both
+    trivial bypasses and the staged 2-handle cut, each at the first
+    free edge, serialize as they were."""
+    d = {"fix-stab": lambda: pieces.build("fix-stab"),
+         "bigonpair^3": lambda: fixtures.bigonpair_power(3),
+         "grid(4,1)": lambda: fixtures.punctured_grid(4, 1)}[name]()
+    h1, h2 = glue.two_handle_sequence(d)
+    base2 = sf.attach_one_handle(d, h1.p, h1.q)
+    if construction.startswith("bypass"):
+        out = sf.attach_trivial_bypass(d, h1.p, construction[-1])[0]
+    elif construction == "cut":
+        out = glue.prepare_two_handle(base2, h2.p, h2.q, h2.a_path, h2.b_path)[0].d
+    else:
+        out = sf.attach_two_handle(base2, h2.p, h2.q, h2.a_path, h2.b_path,
+                                   h2.port_order_p, h2.port_order_q)[0]
+    digest = hashlib.sha256(sf.serialize(out).encode()).hexdigest()
+    assert digest == ROUTED_SHA256[name, construction]
 
 
 # ---------------------------------------------------------------------------
