@@ -238,16 +238,32 @@ def _example_family():
     return names + ["disk-h2", "disk-h3", "disk-h4", "disk-h5", "disk-h6"]
 
 
-def _build_example(name):
+def _disk_stages() -> dict:
+    """disk-h3 … disk-h6, the 2-handle stages of fix-disk's two-handle
+    sequence, from one run of its staged pipeline.  H3 and H6 are the
+    record's; its H4 and H5 are box tensor products, so their diagrams
+    are glued here: the 2-handle block, and the twist block rt2, onto H3."""
+    base, handle = glue.one_handled(pieces.build("fix-disk"))
+    spec = glue.two_handle_spec(base, handle)
+    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
+    h3 = rec["H3"].diagram
+    return {
+        "disk-h3": h3,
+        "disk-h4": surface.concatenate_bordered(glue._handle_blocks("2").block, h3),
+        "disk-h5": surface.concatenate_bordered(pieces.rt2(), h3),
+        "disk-h6": rec["H6"].diagram,
+    }
+
+
+def _build_example(name, disk=None):
+    """The diagram of example ``name``.  A 2-handle stage is read from
+    ``disk``, the stages of one pipeline run, or from a run of its own."""
     if name.startswith("disk-h"):
         if name not in _example_family():  # refused before the pipeline runs
             raise ValueError(f"unknown example {name!r}")
-        base, handle = glue.one_handled(pieces.build("fix-disk"))
         if name == "disk-h2":
-            return base
-        spec = glue.two_handle_spec(base, handle)
-        rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
-        return rec[name[5:].upper()].diagram
+            return glue.one_handled(pieces.build("fix-disk"))[0]
+        return (disk or _disk_stages())[name]
     try:
         return pieces.build(name)
     except KeyError:
@@ -258,10 +274,11 @@ def _cmd_examples(args):
     if args.name is None:
         names = _example_family()
         if args.out_dir:
+            disk = _disk_stages()
             for n in names:
                 path = f"{args.out_dir}/{n}.json"
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(surface.serialize(_build_example(n)))
+                    fh.write(surface.serialize(_build_example(n, disk)))
         _emit({"names": names}, args.format, names)
         return 0
     text = surface.serialize(_build_example(args.name))

@@ -5,12 +5,16 @@ diagrammatic route attaches a handle directly (``attach_one_handle``,
 ``attach_two_handle``, ``attach_trivial_bypass``) and transports
 generators, adding the forced intersection point where one appears.  The
 staged route cuts the base open along the attachment region
-(``prepare_one_handle`` / ``prepare_two_handle``), concatenates the
-builtin blocks, and maps through the pairing piece with the join
-(``_elementary_join_full``), whose one result is a chain-map table.  The
-routes share only surface mechanics: the path router, the mark naming,
-the id renaming, a 1-handle's feet and, for a 2-handle, the strip with
-its ports (``_attach_one_handle``, ``_subdivide_ports``); the staged cut
+(``prepare_one_handle`` / ``prepare_two_handle``), takes the cut's
+type-D structure and pairs it with the builtin blocks' type-A
+structures (``modules.box_tensor``), so its join complexes and the
+twist stage H5 are box tensor products, not complexes of glued
+diagrams; the join (``_elementary_join_full``) maps through the pairing
+piece, and its one result is a chain-map table.  Only the 1-handle
+destabilization still glues a block onto the cut.  The routes share
+only surface mechanics: the path router, the mark naming, the id
+renaming, a 1-handle's feet and, for a 2-handle, the strip with its
+ports (``_attach_one_handle``, ``_subdivide_ports``); the staged cut
 adds its own interface, slit hole and arcs.  The package's comparison
 artifacts -- chain-map tables, stage ranks, the boundary identity on the
 twist stage -- are produced by ``glue_one_handle``, ``glue_two_handle``
@@ -26,9 +30,10 @@ The route functions take a diagram or its complex (built once, by
 complex on as the next stage's source, hands the direct 2-handle
 attachment to the staged pipeline as its stage H6, compares the two
 routes, and reports a disagreement as a counterexample.  The builtin
-blocks' bordered invariants, and each handle block's concatenation with
-its pairing piece, are built once per process (``_handle_blocks``) and
-shared by every pipeline run.
+blocks' bordered invariants, each handle block's concatenation with its
+pairing piece and that concatenation's type-A structure
+(``_handle_blocks``), and the twist block's (``_twist_block``), are
+built once per process and shared by every pipeline run.
 """
 
 from __future__ import annotations
@@ -377,19 +382,21 @@ class PairingBlocks(NamedTuple):
 
     ``u`` is the handle block's single-generator type-D invariant, ``w``
     the elementary type-A pairing piece, ``block`` the handle block's
-    diagram concatenated with the pairing block that ``w`` selects, and
-    ``tags`` the tag vertices of that pairing block which the join's
-    images occupy.
+    diagram concatenated with the pairing block that ``w`` selects,
+    ``a`` that concatenation's type-A structure, and ``tags`` the tag
+    vertices of that pairing block which the join's images occupy.
     """
 
     u: modules.BorderedStructure
     w: modules.BorderedStructure
     block: Diagram
+    a: modules.BorderedStructure
     tags: list
 
 
 def pairing_blocks(u, w) -> PairingBlocks:
-    """Check that ``u`` joins through ``w`` and build the concatenation."""
+    """Check that ``u`` joins through ``w``; build the concatenation and
+    its type-A structure."""
     if u.kind != "D":
         raise ValueError("the handle block must be a type-D structure")
     if w.kind != "A":
@@ -399,7 +406,8 @@ def pairing_blocks(u, w) -> PairingBlocks:
     if len(u.generators) != 1:
         raise ValueError("handle block must have a single generator")
     az, tags = _pairing_tags(w)
-    return PairingBlocks(u, w, concatenate_bordered(u.diagram, az), tags)
+    block = concatenate_bordered(u.diagram, az)
+    return PairingBlocks(u, w, block, modules.bordered_invariant(block, "A"), tags)
 
 
 @functools.cache
@@ -415,21 +423,27 @@ def _handle_blocks(kind: str) -> PairingBlocks:
     )
 
 
+@functools.cache
+def _twist_block() -> modules.BorderedStructure:
+    """The type-A structure of the twist block rt2, which pairs with the
+    2-handle cut as stage H5; built once per process, never mutated."""
+    return modules.bordered_invariant(pieces.rt2(), "A")
+
+
 def _elementary_join_full(blocks: PairingBlocks, v) -> ChainMapTable:
     """Join the handle block onto ``v`` through the pairing piece.
 
-    Returns the chain-map table from the cap-closed preparation's
-    complex into the block-and-pairing concatenation's, each carrying
-    its diagram, sending each generator to its image under the join
+    Returns the chain-map table from ``A(w) ⊠ v``, the complex of the
+    cap-closed preparation, into ``A(block) ⊠ v``, the complex of the
+    block-and-pairing concatenation (``modules.box_tensor``: neither is
+    glued), sending each generator to its image under the join
     (handle-block generator, tag vertices, base part).
     """
     if v.kind != "D":
         raise ValueError("the base must be a type-D structure")
-    u, w, block, tags = blocks
-    src = concatenate_bordered(w.diagram, v.diagram, built=True)
-    tgt = concatenate_bordered(block, v.diagram, built=True)
-    source = sfc.differential(src.d, src)
-    target = sfc.differential(tgt.d, tgt)
+    u, w, _block, a, tags = blocks
+    source = modules.box_tensor(w, v)
+    target = modules.box_tensor(a, v)
     wgen = frozenset(f"L:{x}" for x in w.generators[0])
     ugen = frozenset(f"L:L:{x}" for x in u.generators[0])
     tagv = frozenset(f"L:R:{t}" for t in tags)
@@ -460,23 +474,26 @@ def _strip_prefix(d, tag: str):
 def glue_one_handle(d, p: str, q: str):
     """1-handle attachment through the glued pipeline.
 
-    ``d`` is the base diagram or its complex.  Concatenates the
-    stabilizing block and the pairing square onto the cut-open base,
-    joins, and removes the stabilizing pair.  Returns ``(d1, table)``:
-    the destabilized diagram and the chain-map table from the base
-    complex into its complex.  ``equivalence_report`` compares the table
+    ``d`` is the base diagram or its complex.  Joins the stabilizing
+    block onto the cut-open base's type-D structure through the pairing
+    square.  The destabilization is the one step that reads a glued
+    diagram: the block is concatenated onto the cut (and gated), and the
+    stabilizing pair is removed.  Returns ``(d1, table)``: the
+    destabilized diagram and the chain-map table from the base complex
+    into its complex.  ``equivalence_report`` compares the table
     and its target with the diagrammatic transport.
     """
     base = sfc.as_complex(d)
     cut = prepare_one_handle(base.diagram, p, q)
     v = modules.bordered_invariant(cut.d, "D", darts=cut)
-    join = _elementary_join_full(_handle_blocks("1"), v)
+    blocks = _handle_blocks("1")
+    join = _elementary_join_full(blocks, v)
     pre = _generator_map(
         base, join.source, lambda g: frozenset(f"R:{x}" for x in g), "1-handle base inclusion"
     )
     lifted = compose(join, pre)
 
-    stripped = _strip_prefix(join.target.diagram, "R:")
+    stripped = _strip_prefix(concatenate_bordered(blocks.block, cut.d), "R:")
     dx1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be")
 
     def reduced(g):
@@ -507,13 +524,15 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     ``d`` is the base diagram or its complex.  ``direct`` is the direct
     attachment's complex and ``x0`` its forced point, as ``sigma_map``
     or ``direct_two_handle`` built them: they are stage H6, taken from
-    the caller rather than attached again.  Returns the
-    stage record: the complexes of the cut-open base ``H3``, the block
-    concatenation ``H4``, the twist-block stage ``H5`` and ``H6``, each
-    carrying its diagram; the composed ``joinTable`` into
-    ``H4``; and the ``identityReport`` checking the twist-stage boundary
-    identity and the stage homology ranks, read from those complexes.
-    Any stage failing the complex gates raises with the stage named.
+    the caller rather than attached again.  Returns the stage record:
+    the complexes of the cut-open base ``H3``, the block stage ``H4``,
+    the twist-block stage ``H5`` and ``H6``; the composed ``joinTable``
+    into ``H4``; and the ``identityReport`` checking the twist-stage
+    boundary identity and the stage homology ranks, read from those
+    complexes.  ``H3`` and ``H6`` carry their diagrams; ``H4`` and
+    ``H5`` are box tensor products of the block's and the twist block's
+    type-A structures with ``H3``'s type-D structure, and carry none.
+    Any stage failing its gates raises with the stage named.
     """
     if spec.kind != "2":
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
@@ -533,8 +552,7 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     except ValueError as err:
         raise ValueError(f"stage H4: {err}") from err
     try:
-        h5 = concatenate_bordered(pieces.rt2(), hv.d, built=True)
-        cx5 = sfc.differential(h5.d, h5)
+        cx5 = modules.box_tensor(_twist_block(), v)
     except ValueError as err:
         raise ValueError(f"stage H5: {err}") from err
 

@@ -9,17 +9,21 @@ on alpha-type ones), and type-D structures store ``δ¹`` outputs as
 (algebra basis element, generator) pairs.  Higher actions vanish on nice
 diagrams, and non-nice input is rejected rather than silently truncated.
 
-The staged gluing route (``glue``) and the ``bordered`` verb read these
-tables.  The checks on them -- the structure relations and the box
-tensor product against the glued diagram's complex -- are test
-references in ``tests/oracles.py``.
+The ``bordered`` verb reads these tables, and the staged gluing route
+(``glue``) pairs them: ``box_tensor`` builds the chain complex of a
+type-A structure paired with a type-D one, the complex of the glued
+diagram without gluing it.  The structure relations and the frozenset
+form of the box tensor product, which the library's must equal, are
+test references in ``tests/oracles.py``.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
 from . import sfc, strands
-from .surface import Diagram
+from .exactlin import BinaryMatrix
+from .surface import ArcDiagram, Diagram, _interface_arc_bijection
 
 
 @dataclass
@@ -248,6 +252,99 @@ def is_elementary(bs: BorderedStructure) -> bool:
             if movers and col:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the box tensor product
+
+
+def box_tensor(a: BorderedStructure, d: BorderedStructure) -> sfc.ChainComplexF2:
+    """The box tensor product of a type-A and a type-D structure over
+    matching interfaces, as a chain complex.
+
+    Its generators are the pairs (x, y) whose occupied arcs are
+    complementary once the interfaces are identified, as
+    ``surface.concatenate_bordered`` identifies them.  A pair is named
+    as the glued diagram names its crossings, x's with the prefix
+    ``L:`` and y's with ``R:``: ``verts`` are those names, sorted, and
+    each pair is the sorted tuple of its indices into them, in the
+    canonical order of ``sfc.ChainComplexF2``, so the complex's
+    ``basis`` is the glued complex's.  The differential sends (x, y) to
+    the type-A differential of x beside y, plus, for each δ¹ term
+    (b, y2) of y, the action on x of b carried across the interface,
+    beside y2; each column is one bit mask over the pairs.  The complex
+    has no diagram, and its pairs are in one class.
+    """
+    if a.kind != "A" or d.kind != "D":
+        raise ValueError("box tensor pairs a type-A with a type-D structure")
+    za, zd = a.sides[0], d.sides[0]
+    arc_map = _interface_arc_bijection(za, zd)
+    all_arcs = frozenset(zd.matching.values())
+    by_occupancy = {}
+    for y in d.generators:
+        by_occupancy.setdefault(d.occupancy[0][y], []).append(y)
+    occupancy = a.occupancy[0]
+    pairs = [
+        (x, y)
+        for x in a.generators
+        for y in by_occupancy.get(all_arcs.difference(map(arc_map.get, occupancy[x])), ())
+    ]
+    # each half's sorted indices; every L: name sorts before every R: name
+    xs, ys = dict.fromkeys(x for x, _ in pairs), dict.fromkeys(y for _, y in pairs)
+    left, right = sorted(set().union(*xs)), sorted(set().union(*ys))
+    for half, names, start in ((xs, left, 0), (ys, right, len(left))):
+        where = {v: i for i, v in enumerate(names, start)}
+        for g in half:
+            half[g] = tuple(sorted(map(where.__getitem__, g)))
+    pairs.sort(key=lambda p: xs[p[0]] + ys[p[1]])
+    index = {p: j for j, p in enumerate(pairs)}
+    carried = _carried_actions(a, d, arc_map, {b for y in ys for b, _ in d.delta.get(y, ())})
+    columns = []
+    try:
+        for x, y in pairs:
+            column = 0
+            for x2 in a.differential.get(x, ()):
+                column ^= 1 << index[x2, y]
+            for b, y2 in d.delta.get(y, ()):
+                for x2 in carried[b].get(x, ()):
+                    column ^= 1 << index[x2, y2]
+            columns.append(column)
+    except KeyError:
+        raise AssertionError("box tensor left the compatible pairs") from None
+    cx = sfc.ChainComplexF2(
+        [f"L:{v}" for v in left] + [f"R:{v}" for v in right],
+        [xs[x] + ys[y] for x, y in pairs],
+        BinaryMatrix(len(pairs), tuple(columns)),
+        None,
+    )
+    cx.labels = [0] * len(pairs)
+    return cx
+
+
+def _carried_actions(a: BorderedStructure, d: BorderedStructure, arc_map, labels) -> dict:
+    """δ¹ label of ``d`` -> the action table on ``a`` of its coefficient
+    carried across the interface: each strand reversed onto ``a``'s
+    side, each occupied arc back through ``arc_map``."""
+    za, zd = a.sides[0], d.sides[0]
+    point = {q: p for ia, ib in zip(za.intervals, zd.intervals) for p, q in zip(ia, reversed(ib))}
+    arc = {v: k for k, v in arc_map.items()}
+    terms = _basis_terms(zd.kind, tuple(map(tuple, zd.intervals)), tuple(sorted(zd.matching.items())))
+    out = {}
+    for b in labels:
+        movers, occupied = terms[b]
+        coeff = strands.element(za, [(point[t], point[f]) for f, t in movers],
+                                {arc[o] for o in occupied})
+        out[b] = a.tables[0].get(strands.label(coeff), {})
+    return out
+
+
+@functools.cache
+def _basis_terms(kind: str, intervals: tuple, matching: tuple) -> dict:
+    """label -> term of each basis element of the strands algebra of the
+    arc diagram with this content, enumerated once per process: the
+    cut-open bases of one handle kind share one arc diagram."""
+    z = ArcDiagram([list(iv) for iv in intervals], dict(matching), kind)
+    return {strands.label(b): next(iter(b.terms)) for b in strands.basis(z)}
 
 
 # ---------------------------------------------------------------------------

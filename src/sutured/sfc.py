@@ -383,9 +383,10 @@ class ChainComplexF2:
     each generator's bit mask over ``verts`` where ``differential`` found
     enough generators for the labels' subset-sum tables to pay (see
     ``_subset_sums``), and is ``None`` otherwise.  ``diagram`` is the
-    diagram it came from (``None`` for a complex built from tables, such
-    as the box tensor product of the test references) and ``darts`` the
-    dart build its census read (the one its caller handed to
+    diagram it came from, or ``None`` for a complex built from tables:
+    a box tensor product (``modules.box_tensor``), such as the staged
+    route's join complexes and its stage H5, has no diagram.  ``darts``
+    is the dart build its census read (the one its caller handed to
     ``differential``, if any), which the action census and the labels
     read again.
 

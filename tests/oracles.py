@@ -42,9 +42,13 @@ from ``sfc``.  ``reference_action_census`` tries every subset of the
 non-suture faces for each chord, as the library did before it grew
 candidates from the chord, with its own copy of the quadrilateral test
 on the same walks; the library must give the same records in the same
-order.  ``grid_rectangle_differential``
-counts empty rectangles on an n x n grid from permutations alone, with
-no surface or census code.
+order.  ``powerset_domain_moves`` tries every set of non-suture faces
+and keeps the embedded bigons and rectangles, classified with the same
+boundary walk, run split and corner rule, so its domains may span
+several regions where the census takes one move per region;
+``moves_differential`` applies such moves to generators.
+``grid_rectangle_differential`` counts empty rectangles on an n x n
+grid from permutations alone, with no surface or census code.
 
 Three references check what the library builds instead of re-deriving
 it.  ``check_relations`` verifies a bordered structure's relations:
@@ -53,10 +57,12 @@ strands product, the Leibniz rule where no algebra differential term
 can arise, and for type D the δ¹ structure equation.  ``box_tensor``
 pairs a type-A with a type-D structure from their tables alone; by the
 pairing theorem it must equal the complex of the concatenated diagram,
-basis and entries alike.  ``equivalent`` tests two diagrams for
-isomorphism by comparing ``canonical_signature``s, the least traversal
-signature over the starting flags of each component; the surgery tests
-use it as their isomorphism oracle.
+basis and entries alike; the library's ``modules.box_tensor``, which
+the staged route pairs with, must equal it field for field.
+``equivalent`` tests two diagrams for isomorphism by comparing
+``canonical_signature``s, the least traversal signature over the
+starting flags of each component; the surgery tests use it as their
+isomorphism oracle.
 """
 
 from fractions import Fraction
@@ -184,8 +190,13 @@ def seamless_face_moves(d):
 
 def naive_differential(d):
     """Generator -> set of boundary generators, mod 2, by face reading."""
-    gens = powerset_generators(d)
-    moves = seamless_face_moves(d)
+    return moves_differential(powerset_generators(d), seamless_face_moves(d))
+
+
+def moves_differential(gens, moves):
+    """Generator -> set of boundary generators, mod 2: each move
+    (x-corners, y-corners, interior) carries every generator that holds
+    its x-corners and misses its y-corners and interior."""
     out = {}
     for x in gens:
         hits = {}
@@ -756,6 +767,57 @@ def reference_action_census(d):
                         if rec is not None:
                             out.append(rec)
     return sorted(out, key=lambda r: (r.interface, r.interval, r.start, r.end, r.faces))
+
+
+def powerset_domain_moves(d):
+    """Every embedded bigon and rectangle domain of ``d``, as moves
+    (x-corners, y-corners, interior crossings), by trying every set of
+    non-suture faces.
+
+    A set is kept when its union is a disk whose boundary is one embedded
+    cycle (walked with this module's boundary code, the edges both of
+    whose sides lie in the set cancelled), every corner of which is
+    convex (the set holds one quadrant there), and whose runs classify
+    as a bigon or a rectangle by the census rule.  A move acts on a
+    generator only when the generator misses the interior, so the
+    domains it counts are the empty ones.  Unlike the census, which
+    takes each region as one move, a domain here may span several
+    regions.  Meant for diagrams of up to about 16 non-suture faces.
+    """
+    nonsuture = sorted(f for f, face in d.faces.items() if not face.suture)
+    if len(nonsuture) > 16:
+        raise ValueError("power set too large for the brute oracle")
+    curve = {e for e, ed in d.edges.items() if ed.kind in ("alpha", "beta")}
+    moves = []
+    for bits in range(1, 1 << len(nonsuture)):
+        faces = [f for b, f in enumerate(nonsuture) if bits >> b & 1]
+        sides = [side for f in faces for side in d.faces[f].word]
+        count = {}
+        for e, _s in sides:
+            count[e] = count.get(e, 0) + 1
+        ends = {v for e in count for v in (d.edges[e].frm, d.edges[e].to)}
+        if len(faces) - len(count) + len(ends) != 1:  # Euler characteristic of a disk
+            continue
+        cycles = _reference_boundary_cycles(d, faces, {e for e, n in count.items() if n == 2})
+        if len(cycles) != 1:
+            continue
+        runs = _reference_cycle_runs(d, cycles[0])
+        pattern = sorted(c for c, _run in runs)
+        if pattern != ["alpha", "beta"] and (len(runs) != 4 or "bd" in pattern):
+            continue
+        heads = [d.edges[d.faces[f].word[i][0]].end(d.faces[f].word[i][1]) for f, i in cycles[0]]
+        if len(set(heads)) != len(heads):
+            continue  # the boundary meets itself
+        xs, ys = _reference_corner_points(d, runs)
+        quadrants = {}  # corner vertex -> corners of the set's faces entered along a curve
+        for e, sign in sides:
+            v = d.edges[e].end(sign)
+            if e in curve and v in xs | ys:
+                quadrants[v] = quadrants.get(v, 0) + 1
+        if any(quadrants.get(v) != 1 for v in xs | ys):
+            continue  # a corner that is not convex
+        moves.append((xs, ys, _reference_interior(d, faces, cycles[0])))
+    return moves
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,32 @@ def test_examples_out_dir_writes_every_example(capsys, tmp_path):
         assert run(capsys, "validate", str(path))[0] == 0
 
 
+# sha256 of ``examples <name>`` stdout for the fix-disk 2-handle stages
+DISK_STAGE_SHA256 = {
+    "disk-h2": "fad25d969e24a4c5111242a66d4131839b6f6460f8963f619a1b9f47a3f25756",
+    "disk-h3": "082f99bb650b971ca61cc94ddb6c91ebd5be2613d8f282c8c2a0ff0c4754ca36",
+    "disk-h4": "b968beb1b6364325af0c799ff09d7b4c723e263f7676ff6f160a35b1cab815a3",
+    "disk-h5": "838403e29ffd43dfc1225bf779596979a1914afde8374420a2bbeba2fd73aecf",
+    "disk-h6": "0572f2e3680af51fbccd6f582bc10f7e6ccb96a8b05ec2c7b39838e4472df129",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISK_STAGE_SHA256))
+def test_disk_stage_examples_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "examples", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DISK_STAGE_SHA256[name]
+
+
+def test_examples_listing_runs_the_two_handle_pipeline_once(capsys, tmp_path, monkeypatch):
+    """The listing writes disk-h3 … disk-h6 from one run of the fix-disk
+    2-handle pipeline."""
+    calls, real = [], glue.glue_two_handle
+    monkeypatch.setattr(glue, "glue_two_handle", lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run(capsys, "examples", "--out-dir", str(tmp_path))
+    assert code == 0 and len(calls) == 1
+
+
 def test_examples_unknown_name(capsys):
     code, _, err = run(capsys, "examples", "fix-torus")
     assert code == 1
@@ -352,13 +378,15 @@ def test_attach_then_glue(capsys, tmp_path, stab_file, monkeypatch):
     monkeypatch.setattr(sfc, "differential", lambda d, darts=None: built.append(d) or real(d, darts))
     monkeypatch.setattr(sfc, "homology", lambda d: ranked.append(d) or real_homology(d))
     glue._handle_blocks.cache_clear()
+    glue._twist_block.cache_clear()
     code, out, _ = run(capsys, "glue", str(mid), "--spec", str(spec2),
                        "--format", "json")
     assert code == 0
-    # the base, the three bordered invariants (two of them the builtin
-    # blocks, built once per process; the third is H3, ranked from the
-    # same complex), the join's source and target (H4), H5 and H6
-    assert len(built) == 8
+    # the base, the five bordered invariants (four of them the builtin
+    # blocks' -- u2, cap2, the block and rt2 -- built once per process;
+    # the fifth is H3, ranked from the same complex) and H6; the join's
+    # source and target (H4) and H5 are box tensor products, not built
+    assert len(built) == 7
     # H4, H5 and H6 are ranked once, by the pipeline; the verb ranks H3
     assert len(ranked) == 4
     payload = json.loads(out)

@@ -428,14 +428,19 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
 
     monkeypatch.setattr(sfc, "differential", counting)
     glue._handle_blocks.cache_clear()
+    glue._twist_block.cache_clear()
     assert glue.equivalence_report(d, specs)["ok"]
     # no repeat: the 2-handle pipeline takes the direct attachment as
-    # its stage H6, and the four builtin blocks are built this once
-    assert len(calls) == len(set(calls)) == 15
+    # its stage H6, and the seven builtin blocks' structures are built
+    # this once; the joins and H5 are box tensor products, built from
+    # no diagram
+    assert len(calls) == len(set(calls)) == 13
     assert final in calls
     calls.clear()
     assert glue.equivalence_report(d, specs)["ok"]
-    assert len(calls) == 11
+    # the base, each stage's attachment, the 1-handle cut and its
+    # destabilization, and the 2-handle cut H3
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("shape", [("b", "b", "b"), ("1", "b", "b")])

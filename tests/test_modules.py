@@ -266,11 +266,30 @@ def test_relations_detect_a_tampered_delta():
 # box tensor product
 
 
+def _assert_library_tensor(library, a, d):
+    """The library's box tensor of ``a`` and ``d`` is the oracle's, field
+    for field: the prefixed names, the index tuples in canonical order,
+    the columns and the one class; and it has no diagram."""
+    reference = oracles.box_tensor(a, d)
+    assert library.diagram is None
+    assert library.verts == reference.verts
+    assert library.gens == reference.gens
+    assert library.differential == reference.differential
+    assert library.labels == reference.labels == [0] * len(library.gens)
+
+
+def _catalog_pairing(a_piece, d_piece):
+    """The oracle's box tensor of ``a_piece``'s type-A structure and the
+    type-D structure of ``d_piece``'s mirror, checked first against the
+    library's."""
+    a = modules.bordered_invariant(a_piece, "A")
+    d = modules.bordered_invariant(pieces.mirror(d_piece), "D")
+    _assert_library_tensor(modules.box_tensor(a, d), a, d)
+    return oracles.box_tensor(a, d)
+
+
 def test_box_tensor_matches_the_one_handle_gluing():
-    box = oracles.box_tensor(
-        modules.bordered_invariant(pieces.u1(), "A"),
-        modules.bordered_invariant(pieces.mirror(pieces.cap1()), "D"),
-    )
+    box = _catalog_pairing(pieces.u1(), pieces.cap1())
     cx = sfc.differential(pieces.handle1())
     assert box.basis == cx.basis
     assert box.differential.entries == cx.differential.entries
@@ -278,10 +297,7 @@ def test_box_tensor_matches_the_one_handle_gluing():
 
 
 def test_box_tensor_matches_the_two_handle_gluing():
-    box = oracles.box_tensor(
-        modules.bordered_invariant(pieces.u2(), "A"),
-        modules.bordered_invariant(pieces.mirror(pieces.cap2()), "D"),
-    )
+    box = _catalog_pairing(pieces.u2(), pieces.cap2())
     cx = sfc.differential(pieces.handle2())
     assert box.basis == cx.basis
     assert [sorted(b) for b in box.basis] == [["L:c", "R:w"]]
@@ -293,10 +309,7 @@ def test_box_tensor_matches_a_gluing_with_a_differential():
     """Capping the unknot piece with the twist piece pairs a delta chord
     against a boundary rectangle; the result must agree with the glued
     diagram map for map, not just in rank."""
-    box = oracles.box_tensor(
-        modules.bordered_invariant(pieces.u2(), "A"),
-        modules.bordered_invariant(pieces.mirror(pieces.rt2()), "D"),
-    )
+    box = _catalog_pairing(pieces.u2(), pieces.rt2())
     glued = concatenate_bordered(pieces.u2(), pieces.mirror(pieces.rt2()))
     cx = sfc.differential(glued)
     assert [sorted(b) for b in box.basis] == [
@@ -317,14 +330,16 @@ def test_box_tensor_matches_a_gluing_with_a_differential():
 
 
 def test_box_tensor_rejects_bad_inputs():
+    """The oracle and the library refuse the same inputs."""
     a = modules.bordered_invariant(pieces.u2(), "A")
     d = modules.bordered_invariant(pieces.mirror(pieces.cap2()), "D")
-    with pytest.raises(ValueError, match="type-A with a type-D"):
-        oracles.box_tensor(a, a)
-    with pytest.raises(ValueError, match="type-A with a type-D"):
-        oracles.box_tensor(d, d)
-    with pytest.raises(ValueError, match="interval shapes"):
-        oracles.box_tensor(a, modules.bordered_invariant(pieces.mirror(pieces.cap1()), "D"))
+    for box_tensor in (oracles.box_tensor, modules.box_tensor):
+        with pytest.raises(ValueError, match="type-A with a type-D"):
+            box_tensor(a, a)
+        with pytest.raises(ValueError, match="type-A with a type-D"):
+            box_tensor(d, d)
+        with pytest.raises(ValueError, match="interval shapes"):
+            box_tensor(a, modules.bordered_invariant(pieces.mirror(pieces.cap1()), "D"))
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +390,51 @@ def _assert_same_complex(box, cx):
     assert box.differential.entries == cx.differential.entries
 
 
+def _assert_pairs_like_gluing(library, a, d, piece):
+    """Three ways to one complex: the library's box tensor (as the
+    pipeline built it), the unedited ``oracles.box_tensor`` of ``a`` and
+    ``d``, and the complex of ``piece`` (the diagram of ``a``)
+    concatenated onto ``d``'s diagram, basis and entries."""
+    _assert_library_tensor(library, a, d)
+    _assert_same_complex(library, sfc.differential(concatenate_bordered(piece, d.diagram)))
+
+
 @pytest.mark.parametrize("name,site", PIPELINE_SITES)
 def test_box_tensor_matches_the_one_handle_join_source(name, site):
     """A(cap1) ⊠ D(cut-open base) is the complex the 1-handle join starts from."""
     blocks = glue._handle_blocks("1")
     cut = _one_handle_cut(_pipeline_base(name), site)
-    box = oracles.box_tensor(blocks.w, cut)
-    _assert_same_complex(box, glue._elementary_join_full(blocks, cut).source)
+    join = glue._elementary_join_full(blocks, cut)
+    _assert_pairs_like_gluing(join.source, blocks.w, cut, pieces.cap1())
+
+
+@pytest.mark.parametrize("name,site", PIPELINE_SITES)
+def test_box_tensor_matches_the_one_handle_join_target(name, site):
+    """A(u1 ∪ az1) ⊠ D(cut-open base) is the complex the 1-handle join
+    lands in, the one whose diagram the pipeline destabilizes."""
+    blocks = glue._handle_blocks("1")
+    cut = _one_handle_cut(_pipeline_base(name), site)
+    join = glue._elementary_join_full(blocks, cut)
+    block = concatenate_bordered(pieces.u1(), pieces.az1())
+    _assert_pairs_like_gluing(join.target, modules.bordered_invariant(block, "A"), cut, block)
 
 
 @pytest.mark.parametrize("name,site", PIPELINE_SITES)
 def test_box_tensor_matches_the_two_handle_stages(name, site):
-    """A(cap2) ⊠ D(H3) is the 2-handle join's source, and A(rt2) ⊠ D(H3)
-    is stage H5, differential entries included."""
+    """A(cap2) ⊠ D(H3) is the 2-handle join's source, A(u2 ∪ az2) ⊠ D(H3)
+    its target (stage H4), and A(rt2) ⊠ D(H3) stage H5, differential
+    entries included."""
     h3, rec = _two_handle_stages(_pipeline_base(name), site)
     blocks = glue._handle_blocks("2")
-    box = oracles.box_tensor(blocks.w, h3)
-    _assert_same_complex(box, glue._elementary_join_full(blocks, h3).source)
-    twist = oracles.box_tensor(modules.bordered_invariant(pieces.rt2(), "A"), h3)
-    _assert_same_complex(twist, rec["H5"])
-    assert len(twist.differential.entries) == TWIST_ENTRIES[name]
+    join = glue._elementary_join_full(blocks, h3)
+    _assert_pairs_like_gluing(join.source, blocks.w, h3, pieces.cap2())
+    block = concatenate_bordered(pieces.u2(), pieces.az2())
+    _assert_pairs_like_gluing(join.target, modules.bordered_invariant(block, "A"), h3, block)
+    assert rec["H4"].basis == join.target.basis
+    assert rec["H4"].differential == join.target.differential
+    twist = modules.bordered_invariant(pieces.rt2(), "A")
+    _assert_pairs_like_gluing(rec["H5"], twist, h3, pieces.rt2())
+    assert len(rec["H5"].differential.entries) == TWIST_ENTRIES[name]
 
 
 @pytest.mark.parametrize("name,site", PIPELINE_SITES)

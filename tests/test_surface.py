@@ -610,8 +610,10 @@ def _concatenated(b1, b2):
 @pytest.mark.parametrize("name", ["fix-stab", "bigonpair^3"])
 def test_handle_stages_edit_like_references(name, monkeypatch):
     """Each stage of the two-handle sequence, every diagram the glued
-    1-handle pipeline destabilizes, and every concatenation both glued
-    pipelines make, the fixed blocks' included."""
+    1-handle pipeline destabilizes, every concatenation both pipelines
+    make, the fixed blocks' included, and the concatenations whose
+    complexes the pipelines pair as box tensor products instead: each
+    join's source and target, and stage H5."""
     d = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
     one, two = glue.two_handle_sequence(d)
     mid, _handle = glue.one_handled(d, one.p)
@@ -633,13 +635,23 @@ def test_handle_stages_edit_like_references(name, monkeypatch):
     glue.glue_one_handle(d, one.p, one.q)
     site = sorted(mid.free_boundary_edge_ids())[0]
     glue.glue_one_handle(mid, site, site)
-    glue.glue_two_handle(mid, two, sfc.differential(top), x0)
+    rec = glue.glue_two_handle(mid, two, sfc.differential(top), x0)
+    one_blocks, two_blocks = glue._handle_blocks("1"), glue._handle_blocks("2")
     glue._handle_blocks.cache_clear()
-    assert len(destabilized) == 2 and len(glued) == 9
+    # the two blocks, and the 1-handle block onto each 1-handle cut
+    assert len(destabilized) == 2 and len(glued) == 4
+    block = sf.to_json_dict(one_blocks.block)
+    cuts = [cut for b1, cut in glued if sf.to_json_dict(b1) == block]
+    assert len(cuts) == 2
+    glued += [(one_blocks.w.diagram, cut) for cut in cuts]
+    h3 = rec["H3"].diagram
+    glued += [(two_blocks.w.diagram, h3), (two_blocks.block, h3), (pieces.rt2(), h3)]
     for g, _a, _b in destabilized:
         _assert_matches_references(g)  # destabilizes every closed pair
     for args in glued:
-        assert _concatenated(*args) == _outcome(
+        out = _concatenated(*args)
+        assert isinstance(out, dict)  # every shape glues
+        assert out == _outcome(
             lambda *a: sf.to_json_dict(oracles.reference_concatenate_bordered(*a)), *args
         )
 
