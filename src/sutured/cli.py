@@ -121,7 +121,7 @@ def _cmd_glue(args):
     d, dx = _read_diagram(args.diagram)
     spec = glue.spec_from_json(_read_json(args.spec))
     if spec.kind == "1":
-        _d1, table = glue.glue_one_handle(sfc.differential(d, dx), spec.p, spec.q)
+        table = glue.glue_one_handle(sfc.differential(d, dx), spec.p, spec.q)
         payload = {
             "kind": "1",
             "table": table.render(),

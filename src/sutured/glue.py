@@ -7,11 +7,12 @@ generators, adding the forced intersection point where one appears.  The
 staged route cuts the base open along the attachment region
 (``prepare_one_handle`` / ``prepare_two_handle``), takes the cut's
 type-D structure and pairs it with the builtin blocks' type-A
-structures (``modules.box_tensor``), so its join complexes and the
-twist stage H5 are box tensor products, not complexes of glued
-diagrams; the join (``_elementary_join_full``) maps through the pairing
-piece, and its one result is a chain-map table.  Only the 1-handle
-destabilization still glues a block onto the cut.  The routes share
+structures (``modules.box_tensor``), so its join complexes, the
+1-handle target and the twist stage H5 are box tensor products, not
+complexes of glued diagrams; the join (``_elementary_join_full``) maps
+through the pairing piece, and its one result is a chain-map table.  A
+1-handle's target is the join's target with the block's one generator
+cancelled, which is the stabilizing pair destabilized.  The routes share
 only surface mechanics: the path router, the mark naming, the id
 renaming, a 1-handle's feet and, for a 2-handle, the strip with its
 ports (``_attach_one_handle``, ``_subdivide_ports``); the staged cut
@@ -59,7 +60,6 @@ from .surface import (
     _face_carrying,
     _foot_edges,
     _put_mark,
-    _renamed,
     _route_and_insert_chord,
     _route_path,
     _subdivide_ports,
@@ -69,7 +69,6 @@ from .surface import (
     concatenate_bordered,
     one_handle_parts,
     subdivide_edge,
-    trivial_destabilize,
 )
 
 _fmt = modules.format_generator
@@ -240,8 +239,8 @@ def prepare_one_handle(d, p: str, q: str):
     """Declare the feet ``p``, ``q`` as a point-free interface; returns
     the cut's ``Darts`` build, whose ``d`` is the cut diagram.
 
-    The base is otherwise untouched: concatenating the stabilizing block
-    onto the interface is what performs the surgery.
+    The base is otherwise untouched: pairing the cut's type-D structure
+    with the stabilizing block's type-A structure performs the surgery.
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
@@ -304,9 +303,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     )
     out.beta_curves[beta_id] = Curve(beta_id, True, beta_segs)
     if crossings:
-        raise ValueError(
-            f"stage H3: the closed path is not embedded: {len(crossings)} forced crossings"
-        )
+        raise ValueError(f"the closed path is not embedded: {len(crossings)} forced crossings")
     surgery = [out.beta_curves[beta_id]]
 
     arc_long = out.fresh_id("A")
@@ -323,7 +320,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     out.alpha_curves[arc_long] = Curve(arc_long, False, long_segs)
     if len(crossings) != 1:
         raise ValueError(
-            f"stage H3: paths are not disjoint: {len(crossings)} forced "
+            f"paths are not disjoint: {len(crossings)} forced "
             "crossings on the long arc, expected 1"
         )
     x0 = crossings[0]
@@ -334,9 +331,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     )
     out.alpha_curves[arc_short] = Curve(arc_short, False, short_segs)
     if len(crossings) != 2:
-        raise ValueError(
-            f"stage H3: the short arc forces {len(crossings) - 1} crossings, expected 1"
-        )
+        raise ValueError(f"the short arc forces {len(crossings) - 1} crossings, expected 1")
     y0 = crossings[1]
     _put_mark(out, "x0", x0)
     _put_mark(out, "y0", y0)
@@ -457,50 +452,54 @@ def _elementary_join_full(blocks: PairingBlocks, v) -> ChainMapTable:
 
 
 # ---------------------------------------------------------------------------
-# glued pipelines
+# staged pipelines
 
 
-def _strip_prefix(d, tag: str):
-    """Remove a concatenation prefix from every id carrying it."""
-    new = {}
-    for pool in (d.vertices, d.edges, d.faces, d.alpha_curves, d.beta_curves):
-        stripped = {x: x.removeprefix(tag) for x in pool}
-        if len(set(stripped.values())) != len(pool):
-            raise AssertionError("prefix strip would collide ids")
-        new.update(stripped)
-    return _renamed(d, new)
+def _cancel_block_generator(cx: sfc.ChainComplexF2) -> sfc.ChainComplexF2:
+    """``cx``, a box tensor whose type-A side has one generator, with
+    that generator cancelled: its ``L:`` crossings, which lead ``verts``
+    and every generator, are dropped and the ``R:`` prefix is stripped.
+    The generator order and the columns are kept, so a table into ``cx``
+    is a table into the result.  A generator that misses one of the
+    ``L:`` crossings raises ``AssertionError``."""
+    k = sum(v.startswith("L:") for v in cx.verts)
+    lead = tuple(range(k))
+    if any(g[:k] != lead for g in cx.gens):
+        raise AssertionError("a generator misses the block's generator")
+    out = sfc.ChainComplexF2(
+        [v.removeprefix("R:") for v in cx.verts[k:]],
+        [tuple(i - k for i in g[k:]) for g in cx.gens],
+        cx.differential,
+        None,
+    )
+    out.labels = [0] * len(out.gens)
+    return out
 
 
-def glue_one_handle(d, p: str, q: str):
-    """1-handle attachment through the glued pipeline.
+def glue_one_handle(d, p: str, q: str) -> ChainMapTable:
+    """1-handle attachment through the staged pipeline.
 
     ``d`` is the base diagram or its complex.  Joins the stabilizing
     block onto the cut-open base's type-D structure through the pairing
-    square.  The destabilization is the one step that reads a glued
-    diagram: the block is concatenated onto the cut (and gated), and the
-    stabilizing pair is removed.  Returns ``(d1, table)``: the
-    destabilized diagram and the chain-map table from the base complex
-    into its complex.  ``equivalence_report`` compares the table
-    and its target with the diagrammatic transport.
+    square, and cancels the block's one generator from the join's
+    target, ``A(u1 ∪ az1) ⊠ D(cut)``: what is left is the box tensor
+    with the stabilizing pair destabilized, a complex with no diagram.
+    Returns the chain-map table from the base complex into it, which
+    ``equivalence_report`` compares, with its target, with the
+    diagrammatic transport.
     """
     base = sfc.as_complex(d)
     cut = prepare_one_handle(base.diagram, p, q)
     v = modules.bordered_invariant(cut.d, "D", darts=cut)
-    blocks = _handle_blocks("1")
-    join = _elementary_join_full(blocks, v)
+    join = _elementary_join_full(_handle_blocks("1"), v)
     pre = _generator_map(
         base, join.source, lambda g: frozenset(f"R:{x}" for x in g), "1-handle base inclusion"
     )
-    lifted = compose(join, pre)
-
-    stripped = _strip_prefix(concatenate_bordered(blocks.block, cut.d), "R:")
-    dx1, forced = trivial_destabilize(stripped, "L:L:Ae", "L:L:Be")
-
-    def reduced(g):
-        (img,) = lifted.apply([g])
-        return frozenset(x.removeprefix("R:") for x in img) - {forced}
-
-    return dx1.d, _generator_map(base, sfc.differential(dx1.d, dx1), reduced, "pipeline table")
+    table = ChainMapTable(base, _cancel_block_generator(join.target), compose(join, pre).matrix)
+    problems = table.check()
+    if problems:
+        raise AssertionError("pipeline table is not a chain map: " + problems[0])
+    return table
 
 
 def direct_two_handle(d, spec: HandleSpec) -> tuple:
@@ -537,16 +536,14 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     if spec.kind != "2":
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
     base = sfc.as_complex(d)
-    d = base.diagram
-    hv, *cut = prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
-    x0v, y0v = (f"R:{v}" for v in cut)  # the cut's crossings, named as in H4 and H5
-
     blocks = _handle_blocks("2")
     try:
+        hv, *cut = prepare_two_handle(base.diagram, spec.p, spec.q, spec.a_path, spec.b_path)
         h3 = sfc.differential(hv.d, hv)
         v = modules.bordered_invariant(h3, "D")
     except ValueError as err:
         raise ValueError(f"stage H3: {err}") from err
+    x0v, y0v = (f"R:{v}" for v in cut)  # the cut's crossings, named as in H4 and H5
     try:
         join = _elementary_join_full(blocks, v)
     except ValueError as err:
@@ -704,7 +701,7 @@ def equivalence_report(d, handles, darts=None) -> dict:
         )
         check = {"stage": i, "kind": spec.kind}
         if spec.kind == "1":
-            _d1, ptable = glue_one_handle(source, spec.p, spec.q)
+            ptable = glue_one_handle(source, spec.p, spec.q)
             check["tables_equal"] = (
                 ptable.target.basis == target.basis
                 and ptable.matrix == table.matrix

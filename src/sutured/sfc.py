@@ -385,7 +385,9 @@ class ChainComplexF2:
     ``_subset_sums``), and is ``None`` otherwise.  ``diagram`` is the
     diagram it came from, or ``None`` for a complex built from tables:
     a box tensor product (``modules.box_tensor``), such as the staged
-    route's join complexes and its stage H5, has no diagram.  ``darts``
+    route's join complexes and its stage H5, has no diagram, nor has
+    the staged 1-handle target, the join's target with the block's
+    generator cancelled (``glue._cancel_block_generator``).  ``darts``
     is the dart build its census read (the one its caller handed to
     ``differential``, if any), which the action census and the labels
     read again.

@@ -4,12 +4,10 @@ A diagram is a polygonal map: faces carry cyclic boundary words over
 oriented edges, every interior edge is traversed once in each direction,
 boundary edges once positively.  Edge kinds are "alpha", "beta",
 "boundary" and "seam"; seams are interior non-curve edges used to encode
-non-disk regions (slits), 1-handle feet, glued interface intervals and
-the cut of a destabilization.  Regions are faces merged across seams;
-all counting (niceness, suture status, disk censuses) happens at region
-level, so no construction here dissolves a seam: ``trivial_destabilize``
-stops at its cut, and its result keeps the seams of the cut and of the
-released beta curve.
+non-disk regions (slits), 1-handle feet and glued interface intervals.
+Regions are faces merged across seams; all counting (niceness, suture
+status, disk censuses) happens at region level, so no construction here
+dissolves a seam.
 
 Curves are ordered edge chains: closed curves are cycles, arcs end on
 interface marked points.  Bordered diagrams additionally carry arc
@@ -20,9 +18,9 @@ diagram arcs.
 Vertex links, regions and the cuts along each curve family are read
 from a ``darts.Darts`` build and kept in no other form.  A 1-handle's
 feet (``_foot_edges``) and parts (``one_handle_parts``) have one home
-here, which ``glue`` uses too.  ``trivial_destabilize``, and with
-``built=True`` the other constructors, return the ``Darts`` build their
-gate (``_check``) validated, whose ``d`` is the diagram.
+here, which ``glue`` uses too.  With ``built=True`` the constructors
+return the ``Darts`` build their gate (``_check``) validated, whose
+``d`` is the diagram.
 """
 
 from __future__ import annotations
@@ -992,96 +990,6 @@ def attach_trivial_bypass(d: Diagram, site: str, sign: str, *, built: bool = Fal
         out, handle["p"]["right"], handle["s1"], a_path, b_path, ("a", "b"), port_q
     )
     return _check(out, built=built), x0
-
-
-# ---------------------------------------------------------------------------
-# destabilization
-
-
-def trivial_destabilize(d: Diagram, alpha_id: str, beta_id: str):
-    """Remove a stabilizing curve pair crossing once and nothing else.
-
-    A copy of ``d`` is cut along the alpha curve and capped on both
-    sides, which surgers the surface, and the beta curve, now an arc
-    from cap to cap, is released into seams.  Nothing is dissolved or
-    fused after the cut: the result keeps those seams, and its faces
-    join across them into regions, the unit every census, the
-    admissibility rows and the Spin^c partition count, so its complex
-    is the complex of the diagram with the seams dissolved.  Returns
-    the ``Darts`` build of the result (its ``d``) and the id the forced
-    intersection point had.  ``d`` is a gated diagram: its vertex links
-    are read without a check for breaks.
-    """
-    out = d.copy()
-    alpha = out.alpha_curves.pop(alpha_id)
-    beta = out.beta_curves.pop(beta_id)
-    if not alpha.closed or not beta.closed:
-        raise ValueError("only closed curves can be destabilized")
-    alpha_vertices, beta_vertices = (
-        {v for e in c.segments for v in (out.edges[e].frm, out.edges[e].to)} for c in (alpha, beta)
-    )
-    across = alpha_vertices & beta_vertices
-    if len(across) != 1:
-        raise ValueError(f"curves meet at {sorted(across)}, need a single point")
-    forced = next(iter(across))
-    pair_edges = set(alpha.segments) | set(beta.segments)
-    pair_vertices = alpha_vertices | beta_vertices
-    touching = [(v, e) for e, ed in out.edges.items() if ed.kind in CURVE_KINDS
-                and e not in pair_edges for v in (ed.frm, ed.to) if v in pair_vertices]
-    if touching:
-        v, e = min(touching)  # the least, so the message is the same in every process
-        raise ValueError(f"curve edge {e} touches the pair at {v}")
-
-    # cut: split every vertex on alpha into a + and a - copy
-    alpha_set = set(alpha.segments)
-    dx = Darts(out)
-    copies = {}  # alpha vertex -> {sign: its copy on that side}
-    moved = {}  # (edge id, "frm"/"to") -> the copy that end moves to
-    for v in sorted(alpha_vertices):
-        ring, is_open = dx.walk(dx.tail.index(v))  # the link of v
-        if is_open:
-            raise ValueError(f"alpha vertex {v} lies on the boundary")
-        # the side into each corner of the link, in walking order
-        incs = [(dx.edge[j], dx.sign[j]) for j in map(dx._prv, ring)]
-        at = [i for i, (e, _s) in enumerate(incs) if e in alpha_set]
-        if len(at) != 2:
-            raise ValueError(f"vertex {v} is not a simple alpha vertex")
-        if incs[at[0]][1] == incs[at[1]][1]:
-            raise ValueError(f"inconsistent sides at {v}")
-        plus, minus = out.fresh_ids("v", 2)
-        out.vertices |= {plus, minus}
-        copies[v] = {1: plus, -1: minus}
-        # the arc after the alpha side with sign s lies on side s
-        n = len(incs)
-        for i, stop in ((at[0], at[1]), (at[1], at[0])):
-            for k in range(i + 1, i + (stop - i) % n):
-                e, s = incs[k % n]  # side s of e ends at v
-                moved[(e, "to" if s > 0 else "frm")] = copies[v][incs[i][1]]
-        out.vertices.discard(v)
-    for (e, end), target in moved.items():
-        setattr(out.edges[e], end, target)
-
-    rewrite = {}  # (alpha edge, sign) -> (its copy on that side, sign)
-    for e in alpha.segments:
-        ed = out.edges.pop(e)
-        for s, name in ((1, out.fresh_id(f"{e}+")), (-1, out.fresh_id(f"{e}-"))):
-            out.edges[name] = Edge(name, "seam", None, copies[ed.frm][s], copies[ed.to][s])
-            rewrite[(e, s)] = (name, s)
-    for f in out.faces.values():
-        f.word = [rewrite.get(side, side) for side in f.word]
-    cap_plus, cap_minus = out.fresh_ids("f", 2)
-    out.faces[cap_plus] = Face(
-        cap_plus, [(rewrite[(e, 1)][0], -1) for e in reversed(alpha.segments)], False)
-    out.faces[cap_minus] = Face(
-        cap_minus, [(rewrite[(e, -1)][0], 1) for e in alpha.segments], False)
-
-    # the beta edges are plain interior edges now
-    for e in beta.segments:
-        out.edges[e].kind = "seam"
-        out.edges[e].curve = None
-    out.eh = [v for v in out.eh if v in out.vertices]
-    out.marks = {k: v for k, v in out.marks.items() if v in out.vertices}
-    return _check(out, built=True), forced
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ order and class numbers included.  The differential's loop is kept as
 it was before equal moves were cancelled and the moves indexed by
 corner: every move against every generator.  The surface layer's edits
 and checks are kept as whole-diagram rescans:
-``reference_trivial_destabilize`` cuts along alpha by
+``reference_trivial_destabilize``, the one destabilization the tests
+use (the library has none: its staged 1-handle cancels the block's
+generator from a box tensor instead), cuts along alpha by
 ``reference_surger_pair``, which reads each alpha vertex's link from
 ``reference_vertex_links``; ``reference_validate`` runs every
 structural check in the library's order, each recomputing what it
@@ -1287,15 +1289,14 @@ def reference_simplify(d):
 
 
 def reference_surger_pair(d, alpha_id, beta_id):
-    """The cut of ``surface.trivial_destabilize``, with each alpha
-    vertex's link read from ``reference_vertex_links`` instead of the
-    dart walk.
+    """The cut along alpha that removes a stabilizing pair, with each
+    alpha vertex's link read from ``reference_vertex_links``.
 
     The link lists the incoming side of every corner around the vertex.
     Its two alpha sides split it into two arcs; the arc after the alpha
     side with sign s lies on side s, so each edge end in it moves to the
     vertex's copy on that side.  Returns the cut copy and the forced
-    point, with the library's fresh ids and order.
+    point, with the diagram's least free ids (``fresh_id``, ``fresh_ids``).
     """
     out = d.copy()
     alpha = out.alpha_curves.pop(alpha_id)
@@ -1377,9 +1378,10 @@ def _gate(d):
 
 
 def reference_trivial_destabilize(d, alpha_id, beta_id):
-    """``surface.trivial_destabilize``: ``reference_surger_pair``'s cut,
-    the tags on erased vertices dropped, the suture flags set by their
-    own pass and the gate, with no edit after the cut."""
+    """Remove a stabilizing pair: ``reference_surger_pair``'s cut, the
+    tags on erased vertices dropped, the suture flags set by their own
+    pass and the gate, with no edit after the cut.  Returns the diagram
+    and the id the forced intersection point had."""
     out, forced = reference_surger_pair(d, alpha_id, beta_id)
     out.eh = [v for v in out.eh if v in out.vertices]
     out.marks = {k: v for k, v in out.marks.items() if v in out.vertices}

@@ -151,7 +151,7 @@ def test_criterion_4_one_handle_routes_agree():
         free = sorted(d.free_boundary_edge_ids())
         for p, q in sorted({(free[0], free[0]), (free[0], free[-1])}):
             try:
-                d1, table = glue.glue_one_handle(d, p, q)
+                table = glue.glue_one_handle(d, p, q)
             except (ValueError, AssertionError) as err:
                 failures.append(f"{key} ({p},{q}): {err}")
                 continue
@@ -159,6 +159,11 @@ def test_criterion_4_one_handle_routes_agree():
             images = {g: table.apply([g]) for g in table.source.basis}
             if images != {g: sigma.apply([g]) for g in sigma.source.basis}:
                 failures.append(f"{key} ({p},{q}): tables differ")
+            staged, direct = table.target, sigma.target
+            if (staged.verts, staged.gens, staged.differential) != (
+                direct.verts, direct.gens, direct.differential
+            ):
+                failures.append(f"{key} ({p},{q}): target complexes differ")
             if table.check():
                 failures.append(f"{key} ({p},{q}): pipeline table not a chain map")
     record_criterion(4, "one-handle pipeline table equals transport", failures)
@@ -276,8 +281,8 @@ def _stage_properties(key, specs, failures):
                 failures.append(f"{where}: bypass changed rank {before}->{after}")
             (alpha,) = set(d2.alpha_curves) - set(cur.alpha_curves)
             (beta,) = set(d2.beta_curves) - set(cur.beta_curves)
-            undone, forced = surface.trivial_destabilize(d2, alpha, beta)
-            if forced != x0 or sfc.homology(undone.d).total != before:
+            undone, forced = oracles.reference_trivial_destabilize(d2, alpha, beta)
+            if forced != x0 or sfc.homology(undone).total != before:
                 failures.append(f"{where}: destabilization broke the rank")
         if tag:
             tag |= {x0} if x0 is not None else set()
@@ -340,10 +345,8 @@ def test_criterion_8_equivalence_harness():
             tag2 = frozenset(tag | {x0}) if x0 is not None else tag
             sigma_van = glue._is_boundary(sfc.differential(d2), [tag2])
             if spec.kind == "1":
-                d1, ptable = glue.glue_one_handle(cur, spec.p, spec.q)
-                psi_van = glue._is_boundary(
-                    sfc.differential(d1), ptable.apply([tag])
-                )
+                ptable = glue.glue_one_handle(cur, spec.p, spec.q)
+                psi_van = glue._is_boundary(ptable.target, ptable.apply([tag]))
             elif spec.kind == "2":
                 rec = glue.glue_two_handle(cur, spec, table.target, x0)
                 psi_van = glue._is_boundary(

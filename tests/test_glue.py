@@ -8,6 +8,7 @@ import random
 import pytest
 
 import fixtures
+import oracles
 import sequences
 from sutured import cli, glue, modules, pieces, sfc, surface
 from sutured.darts import Darts
@@ -206,27 +207,6 @@ def test_prepare_two_handle_validates_paths():
         )
 
 
-@pytest.mark.parametrize("key", sorted(pieces.catalog()) + list(FIXTURES))
-def test_strip_prefix_undoes_the_concatenation_prefix(key):
-    d = build(key)
-    stripped = glue._strip_prefix(surface._prefix_diagram(d, "R:"), "R:")
-    assert surface.serialize(stripped) == surface.serialize(d)
-
-
-@pytest.mark.parametrize("pool", ["vertices", "edges", "faces", "alpha_curves", "beta_curves"])
-def test_strip_prefix_refuses_to_merge_two_ids(pool):
-    """An unprefixed id beside its prefixed twin in one pool would merge."""
-    d = surface._prefix_diagram(build("fix-stab"), "R:")
-    ids = getattr(d, pool)
-    twin = min(ids)
-    if isinstance(ids, set):
-        ids.add(twin.removeprefix("R:"))
-    else:
-        ids[twin.removeprefix("R:")] = ids[twin]
-    with pytest.raises(AssertionError, match="collide"):
-        glue._strip_prefix(d, "R:")
-
-
 # ---------------------------------------------------------------------------
 # one-handle pipeline vs transport
 
@@ -236,11 +216,14 @@ def test_one_handle_pipeline_matches_transport(key):
     d = build(key)
     free = sorted(d.free_boundary_edge_ids())
     for p, q in {(free[0], free[0]), (free[0], free[-1])}:
-        d1, table = glue.glue_one_handle(d, p, q)
+        table = glue.glue_one_handle(d, p, q)
         _d2, sigma, _x0 = glue.sigma_map(d, HandleSpec("1", p=p, q=q))
         assert images(table) == images(sigma)
         assert not table.check()
-        assert sfc.homology(d1).total == sfc.homology(d).total
+        staged, direct = table.target, sigma.target
+        assert (staged.verts, staged.gens) == (direct.verts, direct.gens)
+        assert staged.differential == direct.differential
+        assert sfc.homology(staged).total == sfc.homology(d).total
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +329,17 @@ def test_staged_record_rejects_wrong_kind():
         glue.glue_two_handle(build("fix-disk"), HandleSpec("1", p="s0", q="s0"), None, None)
 
 
+def test_staged_record_names_the_cut_stage_of_a_bad_path():
+    """The cut runs inside stage H3, so a path it cannot route is
+    refused with that stage named once."""
+    mid, handle = glue.one_handled(build("fix-stab"))
+    spec = glue.two_handle_spec(mid, handle)
+    spec.a_path = surface.TransversePath([spec.a_path.items[0], "nope", spec.a_path.items[-1]])
+    with pytest.raises(ValueError) as err:
+        glue.glue_two_handle(mid, spec, None, None)
+    assert str(err.value) == "stage H3: path cannot cross nope"
+
+
 # ---------------------------------------------------------------------------
 # contact class transport
 
@@ -432,15 +426,15 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
     assert glue.equivalence_report(d, specs)["ok"]
     # no repeat: the 2-handle pipeline takes the direct attachment as
     # its stage H6, and the seven builtin blocks' structures are built
-    # this once; the joins and H5 are box tensor products, built from
-    # no diagram
-    assert len(calls) == len(set(calls)) == 13
+    # this once; the joins, the 1-handle target and H5 are box tensor
+    # products, built from no diagram
+    assert len(calls) == len(set(calls)) == 12
     assert final in calls
     calls.clear()
     assert glue.equivalence_report(d, specs)["ok"]
-    # the base, each stage's attachment, the 1-handle cut and its
-    # destabilization, and the 2-handle cut H3
-    assert len(calls) == 6
+    # the base, each stage's attachment, the 1-handle cut and the
+    # 2-handle cut H3
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("shape", [("b", "b", "b"), ("1", "b", "b")])
@@ -586,7 +580,6 @@ def test_bypass_then_destabilize_restores_the_rank():
     d2, _t, x0 = glue.sigma_map(d, HandleSpec("bypass+", site="co"))
     (alpha,) = set(d2.alpha_curves) - set(d.alpha_curves)
     (beta,) = set(d2.beta_curves) - set(d.beta_curves)
-    out, forced = surface.trivial_destabilize(d2, alpha, beta)
-    out = out.d
+    out, forced = oracles.reference_trivial_destabilize(d2, alpha, beta)
     assert forced == x0
     assert sfc.homology(out).total == sfc.homology(d2).total == 2

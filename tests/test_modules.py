@@ -411,12 +411,32 @@ def test_box_tensor_matches_the_one_handle_join_source(name, site):
 @pytest.mark.parametrize("name,site", PIPELINE_SITES)
 def test_box_tensor_matches_the_one_handle_join_target(name, site):
     """A(u1 ∪ az1) ⊠ D(cut-open base) is the complex the 1-handle join
-    lands in, the one whose diagram the pipeline destabilizes."""
+    lands in, and the pipeline's target, that tensor with the block's
+    generator cancelled, is the complex of the block glued onto the cut
+    and destabilized along its stabilizing pair, read without the
+    ``R:`` prefix: the same crossings, generators and columns."""
+    base = _pipeline_base(name)
     blocks = glue._handle_blocks("1")
-    cut = _one_handle_cut(_pipeline_base(name), site)
+    cut = _one_handle_cut(base, site)
     join = glue._elementary_join_full(blocks, cut)
     block = concatenate_bordered(pieces.u1(), pieces.az1())
     _assert_pairs_like_gluing(join.target, modules.bordered_invariant(block, "A"), cut, block)
+    glued, _forced = oracles.reference_trivial_destabilize(
+        concatenate_bordered(blocks.block, cut.diagram), "L:L:Ae", "L:L:Be"
+    )
+    reference = sfc.differential(glued)
+    target = glue.glue_one_handle(base, site, site).target
+    assert target.verts == [v.removeprefix("R:") for v in reference.verts]
+    assert target.gens == reference.gens
+    assert target.differential.columns == reference.differential.columns
+
+
+def test_cancelling_the_block_generator_refuses_a_generator_without_it():
+    """Stage H5's type-A side, rt2, has generators at three different
+    crossings, so not every generator holds its ``L:`` crossings."""
+    _h3, rec = _two_handle_stages(pieces.build("fix-stab"), "bd")
+    with pytest.raises(AssertionError, match="misses the block's generator"):
+        glue._cancel_block_generator(rec["H5"])
 
 
 @pytest.mark.parametrize("name,site", PIPELINE_SITES)

@@ -7,11 +7,7 @@ bypasses, destabilization, bordered concatenation).
 
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -343,8 +339,7 @@ def test_bypass_then_destabilize_returns_to_base(disk):
         d2, x0 = sf.attach_trivial_bypass(disk, "s0", sign)
         aid = next(iter(d2.alpha_curves))
         bid = next(iter(d2.beta_curves))
-        back, forced = sf.trivial_destabilize(d2, aid, bid)
-        back = back.d
+        back, forced = oracles.reference_trivial_destabilize(d2, aid, bid)
         assert sf.validate(back) == []
         assert oracles.equivalent(oracles.reference_simplify(back), disk)
         assert forced == x0
@@ -358,35 +353,10 @@ def test_bypass_is_a_stabilization(disk, stab):
 
 
 def test_destabilize_stab(disk, stab):
-    back, forced = sf.trivial_destabilize(stab, "A0", "B0")
-    back = back.d
+    back, forced = oracles.reference_trivial_destabilize(stab, "A0", "B0")
     assert sf.validate(back) == []
     assert oracles.equivalent(oracles.reference_simplify(back), disk)
     assert forced == "c"
-
-
-def test_destabilize_rejects_entangled_pair():
-    d = pieces.bigonpair()
-    with pytest.raises(ValueError):
-        sf.trivial_destabilize(d, "A0", "B0")
-
-
-def test_entangled_pair_refusal_does_not_depend_on_the_hash_seed():
-    """The refusal names the least (vertex, edge) touching the pair, so
-    two fresh interpreters under different hash seeds print one message."""
-    script = (
-        "import fixtures\nfrom sutured import surface\n"
-        "try:\n    surface.trivial_destabilize(fixtures.punctured_grid(3, 1), 'A0', 'B1')\n"
-        "except ValueError as err:\n    print(err)\n"
-    )
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(Path(sf.__file__).resolve().parents[1]), str(here)])
-    outs = [
-        subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True,
-                       env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)).stdout
-        for seed in (0, 1)
-    ]
-    assert outs == ["curve edge b0_0 touches the pair at g0_0\n"] * 2
 
 
 def test_stacked_bypasses(disk):
@@ -508,9 +478,9 @@ def test_regions_merge_across_seams(stab):
 
 
 # ---------------------------------------------------------------------------
-# the destabilizing cut, the concatenation and the one-index validator
-# against the references in ``oracles``, which rescan the whole diagram
-# at every step
+# the link walks, the concatenation and the one-index validator against
+# the references in ``oracles``, which rescan the whole diagram at every
+# step; the reference destabilization, with the complex of its reduction
 
 CATALOG = sorted(pieces.catalog()) + ["fix-bigonpair", "fix-disk", "fix-stab"]
 FAILURES = (AssertionError, IndexError, KeyError, RuntimeError, TypeError, ValueError)
@@ -524,23 +494,6 @@ def _outcome(fn, *args):
         return type(err).__name__, str(err)
 
 
-def _edited(fn, d, *args):
-    """``fn`` run on a copy of ``d``: the serialized diagram it returns,
-    with any further return values, or its exception."""
-    out = _outcome(fn, d.copy(), *args)
-    if isinstance(out, Diagram):
-        return sf.to_json_dict(out)
-    if isinstance(out[0], Diagram):
-        return sf.to_json_dict(out[0]), out[1:]
-    return out
-
-
-def _destabilized(d, a, b):
-    """``trivial_destabilize`` with its build's diagram for the build."""
-    dx, forced = sf.trivial_destabilize(d, a, b)
-    return dx.d, forced
-
-
 def _complex(d):
     """The basis, differential columns and Spin^c classes of ``d``."""
     cx = sfc.differential(d)
@@ -550,7 +503,7 @@ def _complex(d):
 def _assert_reduction_keeps_the_complex(d):
     """A destabilization's complex is the complex of the diagram with its
     seams dissolved and its two-valent vertices fused: the census reads
-    regions across seams, so ``trivial_destabilize`` need not reduce."""
+    regions across seams, so a destabilization need not reduce."""
     reduced = oracles.reference_simplify(d.copy())
     assert len(reduced.faces) < len(d.faces)
     assert _complex(d) == _complex(reduced)
@@ -576,18 +529,15 @@ def _assert_walks_match_reference_links(d):
 
 
 def _assert_matches_references(d):
-    """Every closed pair's destabilization, the problem list and every
-    link walk equal the references', failures included, and every
-    destabilization has the complex of its reduction."""
+    """The problem list and every link walk equal the references', and
+    every closed pair's destabilization, where the reference makes one,
+    has the complex of its reduction."""
     _assert_walks_match_reference_links(d)
     for a in sorted(c for c, cv in d.alpha_curves.items() if cv.closed):
         for b in sorted(c for c, cv in d.beta_curves.items() if cv.closed):
-            out = _outcome(_destabilized, d, a, b)  # which copies ``d``
+            out = _outcome(oracles.reference_trivial_destabilize, d.copy(), a, b)
             if isinstance(out[0], Diagram):
                 _assert_reduction_keeps_the_complex(out[0])
-            assert _edited(_destabilized, d, a, b) == _edited(
-                oracles.reference_trivial_destabilize, d, a, b
-            )
     assert sf.validate(d) == oracles.reference_validate(d)
 
 
@@ -609,23 +559,18 @@ def _concatenated(b1, b2):
 
 @pytest.mark.parametrize("name", ["fix-stab", "bigonpair^3"])
 def test_handle_stages_edit_like_references(name, monkeypatch):
-    """Each stage of the two-handle sequence, every diagram the glued
-    1-handle pipeline destabilizes, every concatenation both pipelines
-    make, the fixed blocks' included, and the concatenations whose
+    """Each stage of the two-handle sequence, every concatenation the
+    pipelines make (the fixed blocks'), and the concatenations whose
     complexes the pipelines pair as box tensor products instead: each
-    join's source and target, and stage H5."""
+    1-handle block and pairing piece onto its cut, each 2-handle join's
+    source and target, and stage H5."""
     d = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
     one, two = glue.two_handle_sequence(d)
     mid, _handle = glue.one_handled(d, one.p)
     top, x0 = sf.attach_two_handle(mid, two.p, two.q, two.a_path, two.b_path)
     for stage in (d, mid, top):
         _assert_matches_references(stage)
-    destabilized, glued = [], []
-    real_destabilize, real_concatenate = glue.trivial_destabilize, glue.concatenate_bordered
-    monkeypatch.setattr(
-        glue, "trivial_destabilize",
-        lambda g, a, b: destabilized.append((g.copy(), a, b)) or real_destabilize(g, a, b),
-    )
+    glued, real_concatenate = [], glue.concatenate_bordered
     monkeypatch.setattr(
         glue, "concatenate_bordered",
         lambda b1, b2, **kw: glued.append((b1.copy(), b2.copy()))
@@ -638,16 +583,14 @@ def test_handle_stages_edit_like_references(name, monkeypatch):
     rec = glue.glue_two_handle(mid, two, sfc.differential(top), x0)
     one_blocks, two_blocks = glue._handle_blocks("1"), glue._handle_blocks("2")
     glue._handle_blocks.cache_clear()
-    # the two blocks, and the 1-handle block onto each 1-handle cut
-    assert len(destabilized) == 2 and len(glued) == 4
-    block = sf.to_json_dict(one_blocks.block)
-    cuts = [cut for b1, cut in glued if sf.to_json_dict(b1) == block]
-    assert len(cuts) == 2
-    glued += [(one_blocks.w.diagram, cut) for cut in cuts]
+    # the two blocks; the pipelines glue nothing onto a cut
+    assert len(glued) == 2
+    cuts = [glue.prepare_one_handle(d, one.p, one.q).d, glue.prepare_one_handle(mid, site, site).d]
+    for cut in cuts:
+        glued += [(one_blocks.block, cut), (one_blocks.w.diagram, cut)]
+        _assert_matches_references(sf.concatenate_bordered(one_blocks.block, cut))
     h3 = rec["H3"].diagram
     glued += [(two_blocks.w.diagram, h3), (two_blocks.block, h3), (pieces.rt2(), h3)]
-    for g, _a, _b in destabilized:
-        _assert_matches_references(g)  # destabilizes every closed pair
     for args in glued:
         out = _concatenated(*args)
         assert isinstance(out, dict)  # every shape glues
@@ -658,21 +601,33 @@ def test_handle_stages_edit_like_references(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["fix-stab", "bigonpair^3"])
 def test_route_destabilizations_keep_their_complex(name, monkeypatch):
-    """Every diagram the glued 1-handle route destabilizes while
-    ``equivalence_report`` runs the route-small plan shapes has the
-    complex of its reduction."""
+    """Every 1-handle target the staged pipeline builds while
+    ``equivalence_report`` runs the route-small plan shapes is the
+    complex of the block glued onto the cut and destabilized along its
+    stabilizing pair by the reference, read without the ``R:`` prefix,
+    and that destabilization has the complex of its reduction."""
     d = fixtures.bigonpair_power(3) if name == "bigonpair^3" else pieces.build(name)
     plans = [sequences.shaped_plan(d, shape, random.Random(t))
              for t, shape in enumerate(sequences.ROUTE_SHAPES)]
-    results, real = [], glue.trivial_destabilize
+    calls, real = [], glue.glue_one_handle
     monkeypatch.setattr(
-        glue, "trivial_destabilize", lambda g, a, b: results.append(real(g, a, b)) or results[-1]
+        glue, "glue_one_handle",
+        lambda cx, p, q: calls.append((cx.diagram, p, q, real(cx, p, q))) or calls[-1][-1],
     )
     for specs in plans:
         assert glue.equivalence_report(d, specs)["ok"]
-    assert len(results) == 9  # one per 1-handle, a 2-handle's included
-    for dx, _forced in results:
-        _assert_reduction_keeps_the_complex(dx.d)
+    assert len(calls) == sum(spec.kind == "1" for specs in plans for spec in specs) > 0
+    block = glue._handle_blocks("1").block
+    for base, p, q, table in calls:
+        cut = glue.prepare_one_handle(base, p, q)
+        glued, _forced = oracles.reference_trivial_destabilize(
+            sf.concatenate_bordered(block, cut.d), "L:L:Ae", "L:L:Be"
+        )
+        _assert_reduction_keeps_the_complex(glued)
+        reference = sfc.differential(glued)
+        assert table.target.verts == [v.removeprefix("R:") for v in reference.verts]
+        assert table.target.gens == reference.gens
+        assert table.target.differential.columns == reference.differential.columns
 
 
 def test_concatenation_matches_reference():
