@@ -125,7 +125,7 @@ def _cmd_glue(args):
         payload = {
             "kind": "1",
             "table": table.render(),
-            "generators": len(table.target.basis),
+            "generators": len(table.target.gens),
             "rank": sfc.homology(table.target).total,
         }
         lines = payload["table"] + [f"rank {payload['rank']}"]
@@ -134,7 +134,7 @@ def _cmd_glue(args):
         rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(d, spec))
         ranks = dict(rec["identityReport"]["ranks"], H3=sfc.homology(rec["H3"]).total)
         stages = {
-            stage: {"generators": len(rec[stage].basis), "rank": ranks[stage]}
+            stage: {"generators": len(rec[stage].gens), "rank": ranks[stage]}
             for stage in ("H3", "H4", "H5", "H6")
         }
         payload = {

@@ -22,9 +22,10 @@ twist stage -- are produced by ``glue_one_handle``, ``glue_two_handle``
 and ``equivalence_report``.
 
 A chain-map table is a ``BinaryMatrix``, one bit-packed column per source
-generator like the differentials; the law check, composition and route
-comparison are column sums.  One builder, ``_generator_map``, makes every
-table the routes build: each sends generators to single generators.
+generator like the differentials, bit i of column j standing for
+``target.gens[i]``; the law check, composition and route comparison are
+column sums.  One builder, ``_generator_map``, makes every table the
+routes build, each generator to the one its renamed crossings name.
 
 The route functions take a diagram or its complex (built once, by
 ``sfc.differential``); ``equivalence_report`` passes each stage's target
@@ -84,7 +85,7 @@ class ChainMapTable:
 
     ``matrix`` has one bit-packed column per source generator, in the
     form of the complexes' differentials: bit i of column j is set when
-    ``target.basis[i]`` is in the image of ``source.basis[j]``.
+    ``target.gens[i]`` is in the image of ``source.gens[j]``.
     """
 
     source: sfc.ChainComplexF2
@@ -92,29 +93,23 @@ class ChainMapTable:
     matrix: BinaryMatrix
 
     def __post_init__(self):
-        if (self.matrix.rows, self.matrix.cols) != (len(self.target.basis), len(self.source.basis)):
+        if (self.matrix.rows, self.matrix.cols) != (len(self.target.gens), len(self.source.gens)):
             raise ValueError("table shape does not match its source and target")
-
-    def apply(self, combination) -> frozenset:
-        mask = 0
-        for g in combination:
-            mask ^= 1 << self.source.position[g]
-        return _generators(self.target, column_sum(self.matrix.columns, mask))
 
     def check(self) -> list:
         """Chain-map law violations: boundary-then-map vs map-then-boundary."""
         cols, d_target = self.matrix.columns, self.target.differential.columns
         return [
-            f"chain-map law fails at {_fmt(g)}"
-            for g, img, boundary in zip(self.source.basis, cols, self.source.differential.columns)
+            f"chain-map law fails at {_name(self.source, g)}"
+            for g, img, boundary in zip(self.source.gens, cols, self.source.differential.columns)
             if column_sum(d_target, img) != column_sum(cols, boundary)
         ]
 
     def render(self) -> list:
-        lines = []
-        for g, img in zip(self.source.basis, self.matrix.columns):
-            img = sorted(_fmt(t) for t in _generators(self.target, img))
-            lines.append(f"{_fmt(g)} -> {' + '.join(img) if img else '0'}")
+        lines, target = [], self.target
+        for g, img in zip(self.source.gens, self.matrix.columns):
+            img = sorted(_name(target, target.gens[i]) for i in set_bits(img))
+            lines.append(f"{_name(self.source, g)} -> {' + '.join(img) if img else '0'}")
         return lines
 
     def digest(self) -> str:
@@ -131,40 +126,67 @@ class ChainMapTable:
 
 
 def compose(outer: ChainMapTable, inner: ChainMapTable) -> ChainMapTable:
-    if inner.target.basis != outer.source.basis:
+    if (inner.target.verts, inner.target.gens) != (outer.source.verts, outer.source.gens):
         raise ValueError("tables do not compose: middle complexes differ")
     columns = tuple(column_sum(outer.matrix.columns, c) for c in inner.matrix.columns)
     return ChainMapTable(inner.source, outer.target, BinaryMatrix(outer.matrix.rows, columns))
 
 
-def _generators(cx: sfc.ChainComplexF2, mask: int) -> frozenset:
-    return frozenset(cx.basis[i] for i in set_bits(mask))
+def _name(cx: sfc.ChainComplexF2, g: tuple) -> str:
+    """The generator ``g``, an index tuple into ``cx.verts``, as printed."""
+    return _fmt([cx.verts[i] for i in g])
 
 
-def _generator_map(source, target, image, what: str) -> ChainMapTable:
-    """The table sending each generator g of ``source`` to the single
-    generator ``image(g)`` of ``target``.  Every table the routes build
-    has this shape.  An image that is not a generator, or a failure of
-    the chain-map law, signals a convention bug rather than bad input,
-    so it raises ``AssertionError`` naming ``what``."""
-    columns = []
-    for g in source.basis:
-        img = image(g)
-        if img not in target.position:
-            raise AssertionError(f"{what}: image {_fmt(img)} of {_fmt(g)} is not a generator")
-        columns.append(1 << target.position[img])
-    table = ChainMapTable(source, target, BinaryMatrix(len(target.basis), tuple(columns)))
+def _mask(g) -> int:
+    return sum(1 << i for i in g)
+
+
+def _images(source, target, what: str, rename=str, extra=(), drop=()) -> list:
+    """The column index in ``target`` of each ``source`` generator's
+    image: its crossings but ``drop``, renamed by ``rename`` (by default
+    the identity), and the crossings ``extra``, looked up by mask.  A
+    generator missing a ``drop`` crossing, or an image that is not a
+    generator, is a convention bug rather than bad input, so it raises
+    ``AssertionError`` naming ``what``."""
+    index = {v: i for i, v in enumerate(source.verts)}
+    where = {v: i for i, v in enumerate(target.verts)}
+    # a name one side lacks gets the bit past its crossings, which no generator holds
+    held = _mask({index.get(v, len(index)) for v in drop})
+    plus = _mask({where.get(v, len(where)) for v in extra})
+    bits = [0 if held >> i & 1 else 1 << where.get(rename(v), len(where)) for v, i in index.items()]
+    column_of = {_mask(g): j for j, g in enumerate(target.gens)}
+    out = []
+    for g in source.gens:
+        img = plus
+        for i in g:
+            img |= bits[i]
+        j = column_of.get(img)
+        if j is None or held and _mask(g) & held != held:  # names are formatted only here
+            names = {source.verts[i] for i in g}
+            if not names.issuperset(drop):
+                missed = _fmt(set(drop) - names)
+                raise AssertionError(f"{what}: source generator {_fmt(names)} misses {missed}")
+            img = {rename(v) for v in names.difference(drop)}.union(extra)
+            raise AssertionError(f"{what}: image {_fmt(img)} of {_fmt(names)} is not a generator")
+        out.append(j)
+    return out
+
+
+def _generator_map(source, target, what: str, rename=str, extra=(), drop=()) -> ChainMapTable:
+    """The table sending each generator of ``source`` to its one image
+    in ``target`` (``_images``); every table the routes build has this
+    shape.  It must be a chain map, else ``AssertionError`` names ``what``."""
+    columns = tuple(1 << j for j in _images(source, target, what, rename, extra, drop))
+    table = ChainMapTable(source, target, BinaryMatrix(len(target.gens), columns))
     problems = table.check()
     if problems:
         raise AssertionError(f"{what} is not a chain map: " + problems[0])
     return table
 
 
-def _is_boundary(cx: sfc.ChainComplexF2, cycle) -> bool:
-    """Does the given generator set lie in the image of the differential?"""
-    vec = 0
-    for g in cycle:
-        vec ^= 1 << cx.position[g]
+def _is_boundary(cx: sfc.ChainComplexF2, vec: int) -> bool:
+    """Does ``vec``, a mask over the generators of ``cx``, lie in the
+    image of the differential?"""
     cols = [m for m in cx.differential.columns if m]
     return f2_rank(cols + [vec]) == f2_rank(cols)
 
@@ -203,10 +225,8 @@ def sigma_map(d, spec: HandleSpec):
     """
     source = sfc.as_complex(d)
     dx2, x0 = _attach(source.diagram, spec)
-    forced = frozenset() if x0 is None else frozenset([x0])
-    table = _generator_map(
-        source, sfc.differential(dx2.d, dx2), lambda g: g | forced, "handle transport"
-    )
+    target = sfc.differential(dx2.d, dx2)
+    table = _generator_map(source, target, "handle transport", extra=[] if x0 is None else [x0])
     return dx2.d, table, x0
 
 
@@ -437,18 +457,13 @@ def _elementary_join_full(blocks: PairingBlocks, v) -> ChainMapTable:
     if v.kind != "D":
         raise ValueError("the base must be a type-D structure")
     u, w, _block, a, tags = blocks
-    source = modules.box_tensor(w, v)
-    target = modules.box_tensor(a, v)
-    wgen = frozenset(f"L:{x}" for x in w.generators[0])
-    ugen = frozenset(f"L:L:{x}" for x in u.generators[0])
-    tagv = frozenset(f"L:R:{t}" for t in tags)
-
-    def image(g):
-        if not wgen <= g:
-            raise AssertionError(f"source generator {_fmt(g)} misses the pairing piece")
-        return (g - wgen) | ugen | tagv
-
-    return _generator_map(source, target, image, "join table")
+    return _generator_map(
+        modules.box_tensor(w, v),
+        modules.box_tensor(a, v),
+        "join table",
+        extra=[f"L:L:{x}" for x in u.generators[0]] + [f"L:R:{t}" for t in tags],
+        drop=[f"L:{x}" for x in w.generators[0]],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +507,7 @@ def glue_one_handle(d, p: str, q: str) -> ChainMapTable:
     cut = prepare_one_handle(base.diagram, p, q)
     v = modules.bordered_invariant(cut.d, "D", darts=cut)
     join = _elementary_join_full(_handle_blocks("1"), v)
-    pre = _generator_map(
-        base, join.source, lambda g: frozenset(f"R:{x}" for x in g), "1-handle base inclusion"
-    )
+    pre = _generator_map(base, join.source, "1-handle base inclusion", "R:".__add__)
     table = ChainMapTable(base, _cancel_block_generator(join.target), compose(join, pre).matrix)
     problems = table.check()
     if problems:
@@ -555,27 +568,20 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
 
     wv = next(iter(blocks.w.generators[0]))
     pre = _generator_map(
-        base,
-        join.source,
-        lambda g: frozenset({f"L:{wv}", y0v} | {f"R:{x}" for x in g}),
-        "2-handle base inclusion",
+        base, join.source, "2-handle base inclusion", "R:".__add__, [f"L:{wv}", y0v]
     )
     join_table = compose(join, pre)
 
     # twist-stage boundary identity over the cycle basis of the base:
     # d(z1 y0 g) = z3 y0 g + z2 x0 g, summed over each cycle's generators
-    def h5_index(z, c, g):
-        out = frozenset({f"L:{z}", c} | {f"R:{x}" for x in g})
-        if out not in cx5.position:
-            raise AssertionError(f"expected twist-stage generator {_fmt(out)} missing")
-        return cx5.position[out]
-
-    lhs = [cx5.differential.columns[h5_index("z1", y0v, g)] for g in base.basis]
-    rhs = [1 << h5_index("z3", y0v, g) | 1 << h5_index("z2", x0v, g) for g in base.basis]
+    z1, z3, z2 = (_images(base, cx5, "twist stage", "R:".__add__, [f"L:{z}", c])
+                  for z, c in (("z1", y0v), ("z3", y0v), ("z2", x0v)))
+    lhs = [cx5.differential.columns[j] for j in z1]
+    rhs = [1 << j | 1 << k for j, k in zip(z3, z2)]
     _rank, kernel = f2_rank_kernel(base.differential)
     failures = [
         "boundary identity fails on the cycle "
-        + " + ".join(_fmt(base.basis[j]) for j in set_bits(vec))
+        + " + ".join(_name(base, base.gens[j]) for j in set_bits(vec))
         for vec in kernel
         if column_sum(lhs, vec) != column_sum(rhs, vec)
     ]
@@ -614,42 +620,42 @@ def eh_generator(d, applied):
     of ``sigma_map`` results; 1-handles leave the tag alone, 2-handles
     and bypasses add their forced intersection point.  The transported
     tag must be a cycle generator of the final diagram.  Returns
-    ``(generator, complex)``, the complex being the last table's target,
-    or the base's complex when nothing was applied.  An empty ``eh`` tag
-    means the base is untagged; it is refused before any complex is
-    built.
+    ``(j, complex)``, the tag being the complex's generator j and the
+    complex the last table's target, or the base's complex when nothing
+    was applied.  An empty ``eh`` tag means the base is untagged; it is
+    refused before any complex is built.
     """
     base = d.diagram if isinstance(d, sfc.ChainComplexF2) else d
     if not base.eh:
         raise ValueError("base has no tagged generator")
-    tag = set(base.eh)
-    for (_d2, _table, x0) in applied:
-        if x0 is not None:
-            tag.add(x0)
+    tag = set(base.eh).union(x0 for _d2, _table, x0 in applied if x0 is not None)
     cx = applied[-1][1].target if applied else sfc.as_complex(d)
     return _cycle_generator(cx, tag, "transported tag"), cx
 
 
-def _cycle_generator(cx, tag, what: str) -> frozenset:
-    """``tag`` as a generator of ``cx``, refused unless it is a cycle."""
-    g = frozenset(tag)
-    if g not in cx.position:
-        raise ValueError(f"{what} {_fmt(g)} is not a generator")
-    if cx.boundary_of(g):
-        raise ValueError(f"{what} {_fmt(g)} is not a cycle")
-    return g
+def _cycle_generator(cx, tag, what: str) -> int:
+    """The column index in ``cx`` of the generator holding the crossings
+    ``tag``, refused unless it is one and a cycle."""
+    tag, index = set(tag), {v: i for i, v in enumerate(cx.verts)}
+    mask = _mask({index[v] for v in tag}) if tag <= index.keys() else None
+    j = next((j for j, g in enumerate(cx.gens) if _mask(g) == mask), None)
+    if j is None:
+        raise ValueError(f"{what} {_fmt(tag)} is not a generator")
+    if cx.differential.columns[j]:
+        raise ValueError(f"{what} {_fmt(tag)} is not a cycle")
+    return j
 
 
 def _eh_block(d, applied):
     """Report block for the transported contact class; errors are flagged."""
     try:
-        g, final = eh_generator(d, applied)
+        j, final = eh_generator(d, applied)
     except ValueError as err:
         return {"ok": False, "error": str(err)}
     return {
         "ok": True,
-        "generator": sorted(g),
-        "nonvanishing": not _is_boundary(final, [g]),
+        "generator": sorted(final.verts[i] for i in final.gens[j]),
+        "nonvanishing": not _is_boundary(final, 1 << j),
     }
 
 
@@ -693,7 +699,7 @@ def equivalence_report(d, handles, darts=None) -> dict:
             {
                 "stage": i,
                 "kind": spec.kind,
-                "generators": len(target.basis),
+                "generators": len(target.gens),
                 "rank": hom.total,
                 "ranks_by_class": sorted(hom.by_class.values()),
                 "digest": table.digest(),
@@ -702,8 +708,10 @@ def equivalence_report(d, handles, darts=None) -> dict:
         check = {"stage": i, "kind": spec.kind}
         if spec.kind == "1":
             ptable = glue_one_handle(source, spec.p, spec.q)
+            # the staged target's tuples are sorted, the direct one's are not
             check["tables_equal"] = (
-                ptable.target.basis == target.basis
+                ptable.target.verts == target.verts
+                and list(map(_mask, ptable.target.gens)) == list(map(_mask, target.gens))
                 and ptable.matrix == table.matrix
                 and ptable.target.differential == target.differential
             )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import sfc, strands
-from .exactlin import BinaryMatrix
+from .exactlin import BinaryMatrix, set_bits
 from .surface import ArcDiagram, Diagram, _interface_arc_bijection
 
 
@@ -205,11 +205,10 @@ def bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructu
             if tuple(len(occ_maps[s][x]) for s in range(len(sides)))
             == tuple(sector)
         ]
-    kept = set(gens)
-    diff = {}
-    for x in gens:
-        ys = cx.boundary_of(x)
-        if ys:
+    kept, diff = set(gens), {}
+    for x, column in zip(cx.basis, cx.differential.columns):
+        if column and x in kept:
+            ys = frozenset(cx.basis[i] for i in set_bits(column))
             if not ys <= kept:
                 raise AssertionError("differential leaves the occupancy sector")
             diff[x] = ys

@@ -34,7 +34,8 @@ over its tuple.  Its ranks are a view too, so a complex that two
 callers rank is ranked once.  Vertex-id frozensets are built only
 where they are read, by one helper (``_as_sets``): in the view
 ``generators``, which ``spinc_partition`` takes, and in the complex's
-``basis`` view on its first read.  ``homology`` builds none.
+``basis`` view on its first read, which ``modules``, the tests and the
+benchmark read.  ``homology`` and the glue tables build none.
 
 The action census grows each chord's candidate domains from the faces
 on the chord across shared edges (``_connected_supersets``).  Both
@@ -55,7 +56,6 @@ from .exactlin import (
     cokernel_residue,
     f2_rank,
     positive_kernel_witness,
-    set_bits,
 )
 from .darts import Darts
 from .surface import CURVE_KINDS, Diagram
@@ -393,11 +393,11 @@ class ChainComplexF2:
     read again.
 
     ``labels`` (the Spin^c class of each generator), ``homology`` (the
-    per-class ranks), ``basis`` (the generators as vertex-id frozensets)
-    and ``position`` (generator -> basis index) are views, each built on
-    its first read and kept.  The labels come only from the diagram's
-    dart build; a complex built from tables has none until its builder
-    assigns ``labels``.
+    per-class ranks) and ``basis`` (the generators as vertex-id sets,
+    which ``modules``, the tests and the benchmark read) are views, each
+    built on its first read and kept.  The labels come only from the
+    diagram's dart build; a complex built from tables has none until its
+    builder assigns ``labels``.
     """
 
     verts: list  # the crossings, in vertex order
@@ -435,14 +435,6 @@ class ChainComplexF2:
     @cached_property
     def basis(self) -> list:
         return _as_sets(self.verts, self.gens)
-
-    @cached_property
-    def position(self) -> dict:
-        return {x: i for i, x in enumerate(self.basis)}
-
-    def boundary_of(self, x) -> frozenset:
-        column = self.differential.columns[self.position[x]]
-        return frozenset(self.basis[r] for r in set_bits(column))
 
 
 def as_complex(d, darts=None) -> ChainComplexF2:

@@ -65,6 +65,13 @@ the staged route pairs with, must equal it field for field.
 ``canonical_signature``s, the least traversal signature over the
 starting flags of each component; the surgery tests use it as their
 isomorphism oracle.
+
+The tests name a complex's generators by their vertex ids: through its
+``basis`` view, ``boundary_of`` reads a generator's column back as
+generators, ``apply_table`` a chain-map table's image of a sum of
+generators, and ``is_boundary`` whether a sum lies in the image of the
+differential.  The library's route tables and contact class read index
+tuples and column indices instead.
 """
 
 from fractions import Fraction
@@ -278,6 +285,43 @@ def naive_f2_rank(rows):
             basis.append(cur)
             basis.sort(key=max, reverse=True)
     return len(basis)
+
+
+# ---------------------------------------------------------------------------
+# complexes and tables read through the vertex-id basis
+
+
+def _set_bits(column):
+    return [i for i in range(column.bit_length()) if column >> i & 1]
+
+
+def boundary_of(cx, x) -> frozenset:
+    """d(x) for ``x``, a generator of the complex ``cx`` as a vertex-id
+    frozenset: the column at x's place in ``cx.basis``, read back as
+    basis elements."""
+    column = cx.differential.columns[cx.basis.index(x)]
+    return frozenset(cx.basis[i] for i in _set_bits(column))
+
+
+def apply_table(table, gens) -> frozenset:
+    """The image under a ``glue.ChainMapTable`` of the sum of ``gens``,
+    source generators as vertex-id frozensets, as target generators."""
+    out = set()
+    for g in gens:
+        column = table.matrix.columns[table.source.basis.index(g)]
+        out ^= {table.target.basis[i] for i in _set_bits(column)}
+    return frozenset(out)
+
+
+def is_boundary(cx, gens) -> bool:
+    """Does the sum of ``gens``, generators of ``cx`` as vertex-id
+    frozensets, lie in the image of the differential?  Both sides are
+    ranked by ``naive_f2_rank`` over basis positions."""
+    columns = [_set_bits(c) for c in cx.differential.columns]
+    vec = set()
+    for g in gens:
+        vec ^= {cx.basis.index(g)}
+    return naive_f2_rank(columns + [vec]) == naive_f2_rank(columns)
 
 
 def smith_normal_form(mat):

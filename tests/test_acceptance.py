@@ -35,7 +35,7 @@ def z2_diagram():
 def boundary_set(cx, gens):
     out = set()
     for g in gens:
-        out ^= cx.boundary_of(g)
+        out ^= oracles.boundary_of(cx, g)
     return frozenset(out)
 
 
@@ -156,8 +156,8 @@ def test_criterion_4_one_handle_routes_agree():
                 failures.append(f"{key} ({p},{q}): {err}")
                 continue
             _d2, sigma, _ = glue.sigma_map(d, HandleSpec("1", p=p, q=q))
-            images = {g: table.apply([g]) for g in table.source.basis}
-            if images != {g: sigma.apply([g]) for g in sigma.source.basis}:
+            images = {g: oracles.apply_table(table, [g]) for g in table.source.basis}
+            if images != {g: oracles.apply_table(sigma, [g]) for g in sigma.source.basis}:
                 failures.append(f"{key} ({p},{q}): tables differ")
             staged, direct = table.target, sigma.target
             if (staged.verts, staged.gens, staged.differential) != (
@@ -266,9 +266,9 @@ def _stage_properties(key, specs, failures):
         for cx in (table.source, table.target):
             classes = dict(zip(cx.basis, cx.labels))
             for g in cx.basis:
-                if boundary_set(cx, cx.boundary_of(g)):
+                if boundary_set(cx, oracles.boundary_of(cx, g)):
                     failures.append(f"{where}: differential does not square to zero")
-                bad = [y for y in cx.boundary_of(g) if classes[y] != classes[g]]
+                bad = [y for y in oracles.boundary_of(cx, g) if classes[y] != classes[g]]
                 if bad:
                     failures.append(f"{where}: differential leaves the class of {name(g)}")
         if table.check():
@@ -288,7 +288,7 @@ def _stage_properties(key, specs, failures):
             tag |= {x0} if x0 is not None else set()
             cx2 = table.target
             g = frozenset(tag)
-            if g not in set(cx2.basis) or cx2.boundary_of(g):
+            if g not in set(cx2.basis) or oracles.boundary_of(cx2, g):
                 failures.append(f"{where}: transported contact tag is not a cycle")
         cur = d2
 
@@ -343,14 +343,14 @@ def test_criterion_8_equivalence_harness():
         for spec in specs:
             d2, table, x0 = glue.sigma_map(cur, spec)
             tag2 = frozenset(tag | {x0}) if x0 is not None else tag
-            sigma_van = glue._is_boundary(sfc.differential(d2), [tag2])
+            sigma_van = oracles.is_boundary(sfc.differential(d2), [tag2])
             if spec.kind == "1":
                 ptable = glue.glue_one_handle(cur, spec.p, spec.q)
-                psi_van = glue._is_boundary(ptable.target, ptable.apply([tag]))
+                psi_van = oracles.is_boundary(ptable.target, oracles.apply_table(ptable, [tag]))
             elif spec.kind == "2":
                 rec = glue.glue_two_handle(cur, spec, table.target, x0)
-                psi_van = glue._is_boundary(
-                    rec["H4"], rec["joinTable"].apply([tag])
+                psi_van = oracles.is_boundary(
+                    rec["H4"], oracles.apply_table(rec["joinTable"], [tag])
                 )
             else:
                 psi_van = sigma_van  # the bypass map is its own staged route
@@ -395,7 +395,7 @@ def test_criterion_9_oracle_cross_checks():
             continue
         naive = oracles.naive_differential(d)
         cx = sfc.differential(d)
-        if any(cx.boundary_of(x) != naive[x] for x in cx.basis):
+        if any(oracles.boundary_of(cx, x) != naive[x] for x in cx.basis):
             failures.append(f"{label}: differentials differ")
             continue
         order = sorted(naive)

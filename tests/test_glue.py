@@ -24,7 +24,7 @@ def name(x):
 
 def images(table):
     """Each source generator's image, as a set of target generators."""
-    return {g: table.apply([g]) for g in table.source.basis}
+    return {g: oracles.apply_table(table, [g]) for g in table.source.basis}
 
 
 def build(key):
@@ -83,13 +83,31 @@ def test_compose_chains_tables_and_rejects_mismatches():
 def test_chain_map_tables_refuse_stray_images_and_bad_shapes():
     cx = sfc.differential(build("fix-stab"))
     with pytest.raises(AssertionError, match=r"^stray: image \{zz\} of \{c\} is not a generator$"):
-        glue._generator_map(cx, cx, lambda g: frozenset(["zz"]), "stray")
+        glue._generator_map(cx, cx, "stray", lambda v: "zz")
     with pytest.raises(ValueError, match="shape"):
         ChainMapTable(cx, cx, BinaryMatrix(len(cx.basis), ()))
     with pytest.raises(ValueError, match="out of bounds"):
         ChainMapTable(cx, cx, BinaryMatrix(len(cx.basis), (1 << len(cx.basis),)))
     with pytest.raises(ValueError, match=r"^column 1 has an entry out of bounds$"):
         BinaryMatrix(len(cx.basis), (0, -1, 1 << len(cx.basis)))
+
+
+def test_generator_map_refusals_name_the_table():
+    """A renamed crossing the target lacks, a stray added crossing and a
+    source generator without a dropped crossing are each refused with
+    the table named: the builder's three rules, which the join's images
+    (drop the pairing piece's generator, add the handle block's and the
+    tags) and the base inclusions (rename into ``R:``) rely on."""
+    cx = sfc.differential(build("fix-stab"))  # one generator, {c}
+    with pytest.raises(AssertionError, match=r"^renamed: image \{R:c\} of \{c\} is not a generator$"):
+        glue._generator_map(cx, cx, "renamed", "R:".__add__)
+    with pytest.raises(AssertionError, match=r"^added: image \{c,zz\} of \{c\} is not a generator$"):
+        glue._generator_map(cx, cx, "added", extra=["zz"])
+    with pytest.raises(AssertionError, match=r"^dropped: source generator \{c\} misses \{zz\}$"):
+        glue._generator_map(cx, cx, "dropped", drop=["zz"])
+    pair = sfc.differential(build("bigonpair"))  # {x}, whose image is itself, and {y}
+    with pytest.raises(AssertionError, match=r"^dropped: source generator \{y\} misses \{x\}$"):
+        glue._generator_map(pair, pair, "dropped", extra=["x"], drop=["x"])
 
 
 def test_stray_join_image_exits_2(monkeypatch, capsys, tmp_path):
@@ -154,7 +172,7 @@ def test_prepare_two_handle_interface_and_marks():
     assert sorted(sorted(g) for g in cx.basis) == sorted(
         [[hv.marks["x0"]], [hv.marks["y0"]]]
     )
-    assert all(not cx.boundary_of(g) for g in cx.basis)
+    assert all(not oracles.boundary_of(cx, g) for g in cx.basis)
 
 
 def _two_handled(key):
@@ -300,14 +318,14 @@ def test_twist_stage_differential_realizes_the_identity():
     x0, y0 = f"R:{marks['x0']}", f"R:{marks['y0']}"
     cx5 = rec["H5"]
     start = frozenset({"L:z1", y0})
-    assert cx5.boundary_of(start) == {
+    assert oracles.boundary_of(cx5, start) == {
         frozenset({"L:z3", y0}),
         frozenset({"L:z2", x0}),
     }
-    assert not cx5.boundary_of(frozenset({"L:z3", y0}))
-    assert not cx5.boundary_of(frozenset({"L:z2", x0}))
+    assert not oracles.boundary_of(cx5, frozenset({"L:z3", y0}))
+    assert not oracles.boundary_of(cx5, frozenset({"L:z2", x0}))
     cx4 = rec["H4"]
-    assert cx4.boundary_of(frozenset({"L:L:c", "L:R:z1", y0})) == {
+    assert oracles.boundary_of(cx4, frozenset({"L:L:c", "L:R:z1", y0})) == {
         frozenset({"L:L:c", "L:R:z2", x0})
     }
 
@@ -347,8 +365,8 @@ def test_staged_record_names_the_cut_stage_of_a_bad_path():
 def test_contact_tag_transports_and_survives():
     d = build("fix-stab")
     results = sequences.replay("fix-stab", glue.two_handle_sequence(d))
-    g, cx = glue.eh_generator(d, results)
-    assert g == frozenset({"c", results[-1][2]})
+    j, cx = glue.eh_generator(d, results)
+    assert cx.basis[j] == frozenset({"c", results[-1][2]})
     assert cx is results[-1][1].target
     block = glue._eh_block(d, results)
     assert block["ok"] and block["nonvanishing"]
@@ -435,6 +453,21 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
     # the base, each stage's attachment, the 1-handle cut and the
     # 2-handle cut H3
     assert len(calls) == 5
+
+
+def test_equivalence_report_builds_frozensets_only_for_the_cuts(monkeypatch):
+    """The route tables are built and read over index tuples, and the
+    contact class over a column index: a warm report builds vertex-id
+    frozensets only for the two cuts' bordered invariants."""
+    d = build("fix-stab")
+    specs = glue.two_handle_sequence(d)
+    assert glue.equivalence_report(d, specs)["ok"]  # builds the builtin blocks
+    calls = []
+    real = sfc._as_sets
+    monkeypatch.setattr(sfc, "_as_sets", lambda *args: calls.append(args) or real(*args))
+    rep = glue.equivalence_report(d, specs)
+    assert rep["ok"] and rep["eh"]["nonvanishing"]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("shape", [("b", "b", "b"), ("1", "b", "b")])
@@ -552,6 +585,36 @@ def test_route_disagreement_is_reported_not_raised(monkeypatch, capsys, tmp_path
     assert json.loads(captured.err)["repro"]["stage"] == 0
 
 
+def test_route_check_reads_the_staged_target_names(monkeypatch, capsys, tmp_path):
+    """Two crossing names swapped in the staged 1-handle target, its
+    tuples and columns kept, make a disagreement at stage 0: the check
+    compares the generators by name, not by position alone."""
+    real = glue.glue_one_handle
+
+    def swapped(d, p, q):
+        table = real(d, p, q)
+        verts = table.target.verts
+        verts[0], verts[1] = verts[1], verts[0]
+        return table
+
+    monkeypatch.setattr(glue, "glue_one_handle", swapped)
+    d = build("fix-bigonpair")
+    specs = glue.two_handle_sequence(d)
+    rep = glue.equivalence_report(d, specs)
+    assert not rep["ok"] and not rep["checks"][0]["tables_equal"]
+    assert rep["checks"][0]["ranks_match"]
+    assert rep["counterexample"]["stage"] == 0
+    diagram = tmp_path / "bigonpair.json"
+    diagram.write_text(surface.serialize(d))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([glue.spec_to_json(s) for s in specs]))
+    code = cli.main(["verify-equivalence", str(diagram), "--handles", str(plan)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines()[-1] == "NOT EQUIVALENT"
+    assert json.loads(captured.err)["repro"]["stage"] == 0
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_compositions_replay_clean(seed):
     key, specs = sequences.random_sequence(seed)
@@ -571,7 +634,7 @@ def test_sliding_the_attachment_site_preserves_ranks():
     for site in (first, second):
         d2, _t, x0 = glue.sigma_map(slid, HandleSpec("bypass+", site=site))
         assert sfc.homology(d2).total == sfc.homology(d).total
-        assert not glue._is_boundary(sfc.differential(d2), [frozenset({"c", x0})])
+        assert not oracles.is_boundary(sfc.differential(d2), [frozenset({"c", x0})])
     del halves
 
 
