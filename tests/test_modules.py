@@ -1,9 +1,10 @@
 """Bordered structures of the catalog pieces and of the gluing
 pipelines: frozen action tables, duality against the strands algebra,
-and the structure relations and box tensor product of ``oracles``
-checked against actual gluings."""
+the library structures against the frozenset-form builder of
+``oracles``, and the structure relations and box tensor product of
+``oracles`` checked against actual gluings."""
 
-import copy
+import dataclasses
 
 import pytest
 
@@ -68,8 +69,9 @@ def test_action_census_reads_the_complex_darts(monkeypatch):
 
 def test_az2_sector_idempotents():
     bs = az2_sector()
-    left = {name(x): set(bs.occupancy[0][x]) for x in bs.generators}
-    right = {name(x): set(bs.occupancy[1][x]) for x in bs.generators}
+    names = bs.generator_names()
+    left = {n: set(bs.occupancy[0][x]) for n, x in zip(names, bs.generators)}
+    right = {n: set(bs.occupancy[1][x]) for n, x in zip(names, bs.generators)}
     assert left == {"{z1}": {2}, "{z2}": {2}, "{z3}": {2}, "{z4}": {1}, "{z5}": {1}}
     assert right == {"{z1}": {2}, "{z2}": {1}, "{z3}": {2}, "{z4}": {2}, "{z5}": {1}}
 
@@ -100,12 +102,13 @@ def test_az2_sector_action_table_golden():
 
 
 def test_az2_sector_has_no_differential():
-    assert az2_sector().differential == {}
+    bs = az2_sector()
+    assert not any(bs.differential[x] for x in bs.generators)
 
 
 def test_az2_three_face_strip_carries_no_action():
     # D1 ∪ D3 ∪ D4 looks like a chord domain but is not embedded as one
-    bs = az2_sector()
+    bs = oracles.as_reference(az2_sector())
     records = sfc.action_census(pieces.az2())
     assert not any(set(r.faces) == {"D1", "D3", "D4"} for r in records)
     rho12 = modules.algebra_basis(bs, 0)["ρ12"]
@@ -120,7 +123,8 @@ def test_az2_full_module_generators_and_differential():
         "{z3}", "{z3,z5}", "{z4}", "{z5}",
     ]
     diff = {
-        name(x): {name(y) for y in ys} for x, ys in bs.differential.items()
+        name(x): {name(y) for y in ys}
+        for x, ys in oracles.as_reference(bs).differential.items()
     }
     assert diff == {"{z2,z4}": {"{z1,z5}"}}
     assert modules.dump(bs).splitlines()[0] == "m[0|1|0]({z2,z4}) = {z1,z5}"
@@ -129,6 +133,7 @@ def test_az2_full_module_generators_and_differential():
 def _duality_check(bs, tags):
     """The actions agree with right/left multiplication on dual labels:
     a·b∨ = Σ_c [b ∈ a·c] c∨  and  b∨·a = Σ_c [b ∈ c·a] c∨."""
+    bs = oracles.as_reference(bs)
     basis_l = modules.algebra_basis(bs, 0)
     basis_r = modules.algebra_basis(bs, 1)
     for x in bs.generators:
@@ -176,7 +181,7 @@ def test_unknot_and_cap_pieces_are_elementary():
         bs = modules.bordered_invariant(build(), kind)
         assert bs.generator_names() == gens
         assert modules.is_elementary(bs)
-        assert oracles.check_relations(bs)["ok"]
+        assert oracles.check_relations(oracles.as_reference(bs))["ok"]
     assert modules.bordered_invariant(pieces.cap2(), "D").delta == {}
 
 
@@ -191,22 +196,59 @@ def test_twist_piece_type_d_golden():
         "δ¹({z1}) = ι1 ⊗ {z3} + ρ2 ⊗ {z2}\n"
         "δ¹({z2}) = ρ1 ⊗ {z3}"
     )
-    z3 = next(x for x in bs.generators if name(x) == "{z3}")
-    assert z3 not in bs.delta
+    ref = oracles.as_reference(bs)
+    z3 = next(x for x in ref.generators if name(x) == "{z3}")
+    assert z3 not in ref.delta
     # the ι1 term is the piece's interior differential z1 -> z3
-    diff = {name(x): {name(y) for y in ys} for x, ys in bs.differential.items()}
+    diff = {name(x): {name(y) for y in ys} for x, ys in ref.differential.items()}
     assert diff == {"{z1}": {"{z3}"}}
 
 
 def test_twist_piece_idempotents():
     # the type-D side indexes generators by the complementary arcs
-    bd = modules.bordered_invariant(pieces.rt2(), "D")
-    ba = modules.bordered_invariant(pieces.rt2(), "A")
+    bd = oracles.as_reference(modules.bordered_invariant(pieces.rt2(), "D"))
+    ba = oracles.as_reference(modules.bordered_invariant(pieces.rt2(), "A"))
     arcs = set(bd.sides[0].matching.values())
     d_arcs = {name(x): arcs - bd.occupancy[0][x] for x in bd.generators}
     a_arcs = {name(x): set(ba.occupancy[0][x]) for x in ba.generators}
     assert d_arcs == {"{z1}": {1}, "{z2}": {2}, "{z3}": {1}}
     assert a_arcs == {"{z1}": {2}, "{z2}": {1}, "{z3}": {2}}
+
+
+# ---------------------------------------------------------------------------
+# the library structures against the frozenset-form builder
+
+
+def _assert_is_reference(bs, d, kind, sector=None):
+    """``bs`` is the frozenset-form structure of ``d`` field for field,
+    its positions renamed through its complex's ``basis``."""
+    got = oracles.as_reference(bs)
+    want = oracles.reference_bordered_invariant(d, kind, sector)
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+# each catalog piece in each kind its interface count allows
+CATALOG_KINDS = [
+    (key, kind)
+    for key in pieces.catalog()
+    for kind in {1: ("A", "D"), 2: ("AA",)}.get(len(pieces.build(key).interfaces), ())
+]
+
+
+@pytest.mark.parametrize("key,kind", CATALOG_KINDS)
+def test_library_structure_is_the_reference_on_the_catalog(key, kind):
+    d = pieces.build(key)
+    _assert_is_reference(modules.bordered_invariant(d, kind), d, kind)
+
+
+@pytest.mark.parametrize("key,kind,sector", [
+    *(("az2", "AA", (left, right)) for left in range(3) for right in range(3)),
+    *(("rt2", "D", (count,)) for count in range(3)),
+])
+def test_library_structure_is_the_reference_on_every_sector(key, kind, sector):
+    d = pieces.build(key)
+    _assert_is_reference(modules.bordered_invariant(d, kind, sector=sector), d, kind, sector)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +271,12 @@ def corpus():
 
 def test_relations_hold_on_the_catalog():
     for bs in corpus():
-        report = oracles.check_relations(bs)
+        report = oracles.check_relations(oracles.as_reference(bs))
         assert report == {"ok": True, "violations": []}
 
 
 def test_relations_detect_a_tampered_action():
-    bs = copy.deepcopy(az2_sector())
+    bs = oracles.reference_bordered_invariant(pieces.az2(), "AA", sector=(1, 1))
     z1 = next(x for x in bs.generators if name(x) == "{z1}")
     z5 = next(x for x in bs.generators if name(x) == "{z5}")
     bs.tables[0]["ρ1"][z1] = frozenset({z5})  # should be {z4}
@@ -244,7 +286,7 @@ def test_relations_detect_a_tampered_action():
 
 
 def test_relations_detect_a_tampered_differential():
-    bs = copy.deepcopy(modules.bordered_invariant(pieces.az2(), "AA"))
+    bs = oracles.reference_bordered_invariant(pieces.az2(), "AA")
     pair = next(x for x in bs.generators if name(x) == "{z1,z5}")
     empty = next(x for x in bs.generators if name(x) == "∅")
     bs.differential[pair] = frozenset({empty})
@@ -253,7 +295,7 @@ def test_relations_detect_a_tampered_differential():
 
 
 def test_relations_detect_a_tampered_delta():
-    bs = copy.deepcopy(modules.bordered_invariant(pieces.rt2(), "D"))
+    bs = oracles.reference_bordered_invariant(pieces.rt2(), "D")
     z1 = next(x for x in bs.generators if name(x) == "{z1}")
     z2 = next(x for x in bs.generators if name(x) == "{z2}")
     bs.delta[z1] = frozenset({("ρ1", z2)})  # wrong chord for the idempotents
@@ -266,11 +308,17 @@ def test_relations_detect_a_tampered_delta():
 # box tensor product
 
 
+def _reference(bs):
+    """The frozenset-form structure of the diagram ``bs`` was built from."""
+    return oracles.reference_bordered_invariant(bs.complex, bs.kind)
+
+
 def _assert_library_tensor(library, a, d):
-    """The library's box tensor of ``a`` and ``d`` is the oracle's, field
-    for field: the prefixed names, the index tuples in canonical order,
-    the columns and the one class; and it has no diagram."""
-    reference = oracles.box_tensor(a, d)
+    """The library's box tensor of the library structures ``a`` and
+    ``d`` is the oracle's box tensor of their frozenset-form structures,
+    field for field: the prefixed names, the index tuples in canonical
+    order, the columns and the one class; and it has no diagram."""
+    reference = oracles.box_tensor(_reference(a), _reference(d))
     assert library.diagram is None
     assert library.verts == reference.verts
     assert library.gens == reference.gens
@@ -285,7 +333,7 @@ def _catalog_pairing(a_piece, d_piece):
     a = modules.bordered_invariant(a_piece, "A")
     d = modules.bordered_invariant(pieces.mirror(d_piece), "D")
     _assert_library_tensor(modules.box_tensor(a, d), a, d)
-    return oracles.box_tensor(a, d)
+    return oracles.box_tensor(_reference(a), _reference(d))
 
 
 def test_box_tensor_matches_the_one_handle_gluing():
@@ -330,16 +378,18 @@ def test_box_tensor_matches_a_gluing_with_a_differential():
 
 
 def test_box_tensor_rejects_bad_inputs():
-    """The oracle and the library refuse the same inputs."""
-    a = modules.bordered_invariant(pieces.u2(), "A")
-    d = modules.bordered_invariant(pieces.mirror(pieces.cap2()), "D")
-    for box_tensor in (oracles.box_tensor, modules.box_tensor):
+    """The oracle and the library refuse the same inputs, each in its
+    own form."""
+    for box_tensor, build in ((oracles.box_tensor, oracles.reference_bordered_invariant),
+                              (modules.box_tensor, modules.bordered_invariant)):
+        a = build(pieces.u2(), "A")
+        d = build(pieces.mirror(pieces.cap2()), "D")
         with pytest.raises(ValueError, match="type-A with a type-D"):
             box_tensor(a, a)
         with pytest.raises(ValueError, match="type-A with a type-D"):
             box_tensor(d, d)
         with pytest.raises(ValueError, match="interval shapes"):
-            box_tensor(a, modules.bordered_invariant(pieces.mirror(pieces.cap1()), "D"))
+            box_tensor(a, build(pieces.mirror(pieces.cap1()), "D"))
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +508,24 @@ def test_box_tensor_matches_the_two_handle_stages(name, site):
 
 
 @pytest.mark.parametrize("name,site", PIPELINE_SITES)
+def test_library_structure_is_the_reference_on_the_pipeline_cuts(name, site):
+    """The type-D structures of the 1-handle cut and of the 2-handle cut
+    H3, the 2-handle running over a 1-handle attached at ``site``."""
+    base = _pipeline_base(name)
+    base2, handle = glue.one_handled(base, site)
+    spec = glue.two_handle_spec(base2, handle)
+    cuts = (glue.prepare_one_handle(base, site, site).d,
+            glue.prepare_two_handle(base2, spec.p, spec.q, spec.a_path, spec.b_path)[0].d)
+    for d in cuts:
+        _assert_is_reference(modules.bordered_invariant(d, "D"), d, "D")
+
+
+@pytest.mark.parametrize("name,site", PIPELINE_SITES)
 def test_relations_hold_on_the_pipelines_type_d_structures(name, site):
     base = _pipeline_base(name)
     h3, _rec = _two_handle_stages(base, site)
     for bs in (_one_handle_cut(base, site), h3):
-        assert oracles.check_relations(bs) == {"ok": True, "violations": []}
+        assert oracles.check_relations(oracles.as_reference(bs)) == {"ok": True, "violations": []}
 
 
 # ---------------------------------------------------------------------------
