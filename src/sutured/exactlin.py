@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 # matrix containers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryMatrix:
     """A matrix over F2 with ``rows`` rows, stored as its columns:
     ``columns[j]`` is an int whose bit i is the entry in row i."""
@@ -65,7 +65,7 @@ def column_sum(columns: Sequence[int], mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegerMatrix:
     """A matrix over Z with ``cols`` columns, stored as sparse rows:
     ``sparse[i]`` maps each column to its nonzero entry in row i."""

@@ -77,7 +77,7 @@ from .surface import (
 # chain-map tables
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainMapTable:
     """An F2-linear map between two sutured chain complexes.
 
@@ -188,7 +188,7 @@ def _is_boundary(cx: sfc.ChainComplexF2, vec: int) -> bool:
 # handle attachment data
 
 
-@dataclass
+@dataclass(slots=True)
 class HandleSpec:
     """Attachment data for one contact handle.
 

@@ -34,7 +34,7 @@ from .exactlin import BinaryMatrix, set_bits
 from .surface import ArcDiagram, Diagram, _interface_arc_bijection
 
 
-@dataclass
+@dataclass(slots=True)
 class BorderedStructure:
     """A structure over the gated complex of its diagram: a generator
     is its position in the complex's ``gens``, and a set of generators

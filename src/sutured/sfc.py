@@ -162,7 +162,7 @@ def _cycle_runs(dx, cycle) -> list:
     return [(c, list(run)) for c, run in groupby(cycle[i:] + cycle[:i], cls.__getitem__)]
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionShape:
     """A union of non-suture faces with its classified boundary."""
 
@@ -365,7 +365,7 @@ def _subset_sums(weight: list, masks: list) -> list:
 # the chain complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Homology:
     total: int
     by_class: dict  # class index -> rank
@@ -512,7 +512,7 @@ def homology(d) -> Homology:
 # interface actions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionRecord:
     """An embedded quadrilateral with one side a chord on an interface.
 

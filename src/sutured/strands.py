@@ -22,7 +22,7 @@ from itertools import combinations, product
 from .surface import ArcDiagram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrandDiagramSum:
     """F2 sum of strand diagrams over one arc diagram.
 

@@ -39,7 +39,7 @@ EDGE_KINDS = ("alpha", "beta", "boundary", "seam")
 # data model
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     id: str
     kind: str
@@ -54,21 +54,21 @@ class Edge:
         return self.frm if direction > 0 else self.to
 
 
-@dataclass
+@dataclass(slots=True)
 class Face:
     id: str
     word: list  # list of (edge_id, +1/-1)
     suture: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Curve:
     id: str
     closed: bool
     segments: list  # edge ids, oriented along the traversal
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcDiagram:
     """Intervals of marked points with a 2-to-1 matching onto arcs."""
 
@@ -135,7 +135,7 @@ class ArcDiagram:
         return problems
 
 
-@dataclass
+@dataclass(slots=True)
 class Interface:
     """One boundary interface: arc diagram + embedded intervals + arcs."""
 
@@ -144,7 +144,7 @@ class Interface:
     arcs: dict  # arc index -> curve id
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagram:
     vertices: set
     edges: dict  # id -> Edge
@@ -669,7 +669,13 @@ def subdivide_edge(d: Diagram, eid: str, k: int = 1) -> tuple:
     sides = {1: [(e, 1) for e in pieces], -1: [(e, -1) for e in reversed(pieces)]}
     for f in d.faces.values():
         if (eid, 1) in f.word or (eid, -1) in f.word:
-            f.word = [x for e, s in f.word for x in (sides[s] if e == eid else [(e, s)])]
+            word = []
+            for x in f.word:
+                if x[0] == eid:
+                    word += sides[x[1]]
+                else:
+                    word.append(x)
+            f.word = word
     if ed.curve is not None:
         c = d.curves(ed.kind)[ed.curve]
         c.segments = [x for e in c.segments for x in (pieces if e == eid else [e])]
@@ -677,8 +683,10 @@ def subdivide_edge(d: Diagram, eid: str, k: int = 1) -> tuple:
 
 
 def _corner_positions(d: Diagram, face_id: str, v: str):
-    word = d.faces[face_id].word
-    return [i for i, (e, s) in enumerate(word) if d.edges[e].start(s) == v]
+    """The positions in the face's word whose side starts at ``v``."""
+    edges = d.edges
+    return [i for i, (e, s) in enumerate(d.faces[face_id].word)
+            if (edges[e].frm if s > 0 else edges[e].to) == v]
 
 
 def split_face_by_chord(d: Diagram, face_id, pos1, pos2, edge_id, kind, curve):
@@ -689,8 +697,9 @@ def split_face_by_chord(d: Diagram, face_id, pos1, pos2, edge_id, kind, curve):
     v1 = d.edges[word[pos1][0]].start(word[pos1][1])
     v2 = d.edges[word[pos2][0]].start(word[pos2][1])
     d.edges[edge_id] = Edge(edge_id, kind, curve, v1, v2)
-    slice1 = [word[(pos2 + k) % n] for k in range((pos1 - pos2) % n)]
-    slice2 = [word[(pos1 + k) % n] for k in range((pos2 - pos1) % n)]
+    turned = word[pos2:] + word[:pos2]  # the word rotated once, to start at pos2
+    m = (pos1 - pos2) % n
+    slice1, slice2 = turned[:m], turned[m:m + (pos2 - pos1) % n]
     fa, fb = d.fresh_ids("f", 2)
     d.faces[fa] = Face(fa, [(edge_id, 1)] + slice1, face.suture)
     d.faces[fb] = Face(fb, [(edge_id, -1)] + slice2, face.suture)
@@ -803,7 +812,7 @@ def _put_mark(d: Diagram, stem: str, v: str) -> None:
 # handle attachments
 
 
-@dataclass
+@dataclass(slots=True)
 class TransversePath:
     """A transverse path: alternating face and edge ids, starting and
     ending with the faces containing the two handle feet."""

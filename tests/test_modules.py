@@ -11,7 +11,8 @@ import pytest
 import fixtures
 import oracles
 from sutured import glue, modules, pieces, sfc, strands
-from sutured.surface import concatenate_bordered
+from sutured.exactlin import BinaryMatrix
+from sutured.surface import ArcDiagram, concatenate_bordered
 
 
 def az2_sector():
@@ -526,6 +527,87 @@ def test_relations_hold_on_the_pipelines_type_d_structures(name, site):
     h3, _rec = _two_handle_stages(base, site)
     for bs in (_one_handle_cut(base, site), h3):
         assert oracles.check_relations(oracles.as_reference(bs)) == {"ok": True, "violations": []}
+
+
+# ---------------------------------------------------------------------------
+# hand-built census moves: the guards no catalog piece or pipeline trips
+#
+# A crossing strictly inside one quadrilateral is a corner of no other
+# that avoids its faces, so on census moves the interior check repeats
+# the disjoint-faces check; and no census chord of the catalog or the
+# pipelines misses its right idempotent.  These cases build the moves
+# by hand: each differs from a clean one by one move, and one guard
+# alone turns its output to zero.
+
+
+def _record(start, end, x_pt, y_pt, faces, interior=()):
+    return sfc.ActionRecord(0, 0, start, end, x_pt, y_pt, tuple(faces), frozenset(interior))
+
+
+def _hand_built(kind, z, verts, gens, occupancy, records):
+    """One structure without differential over ``gens`` (index tuples
+    into ``verts``), in the library's form and the oracle's, with the
+    records as the library's moves and the generators as vertex-id sets."""
+    cx = sfc.ChainComplexF2(verts, gens, BinaryMatrix(len(gens), (0,) * len(gens)), None)
+    positions = list(range(len(gens)))
+    lib = modules.BorderedStructure(kind, cx, [z], positions, [occupancy], [{}], {})
+    sets = [frozenset(verts[i] for i in g) for g in gens]
+    ref = oracles.BorderedStructure(kind, None, [z], sets, [dict(zip(sets, occupancy))],
+                                    {}, [{}], {})
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    moves = [(r, bit[r.x_pt], bit[r.y_pt], sum(map(bit.__getitem__, r.interior)))
+             for r in records]
+    masks = [sum(1 << i for i in g) for g in gens]
+    return lib, ref, sets, moves, masks, {m: x for x, m in enumerate(masks)}
+
+
+# three arcs on one interval; the two strands p1 -> p2 and p3 -> p4
+THREE_ARCS = ArcDiagram([["p0", "p1", "p2", "p3", "p4", "p5"]],
+                        {"p0": 0, "p1": 1, "p2": 2, "p3": 0, "p4": 1, "p5": 2}, "alpha")
+
+
+@pytest.mark.parametrize("faces2, interior1, acts", [
+    pytest.param(["F2"], [], True, id="apart"),
+    # the pairwise-disjoint-faces check
+    pytest.param(["F1"], [], False, id="sharing a face"),
+    # the y-corners-meet-an-interior check
+    pytest.param(["F2"], ["y2"], False, id="a y-corner inside"),
+])
+def test_two_strand_action_from_hand_built_moves(faces2, interior1, acts):
+    """A two-strand chord acts on {x1, x2} by one rectangle per strand,
+    to {y1, y2}, unless the rectangles share a face or a y-corner lies
+    inside the other rectangle."""
+    records = [_record(1, 2, "x1", "y1", ["F1"], interior1), _record(3, 4, "x2", "y2", faces2)]
+    lib, ref, sets, moves, masks, position = _hand_built(
+        "A", THREE_ARCS, ["x1", "x2", "y1", "y2"], [(0, 1), (2, 3)],
+        [frozenset({1, 2})] * 2, records)
+    term = next(iter(strands.element(THREE_ARCS, [("p1", "p2"), ("p3", "p4")], []).terms))
+    assert modules._act_raw(lib, 0, moves, position, term, 0, masks[0]) == (0b10 if acts else 0)
+    want = frozenset({sets[1]} if acts else ())
+    assert oracles._act_raw(ref, 0, records, set(sets), term, sets[0]) == want
+
+
+# two arcs on one interval, as on the torus's matched circle
+TWO_ARCS = ArcDiagram([["p0", "p1", "p2", "p3"]], {"p0": 0, "p1": 1, "p2": 0, "p3": 1}, "alpha")
+
+
+@pytest.mark.parametrize("target_arcs, kept", [
+    pytest.param({0}, True, id="right idempotent met"),
+    pytest.param({1}, False, id="right idempotent missed"),  # the right-idempotent check
+])
+def test_delta_chord_from_a_hand_built_move(target_arcs, kept):
+    """{x} occupies arc 1, so its chord p0 -> p1 leaves from the free
+    arc 0 and arrives on arc 1: δ¹ keeps the term only when {y} leaves
+    arc 1 free."""
+    records = [_record(0, 1, "x", "y", ["F"])]
+    lib, ref, sets, moves, masks, position = _hand_built(
+        "D", TWO_ARCS, ["x", "y"], [(0,), (1,)],
+        [frozenset({1}), frozenset(target_arcs)], records)
+    label = strands.label(strands.element(TWO_ARCS, [("p0", "p1")], []))
+    got = modules._delta_table(lib, moves, masks, position)
+    assert got == ({0: frozenset({(label, 1)})} if kept else {})
+    want = {sets[0]: frozenset({(label, sets[1])})} if kept else {}
+    assert oracles._delta_table(ref, records) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Checks on the source text: every module-level import of a module in
-``src/sutured`` or ``tests`` is used in it, and every module-level
-private name (one leading underscore) is read somewhere in the package.
-The package's ``__init__.py`` imports to re-export and is not checked
-for unused imports."""
+``src/sutured`` or ``tests`` is used in it, every module-level private
+name (one leading underscore) is read somewhere in the package, and
+every dataclass of the package is slotted but ``ChainComplexF2``, whose
+views are cached in its instance dict.  The package's ``__init__.py``
+imports to re-export and is not checked for unused imports."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,38 @@ def test_the_check_finds_an_orphaned_private_name():
 def test_every_private_module_level_name_is_read():
     sources = {p.name: p.read_text() for p in SOURCES}
     assert _orphaned_private_names(sources) == []
+
+
+def _unslotted_dataclasses(source: str) -> list:
+    """``(line, name)`` for each class in ``source`` decorated with
+    ``dataclass`` without ``slots=True``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            if not (isinstance(func, ast.Name) and func.id == "dataclass"):
+                continue
+            slots = {k.arg: k.value for k in getattr(dec, "keywords", [])}.get("slots")
+            if not (isinstance(slots, ast.Constant) and slots.value is True):
+                out.append((node.lineno, node.name))
+    return out
+
+
+def test_the_check_finds_an_unslotted_dataclass():
+    source = (
+        "@dataclass\nclass A:\n    x: int\n\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n\n"
+        "@dataclass(frozen=True, slots=True)\nclass C:\n    x: int\n\n"
+        "@dataclass(slots=False)\nclass D:\n    x: int\n\n"
+        "class E:\n    pass\n"
+    )
+    assert _unslotted_dataclasses(source) == [(2, "A"), (6, "B"), (14, "D")]
+
+
+def test_every_library_dataclass_is_slotted_but_the_complex():
+    """``ChainComplexF2`` keeps an instance dict: its ``labels``,
+    ``homology`` and ``basis`` are ``cached_property`` views."""
+    found = [name for p in MODULES for _line, name in _unslotted_dataclasses(p.read_text())]
+    assert found == ["ChainComplexF2"]

@@ -301,6 +301,109 @@ def test_fresh_ids_are_the_least_free(stab):
     assert d.fresh_ids("w", 2) == ["w1", "w5"]
 
 
+STAB_WORD = ["a1+", "s+", "bd+", "s-", "a2+", "b+", "a2-", "a1-", "b-"]
+
+
+def _sides(word):
+    return [f"{e}{'+' if sgn > 0 else '-'}" for e, sgn in word]
+
+
+@pytest.mark.parametrize("eid, k, word, ends", [
+    ("b", 1, ["a1+", "s+", "bd+", "s-", "a2+", "b.0+", "b.1+", "a2-", "a1-", "b.1-", "b.0-"],
+     [("c", "w0"), ("w0", "c")]),
+    ("b", 2, ["a1+", "s+", "bd+", "s-", "a2+", "b.0+", "b.1.0+", "b.1.1+", "a2-", "a1-",
+              "b.1.1-", "b.1.0-", "b.0-"],
+     [("c", "w0"), ("w0", "w1"), ("w1", "c")]),
+    ("s", 1, ["a1+", "s.0+", "s.1+", "bd+", "s.1-", "s.0-", "a2+", "b+", "a2-", "a1-", "b-"],
+     [("m", "w0"), ("w0", "w")]),
+    ("s", 2, ["a1+", "s.0+", "s.1.0+", "s.1.1+", "bd+", "s.1.1-", "s.1.0-", "s.0-", "a2+",
+              "b+", "a2-", "a1-", "b-"],
+     [("m", "w0"), ("w0", "w1"), ("w1", "w")]),
+])
+def test_subdivide_edge_rewrites_both_sides_in_one_word(stab, eid, k, word, ends):
+    """Both sides of ``b`` and of ``s`` lie in the word of ``F``: the
+    side along the edge becomes the pieces in order, the side against
+    it the pieces reversed, each with the side's sign."""
+    assert _sides(stab.faces["F"].word) == STAB_WORD
+    d = stab.copy()
+    out = sf.subdivide_edge(d, eid, k)
+    pieces_, ws = list(out[:k + 1]), list(out[k + 1:])
+    assert ws == [f"w{i}" for i in range(k)]
+    assert _sides(d.faces["F"].word) == word
+    assert [(d.edges[e].frm, d.edges[e].to) for e in pieces_] == ends
+    assert {d.edges[e].kind for e in pieces_} == {stab.edges[eid].kind}
+    if eid == "b":
+        assert d.beta_curves["B0"].segments == pieces_
+    assert sf.validate(d) == []
+
+
+def _hexagon():
+    """One six-sided face ``H`` whose sides run along and against their
+    edges, with corners ``v0`` .. ``v5`` in word order."""
+    edges = {
+        "e0": Edge("e0", "boundary", None, "v0", "v1"),
+        "e1": Edge("e1", "alpha", "A", "v2", "v1"),
+        "e2": Edge("e2", "seam", None, "v2", "v3"),
+        "e3": Edge("e3", "beta", "B", "v4", "v3"),
+        "e4": Edge("e4", "boundary", None, "v5", "v4"),
+        "e5": Edge("e5", "alpha", "A", "v5", "v0"),
+    }
+    word = [("e0", 1), ("e1", -1), ("e2", 1), ("e3", -1), ("e4", -1), ("e5", 1)]
+    return Diagram({f"v{i}" for i in range(6)}, edges, {"H": Face("H", word, False)},
+                   {"A": Curve("A", False, ["e1", "e5"])}, {"B": Curve("B", False, ["e3"])}, [])
+
+
+@pytest.mark.parametrize("pos1, pos2", [(i, j) for i in range(6) for j in range(6) if i != j])
+def test_split_face_by_chord_at_every_pair_of_corners(pos1, pos2):
+    """The chord runs from the corner at ``pos1`` to the one at
+    ``pos2``; the first face is the chord then the sides from ``pos2``
+    up to ``pos1``, the second the chord reversed then the sides from
+    ``pos1`` up to ``pos2``, cyclically."""
+    d = _hexagon()
+    word, n = list(d.faces["H"].word), 6
+    assert [sf._corner_positions(d, "H", f"v{i}") for i in range(n)] == [[i] for i in range(n)]
+    fa, fb = sf.split_face_by_chord(d, "H", pos1, pos2, "cut", "seam", None)
+    assert (fa, fb) == ("f0", "f1") and list(d.faces) == ["f0", "f1"]
+    assert (d.edges["cut"].frm, d.edges["cut"].to) == (f"v{pos1}", f"v{pos2}")
+    assert d.faces[fa].word == [("cut", 1)] + [word[(pos2 + k) % n] for k in range((pos1 - pos2) % n)]
+    assert d.faces[fb].word == [("cut", -1)] + [word[(pos1 + k) % n] for k in range((pos2 - pos1) % n)]
+    assert not d.faces[fa].suture and not d.faces[fb].suture
+
+
+@pytest.mark.parametrize("name", ["stab", "az2", "grid(4,1)"])
+def test_corner_positions_are_the_sides_starting_at_a_vertex(name):
+    d = fixtures.punctured_grid(4, 1) if name == "grid(4,1)" else pieces.build(name)
+    for f, face in d.faces.items():
+        for v in d.vertices:
+            assert sf._corner_positions(d, f, v) == [
+                i for i, (e, sgn) in enumerate(face.word) if d.edges[e].start(sgn) == v
+            ]
+
+
+def _mutable_parts(d):
+    """Every mutable object of ``d``: its containers, records, words,
+    segment lists and interface parts."""
+    curves = [*d.alpha_curves.values(), *d.beta_curves.values()]
+    out = [d.vertices, d.edges, d.faces, d.alpha_curves, d.beta_curves, d.interfaces,
+           d.eh, d.marks, *d.edges.values(), *d.faces.values(), *curves,
+           *(f.word for f in d.faces.values()), *(c.segments for c in curves)]
+    for itf in d.interfaces:
+        z = itf.arc_diagram
+        out += [itf, itf.intervals, itf.arcs, *itf.intervals, z, z.intervals, z.matching,
+                *z.intervals]
+    return out
+
+
+@pytest.mark.parametrize("name", [*pieces.catalog(), "grid(4,1)"])
+def test_copy_shares_no_mutable_part(name):
+    """The edit primitives set ``Edge.kind`` and reassign words and
+    segments in place, so a copy shares none of them with its source."""
+    d = fixtures.punctured_grid(4, 1) if name == "grid(4,1)" else pieces.build(name)
+    c = d.copy()
+    assert c == d
+    assert {id(x) for x in _mutable_parts(d)}.isdisjoint(map(id, _mutable_parts(c)))
+
+
 # ---------------------------------------------------------------------------
 # surgeries: one-handles, bypasses, destabilization
 
