@@ -124,14 +124,10 @@ class ChainMapTable:
 
 
 def compose(outer: ChainMapTable, inner: ChainMapTable) -> ChainMapTable:
-    if (inner.target.verts, inner.target.gens) != (outer.source.verts, outer.source.gens):
+    if (inner.target.verts, inner.target.masks) != (outer.source.verts, outer.source.masks):
         raise ValueError("tables do not compose: middle complexes differ")
     columns = tuple(column_sum(outer.matrix.columns, c) for c in inner.matrix.columns)
     return ChainMapTable(inner.source, outer.target, BinaryMatrix(outer.matrix.rows, columns))
-
-
-def _mask(g) -> int:
-    return sum(1 << i for i in g)
 
 
 def _images(source, target, what: str, rename=str, extra=(), drop=()) -> list:
@@ -144,17 +140,17 @@ def _images(source, target, what: str, rename=str, extra=(), drop=()) -> list:
     index = {v: i for i, v in enumerate(source.verts)}
     where = {v: i for i, v in enumerate(target.verts)}
     # a name one side lacks gets the bit past its crossings, which no generator holds
-    held = _mask({index.get(v, len(index)) for v in drop})
-    plus = _mask({where.get(v, len(where)) for v in extra})
+    held = sum(1 << i for i in {index.get(v, len(index)) for v in drop})
+    plus = sum(1 << i for i in {where.get(v, len(where)) for v in extra})
     bits = [0 if held >> i & 1 else 1 << where.get(rename(v), len(where)) for v, i in index.items()]
-    column_of = {_mask(g): j for j, g in enumerate(target.gens)}
+    column_of = {m: j for j, m in enumerate(target.masks)}
     out = []
-    for g in source.gens:
+    for g, m in zip(source.gens, source.masks):
         img = plus
         for i in g:
             img |= bits[i]
         j = column_of.get(img)
-        if j is None or held and _mask(g) & held != held:  # names are formatted only here
+        if j is None or m & held != held:  # names are formatted only here
             names, name = {source.verts[i] for i in g}, format_generator(source.verts, g)
             if not names.issuperset(drop):
                 missed = format_generator(set(drop) - names)
@@ -266,12 +262,14 @@ def prepare_one_handle(d, p: str, q: str):
     return _check(out, built=True)
 
 
-def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: TransversePath):
-    """Cut the base open along the 2-handle attachment region.
+def prepare_two_handle(d, spec: HandleSpec):
+    """Cut the base open along the 2-handle attachment region of ``spec``.
 
     The feet are joined by a strip whose attaching-circle side is
     subdivided into a four-edge interface interval, with a slit hole in
-    the strip carrying the second interval.  The long interface arc runs
+    the strip carrying the second interval; the ports on the foot seams
+    are ordered by the spec's ``port_order_p`` and ``port_order_q``, as
+    the direct attachment orders them.  The long interface arc runs
     where the attaching curve's a-side would, the short arc connects the
     middle junction to the hole, and the b-side path closes up into a
     curve crossing them once each; the two crossings are also recorded
@@ -281,10 +279,10 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     """
     if d.interfaces:
         raise ValueError("base must be a closed diagram")
-    _check_two_handle_paths(d, p, q, a_path, b_path)
+    _check_two_handle_paths(d, spec.p, spec.q, spec.a_path, spec.b_path)
     out = d.copy()
-    handle = _attach_one_handle(out, p, q)
-    ports_p, ports_q = _subdivide_ports(out, handle, ("b", "a"), ("b", "a"))
+    handle = _attach_one_handle(out, spec.p, spec.q)
+    ports_p, ports_q = _subdivide_ports(out, handle, spec.port_order_p, spec.port_order_q)
 
     # the attaching-circle side of the strip becomes the long interval
     e1, e2, e3, e4, j0, j1, j2 = subdivide_edge(out, handle["s1"], 3)
@@ -311,7 +309,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
     strip = handle["strip"]
     beta_id = out.fresh_id("B")
     beta_segs = _route_path(
-        out, pieces, b_path, ports_p["b"], ports_q["b"], "beta", beta_id, [],
+        out, pieces, spec.b_path, ports_p["b"], ports_q["b"], "beta", beta_id, [],
         crossings, close_in=strip,
     )
     out.beta_curves[beta_id] = Curve(beta_id, True, beta_segs)
@@ -324,7 +322,7 @@ def prepare_two_handle(d, p: str, q: str, a_path: TransversePath, b_path: Transv
         out, pieces, strip, j0, ports_p["a"], "alpha", arc_long, surgery, crossings,
     )
     long_segs += _route_path(
-        out, pieces, a_path, ports_p["a"], ports_q["a"], "alpha", arc_long, surgery,
+        out, pieces, spec.a_path, ports_p["a"], ports_q["a"], "alpha", arc_long, surgery,
         crossings,
     )
     long_segs += _route_and_insert_chord(
@@ -471,17 +469,16 @@ def _cancel_block_generator(cx: sfc.ChainComplexF2) -> sfc.ChainComplexF2:
     is a table into the result.  A generator that misses one of the
     ``L:`` crossings raises ``AssertionError``."""
     k = sum(v.startswith("L:") for v in cx.verts)
-    lead = tuple(range(k))
-    if any(g[:k] != lead for g in cx.gens):
+    lead = (1 << k) - 1
+    if any(m & lead != lead for m in cx.masks):
         raise AssertionError("a generator misses the block's generator")
-    out = sfc.ChainComplexF2(
+    return sfc.ChainComplexF2(
         [v.removeprefix("R:") for v in cx.verts[k:]],
         [tuple(i - k for i in g[k:]) for g in cx.gens],
+        [m >> k for m in cx.masks],
         cx.differential,
         None,
     )
-    out.labels = [0] * len(out.gens)
-    return out
 
 
 def glue_one_handle(d, p: str, q: str) -> ChainMapTable:
@@ -544,7 +541,7 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     base = sfc.as_complex(d)
     blocks = _handle_blocks("2")
     try:
-        hv, *cut = prepare_two_handle(base.diagram, spec.p, spec.q, spec.a_path, spec.b_path)
+        hv, *cut = prepare_two_handle(base.diagram, spec)
         h3 = sfc.differential(hv.d, hv)
         v = modules.bordered_invariant(h3, "D")
     except ValueError as err:
@@ -630,10 +627,10 @@ def _cycle_generator(cx, tag, what: str) -> int:
     """The column index in ``cx`` of the generator holding the crossings
     ``tag``, refused unless it is one and a cycle."""
     tag, index = set(tag), {v: i for i, v in enumerate(cx.verts)}
-    mask = _mask({index[v] for v in tag}) if tag <= index.keys() else None
-    j = next((j for j, g in enumerate(cx.gens) if _mask(g) == mask), None)
-    if j is None:
+    mask = sum(1 << index[v] for v in tag) if tag <= index.keys() else -1
+    if mask not in cx.masks:
         raise ValueError(f"{what} {format_generator(tag)} is not a generator")
+    j = cx.masks.index(mask)
     if cx.differential.columns[j]:
         raise ValueError(f"{what} {format_generator(tag)} is not a cycle")
     return j
@@ -701,10 +698,9 @@ def equivalence_report(d, handles, darts=None) -> dict:
         check = {"stage": i, "kind": spec.kind}
         if spec.kind == "1":
             ptable = glue_one_handle(source, spec.p, spec.q)
-            # the staged target's tuples are sorted, the direct one's are not
             check["tables_equal"] = (
                 ptable.target.verts == target.verts
-                and list(map(_mask, ptable.target.gens)) == list(map(_mask, target.gens))
+                and ptable.target.masks == target.masks
                 and ptable.matrix == table.matrix
                 and ptable.target.differential == target.differential
             )

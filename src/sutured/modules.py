@@ -102,12 +102,11 @@ def algebra_basis(bs: BorderedStructure, side_pos: int) -> dict:
     return {strands.label(b): b for b in strands.basis(bs.sides[side_pos])}
 
 
-def _act_raw(bs, side_pos, moves, position, term, x, m) -> int:
-    """Evaluate one algebra generator on generator ``x``, whose crossing
-    mask is ``m``, from the port census: one boundary rectangle per
-    moving strand, pairwise disjoint, with matching occupancy.  Returns
-    the outputs' mask."""
-    z = bs.sides[side_pos]
+def _act_raw(bs, side_pos, moves, position, term, x) -> int:
+    """Evaluate one algebra generator on generator ``x`` from the port
+    census: one boundary rectangle per moving strand, pairwise disjoint,
+    with matching occupancy.  Returns the outputs' mask."""
+    z, m = bs.sides[side_pos], bs.complex.masks[x]
     movers, occupied = term
     pos = strands._positions(z)
     start_arcs = {z.matching[s] for s, _ in movers}
@@ -139,13 +138,13 @@ def _act_raw(bs, side_pos, moves, position, term, x, m) -> int:
     return outs
 
 
-def _action_table(bs, side_pos, moves, masks, position) -> dict:
+def _action_table(bs, side_pos, moves, position) -> dict:
     table = {}
     for label, b in algebra_basis(bs, side_pos).items():
         term = next(iter(b.terms))
         col = {}
         for x in bs.generators:
-            outs = _act_raw(bs, side_pos, moves, position, term, x, masks[x])
+            outs = _act_raw(bs, side_pos, moves, position, term, x)
             if outs:
                 col[x] = outs
         if col:
@@ -153,13 +152,13 @@ def _action_table(bs, side_pos, moves, masks, position) -> dict:
     return table
 
 
-def _delta_table(bs, moves, masks, position) -> dict:
+def _delta_table(bs, moves, position) -> dict:
     """δ¹ for a type-D structure: idempotent terms from the differential
     plus one Reeb-chord term per applicable boundary rectangle, each
     completed by the complementary idempotent."""
     z = bs.sides[0]
     arcs = frozenset(z.matching.values())
-    occupancy, delta = bs.occupancy[0], {}
+    occupancy, masks, delta = bs.occupancy[0], bs.complex.masks, {}
     for y in bs.generators:
         comp, m = arcs - occupancy[y], masks[y]
         entries = set()
@@ -220,8 +219,7 @@ def bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructu
     kept, columns = sum(1 << x for x in gens), cx.differential.columns
     if any(columns[x] & ~kept for x in gens):
         raise AssertionError("differential leaves the occupancy sector")
-    masks = [sum(1 << i for i in g) for g in cx.gens]
-    position = {masks[x]: x for x in gens}
+    position = {cx.masks[x]: x for x in gens}
     bit = {v: 1 << i for i, v in enumerate(cx.verts)}
     moves = [[] for _ in sides]  # per side: (record, x-corner bit, y-corner bit, interior mask)
     for r in sfc.action_census(d, cx.darts):
@@ -230,9 +228,9 @@ def bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructu
     bs = BorderedStructure(kind, cx, sides, gens, occupancy, [], {})
     if kind == "D":
         bs.tables = [{}]
-        bs.delta = _delta_table(bs, moves[0], masks, position)
+        bs.delta = _delta_table(bs, moves[0], position)
     else:
-        bs.tables = [_action_table(bs, s, moves[s], masks, position) for s in range(len(sides))]
+        bs.tables = [_action_table(bs, s, moves[s], position) for s in range(len(sides))]
     return bs
 
 
@@ -274,7 +272,8 @@ def box_tensor(a: BorderedStructure, d: BorderedStructure) -> sfc.ChainComplexF2
     complex's.  The differential sends (x, y) to the type-A
     differential of x beside y, plus, for each δ¹ term (b, y2) of y,
     the action on x of b carried across the interface, beside y2; each
-    column is one bit mask over the pairs.  The complex has no diagram,
+    column is one bit mask over the pairs.  A pair's crossing mask is
+    its halves' re-indexed masks joined.  The complex has no diagram,
     and its pairs are in one class.
     """
     if a.kind != "A" or d.kind != "D":
@@ -293,13 +292,15 @@ def box_tensor(a: BorderedStructure, d: BorderedStructure) -> sfc.ChainComplexF2
     ]
     # each half's indices into the crossings its pairs hold; L: names sort before R: names
     xs, ys, verts = dict.fromkeys(x for x, _ in pairs), dict.fromkeys(y for _, y in pairs), []
-    for s, half, prefix in ((a, xs, "L:"), (d, ys, "R:")):
+    mx, my = {}, {}
+    for s, half, mask, prefix in ((a, xs, mx, "L:"), (d, ys, my, "R:")):
         gens = s.complex.gens
         held = sorted(set().union(*map(gens.__getitem__, half)))
         where = {i: k for k, i in enumerate(held, len(verts))}
         verts += [prefix + s.complex.verts[i] for i in held]
         for g in half:
-            half[g] = tuple(sorted(map(where.__getitem__, gens[g])))
+            half[g] = t = tuple(sorted(map(where.__getitem__, gens[g])))
+            mask[g] = sum(1 << i for i in t)
     pairs.sort(key=lambda p: xs[p[0]] + ys[p[1]])
     index = {p: j for j, p in enumerate(pairs)}
     carried = _carried_actions(a, d, arc_map, {b for y in ys for b, _ in d.delta.get(y, ())})
@@ -316,11 +317,10 @@ def box_tensor(a: BorderedStructure, d: BorderedStructure) -> sfc.ChainComplexF2
             columns.append(column)
     except KeyError:
         raise AssertionError("box tensor left the compatible pairs") from None
-    cx = sfc.ChainComplexF2(
-        verts, [xs[x] + ys[y] for x, y in pairs], BinaryMatrix(len(pairs), tuple(columns)), None
+    return sfc.ChainComplexF2(
+        verts, [xs[x] + ys[y] for x, y in pairs], [mx[x] | my[y] for x, y in pairs],
+        BinaryMatrix(len(pairs), tuple(columns)), None,
     )
-    cx.labels = [0] * len(pairs)
-    return cx
 
 
 def _carried_actions(a: BorderedStructure, d: BorderedStructure, arc_map, labels) -> dict:

@@ -22,17 +22,17 @@ generator is its index tuple, unsorted, and bit mask over the crossings
 in vertex order, from one enumeration (``_matchings``, ordered by an int
 key, or by its order mask alone when every alpha curve is closed, since
 then every generator has one crossing per alpha curve) to the columns
-(``_boundary_entries``); the complex keeps the tuples, and the masks
-too when there are at least 3 * 2^ceil(n/3) generators over n
-crossings, as on disjoint unions of bigon pairs (not on the grids, the
-route stages or any catalog piece).  Its class labels
+(``_boundary_entries``); the complex keeps both, the masks being the
+one generator identity every reader matches on.  Its class labels
 (``_spinc_labels``) are a view built on first read, which ``homology``
 makes and the glue routes make only for the complexes whose ranks they
 report; a generator's weight sum is three subset-sum table lookups on
-its mask where the complex kept them (``_subset_sums``), else a sum
-over its tuple.  Its ranks are a view too, so a complex that two
-callers rank is ranked once.  Vertex-id frozensets are built only
-where they are read, by one helper (``_as_sets``): in the view
+its mask when there are at least 3 * 2^ceil(n/3) generators over n
+crossings, as on disjoint unions of bigon pairs (``_subset_sums``; not
+on the grids, the route stages or any catalog piece), else a sum over
+its tuple.  Its ranks are a view too, so a complex that two callers
+rank is ranked once.  Vertex-id frozensets are built only where they
+are read, by one helper (``_as_sets``): in the view
 ``generators``, which the ``generators`` verb prints and
 ``spinc_partition`` takes, and in the complex's ``basis`` view on its
 first read, which only the tests and the benchmark read.  ``homology``,
@@ -297,12 +297,13 @@ def spinc_partition(d: Diagram, gens: list, groups: list) -> dict:
     verts = sorted(set().union(*gens))
     index = {v: i for i, v in enumerate(verts)}
     tuples = [tuple(map(index.__getitem__, x)) for x in gens]
-    return dict(zip(gens, _spinc_labels(d, groups, verts, tuples)))
+    masks = [sum(1 << index[v] for v in x) for x in gens]
+    return dict(zip(gens, _spinc_labels(d, groups, verts, tuples, masks)))
 
 
-def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list, masks=None) -> list:
+def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list, masks: list) -> list:
     """The class index of each of ``gens``, tuples of indices into the
-    crossings ``verts``.
+    crossings ``verts``, whose bit masks over ``verts`` are ``masks``.
 
     Two generators share a class exactly when the difference of their
     occupancy vectors, spread along the alpha family, is a boundary of
@@ -310,8 +311,8 @@ def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list, masks=None)
     appearance.  One ``cokernel_residue`` reduction gives each crossing
     a weight, and a key is the reduced sum of a generator's weights, each
     distinct sum reduced once.  At most one generator needs no Smith form.
-    ``masks``, the generators' bit masks over ``verts`` where given
-    (see ``_subset_sums``), are summed by table in place of the tuples.
+    With at least 3 * 2^ceil(n/3) generators over n crossings the masks
+    are summed by table (``_subset_sums``), else the tuples one by one.
     """
     if len(gens) <= 1:
         return [0] * len(gens)
@@ -334,10 +335,10 @@ def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list, masks=None)
                     row[j] = total
     key = cokernel_residue(rows)
     weight = [key.weights[vrow[v]] for v in verts]
-    if masks is None:
-        sums = [sum(map(weight.__getitem__, t)) for t in gens]
-    else:
+    if 3 << -(-len(verts) // 3) <= len(gens):
         sums = _subset_sums(weight, masks)
+    else:
+        sums = [sum(map(weight.__getitem__, t)) for t in gens]
     classes = {}
     label = {s: classes.setdefault(key.reduce(s), len(classes)) for s in dict.fromkeys(sums)}
     return list(map(label.__getitem__, sums))
@@ -346,9 +347,9 @@ def _spinc_labels(d: Diagram, groups: list, verts: list, gens: list, masks=None)
 def _subset_sums(weight: list, masks: list) -> list:
     """The sum of ``weight[i]`` over the bits i of each of ``masks``: the
     n weights split into three runs of w = ceil(n / 3), the sums of
-    every subset of a run tabled by doubling (2^w entries), and a mask's
+    every subset of a run listed by doubling (2^w entries), and a mask's
     sum is three lookups, one per run.  It pays when 3 * 2^w is at most
-    the number of masks (``differential`` keeps them only then)."""
+    the number of masks (``_spinc_labels`` takes it only then)."""
     w = -(-len(weight) // 3)
     tables = []
     for k in range(3):
@@ -377,13 +378,12 @@ class ChainComplexF2:
 
     ``differential`` builds it once per diagram, and homology, the handle
     maps and the glue routes take it instead of rebuilding it.  It keeps
-    one form: ``verts``, the crossings in vertex order; ``gens``, each
-    generator as its unsorted tuple of indices into ``verts``, canonically
-    ordered; and the bit-packed columns of its ``BinaryMatrix``, column j
-    being d(gens[j]) with bit i standing for gens[i].  ``masks`` holds
-    each generator's bit mask over ``verts`` where ``differential`` found
-    enough generators for the labels' subset-sum tables to pay (see
-    ``_subset_sums``), and is ``None`` otherwise.  ``diagram`` is the
+    ``verts``, the crossings in vertex order; ``gens``, each generator as
+    its unsorted tuple of indices into ``verts``, canonically ordered;
+    ``masks``, each generator's bit mask over ``verts``, by which every
+    reader matches generators (builders differ in their tuples' order);
+    and the bit-packed columns of its ``BinaryMatrix``, column j being
+    d(gens[j]) with bit i standing for gens[i].  ``diagram`` is the
     diagram it came from, or ``None`` for a complex built from tables:
     a box tensor product (``modules.box_tensor``), such as the staged
     route's join complexes and its stage H5, has no diagram, nor has
@@ -396,21 +396,23 @@ class ChainComplexF2:
     ``labels`` (the Spin^c class of each generator), ``homology`` (the
     per-class ranks) and ``basis`` (the generators as vertex-id sets,
     which only the tests and the benchmark read) are views, each
-    built on its first read and kept.  The labels come only from the
-    diagram's dart build; a complex built from tables has none until its
-    builder assigns ``labels``.
+    built on its first read and kept.  The labels come from the
+    diagram's dart build; a complex built from tables has its generators
+    in one class.
     """
 
     verts: list  # the crossings, in vertex order
     gens: list  # canonically ordered generators, as index tuples into verts, unsorted
+    masks: list = field(repr=False)  # gens as bit masks over verts
     differential: BinaryMatrix  # bit i of column j: gens[i] appears in d(gens[j])
     diagram: Optional[Diagram]
     darts: object = field(default=None, repr=False, compare=False)  # the diagram's Darts
-    masks: Optional[list] = field(default=None, repr=False, compare=False)  # gens as bit masks, or None
 
     @cached_property
     def labels(self) -> list:
         d, dx = self.diagram, self.darts
+        if d is None:
+            return [0] * len(self.gens)
         groups = [g for g in dx.region_groups if not d.faces[g[0]].suture]
         return _spinc_labels(d, groups, self.verts, self.gens, self.masks)
 
@@ -460,9 +462,7 @@ def differential(d: Diagram, darts=None) -> ChainComplexF2:
         raise ValueError(f"diagram is not admissible; witness domain: {witness}")
     verts, gens = _matchings(d, dx.crossings)
     diff = BinaryMatrix(len(gens), _boundary_entries(verts, gens, census))
-    tabled = 3 << -(-len(verts) // 3) <= len(gens)  # see _subset_sums
-    return ChainComplexF2(verts, [t for t, _ in gens], diff, d, dx,
-                          [m for _, m in gens] if tabled else None)
+    return ChainComplexF2(verts, [t for t, _ in gens], [m for _, m in gens], diff, d, dx)
 
 
 def _boundary_entries(verts: list, gens: list, census: list) -> tuple:

@@ -1061,7 +1061,7 @@ def _interface_arc_bijection(z1: ArcDiagram, z2: ArcDiagram) -> dict:
     return arc_map
 
 
-def concatenate_bordered(b1: Diagram, b2: Diagram, *, built: bool = False):
+def concatenate_bordered(b1: Diagram, b2: Diagram):
     """Glue the first interface of b1 to the first interface of b2.
 
     The interval edges identify in reversed order and become seams, the
@@ -1146,4 +1146,4 @@ def concatenate_bordered(b1: Diagram, b2: Diagram, *, built: bool = False):
             (glued[e], -s) if e in glued else (e, -s) if e in flipped else (e, s)
             for (e, s) in face.word
         ]
-    return _check(out, built=built)
+    return _check(out)

@@ -1940,14 +1940,13 @@ def box_tensor(a, d):
         columns.append(column)
     names = sorted({n for p in pairs for n in key(p)})
     where = {n: i for i, n in enumerate(names)}
-    cx = sfc.ChainComplexF2(
+    return sfc.ChainComplexF2(
         names,
         [tuple(sorted(map(where.__getitem__, key(p)))) for p in pairs],
+        [sum(1 << where[n] for n in key(p)) for p in pairs],
         BinaryMatrix(len(pairs), tuple(columns)),
         None,
     )
-    cx.labels = [0] * len(pairs)
-    return cx
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import gc
 import hashlib
 import io
@@ -819,6 +820,71 @@ def test_two_handle_over_distinct_feet_is_refused_by_the_router(capsys, tmp_path
     code, out, err = run(capsys, "attach", str(diagram), "--spec", str(spec))
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert json.loads(err) == {"error": "vertex w12 is not an unambiguous corner ([])"}
+
+
+def _ported_plan(tmp_path, order_p, order_q):
+    """fix-disk's canonical two-stage plan with the 2-handle's port orders
+    set to ``order_p`` and ``order_q``, and the 1-handled fix-disk."""
+    d = pieces.build("fix-disk")
+    one, two = glue.two_handle_sequence(d)
+    two = dataclasses.replace(two, port_order_p=order_p, port_order_q=order_q)
+    return write_plan(tmp_path, [one, two]), two, glue.one_handled(d)[0]
+
+
+def test_the_staged_cut_takes_the_specs_port_orders(capsys, tmp_path, disk_file, monkeypatch):
+    """verify-equivalence on fix-disk with the 2-handle's p ports swapped
+    cuts H3 at those orders, not at the default ones, and the twist-stage
+    identity holds on that cut."""
+    plan, two, base2 = _ported_plan(tmp_path, ("a", "b"), ("b", "a"))
+    cuts, real = [], glue.prepare_two_handle
+    monkeypatch.setattr(glue, "prepare_two_handle",
+                        lambda d, spec: cuts.append(real(d, spec)) or cuts[-1])
+    code, out, err = run(capsys, "verify-equivalence", disk_file, "--handles", plan,
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["ok"] and report["checks"][1]["identity"] is True
+    ((built, _x0, _y0),) = cuts
+    cut = built.d
+    default = dataclasses.replace(two, port_order_p=("b", "a"))
+    assert oracles.equivalent(cut, real(base2, two)[0].d)
+    assert not oracles.equivalent(cut, real(base2, default)[0].d)
+
+
+def test_the_staged_cut_refuses_port_orders_it_cannot_route(capsys, tmp_path, disk_file):
+    """With the q ports swapped instead, the staged cut forces three
+    crossings on its long arc, and verify-equivalence refuses at H3."""
+    plan, _two, _base2 = _ported_plan(tmp_path, ("b", "a"), ("a", "b"))
+    code, out, err = run(capsys, "verify-equivalence", disk_file, "--handles", plan)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {
+        "error": "stage H3: paths are not disjoint: 3 forced crossings on the long arc, expected 1"}
+
+
+def test_attach_refuses_port_orders_that_cross_the_paths(capsys, tmp_path):
+    """Both port orders ("a", "b") on the 1-handled fix-disk make the
+    direct attachment's closed curves cross three times."""
+    _plan, two, base2 = _ported_plan(tmp_path, ("a", "b"), ("a", "b"))
+    diagram, spec = tmp_path / "base.json", tmp_path / "spec.json"
+    diagram.write_text(surface.serialize(base2))
+    spec.write_text(json.dumps(glue.spec_to_json(two)))
+    code, out, err = run(capsys, "attach", str(diagram), "--spec", str(spec))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "paths are not disjoint: 3 forced crossings"}
+
+
+def test_validate_reports_an_arc_naming_a_closed_curve(capsys, tmp_path):
+    """fix-stab's 2-handle cut with its interface arc 2 pointed at the
+    closed alpha curve A0 fails validation, through the validate verb."""
+    d = pieces.build("fix-stab")
+    _one, two = glue.two_handle_sequence(d)
+    cut = glue.prepare_two_handle(glue.one_handled(d)[0], two)[0].d
+    cut.interfaces[0].arcs[2] = "A0"
+    path = tmp_path / "cut.json"
+    path.write_text(surface.serialize(cut))
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1
+    assert "interface 0: arc 2 names closed curve A0" in json.loads(out)["problems"]
 
 
 # ---------------------------------------------------------------------------

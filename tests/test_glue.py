@@ -4,6 +4,7 @@ through the builtin blocks, and the route-comparison harness."""
 import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -162,7 +163,7 @@ def test_prepare_one_handle_keeps_suture_flags(key):
 def test_prepare_two_handle_interface_and_marks():
     d, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(d, handle)
-    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)[0].d
+    hv = glue.prepare_two_handle(d, spec)[0].d
     iface = hv.interfaces[0]
     assert [len(iv) for iv in iface.arc_diagram.intervals] == [3, 1]
     assert [len(iv) for iv in iface.intervals] == [4, 2]
@@ -192,7 +193,7 @@ def test_prepare_two_handle_returns_its_crossings(key, twice):
     where the base has an ``x0`` already)."""
     d, handle = glue.one_handled(_two_handled(key) if twice else build(key))
     spec = glue.two_handle_spec(d, handle)
-    dx, x0, y0 = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)
+    dx, x0, y0 = glue.prepare_two_handle(d, spec)
     cut = dx.d
     added = {k: v for k, v in cut.marks.items() if k not in d.marks}
     assert added == ({"x0_1": x0, "y0": y0} if twice else {"x0": x0, "y0": y0})
@@ -201,28 +202,28 @@ def test_prepare_two_handle_returns_its_crossings(key, twice):
         assert dx.crossings[v]["alpha"] == arc  # a crossing on that arc
 
 
+def test_prepare_two_handle_refuses_a_bordered_base():
+    """The cut already carries an interface, so it cannot be cut again."""
+    d, handle = glue.one_handled(build("fix-disk"))
+    spec = glue.two_handle_spec(d, handle)
+    with pytest.raises(ValueError, match="^base must be a closed diagram$"):
+        glue.prepare_two_handle(glue.prepare_two_handle(d, spec)[0].d, spec)
+
+
 def test_prepare_two_handle_validates_paths():
     d, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(d, handle)
     with pytest.raises(ValueError, match="cannot cross"):
-        glue.prepare_two_handle(
-            d, spec.p, spec.q,
-            surface.TransversePath(["S", "nope", "f0"]), spec.b_path,
-        )
+        glue.prepare_two_handle(d, replace(
+            spec, a_path=surface.TransversePath(["S", "nope", "f0"])))
     with pytest.raises(ValueError, match="missing face"):
-        glue.prepare_two_handle(
-            d, spec.p, spec.q,
-            surface.TransversePath(["nope", spec.a_path.crossed()[0], "f0"]),
-            spec.b_path,
-        )
+        glue.prepare_two_handle(d, replace(
+            spec, a_path=surface.TransversePath(["nope", spec.a_path.crossed()[0], "f0"])))
     with pytest.raises(ValueError, match="distinct edges"):
-        glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.a_path)
+        glue.prepare_two_handle(d, replace(spec, b_path=spec.a_path))
     with pytest.raises(ValueError, match="from the face at p"):
-        glue.prepare_two_handle(
-            d, spec.p, spec.q,
-            surface.TransversePath(["f0", spec.a_path.crossed()[0], "S"]),
-            spec.b_path,
-        )
+        glue.prepare_two_handle(d, replace(
+            spec, a_path=surface.TransversePath(["f0", spec.a_path.crossed()[0], "S"])))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_square_pairing_join_leaves_base_generators_alone():
 def test_five_point_pairing_join_tags_the_outer_arc():
     d, handle = glue.one_handled(build("fix-stab"))
     spec = glue.two_handle_spec(d, handle)
-    hv = glue.prepare_two_handle(d, spec.p, spec.q, spec.a_path, spec.b_path)[0].d
+    hv = glue.prepare_two_handle(d, spec)[0].d
     blocks = glue.pairing_blocks(
         modules.bordered_invariant(pieces.u2(), "D"),
         modules.bordered_invariant(pieces.cap2(), "A"),

@@ -323,6 +323,7 @@ def _assert_library_tensor(library, a, d):
     assert library.diagram is None
     assert library.verts == reference.verts
     assert library.gens == reference.gens
+    assert library.masks == reference.masks
     assert library.differential == reference.differential
     assert library.labels == reference.labels == [0] * len(library.gens)
 
@@ -516,7 +517,7 @@ def test_library_structure_is_the_reference_on_the_pipeline_cuts(name, site):
     base2, handle = glue.one_handled(base, site)
     spec = glue.two_handle_spec(base2, handle)
     cuts = (glue.prepare_one_handle(base, site, site).d,
-            glue.prepare_two_handle(base2, spec.p, spec.q, spec.a_path, spec.b_path)[0].d)
+            glue.prepare_two_handle(base2, spec)[0].d)
     for d in cuts:
         _assert_is_reference(modules.bordered_invariant(d, "D"), d, "D")
 
@@ -527,6 +528,28 @@ def test_relations_hold_on_the_pipelines_type_d_structures(name, site):
     h3, _rec = _two_handle_stages(base, site)
     for bs in (_one_handle_cut(base, site), h3):
         assert oracles.check_relations(oracles.as_reference(bs)) == {"ok": True, "violations": []}
+
+
+# a diagram's complex per catalog piece, and the staged complexes per pipeline site
+MASK_CASES = [(key, None) for key in sorted(pieces.catalog())
+              + ["fix-bigonpair", "fix-disk", "fix-stab"]] + PIPELINE_SITES
+
+
+@pytest.mark.parametrize("name,site", MASK_CASES)
+def test_every_complex_keeps_its_generators_masks(name, site):
+    """Each of the three complex builders stores every generator's
+    crossing mask, one per generator: ``sfc.differential`` of a catalog
+    piece; at a pipeline site, the box tensors H4 and H5 and the 1-handle
+    target, the join's box tensor with the block's generator cancelled."""
+    if site is None:
+        complexes = [sfc.differential(pieces.build(name))]
+    else:
+        base = _pipeline_base(name)
+        _h3, rec = _two_handle_stages(base, site)
+        complexes = [rec["H4"], rec["H5"], glue.glue_one_handle(base, site, site).target]
+    for cx in complexes:
+        assert cx.masks == [sum(1 << i for i in g) for g in cx.gens]
+        assert len(set(cx.masks)) == len(cx.masks)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +571,8 @@ def _hand_built(kind, z, verts, gens, occupancy, records):
     """One structure without differential over ``gens`` (index tuples
     into ``verts``), in the library's form and the oracle's, with the
     records as the library's moves and the generators as vertex-id sets."""
-    cx = sfc.ChainComplexF2(verts, gens, BinaryMatrix(len(gens), (0,) * len(gens)), None)
+    masks = [sum(1 << i for i in g) for g in gens]
+    cx = sfc.ChainComplexF2(verts, gens, masks, BinaryMatrix(len(gens), (0,) * len(gens)), None)
     positions = list(range(len(gens)))
     lib = modules.BorderedStructure(kind, cx, [z], positions, [occupancy], [{}], {})
     sets = [frozenset(verts[i] for i in g) for g in gens]
@@ -557,8 +581,7 @@ def _hand_built(kind, z, verts, gens, occupancy, records):
     bit = {v: 1 << i for i, v in enumerate(verts)}
     moves = [(r, bit[r.x_pt], bit[r.y_pt], sum(map(bit.__getitem__, r.interior)))
              for r in records]
-    masks = [sum(1 << i for i in g) for g in gens]
-    return lib, ref, sets, moves, masks, {m: x for x, m in enumerate(masks)}
+    return lib, ref, sets, moves, {m: x for x, m in enumerate(masks)}
 
 
 # three arcs on one interval; the two strands p1 -> p2 and p3 -> p4
@@ -578,11 +601,11 @@ def test_two_strand_action_from_hand_built_moves(faces2, interior1, acts):
     to {y1, y2}, unless the rectangles share a face or a y-corner lies
     inside the other rectangle."""
     records = [_record(1, 2, "x1", "y1", ["F1"], interior1), _record(3, 4, "x2", "y2", faces2)]
-    lib, ref, sets, moves, masks, position = _hand_built(
+    lib, ref, sets, moves, position = _hand_built(
         "A", THREE_ARCS, ["x1", "x2", "y1", "y2"], [(0, 1), (2, 3)],
         [frozenset({1, 2})] * 2, records)
     term = next(iter(strands.element(THREE_ARCS, [("p1", "p2"), ("p3", "p4")], []).terms))
-    assert modules._act_raw(lib, 0, moves, position, term, 0, masks[0]) == (0b10 if acts else 0)
+    assert modules._act_raw(lib, 0, moves, position, term, 0) == (0b10 if acts else 0)
     want = frozenset({sets[1]} if acts else ())
     assert oracles._act_raw(ref, 0, records, set(sets), term, sets[0]) == want
 
@@ -600,11 +623,11 @@ def test_delta_chord_from_a_hand_built_move(target_arcs, kept):
     arc 0 and arrives on arc 1: δ¹ keeps the term only when {y} leaves
     arc 1 free."""
     records = [_record(0, 1, "x", "y", ["F"])]
-    lib, ref, sets, moves, masks, position = _hand_built(
+    lib, ref, sets, moves, position = _hand_built(
         "D", TWO_ARCS, ["x", "y"], [(0,), (1,)],
         [frozenset({1}), frozenset(target_arcs)], records)
     label = strands.label(strands.element(TWO_ARCS, [("p0", "p1")], []))
-    got = modules._delta_table(lib, moves, masks, position)
+    got = modules._delta_table(lib, moves, position)
     assert got == ({0: frozenset({(label, 1)})} if kept else {})
     want = {sets[0]: frozenset({(label, sets[1])})} if kept else {}
     assert oracles._delta_table(ref, records) == want

@@ -759,8 +759,8 @@ def test_labels_are_built_on_first_read(monkeypatch, tmp_path, capsys):
     distinct = list({id(c): c for c in reported}.values())
     assert all(isinstance(c, sfc.ChainComplexF2) for c in distinct)
     # the box tensor products (the 1-handle stage's target and the
-    # 2-handle stage's H4 and H5) come labelled, one class, and have no
-    # diagram to label from
+    # 2-handle stage's H4 and H5) have no diagram to label from: their
+    # labels view gives one class
     glued = [c for c in distinct if c.diagram is not None]
     assert len(distinct) - len(glued) == 3
     assert sorted(map(id, labelled)) == sorted(id(c.diagram) for c in glued)
@@ -770,18 +770,21 @@ def test_labels_are_built_on_first_read(monkeypatch, tmp_path, capsys):
     ((3, 1), 7, True),  # 768 generators over 23 crossings: 3 * 2^8 <= 768
     ((4, 1), 5, False),  # 768 generators over 26 crossings: 3 * 2^9 > 768
 ])
-def test_labels_match_reference_on_either_sum(grid, power, tabled):
+def test_labels_match_reference_on_either_sum(monkeypatch, grid, power, tabled):
     """The labels equal the reference key whether the weights are summed
-    by subset-sum tables over the masks or over the index tuples, and a
-    complex keeps its masks exactly when it takes the tables."""
+    by subset-sum tables over the masks or over the index tuples; the
+    tables are taken exactly when they pay, and the complex keeps its
+    masks either way."""
+    tabulated, real_sums = [], sfc._subset_sums
+    monkeypatch.setattr(sfc, "_subset_sums",
+                        lambda weight, masks: tabulated.append(masks) or real_sums(weight, masks))
     d = fixtures.disjoint_union(fixtures.punctured_grid(*grid), fixtures.bigonpair_power(power))
     cx = sfc.differential(d)
     assert len(cx.gens) == 768
-    assert (cx.masks is not None) == tabled
-    if tabled:
-        assert cx.masks == [sum(1 << i for i in t) for t in cx.gens]
+    assert cx.masks == [sum(1 << i for i in t) for t in cx.gens]
     reference = oracles.reference_spinc_partition(d, cx.basis)
     assert cx.labels == [reference[x] for x in cx.basis]
+    assert tabulated == ([cx.masks] if tabled else [])
     assert len(set(cx.labels)) == (3 if tabled else 4)
 
 
@@ -961,7 +964,7 @@ def _table_complex(columns, labels):
     """A complex built from tables: one crossing per generator."""
     n = len(labels)
     cx = sfc.ChainComplexF2([f"p{i}" for i in range(n)], [(i,) for i in range(n)],
-                            BinaryMatrix(n, tuple(columns)), None)
+                            [1 << i for i in range(n)], BinaryMatrix(n, tuple(columns)), None)
     cx.labels = labels
     return cx
 
@@ -1066,9 +1069,7 @@ def _cut_open(name, base, sites):
         where = f"{name} cut at {site or one.p}"
         yield where, glue.prepare_one_handle(base, one.p, one.q).d
         mid = glue.one_handled(base, site)[0]
-        yield where.replace("cut", "2-handle cut"), glue.prepare_two_handle(
-            mid, two.p, two.q, two.a_path, two.b_path
-        )[0].d
+        yield where.replace("cut", "2-handle cut"), glue.prepare_two_handle(mid, two)[0].d
 
 
 def _bordered_diagrams():

@@ -502,7 +502,7 @@ def test_routed_constructions_are_pinned(name, construction):
     if construction.startswith("bypass"):
         out = sf.attach_trivial_bypass(d, h1.p, construction[-1])[0]
     elif construction == "cut":
-        out = glue.prepare_two_handle(base2, h2.p, h2.q, h2.a_path, h2.b_path)[0].d
+        out = glue.prepare_two_handle(base2, h2)[0].d
     else:
         out = sf.attach_two_handle(base2, h2.p, h2.q, h2.a_path, h2.b_path,
                                    h2.port_order_p, h2.port_order_q)[0]
