@@ -131,7 +131,8 @@ def _cmd_glue(args):
         lines = payload["table"] + [f"rank {payload['rank']}"]
     elif spec.kind == "2":
         base = sfc.differential(d, dx)
-        rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(d, spec))
+        _d2, table, x0 = glue.sigma_map(base, spec)
+        rec = glue.glue_two_handle(base, spec, table.target, x0)
         ranks = dict(rec["identityReport"]["ranks"], H3=sfc.homology(rec["H3"]).total)
         stages = {
             stage: {"generators": len(rec[stage].gens), "rank": ranks[stage]}
@@ -245,11 +246,12 @@ def _disk_stages() -> dict:
     are glued here: the 2-handle block, and the twist block rt2, onto H3."""
     base, handle = glue.one_handled(pieces.build("fix-disk"))
     spec = glue.two_handle_spec(base, handle)
-    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
+    _d2, table, x0 = glue.sigma_map(base, spec)
+    rec = glue.glue_two_handle(table.source, spec, table.target, x0)
     h3 = rec["H3"].diagram
     return {
         "disk-h3": h3,
-        "disk-h4": surface.concatenate_bordered(glue._handle_blocks("2").block, h3),
+        "disk-h4": surface.concatenate_bordered(glue._handle_blocks("2").a.diagram, h3),
         "disk-h5": surface.concatenate_bordered(pieces.rt2(), h3),
         "disk-h6": rec["H6"].diagram,
     }

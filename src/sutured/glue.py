@@ -30,12 +30,16 @@ routes build, each generator to the one its renamed crossings name.
 The route functions take a diagram or its complex (built once, by
 ``sfc.differential``); ``equivalence_report`` passes each stage's target
 complex on as the next stage's source, hands the direct 2-handle
-attachment to the staged pipeline as its stage H6, compares the two
-routes, and reports a disagreement as a counterexample.  The builtin
-blocks' bordered invariants, each handle block's concatenation with its
-pairing piece and that concatenation's type-A structure
-(``_handle_blocks``), and the twist block's (``_twist_block``), are
-built once per process and shared by every pipeline run.
+attachment, ``sigma_map``'s target, to the staged pipeline as its stage
+H6, compares the two routes, and reports a disagreement as a
+counterexample.
+
+The staged route joins two fixed triples of builtin pieces, a handle
+block, its pairing piece and its pairing block: (u1, cap1, az1) and
+(u2, cap2, az2).  They are data, not inputs: ``_handle_blocks`` builds
+each triple's structures and tags straight from ``pieces``, and
+``_twist_block`` the twist block's, once per process, shared by every
+pipeline run; the tests check that the pieces are elementary.
 """
 
 from __future__ import annotations
@@ -46,13 +50,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import modules, pieces, sfc
-from .darts import Darts
 from .exactlin import BinaryMatrix, column_sum, f2_rank, f2_rank_kernel, set_bits
 from .modules import format_generator
 from .surface import (
     ArcDiagram,
     Curve,
-    Diagram,
     Edge,
     Interface,
     TransversePath,
@@ -361,71 +363,52 @@ def prepare_two_handle(d, spec: HandleSpec):
 # the elementary join
 
 
-def _pairing_tags(w: modules.BorderedStructure) -> tuple:
-    """Pairing block and dual-tag marks for an elementary type-A piece.
-
-    Point-free interfaces pair through the square block (no tags); the
-    two-arc shape pairs through the five-point block, where the occupied
-    arcs of the single generator select the tagged middle vertices: the
-    outer arc tags ``z3``, the arc reaching the hole tags ``z5``.
-    """
+def _pairing_tags(w: modules.BorderedStructure) -> list:
+    """The tag vertices of the pairing block that the join's images
+    occupy: the occupied arcs of the pairing piece's one generator, the
+    outer arc tagging ``z3`` and the arc reaching the hole ``z5``.  The
+    square block has no arcs, so no tags."""
     algebra = w.sides[0]
-    pts = algebra.points()
-    if not pts:
-        return pieces.az1(), []
-    shape = [len(iv) for iv in algebra.intervals]
-    if shape != [3, 1]:
-        raise ValueError("no pairing block for this interface shape")
     outer = set(algebra.intervals[0])
     tag_of = {a: "z3" if all(pt in outer for pt in arc_pts) else "z5"
               for a, arc_pts in algebra.arcs().items()}
-    occ = w.occupancy[0][w.generators[0]]
-    return pieces.az2(), sorted(tag_of[a] for a in occ)
+    return sorted(tag_of[a] for a in w.occupancy[0][w.generators[0]])
 
 
 class PairingBlocks(NamedTuple):
-    """A handle block and its pairing piece, checked and concatenated.
+    """A handle block and its pairing piece, as the join reads them.
 
     ``u`` is the handle block's single-generator type-D invariant, ``w``
-    the elementary type-A pairing piece, ``block`` the handle block's
-    diagram concatenated with the pairing block that ``w`` selects,
-    ``a`` that concatenation's type-A structure, and ``tags`` the tag
-    vertices of that pairing block which the join's images occupy.
+    the elementary type-A pairing piece, ``a`` the type-A structure of
+    the handle block concatenated with its pairing block, whose diagram
+    is ``a.diagram``, and ``tags`` the tag vertices of that pairing
+    block which the join's images occupy.
     """
 
     u: modules.BorderedStructure
     w: modules.BorderedStructure
-    block: Diagram
     a: modules.BorderedStructure
     tags: list
 
 
-def pairing_blocks(u, w) -> PairingBlocks:
-    """Check that ``u`` joins through ``w``; build the concatenation and
-    its type-A structure."""
-    if u.kind != "D":
-        raise ValueError("the handle block must be a type-D structure")
-    if w.kind != "A":
-        raise ValueError("the pairing piece must be a type-A structure")
-    if not modules.is_elementary(w):
-        raise ValueError("pairing piece is not elementary")
-    if len(u.generators) != 1:
-        raise ValueError("handle block must have a single generator")
-    az, tags = _pairing_tags(w)
-    block = concatenate_bordered(u.diagram, az)
-    return PairingBlocks(u, w, block, modules.bordered_invariant(block, "A"), tags)
-
-
 @functools.cache
 def _handle_blocks(kind: str) -> PairingBlocks:
-    """The pairing blocks of the "1"- or "2"-handle pipeline.
+    """The pairing blocks of the "1"- or "2"-handle pipeline: u1, cap1
+    and the square az1, or u2, cap2 and the five-point az2.
 
     They depend on nothing but ``kind``, so they are built once per
     process and shared by every pipeline run; no caller mutates them.
     """
-    handle, cap = (pieces.u1(), pieces.cap1()) if kind == "1" else (pieces.u2(), pieces.cap2())
-    return pairing_blocks(
-        modules.bordered_invariant(handle, "D"), modules.bordered_invariant(cap, "A")
+    handle, cap, az = (
+        (pieces.u1(), pieces.cap1(), pieces.az1()) if kind == "1"
+        else (pieces.u2(), pieces.cap2(), pieces.az2())
+    )
+    w = modules.bordered_invariant(cap, "A")
+    return PairingBlocks(
+        modules.bordered_invariant(handle, "D"),
+        w,
+        modules.bordered_invariant(concatenate_bordered(handle, az), "A"),
+        _pairing_tags(w),
     )
 
 
@@ -445,9 +428,7 @@ def _elementary_join_full(blocks: PairingBlocks, v) -> ChainMapTable:
     glued), sending each generator to its image under the join
     (handle-block generator, tag vertices, base part).
     """
-    if v.kind != "D":
-        raise ValueError("the base must be a type-D structure")
-    u, w, _block, a, tags = blocks
+    u, w, a, tags = blocks
     return _generator_map(
         modules.box_tensor(w, v),
         modules.box_tensor(a, v),
@@ -505,36 +486,21 @@ def glue_one_handle(d, p: str, q: str) -> ChainMapTable:
     return table
 
 
-def direct_two_handle(d, spec: HandleSpec) -> tuple:
-    """The direct 2-handle attachment as the staged record's stage H6.
-
-    ``d`` is the base diagram.  Returns ``(complex, x0)``: the attached
-    diagram's complex and its forced intersection point, the last two
-    arguments of ``glue_two_handle``.  A failure is refused with the
-    stage named.
-    """
-    try:
-        h6, x0 = _attach(d, spec)
-        return sfc.differential(h6.d, h6), x0
-    except ValueError as err:
-        raise ValueError(f"stage H6: {err}") from err
-
-
 def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     """2-handle attachment through the staged pipeline.
 
-    ``d`` is the base diagram or its complex.  ``direct`` is the direct
-    attachment's complex and ``x0`` its forced point, as ``sigma_map``
-    or ``direct_two_handle`` built them: they are stage H6, taken from
-    the caller rather than attached again.  Returns the stage record:
-    the complexes of the cut-open base ``H3``, the block stage ``H4``,
-    the twist-block stage ``H5`` and ``H6``; the composed ``joinTable``
-    into ``H4``; and the ``identityReport`` checking the twist-stage
-    boundary identity and the stage homology ranks, read from those
-    complexes.  ``H3`` and ``H6`` carry their diagrams; ``H4`` and
+    ``d`` is the base diagram or its complex.  ``direct`` and ``x0``,
+    the target of ``sigma_map``'s table and its forced point, are stage
+    H6, taken from the caller rather than attached again.  Returns the
+    stage record: the complexes of the cut-open base ``H3``, the block
+    stage ``H4``, the twist-block stage ``H5`` and ``H6``; the composed
+    ``joinTable`` into ``H4``; and the ``identityReport`` checking the
+    twist-stage boundary identity and the stage homology ranks, read
+    from those complexes.  ``H3`` and ``H6`` carry their diagrams; ``H4`` and
     ``H5`` are box tensor products of the block's and the twist block's
     type-A structures with ``H3``'s type-D structure, and carry none.
-    Any stage failing its gates raises with the stage named.
+    A cut that fails to route or fails its gates is refused with stage
+    H3 named.
     """
     if spec.kind != "2":
         raise ValueError("glue_two_handle needs a kind-2 handle spec")
@@ -547,14 +513,8 @@ def glue_two_handle(d, spec: HandleSpec, direct, x0) -> dict:
     except ValueError as err:
         raise ValueError(f"stage H3: {err}") from err
     x0v, y0v = (f"R:{v}" for v in cut)  # the cut's crossings, named as in H4 and H5
-    try:
-        join = _elementary_join_full(blocks, v)
-    except ValueError as err:
-        raise ValueError(f"stage H4: {err}") from err
-    try:
-        cx5 = modules.box_tensor(_twist_block(), v)
-    except ValueError as err:
-        raise ValueError(f"stage H5: {err}") from err
+    join = _elementary_join_full(blocks, v)
+    cx5 = modules.box_tensor(_twist_block(), v)
 
     wv = blocks.w.crossings(blocks.w.generators[0])[0]
     pre = _generator_map(
@@ -669,15 +629,16 @@ def equivalence_report(d, handles, darts=None) -> dict:
     and its table, target complex and stage ranks are compared with the
     direct route's.  The report carries one deterministic block per stage
     plus the contact class summary; the first disagreement is dumped as a
-    counterexample.  A tagged base, or one with handles, has its complex
-    built up front on ``darts``, its dart build, if made, as stage 0's
-    source; a tag that is not a cycle generator of it is a ``ValueError``.
+    counterexample.  Every base, whatever the plan, has its complex built
+    up front on ``darts``, its dart build, if made, as stage 0's source,
+    so a base that is not nice or not admissible is a ``ValueError``, as
+    is a tag that is not a cycle generator of it.
     """
     blocks = []
     stage_checks = []
     applied = []
     counterexample = None
-    base = sfc.differential(d, darts) if d.eh or handles else d
+    base = sfc.differential(d, darts)
     if d.eh:
         _cycle_generator(base, d.eh, "contact tag")
     cur = base
@@ -732,13 +693,8 @@ def equivalence_report(d, handles, darts=None) -> dict:
         cur = target
     eh = _eh_block(base, applied) if d.eh else None
     ok = counterexample is None and (eh is None or eh["ok"])
-    if base is d:  # no plan and no tag: count the enumeration, build no complex
-        dx = Darts(d) if darts is None else darts
-        base_generators = len(sfc._matchings(d, dx.crossings)[1])
-    else:
-        base_generators = len(base.differential.columns)
     return {
-        "base_generators": base_generators,
+        "base_generators": len(base.gens),
         "stages": blocks,
         "checks": stage_checks,
         "eh": eh,

@@ -19,10 +19,10 @@ and an output is found by its mask.
 The ``bordered`` verb reads these tables, and the staged gluing route
 (``glue``) pairs them: ``box_tensor`` builds the chain complex of a
 type-A structure paired with a type-D one, the complex of the glued
-diagram without gluing it.  The structure relations, a builder of the
-same structures keyed by vertex-id frozensets, and the box tensor
-product over that form, which the library's must equal, are test
-references in ``tests/oracles.py``.
+diagram without gluing it.  The structure relations, the check that a
+builtin piece is elementary, a builder of the same structures keyed by
+vertex-id frozensets, and the box tensor product over that form, which
+the library's must equal, are test references in ``tests/oracles.py``.
 """
 
 import functools
@@ -232,25 +232,6 @@ def bordered_invariant(d, kind: str, sector=None, darts=None) -> BorderedStructu
     else:
         bs.tables = [_action_table(bs, s, moves[s], position) for s in range(len(sides))]
     return bs
-
-
-# ---------------------------------------------------------------------------
-# evaluation and bookkeeping
-
-
-def is_elementary(bs: BorderedStructure) -> bool:
-    """One generator, no differential, no non-idempotent actions."""
-    if len(bs.generators) != 1 or bs.differential[bs.generators[0]]:
-        return False
-    if bs.kind == "D":
-        return not bs.delta
-    for side_pos, table in enumerate(bs.tables):
-        basis = algebra_basis(bs, side_pos)
-        for label, col in table.items():
-            movers, _ = next(iter(basis[label].terms))
-            if movers and col:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

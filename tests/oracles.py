@@ -60,8 +60,11 @@ renames a library structure, whose generators are positions in its
 complex's ``gens``, into that form, and the two must be equal field for
 field.
 
-Three references check what the library builds instead of re-deriving
-it; the two on bordered structures read the frozenset form.
+Four references check what the library builds instead of re-deriving
+it; two of the three on bordered structures read the frozenset form.
+``is_elementary`` checks that a builtin piece's structure is
+elementary, as the staged route's pairing pieces and handle blocks must
+be: one generator, no differential, no non-idempotent action.
 ``check_relations`` verifies a bordered structure's relations: ∂² = 0,
 idempotent compatibility, composition of actions against the strands
 product, the Leibniz rule where no algebra differential term can arise,
@@ -1756,6 +1759,22 @@ def as_reference(bs) -> BorderedStructure:
 
 # ---------------------------------------------------------------------------
 # bordered structures: the structure relations
+
+
+def is_elementary(bs) -> bool:
+    """One generator, no differential, no non-idempotent actions: ``bs``
+    is a library structure, read over its positions."""
+    if len(bs.generators) != 1 or bs.differential[bs.generators[0]]:
+        return False
+    if bs.kind == "D":
+        return not bs.delta
+    for side_pos, table in enumerate(bs.tables):
+        basis = modules.algebra_basis(bs, side_pos)
+        for label, col in table.items():
+            movers, _ = next(iter(basis[label].terms))
+            if movers and col:
+                return False
+    return True
 
 
 def _leibniz_safe(z, term) -> bool:

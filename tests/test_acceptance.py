@@ -186,7 +186,8 @@ def test_criterion_5_two_handle_identity():
     failures = []
     for label, base, spec in _two_handle_cases():
         try:
-            rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
+            _d2, table, x0 = glue.sigma_map(base, spec)
+            rec = glue.glue_two_handle(table.source, spec, table.target, x0)
         except (ValueError, AssertionError) as err:
             failures.append(f"{label}: {err}")
             continue

@@ -611,6 +611,32 @@ def test_verify_equivalence_rejects_non_list_plans(capsys, tmp_path, stab_file):
     assert code == 1 and "JSON list" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("name", ["bigonpair", "disk", "stab", "rt2"])
+def test_verify_equivalence_reports_the_base_of_an_empty_plan(capsys, tmp_path, name):
+    """An empty plan's base goes through the gate like any plan's, and
+    the report counts its generators, tagged base or not."""
+    d = pieces.build(name)
+    path = tmp_path / "base.json"
+    path.write_text(surface.serialize(d))
+    code, out, err = run(capsys, "verify-equivalence", str(path), "--handles",
+                         write_plan(tmp_path, []), "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["ok"] and report["stages"] == report["checks"] == []
+    assert report["base_generators"] == len(sfc.generators(d))
+
+
+def test_verify_equivalence_gates_the_base_of_an_empty_plan(capsys, tmp_path):
+    """annular_trap validates but is not nice: an empty plan on it is
+    refused with the gate's reason, not reported equivalent."""
+    path = tmp_path / "trap.json"
+    path.write_text(surface.serialize(fixtures.annular_trap()))
+    code, out, err = run(capsys, "verify-equivalence", str(path), "--handles",
+                         write_plan(tmp_path, []))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "diagram is not nice; offending faces: ['F2']"}
+
+
 @pytest.mark.parametrize("pool", ["edges", "faces", "alpha_curves", "beta_curves"])
 def test_duplicate_ids_refuse_the_document(capsys, tmp_path, pool):
     """A second entry with an id already in its pool would replace the
@@ -869,6 +895,19 @@ def test_attach_refuses_port_orders_that_cross_the_paths(capsys, tmp_path):
     diagram.write_text(surface.serialize(base2))
     spec.write_text(json.dumps(glue.spec_to_json(two)))
     code, out, err = run(capsys, "attach", str(diagram), "--spec", str(spec))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "paths are not disjoint: 3 forced crossings"}
+
+
+def test_glue_refuses_port_orders_that_cross_the_paths(capsys, tmp_path):
+    """The glue verb takes stage H6 from ``sigma_map``, so both port
+    orders ("a", "b") on the 1-handled fix-disk are refused with the
+    direct attachment's reason, as ``attach`` refuses them."""
+    _plan, two, base2 = _ported_plan(tmp_path, ("a", "b"), ("a", "b"))
+    diagram, spec = tmp_path / "base.json", tmp_path / "spec.json"
+    diagram.write_text(surface.serialize(base2))
+    spec.write_text(json.dumps(glue.spec_to_json(two)))
+    code, out, err = run(capsys, "glue", str(diagram), "--spec", str(spec))
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert json.loads(err) == {"error": "paths are not disjoint: 3 forced crossings"}
 

@@ -249,12 +249,21 @@ def test_one_handle_pipeline_matches_transport(key):
 # the elementary join
 
 
+def _assert_joinable(blocks):
+    """What the join reads of a handle block and its pairing piece: a
+    single-generator type-D block and an elementary type-A piece."""
+    assert (blocks.u.kind, blocks.w.kind, blocks.a.kind) == ("D", "A", "A")
+    assert len(blocks.u.generators) == 1
+    assert oracles.is_elementary(blocks.w)
+
+
 def test_square_pairing_join_leaves_base_generators_alone():
     cut = glue.prepare_one_handle(build("fix-bigonpair"), "ci", "co").d
-    blocks = glue.pairing_blocks(
-        modules.bordered_invariant(pieces.u1(), "D"),
-        modules.bordered_invariant(pieces.cap1(), "A"),
-    )
+    blocks = glue._handle_blocks("1")
+    _assert_joinable(blocks)
+    assert blocks.tags == []
+    block = surface.concatenate_bordered(pieces.u1(), pieces.az1())
+    assert surface.serialize(blocks.a.diagram) == surface.serialize(block)
     v = modules.bordered_invariant(cut, "D")
     table = glue._elementary_join_full(blocks, v)
     assert not table.check()
@@ -266,32 +275,17 @@ def test_five_point_pairing_join_tags_the_outer_arc():
     d, handle = glue.one_handled(build("fix-stab"))
     spec = glue.two_handle_spec(d, handle)
     hv = glue.prepare_two_handle(d, spec)[0].d
-    blocks = glue.pairing_blocks(
-        modules.bordered_invariant(pieces.u2(), "D"),
-        modules.bordered_invariant(pieces.cap2(), "A"),
-    )
+    blocks = glue._handle_blocks("2")
+    _assert_joinable(blocks)
+    assert blocks.tags == ["z3"]
+    block = surface.concatenate_bordered(pieces.u2(), pieces.az2())
+    assert surface.serialize(blocks.a.diagram) == surface.serialize(block)
     v = modules.bordered_invariant(hv, "D")
     table = glue._elementary_join_full(blocks, v)
     for g, img in images(table).items():
         (target,) = img
         assert {"L:L:c", "L:R:z3"} <= target
         assert "L:R:z5" not in target
-
-
-def test_join_rejections():
-    u = modules.bordered_invariant(pieces.u1(), "D")
-    w = modules.bordered_invariant(pieces.cap1(), "A")
-    busy = modules.bordered_invariant(pieces.mirror(pieces.rt2()), "A")
-    with pytest.raises(ValueError, match="not elementary"):
-        glue.pairing_blocks(u, busy)
-    with pytest.raises(ValueError, match="single generator"):
-        glue.pairing_blocks(modules.bordered_invariant(pieces.rt2(), "D"), w)
-    with pytest.raises(ValueError, match="handle block must be a type-D structure"):
-        glue.pairing_blocks(w, w)
-    with pytest.raises(ValueError, match="type-A structure"):
-        glue.pairing_blocks(u, u)
-    with pytest.raises(ValueError, match="base must be a type-D structure"):
-        glue._elementary_join_full(glue.pairing_blocks(u, w), w)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,8 @@ def test_staged_record_identity_and_stage_ranks(key):
     d = build(key)
     spec = glue.two_handle_sequence(d)[1]
     base, _handle = glue.one_handled(d)
-    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
+    _d2, table, x0 = glue.sigma_map(base, spec)
+    rec = glue.glue_two_handle(table.source, spec, table.target, x0)
     rep = rec["identityReport"]
     assert rep["ok"] and not rep["failures"]
     assert rep["ranks_agree"]
@@ -314,7 +309,8 @@ def test_staged_record_identity_and_stage_ranks(key):
 def test_twist_stage_differential_realizes_the_identity():
     base, handle = glue.one_handled(build("fix-disk"))
     spec = glue.two_handle_spec(base, handle)
-    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
+    _d2, table, x0 = glue.sigma_map(base, spec)
+    rec = glue.glue_two_handle(table.source, spec, table.target, x0)
     marks = {k: v for k, v in rec["H3"].diagram.marks.items()}
     x0, y0 = f"R:{marks['x0']}", f"R:{marks['y0']}"
     cx5 = rec["H5"]
@@ -335,7 +331,8 @@ def test_join_table_lands_on_the_tagged_generator():
     d = build("fix-stab")
     base, handle = glue.one_handled(d)
     spec = glue.two_handle_spec(base, handle)
-    rec = glue.glue_two_handle(base, spec, *glue.direct_two_handle(base, spec))
+    _d2, table, x0 = glue.sigma_map(base, spec)
+    rec = glue.glue_two_handle(table.source, spec, table.target, x0)
     y0 = f"R:{rec['H3'].diagram.marks['y0']}"
     assert images(rec["joinTable"]) == {
         frozenset(["c"]): frozenset([frozenset({"L:L:c", "L:R:z3", "R:c", y0})])
@@ -418,6 +415,16 @@ def test_equivalence_report_clean_on_the_canonical_sequence():
     assert [b["kind"] for b in rep["stages"]] == ["1", "2"]
     assert all(c["ranks_match"] for c in rep["checks"])
     assert rep["eh"]["nonvanishing"]
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("annular_trap", "not nice"), ("hexagram", "not nice"), ("grid_torus", "not admissible"),
+])
+def test_equivalence_report_gates_the_base_of_an_empty_plan(name, reason):
+    """One gate for every plan: an empty plan's base is built on it too,
+    so a base that fails it is refused, tagged or not."""
+    with pytest.raises(ValueError, match=f"^diagram is {reason}"):
+        glue.equivalence_report(getattr(fixtures, name)(), [])
 
 
 def test_equivalence_report_bypass_stage_checks_isomorphism():

@@ -181,14 +181,14 @@ def test_unknot_and_cap_pieces_are_elementary():
     ]:
         bs = modules.bordered_invariant(build(), kind)
         assert bs.generator_names() == gens
-        assert modules.is_elementary(bs)
+        assert oracles.is_elementary(bs)
         assert oracles.check_relations(oracles.as_reference(bs))["ok"]
     assert modules.bordered_invariant(pieces.cap2(), "D").delta == {}
 
 
 def test_twist_piece_is_not_elementary():
-    assert not modules.is_elementary(modules.bordered_invariant(pieces.rt2(), "A"))
-    assert not modules.is_elementary(modules.bordered_invariant(pieces.rt2(), "D"))
+    assert not oracles.is_elementary(modules.bordered_invariant(pieces.rt2(), "A"))
+    assert not oracles.is_elementary(modules.bordered_invariant(pieces.rt2(), "D"))
 
 
 def test_twist_piece_type_d_golden():
@@ -433,7 +433,8 @@ def _two_handle_stages(base, site):
     1-handle attached at ``site``."""
     base2, handle = glue.one_handled(base, site)
     spec = glue.two_handle_spec(base2, handle)
-    rec = glue.glue_two_handle(base2, spec, *glue.direct_two_handle(base2, spec))
+    _d2, table, x0 = glue.sigma_map(base2, spec)
+    rec = glue.glue_two_handle(table.source, spec, table.target, x0)
     return modules.bordered_invariant(rec["H3"], "D"), rec
 
 
@@ -474,7 +475,7 @@ def test_box_tensor_matches_the_one_handle_join_target(name, site):
     block = concatenate_bordered(pieces.u1(), pieces.az1())
     _assert_pairs_like_gluing(join.target, modules.bordered_invariant(block, "A"), cut, block)
     glued, _forced = oracles.reference_trivial_destabilize(
-        concatenate_bordered(blocks.block, cut.diagram), "L:L:Ae", "L:L:Be"
+        concatenate_bordered(blocks.a.diagram, cut.diagram), "L:L:Ae", "L:L:Be"
     )
     reference = sfc.differential(glued)
     target = glue.glue_one_handle(base, site, site).target

@@ -690,10 +690,10 @@ def test_handle_stages_edit_like_references(name, monkeypatch):
     assert len(glued) == 2
     cuts = [glue.prepare_one_handle(d, one.p, one.q).d, glue.prepare_one_handle(mid, site, site).d]
     for cut in cuts:
-        glued += [(one_blocks.block, cut), (one_blocks.w.diagram, cut)]
-        _assert_matches_references(sf.concatenate_bordered(one_blocks.block, cut))
+        glued += [(one_blocks.a.diagram, cut), (one_blocks.w.diagram, cut)]
+        _assert_matches_references(sf.concatenate_bordered(one_blocks.a.diagram, cut))
     h3 = rec["H3"].diagram
-    glued += [(two_blocks.w.diagram, h3), (two_blocks.block, h3), (pieces.rt2(), h3)]
+    glued += [(two_blocks.w.diagram, h3), (two_blocks.a.diagram, h3), (pieces.rt2(), h3)]
     for args in glued:
         out = _concatenated(*args)
         assert isinstance(out, dict)  # every shape glues
@@ -720,7 +720,7 @@ def test_route_destabilizations_keep_their_complex(name, monkeypatch):
     for specs in plans:
         assert glue.equivalence_report(d, specs)["ok"]
     assert len(calls) == sum(spec.kind == "1" for specs in plans for spec in specs) > 0
-    block = glue._handle_blocks("1").block
+    block = glue._handle_blocks("1").a.diagram
     for base, p, q, table in calls:
         cut = glue.prepare_one_handle(base, p, q)
         glued, _forced = oracles.reference_trivial_destabilize(
